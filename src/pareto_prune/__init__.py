@@ -48,8 +48,6 @@ from .solver import (
     ScalarizedObjective,
     SolverConfig,
     SolveResult,
-    reset_solve_count,
-    solve_count,
     solve_scalarized,
 )
 
@@ -91,9 +89,7 @@ __all__ = [
     "phase_a",
     "phase_b",
     "realization_from_index",
-    "reset_solve_count",
     "run_pipeline",
-    "solve_count",
     "solve_scalarized",
     "weakly_dominates",
 ]

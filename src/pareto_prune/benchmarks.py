@@ -11,19 +11,13 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParetoSolution, ProblemSpec, nondominated_filter
-from .decomposition import (
-    DEFAULT_REALIZATION_CAP,
-    build_subproblem_front,
-    enumerate_realizations,
-)
-from .pipeline import NlpCounts, PipelineError, PruneReport, parallel_map, resolve_workers
-from .solver import InfeasibleError, SolverConfig, reset_solve_count, solve_count
+from .core import ProblemSpec
+from .pipeline import PruneReport, run_pipeline
+from .solver import SolverConfig
 
 __all__ = [
     "TrussConstants",
@@ -246,56 +240,8 @@ def oracle_front(
     config: SolverConfig | None = None,
     eps: float = 0.0,
     workers: int | None = None,
-    cap: int = DEFAULT_REALIZATION_CAP,
 ) -> PruneReport:
     """Reference front by brute force: build the beta-point front of
     every realization (beta * |K| solves), merge, and filter.  k1c lists
     the realizations whose points survive the global filter."""
-    if beta < 2:
-        raise ValueError(f"beta must be >= 2, got {beta}")
-    config = config or SolverConfig()
-    nworkers = resolve_workers(workers)
-    t0 = time.perf_counter()
-    reset_solve_count()
-
-    reals = enumerate_realizations(spec, cap)
-    fronts = parallel_map(
-        _front_or_none, [(spec, r, beta, config, eps) for r in reals], workers=nworkers
-    )
-    merged: list[ParetoSolution] = []
-    infeasible: list[int] = []
-    for r, front in zip(reals, fronts):
-        if front is None:
-            infeasible.append(r.k)
-        else:
-            merged.extend(front)
-    if not merged:
-        raise PipelineError("every subproblem is infeasible")
-    final = nondominated_filter(merged, eps)
-    final.sort(key=lambda s: s.point.j1)
-    contributing = sorted({sol.realization.k for sol in final})
-    total = solve_count()
-    return PruneReport(
-        problem=spec.name,
-        beta=beta,
-        phases="none",
-        eps=eps,
-        seed=config.seed,
-        k_total=len(reals),
-        k1m=(),
-        k1u=(),
-        k1c=tuple(contributing),
-        pruned_a=(),
-        pruned_b=(),
-        infeasible=tuple(infeasible),
-        nlp=NlpCounts(a1=0, a2=0, b1=0, b3=total),
-        front=tuple(final),
-        wallclock_ms=int(round((time.perf_counter() - t0) * 1000)),
-    )
-
-
-def _front_or_none(spec, r, beta, config, eps):
-    try:
-        return build_subproblem_front(spec, r, beta, config, eps)
-    except InfeasibleError:
-        return None
+    return run_pipeline(spec, beta=beta, phases="none", config=config, eps=eps, workers=workers)

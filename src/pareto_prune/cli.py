@@ -2,7 +2,8 @@
 oracle on a registry problem, write JSON/CSV reports, and compare runs.
 
 Exit codes: 0 success (for ``compare``: fronts match), 1 compare
-mismatch, 2 bad flags or malformed inputs, 3 pipeline/capacity failure.
+mismatch, 2 bad flags, malformed inputs or unwritable outputs, 3
+pipeline/capacity failure.
 """
 
 from __future__ import annotations
@@ -11,71 +12,56 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import get_problem, oracle_front
+from .benchmarks import get_problem
+from .core import _check_eps
 from .decomposition import CapacityExceeded
 from .pipeline import PipelineError, PruneReport, run_pipeline
 from .solver import SolverConfig
 
 __all__ = ["main", "RunConfigFile", "hausdorff_distance", "write_report", "write_front_csv"]
 
-_CONFIG_KEYS = {
-    "problem", "beta", "phases", "eps", "seed",
-    "n_starts", "max_iters", "step_tol", "fd_step", "feas_tol", "penalty_coefficient",
-    "report", "front",
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfigFile:
-    """Validated bundle of run parameters.  Unknown keys are rejected so
-    a typo in an override never silently disappears."""
+    """Validated bundle of run parameters; phases "none" is the oracle."""
 
     problem: str
     beta: int = 21
     phases: str = "ab"
     eps: float = 0.0
     seed: int = 0
-    n_starts: int = 16
-    max_iters: int = 500
-    step_tol: float = 1e-10
-    fd_step: float = 1e-7
-    feas_tol: float = 1e-8
-    penalty_coefficient: float = 1e6
     report: str | None = None
     front: str | None = None
 
     def __post_init__(self) -> None:
         if self.beta < 2:
             raise ValueError(f"beta must be >= 2, got {self.beta}")
-        if self.phases not in ("a", "ab"):
-            raise ValueError(f'phases must be "a" or "ab", got {self.phases!r}')
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RunConfigFile":
-        unknown = set(d) - _CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "problem" not in d:
-            raise ValueError("config requires a problem id")
-        return cls(**d)
+        if self.phases not in ("a", "ab", "none"):
+            raise ValueError(f'phases must be "a", "ab" or "none", got {self.phases!r}')
+        _check_eps(self.eps)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            n_starts=self.n_starts,
-            max_iters=self.max_iters,
-            step_tol=self.step_tol,
-            fd_step=self.fd_step,
-            feas_tol=self.feas_tol,
-            penalty_coefficient=self.penalty_coefficient,
-            seed=self.seed,
-        )
+        return SolverConfig(seed=self.seed)
+
+
+def _check_output_path(path: str | None) -> None:
+    """Fail before the compute when an output file cannot be created."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise ValueError(f"output path {path} is a directory")
+    parent = target.parent
+    if not parent.is_dir():
+        raise ValueError(f"output directory {parent} does not exist")
+    if not os.access(parent, os.W_OK):
+        raise ValueError(f"output directory {parent} is not writable")
 
 
 # --- serialization ---------------------------------------------------------
@@ -200,11 +186,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the two-phase pruning pipeline")
     oracle = sub.add_parser("oracle", help="run the exhaustive per-realization search")
-    for p, needs_phases in ((run, True), (oracle, False)):
+    run.add_argument("--phases", choices=["a", "ab"], default="ab")
+    oracle.set_defaults(phases="none")
+    for p in (run, oracle):
         p.add_argument("--problem", required=True, help="registry problem id")
         p.add_argument("--beta", type=int, default=21, help="points per subproblem front")
-        if needs_phases:
-            p.add_argument("--phases", choices=["a", "ab"], default="ab")
         p.add_argument("--eps", type=float, default=0.0, help="dominance tolerance")
         p.add_argument("--seed", type=int, default=0, help="multistart seed")
         p.add_argument("--report", required=True, help="output JSON path")
@@ -218,17 +204,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """``run`` and ``oracle``: the oracle is the pipeline with phases "none"."""
     try:
         cfg = RunConfigFile(
             problem=args.problem,
             beta=args.beta,
-            phases=getattr(args, "phases", "ab"),
+            phases=args.phases,
             eps=args.eps,
             seed=args.seed,
             report=args.report,
             front=args.front,
         )
         spec = get_problem(cfg.problem)
+        _check_output_path(cfg.report)
+        _check_output_path(cfg.front)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -239,35 +228,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (PipelineError, CapacityExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    write_report(report, cfg.report)
-    if cfg.front:
-        write_front_csv(report, cfg.front)
-    print(summary_line(report))
-    return 0
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
     try:
-        cfg = RunConfigFile(
-            problem=args.problem,
-            beta=args.beta,
-            eps=args.eps,
-            seed=args.seed,
-            report=args.report,
-            front=args.front,
-        )
-        spec = get_problem(cfg.problem)
-    except ValueError as exc:
+        write_report(report, cfg.report)
+        if cfg.front:
+            write_front_csv(report, cfg.front)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = oracle_front(spec, beta=cfg.beta, config=cfg.solver_config(), eps=cfg.eps)
-    except (PipelineError, CapacityExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    write_report(report, cfg.report)
-    if cfg.front:
-        write_front_csv(report, cfg.front)
     print(summary_line(report))
     return 0
 
@@ -294,11 +261,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "oracle":
-        return cmd_oracle(args)
-    return cmd_compare(args)
+    if args.command == "compare":
+        return cmd_compare(args)
+    return cmd_run(args)
 
 
 if __name__ == "__main__":

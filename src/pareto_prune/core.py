@@ -70,9 +70,6 @@ class ProblemSpec:
     z-independent part.  Solve trajectories are then bitwise identical
     across realizations, which preserves exact objective-space ties
     between realizations that are mathematically equivalent.
-
-    ``equality_constraints`` exists for schema fidelity only; supplying
-    one is rejected (no solver path consumes it).
     """
 
     name: str
@@ -82,7 +79,6 @@ class ProblemSpec:
     objectives: Callable
     inequality_constraints: Callable | None = None
     gradient: Callable | None = None
-    equality_constraints: None = None
     vectorized: bool = False
     base_objectives: Callable | None = None
     objective_offsets: Callable | None = None
@@ -102,8 +98,6 @@ class ProblemSpec:
                 raise ValueError(f"discrete set {j} is empty")
             if len(set(zs)) != len(zs):
                 raise ValueError(f"discrete set {j} has repeated values: {zs}")
-        if self.equality_constraints is not None:
-            raise ValueError("equality constraints are not supported; the field is a schema slot only")
         if (self.base_objectives is None) != (self.objective_offsets is None):
             raise ValueError("base_objectives and objective_offsets must be supplied together")
 
@@ -132,8 +126,8 @@ class ParetoSolution:
 
 
 def _check_eps(eps: float) -> None:
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
 
 
 def dominates(a: ObjectivePoint, b: ObjectivePoint, eps: float = 0.0) -> bool:
@@ -170,50 +164,22 @@ def nondominated_mask(points: np.ndarray, eps: float = 0.0) -> np.ndarray:
     """Boolean mask of rows of ``points`` (shape (n, 2)) not strictly
     dominated by any other row.  Duplicates all survive.
 
-    For eps == 0 a sort-and-scan is used; the merged fronts of the
-    exhaustive oracle reach ~10^5 points, where the pairwise scan is
-    noticeably slow.  Both paths are checked against a pairwise
-    brute-force oracle in the test suite.
+    Row b is dominated iff some row a has a1 < b1-eps and a2 <= b2+eps, or
+    a1 <= b1+eps and a2 < b2-eps; the strict inequality in each test rules
+    out a == b.  After one sort by j1, each test is a ``searchsorted`` into
+    the running minimum of j2, so the filter is O(n log n) for every eps.
     """
     _check_eps(eps)
-    n = points.shape[0]
-    if n <= 1:
-        return np.ones(n, dtype=bool)
-    if eps == 0.0:
-        return _nondominated_mask_scan(points)
-    mask = np.ones(n, dtype=bool)
     j1, j2 = points[:, 0], points[:, 1]
-    for i in range(n):
-        le = (j1 <= j1[i] + eps) & (j2 <= j2[i] + eps)
-        lt = (j1 < j1[i] - eps) | (j2 < j2[i] - eps)
-        le[i] = False
-        mask[i] = not bool(np.any(le & lt))
-    return mask
-
-
-def _nondominated_mask_scan(points: np.ndarray) -> np.ndarray:
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    j1 = points[order, 0]
-    j2 = points[order, 1]
-    n = j1.shape[0]
-    surv = np.ones(n, dtype=bool)
-    best = np.inf  # min j2 among points with strictly smaller j1
-    i = 0
-    while i < n:
-        j = i
-        while j < n and j1[j] == j1[i]:
-            j += 1
-        gmin = j2[i:j].min()
-        for t in range(i, j):
-            # dominated by a strictly-smaller-j1 point with j2 <=, or by an
-            # equal-j1 point with strictly smaller j2
-            if best <= j2[t] or j2[t] > gmin:
-                surv[t] = False
-        best = min(best, gmin)
-        i = j
-    out = np.empty(n, dtype=bool)
-    out[order] = surv
-    return out
+    order = np.argsort(j1, kind="stable")
+    sorted_j1 = j1[order]
+    prefix_min_j2 = np.minimum.accumulate(j2[order])
+    # rows with a1 < b1-eps, then rows with a1 <= b1+eps
+    c = np.searchsorted(sorted_j1, j1 - eps, side="left")
+    dominated = (c > 0) & (prefix_min_j2[c - 1] <= j2 + eps)
+    c = np.searchsorted(sorted_j1, j1 + eps, side="right")
+    dominated |= (c > 0) & (prefix_min_j2[c - 1] < j2 - eps)
+    return ~dominated
 
 
 def nondominated_filter(items: Sequence[PointLike], eps: float = 0.0) -> list[PointLike]:

@@ -42,7 +42,8 @@ class Status(Enum):
 class SubproblemRecord:
     """Per-realization bookkeeping.  ``front`` holds the subproblem's
     weighted-sum front once built; ``status`` only moves forward
-    (unprocessed -> master/pruned_a -> pruned_b/retained_b)."""
+    (unprocessed -> master/pruned_a -> pruned_b/retained_b), and to
+    infeasible when the anchors or the whole front fail."""
 
     realization: Realization
     anchor1: ParetoSolution | None = None
@@ -149,18 +150,24 @@ def build_subproblem_front(
 ) -> list[ParetoSolution]:
     """beta-point weighted-sum front of subproblem r: solves weights
     i/(beta-1) for i = 0..beta-1 (beta counted NLPs), filters dominated
-    outcomes, sorts by j1 ascending."""
+    outcomes, sorts by j1 ascending.  A weight whose solve raises
+    InfeasibleError is skipped, as an anchor is, so the sweep always poses
+    all beta solves."""
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
     sols: list[ParetoSolution] = []
     for i in range(beta):
         w = i / (beta - 1)
-        res = solve_scalarized(
-            ScalarizedObjective(
-                weight=w, realization=r, parent=spec, penalty_coefficient=config.penalty_coefficient
-            ),
-            config,
-        )
+        try:
+            res = solve_scalarized(
+                ScalarizedObjective(
+                    weight=w, realization=r, parent=spec,
+                    penalty_coefficient=config.penalty_coefficient,
+                ),
+                config,
+            )
+        except InfeasibleError:
+            continue
         if res.feasible:
             sols.append(_solution(spec, r, res, f"w{i}"))
     if not sols:

@@ -1,9 +1,9 @@
 """Two-phase pruning pipeline: utopia-based Phase A, center-point Phase B,
-final front assembly, and full solve accounting."""
+final front assembly, and full solve accounting.  The exhaustive oracle is
+the same driver with both phases skipped."""
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 import time
@@ -17,7 +17,9 @@ from .core import (
     ParetoSolution,
     ProblemSpec,
     Realization,
+    _check_eps,
     nondominated_filter,
+    nondominated_mask,
 )
 from .decomposition import (
     Status,
@@ -27,7 +29,7 @@ from .decomposition import (
     compute_center,
     enumerate_realizations,
 )
-from .solver import InfeasibleError, SolverConfig, add_solve_count, reset_solve_count, solve_count
+from .solver import InfeasibleError, SolverConfig
 
 __all__ = [
     "PipelineError",
@@ -62,34 +64,22 @@ def resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-def _counted_call(task):
-    fn, args = task
-    before = solve_count()
-    out = fn(*args)
-    return out, solve_count() - before
-
-
 def parallel_map(fn, argtuples, workers: int = 1) -> list:
     """Map fn over argument tuples, optionally across worker processes.
 
-    Results keep input order and the workers' solve counts are folded
-    back into this process, so totals match serial execution exactly.
-    Falls back to serial when the task does not pickle (e.g. closures in
-    user-defined problem evaluators).
+    Results keep input order.  Falls back to serial when the task does not
+    pickle (e.g. closures in user-defined problem evaluators).
     """
     argtuples = list(argtuples)
     if workers <= 1 or len(argtuples) <= 1:
         return [fn(*a) for a in argtuples]
-    tasks = [(fn, a) for a in argtuples]
     try:
-        pickle.dumps(tasks[0])
+        pickle.dumps((fn, argtuples[0]))
     except Exception:
         return [fn(*a) for a in argtuples]
-    chunk = max(1, len(tasks) // (workers * 8))
+    chunk = max(1, len(argtuples) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        outcomes = list(ex.map(_counted_call, tasks, chunksize=chunk))
-    add_solve_count(sum(delta for _, delta in outcomes))
-    return [out for out, _ in outcomes]
+        return list(ex.map(fn, *zip(*argtuples), chunksize=chunk))
 
 
 @dataclass(frozen=True)
@@ -208,8 +198,6 @@ class PhaseAResult:
     records: dict[int, SubproblemRecord]
     k1m: list[int]
     k1u: list[int]
-    pruned_a: list[int]
-    infeasible: list[int]
     master_front: list[ParetoSolution]
     nlp_a1: int
     nlp_a2: int
@@ -222,14 +210,8 @@ def master_candidates(records: list[SubproblemRecord], eps: float = 0.0) -> list
     if not usable:
         return []
     pts = np.array([[rec.utopia.j1, rec.utopia.j2] for rec in usable])
-    out = []
-    for i, rec in enumerate(usable):
-        le = (pts[:, 0] <= pts[i, 0] + eps) & (pts[:, 1] <= pts[i, 1] + eps)
-        lt = (pts[:, 0] < pts[i, 0] - eps) | (pts[:, 1] < pts[i, 1] - eps)
-        le[i] = False
-        if not bool(np.any(le & lt)):
-            out.append(rec.realization.k)
-    return sorted(out)
+    mask = nondominated_mask(pts, eps)
+    return sorted(rec.realization.k for rec, keep in zip(usable, mask) if keep)
 
 
 def build_master_front(
@@ -270,121 +252,65 @@ def phase_a(
     eps: float = 0.0,
     workers: int = 1,
 ) -> PhaseAResult:
-    """A-1 anchors/utopias for all realizations, A-2 master front from
-    non-dominated utopias, A-3 pruning of subproblems whose utopia the
-    master front weakly dominates."""
+    """A-1 anchors/utopias for all realizations (2 solves each), A-2
+    master front from non-dominated utopias (beta solves each), A-3
+    pruning of subproblems whose utopia the master front weakly
+    dominates."""
     reals = enumerate_realizations(spec)
-    mark = solve_count()
     recs = parallel_map(compute_anchors_utopia, [(spec, r, config) for r in reals], workers=workers)
     records = {rec.realization.k: rec for rec in recs}
-    nlp_a1 = solve_count() - mark
 
-    infeasible = sorted(k for k, rec in records.items() if rec.status is Status.INFEASIBLE)
-    if len(infeasible) == len(records):
+    if all(rec.status is Status.INFEASIBLE for rec in records.values()):
         raise PipelineError("every subproblem is infeasible")
 
     k1m = master_candidates(list(records.values()), eps)
     for k in k1m:
         records[k].status = Status.MASTER
-
-    mark = solve_count()
     master_front = build_master_front(spec, k1m, beta, config, eps, workers, records)
-    nlp_a2 = solve_count() - mark
 
     mpts = np.array([[s.point.j1, s.point.j2] for s in master_front])
-    pruned_a: list[int] = []
     k1u: list[int] = list(k1m)
     for k, rec in records.items():
         if rec.status is not Status.UNPROCESSED:
             continue
         if _weakly_dominated_by(mpts, rec.utopia, eps):
             rec.status = Status.PRUNED_A
-            pruned_a.append(k)
         else:
             k1u.append(k)
     return PhaseAResult(
         records=records,
         k1m=sorted(k1m),
         k1u=sorted(k1u),
-        pruned_a=sorted(pruned_a),
-        infeasible=infeasible,
         master_front=master_front,
-        nlp_a1=nlp_a1,
-        nlp_a2=nlp_a2,
+        nlp_a1=2 * len(reals),
+        nlp_a2=beta * len(k1m),
     )
 
 
 def phase_b(
     spec: ProblemSpec,
     records: dict[int, SubproblemRecord],
-    k1u: list[int],
+    targets: list[int],
     master_front: list[ParetoSolution],
-    beta: int,
     config: SolverConfig,
-    *,
     eps: float = 0.0,
     workers: int = 1,
-    nlp_a1: int = 0,
-    nlp_a2: int = 0,
-    infeasible: list[int] | None = None,
-) -> PruneReport:
-    """B-1 centers for surviving non-master subproblems, B-2 pruning of
-    those whose center the master front weakly dominates, B-3 fronts for
-    the rest and final assembly."""
-    infeasible = list(infeasible or [])
-    k1m = sorted(k for k in k1u if records[k].status is Status.MASTER)
-    targets = [k for k in k1u if records[k].status is not Status.MASTER]
+) -> list[int]:
+    """B-1 centers for the target subproblems (one solve each) and B-2
+    pruning of those whose center the master front weakly dominates or
+    whose center solve fails.  Returns the retained indices."""
     mpts = np.array([[s.point.j1, s.point.j2] for s in master_front])
-
-    mark = solve_count()
     centers = parallel_map(
         _center_or_none, [(spec, records[k].realization, config) for k in targets], workers=workers
     )
-    nlp_b1 = solve_count() - mark
-
-    pruned_b: list[int] = []
     retained: list[int] = []
     for k, center in zip(targets, centers):
-        if center is None:
-            records[k].status = Status.PRUNED_B
-            pruned_b.append(k)
-            continue
         records[k].center = center
-        if _weakly_dominated_by(mpts, center.point, eps):
+        if center is None or _weakly_dominated_by(mpts, center.point, eps):
             records[k].status = Status.PRUNED_B
-            pruned_b.append(k)
         else:
             retained.append(k)
-
-    mark = solve_count()
-    fronts = parallel_map(
-        build_subproblem_front,
-        [(spec, records[k].realization, beta, config, eps) for k in retained],
-        workers=workers,
-    )
-    nlp_b3 = solve_count() - mark
-    for k, front in zip(retained, fronts):
-        records[k].front = front
-        records[k].status = Status.RETAINED_B
-
-    k1c = sorted(k1m + retained)
-    final = _assemble_front(records, k1c, eps)
-    return PruneReport(
-        problem=spec.name,
-        beta=beta,
-        phases="ab",
-        eps=eps,
-        seed=config.seed,
-        k_total=len(records),
-        k1m=tuple(k1m),
-        k1u=tuple(sorted(k1u)),
-        k1c=tuple(k1c),
-        pruned_a=tuple(sorted(k for k, r in records.items() if r.status is Status.PRUNED_A)),
-        pruned_b=tuple(sorted(pruned_b)),
-        infeasible=tuple(infeasible),
-        nlp=NlpCounts(a1=nlp_a1, a2=nlp_a2, b1=nlp_b1, b3=nlp_b3),
-        front=tuple(final),
-    )
+    return retained
 
 
 def _center_or_none(spec: ProblemSpec, r: Realization, config: SolverConfig):
@@ -394,17 +320,15 @@ def _center_or_none(spec: ProblemSpec, r: Realization, config: SolverConfig):
         return None
 
 
-def _assemble_front(
-    records: dict[int, SubproblemRecord], ks: list[int], eps: float
-) -> list[ParetoSolution]:
-    merged: list[ParetoSolution] = []
-    for k in ks:
-        front = records[k].front
-        if front:
-            merged.extend(front)
-    final = nondominated_filter(merged, eps)
-    final.sort(key=lambda s: s.point.j1)
-    return final
+def _front_or_none(spec: ProblemSpec, r: Realization, beta: int, config: SolverConfig, eps: float):
+    try:
+        return build_subproblem_front(spec, r, beta, config, eps)
+    except InfeasibleError:
+        return None
+
+
+def _with_status(records: dict[int, SubproblemRecord], status: Status) -> tuple[int, ...]:
+    return tuple(sorted(k for k, rec in records.items() if rec.status is status))
 
 
 def run_pipeline(
@@ -419,61 +343,65 @@ def run_pipeline(
 
     phases "ab" runs utopia pruning then center-point pruning; "a" skips
     the center tests and builds fronts for everything Phase A retained
-    (which preserves the true front exactly).  The solve counter is reset
-    on entry.
+    (which preserves the true front exactly); "none" is the exhaustive
+    oracle: it builds every realization's front (beta * |K| solves) and
+    k1c lists the realizations in the final front.  Every operation poses
+    a fixed number of solves, so the counts follow from the sets.
     """
-    if phases not in ("a", "ab"):
-        raise ValueError(f'phases must be "a" or "ab", got {phases!r}')
+    if phases not in ("ab", "a", "none"):
+        raise ValueError(f'phases must be "ab", "a" or "none", got {phases!r}')
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
+    _check_eps(eps)
     config = config or SolverConfig()
     nworkers = resolve_workers(workers)
     t0 = time.perf_counter()
-    reset_solve_count()
 
-    pa = phase_a(spec, beta, config, eps, nworkers)
-    if phases == "ab":
-        report = phase_b(
-            spec,
-            pa.records,
-            pa.k1u,
-            pa.master_front,
-            beta,
-            config,
-            eps=eps,
-            workers=nworkers,
-            nlp_a1=pa.nlp_a1,
-            nlp_a2=pa.nlp_a2,
-            infeasible=pa.infeasible,
-        )
+    nlp_a1 = nlp_a2 = nlp_b1 = 0
+    if phases == "none":
+        records = {r.k: SubproblemRecord(realization=r) for r in enumerate_realizations(spec)}
+        k1m: list[int] = []
+        k1u: list[int] = []
+        retained = list(records)
     else:
-        rest = [k for k in pa.k1u if pa.records[k].status is not Status.MASTER]
-        mark = solve_count()
-        fronts = parallel_map(
-            build_subproblem_front,
-            [(spec, pa.records[k].realization, beta, config, eps) for k in rest],
-            workers=nworkers,
-        )
-        nlp_b3 = solve_count() - mark
-        for k, front in zip(rest, fronts):
-            pa.records[k].front = front
-            pa.records[k].status = Status.RETAINED_B
-        final = _assemble_front(pa.records, pa.k1u, eps)
-        report = PruneReport(
-            problem=spec.name,
-            beta=beta,
-            phases="a",
-            eps=eps,
-            seed=config.seed,
-            k_total=len(pa.records),
-            k1m=tuple(pa.k1m),
-            k1u=tuple(pa.k1u),
-            k1c=tuple(pa.k1u),
-            pruned_a=tuple(pa.pruned_a),
-            pruned_b=(),
-            infeasible=tuple(pa.infeasible),
-            nlp=NlpCounts(a1=pa.nlp_a1, a2=pa.nlp_a2, b1=0, b3=nlp_b3),
-            front=tuple(final),
-        )
-    wall = int(round((time.perf_counter() - t0) * 1000))
-    return dataclasses.replace(report, wallclock_ms=wall)
+        pa = phase_a(spec, beta, config, eps, nworkers)
+        records, k1m, k1u = pa.records, pa.k1m, pa.k1u
+        nlp_a1, nlp_a2 = pa.nlp_a1, pa.nlp_a2
+        retained = [k for k in k1u if records[k].status is not Status.MASTER]
+        if phases == "ab":
+            nlp_b1 = len(retained)
+            retained = phase_b(spec, records, retained, pa.master_front, config, eps, nworkers)
+
+    # B-3: fronts for whatever the phases left
+    fronts = parallel_map(
+        _front_or_none,
+        [(spec, records[k].realization, beta, config, eps) for k in retained],
+        workers=nworkers,
+    )
+    for k, front in zip(retained, fronts):
+        records[k].front = front
+        records[k].status = Status.INFEASIBLE if front is None else Status.RETAINED_B
+
+    merged = [sol for rec in records.values() if rec.front for sol in rec.front]
+    if not merged:
+        raise PipelineError("every subproblem is infeasible")
+    final = nondominated_filter(merged, eps)
+    final.sort(key=lambda s: s.point.j1)
+    k1c = sorted({sol.realization.k for sol in final}) if phases == "none" else sorted(k1m + retained)
+    return PruneReport(
+        problem=spec.name,
+        beta=beta,
+        phases=phases,
+        eps=eps,
+        seed=config.seed,
+        k_total=len(records),
+        k1m=tuple(k1m),
+        k1u=tuple(k1u),
+        k1c=tuple(k1c),
+        pruned_a=_with_status(records, Status.PRUNED_A),
+        pruned_b=_with_status(records, Status.PRUNED_B),
+        infeasible=_with_status(records, Status.INFEASIBLE),
+        nlp=NlpCounts(a1=nlp_a1, a2=nlp_a2, b1=nlp_b1, b3=beta * len(retained)),
+        front=tuple(final),
+        wallclock_ms=int(round((time.perf_counter() - t0) * 1000)),
+    )

@@ -9,7 +9,6 @@ bitwise-identical results.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "solve_scalarized",
-    "solve_count",
-    "reset_solve_count",
 ]
 
 _ARMIJO = 1e-4
@@ -34,28 +31,6 @@ _STEP_FLOOR = 1e-20
 
 class InfeasibleError(RuntimeError):
     """Raised when a scalarized subproblem yields no usable iterate."""
-
-
-_count_lock = threading.Lock()
-_solve_count = 0
-
-
-def solve_count() -> int:
-    """Number of scalarized solves since the last reset (process-wide)."""
-    return _solve_count
-
-
-def reset_solve_count() -> None:
-    global _solve_count
-    with _count_lock:
-        _solve_count = 0
-
-
-def add_solve_count(n: int) -> None:
-    """Fold solves performed in worker processes into this process's count."""
-    global _solve_count
-    with _count_lock:
-        _solve_count += n
 
 
 @dataclass(frozen=True)
@@ -313,10 +288,6 @@ def solve_scalarized(obj: ScalarizedObjective, config: SolverConfig) -> SolveRes
     coefficient is escalated and the descent continued from the incumbent
     (still the same single counted solve).
     """
-    global _solve_count
-    with _count_lock:
-        _solve_count += 1
-
     starts = _start_points(obj.parent.bounds, config.n_starts, config.seed)
     best_x, best_f = _descent(obj, starts, config)
     usable = np.isfinite(best_f)

@@ -1,6 +1,6 @@
 """Shared fixtures: registry problems, expensive reports (session-scoped),
-and a small synthetic five-realization problem whose phase outcomes are
-known in closed form."""
+a small synthetic five-realization problem whose phase outcomes are
+known in closed form, and a counter of the real solver calls."""
 
 from __future__ import annotations
 
@@ -46,6 +46,56 @@ def make_fig_problem() -> pp.ProblemSpec:
         gradient=_fig_gradient,
         vectorized=True,
     )
+
+
+class SolveLog:
+    """Calls of ``decomposition.solve_scalarized``, in total and per paper
+    phase.  A call is filed under the first phase operation it runs in:
+    A-1 anchors, A-2 master front, B-1 center, B-3 any other front."""
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.calls = 0
+        self.by_phase = {"a1": 0, "a2": 0, "b1": 0, "b3": 0}
+        self.phase = None
+
+
+@pytest.fixture
+def solve_log(monkeypatch) -> SolveLog:
+    """Counts real solves in this process; runs under it must be serial."""
+    from pareto_prune import decomposition, pipeline
+
+    log = SolveLog()
+    solve = decomposition.solve_scalarized
+
+    def counted_solve(*args, **kwargs):
+        log.calls += 1
+        if log.phase is not None:
+            log.by_phase[log.phase] += 1
+        return solve(*args, **kwargs)
+
+    def in_phase(fn, phase):
+        def wrapper(*args, **kwargs):
+            outer = log.phase
+            log.phase = outer or phase
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                log.phase = outer
+
+        return wrapper
+
+    monkeypatch.setattr(decomposition, "solve_scalarized", counted_solve)
+    for attr, phase in (
+        ("compute_anchors_utopia", "a1"),
+        ("build_master_front", "a2"),
+        ("compute_center", "b1"),
+        ("build_subproblem_front", "b3"),
+    ):
+        monkeypatch.setattr(pipeline, attr, in_phase(getattr(pipeline, attr), phase))
+    return log
 
 
 def front_points(report: pp.PruneReport) -> np.ndarray:

@@ -72,6 +72,45 @@ class TestRunCommand:
     def test_missing_report_flag_exits_2(self):
         assert run_cli("run", "--problem", "quad") == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_bad_eps_exits_2(self, tmp_path, capsys, command, eps):
+        code = run_cli(command, "--problem", "quad", "--eps", eps,
+                       "--report", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "error: eps must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("bad", ["missing/out", "."])
+    @pytest.mark.parametrize("flag", ["--report", "--front"])
+    def test_bad_output_path_exits_2_before_compute(
+        self, tmp_path, capsys, monkeypatch, flag, bad
+    ):
+        import pareto_prune.cli as cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computed before the output paths were checked")
+
+        monkeypatch.setattr(cli, "run_pipeline", must_not_run)
+        paths = {"--report": str(tmp_path / "r.json"), "--front": str(tmp_path / "f.csv")}
+        paths[flag] = str(tmp_path / bad)
+        code = run_cli("run", "--problem", "quad", "--report", paths["--report"],
+                       "--front", paths["--front"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: output ")
+
+    def test_write_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        import pareto_prune.cli as cli
+
+        def refuse(report, path):
+            raise PermissionError(f"cannot write {path}")
+
+        monkeypatch.setattr(cli, "write_report", refuse)
+        code = run_cli("run", "--problem", "quad", "--beta", "3",
+                       "--report", str(tmp_path / "r.json"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+
     def test_pipeline_failure_exits_3(self, tmp_path, monkeypatch):
         import pareto_prune.cli as cli
 
@@ -211,22 +250,6 @@ class TestSerialization:
 
 
 class TestRunConfigFile:
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown config keys"):
-            RunConfigFile.from_json_dict({"problem": "quad", "betta": 3})
-
-    def test_problem_required(self):
-        with pytest.raises(ValueError, match="problem"):
-            RunConfigFile.from_json_dict({"beta": 3})
-
-    def test_valid_roundtrip(self):
-        cfg = RunConfigFile.from_json_dict(
-            {"problem": "e1", "beta": 11, "phases": "a", "seed": 9, "n_starts": 4}
-        )
-        assert cfg.beta == 11
-        assert cfg.solver_config().n_starts == 4
-        assert cfg.solver_config().seed == 9
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfigFile(problem="quad", beta=1)

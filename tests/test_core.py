@@ -137,7 +137,8 @@ class TestNondominatedFilter:
         rng = np.random.default_rng(7)
         vals = rng.integers(0, 8, size=(300, 2)).astype(float)
         pts = [P(a, b) for a, b in vals]
-        assert nondominated_filter(pts) == brute_force_filter(pts)
+        for eps in (0.0, 0.25, 1.0):
+            assert nondominated_filter(pts, eps) == brute_force_filter(pts, eps)
 
     @given(st.lists(points, max_size=60))
     @settings(max_examples=60)
@@ -181,7 +182,7 @@ class TestProblemSpecValidation:
             ProblemSpec("p", 1, ((0.0, 1.0),), ((1.0, 1.0),), self._objs)
 
     def test_equality_constraints_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ProblemSpec(
                 "p", 1, ((0.0, 1.0),), ((0.0,),), self._objs,
                 equality_constraints=lambda y, z: 0.0,

@@ -101,11 +101,10 @@ class TestAnchorsUtopia:
         assert rec.utopia.j1 == pytest.approx(0.0, abs=1e-12)
         assert rec.utopia.j2 == pytest.approx(0.0, abs=1e-12)
 
-    def test_counts_two_solves(self, quad_spec, config):
+    def test_counts_two_solves(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        pp.reset_solve_count()
         compute_anchors_utopia(quad_spec, r, config)
-        assert pp.solve_count() == 2
+        assert solve_log.calls == 2
 
     def test_e2_monotone_anchors(self, e2_spec, config):
         r = enumerate_realizations(e2_spec)[0]
@@ -149,11 +148,10 @@ class TestCenter:
         for p in front:
             assert half <= 0.5 * (p.point.j1 + p.point.j2) + 1e-6
 
-    def test_counts_one_solve(self, quad_spec, config):
+    def test_counts_one_solve(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        pp.reset_solve_count()
         compute_center(quad_spec, r, config)
-        assert pp.solve_count() == 1
+        assert solve_log.calls == 1
 
 
 class TestSubproblemFront:
@@ -180,11 +178,23 @@ class TestSubproblemFront:
         assert j1s == sorted(j1s)
         assert len({p.point.as_tuple() for p in front}) == 21
 
-    def test_counts_beta_solves(self, quad_spec, config):
+    def test_counts_beta_solves(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        pp.reset_solve_count()
         build_subproblem_front(quad_spec, r, 13, config)
-        assert pp.solve_count() == 13
+        assert solve_log.calls == 13
+
+    def test_raising_weights_still_pose_beta_solves(self, config, solve_log):
+        def objs(y, z):
+            v = np.asarray(y, dtype=float)[..., 0]
+            return np.stack([np.full_like(v, np.nan), v], axis=-1)
+
+        spec = pp.ProblemSpec(
+            name="all-nan", n_y=1, bounds=((0.0, 1.0),), discrete_sets=((0.0,),),
+            objectives=objs, vectorized=True,
+        )
+        with pytest.raises(pp.InfeasibleError):
+            build_subproblem_front(spec, enumerate_realizations(spec)[0], 7, config)
+        assert solve_log.calls == 7
 
     @pytest.mark.parametrize("z", [(0.0, 0.0), (-1.0, -1.0), (3.0, -4.0)])
     def test_utopia_weakly_dominates_front(self, e1_spec, config, z):

@@ -94,13 +94,12 @@ class TestFigProblem:
         assert pa.records[5].status is Status.MASTER
         assert pa.records[2].status is Status.PRUNED_A
         assert pa.records[3].status is Status.UNPROCESSED
-        rep = phase_b(
-            fig_spec, pa.records, pa.k1u, pa.master_front, 21, config,
-            nlp_a1=pa.nlp_a1, nlp_a2=pa.nlp_a2, infeasible=pa.infeasible,
-        )
-        assert pa.records[3].status is Status.RETAINED_B
+        targets = [k for k in pa.k1u if pa.records[k].status is not Status.MASTER]
+        retained = phase_b(fig_spec, pa.records, targets, pa.master_front, config)
+        assert retained == [3]
+        assert pa.records[3].status is Status.UNPROCESSED  # B-3 is the driver's
         assert pa.records[4].status is Status.PRUNED_B
-        assert rep.k1c == (1, 3, 5)
+        assert sorted(pa.k1m + retained) == [1, 3, 5]
 
     def test_prune_soundness(self, fig_spec):
         # every utopia-pruned index is weakly dominated by a master point,
@@ -111,11 +110,9 @@ class TestFigProblem:
             assert any(
                 pp.weakly_dominates(p.point, pa.records[k].utopia) for p in pa.master_front
             )
-        rep = phase_b(
-            fig_spec, pa.records, pa.k1u, pa.master_front, 21, config,
-            nlp_a1=pa.nlp_a1, nlp_a2=pa.nlp_a2,
-        )
-        for k in rep.pruned_b:
+        targets = [k for k in pa.k1u if pa.records[k].status is not Status.MASTER]
+        retained = phase_b(fig_spec, pa.records, targets, pa.master_front, config)
+        for k in set(targets) - set(retained):
             center = pa.records[k].center
             assert any(pp.weakly_dominates(p.point, center.point) for p in pa.master_front)
 
@@ -157,6 +154,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_pipeline(quad_spec, beta=1)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_bad_eps_rejected_before_any_solve(self, quad_spec, solve_log, eps):
+        with pytest.raises(ValueError, match="eps"):
+            run_pipeline(quad_spec, beta=5, eps=eps, workers=1)
+        assert solve_log.calls == 0
+
     def test_all_infeasible(self):
         def objs(y, z):
             y = np.asarray(y, dtype=float)
@@ -172,11 +175,41 @@ class TestValidation:
             run_pipeline(spec, beta=5)
 
 
+def _nlp_by_phase(report):
+    return {"a1": report.nlp.a1, "a2": report.nlp.a2, "b1": report.nlp.b1, "b3": report.nlp.b3}
+
+
 class TestAccounting:
-    def test_counter_reset_on_entry(self, fig_spec, quad_spec):
-        run_pipeline(quad_spec, beta=5)  # pollute the counter
-        rep = run_pipeline(fig_spec, beta=21, phases="ab")
-        assert pp.solve_count() == rep.nlp.total == 75
+    def test_counter_reset_on_entry(self, fig_spec, quad_spec, solve_log):
+        run_pipeline(quad_spec, beta=5, workers=1)  # an earlier run in the same process
+        solve_log.reset()
+        rep = run_pipeline(fig_spec, beta=21, phases="ab", workers=1)
+        assert solve_log.calls == rep.nlp.total == 75
+        assert solve_log.by_phase == _nlp_by_phase(rep)
+
+    @pytest.mark.parametrize("phases", ["ab", "a", "none"])
+    def test_report_counts_equal_solve_calls(self, fig_spec, solve_log, phases):
+        rep = run_pipeline(fig_spec, beta=21, phases=phases, workers=1)
+        assert solve_log.by_phase == _nlp_by_phase(rep)
+        assert solve_log.calls == rep.nlp.total
+
+    def test_oracle_counts_every_weight_of_an_infeasible_realization(self, solve_log):
+        def objs(y, z):
+            y = np.asarray(y, dtype=float)
+            v = y[..., 0]
+            j = np.stack([v ** 2 + z[..., 0], (v - 1.0) ** 2 - z[..., 0]], axis=-1)
+            return np.where(z[..., 0] == 2.0, np.nan, j)
+
+        spec = pp.ProblemSpec(
+            name="one-nan", n_y=1, bounds=((0.0, 1.0),), discrete_sets=((1.0, 2.0, 3.0),),
+            objectives=objs, vectorized=True,
+        )
+        orc = pp.oracle_front(spec, beta=5, workers=1)
+        assert orc.nlp.b3 == solve_log.calls == 15
+        assert orc.infeasible == (2,)
+        pipe = run_pipeline(spec, beta=5, phases="a", workers=1)
+        assert pipe.infeasible == (2,)
+        assert front_points(orc).tolist() == front_points(pipe).tolist()
 
     def test_e1_report(self, e1_ab):
         assert e1_ab.k_total == 121
@@ -196,14 +229,21 @@ class TestAccounting:
 
 
 class TestParallelExecution:
-    def test_workers_match_serial(self, fig_spec, e1_spec):
+    def test_workers_match_serial(self, fig_spec, e1_spec, solve_log):
         for spec in (fig_spec, e1_spec):
+            solve_log.reset()
             serial = run_pipeline(spec, beta=11, phases="ab", workers=1)
-            parallel = run_pipeline(spec, beta=11, phases="ab", workers=2)
+            serial_calls = solve_log.calls
+            # the counting wrappers do not pickle, so undo them for the pool
+            with pytest.MonkeyPatch.context() as mp:
+                for attr in ("compute_anchors_utopia", "build_master_front",
+                             "compute_center", "build_subproblem_front"):
+                    mp.setattr(pp.pipeline, attr, getattr(pp, attr))
+                parallel = run_pipeline(spec, beta=11, phases="ab", workers=2)
             assert dataclasses.replace(serial, wallclock_ms=0) == dataclasses.replace(
                 parallel, wallclock_ms=0
             )
-            assert pp.solve_count() == parallel.nlp.total
+            assert serial_calls == parallel.nlp.total
 
     def test_unpicklable_falls_back_to_serial(self):
         captured = []

@@ -10,8 +10,6 @@ from pareto_prune.solver import (
     ScalarizedObjective,
     SolverConfig,
     _start_points,
-    reset_solve_count,
-    solve_count,
     solve_scalarized,
 )
 
@@ -101,17 +99,19 @@ class TestSolveScalarized:
 
 
 class TestSolveCounter:
-    def test_reset_and_count(self, quad_spec, config):
-        reset_solve_count()
-        assert solve_count() == 0
+    def test_reset_and_count(self, quad_spec, config, solve_log):
+        r = _first_real(quad_spec)
+        assert solve_log.calls == 0
         for _ in range(3):
-            solve_scalarized(_obj(quad_spec, 0.5), config)
-        assert solve_count() == 3
+            pp.compute_center(quad_spec, r, config)
+        assert solve_log.calls == 3
+        solve_log.reset()
+        pp.compute_anchors_utopia(quad_spec, r, config)
+        assert solve_log.calls == 2
 
-    def test_one_call_counts_one_despite_multistart(self, e2_spec):
-        reset_solve_count()
-        solve_scalarized(_obj(e2_spec, 0.5), SolverConfig(n_starts=16))
-        assert solve_count() == 1
+    def test_one_call_counts_one_despite_multistart(self, e2_spec, solve_log):
+        pp.compute_center(e2_spec, _first_real(e2_spec), SolverConfig(n_starts=16))
+        assert solve_log.calls == 1
 
     def test_concurrent_solves_count_and_match_serial(self, e1_spec, config):
         from concurrent.futures import ThreadPoolExecutor
@@ -119,12 +119,10 @@ class TestSolveCounter:
         reals = pp.enumerate_realizations(e1_spec)[:12]
         jobs = [(0.5, r) for r in reals]
         serial = [solve_scalarized(_obj(e1_spec, w, r), config) for w, r in jobs]
-        reset_solve_count()
         with ThreadPoolExecutor(max_workers=4) as ex:
             threaded = list(
                 ex.map(lambda wr: solve_scalarized(_obj(e1_spec, *wr), config), jobs)
             )
-        assert solve_count() == len(jobs)
         assert threaded == serial
 
 
@@ -185,15 +183,16 @@ class TestNanHandling:
         assert res.starts_used < config.n_starts
         assert res.scalar_value == pytest.approx(0.0, abs=1e-9)
 
-    def test_all_nan_raises_and_counts(self, config):
+    def test_all_nan_raises_and_counts(self, config, solve_log):
         spec = self._make_spec(lambda v: v >= -1.0)
         r = _first_real(spec)
-        reset_solve_count()
         with pytest.raises(InfeasibleError):
             solve_scalarized(
                 ScalarizedObjective(weight=1.0, realization=r, parent=spec), config
             )
-        assert solve_count() == 1
+        with pytest.raises(InfeasibleError):
+            pp.compute_center(spec, r, config)
+        assert solve_log.calls == 1
 
 
 class TestSolverConfigValidation:
