@@ -58,7 +58,9 @@ class ProblemSpec:
     is true, it must also accept a stacked array of continuous points with
     shape (m, n_y) and return shape (m, 2); the same batching contract
     applies to ``inequality_constraints`` (returning (m, n_g)) and
-    ``gradient`` (returning (m, 2, n_y)).  Evaluators must be pure.
+    ``gradient`` (returning (m, 2, n_y)).  Evaluators must be pure, and a
+    result of any other shape raises ValueError.  Every call gets a single
+    realization's z; the rows of a batched solve are grouped by z.
 
     ``gradient``, when given, is the derivative of both objectives with
     respect to the continuous variables only.  Without it the solver falls
@@ -67,9 +69,12 @@ class ProblemSpec:
     When the objectives split as objectives(y, z) == base_objectives(y) +
     objective_offsets(z) (componentwise, and the full evaluator composes
     them exactly), supplying the pair lets the solver descend on the
-    z-independent part.  Solve trajectories are then bitwise identical
-    across realizations, which preserves exact objective-space ties
-    between realizations that are mathematically equivalent.
+    z-independent part.  ``gradient`` must then not depend on z either.
+    Solve trajectories are then bitwise identical across realizations,
+    which preserves exact objective-space ties between realizations that
+    are mathematically equivalent.  Without ``inequality_constraints`` a
+    descent then depends on its weight alone, so the solves of one batch
+    that share a weight share one descent.
     """
 
     name: str

@@ -8,7 +8,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import ObjectivePoint, ParetoSolution, ProblemSpec, Realization, nondominated_filter
-from .solver import InfeasibleError, ScalarizedObjective, SolverConfig, solve_scalarized
+from .solver import (
+    InfeasibleError,
+    ScalarizedObjective,
+    SolverConfig,
+    SolveResult,
+    descend,
+    solve_scalarized,
+)
 
 __all__ = [
     "CapacityExceeded",
@@ -97,81 +104,93 @@ def index_of(spec: ProblemSpec, z: tuple[float, ...]) -> int:
     return k + 1
 
 
-def _solution(spec: ProblemSpec, r: Realization, res, provenance: str) -> ParetoSolution:
+def _solve_all(
+    spec: ProblemSpec, jobs: list[tuple[Realization, float]], config: SolverConfig
+) -> list[SolveResult | None]:
+    """One counted solve per (realization, weight) job, with the descents
+    of all of them run as one batch; None where a solve raises
+    InfeasibleError."""
+    objs = [
+        ScalarizedObjective(
+            weight=w, realization=r, parent=spec, penalty_coefficient=config.penalty_coefficient
+        )
+        for r, w in jobs
+    ]
+    out: list[SolveResult | None] = []
+    for obj, descent in zip(objs, descend(objs, config)):
+        try:
+            out.append(solve_scalarized(obj, config, descent))
+        except InfeasibleError:
+            out.append(None)
+    return out
+
+
+def _solution(r: Realization, res: SolveResult, provenance: str) -> ParetoSolution:
     return ParetoSolution(y=res.y_star, realization=r, point=res.point, provenance=provenance)
 
 
 def compute_anchors_utopia(
-    spec: ProblemSpec, r: Realization, config: SolverConfig
-) -> SubproblemRecord:
-    """Solve the two sole-objective problems (w=1 and w=0) and assemble
-    the utopia point from the anchors' best components.  Exactly two
-    counted solves; an unusable anchor marks the record infeasible."""
-    rec = SubproblemRecord(realization=r)
-    pc = config.penalty_coefficient
-    anchors: list[ParetoSolution | None] = []
-    feasible = True
-    for w, tag in ((1.0, "anchor1"), (0.0, "anchor2")):
-        try:
-            res = solve_scalarized(
-                ScalarizedObjective(weight=w, realization=r, parent=spec, penalty_coefficient=pc),
-                config,
-            )
-        except InfeasibleError:
-            anchors.append(None)
-            feasible = False
-            continue
-        anchors.append(_solution(spec, r, res, tag))
-        feasible = feasible and res.feasible
-    rec.anchor1, rec.anchor2 = anchors
-    if not feasible:
-        rec.status = Status.INFEASIBLE
-        return rec
-    rec.utopia = ObjectivePoint(rec.anchor1.point.j1, rec.anchor2.point.j2)
-    return rec
+    spec: ProblemSpec, reals: list[Realization], config: SolverConfig
+) -> list[SubproblemRecord]:
+    """Solve the two sole-objective problems (w=1 and w=0) of each
+    realization and assemble its utopia point from the anchors' best
+    components.  Exactly two counted solves per realization; an unusable
+    anchor marks the record infeasible."""
+    results = _solve_all(spec, [(r, w) for r in reals for w in (1.0, 0.0)], config)
+    records = []
+    for i, r in enumerate(reals):
+        rec = SubproblemRecord(realization=r)
+        pair = results[2 * i:2 * i + 2]
+        rec.anchor1, rec.anchor2 = (
+            None if res is None else _solution(r, res, tag)
+            for res, tag in zip(pair, ("anchor1", "anchor2"))
+        )
+        if all(res is not None and res.feasible for res in pair):
+            rec.utopia = ObjectivePoint(rec.anchor1.point.j1, rec.anchor2.point.j2)
+        else:
+            rec.status = Status.INFEASIBLE
+        records.append(rec)
+    return records
 
 
-def compute_center(spec: ProblemSpec, r: Realization, config: SolverConfig) -> ParetoSolution:
-    """Equal-weights solve (one counted NLP); the resulting point sits on
-    the subproblem front where weighted-sum reaches it."""
-    res = solve_scalarized(
-        ScalarizedObjective(
-            weight=0.5, realization=r, parent=spec, penalty_coefficient=config.penalty_coefficient
-        ),
-        config,
-    )
-    if not res.feasible:
-        raise InfeasibleError(f"center solve for k={r.k} ended infeasible")
-    return _solution(spec, r, res, "center")
+def compute_center(
+    spec: ProblemSpec, reals: list[Realization], config: SolverConfig
+) -> list[ParetoSolution | None]:
+    """Equal-weights solve of each realization (one counted NLP each); the
+    resulting point sits on the subproblem front where weighted-sum
+    reaches it.  None marks a center whose solve raised or ended
+    infeasible."""
+    return [
+        None if res is None or not res.feasible else _solution(r, res, "center")
+        for r, res in zip(reals, _solve_all(spec, [(r, 0.5) for r in reals], config))
+    ]
 
 
 def build_subproblem_front(
-    spec: ProblemSpec, r: Realization, beta: int, config: SolverConfig, eps: float = 0.0
-) -> list[ParetoSolution]:
-    """beta-point weighted-sum front of subproblem r: solves weights
-    i/(beta-1) for i = 0..beta-1 (beta counted NLPs), filters dominated
-    outcomes, sorts by j1 ascending.  A weight whose solve raises
-    InfeasibleError is skipped, as an anchor is, so the sweep always poses
-    all beta solves."""
+    spec: ProblemSpec, reals: list[Realization], beta: int, config: SolverConfig,
+    eps: float = 0.0,
+) -> list[list[ParetoSolution] | None]:
+    """beta-point weighted-sum front of each subproblem: solves weights
+    i/(beta-1) for i = 0..beta-1 (beta counted NLPs per realization),
+    filters dominated outcomes, sorts by j1 ascending.  A weight whose
+    solve raises InfeasibleError is skipped, as an anchor is, so every
+    sweep poses all beta solves.  None marks a realization without a
+    feasible solution."""
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
-    sols: list[ParetoSolution] = []
-    for i in range(beta):
-        w = i / (beta - 1)
-        try:
-            res = solve_scalarized(
-                ScalarizedObjective(
-                    weight=w, realization=r, parent=spec,
-                    penalty_coefficient=config.penalty_coefficient,
-                ),
-                config,
-            )
-        except InfeasibleError:
+    weights = [i / (beta - 1) for i in range(beta)]
+    results = _solve_all(spec, [(r, w) for r in reals for w in weights], config)
+    fronts: list[list[ParetoSolution] | None] = []
+    for j, r in enumerate(reals):
+        sols = [
+            _solution(r, res, f"w{i}")
+            for i, res in enumerate(results[j * beta:(j + 1) * beta])
+            if res is not None and res.feasible
+        ]
+        if not sols:
+            fronts.append(None)
             continue
-        if res.feasible:
-            sols.append(_solution(spec, r, res, f"w{i}"))
-    if not sols:
-        raise InfeasibleError(f"no feasible weighted-sum solution for k={r.k}")
-    front = nondominated_filter(sols, eps)
-    front.sort(key=lambda s: s.point.j1)
-    return front
+        front = nondominated_filter(sols, eps)
+        front.sort(key=lambda s: s.point.j1)
+        fronts.append(front)
+    return fronts

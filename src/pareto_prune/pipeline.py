@@ -4,6 +4,8 @@ the same driver with both phases skipped."""
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import pickle
 import time
@@ -22,6 +24,8 @@ from .core import (
     nondominated_mask,
 )
 from .decomposition import (
+    DEFAULT_REALIZATION_CAP,
+    CapacityExceeded,
     Status,
     SubproblemRecord,
     build_subproblem_front,
@@ -29,7 +33,7 @@ from .decomposition import (
     compute_center,
     enumerate_realizations,
 )
-from .solver import InfeasibleError, SolverConfig
+from .solver import SolverConfig
 
 __all__ = [
     "PipelineError",
@@ -64,22 +68,34 @@ def resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-def parallel_map(fn, argtuples, workers: int = 1) -> list:
-    """Map fn over argument tuples, optionally across worker processes.
-
-    Results keep input order.  Falls back to serial when the task does not
-    pickle (e.g. closures in user-defined problem evaluators).
-    """
-    argtuples = list(argtuples)
-    if workers <= 1 or len(argtuples) <= 1:
-        return [fn(*a) for a in argtuples]
+def _pickles(obj) -> bool:
     try:
-        pickle.dumps((fn, argtuples[0]))
+        pickle.dumps(obj)
     except Exception:
-        return [fn(*a) for a in argtuples]
-    chunk = max(1, len(argtuples) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, *zip(*argtuples), chunksize=chunk))
+        return False
+    return True
+
+
+def parallel_map(op, spec: ProblemSpec, reals: list[Realization], *args,
+                 workers: int = 1, pool: ProcessPoolExecutor | None = None) -> list:
+    """Run the subproblem operation ``op(spec, chunk, *args)`` on at most
+    ``workers`` contiguous chunks of ``reals`` of near-equal size, in
+    ``pool`` when one is given, and return its per-realization results in
+    the order of ``reals``.
+
+    Runs serially when the task does not pickle (e.g. closures in
+    user-defined problem evaluators).
+    """
+    n = min(workers, len(reals))
+    q, r = divmod(len(reals), max(n, 1))
+    cuts = [i * q + min(i, r) for i in range(n + 1)]
+    chunks = [reals[a:b] for a, b in zip(cuts, cuts[1:])]
+    if pool is not None and n > 1 and _pickles((op, spec, args)):
+        futures = [pool.submit(op, spec, chunk, *args) for chunk in chunks]
+        parts = [f.result() for f in futures]
+    else:
+        parts = [op(spec, chunk, *args) for chunk in chunks]
+    return [item for part in parts for item in part]
 
 
 @dataclass(frozen=True)
@@ -222,6 +238,7 @@ def build_master_front(
     eps: float = 0.0,
     workers: int = 1,
     records: dict[int, SubproblemRecord] | None = None,
+    pool: ProcessPoolExecutor | None = None,
 ) -> list[ParetoSolution]:
     """Union of the k1m subproblem fronts, filtered.  When ``records``
     is given the per-subproblem fronts are stored there for reuse."""
@@ -229,15 +246,13 @@ def build_master_front(
         raise PipelineError("cannot build a master front from an empty candidate set")
     if records is None:
         raise ValueError("records mapping is required to resolve realizations")
-    fronts = parallel_map(
-        build_subproblem_front,
-        [(spec, records[k].realization, beta, config, eps) for k in k1m],
-        workers=workers,
-    )
+    reals = [records[k].realization for k in k1m]
+    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps,
+                          workers=workers, pool=pool)
     merged: list[ParetoSolution] = []
     for k, front in zip(k1m, fronts):
         records[k].front = front
-        merged.extend(front)
+        merged.extend(front or ())
     return nondominated_filter(merged, eps)
 
 
@@ -251,13 +266,15 @@ def phase_a(
     config: SolverConfig,
     eps: float = 0.0,
     workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
 ) -> PhaseAResult:
     """A-1 anchors/utopias for all realizations (2 solves each), A-2
     master front from non-dominated utopias (beta solves each), A-3
     pruning of subproblems whose utopia the master front weakly
-    dominates."""
+    dominates.  Each step splits its realizations into ``workers``
+    chunks and runs one batched operation per chunk."""
     reals = enumerate_realizations(spec)
-    recs = parallel_map(compute_anchors_utopia, [(spec, r, config) for r in reals], workers=workers)
+    recs = parallel_map(compute_anchors_utopia, spec, reals, config, workers=workers, pool=pool)
     records = {rec.realization.k: rec for rec in recs}
 
     if all(rec.status is Status.INFEASIBLE for rec in records.values()):
@@ -266,7 +283,7 @@ def phase_a(
     k1m = master_candidates(list(records.values()), eps)
     for k in k1m:
         records[k].status = Status.MASTER
-    master_front = build_master_front(spec, k1m, beta, config, eps, workers, records)
+    master_front = build_master_front(spec, k1m, beta, config, eps, workers, records, pool)
 
     mpts = np.array([[s.point.j1, s.point.j2] for s in master_front])
     k1u: list[int] = list(k1m)
@@ -295,14 +312,14 @@ def phase_b(
     config: SolverConfig,
     eps: float = 0.0,
     workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
 ) -> list[int]:
     """B-1 centers for the target subproblems (one solve each) and B-2
     pruning of those whose center the master front weakly dominates or
     whose center solve fails.  Returns the retained indices."""
     mpts = np.array([[s.point.j1, s.point.j2] for s in master_front])
-    centers = parallel_map(
-        _center_or_none, [(spec, records[k].realization, config) for k in targets], workers=workers
-    )
+    reals = [records[k].realization for k in targets]
+    centers = parallel_map(compute_center, spec, reals, config, workers=workers, pool=pool)
     retained: list[int] = []
     for k, center in zip(targets, centers):
         records[k].center = center
@@ -311,20 +328,6 @@ def phase_b(
         else:
             retained.append(k)
     return retained
-
-
-def _center_or_none(spec: ProblemSpec, r: Realization, config: SolverConfig):
-    try:
-        return compute_center(spec, r, config)
-    except InfeasibleError:
-        return None
-
-
-def _front_or_none(spec: ProblemSpec, r: Realization, beta: int, config: SolverConfig, eps: float):
-    try:
-        return build_subproblem_front(spec, r, beta, config, eps)
-    except InfeasibleError:
-        return None
 
 
 def _with_status(records: dict[int, SubproblemRecord], status: Status) -> tuple[int, ...]:
@@ -347,37 +350,48 @@ def run_pipeline(
     oracle: it builds every realization's front (beta * |K| solves) and
     k1c lists the realizations in the final front.  Every operation poses
     a fixed number of solves, so the counts follow from the sets.
+
+    Each phase poses its solves as one batched operation over its
+    realizations.  With more than one worker, one process pool serves the
+    whole run and each phase is split into ``workers`` contiguous chunks.
     """
     if phases not in ("ab", "a", "none"):
         raise ValueError(f'phases must be "ab", "a" or "none", got {phases!r}')
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
     _check_eps(eps)
+    n_solves = beta * math.prod(len(zs) for zs in spec.discrete_sets)
+    if n_solves > DEFAULT_REALIZATION_CAP:
+        raise CapacityExceeded(
+            f"beta * |K| = {n_solves} exceeds the cap of {DEFAULT_REALIZATION_CAP}"
+        )
     config = config or SolverConfig()
     nworkers = resolve_workers(workers)
     t0 = time.perf_counter()
 
-    nlp_a1 = nlp_a2 = nlp_b1 = 0
-    if phases == "none":
-        records = {r.k: SubproblemRecord(realization=r) for r in enumerate_realizations(spec)}
-        k1m: list[int] = []
-        k1u: list[int] = []
-        retained = list(records)
-    else:
-        pa = phase_a(spec, beta, config, eps, nworkers)
-        records, k1m, k1u = pa.records, pa.k1m, pa.k1u
-        nlp_a1, nlp_a2 = pa.nlp_a1, pa.nlp_a2
-        retained = [k for k in k1u if records[k].status is not Status.MASTER]
-        if phases == "ab":
-            nlp_b1 = len(retained)
-            retained = phase_b(spec, records, retained, pa.master_front, config, eps, nworkers)
+    with (ProcessPoolExecutor(max_workers=nworkers) if nworkers > 1
+          else contextlib.nullcontext()) as pool:
+        nlp_a1 = nlp_a2 = nlp_b1 = 0
+        if phases == "none":
+            records = {r.k: SubproblemRecord(realization=r) for r in enumerate_realizations(spec)}
+            k1m: list[int] = []
+            k1u: list[int] = []
+            retained = list(records)
+        else:
+            pa = phase_a(spec, beta, config, eps, nworkers, pool)
+            records, k1m, k1u = pa.records, pa.k1m, pa.k1u
+            nlp_a1, nlp_a2 = pa.nlp_a1, pa.nlp_a2
+            retained = [k for k in k1u if records[k].status is not Status.MASTER]
+            if phases == "ab":
+                nlp_b1 = len(retained)
+                retained = phase_b(
+                    spec, records, retained, pa.master_front, config, eps, nworkers, pool
+                )
 
-    # B-3: fronts for whatever the phases left
-    fronts = parallel_map(
-        _front_or_none,
-        [(spec, records[k].realization, beta, config, eps) for k in retained],
-        workers=nworkers,
-    )
+        # B-3: fronts for whatever the phases left
+        reals = [records[k].realization for k in retained]
+        fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps,
+                              workers=nworkers, pool=pool)
     for k, front in zip(retained, fronts):
         records[k].front = front
         records[k].status = Status.INFEASIBLE if front is None else Status.RETAINED_B

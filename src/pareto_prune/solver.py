@@ -2,7 +2,10 @@
 
 One call to :func:`solve_scalarized` is one NLP in the pipeline's solve
 accounting, regardless of how many local descents run inside it.  The
-solver is deterministic: identical arguments (including the seed) give
+local descents of many solves run in lockstep in one batch
+(:func:`descend`); every row of a batch evolves on its own, so a solve's
+result does not depend on the batch it ran in.  The solver is
+deterministic: identical arguments (including the seed) give
 bitwise-identical results.
 """
 
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,8 +24,12 @@ __all__ = [
     "ScalarizedObjective",
     "SolverConfig",
     "SolveResult",
+    "descend",
     "solve_scalarized",
 ]
+
+# rows of one _descent call; keeps the memory of a batch bounded
+MAX_DESCENT_ROWS = 32_768
 
 _ARMIJO = 1e-4
 _STEP_GROWTH = 2.0
@@ -51,10 +59,45 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
 
 
+def _evaluate(spec: ProblemSpec, field: str, ys: np.ndarray,
+              z: np.ndarray | None = None) -> np.ndarray:
+    """Call one evaluator of ``spec`` on the stacked rows ``ys`` at the
+    single realization ``z`` (``base_objectives`` takes none), and check the
+    shape of its result.  Every evaluator call goes through here."""
+    fn = getattr(spec, field)
+    args = () if field == "base_objectives" else (z,)
+    if spec.vectorized:
+        out = np.asarray(fn(ys, *args), dtype=float)
+    else:
+        out = np.array([fn(y, *args) for y in ys], dtype=float)
+    m = ys.shape[0]
+    if field == "inequality_constraints":
+        if out.shape == (m,):
+            out = out[:, None]
+        ok, want = out.ndim == 2 and out.shape[0] == m, f"({m}, n_g)"
+    else:
+        shape = (m, 2, spec.n_y) if field == "gradient" else (m, 2)
+        ok, want = out.shape == shape, str(shape)
+    if not ok:
+        raise ValueError(
+            f"{field} of problem {spec.name!r} returned shape {out.shape}, expected {want}"
+        )
+    return out
+
+
+def _scalarize(weight, raw: np.ndarray, g: np.ndarray | None, pc) -> np.ndarray:
+    """w*J1 + (1-w)*J2 plus the exterior penalty pc * sum(max(g, 0)^2), per
+    row; ``weight`` and ``pc`` are scalars or per-row arrays."""
+    val = weight * raw[:, 0] + (1.0 - weight) * raw[:, 1]
+    if g is not None:
+        val = val + pc * (np.clip(g, 0.0, None) ** 2).sum(axis=1)
+    return val
+
+
 @dataclass(frozen=True)
 class ScalarizedObjective:
     """w*J1 + (1-w)*J2 plus an exterior quadratic penalty on violated
-    inequality constraints."""
+    inequality constraints: one scalarized subproblem."""
 
     weight: float
     realization: Realization
@@ -72,24 +115,12 @@ class ScalarizedObjective:
 
     def raw_objectives(self, ys: np.ndarray) -> np.ndarray:
         """Objective pairs at a batch of continuous points, shape (m, 2)."""
-        spec = self.parent
-        z = self._z()
-        if spec.vectorized:
-            return np.asarray(spec.objectives(ys, z), dtype=float)
-        return np.array([spec.objectives(y, z) for y in ys], dtype=float)
+        return _evaluate(self.parent, "objectives", ys, self._z())
 
     def constraint_values(self, ys: np.ndarray) -> np.ndarray | None:
-        spec = self.parent
-        if spec.inequality_constraints is None:
+        if self.parent.inequality_constraints is None:
             return None
-        z = self._z()
-        if spec.vectorized:
-            g = np.asarray(spec.inequality_constraints(ys, z), dtype=float)
-        else:
-            g = np.array([spec.inequality_constraints(y, z) for y in ys], dtype=float)
-        if g.ndim == 1:
-            g = g[:, None]
-        return g
+        return _evaluate(self.parent, "inequality_constraints", ys, self._z())
 
     def max_violation(self, ys: np.ndarray) -> np.ndarray:
         g = self.constraint_values(ys)
@@ -99,34 +130,55 @@ class ScalarizedObjective:
 
     def value(self, ys: np.ndarray, penalty_coefficient: float | None = None) -> np.ndarray:
         pc = self.penalty_coefficient if penalty_coefficient is None else penalty_coefficient
-        raw = self.raw_objectives(ys)
-        val = self.weight * raw[:, 0] + (1.0 - self.weight) * raw[:, 1]
-        g = self.constraint_values(ys)
-        if g is not None:
-            val = val + pc * (np.clip(g, 0.0, None) ** 2).sum(axis=1)
-        return val
+        return _scalarize(self.weight, self.raw_objectives(ys), self.constraint_values(ys), pc)
 
-    def descent_value(self, ys: np.ndarray, penalty_coefficient: float | None = None) -> np.ndarray:
+
+class _Batch:
+    """The scalarized solves of one lockstep descent.  Solve i owns rows
+    i*rows_per_solve .. (i+1)*rows_per_solve - 1.  The methods take the
+    stacked points of some of those rows and their indices (an index array
+    or a slice); evaluators are called once per distinct realization among
+    those rows, with that realization's rows stacked, so a row's value
+    never depends on the rest of the batch."""
+
+    def __init__(self, objs: Sequence[ScalarizedObjective], rows_per_solve: int) -> None:
+        self.parent = objs[0].parent
+        self.weight = np.array([o.weight for o in objs])
+        self.penalty = np.array([o.penalty_coefficient for o in objs])
+        index: dict[Realization, int] = {}
+        self.solve_z = np.array([index.setdefault(o.realization, len(index)) for o in objs])
+        self.zs = [np.asarray(r.z, dtype=float) for r in index]
+        self.owner = np.repeat(np.arange(len(objs)), rows_per_solve)
+
+    def _per_z(self, field: str, ys: np.ndarray, rows) -> np.ndarray:
+        zi = self.solve_z[self.owner[rows]]
+        cuts = (np.flatnonzero(zi[1:] != zi[:-1]) + 1).tolist()
+        parts = [
+            _evaluate(self.parent, field, ys[a:b], self.zs[zi[a]])
+            for a, b in zip([0] + cuts, cuts + [len(zi)])
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def descent_value(self, ys: np.ndarray, rows,
+                      penalty_coefficient: float | None = None) -> np.ndarray:
         """Objective the local descents minimize.  When the problem
         separates into a continuous base plus per-realization offsets,
         the z-dependent constant is dropped: the minimizer is unchanged
         and the iterate sequence becomes independent of the realization,
         so exact cross-realization ties survive in later filtering."""
         spec = self.parent
+        solves = self.owner[rows]
         if spec.base_objectives is None:
-            return self.value(ys, penalty_coefficient)
-        pc = self.penalty_coefficient if penalty_coefficient is None else penalty_coefficient
-        if spec.vectorized:
-            raw = np.asarray(spec.base_objectives(ys), dtype=float)
+            raw = self._per_z("objectives", ys, rows)
         else:
-            raw = np.array([spec.base_objectives(y) for y in ys], dtype=float)
-        val = self.weight * raw[:, 0] + (1.0 - self.weight) * raw[:, 1]
-        g = self.constraint_values(ys)
-        if g is not None:
-            val = val + pc * (np.clip(g, 0.0, None) ** 2).sum(axis=1)
-        return val
+            raw = _evaluate(spec, "base_objectives", ys)
+        g = pc = None
+        if spec.inequality_constraints is not None:
+            g = self._per_z("inequality_constraints", ys, rows)
+            pc = self.penalty[solves] if penalty_coefficient is None else penalty_coefficient
+        return _scalarize(self.weight[solves], raw, g, pc)
 
-    def gradient(self, ys: np.ndarray, penalty_coefficient: float | None = None,
+    def gradient(self, ys: np.ndarray, rows, penalty_coefficient: float | None = None,
                  fd_step: float = 1e-7) -> np.ndarray:
         """Gradient of the (penalized) scalarized objective, shape (m, n_y).
 
@@ -136,15 +188,12 @@ class ScalarizedObjective:
         """
         spec = self.parent
         if spec.gradient is not None and spec.inequality_constraints is None:
-            z = self._z()
-            if spec.vectorized:
-                gj = np.asarray(spec.gradient(ys, z), dtype=float)
-            else:
-                gj = np.array([spec.gradient(y, z) for y in ys], dtype=float)
-            return self.weight * gj[:, 0, :] + (1.0 - self.weight) * gj[:, 1, :]
-        return self._fd_gradient(ys, penalty_coefficient, fd_step)
+            gj = self._per_z("gradient", ys, rows)
+            w = self.weight[self.owner[rows]][:, None]
+            return w * gj[:, 0, :] + (1.0 - w) * gj[:, 1, :]
+        return self._fd_gradient(ys, rows, penalty_coefficient, fd_step)
 
-    def _fd_gradient(self, ys: np.ndarray, penalty_coefficient: float | None,
+    def _fd_gradient(self, ys: np.ndarray, rows, penalty_coefficient: float | None,
                      fd_step: float) -> np.ndarray:
         lo = self.parent.lower_bounds()
         hi = self.parent.upper_bounds()
@@ -159,8 +208,8 @@ class ScalarizedObjective:
             denom = yp[:, d] - ym[:, d]
             denom[denom == 0.0] = 1.0
             out[:, d] = (
-                self.descent_value(yp, penalty_coefficient)
-                - self.descent_value(ym, penalty_coefficient)
+                self.descent_value(yp, rows, penalty_coefficient)
+                - self.descent_value(ym, rows, penalty_coefficient)
             ) / denom
         return out
 
@@ -206,12 +255,12 @@ def _start_points(bounds: tuple[tuple[float, float], ...], n: int, seed: int) ->
     return pts
 
 
-def _descent(obj: ScalarizedObjective, x0: np.ndarray, config: SolverConfig,
+def _descent(obj: _Batch, x0: np.ndarray, config: SolverConfig,
              penalty_coefficient: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient descent with Barzilai-Borwein steps and Armijo
-    backtracking, run in lockstep over a batch of starts.
+    backtracking, run in lockstep over the rows of a batch of solves.
 
-    Returns the best point and value visited per start (rows with
+    Returns the best point and value visited per row (rows with
     non-finite initial values are returned as-is with value +inf).
     """
     lo = obj.parent.lower_bounds()
@@ -220,7 +269,7 @@ def _descent(obj: ScalarizedObjective, x0: np.ndarray, config: SolverConfig,
     fd = config.fd_step
 
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f = obj.descent_value(x, pc)
+    f = obj.descent_value(x, slice(None), pc)
     ok = np.isfinite(f)
     best_x = x.copy()
     best_f = np.where(ok, f, np.inf)
@@ -230,7 +279,7 @@ def _descent(obj: ScalarizedObjective, x0: np.ndarray, config: SolverConfig,
     idx = np.where(ok)[0]  # rows still descending, as indices into the batch
     x = x[idx]
     f = f[idx]
-    g = obj.gradient(x, pc, fd)
+    g = obj.gradient(x, idx, pc, fd)
     span = float((hi - lo).max())
     t = span / (1.0 + np.abs(g).max(axis=1))
 
@@ -239,7 +288,7 @@ def _descent(obj: ScalarizedObjective, x0: np.ndarray, config: SolverConfig,
             break
         xc = np.clip(x - t[:, None] * g, lo, hi)
         step = x - xc
-        fc = obj.descent_value(xc, pc)
+        fc = obj.descent_value(xc, idx, pc)
         decrease = (g * step).sum(axis=1)
         accept = np.isfinite(fc) & (fc <= f - _ARMIJO * decrease)
 
@@ -250,7 +299,7 @@ def _descent(obj: ScalarizedObjective, x0: np.ndarray, config: SolverConfig,
             best_f[idx[upd]] = fc[upd]
             best_x[idx[upd]] = xc[upd]
 
-            gc = obj.gradient(xc[ai], pc, fd)
+            gc = obj.gradient(xc[ai], idx[ai], pc, fd)
             s = xc[ai] - x[ai]
             yv = gc - g[ai]
             sy = (s * yv).sum(axis=1)
@@ -279,17 +328,53 @@ def _descent(obj: ScalarizedObjective, x0: np.ndarray, config: SolverConfig,
     return best_x, best_f
 
 
-def solve_scalarized(obj: ScalarizedObjective, config: SolverConfig) -> SolveResult:
+def descend(objs: Sequence[ScalarizedObjective],
+            config: SolverConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Local descents of several solves of one problem from the multistart
+    set, in lockstep: one ``_descent`` call for all of them, or several of
+    at most MAX_DESCENT_ROWS rows each.  Returns, per solve, the best point
+    and value reached from each start, for :func:`solve_scalarized`.
+
+    When the problem separates (``base_objectives``) and has no
+    constraints, a descent depends only on its weight, so the solves that
+    share a weight share one block of rows.
+    """
+    if not objs:
+        return []
+    spec = objs[0].parent
+    starts = _start_points(spec.bounds, config.n_starts, config.seed)
+    n = starts.shape[0]
+    merge = spec.base_objectives is not None and spec.inequality_constraints is None
+    blocks: dict = {}
+    block_of: list[int] = []
+    owners: list[ScalarizedObjective] = []  # the solve whose descent each block runs
+    for i, o in enumerate(objs):
+        b = blocks.setdefault(o.weight if merge else i, len(owners))
+        if b == len(owners):
+            owners.append(o)
+        block_of.append(b)
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    per_call = max(1, MAX_DESCENT_ROWS // n)
+    for a in range(0, len(owners), per_call):
+        part = owners[a:a + per_call]
+        best_x, best_f = _descent(_Batch(part, n), np.tile(starts, (len(part), 1)), config)
+        out.extend((best_x[j * n:(j + 1) * n], best_f[j * n:(j + 1) * n]) for j in range(len(part)))
+    return [out[b] for b in block_of]
+
+
+def solve_scalarized(obj: ScalarizedObjective, config: SolverConfig,
+                     descent: tuple[np.ndarray, np.ndarray] | None = None) -> SolveResult:
     """Minimize a scalarized subproblem over its box.
 
-    Runs projected-gradient descents from a deterministic multistart set
-    and returns the best point found.  Counts as exactly one solve.  When
+    Picks the best point the local descents from the deterministic
+    multistart set reached.  ``descent`` is this solve's entry of a
+    :func:`descend` call that ran many solves in one batch; without it the
+    solve runs a batch of its own.  Counts as exactly one solve.  When
     constraints remain violated beyond ``feas_tol``, the penalty
     coefficient is escalated and the descent continued from the incumbent
     (still the same single counted solve).
     """
-    starts = _start_points(obj.parent.bounds, config.n_starts, config.seed)
-    best_x, best_f = _descent(obj, starts, config)
+    best_x, best_f = descend([obj], config)[0] if descent is None else descent
     usable = np.isfinite(best_f)
     starts_used = int(usable.sum())
     if starts_used == 0:
@@ -306,18 +391,17 @@ def solve_scalarized(obj: ScalarizedObjective, config: SolverConfig) -> SolveRes
             if float(obj.max_violation(y[None, :])[0]) <= config.feas_tol:
                 break
             pc *= 100.0
-            y_new, f_new = _descent(obj, y[None, :], config, penalty_coefficient=pc)
+            y_new, f_new = _descent(_Batch([obj], 1), y[None, :], config, penalty_coefficient=pc)
             if np.isfinite(f_new[0]):
                 y = y_new[0]
 
     y = np.clip(y, obj.parent.lower_bounds(), obj.parent.upper_bounds())
-    raw = obj.raw_objectives(y[None, :])[0]
-    scalar = float(obj.value(y[None, :])[0])
-    feasible = bool(obj.max_violation(y[None, :])[0] <= config.feas_tol)
+    raw = obj.raw_objectives(y[None, :])
+    g = obj.constraint_values(y[None, :])
     return SolveResult(
         y_star=tuple(float(v) for v in y),
-        scalar_value=scalar,
-        point=ObjectivePoint(float(raw[0]), float(raw[1])),
-        feasible=feasible,
+        scalar_value=float(_scalarize(obj.weight, raw, g, obj.penalty_coefficient)[0]),
+        point=ObjectivePoint(float(raw[0, 0]), float(raw[0, 1])),
+        feasible=g is None or bool(np.clip(g, 0.0, None).max() <= config.feas_tol),
         starts_used=starts_used,
     )

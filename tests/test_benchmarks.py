@@ -112,8 +112,8 @@ class TestE2:
         zb = (5.0, 15.0, 10.0, 1.0, 5.0, 1.0)  # z5 <-> z7 swapped
         ra = pp.realization_from_index(e2_spec, pp.index_of(e2_spec, za))
         rb = pp.realization_from_index(e2_spec, pp.index_of(e2_spec, zb))
-        fa = pp.build_subproblem_front(e2_spec, ra, 11, config)
-        fb = pp.build_subproblem_front(e2_spec, rb, 11, config)
+        fa = pp.build_subproblem_front(e2_spec, [ra], 11, config)[0]
+        fb = pp.build_subproblem_front(e2_spec, [rb], 11, config)[0]
         assert [p.point.as_tuple() for p in fa] == [p.point.as_tuple() for p in fb]
         assert [p.y for p in fa] == [p.y for p in fb]
 

@@ -111,6 +111,16 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot write")
 
+    def test_beta_times_realizations_over_cap_exits_3_before_any_solve(
+        self, tmp_path, capsys, solve_log
+    ):
+        code = run_cli("run", "--problem", "quad", "--beta", "100000000",
+                       "--report", str(tmp_path / "r.json"))
+        assert code == 3
+        assert solve_log.calls == 0
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_pipeline_failure_exits_3(self, tmp_path, monkeypatch):
         import pareto_prune.cli as cli
 

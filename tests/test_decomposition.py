@@ -94,7 +94,7 @@ class TestIndexBijection:
 class TestAnchorsUtopia:
     def test_quad_separable(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
-        rec = compute_anchors_utopia(quad_spec, r, config)
+        rec = compute_anchors_utopia(quad_spec, [r], config)[0]
         assert rec.status is Status.UNPROCESSED
         assert rec.anchor1.y[0] == pytest.approx(0.0, abs=1e-9)
         assert rec.anchor2.y[0] == pytest.approx(1.0, abs=1e-9)
@@ -103,12 +103,12 @@ class TestAnchorsUtopia:
 
     def test_counts_two_solves(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        compute_anchors_utopia(quad_spec, r, config)
+        compute_anchors_utopia(quad_spec, [r], config)[0]
         assert solve_log.calls == 2
 
     def test_e2_monotone_anchors(self, e2_spec, config):
         r = enumerate_realizations(e2_spec)[0]
-        rec = compute_anchors_utopia(e2_spec, r, config)
+        rec = compute_anchors_utopia(e2_spec, [r], config)[0]
         assert rec.anchor1.y == (2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
         assert rec.anchor2.y == (10.0, 10.0, 10.0)
         expected_j1 = 4.0 / 3.0 + 3.0 + 3.0 * math.sqrt(2.0)
@@ -116,7 +116,7 @@ class TestAnchorsUtopia:
 
     def test_e1_utopia_matches_grid_oracle(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
-        rec = compute_anchors_utopia(e1_spec, r, config)
+        rec = compute_anchors_utopia(e1_spec, [r], config)[0]
         assert rec.utopia.j1 == pytest.approx(E1_Z00_UTOPIA[0], abs=1e-6)
         assert rec.utopia.j2 == pytest.approx(E1_Z00_UTOPIA[1], abs=1e-6)
         assert rec.utopia.j1 == rec.anchor1.point.j1
@@ -126,7 +126,7 @@ class TestAnchorsUtopia:
 class TestCenter:
     def test_quad_center(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
-        c = compute_center(quad_spec, r, config)
+        c = compute_center(quad_spec, [r], config)[0]
         assert c.y[0] == pytest.approx(0.5, abs=1e-9)
         assert c.point.j1 == pytest.approx(0.25, abs=1e-9)
         assert c.point.j2 == pytest.approx(0.25, abs=1e-9)
@@ -135,22 +135,22 @@ class TestCenter:
     def test_e2_all_ones_matches_grid_descent_oracle(self, e2_spec, config):
         r = enumerate_realizations(e2_spec)[0]
         assert r.z == (1.0,) * 6
-        c = compute_center(e2_spec, r, config)
+        c = compute_center(e2_spec, [r], config)[0]
         assert c.point.j1 == pytest.approx(E2_ALL_ONES_CENTER[0], abs=1e-4)
         assert c.point.j2 == pytest.approx(E2_ALL_ONES_CENTER[1], abs=1e-4)
 
     @pytest.mark.parametrize("z", [(0.0, 0.0), (-1.0, 2.0)])
     def test_center_minimizes_equal_weights_over_front(self, e1_spec, config, z):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == z)
-        c = compute_center(e1_spec, r, config)
-        front = build_subproblem_front(e1_spec, r, 21, config)
+        c = compute_center(e1_spec, [r], config)[0]
+        front = build_subproblem_front(e1_spec, [r], 21, config)[0]
         half = 0.5 * (c.point.j1 + c.point.j2)
         for p in front:
             assert half <= 0.5 * (p.point.j1 + p.point.j2) + 1e-6
 
     def test_counts_one_solve(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        compute_center(quad_spec, r, config)
+        compute_center(quad_spec, [r], config)[0]
         assert solve_log.calls == 1
 
 
@@ -158,19 +158,19 @@ class TestSubproblemFront:
     def test_beta_validation(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
         with pytest.raises(ValueError):
-            build_subproblem_front(quad_spec, r, 1, config)
+            build_subproblem_front(quad_spec, [r], 1, config)[0]
 
     def test_beta_two_reproduces_anchors(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, -1.0))
-        rec = compute_anchors_utopia(e1_spec, r, config)
-        front = build_subproblem_front(e1_spec, r, 2, config)
+        rec = compute_anchors_utopia(e1_spec, [r], config)[0]
+        front = build_subproblem_front(e1_spec, [r], 2, config)[0]
         got = sorted(p.point.as_tuple() for p in front)
         want = sorted([rec.anchor1.point.as_tuple(), rec.anchor2.point.as_tuple()])
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_quad_convex_front(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
-        front = build_subproblem_front(quad_spec, r, 21, config)
+        front = build_subproblem_front(quad_spec, [r], 21, config)[0]
         assert len(front) == 21
         assert front[0].point.as_tuple() == pytest.approx((0.0, 1.0), abs=1e-9)
         assert front[-1].point.as_tuple() == pytest.approx((1.0, 0.0), abs=1e-9)
@@ -180,7 +180,7 @@ class TestSubproblemFront:
 
     def test_counts_beta_solves(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        build_subproblem_front(quad_spec, r, 13, config)
+        build_subproblem_front(quad_spec, [r], 13, config)[0]
         assert solve_log.calls == 13
 
     def test_raising_weights_still_pose_beta_solves(self, config, solve_log):
@@ -192,21 +192,20 @@ class TestSubproblemFront:
             name="all-nan", n_y=1, bounds=((0.0, 1.0),), discrete_sets=((0.0,),),
             objectives=objs, vectorized=True,
         )
-        with pytest.raises(pp.InfeasibleError):
-            build_subproblem_front(spec, enumerate_realizations(spec)[0], 7, config)
+        assert build_subproblem_front(spec, enumerate_realizations(spec), 7, config) == [None]
         assert solve_log.calls == 7
 
     @pytest.mark.parametrize("z", [(0.0, 0.0), (-1.0, -1.0), (3.0, -4.0)])
     def test_utopia_weakly_dominates_front(self, e1_spec, config, z):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == z)
-        rec = compute_anchors_utopia(e1_spec, r, config)
-        for p in build_subproblem_front(e1_spec, r, 21, config):
+        rec = compute_anchors_utopia(e1_spec, [r], config)[0]
+        for p in build_subproblem_front(e1_spec, [r], 21, config)[0]:
             assert weakly_dominates(rec.utopia, p.point, 1e-9)
 
     def test_anchor_consistency(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
-        rec = compute_anchors_utopia(e1_spec, r, config)
-        front = build_subproblem_front(e1_spec, r, 21, config)
+        rec = compute_anchors_utopia(e1_spec, [r], config)[0]
+        front = build_subproblem_front(e1_spec, [r], 21, config)[0]
         for anchor in (rec.anchor1, rec.anchor2):
             close = any(
                 abs(p.point.j1 - anchor.point.j1) <= 1e-9
@@ -220,7 +219,7 @@ class TestSubproblemFront:
         # no densely sampled point may strictly dominate a front point
         # (small slack for solver convergence error)
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
-        front = build_subproblem_front(e1_spec, r, 21, config)
+        front = build_subproblem_front(e1_spec, [r], 21, config)[0]
         xs = np.linspace(-5.0, 5.0, 2_000_001)
         j1 = -10.0 * np.exp(-0.2 * np.abs(xs)) - 10.0
         j2 = np.abs(xs) ** 0.8 + 5.0 * np.sin(xs ** 3)

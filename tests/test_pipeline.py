@@ -140,8 +140,8 @@ class TestSingleRealization:
         assert rep.k1m == rep.k1u == rep.k1c == (1,)
         assert rep.pruned_a == () and rep.pruned_b == ()
         front = pp.build_subproblem_front(
-            quad_spec, pp.enumerate_realizations(quad_spec)[0], 21, pp.SolverConfig()
-        )
+            quad_spec, pp.enumerate_realizations(quad_spec)[:1], 21, pp.SolverConfig()
+        )[0]
         assert [p.point.as_tuple() for p in rep.front] == [p.point.as_tuple() for p in front]
 
 
@@ -158,6 +158,12 @@ class TestValidation:
     def test_bad_eps_rejected_before_any_solve(self, quad_spec, solve_log, eps):
         with pytest.raises(ValueError, match="eps"):
             run_pipeline(quad_spec, beta=5, eps=eps, workers=1)
+        assert solve_log.calls == 0
+
+    def test_beta_times_realizations_capped_before_any_solve(self, e2_spec, solve_log):
+        # 4096 realizations * 2442 weights is just over 10 million solves
+        with pytest.raises(pp.CapacityExceeded, match="exceeds the cap"):
+            run_pipeline(e2_spec, beta=2442, workers=1)
         assert solve_log.calls == 0
 
     def test_all_infeasible(self):
@@ -284,7 +290,7 @@ class TestScalingInvariance:
         for constants in (None, pp.TrussConstants(length_scale=2.5, load_modulus_scale=7.3)):
             spec = pp.make_e2(constants)
             reals = pp.enumerate_realizations(spec)
-            recs = [pp.compute_anchors_utopia(spec, r, config) for r in reals]
+            recs = pp.compute_anchors_utopia(spec, reals, config)
             masters.append(master_candidates(recs))
         assert masters[0] == masters[1]
 

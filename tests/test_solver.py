@@ -9,6 +9,7 @@ from pareto_prune.solver import (
     InfeasibleError,
     ScalarizedObjective,
     SolverConfig,
+    _Batch,
     _start_points,
     solve_scalarized,
 )
@@ -88,7 +89,7 @@ class TestSolveScalarized:
             obj = _obj(spec, w)
             res = solve_scalarized(obj, config)
             y = np.array(res.y_star)
-            g = obj._fd_gradient(y[None, :], None, 1e-6)[0]
+            g = _Batch([obj], 1)._fd_gradient(y[None, :], [0], None, 1e-6)[0]
             lo = spec.lower_bounds()
             hi = spec.upper_bounds()
             proj = y - np.clip(y - g, lo, hi)
@@ -103,14 +104,14 @@ class TestSolveCounter:
         r = _first_real(quad_spec)
         assert solve_log.calls == 0
         for _ in range(3):
-            pp.compute_center(quad_spec, r, config)
+            pp.compute_center(quad_spec, [r], config)[0]
         assert solve_log.calls == 3
         solve_log.reset()
-        pp.compute_anchors_utopia(quad_spec, r, config)
+        pp.compute_anchors_utopia(quad_spec, [r], config)[0]
         assert solve_log.calls == 2
 
     def test_one_call_counts_one_despite_multistart(self, e2_spec, solve_log):
-        pp.compute_center(e2_spec, _first_real(e2_spec), SolverConfig(n_starts=16))
+        pp.compute_center(e2_spec, [_first_real(e2_spec)], SolverConfig(n_starts=16))[0]
         assert solve_log.calls == 1
 
     def test_concurrent_solves_count_and_match_serial(self, e1_spec, config):
@@ -190,8 +191,7 @@ class TestNanHandling:
             solve_scalarized(
                 ScalarizedObjective(weight=1.0, realization=r, parent=spec), config
             )
-        with pytest.raises(InfeasibleError):
-            pp.compute_center(spec, r, config)
+        assert pp.compute_center(spec, [r], config) == [None]
         assert solve_log.calls == 1
 
 
