@@ -243,5 +243,6 @@ def oracle_front(
 ) -> PruneReport:
     """Reference front by brute force: build the beta-point front of
     every realization (beta * |K| solves), merge, and filter.  k1c lists
-    the realizations whose points survive the global filter."""
+    the realizations whose points survive the global filter.  ``workers``
+    is accepted and has no effect: every run is serial."""
     return run_pipeline(spec, beta=beta, phases="none", config=config, eps=eps, workers=workers)

@@ -215,6 +215,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             report=args.report,
             front=args.front,
         )
+        config = cfg.solver_config()
         spec = get_problem(cfg.problem)
         _check_output_path(cfg.report)
         _check_output_path(cfg.front)
@@ -222,9 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_pipeline(
-            spec, beta=cfg.beta, phases=cfg.phases, config=cfg.solver_config(), eps=cfg.eps
-        )
+        report = run_pipeline(spec, beta=cfg.beta, phases=cfg.phases, config=config, eps=cfg.eps)
     except (PipelineError, CapacityExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -4,12 +4,8 @@ the same driver with both phases skipped."""
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +41,6 @@ __all__ = [
     "phase_a",
     "phase_b",
     "run_pipeline",
-    "resolve_workers",
     "parallel_map",
 ]
 
@@ -54,48 +49,14 @@ class PipelineError(RuntimeError):
     """No subproblem produced a usable solution."""
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Explicit worker count, or the PARETO_PRUNE_THREADS env var when
-    None (0 means one worker per CPU; unset means serial)."""
-    if workers is None:
-        raw = os.environ.get("PARETO_PRUNE_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"PARETO_PRUNE_THREADS must be an integer, got {raw!r}") from None
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, workers)
+def parallel_map(op, spec: ProblemSpec, reals: list[Realization], *args) -> list:
+    """``op(spec, reals, *args)``: one phase's batched subproblem operation.
 
-
-def _pickles(obj) -> bool:
-    try:
-        pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
-
-
-def parallel_map(op, spec: ProblemSpec, reals: list[Realization], *args,
-                 workers: int = 1, pool: ProcessPoolExecutor | None = None) -> list:
-    """Run the subproblem operation ``op(spec, chunk, *args)`` on at most
-    ``workers`` contiguous chunks of ``reals`` of near-equal size, in
-    ``pool`` when one is given, and return its per-realization results in
-    the order of ``reals``.
-
-    Runs serially when the task does not pickle (e.g. closures in
-    user-defined problem evaluators).
+    A plain call, kept under this name only because the benchmark's
+    tracer (perfbench/tracer.py) times each phase through it and the
+    benchmark's tests require that metric to be present.
     """
-    n = min(workers, len(reals))
-    q, r = divmod(len(reals), max(n, 1))
-    cuts = [i * q + min(i, r) for i in range(n + 1)]
-    chunks = [reals[a:b] for a, b in zip(cuts, cuts[1:])]
-    if pool is not None and n > 1 and _pickles((op, spec, args)):
-        futures = [pool.submit(op, spec, chunk, *args) for chunk in chunks]
-        parts = [f.result() for f in futures]
-    else:
-        parts = [op(spec, chunk, *args) for chunk in chunks]
-    return [item for part in parts for item in part]
+    return op(spec, reals, *args)
 
 
 @dataclass(frozen=True)
@@ -215,8 +176,6 @@ class PhaseAResult:
     k1m: list[int]
     k1u: list[int]
     master_front: list[ParetoSolution]
-    nlp_a1: int
-    nlp_a2: int
 
 
 def master_candidates(records: list[SubproblemRecord], eps: float = 0.0) -> list[int]:
@@ -233,22 +192,17 @@ def master_candidates(records: list[SubproblemRecord], eps: float = 0.0) -> list
 def build_master_front(
     spec: ProblemSpec,
     k1m: list[int],
+    records: dict[int, SubproblemRecord],
     beta: int,
     config: SolverConfig,
     eps: float = 0.0,
-    workers: int = 1,
-    records: dict[int, SubproblemRecord] | None = None,
-    pool: ProcessPoolExecutor | None = None,
 ) -> list[ParetoSolution]:
-    """Union of the k1m subproblem fronts, filtered.  When ``records``
-    is given the per-subproblem fronts are stored there for reuse."""
+    """Union of the k1m subproblem fronts, filtered.  Each subproblem's
+    front is stored in its record for reuse."""
     if not k1m:
         raise PipelineError("cannot build a master front from an empty candidate set")
-    if records is None:
-        raise ValueError("records mapping is required to resolve realizations")
     reals = [records[k].realization for k in k1m]
-    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps,
-                          workers=workers, pool=pool)
+    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps)
     merged: list[ParetoSolution] = []
     for k, front in zip(k1m, fronts):
         records[k].front = front
@@ -265,16 +219,13 @@ def phase_a(
     beta: int,
     config: SolverConfig,
     eps: float = 0.0,
-    workers: int = 1,
-    pool: ProcessPoolExecutor | None = None,
 ) -> PhaseAResult:
     """A-1 anchors/utopias for all realizations (2 solves each), A-2
     master front from non-dominated utopias (beta solves each), A-3
     pruning of subproblems whose utopia the master front weakly
-    dominates.  Each step splits its realizations into ``workers``
-    chunks and runs one batched operation per chunk."""
+    dominates.  Each step is one batched operation over its realizations."""
     reals = enumerate_realizations(spec)
-    recs = parallel_map(compute_anchors_utopia, spec, reals, config, workers=workers, pool=pool)
+    recs = parallel_map(compute_anchors_utopia, spec, reals, config)
     records = {rec.realization.k: rec for rec in recs}
 
     if all(rec.status is Status.INFEASIBLE for rec in records.values()):
@@ -283,7 +234,7 @@ def phase_a(
     k1m = master_candidates(list(records.values()), eps)
     for k in k1m:
         records[k].status = Status.MASTER
-    master_front = build_master_front(spec, k1m, beta, config, eps, workers, records, pool)
+    master_front = build_master_front(spec, k1m, records, beta, config, eps)
 
     mpts = np.array([[s.point.j1, s.point.j2] for s in master_front])
     k1u: list[int] = list(k1m)
@@ -294,14 +245,8 @@ def phase_a(
             rec.status = Status.PRUNED_A
         else:
             k1u.append(k)
-    return PhaseAResult(
-        records=records,
-        k1m=sorted(k1m),
-        k1u=sorted(k1u),
-        master_front=master_front,
-        nlp_a1=2 * len(reals),
-        nlp_a2=beta * len(k1m),
-    )
+    return PhaseAResult(records=records, k1m=sorted(k1m), k1u=sorted(k1u),
+                        master_front=master_front)
 
 
 def phase_b(
@@ -311,15 +256,13 @@ def phase_b(
     master_front: list[ParetoSolution],
     config: SolverConfig,
     eps: float = 0.0,
-    workers: int = 1,
-    pool: ProcessPoolExecutor | None = None,
 ) -> list[int]:
     """B-1 centers for the target subproblems (one solve each) and B-2
     pruning of those whose center the master front weakly dominates or
     whose center solve fails.  Returns the retained indices."""
     mpts = np.array([[s.point.j1, s.point.j2] for s in master_front])
     reals = [records[k].realization for k in targets]
-    centers = parallel_map(compute_center, spec, reals, config, workers=workers, pool=pool)
+    centers = parallel_map(compute_center, spec, reals, config)
     retained: list[int] = []
     for k, center in zip(targets, centers):
         records[k].center = center
@@ -352,8 +295,8 @@ def run_pipeline(
     a fixed number of solves, so the counts follow from the sets.
 
     Each phase poses its solves as one batched operation over its
-    realizations.  With more than one worker, one process pool serves the
-    whole run and each phase is split into ``workers`` contiguous chunks.
+    realizations, in this process.  ``workers`` is accepted and has no
+    effect: every run is serial.
     """
     if phases not in ("ab", "a", "none"):
         raise ValueError(f'phases must be "ab", "a" or "none", got {phases!r}')
@@ -366,32 +309,23 @@ def run_pipeline(
             f"beta * |K| = {n_solves} exceeds the cap of {DEFAULT_REALIZATION_CAP}"
         )
     config = config or SolverConfig()
-    nworkers = resolve_workers(workers)
     t0 = time.perf_counter()
 
-    with (ProcessPoolExecutor(max_workers=nworkers) if nworkers > 1
-          else contextlib.nullcontext()) as pool:
-        nlp_a1 = nlp_a2 = nlp_b1 = 0
-        if phases == "none":
-            records = {r.k: SubproblemRecord(realization=r) for r in enumerate_realizations(spec)}
-            k1m: list[int] = []
-            k1u: list[int] = []
-            retained = list(records)
-        else:
-            pa = phase_a(spec, beta, config, eps, nworkers, pool)
-            records, k1m, k1u = pa.records, pa.k1m, pa.k1u
-            nlp_a1, nlp_a2 = pa.nlp_a1, pa.nlp_a2
-            retained = [k for k in k1u if records[k].status is not Status.MASTER]
-            if phases == "ab":
-                nlp_b1 = len(retained)
-                retained = phase_b(
-                    spec, records, retained, pa.master_front, config, eps, nworkers, pool
-                )
+    if phases == "none":
+        records = {r.k: SubproblemRecord(realization=r) for r in enumerate_realizations(spec)}
+        k1m: list[int] = []
+        k1u: list[int] = []
+        retained = list(records)
+    else:
+        pa = phase_a(spec, beta, config, eps)
+        records, k1m, k1u = pa.records, pa.k1m, pa.k1u
+        retained = [k for k in k1u if records[k].status is not Status.MASTER]
+        if phases == "ab":
+            retained = phase_b(spec, records, retained, pa.master_front, config, eps)
 
-        # B-3: fronts for whatever the phases left
-        reals = [records[k].realization for k in retained]
-        fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps,
-                              workers=nworkers, pool=pool)
+    # B-3: fronts for whatever the phases left
+    reals = [records[k].realization for k in retained]
+    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps)
     for k, front in zip(retained, fronts):
         records[k].front = front
         records[k].status = Status.INFEASIBLE if front is None else Status.RETAINED_B
@@ -415,7 +349,12 @@ def run_pipeline(
         pruned_a=_with_status(records, Status.PRUNED_A),
         pruned_b=_with_status(records, Status.PRUNED_B),
         infeasible=_with_status(records, Status.INFEASIBLE),
-        nlp=NlpCounts(a1=nlp_a1, a2=nlp_a2, b1=nlp_b1, b3=beta * len(retained)),
+        nlp=NlpCounts(
+            a1=0 if phases == "none" else 2 * len(records),
+            a2=beta * len(k1m),
+            b1=len(k1u) - len(k1m) if phases == "ab" else 0,
+            b3=beta * len(retained),
+        ),
         front=tuple(final),
         wallclock_ms=int(round((time.perf_counter() - t0) * 1000)),
     )

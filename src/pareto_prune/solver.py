@@ -57,6 +57,8 @@ class SolverConfig:
         for name in ("step_tol", "fd_step", "feas_tol", "penalty_coefficient"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _evaluate(spec: ProblemSpec, field: str, ys: np.ndarray,

@@ -64,7 +64,7 @@ class SolveLog:
 
 @pytest.fixture
 def solve_log(monkeypatch) -> SolveLog:
-    """Counts real solves in this process; runs under it must be serial."""
+    """Counts real solves in this process."""
     from pareto_prune import decomposition, pipeline
 
     log = SolveLog()

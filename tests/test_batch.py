@@ -152,4 +152,4 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(pp.make_quad(), gradient=flat_gradient)
         with pytest.raises(ValueError, match=r"gradient of problem 'quad' returned shape "
                                              r"\(32, 2\), expected \(32, 2, 1\)"):
-            pp.run_pipeline(spec, beta=3, workers=1)
+            pp.run_pipeline(spec, beta=3)

@@ -81,6 +81,15 @@ class TestRunCommand:
         assert "error: eps must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("problem", ["e2", "quad"])
+    def test_negative_seed_exits_2_before_any_solve(self, tmp_path, capsys, solve_log, problem):
+        code = run_cli("run", "--problem", problem, "--beta", "3", "--seed", "-1",
+                       "--report", str(tmp_path / "r.json"))
+        assert code == 2
+        assert solve_log.calls == 0
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("bad", ["missing/out", "."])
     @pytest.mark.parametrize("flag", ["--report", "--front"])
     def test_bad_output_path_exits_2_before_compute(

@@ -1,7 +1,8 @@
 """Two-phase pipeline semantics on problems with known closed-form
-outcomes, plus solve accounting and parallel determinism."""
+outcomes, plus solve accounting and the ignored ``workers`` keyword."""
 
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -157,13 +158,13 @@ class TestValidation:
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
     def test_bad_eps_rejected_before_any_solve(self, quad_spec, solve_log, eps):
         with pytest.raises(ValueError, match="eps"):
-            run_pipeline(quad_spec, beta=5, eps=eps, workers=1)
+            run_pipeline(quad_spec, beta=5, eps=eps)
         assert solve_log.calls == 0
 
     def test_beta_times_realizations_capped_before_any_solve(self, e2_spec, solve_log):
         # 4096 realizations * 2442 weights is just over 10 million solves
         with pytest.raises(pp.CapacityExceeded, match="exceeds the cap"):
-            run_pipeline(e2_spec, beta=2442, workers=1)
+            run_pipeline(e2_spec, beta=2442)
         assert solve_log.calls == 0
 
     def test_all_infeasible(self):
@@ -187,15 +188,15 @@ def _nlp_by_phase(report):
 
 class TestAccounting:
     def test_counter_reset_on_entry(self, fig_spec, quad_spec, solve_log):
-        run_pipeline(quad_spec, beta=5, workers=1)  # an earlier run in the same process
+        run_pipeline(quad_spec, beta=5)  # an earlier run in the same process
         solve_log.reset()
-        rep = run_pipeline(fig_spec, beta=21, phases="ab", workers=1)
+        rep = run_pipeline(fig_spec, beta=21, phases="ab")
         assert solve_log.calls == rep.nlp.total == 75
         assert solve_log.by_phase == _nlp_by_phase(rep)
 
     @pytest.mark.parametrize("phases", ["ab", "a", "none"])
     def test_report_counts_equal_solve_calls(self, fig_spec, solve_log, phases):
-        rep = run_pipeline(fig_spec, beta=21, phases=phases, workers=1)
+        rep = run_pipeline(fig_spec, beta=21, phases=phases)
         assert solve_log.by_phase == _nlp_by_phase(rep)
         assert solve_log.calls == rep.nlp.total
 
@@ -210,10 +211,10 @@ class TestAccounting:
             name="one-nan", n_y=1, bounds=((0.0, 1.0),), discrete_sets=((1.0, 2.0, 3.0),),
             objectives=objs, vectorized=True,
         )
-        orc = pp.oracle_front(spec, beta=5, workers=1)
+        orc = pp.oracle_front(spec, beta=5)
         assert orc.nlp.b3 == solve_log.calls == 15
         assert orc.infeasible == (2,)
-        pipe = run_pipeline(spec, beta=5, phases="a", workers=1)
+        pipe = run_pipeline(spec, beta=5, phases="a")
         assert pipe.infeasible == (2,)
         assert front_points(orc).tolist() == front_points(pipe).tolist()
 
@@ -234,50 +235,21 @@ class TestAccounting:
         assert e1_ab.nlp.a2 == e1_ab.beta * len(e1_ab.k1m)
 
 
-class TestParallelExecution:
-    def test_workers_match_serial(self, fig_spec, e1_spec, solve_log):
-        for spec in (fig_spec, e1_spec):
-            solve_log.reset()
-            serial = run_pipeline(spec, beta=11, phases="ab", workers=1)
-            serial_calls = solve_log.calls
-            # the counting wrappers do not pickle, so undo them for the pool
-            with pytest.MonkeyPatch.context() as mp:
-                for attr in ("compute_anchors_utopia", "build_master_front",
-                             "compute_center", "build_subproblem_front"):
-                    mp.setattr(pp.pipeline, attr, getattr(pp, attr))
-                parallel = run_pipeline(spec, beta=11, phases="ab", workers=2)
-            assert dataclasses.replace(serial, wallclock_ms=0) == dataclasses.replace(
-                parallel, wallclock_ms=0
-            )
-            assert serial_calls == parallel.nlp.total
-
-    def test_unpicklable_falls_back_to_serial(self):
-        captured = []
-
-        def objs(y, z):  # closure, not picklable by reference
-            y = np.asarray(y, dtype=float)
-            captured.append(1)
-            v = y[..., 0]
-            return np.stack([v ** 2, (v - 1.0) ** 2], axis=-1)
-
-        spec = pp.ProblemSpec(
-            name="closure", n_y=1, bounds=((0.0, 1.0),), discrete_sets=((0.0, 1.0),),
-            objectives=objs, vectorized=True,
+class TestWorkersKeyword:
+    def test_workers_and_env_var_are_ignored(self, fig_spec, e1_spec, monkeypatch):
+        # the benchmark passes workers= and sets PARETO_PRUNE_THREADS; every
+        # run stays serial in this process and gives the serial report
+        monkeypatch.delenv("PARETO_PRUNE_THREADS", raising=False)
+        runs = (
+            lambda spec, **kw: run_pipeline(spec, beta=11, phases="ab", **kw),
+            lambda spec, **kw: pp.oracle_front(spec, beta=11, **kw),
         )
-        rep = run_pipeline(spec, beta=5, workers=4)
-        assert rep.k_total == 2
-        assert captured  # evaluated in-process
-
-    def test_env_var_controls_workers(self, monkeypatch):
-        monkeypatch.setenv("PARETO_PRUNE_THREADS", "0")
-        assert pp.pipeline.resolve_workers(None) >= 1
-        monkeypatch.setenv("PARETO_PRUNE_THREADS", "3")
-        assert pp.pipeline.resolve_workers(None) == 3
-        monkeypatch.delenv("PARETO_PRUNE_THREADS")
-        assert pp.pipeline.resolve_workers(None) == 1
-        monkeypatch.setenv("PARETO_PRUNE_THREADS", "junk")
-        with pytest.raises(ValueError):
-            pp.pipeline.resolve_workers(None)
+        serial = [run(spec) for spec in (fig_spec, e1_spec) for run in runs]
+        monkeypatch.setenv("PARETO_PRUNE_THREADS", "2")
+        pooled = [run(spec, workers=2) for spec in (fig_spec, e1_spec) for run in runs]
+        assert multiprocessing.active_children() == []
+        for a, b in zip(serial, pooled):
+            assert dataclasses.replace(a, wallclock_ms=0) == dataclasses.replace(b, wallclock_ms=0)
 
 
 class TestScalingInvariance:
