@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -239,6 +240,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        print(f"error: tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
+        return 2
     try:
         ra = read_report(args.a)
         rb = read_report(args.b)

@@ -60,7 +60,9 @@ class ProblemSpec:
     applies to ``inequality_constraints`` (returning (m, n_g)) and
     ``gradient`` (returning (m, 2, n_y)).  Evaluators must be pure, and a
     result of any other shape raises ValueError.  Every call gets a single
-    realization's z; the rows of a batched solve are grouped by z.
+    realization's z.  A vectorized evaluator gets the rows of a batched
+    solve grouped by z; a scalar one is called once per row, with that
+    row's own z.
 
     ``gradient``, when given, is the derivative of both objectives with
     respect to the continuous variables only.  Without it the solver falls

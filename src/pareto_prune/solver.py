@@ -65,21 +65,37 @@ def _evaluate(spec: ProblemSpec, field: str, ys: np.ndarray,
               z: np.ndarray | None = None) -> np.ndarray:
     """Call one evaluator of ``spec`` on the stacked rows ``ys`` at the
     single realization ``z`` (``base_objectives`` takes none), and check the
-    shape of its result.  Every evaluator call goes through here."""
+    shape of its result."""
     fn = getattr(spec, field)
     args = () if field == "base_objectives" else (z,)
-    if spec.vectorized:
-        out = np.asarray(fn(ys, *args), dtype=float)
-    else:
-        out = np.array([fn(y, *args) for y in ys], dtype=float)
-    m = ys.shape[0]
+    out = fn(ys, *args) if spec.vectorized else [fn(y, *args) for y in ys]
+    return _checked(spec, field, out, ys.shape[0])
+
+
+def _checked(spec: ProblemSpec, field: str, out, m: int) -> np.ndarray:
+    """``out``, an evaluator's result for m rows, as a float array of the
+    shape the ``ProblemSpec`` contract gives ``field``: (m, 2), (m, 2, n_y)
+    or (m, n_g), where (m,) is taken as n_g = 1.  Every evaluator result
+    passes through here; anything else raises a ValueError that names the
+    evaluator and both shapes."""
     if field == "inequality_constraints":
-        if out.shape == (m,):
-            out = out[:, None]
-        ok, want = out.ndim == 2 and out.shape[0] == m, f"({m}, n_g)"
+        shape, want = None, f"({m}, n_g)"
     else:
         shape = (m, 2, spec.n_y) if field == "gradient" else (m, 2)
-        ok, want = out.shape == shape, str(shape)
+        want = str(shape)
+    try:
+        out = np.asarray(out, dtype=float)
+    except ValueError as exc:
+        raise ValueError(
+            f"{field} of problem {spec.name!r} returned rows that do not form a "
+            f"float array, expected {want}: {exc}"
+        ) from exc
+    if shape is None:
+        if out.shape == (m,):
+            out = out[:, None]
+        ok = out.ndim == 2 and out.shape[0] == m
+    else:
+        ok = out.shape == shape
     if not ok:
         raise ValueError(
             f"{field} of problem {spec.name!r} returned shape {out.shape}, expected {want}"
@@ -139,12 +155,16 @@ class _Batch:
     """The scalarized solves of one lockstep descent.  Solve i owns rows
     i*rows_per_solve .. (i+1)*rows_per_solve - 1.  The methods take the
     stacked points of some of those rows and their indices (an index array
-    or a slice); evaluators are called once per distinct realization among
-    those rows, with that realization's rows stacked, so a row's value
-    never depends on the rest of the batch."""
+    or a slice), and make one pass per evaluator over all of them: a
+    scalar evaluator is called once per row with that row's z; a
+    vectorized one once per run of rows that share a realization, with the
+    run stacked.  A row's value never depends on the rest of the batch, so
+    a finite-difference gradient evaluates all its probes in one pass."""
 
     def __init__(self, objs: Sequence[ScalarizedObjective], rows_per_solve: int) -> None:
         self.parent = objs[0].parent
+        self.lo = self.parent.lower_bounds()
+        self.hi = self.parent.upper_bounds()
         self.weight = np.array([o.weight for o in objs])
         self.penalty = np.array([o.penalty_coefficient for o in objs])
         index: dict[Realization, int] = {}
@@ -152,11 +172,17 @@ class _Batch:
         self.zs = [np.asarray(r.z, dtype=float) for r in index]
         self.owner = np.repeat(np.arange(len(objs)), rows_per_solve)
 
-    def _per_z(self, field: str, ys: np.ndarray, rows) -> np.ndarray:
-        zi = self.solve_z[self.owner[rows]]
+    def _per_z(self, field: str, ys: np.ndarray, solves: np.ndarray) -> np.ndarray:
+        """``field`` at each row of ``ys``, row i at the realization of
+        solve ``solves[i]``."""
+        spec = self.parent
+        zi = self.solve_z[solves]
+        if not spec.vectorized:
+            fn, zs = getattr(spec, field), self.zs
+            return _checked(spec, field, [fn(y, zs[j]) for y, j in zip(ys, zi.tolist())], len(zi))
         cuts = (np.flatnonzero(zi[1:] != zi[:-1]) + 1).tolist()
         parts = [
-            _evaluate(self.parent, field, ys[a:b], self.zs[zi[a]])
+            _evaluate(spec, field, ys[a:b], self.zs[zi[a]])
             for a, b in zip([0] + cuts, cuts + [len(zi)])
         ]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -171,12 +197,12 @@ class _Batch:
         spec = self.parent
         solves = self.owner[rows]
         if spec.base_objectives is None:
-            raw = self._per_z("objectives", ys, rows)
+            raw = self._per_z("objectives", ys, solves)
         else:
             raw = _evaluate(spec, "base_objectives", ys)
         g = pc = None
         if spec.inequality_constraints is not None:
-            g = self._per_z("inequality_constraints", ys, rows)
+            g = self._per_z("inequality_constraints", ys, solves)
             pc = self.penalty[solves] if penalty_coefficient is None else penalty_coefficient
         return _scalarize(self.weight[solves], raw, g, pc)
 
@@ -190,29 +216,38 @@ class _Batch:
         """
         spec = self.parent
         if spec.gradient is not None and spec.inequality_constraints is None:
-            gj = self._per_z("gradient", ys, rows)
-            w = self.weight[self.owner[rows]][:, None]
+            solves = self.owner[rows]
+            gj = self._per_z("gradient", ys, solves)
+            w = self.weight[solves][:, None]
             return w * gj[:, 0, :] + (1.0 - w) * gj[:, 1, :]
         return self._fd_gradient(ys, rows, penalty_coefficient, fd_step)
 
     def _fd_gradient(self, ys: np.ndarray, rows, penalty_coefficient: float | None,
                      fd_step: float) -> np.ndarray:
-        lo = self.parent.lower_bounds()
-        hi = self.parent.upper_bounds()
+        """Central differences, with the + and - probe of every (row,
+        dimension) pair stacked into one ``descent_value`` call, or into
+        several of at most MAX_DESCENT_ROWS rows each when they do not fit.
+        A probe stays inside the box, so the difference degrades to one-sided
+        at a bound."""
+        m, n = ys.shape
+        h = fd_step * (1.0 + np.abs(ys))
+        yp = np.minimum(ys + h, self.hi)
+        ym = np.maximum(ys - h, self.lo)
+        denom = yp - ym
+        denom[denom == 0.0] = 1.0
+        rows = np.arange(self.owner.size)[rows]
         out = np.empty_like(ys)
-        for d in range(ys.shape[1]):
-            h = fd_step * (1.0 + np.abs(ys[:, d]))
-            yp = ys.copy()
-            ym = ys.copy()
-            # stay inside the box; degrades to one-sided at a bound
-            yp[:, d] = np.minimum(ys[:, d] + h, hi[d])
-            ym[:, d] = np.maximum(ys[:, d] - h, lo[d])
-            denom = yp[:, d] - ym[:, d]
-            denom[denom == 0.0] = 1.0
-            out[:, d] = (
-                self.descent_value(yp, rows, penalty_coefficient)
-                - self.descent_value(ym, rows, penalty_coefficient)
-            ) / denom
+        per_call = max(1, MAX_DESCENT_ROWS // 2)  # (row, dimension) pairs
+        for a in range(0, m * n, per_call):
+            pair = np.arange(a, min(a + per_call, m * n))
+            i, d = np.divmod(pair, n)
+            i2 = np.repeat(i, 2)
+            plus = 2 * np.arange(pair.size)  # rows 2p and 2p+1 probe pair p
+            probes = ys[i2]
+            probes[plus, d] = yp[i, d]
+            probes[plus + 1, d] = ym[i, d]
+            v = self.descent_value(probes, rows[i2], penalty_coefficient)
+            out[i, d] = (v[0::2] - v[1::2]) / denom[i, d]
         return out
 
 
@@ -265,8 +300,7 @@ def _descent(obj: _Batch, x0: np.ndarray, config: SolverConfig,
     Returns the best point and value visited per row (rows with
     non-finite initial values are returned as-is with value +inf).
     """
-    lo = obj.parent.lower_bounds()
-    hi = obj.parent.upper_bounds()
+    lo, hi = obj.lo, obj.hi
     pc = penalty_coefficient
     fd = config.fd_step
 

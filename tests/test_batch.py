@@ -1,8 +1,11 @@
 """The batched solve path: an operation over several realizations equals
 the same operation one realization at a time, solves that separable
-problems share run once, and evaluator results are shape-checked."""
+problems share run once, evaluator results are shape-checked, a
+finite-difference gradient is one stacked evaluation bitwise equal to the
+per-dimension loop, and a scalar evaluator gets each row's own z."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -153,3 +156,169 @@ class TestEvaluatorShapes:
         with pytest.raises(ValueError, match=r"gradient of problem 'quad' returned shape "
                                              r"\(32, 2\), expected \(32, 2, 1\)"):
             pp.run_pipeline(spec, beta=3)
+
+    def test_ragged_scalar_objectives(self, config):
+        def ragged(y, z):
+            return (1.0, 2.0) if float(y[0]) < 0.5 else (1.0, 2.0, 3.0)
+
+        spec = dataclasses.replace(make_gen_problem(), objectives=ragged)
+        with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned rows that "
+                                             r"do not form a float array, expected \(\d+, 2\)"):
+            pp.compute_center(spec, pp.enumerate_realizations(spec), config)
+
+    def test_three_column_scalar_objectives(self, config):
+        def three(y, z):
+            return (1.0, 2.0, 3.0)
+
+        spec = dataclasses.replace(make_gen_problem(), objectives=three)
+        with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned shape "
+                                             r"\((\d+), 3\), expected \(\1, 2\)"):
+            pp.compute_center(spec, pp.enumerate_realizations(spec), config)
+
+    def test_ragged_scalar_constraints(self, config):
+        def ragged(y, z):
+            return (0.0,) if float(y[0]) < 0.5 else (0.0, 0.0)
+
+        spec = dataclasses.replace(make_gen_problem(), inequality_constraints=ragged)
+        with pytest.raises(ValueError, match=r"inequality_constraints of problem 'gen' returned "
+                                             r"rows that do not form a float array, "
+                                             r"expected \(\d+, n_g\)"):
+            pp.compute_center(spec, pp.enumerate_realizations(spec), config)
+
+
+def _reference_fd_gradient(batch, ys, rows, penalty_coefficient, fd_step):
+    """The finite-difference gradient as first batched: one loop step and
+    two ``descent_value`` calls per dimension."""
+    lo = batch.parent.lower_bounds()
+    hi = batch.parent.upper_bounds()
+    out = np.empty_like(ys)
+    for d in range(ys.shape[1]):
+        h = fd_step * (1.0 + np.abs(ys[:, d]))
+        yp = ys.copy()
+        ym = ys.copy()
+        yp[:, d] = np.minimum(ys[:, d] + h, hi[d])
+        ym[:, d] = np.maximum(ys[:, d] - h, lo[d])
+        denom = yp[:, d] - ym[:, d]
+        denom[denom == 0.0] = 1.0
+        out[:, d] = (
+            batch.descent_value(yp, rows, penalty_coefficient)
+            - batch.descent_value(ym, rows, penalty_coefficient)
+        ) / denom
+    return out
+
+
+def _nan_gen_problem():
+    """The generated problem with objectives undefined for y1 > 0.7."""
+    def objectives(y, z):
+        return (math.nan, math.nan) if float(y[0]) > 0.7 else _gen_objectives(y, z)
+
+    return dataclasses.replace(make_gen_problem(), name="gen-nan", objectives=objectives)
+
+
+FD_SPECS = {
+    "gen": make_gen_problem,
+    "gen-nan": _nan_gen_problem,
+    "toy-constrained": lambda: _widened(pp.make_toy_constrained()),
+    "fig": make_fig_problem,
+}
+
+
+def _fd_case(spec, rows_per_solve=6):
+    """A batch of solves over several realizations and weights, and a point
+    for every row of it: interior points, points on each face of the box
+    (one-sided probes), and, for gen-nan, a point whose + probe is
+    non-finite."""
+    reals = _reals(spec, 3)
+    objs = [ScalarizedObjective(weight=w, realization=r, parent=spec)
+            for r in reals for w in (0.0, 0.35, 1.0)]
+    batch = solver._Batch(objs, rows_per_solve)
+    lo, hi = spec.lower_bounds(), spec.upper_bounds()
+    rng = np.random.default_rng(5)
+    ys = lo + (hi - lo) * rng.random((len(objs) * rows_per_solve, spec.n_y))
+    for d in range(spec.n_y):
+        ys[2 * d, d] = lo[d]
+        ys[2 * d + 1, d] = hi[d]
+    ys[-1, 0] = 0.7
+    return batch, ys
+
+
+def _count_descent_value(monkeypatch):
+    """Patches ``_Batch.descent_value``; returns the list of its calls' row
+    counts."""
+    calls: list[int] = []
+    descent_value = solver._Batch.descent_value
+
+    def counted(self, ys, rows, penalty_coefficient=None):
+        calls.append(ys.shape[0])
+        return descent_value(self, ys, rows, penalty_coefficient)
+
+    monkeypatch.setattr(solver._Batch, "descent_value", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(FD_SPECS))
+class TestFdGradient:
+    @pytest.mark.parametrize("pc", [None, 1e8])
+    def test_bitwise_equal_to_per_dimension_loop(self, name, pc):
+        batch, ys = _fd_case(FD_SPECS[name]())
+        rows = np.arange(ys.shape[0])
+        ref = _reference_fd_gradient(batch, ys, rows, pc, 1e-7)
+        got = batch._fd_gradient(ys, rows, pc, 1e-7)
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert got.tobytes() == ref.tobytes()
+        sub = rows[1::3]  # a subset of the batch's rows, as a shrinking descent passes
+        assert np.array_equal(batch._fd_gradient(ys[sub], sub, pc, 1e-7),
+                              _reference_fd_gradient(batch, ys[sub], sub, pc, 1e-7),
+                              equal_nan=True)
+        if name == "gen-nan":
+            assert np.isnan(got[-1, 0]) and np.isfinite(got[-1, 1])
+
+    def test_one_descent_value_call(self, name, monkeypatch):
+        batch, ys = _fd_case(FD_SPECS[name]())
+        calls = _count_descent_value(monkeypatch)
+        batch._fd_gradient(ys, slice(None), None, 1e-7)
+        assert calls == [2 * ys.shape[1] * ys.shape[0]]
+
+    @pytest.mark.parametrize("cap", [6, 7, 40])
+    def test_row_cap_splits_the_probes(self, name, monkeypatch, cap):
+        batch, ys = _fd_case(FD_SPECS[name]())
+        whole = batch._fd_gradient(ys, slice(None), None, 1e-7)
+        monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", cap)
+        calls = _count_descent_value(monkeypatch)
+        split = batch._fd_gradient(ys, slice(None), None, 1e-7)
+        assert split.tobytes() == whole.tobytes()
+        assert len(calls) > 1 and max(calls) <= cap
+        assert sum(calls) == 2 * ys.shape[1] * ys.shape[0]
+
+    def test_row_cap_leaves_a_run_unchanged(self, name, config, monkeypatch):
+        spec = FD_SPECS[name]()
+        reals = _reals(spec, 3)
+        whole = pp.build_subproblem_front(spec, reals, 3, config)
+        monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", 10)
+        assert pp.build_subproblem_front(spec, reals, 3, config) == whole
+
+
+class TestScalarRowsGetTheirOwnZ:
+    def test_batch_evaluates_the_pairs_of_one_at_a_time_solves(self, config):
+        log: list[tuple] = []
+
+        def logged(field, fn):
+            def wrapper(y, z):
+                log.append((field, tuple(y.tolist()), tuple(z.tolist())))
+                return fn(y, z)
+            return wrapper
+
+        base = make_gen_problem()
+        spec = dataclasses.replace(
+            base, objectives=logged("f", base.objectives),
+            inequality_constraints=logged("g", base.inequality_constraints))
+        objs = [ScalarizedObjective(weight=0.8, realization=r, parent=spec)
+                for r in pp.enumerate_realizations(spec)]
+        batched = solver.descend(objs, config)
+        batch_log = sorted(log)
+        log.clear()
+        alone = [solver.descend([o], config)[0] for o in objs]
+        assert batch_log == sorted(log)
+        assert len({z for _, _, z in batch_log}) == len(objs)
+        for (bx, bf), (ax, af) in zip(batched, alone):
+            assert bx.tobytes() == ax.tobytes() and bf.tobytes() == af.tobytes()

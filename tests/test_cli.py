@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pareto_prune as pp
+from pareto_prune import cli
 from pareto_prune.cli import (
     RunConfigFile,
     compare_reports,
@@ -219,6 +220,17 @@ class TestCompareCommand:
         good = tmp_path / "good.json"
         write_report(make_report([(0.0, 1.0)]), good)
         assert run_cli("compare", "--a", str(bad), "--b", str(good)) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exits_2_before_reading(self, tmp_path, capsys, monkeypatch, tol):
+        report = tmp_path / "r.json"
+        write_report(make_report([(0.0, 1.0)]), report)
+        reads = []
+        monkeypatch.setattr(cli, "read_report", lambda path: reads.append(path))
+        code = run_cli("compare", "--a", str(report), "--b", str(report), "--tol", tol)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: tol must be finite and >= 0")
+        assert reads == []
 
     def test_quad_pipeline_vs_oracle(self, tmp_path):
         pa = tmp_path / "a.json"
