@@ -118,14 +118,19 @@ def _e2_base(consts: TrussConstants, y):
 
 
 def _e2_offsets(consts: TrussConstants, z):
+    """The (j1, j2) offsets of bars 4-9 per row of z (m, n_z), shape
+    (m, 2), or of a single z (n_z,), shape (2,)."""
     z = np.asarray(z, dtype=float)
     a = consts.a
     b = consts.b
-    # fsum: exact, order-independent sums keep realizations that are
-    # objective-identical by symmetry bitwise identical
-    zc1 = math.fsum(a[3 + j] * z[j] for j in range(6))
-    zc2 = math.fsum(b[3 + j] / z[j] for j in range(6))
-    return np.array([consts.length_scale * zc1, consts.load_modulus_scale * zc2])
+    # fsum per row: exact, order-independent sums keep realizations that
+    # are objective-identical by symmetry bitwise identical
+    out = [
+        (consts.length_scale * math.fsum(a[3 + j] * r[j] for j in range(6)),
+         consts.load_modulus_scale * math.fsum(b[3 + j] / r[j] for j in range(6)))
+        for r in z.reshape(-1, 6).tolist()
+    ]
+    return np.array(out).reshape(z.shape[:-1] + (2,))
 
 
 def _e2_objectives(consts: TrussConstants, y, z):

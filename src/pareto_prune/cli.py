@@ -220,6 +220,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         spec = get_problem(cfg.problem)
         _check_output_path(cfg.report)
         _check_output_path(cfg.front)
+        if cfg.front is not None and Path(cfg.front).resolve() == Path(cfg.report).resolve():
+            raise ValueError(f"--report and --front name the same file {cfg.report}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

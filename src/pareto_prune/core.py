@@ -54,15 +54,19 @@ class Realization:
 class ProblemSpec:
     """A mixed-discrete bi-objective minimization problem.
 
-    ``objectives`` maps (y, z) to the pair (j1, j2).  When ``vectorized``
-    is true, it must also accept a stacked array of continuous points with
-    shape (m, n_y) and return shape (m, 2); the same batching contract
-    applies to ``inequality_constraints`` (returning (m, n_g)) and
-    ``gradient`` (returning (m, 2, n_y)).  Evaluators must be pure, and a
-    result of any other shape raises ValueError.  Every call gets a single
-    realization's z.  A vectorized evaluator gets the rows of a batched
-    solve grouped by z; a scalar one is called once per row, with that
-    row's own z.
+    ``objectives`` maps (y, z) to the pair (j1, j2).  A scalar evaluator
+    (``vectorized`` false) is called once per row, with that row's own
+    continuous point (n_y,) and z (n_z,).  When ``vectorized`` is true, it
+    is called once for a whole batch, with the stacked points ys (m, n_y)
+    and the row-aligned zs (m, n_z): row i is the point ys[i] at the
+    realization zs[i], and the rows may hold any mix of realizations.  It
+    returns shape (m, 2); the same contract applies to
+    ``inequality_constraints`` (returning (m, n_g)) and ``gradient``
+    (returning (m, 2, n_y)).  A vectorized evaluator must also accept a
+    single z (n_z,) for all the rows.  Evaluators must be pure, and a
+    result of any other shape raises ValueError.  A vectorized evaluator
+    that reads z as one realization's values, such as ``z[0]`` or a
+    lookup keyed on all of z, gives wrong results: index ``z[..., j]``.
 
     ``gradient``, when given, is the derivative of both objectives with
     respect to the continuous variables only.  Without it the solver falls
@@ -70,7 +74,8 @@ class ProblemSpec:
 
     When the objectives split as objectives(y, z) == base_objectives(y) +
     objective_offsets(z) (componentwise, and the full evaluator composes
-    them exactly), supplying the pair lets the solver descend on the
+    them exactly; ``objective_offsets`` takes zs (m, n_z) or a single z),
+    supplying the pair lets the solver descend on the
     z-independent part.  ``gradient`` must then not depend on z either.
     Solve trajectories are then bitwise identical across realizations,
     which preserves exact objective-space ties between realizations that

@@ -62,13 +62,14 @@ class SolverConfig:
 
 
 def _evaluate(spec: ProblemSpec, field: str, ys: np.ndarray,
-              z: np.ndarray | None = None) -> np.ndarray:
-    """Call one evaluator of ``spec`` on the stacked rows ``ys`` at the
-    single realization ``z`` (``base_objectives`` takes none), and check the
-    shape of its result."""
+              zs: np.ndarray | None = None) -> np.ndarray:
+    """Call one evaluator of ``spec`` on the stacked rows ``ys``, row i at
+    the realization ``zs[i]`` (``base_objectives`` takes none), and check
+    the shape of its result.  A vectorized evaluator gets ``ys`` and the
+    row-aligned ``zs`` (m, n_z) in one call, a scalar one each row."""
     fn = getattr(spec, field)
-    args = () if field == "base_objectives" else (z,)
-    out = fn(ys, *args) if spec.vectorized else [fn(y, *args) for y in ys]
+    args = () if zs is None else (zs,)
+    out = fn(ys, *args) if spec.vectorized else [fn(*row) for row in zip(ys, *args)]
     return _checked(spec, field, out, ys.shape[0])
 
 
@@ -127,18 +128,18 @@ class ScalarizedObjective:
             raise ValueError(f"weight must be in [0, 1], got {self.weight}")
         if self.penalty_coefficient <= 0:
             raise ValueError("penalty coefficient must be positive")
-
-    def _z(self) -> np.ndarray:
-        return np.asarray(self.realization.z, dtype=float)
+        # z as one row (1, n_z), repeated once per evaluated point
+        object.__setattr__(self, "_z", np.array([self.realization.z], dtype=float))
 
     def raw_objectives(self, ys: np.ndarray) -> np.ndarray:
         """Objective pairs at a batch of continuous points, shape (m, 2)."""
-        return _evaluate(self.parent, "objectives", ys, self._z())
+        return _evaluate(self.parent, "objectives", ys, self._z.repeat(len(ys), axis=0))
 
     def constraint_values(self, ys: np.ndarray) -> np.ndarray | None:
         if self.parent.inequality_constraints is None:
             return None
-        return _evaluate(self.parent, "inequality_constraints", ys, self._z())
+        return _evaluate(self.parent, "inequality_constraints", ys,
+                         self._z.repeat(len(ys), axis=0))
 
     def max_violation(self, ys: np.ndarray) -> np.ndarray:
         g = self.constraint_values(ys)
@@ -155,11 +156,11 @@ class _Batch:
     """The scalarized solves of one lockstep descent.  Solve i owns rows
     i*rows_per_solve .. (i+1)*rows_per_solve - 1.  The methods take the
     stacked points of some of those rows and their indices (an index array
-    or a slice), and make one pass per evaluator over all of them: a
-    scalar evaluator is called once per row with that row's z; a
-    vectorized one once per run of rows that share a realization, with the
-    run stacked.  A row's value never depends on the rest of the batch, so
-    a finite-difference gradient evaluates all its probes in one pass."""
+    or a slice), and make one pass per evaluator over all of them: one
+    call of a vectorized evaluator with every row's z stacked beside it,
+    or one call of a scalar one per row with that row's z.  A row's value
+    never depends on the rest of the batch, so a finite-difference
+    gradient evaluates all its probes in one pass."""
 
     def __init__(self, objs: Sequence[ScalarizedObjective], rows_per_solve: int) -> None:
         self.parent = objs[0].parent
@@ -169,7 +170,8 @@ class _Batch:
         self.penalty = np.array([o.penalty_coefficient for o in objs])
         index: dict[Realization, int] = {}
         self.solve_z = np.array([index.setdefault(o.realization, len(index)) for o in objs])
-        self.zs = [np.asarray(r.z, dtype=float) for r in index]
+        self.zarr = np.array([r.z for r in index], dtype=float)  # (n_real, n_z)
+        self.zs = list(self.zarr)
         self.owner = np.repeat(np.arange(len(objs)), rows_per_solve)
 
     def _per_z(self, field: str, ys: np.ndarray, solves: np.ndarray) -> np.ndarray:
@@ -177,15 +179,10 @@ class _Batch:
         solve ``solves[i]``."""
         spec = self.parent
         zi = self.solve_z[solves]
-        if not spec.vectorized:
-            fn, zs = getattr(spec, field), self.zs
-            return _checked(spec, field, [fn(y, zs[j]) for y, j in zip(ys, zi.tolist())], len(zi))
-        cuts = (np.flatnonzero(zi[1:] != zi[:-1]) + 1).tolist()
-        parts = [
-            _evaluate(spec, field, ys[a:b], self.zs[zi[a]])
-            for a, b in zip([0] + cuts, cuts + [len(zi)])
-        ]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if spec.vectorized:
+            return _evaluate(spec, field, ys, self.zarr[zi])
+        fn, zs = getattr(spec, field), self.zs
+        return _checked(spec, field, [fn(y, zs[j]) for y, j in zip(ys, zi.tolist())], len(zi))
 
     def descent_value(self, ys: np.ndarray, rows,
                       penalty_coefficient: float | None = None) -> np.ndarray:

@@ -22,16 +22,24 @@ FIG_PARAMS = {
 }
 
 
+def _fig_params(z):
+    """(c1, c2, width), each of z's shape without its last axis: one value
+    per row of stacked z (m, 1), or a scalar for a single z (1,)."""
+    z = np.asarray(z, dtype=float)
+    params = np.array([FIG_PARAMS[v] for v in z[..., 0].ravel().tolist()])
+    return params.reshape(z.shape[:-1] + (3,)).transpose()
+
+
 def _fig_objectives(y, z):
     y = np.asarray(y, dtype=float)
-    c1, c2, width = FIG_PARAMS[float(np.asarray(z).ravel()[0])]
+    c1, c2, width = _fig_params(z)
     v = y[..., 0]
     return np.stack([c1 + width * (1.0 - v) ** 2, c2 + width * v ** 2], axis=-1)
 
 
 def _fig_gradient(y, z):
     y = np.asarray(y, dtype=float)
-    _, _, width = FIG_PARAMS[float(np.asarray(z).ravel()[0])]
+    _, _, width = _fig_params(z)
     v = y[..., 0]
     return np.stack([-2.0 * width * (1.0 - v), 2.0 * width * v], axis=-1)[..., None]
 

@@ -2,7 +2,8 @@
 the same operation one realization at a time, solves that separable
 problems share run once, evaluator results are shape-checked, a
 finite-difference gradient is one stacked evaluation bitwise equal to the
-per-dimension loop, and a scalar evaluator gets each row's own z."""
+per-dimension loop, a scalar evaluator gets each row's own z, and a
+vectorized one gets every row's z stacked in one call."""
 
 import dataclasses
 import math
@@ -322,3 +323,127 @@ class TestScalarRowsGetTheirOwnZ:
         assert len({z for _, _, z in batch_log}) == len(objs)
         for (bx, bf), (ax, af) in zip(batched, alone):
             assert bx.tobytes() == ax.tobytes() and bf.tobytes() == af.tobytes()
+
+
+# --- the vectorized evaluator contract: stacked z --------------------------------
+
+VECTORIZED_SPECS = {name: SPECS[name] for name in ("e1", "e2", "fig", "quad", "toy-constrained")}
+
+_YZ_FIELDS = ("objectives", "gradient", "inequality_constraints")
+
+
+def _z_evaluators(spec):
+    """The evaluators of ``spec`` that take z, as functions of (ys, z)."""
+    out = {f: getattr(spec, f) for f in _YZ_FIELDS if getattr(spec, f) is not None}
+    if spec.objective_offsets is not None:
+        out["objective_offsets"] = lambda ys, z: spec.objective_offsets(z)
+    return out
+
+
+def _mixed_rows(spec, m):
+    """m points in the box of ``spec``, each with the z of a realization
+    drawn at random: row-aligned ys (m, n_y) and zs (m, n_z)."""
+    rng = np.random.default_rng(m)
+    lo, hi = spec.lower_bounds(), spec.upper_bounds()
+    ys = lo + (hi - lo) * rng.random((m, spec.n_y))
+    reals = _reals(spec, 7)
+    zs = np.array([reals[i].z for i in rng.integers(len(reals), size=m)])
+    return ys, zs
+
+
+@pytest.mark.parametrize("name", sorted(VECTORIZED_SPECS))
+class TestStackedZ:
+    @pytest.mark.parametrize("m", [1, 40])
+    def test_one_call_equals_row_by_row_calls(self, name, m):
+        spec = VECTORIZED_SPECS[name]()
+        ys, zs = _mixed_rows(spec, m)
+        if m > 1:
+            assert len({tuple(z) for z in zs.tolist()}) > 1
+        for field, fn in _z_evaluators(spec).items():
+            got = np.asarray(fn(ys, zs), dtype=float)
+            assert got.shape[0] == m, field
+            ref = np.stack([np.asarray(fn(ys[i:i + 1], zs[i]), dtype=float).reshape(got.shape[1:])
+                            for i in range(m)])
+            assert np.array_equal(got, ref), field
+            assert got.tobytes() == ref.tobytes(), field
+
+    def test_batch_rows_of_mixed_z_equal_single_solve_batches(self, name):
+        spec = VECTORIZED_SPECS[name]()
+        objs = [ScalarizedObjective(weight=w, realization=r, parent=spec)
+                for r in _reals(spec, 4) for w in (0.0, 0.35, 1.0)]
+        ys, _ = _mixed_rows(spec, 2 * len(objs))
+        rows = np.arange(ys.shape[0])
+        batch = solver._Batch(objs, 2)
+        alone = [solver._Batch([o], 2) for o in objs]
+        for pc in (None, 1e8):
+            got = batch.descent_value(ys, rows, pc), batch.gradient(ys, rows, pc)
+            ref = (np.concatenate([b.descent_value(ys[2 * i:2 * i + 2], [0, 1], pc)
+                                   for i, b in enumerate(alone)]),
+                   np.concatenate([b.gradient(ys[2 * i:2 * i + 2], [0, 1], pc)
+                                   for i, b in enumerate(alone)]))
+            for g, r in zip(got, ref):
+                assert g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(pp.REGISTRY))
+def test_registry_evaluators_take_one_z_for_stacked_rows(name):
+    # the form perfbench's report check re-evaluates a front point in
+    spec = pp.get_problem(name)
+    ys, zs = _mixed_rows(spec, 5)
+    for field in _YZ_FIELDS:
+        fn = getattr(spec, field)
+        if fn is not None:
+            one = np.asarray(fn(ys, zs[0]), dtype=float)
+            stacked = np.asarray(fn(ys, np.repeat(zs[:1], 5, axis=0)), dtype=float)
+            assert one.tobytes() == stacked.tobytes(), field
+
+
+class TestOneVectorizedCallPerPass:
+    @staticmethod
+    def _counted_e1():
+        calls = {"objectives": 0, "gradient": 0}
+
+        def counted(field, fn):
+            def wrapper(y, z):
+                calls[field] += 1
+                return fn(y, z)
+            return wrapper
+
+        e1 = pp.make_e1()
+        spec = dataclasses.replace(e1, objectives=counted("objectives", e1.objectives),
+                                   gradient=counted("gradient", e1.gradient))
+        objs = [ScalarizedObjective(weight=w, realization=r, parent=spec)
+                for r in _reals(spec, 4) for w in (0.0, 0.5, 1.0)]
+        assert len({o.realization for o in objs}) == 4
+        return objs, calls
+
+    def test_batch_pass_is_one_call(self):
+        objs, calls = self._counted_e1()
+        batch = solver._Batch(objs, 3)
+        ys, _ = _mixed_rows(objs[0].parent, 3 * len(objs))
+        for rows in (np.arange(ys.shape[0]), np.arange(ys.shape[0])[::5]):
+            before = dict(calls)
+            batch.descent_value(ys[rows], rows)
+            assert calls == {"objectives": before["objectives"] + 1, "gradient": before["gradient"]}
+            batch.gradient(ys[rows], rows)
+            assert calls == {"objectives": before["objectives"] + 1,
+                             "gradient": before["gradient"] + 1}
+
+    def test_descent_makes_one_call_per_step(self, config, monkeypatch):
+        objs, calls = self._counted_e1()
+        passes = {"objectives": 0, "gradient": 0}
+        descent_value, gradient = solver._Batch.descent_value, solver._Batch.gradient
+
+        def counted_value(self, *args, **kwargs):
+            passes["objectives"] += 1
+            return descent_value(self, *args, **kwargs)
+
+        def counted_gradient(self, *args, **kwargs):
+            passes["gradient"] += 1
+            return gradient(self, *args, **kwargs)
+
+        monkeypatch.setattr(solver._Batch, "descent_value", counted_value)
+        monkeypatch.setattr(solver._Batch, "gradient", counted_gradient)
+        solver.descend(objs, config)
+        assert passes["objectives"] > 1
+        assert calls == passes

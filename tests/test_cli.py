@@ -109,6 +109,19 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: output ")
 
+    @pytest.mark.parametrize("front", ["r.json", "./r.json", "sub/../r.json"])
+    def test_report_and_front_on_one_file_exits_2_before_any_solve(
+        self, tmp_path, capsys, solve_log, monkeypatch, front
+    ):
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("run", "--problem", "quad", "--beta", "3",
+                       "--report", str(tmp_path / "r.json"), "--front", front)
+        assert code == 2
+        assert solve_log.calls == 0
+        assert "error: --report and --front name the same file" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_write_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         import pareto_prune.cli as cli
 

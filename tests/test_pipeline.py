@@ -205,7 +205,7 @@ class TestAccounting:
             y = np.asarray(y, dtype=float)
             v = y[..., 0]
             j = np.stack([v ** 2 + z[..., 0], (v - 1.0) ** 2 - z[..., 0]], axis=-1)
-            return np.where(z[..., 0] == 2.0, np.nan, j)
+            return np.where(z[..., :1] == 2.0, np.nan, j)
 
         spec = pp.ProblemSpec(
             name="one-nan", n_y=1, bounds=((0.0, 1.0),), discrete_sets=((1.0, 2.0, 3.0),),
