@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -20,35 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import get_problem
-from .core import _check_eps
+from .core import _points_array
 from .decomposition import CapacityExceeded
 from .pipeline import PipelineError, PruneReport, run_pipeline
 from .solver import SolverConfig
 
-__all__ = ["main", "RunConfigFile", "hausdorff_distance", "write_report", "write_front_csv"]
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfigFile:
-    """Validated bundle of run parameters; phases "none" is the oracle."""
-
-    problem: str
-    beta: int = 21
-    phases: str = "ab"
-    eps: float = 0.0
-    seed: int = 0
-    report: str | None = None
-    front: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.beta < 2:
-            raise ValueError(f"beta must be >= 2, got {self.beta}")
-        if self.phases not in ("a", "ab", "none"):
-            raise ValueError(f'phases must be "a", "ab" or "none", got {self.phases!r}')
-        _check_eps(self.eps)
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(seed=self.seed)
+__all__ = ["main", "hausdorff_distance", "write_report", "write_front_csv"]
 
 
 def _check_output_path(path: str | None) -> None:
@@ -156,9 +132,7 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def compare_reports(ra: PruneReport, rb: PruneReport, tol: float) -> dict:
-    fa = np.array([[s.point.j1, s.point.j2] for s in ra.front]).reshape(-1, 2)
-    fb = np.array([[s.point.j1, s.point.j2] for s in rb.front]).reshape(-1, 2)
-    hd = hausdorff_distance(fa, fb)
+    hd = hausdorff_distance(_points_array(ra.front), _points_array(rb.front))
     sets_equal = ra.front_realizations() == rb.front_realizations()
     return {
         "hausdorff": hd,
@@ -205,35 +179,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """``run`` and ``oracle``: the oracle is the pipeline with phases "none"."""
+    """``run`` and ``oracle``: the oracle is the pipeline with phases "none".
+    Bad flags, including the beta, phases and eps that ``run_pipeline``
+    rejects before any solve, exit 2."""
     try:
-        cfg = RunConfigFile(
-            problem=args.problem,
-            beta=args.beta,
-            phases=args.phases,
-            eps=args.eps,
-            seed=args.seed,
-            report=args.report,
-            front=args.front,
-        )
-        config = cfg.solver_config()
-        spec = get_problem(cfg.problem)
-        _check_output_path(cfg.report)
-        _check_output_path(cfg.front)
-        if cfg.front is not None and Path(cfg.front).resolve() == Path(cfg.report).resolve():
-            raise ValueError(f"--report and --front name the same file {cfg.report}")
+        config = SolverConfig(seed=args.seed)
+        spec = get_problem(args.problem)
+        _check_output_path(args.report)
+        _check_output_path(args.front)
+        if args.front is not None and Path(args.front).resolve() == Path(args.report).resolve():
+            raise ValueError(f"--report and --front name the same file {args.report}")
+        report = run_pipeline(spec, beta=args.beta, phases=args.phases, config=config,
+                              eps=args.eps)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = run_pipeline(spec, beta=cfg.beta, phases=cfg.phases, config=config, eps=cfg.eps)
     except (PipelineError, CapacityExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:
-        write_report(report, cfg.report)
-        if cfg.front:
-            write_front_csv(report, cfg.front)
+        write_report(report, args.report)
+        if args.front:
+            write_front_csv(report, args.front)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -110,12 +110,7 @@ def _solve_all(
     """One counted solve per (realization, weight) job, with the descents
     of all of them run as one batch; None where a solve raises
     InfeasibleError."""
-    objs = [
-        ScalarizedObjective(
-            weight=w, realization=r, parent=spec, penalty_coefficient=config.penalty_coefficient
-        )
-        for r, w in jobs
-    ]
+    objs = [ScalarizedObjective(weight=w, realization=r, parent=spec) for r, w in jobs]
     out: list[SolveResult | None] = []
     for obj, descent in zip(objs, descend(objs, config)):
         try:

@@ -16,6 +16,7 @@ from .core import (
     ProblemSpec,
     Realization,
     _check_eps,
+    _points_array,
     nondominated_filter,
     nondominated_mask,
 )
@@ -182,10 +183,7 @@ def master_candidates(records: list[SubproblemRecord], eps: float = 0.0) -> list
     """Indices whose utopia point no other utopia strictly dominates.
     Identical utopias all survive; infeasible records are skipped."""
     usable = [rec for rec in records if rec.utopia is not None]
-    if not usable:
-        return []
-    pts = np.array([[rec.utopia.j1, rec.utopia.j2] for rec in usable])
-    mask = nondominated_mask(pts, eps)
+    mask = nondominated_mask(_points_array([rec.utopia for rec in usable]), eps)
     return sorted(rec.realization.k for rec, keep in zip(usable, mask) if keep)
 
 
@@ -236,7 +234,7 @@ def phase_a(
         records[k].status = Status.MASTER
     master_front = build_master_front(spec, k1m, records, beta, config, eps)
 
-    mpts = np.array([[s.point.j1, s.point.j2] for s in master_front])
+    mpts = _points_array(master_front)
     k1u: list[int] = list(k1m)
     for k, rec in records.items():
         if rec.status is not Status.UNPROCESSED:
@@ -260,7 +258,7 @@ def phase_b(
     """B-1 centers for the target subproblems (one solve each) and B-2
     pruning of those whose center the master front weakly dominates or
     whose center solve fails.  Returns the retained indices."""
-    mpts = np.array([[s.point.j1, s.point.j2] for s in master_front])
+    mpts = _points_array(master_front)
     reals = [records[k].realization for k in targets]
     centers = parallel_map(compute_center, spec, reals, config)
     retained: list[int] = []

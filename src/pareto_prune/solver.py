@@ -12,6 +12,7 @@ bitwise-identical results.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,8 +56,9 @@ class SolverConfig:
         if self.n_starts < 1 or self.max_iters < 1:
             raise ValueError("n_starts and max_iters must be positive")
         for name in ("step_tol", "fd_step", "feas_tol", "penalty_coefficient"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -106,7 +108,7 @@ def _checked(spec: ProblemSpec, field: str, out, m: int) -> np.ndarray:
 
 def _scalarize(weight, raw: np.ndarray, g: np.ndarray | None, pc) -> np.ndarray:
     """w*J1 + (1-w)*J2 plus the exterior penalty pc * sum(max(g, 0)^2), per
-    row; ``weight`` and ``pc`` are scalars or per-row arrays."""
+    row; ``weight`` is a scalar or a per-row array."""
     val = weight * raw[:, 0] + (1.0 - weight) * raw[:, 1]
     if g is not None:
         val = val + pc * (np.clip(g, 0.0, None) ** 2).sum(axis=1)
@@ -115,41 +117,17 @@ def _scalarize(weight, raw: np.ndarray, g: np.ndarray | None, pc) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarizedObjective:
-    """w*J1 + (1-w)*J2 plus an exterior quadratic penalty on violated
-    inequality constraints: one scalarized subproblem."""
+    """One scalarized subproblem: w*J1 + (1-w)*J2 of ``parent`` at
+    ``realization``, plus an exterior quadratic penalty on violated
+    inequality constraints whose coefficient the ``SolverConfig`` gives."""
 
     weight: float
     realization: Realization
     parent: ProblemSpec
-    penalty_coefficient: float = 1e6
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight must be in [0, 1], got {self.weight}")
-        if self.penalty_coefficient <= 0:
-            raise ValueError("penalty coefficient must be positive")
-        # z as one row (1, n_z), repeated once per evaluated point
-        object.__setattr__(self, "_z", np.array([self.realization.z], dtype=float))
-
-    def raw_objectives(self, ys: np.ndarray) -> np.ndarray:
-        """Objective pairs at a batch of continuous points, shape (m, 2)."""
-        return _evaluate(self.parent, "objectives", ys, self._z.repeat(len(ys), axis=0))
-
-    def constraint_values(self, ys: np.ndarray) -> np.ndarray | None:
-        if self.parent.inequality_constraints is None:
-            return None
-        return _evaluate(self.parent, "inequality_constraints", ys,
-                         self._z.repeat(len(ys), axis=0))
-
-    def max_violation(self, ys: np.ndarray) -> np.ndarray:
-        g = self.constraint_values(ys)
-        if g is None:
-            return np.zeros(ys.shape[0])
-        return np.clip(g, 0.0, None).max(axis=1)
-
-    def value(self, ys: np.ndarray, penalty_coefficient: float | None = None) -> np.ndarray:
-        pc = self.penalty_coefficient if penalty_coefficient is None else penalty_coefficient
-        return _scalarize(self.weight, self.raw_objectives(ys), self.constraint_values(ys), pc)
 
 
 class _Batch:
@@ -160,14 +138,17 @@ class _Batch:
     call of a vectorized evaluator with every row's z stacked beside it,
     or one call of a scalar one per row with that row's z.  A row's value
     never depends on the rest of the batch, so a finite-difference
-    gradient evaluates all its probes in one pass."""
+    gradient evaluates all its probes in one pass.  The penalty
+    coefficient and the finite-difference step are the ``config``'s."""
 
-    def __init__(self, objs: Sequence[ScalarizedObjective], rows_per_solve: int) -> None:
+    def __init__(self, objs: Sequence[ScalarizedObjective], rows_per_solve: int,
+                 config: SolverConfig) -> None:
         self.parent = objs[0].parent
         self.lo = self.parent.lower_bounds()
         self.hi = self.parent.upper_bounds()
+        self.penalty = config.penalty_coefficient
+        self.fd_step = config.fd_step
         self.weight = np.array([o.weight for o in objs])
-        self.penalty = np.array([o.penalty_coefficient for o in objs])
         index: dict[Realization, int] = {}
         self.solve_z = np.array([index.setdefault(o.realization, len(index)) for o in objs])
         self.zarr = np.array([r.z for r in index], dtype=float)  # (n_real, n_z)
@@ -200,11 +181,11 @@ class _Batch:
         g = pc = None
         if spec.inequality_constraints is not None:
             g = self._per_z("inequality_constraints", ys, solves)
-            pc = self.penalty[solves] if penalty_coefficient is None else penalty_coefficient
+            pc = self.penalty if penalty_coefficient is None else penalty_coefficient
         return _scalarize(self.weight[solves], raw, g, pc)
 
-    def gradient(self, ys: np.ndarray, rows, penalty_coefficient: float | None = None,
-                 fd_step: float = 1e-7) -> np.ndarray:
+    def gradient(self, ys: np.ndarray, rows,
+                 penalty_coefficient: float | None = None) -> np.ndarray:
         """Gradient of the (penalized) scalarized objective, shape (m, n_y).
 
         Uses the parent's analytic objective gradient when available and no
@@ -217,17 +198,17 @@ class _Batch:
             gj = self._per_z("gradient", ys, solves)
             w = self.weight[solves][:, None]
             return w * gj[:, 0, :] + (1.0 - w) * gj[:, 1, :]
-        return self._fd_gradient(ys, rows, penalty_coefficient, fd_step)
+        return self._fd_gradient(ys, rows, penalty_coefficient)
 
-    def _fd_gradient(self, ys: np.ndarray, rows, penalty_coefficient: float | None,
-                     fd_step: float) -> np.ndarray:
+    def _fd_gradient(self, ys: np.ndarray, rows,
+                     penalty_coefficient: float | None) -> np.ndarray:
         """Central differences, with the + and - probe of every (row,
         dimension) pair stacked into one ``descent_value`` call, or into
         several of at most MAX_DESCENT_ROWS rows each when they do not fit.
         A probe stays inside the box, so the difference degrades to one-sided
         at a bound."""
         m, n = ys.shape
-        h = fd_step * (1.0 + np.abs(ys))
+        h = self.fd_step * (1.0 + np.abs(ys))
         yp = np.minimum(ys + h, self.hi)
         ym = np.maximum(ys - h, self.lo)
         denom = yp - ym
@@ -299,7 +280,6 @@ def _descent(obj: _Batch, x0: np.ndarray, config: SolverConfig,
     """
     lo, hi = obj.lo, obj.hi
     pc = penalty_coefficient
-    fd = config.fd_step
 
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     f = obj.descent_value(x, slice(None), pc)
@@ -312,7 +292,7 @@ def _descent(obj: _Batch, x0: np.ndarray, config: SolverConfig,
     idx = np.where(ok)[0]  # rows still descending, as indices into the batch
     x = x[idx]
     f = f[idx]
-    g = obj.gradient(x, idx, pc, fd)
+    g = obj.gradient(x, idx, pc)
     span = float((hi - lo).max())
     t = span / (1.0 + np.abs(g).max(axis=1))
 
@@ -332,7 +312,7 @@ def _descent(obj: _Batch, x0: np.ndarray, config: SolverConfig,
             best_f[idx[upd]] = fc[upd]
             best_x[idx[upd]] = xc[upd]
 
-            gc = obj.gradient(xc[ai], idx[ai], pc, fd)
+            gc = obj.gradient(xc[ai], idx[ai], pc)
             s = xc[ai] - x[ai]
             yv = gc - g[ai]
             sy = (s * yv).sum(axis=1)
@@ -390,7 +370,7 @@ def descend(objs: Sequence[ScalarizedObjective],
     per_call = max(1, MAX_DESCENT_ROWS // n)
     for a in range(0, len(owners), per_call):
         part = owners[a:a + per_call]
-        best_x, best_f = _descent(_Batch(part, n), np.tile(starts, (len(part), 1)), config)
+        best_x, best_f = _descent(_Batch(part, n, config), np.tile(starts, (len(part), 1)), config)
         out.extend((best_x[j * n:(j + 1) * n], best_f[j * n:(j + 1) * n]) for j in range(len(part)))
     return [out[b] for b in block_of]
 
@@ -415,25 +395,26 @@ def solve_scalarized(obj: ScalarizedObjective, config: SolverConfig,
             f"all {config.n_starts} starts produced non-finite values for "
             f"subproblem k={obj.realization.k} (w={obj.weight})"
         )
-    winner = int(np.argmin(best_f))
-    y = best_x[winner]
-
-    if obj.parent.inequality_constraints is not None:
-        pc = obj.penalty_coefficient
+    spec = obj.parent
+    y = best_x[[int(np.argmin(best_f))]]  # (1, n_y); _descent keeps rows inside the box
+    z = np.array([obj.realization.z], dtype=float)
+    g = None
+    if spec.inequality_constraints is not None:
+        g = _evaluate(spec, "inequality_constraints", y, z)
+        pc = config.penalty_coefficient
         for _ in range(4):
-            if float(obj.max_violation(y[None, :])[0]) <= config.feas_tol:
+            if np.clip(g, 0.0, None).max() <= config.feas_tol:
                 break
             pc *= 100.0
-            y_new, f_new = _descent(_Batch([obj], 1), y[None, :], config, penalty_coefficient=pc)
+            y_new, f_new = _descent(_Batch([obj], 1, config), y, config, penalty_coefficient=pc)
             if np.isfinite(f_new[0]):
-                y = y_new[0]
+                y = y_new
+                g = _evaluate(spec, "inequality_constraints", y, z)
 
-    y = np.clip(y, obj.parent.lower_bounds(), obj.parent.upper_bounds())
-    raw = obj.raw_objectives(y[None, :])
-    g = obj.constraint_values(y[None, :])
+    raw = _evaluate(spec, "objectives", y, z)
     return SolveResult(
-        y_star=tuple(float(v) for v in y),
-        scalar_value=float(_scalarize(obj.weight, raw, g, obj.penalty_coefficient)[0]),
+        y_star=tuple(float(v) for v in y[0]),
+        scalar_value=float(_scalarize(obj.weight, raw, g, config.penalty_coefficient)[0]),
         point=ObjectivePoint(float(raw[0, 0]), float(raw[0, 1])),
         feasible=g is None or bool(np.clip(g, 0.0, None).max() <= config.feas_tol),
         starts_used=starts_used,

@@ -13,7 +13,7 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune import solver
-from pareto_prune.solver import ScalarizedObjective, solve_scalarized
+from pareto_prune.solver import ScalarizedObjective, SolverConfig, solve_scalarized
 from conftest import make_fig_problem
 
 # (c1, c2, scale, u) per discrete value, as in a generated problem: the
@@ -224,7 +224,7 @@ FD_SPECS = {
 }
 
 
-def _fd_case(spec, rows_per_solve=6):
+def _fd_case(spec, rows_per_solve=6, fd_step=1e-7):
     """A batch of solves over several realizations and weights, and a point
     for every row of it: interior points, points on each face of the box
     (one-sided probes), and, for gen-nan, a point whose + probe is
@@ -232,7 +232,7 @@ def _fd_case(spec, rows_per_solve=6):
     reals = _reals(spec, 3)
     objs = [ScalarizedObjective(weight=w, realization=r, parent=spec)
             for r in reals for w in (0.0, 0.35, 1.0)]
-    batch = solver._Batch(objs, rows_per_solve)
+    batch = solver._Batch(objs, rows_per_solve, SolverConfig(fd_step=fd_step))
     lo, hi = spec.lower_bounds(), spec.upper_bounds()
     rng = np.random.default_rng(5)
     ys = lo + (hi - lo) * rng.random((len(objs) * rows_per_solve, spec.n_y))
@@ -264,29 +264,35 @@ class TestFdGradient:
         batch, ys = _fd_case(FD_SPECS[name]())
         rows = np.arange(ys.shape[0])
         ref = _reference_fd_gradient(batch, ys, rows, pc, 1e-7)
-        got = batch._fd_gradient(ys, rows, pc, 1e-7)
+        got = batch._fd_gradient(ys, rows, pc)
         assert np.array_equal(got, ref, equal_nan=True)
         assert got.tobytes() == ref.tobytes()
         sub = rows[1::3]  # a subset of the batch's rows, as a shrinking descent passes
-        assert np.array_equal(batch._fd_gradient(ys[sub], sub, pc, 1e-7),
+        assert np.array_equal(batch._fd_gradient(ys[sub], sub, pc),
                               _reference_fd_gradient(batch, ys[sub], sub, pc, 1e-7),
                               equal_nan=True)
         if name == "gen-nan":
             assert np.isnan(got[-1, 0]) and np.isfinite(got[-1, 1])
 
+    def test_step_is_the_configs(self, name):
+        batch, ys = _fd_case(FD_SPECS[name](), fd_step=1e-3)
+        rows = np.arange(ys.shape[0])
+        ref = _reference_fd_gradient(batch, ys, rows, None, 1e-3)
+        assert batch._fd_gradient(ys, rows, None).tobytes() == ref.tobytes()
+
     def test_one_descent_value_call(self, name, monkeypatch):
         batch, ys = _fd_case(FD_SPECS[name]())
         calls = _count_descent_value(monkeypatch)
-        batch._fd_gradient(ys, slice(None), None, 1e-7)
+        batch._fd_gradient(ys, slice(None), None)
         assert calls == [2 * ys.shape[1] * ys.shape[0]]
 
     @pytest.mark.parametrize("cap", [6, 7, 40])
     def test_row_cap_splits_the_probes(self, name, monkeypatch, cap):
         batch, ys = _fd_case(FD_SPECS[name]())
-        whole = batch._fd_gradient(ys, slice(None), None, 1e-7)
+        whole = batch._fd_gradient(ys, slice(None), None)
         monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", cap)
         calls = _count_descent_value(monkeypatch)
-        split = batch._fd_gradient(ys, slice(None), None, 1e-7)
+        split = batch._fd_gradient(ys, slice(None), None)
         assert split.tobytes() == whole.tobytes()
         assert len(calls) > 1 and max(calls) <= cap
         assert sum(calls) == 2 * ys.shape[1] * ys.shape[0]
@@ -373,8 +379,8 @@ class TestStackedZ:
                 for r in _reals(spec, 4) for w in (0.0, 0.35, 1.0)]
         ys, _ = _mixed_rows(spec, 2 * len(objs))
         rows = np.arange(ys.shape[0])
-        batch = solver._Batch(objs, 2)
-        alone = [solver._Batch([o], 2) for o in objs]
+        batch = solver._Batch(objs, 2, SolverConfig())
+        alone = [solver._Batch([o], 2, SolverConfig()) for o in objs]
         for pc in (None, 1e8):
             got = batch.descent_value(ys, rows, pc), batch.gradient(ys, rows, pc)
             ref = (np.concatenate([b.descent_value(ys[2 * i:2 * i + 2], [0, 1], pc)
@@ -419,7 +425,7 @@ class TestOneVectorizedCallPerPass:
 
     def test_batch_pass_is_one_call(self):
         objs, calls = self._counted_e1()
-        batch = solver._Batch(objs, 3)
+        batch = solver._Batch(objs, 3, SolverConfig())
         ys, _ = _mixed_rows(objs[0].parent, 3 * len(objs))
         for rows in (np.arange(ys.shape[0]), np.arange(ys.shape[0])[::5]):
             before = dict(calls)

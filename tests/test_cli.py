@@ -11,7 +11,6 @@ import pytest
 import pareto_prune as pp
 from pareto_prune import cli
 from pareto_prune.cli import (
-    RunConfigFile,
     compare_reports,
     dumps_json,
     hausdorff_distance,
@@ -61,6 +60,15 @@ class TestRunCommand:
         code = run_cli("run", "--problem", "quad", "--beta", "1",
                        "--report", str(tmp_path / "r.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_bad_beta_exits_2_before_any_solve(self, tmp_path, capsys, solve_log, command):
+        code = run_cli(command, "--problem", "toy-constrained", "--beta", "0",
+                       "--report", str(tmp_path / "r.json"))
+        assert code == 2
+        assert solve_log.calls == 0
+        assert "error: beta must be >= 2, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_problem_exits_2(self, tmp_path):
         code = run_cli("run", "--problem", "zort",
@@ -291,16 +299,6 @@ class TestSerialization:
         doc["nlp"]["total"] = 99
         with pytest.raises(ValueError):
             pp.PruneReport.from_json_dict(doc)
-
-
-class TestRunConfigFile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfigFile(problem="quad", beta=1)
-        with pytest.raises(ValueError):
-            RunConfigFile(problem="quad", phases="b")
-        with pytest.raises(ValueError):
-            RunConfigFile(problem="quad", eps=-1.0)
 
 
 class TestCompareReports:

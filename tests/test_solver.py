@@ -1,10 +1,13 @@
 """Scalarized solver: pinning, frozen grid-oracle values, counting,
-determinism, constraint handling."""
+determinism, constraint handling, the solve's finish, config checks."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import pareto_prune as pp
+from pareto_prune import solver
 from pareto_prune.solver import (
     InfeasibleError,
     ScalarizedObjective,
@@ -24,10 +27,8 @@ def _first_real(spec):
     return pp.enumerate_realizations(spec)[0]
 
 
-def _obj(spec, w, r=None, pc=1e6):
-    return ScalarizedObjective(
-        weight=w, realization=r or _first_real(spec), parent=spec, penalty_coefficient=pc
-    )
+def _obj(spec, w, r=None):
+    return ScalarizedObjective(weight=w, realization=r or _first_real(spec), parent=spec)
 
 
 class TestSolveScalarized:
@@ -52,8 +53,6 @@ class TestSolveScalarized:
             _obj(quad_spec, 1.5)
         with pytest.raises(ValueError):
             _obj(quad_spec, -0.1)
-        with pytest.raises(ValueError):
-            _obj(quad_spec, 0.5, pc=-1.0)
 
     def test_determinism(self, e1_spec, config):
         r = _first_real(e1_spec)
@@ -72,14 +71,14 @@ class TestSolveScalarized:
 
     def test_best_of_all_starts(self, e1_spec, config):
         r = _first_real(e1_spec)
-        obj = _obj(e1_spec, 0.5, r)
-        res = solve_scalarized(obj, config)
+        res = solve_scalarized(_obj(e1_spec, 0.5, r), config)
         starts = _start_points(e1_spec.bounds, config.n_starts, config.seed)
-        assert res.scalar_value <= float(obj.value(starts).min()) + 1e-12
+        raw = e1_spec.objectives(starts, np.repeat([r.z], len(starts), axis=0))
+        assert res.scalar_value <= float((0.5 * raw[:, 0] + 0.5 * raw[:, 1]).min()) + 1e-12
 
     def test_point_is_reevaluation(self, e2_spec, config):
         res = solve_scalarized(_obj(e2_spec, 0.5), config)
-        raw = _obj(e2_spec, 0.5).raw_objectives(np.array([res.y_star]))[0]
+        raw = e2_spec.objectives(np.array([res.y_star]), np.array([_first_real(e2_spec).z]))[0]
         assert res.point.j1 == raw[0] and res.point.j2 == raw[1]
 
     def test_local_optimality_on_smooth_problems(self, e2_spec, quad_spec, config):
@@ -89,7 +88,8 @@ class TestSolveScalarized:
             obj = _obj(spec, w)
             res = solve_scalarized(obj, config)
             y = np.array(res.y_star)
-            g = _Batch([obj], 1)._fd_gradient(y[None, :], [0], None, 1e-6)[0]
+            batch = _Batch([obj], 1, SolverConfig(fd_step=1e-6))
+            g = batch._fd_gradient(y[None, :], [0], None)[0]
             lo = spec.lower_bounds()
             hi = spec.upper_bounds()
             proj = y - np.clip(y - g, lo, hi)
@@ -203,3 +203,39 @@ class TestSolverConfigValidation:
             SolverConfig(step_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(penalty_coefficient=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["step_tol", "fd_step", "feas_tol", "penalty_coefficient"])
+    def test_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+            SolverConfig(**{field: value})
+
+
+class TestFinish:
+    def test_constraints_evaluated_once_at_the_final_point(self, toy_spec, config):
+        # w = 1 ends at y = 1, where the constraint y >= 0.25 is inactive:
+        # no escalation (which would evaluate g at a second point), so the
+        # finish needs g at its one final point only
+        calls: list[np.ndarray] = []
+
+        def logged(y, z):
+            calls.append(np.array(y))
+            return toy_spec.inequality_constraints(y, z)
+
+        obj = _obj(dataclasses.replace(toy_spec, inequality_constraints=logged), 1.0)
+        descent = solver.descend([obj], config)[0]
+        calls.clear()
+        res = solve_scalarized(obj, config, descent)
+        assert res.feasible
+        assert len(calls) == 1
+        assert calls[0].tolist() == [list(res.y_star)]
+
+    @pytest.mark.parametrize("pc", [1.0, 1e6, 3e9])
+    def test_config_penalty_is_the_descent_penalty(self, toy_spec, pc):
+        # y = -1 violates 0.25 - y <= 0 by 1.25
+        obj = _obj(toy_spec, 0.3)
+        ys = np.array([[-1.0], [0.5]])
+        batch = _Batch([obj], 2, SolverConfig(penalty_coefficient=pc))
+        raw = toy_spec.objectives(ys, np.repeat([obj.realization.z], 2, axis=0))
+        want = 0.3 * raw[:, 0] + 0.7 * raw[:, 1] + pc * np.array([1.25 ** 2, 0.0])
+        assert batch.descent_value(ys, np.arange(2)).tolist() == want.tolist()
