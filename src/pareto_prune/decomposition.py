@@ -1,5 +1,8 @@
 """Realization enumeration and per-subproblem solves: anchors, utopia
-points, center points, and weighted-sum subproblem fronts."""
+points, center points, and weighted-sum subproblem fronts.  Each
+operation takes an optional ``descents`` table (see
+:func:`~pareto_prune.solver.descend`): operations that share one reuse
+each other's local descents."""
 
 from __future__ import annotations
 
@@ -105,14 +108,16 @@ def index_of(spec: ProblemSpec, z: tuple[float, ...]) -> int:
 
 
 def _solve_all(
-    spec: ProblemSpec, jobs: list[tuple[Realization, float]], config: SolverConfig
+    spec: ProblemSpec, jobs: list[tuple[Realization, float]], config: SolverConfig, *,
+    descents: dict | None = None,
 ) -> list[SolveResult | None]:
     """One counted solve per (realization, weight) job, with the descents
-    of all of them run as one batch; None where a solve raises
-    InfeasibleError."""
+    of all of them run as one batch, less those ``descents`` (a
+    :func:`~pareto_prune.solver.descend` table) already holds; None where
+    a solve raises InfeasibleError."""
     objs = [ScalarizedObjective(weight=w, realization=r, parent=spec) for r, w in jobs]
     out: list[SolveResult | None] = []
-    for obj, descent in zip(objs, descend(objs, config)):
+    for obj, descent in zip(objs, descend(objs, config, descents=descents)):
         try:
             out.append(solve_scalarized(obj, config, descent))
         except InfeasibleError:
@@ -125,13 +130,15 @@ def _solution(r: Realization, res: SolveResult, provenance: str) -> ParetoSoluti
 
 
 def compute_anchors_utopia(
-    spec: ProblemSpec, reals: list[Realization], config: SolverConfig
+    spec: ProblemSpec, reals: list[Realization], config: SolverConfig, *,
+    descents: dict | None = None,
 ) -> list[SubproblemRecord]:
     """Solve the two sole-objective problems (w=1 and w=0) of each
     realization and assemble its utopia point from the anchors' best
     components.  Exactly two counted solves per realization; an unusable
     anchor marks the record infeasible."""
-    results = _solve_all(spec, [(r, w) for r in reals for w in (1.0, 0.0)], config)
+    results = _solve_all(spec, [(r, w) for r in reals for w in (1.0, 0.0)], config,
+                         descents=descents)
     records = []
     for i, r in enumerate(reals):
         rec = SubproblemRecord(realization=r)
@@ -149,21 +156,23 @@ def compute_anchors_utopia(
 
 
 def compute_center(
-    spec: ProblemSpec, reals: list[Realization], config: SolverConfig
+    spec: ProblemSpec, reals: list[Realization], config: SolverConfig, *,
+    descents: dict | None = None,
 ) -> list[ParetoSolution | None]:
     """Equal-weights solve of each realization (one counted NLP each); the
     resulting point sits on the subproblem front where weighted-sum
     reaches it.  None marks a center whose solve raised or ended
     infeasible."""
+    results = _solve_all(spec, [(r, 0.5) for r in reals], config, descents=descents)
     return [
         None if res is None or not res.feasible else _solution(r, res, "center")
-        for r, res in zip(reals, _solve_all(spec, [(r, 0.5) for r in reals], config))
+        for r, res in zip(reals, results)
     ]
 
 
 def build_subproblem_front(
     spec: ProblemSpec, reals: list[Realization], beta: int, config: SolverConfig,
-    eps: float = 0.0,
+    eps: float = 0.0, *, descents: dict | None = None,
 ) -> list[list[ParetoSolution] | None]:
     """beta-point weighted-sum front of each subproblem: solves weights
     i/(beta-1) for i = 0..beta-1 (beta counted NLPs per realization),
@@ -174,7 +183,8 @@ def build_subproblem_front(
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
     weights = [i / (beta - 1) for i in range(beta)]
-    results = _solve_all(spec, [(r, w) for r in reals for w in weights], config)
+    results = _solve_all(spec, [(r, w) for r in reals for w in weights], config,
+                         descents=descents)
     fronts: list[list[ParetoSolution] | None] = []
     for j, r in enumerate(reals):
         sols = [

@@ -50,14 +50,15 @@ class PipelineError(RuntimeError):
     """No subproblem produced a usable solution."""
 
 
-def parallel_map(op, spec: ProblemSpec, reals: list[Realization], *args) -> list:
-    """``op(spec, reals, *args)``: one phase's batched subproblem operation.
+def parallel_map(op, spec: ProblemSpec, reals: list[Realization], *args, **kwargs) -> list:
+    """``op(spec, reals, *args, **kwargs)``: one phase's batched subproblem
+    operation.
 
     A plain call, kept under this name only because the benchmark's
     tracer (perfbench/tracer.py) times each phase through it and the
     benchmark's tests require that metric to be present.
     """
-    return op(spec, reals, *args)
+    return op(spec, reals, *args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -194,13 +195,16 @@ def build_master_front(
     beta: int,
     config: SolverConfig,
     eps: float = 0.0,
+    *,
+    descents: dict | None = None,
 ) -> list[ParetoSolution]:
     """Union of the k1m subproblem fronts, filtered.  Each subproblem's
     front is stored in its record for reuse."""
     if not k1m:
         raise PipelineError("cannot build a master front from an empty candidate set")
     reals = [records[k].realization for k in k1m]
-    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps)
+    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps,
+                          descents=descents)
     merged: list[ParetoSolution] = []
     for k, front in zip(k1m, fronts):
         records[k].front = front
@@ -217,13 +221,15 @@ def phase_a(
     beta: int,
     config: SolverConfig,
     eps: float = 0.0,
+    *,
+    descents: dict | None = None,
 ) -> PhaseAResult:
     """A-1 anchors/utopias for all realizations (2 solves each), A-2
     master front from non-dominated utopias (beta solves each), A-3
     pruning of subproblems whose utopia the master front weakly
     dominates.  Each step is one batched operation over its realizations."""
     reals = enumerate_realizations(spec)
-    recs = parallel_map(compute_anchors_utopia, spec, reals, config)
+    recs = parallel_map(compute_anchors_utopia, spec, reals, config, descents=descents)
     records = {rec.realization.k: rec for rec in recs}
 
     if all(rec.status is Status.INFEASIBLE for rec in records.values()):
@@ -232,7 +238,8 @@ def phase_a(
     k1m = master_candidates(list(records.values()), eps)
     for k in k1m:
         records[k].status = Status.MASTER
-    master_front = build_master_front(spec, k1m, records, beta, config, eps)
+    master_front = build_master_front(spec, k1m, records, beta, config, eps,
+                                      descents=descents)
 
     mpts = _points_array(master_front)
     k1u: list[int] = list(k1m)
@@ -254,13 +261,15 @@ def phase_b(
     master_front: list[ParetoSolution],
     config: SolverConfig,
     eps: float = 0.0,
+    *,
+    descents: dict | None = None,
 ) -> list[int]:
     """B-1 centers for the target subproblems (one solve each) and B-2
     pruning of those whose center the master front weakly dominates or
     whose center solve fails.  Returns the retained indices."""
     mpts = _points_array(master_front)
     reals = [records[k].realization for k in targets]
-    centers = parallel_map(compute_center, spec, reals, config)
+    centers = parallel_map(compute_center, spec, reals, config, descents=descents)
     retained: list[int] = []
     for k, center in zip(targets, centers):
         records[k].center = center
@@ -293,8 +302,11 @@ def run_pipeline(
     a fixed number of solves, so the counts follow from the sets.
 
     Each phase poses its solves as one batched operation over its
-    realizations, in this process.  ``workers`` is accepted and has no
-    effect: every run is serial.
+    realizations, in this process.  The phases share one table of local
+    descents (see :func:`~pareto_prune.solver.descend`), so a descent an
+    earlier phase ran is not run again; every solve is still finished,
+    and counted, on its own.  The table is dropped when the run returns.
+    ``workers`` is accepted and has no effect: every run is serial.
     """
     if phases not in ("ab", "a", "none"):
         raise ValueError(f'phases must be "ab", "a" or "none", got {phases!r}')
@@ -307,6 +319,7 @@ def run_pipeline(
             f"beta * |K| = {n_solves} exceeds the cap of {DEFAULT_REALIZATION_CAP}"
         )
     config = config or SolverConfig()
+    descents: dict = {}
     t0 = time.perf_counter()
 
     if phases == "none":
@@ -315,15 +328,17 @@ def run_pipeline(
         k1u: list[int] = []
         retained = list(records)
     else:
-        pa = phase_a(spec, beta, config, eps)
+        pa = phase_a(spec, beta, config, eps, descents=descents)
         records, k1m, k1u = pa.records, pa.k1m, pa.k1u
         retained = [k for k in k1u if records[k].status is not Status.MASTER]
         if phases == "ab":
-            retained = phase_b(spec, records, retained, pa.master_front, config, eps)
+            retained = phase_b(spec, records, retained, pa.master_front, config, eps,
+                               descents=descents)
 
     # B-3: fronts for whatever the phases left
     reals = [records[k].realization for k in retained]
-    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps)
+    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps,
+                          descents=descents)
     for k, front in zip(retained, fronts):
         records[k].front = front
         records[k].status = Status.INFEASIBLE if front is None else Status.RETAINED_B

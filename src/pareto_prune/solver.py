@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,6 +54,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_starts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_starts < 1 or self.max_iters < 1:
             raise ValueError("n_starts and max_iters must be positive")
         for name in ("step_tol", "fd_step", "feas_tol", "penalty_coefficient"):
@@ -341,38 +346,46 @@ def _descent(obj: _Batch, x0: np.ndarray, config: SolverConfig,
     return best_x, best_f
 
 
-def descend(objs: Sequence[ScalarizedObjective],
-            config: SolverConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+def descend(objs: Sequence[ScalarizedObjective], config: SolverConfig, *,
+            descents: dict | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Local descents of several solves of one problem from the multistart
     set, in lockstep: one ``_descent`` call for all of them, or several of
     at most MAX_DESCENT_ROWS rows each.  Returns, per solve, the best point
     and value reached from each start, for :func:`solve_scalarized`.
 
-    When the problem separates (``base_objectives``) and has no
-    constraints, a descent depends only on its weight, so the solves that
-    share a weight share one block of rows.
+    A descent depends only on its key: the weight alone when the problem
+    separates (``base_objectives``) and has no constraints, else the
+    (weight, realization) pair.  ``descents`` is a table from keys to the
+    descents already run; only the keys missing from it are run, once
+    each, and entered into it.  So the solves that share a key share one
+    block of rows, and a table passed to every call of one run runs each
+    distinct descent of that run once.  A table belongs to one problem and
+    one ``config``; without one a call starts a fresh one.  Its arrays are
+    read-only, since several solves share them.
     """
+    descents = {} if descents is None else descents
     if not objs:
         return []
     spec = objs[0].parent
+    merge = spec.base_objectives is not None and spec.inequality_constraints is None
+    keys = [o.weight if merge else (o.weight, o.realization) for o in objs]
+    missing: dict = {}  # key -> the solve whose descent runs it
+    for key, o in zip(keys, objs):
+        if key not in descents:
+            missing.setdefault(key, o)
+    todo = list(missing.items())
     starts = _start_points(spec.bounds, config.n_starts, config.seed)
     n = starts.shape[0]
-    merge = spec.base_objectives is not None and spec.inequality_constraints is None
-    blocks: dict = {}
-    block_of: list[int] = []
-    owners: list[ScalarizedObjective] = []  # the solve whose descent each block runs
-    for i, o in enumerate(objs):
-        b = blocks.setdefault(o.weight if merge else i, len(owners))
-        if b == len(owners):
-            owners.append(o)
-        block_of.append(b)
-    out: list[tuple[np.ndarray, np.ndarray]] = []
     per_call = max(1, MAX_DESCENT_ROWS // n)
-    for a in range(0, len(owners), per_call):
-        part = owners[a:a + per_call]
-        best_x, best_f = _descent(_Batch(part, n, config), np.tile(starts, (len(part), 1)), config)
-        out.extend((best_x[j * n:(j + 1) * n], best_f[j * n:(j + 1) * n]) for j in range(len(part)))
-    return [out[b] for b in block_of]
+    for a in range(0, len(todo), per_call):
+        part = todo[a:a + per_call]
+        batch = _Batch([o for _, o in part], n, config)
+        best_x, best_f = _descent(batch, np.tile(starts, (len(part), 1)), config)
+        best_x.setflags(write=False)
+        best_f.setflags(write=False)
+        for j, (key, _) in enumerate(part):
+            descents[key] = (best_x[j * n:(j + 1) * n], best_f[j * n:(j + 1) * n])
+    return [descents[key] for key in keys]
 
 
 def solve_scalarized(obj: ScalarizedObjective, config: SolverConfig,

@@ -1,13 +1,46 @@
 """Shared fixtures: registry problems, expensive reports (session-scoped),
 a small synthetic five-realization problem whose phase outcomes are
-known in closed form, and a counter of the real solver calls."""
+known in closed form, a counter of the real solver calls, and a loader of
+the benchmark's modules."""
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pareto_prune as pp
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(*names: str) -> list:
+    """The benchmark's modules perfbench/<name>.py, loaded by path in the
+    order given without writing bytecode.  While they load, each is
+    importable by its bare name, as the benchmark's own modules import one
+    another (checks imports workloads); ``sys.modules`` is restored after."""
+    saved = {name: sys.modules.get(name) for name in names}
+    saved_flag = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    modules = []
+    try:
+        for name in names:
+            spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            modules.append(module)
+    finally:
+        sys.dont_write_bytecode = saved_flag
+        for name, module in saved.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
+    return modules
 
 # offsets (c1, c2) and front width per discrete value: realization 1 and 5
 # have mutually non-dominated utopias (masters), 2 is pruned by the master

@@ -2,8 +2,9 @@
 the same operation one realization at a time, solves that separable
 problems share run once, evaluator results are shape-checked, a
 finite-difference gradient is one stacked evaluation bitwise equal to the
-per-dimension loop, a scalar evaluator gets each row's own z, and a
-vectorized one gets every row's z stacked in one call."""
+per-dimension loop, a scalar evaluator gets each row's own z, a
+vectorized one gets every row's z stacked in one call, and the phases of
+a run share one table of descents without changing any result."""
 
 import dataclasses
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import pareto_prune as pp
-from pareto_prune import solver
+from pareto_prune import decomposition, pipeline, solver
 from pareto_prune.solver import ScalarizedObjective, SolverConfig, solve_scalarized
 from conftest import make_fig_problem
 
@@ -453,3 +454,108 @@ class TestOneVectorizedCallPerPass:
         solver.descend(objs, config)
         assert passes["objectives"] > 1
         assert calls == passes
+
+
+# --- one descent table per run: later phases reuse earlier phases' descents -------
+
+def _e2_k16():
+    """e2 cut to 16 realizations: bars 4 and 5 from the catalogue, bars
+    6-9 held at size 5 (separable, so its descents merge by weight)."""
+    e2 = pp.make_e2()
+    catalogue = e2.discrete_sets[0]
+    return dataclasses.replace(e2, name="e2-k16",
+                               discrete_sets=(catalogue, catalogue) + ((5.0,),) * 4)
+
+
+REUSE_SPECS = {
+    "quad": SPECS["quad"],
+    "toy-constrained": SPECS["toy-constrained"],
+    "e1": pp.make_e1,
+    "e2-k16": _e2_k16,
+    "fig": make_fig_problem,
+    "gen": make_gen_problem,  # scalar evaluators, finite differences, escalation
+}
+
+
+def _objs(spec, reals, weights):
+    return [ScalarizedObjective(weight=w, realization=r, parent=spec)
+            for r in reals for w in weights]
+
+
+def _report_text(report):
+    from pareto_prune.cli import dumps_json
+
+    doc = report.to_json_dict()
+    doc.pop("wallclock_ms")
+    return dumps_json(doc)
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_SPECS))
+class TestDescentTable:
+    def test_table_of_earlier_phases_gives_fresh_descents(self, name, config, monkeypatch):
+        spec = REUSE_SPECS[name]()
+        reals = _reals(spec, 3)
+        table: dict = {}
+        solver.descend(_objs(spec, reals, (1.0, 0.0)), config, descents=table)  # A-1
+        later = [_objs(spec, reals[:2], [i / 4 for i in range(5)]),  # a beta-front, beta = 5
+                 _objs(spec, reals, (0.5,))]  # centers
+        rows = _DescentRows(monkeypatch)
+        for objs in later:
+            rows.rows.clear()
+            got = solver.descend(objs, config, descents=table)
+            reused = sum(rows.rows)
+            rows.rows.clear()
+            fresh = solver.descend(objs, config)
+            assert reused < sum(rows.rows)  # each phase shares some solves with the ones before
+            for (gx, gf), (fx, ff) in zip(got, fresh, strict=True):
+                assert gx.tobytes() == fx.tobytes() and gf.tobytes() == ff.tobytes()
+
+    @pytest.mark.parametrize("phases", ["ab", "a"])
+    def test_run_equals_run_that_ignores_the_table(self, name, phases, monkeypatch):
+        spec = REUSE_SPECS[name]()
+        shared = pp.run_pipeline(spec, beta=5, phases=phases)
+        descend = solver.descend
+        monkeypatch.setattr(decomposition, "descend",
+                            lambda objs, config, descents=None: descend(objs, config))
+        alone = pp.run_pipeline(spec, beta=5, phases=phases)
+        assert _report_text(shared) == _report_text(alone)
+
+    def test_descents_are_read_only(self, name, config):
+        spec = REUSE_SPECS[name]()
+        for x, f in solver.descend(_objs(spec, _reals(spec, 2), (0.0, 0.5)), config):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                f[0] = 0.0
+
+
+class TestMergedSpecReuse:
+    """On a separable, unconstrained problem a descent is keyed by its
+    weight alone: after A-2 has run the beta weights, B-1 (w = 0.5) and
+    B-3 (the beta weights again) run no new rows when beta is odd."""
+
+    @staticmethod
+    def _rows_after_a2(monkeypatch, spec, beta, phases):
+        rows = _DescentRows(monkeypatch)
+        mark: list[int] = []
+        build = pipeline.build_master_front
+
+        def marked(*args, **kwargs):
+            out = build(*args, **kwargs)
+            mark.append(len(rows.rows))
+            return out
+
+        monkeypatch.setattr(pipeline, "build_master_front", marked)
+        report = pp.run_pipeline(spec, beta=beta, phases=phases)
+        return rows.rows[mark[0]:], report
+
+    @pytest.mark.parametrize("phases", ["ab", "a"])
+    def test_no_rows_after_a2_at_odd_beta(self, monkeypatch, phases):
+        after, report = self._rows_after_a2(monkeypatch, _e2_k16(), 21, phases)
+        assert after == []
+        assert report.nlp.b1 + report.nlp.b3 > 0  # B-1 or B-3 did pose solves
+
+    def test_b1_runs_one_block_at_even_beta(self, config, monkeypatch):
+        after, report = self._rows_after_a2(monkeypatch, _e2_k16(), 4, "ab")
+        assert report.nlp.b1 > 1
+        assert after == [config.n_starts]

@@ -2,6 +2,7 @@
 determinism, constraint handling, the solve's finish, config checks."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,19 @@ class TestSolverConfigValidation:
             SolverConfig(step_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(penalty_coefficient=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_starts", float("nan")), ("n_starts", 2.5), ("max_iters", float("nan")),
+        ("max_iters", True), ("seed", float("nan")), ("seed", 3.0), ("seed", "3"),
+    ])
+    def test_integer_fields(self, field, value):
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SolverConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        config = SolverConfig(n_starts=np.int64(4), max_iters=np.int32(7), seed=np.uint8(3))
+        assert (config.n_starts, config.max_iters, config.seed) == (4, 7, 3)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["step_tol", "fd_step", "feas_tol", "penalty_coefficient"])

@@ -6,32 +6,14 @@ which only the benchmark's own suite would notice; this checks both from
 the main suite."""
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
 import pareto_prune as pp
 from pareto_prune import cli  # the tracer hooks only modules already imported
+from conftest import load_perfbench
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    """perfbench/tracer.py, loaded by path without writing bytecode."""
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
-
-tracing = _load_tracer()
+(tracing,) = load_perfbench("tracer")
 ENTRY_POINTS = tracing.ENTRY_POINTS
 
 
