@@ -160,7 +160,6 @@ def make_e2(constants: TrussConstants | None = None) -> ProblemSpec:
         gradient=functools.partial(_e2_gradient, consts),
         vectorized=True,
         base_objectives=functools.partial(_e2_base, consts),
-        objective_offsets=functools.partial(_e2_offsets, consts),
     )
 
 

@@ -72,11 +72,11 @@ class ProblemSpec:
     respect to the continuous variables only.  Without it the solver falls
     back to finite differences.
 
-    When the objectives split as objectives(y, z) == base_objectives(y) +
-    objective_offsets(z) (componentwise, and the full evaluator composes
-    them exactly; ``objective_offsets`` takes zs (m, n_z) or a single z),
-    supplying the pair lets the solver descend on the
-    z-independent part.  ``gradient`` must then not depend on z either.
+    When objectives(y, z) - base_objectives(y) does not depend on y
+    (componentwise: the objectives are a continuous part plus a
+    per-realization constant), supplying ``base_objectives`` (ys (m, n_y)
+    -> (m, 2)) lets the solver descend on the z-independent part.
+    ``gradient`` must then not depend on z either.
     Solve trajectories are then bitwise identical across realizations,
     which preserves exact objective-space ties between realizations that
     are mathematically equivalent.  Without ``inequality_constraints`` a
@@ -93,7 +93,6 @@ class ProblemSpec:
     gradient: Callable | None = None
     vectorized: bool = False
     base_objectives: Callable | None = None
-    objective_offsets: Callable | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bounds", tuple((float(lo), float(hi)) for lo, hi in self.bounds))
@@ -103,15 +102,16 @@ class ProblemSpec:
         if self.n_y < 1 or len(self.bounds) != self.n_y:
             raise ValueError(f"need n_y >= 1 bounds pairs, got n_y={self.n_y}, {len(self.bounds)} bounds")
         for lo, hi in self.bounds:
-            if not (lo < hi):
-                raise ValueError(f"invalid bound pair ({lo}, {hi}): lower must be < upper")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(
+                    f"invalid bound pair ({lo}, {hi}): need finite lower < upper")
         for j, zs in enumerate(self.discrete_sets):
             if not zs:
                 raise ValueError(f"discrete set {j} is empty")
+            if not all(math.isfinite(v) for v in zs):
+                raise ValueError(f"discrete set {j} has non-finite values: {zs}")
             if len(set(zs)) != len(zs):
                 raise ValueError(f"discrete set {j} has repeated values: {zs}")
-        if (self.base_objectives is None) != (self.objective_offsets is None):
-            raise ValueError("base_objectives and objective_offsets must be supplied together")
 
     @property
     def n_z(self) -> int:

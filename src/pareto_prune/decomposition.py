@@ -119,7 +119,7 @@ def _solve_all(
     out: list[SolveResult | None] = []
     for obj, descent in zip(objs, descend(objs, config, descents=descents)):
         try:
-            out.append(solve_scalarized(obj, config, descent))
+            out.append(solve_scalarized(obj, descent))
         except InfeasibleError:
             out.append(None)
     return out

@@ -12,7 +12,6 @@ bitwise-identical results.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,6 +32,13 @@ __all__ = [
 # rows of one _descent call; keeps the memory of a batch bounded
 MAX_DESCENT_ROWS = 32_768
 
+N_STARTS = 16  # local descents per solve
+MAX_ITERS = 500  # descent steps per row
+STEP_TOL = 1e-10  # a row stops once an accepted step moves no coordinate further
+FD_STEP = 1e-7  # relative finite-difference step
+FEAS_TOL = 1e-8  # largest constraint value a feasible point may have
+PENALTY_COEFFICIENT = 1e6  # exterior penalty, escalated x100 up to 4 times in a finish
+
 _ARMIJO = 1e-4
 _STEP_GROWTH = 2.0
 _STEP_SHRINK = 0.25
@@ -45,25 +51,14 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    n_starts: int = 16
-    max_iters: int = 500
-    step_tol: float = 1e-10
-    fd_step: float = 1e-7
-    feas_tol: float = 1e-8
-    penalty_coefficient: float = 1e6
+    """The seed of the multistart set's uniform fill; the rest of the
+    solver's tuning is the module constants above."""
+
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_starts", "max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_starts < 1 or self.max_iters < 1:
-            raise ValueError("n_starts and max_iters must be positive")
-        for name in ("step_tol", "fd_step", "feas_tol", "penalty_coefficient"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -124,7 +119,7 @@ def _scalarize(weight, raw: np.ndarray, g: np.ndarray | None, pc) -> np.ndarray:
 class ScalarizedObjective:
     """One scalarized subproblem: w*J1 + (1-w)*J2 of ``parent`` at
     ``realization``, plus an exterior quadratic penalty on violated
-    inequality constraints whose coefficient the ``SolverConfig`` gives."""
+    inequality constraints (PENALTY_COEFFICIENT unless escalated)."""
 
     weight: float
     realization: Realization
@@ -143,16 +138,12 @@ class _Batch:
     call of a vectorized evaluator with every row's z stacked beside it,
     or one call of a scalar one per row with that row's z.  A row's value
     never depends on the rest of the batch, so a finite-difference
-    gradient evaluates all its probes in one pass.  The penalty
-    coefficient and the finite-difference step are the ``config``'s."""
+    gradient evaluates all its probes in one pass."""
 
-    def __init__(self, objs: Sequence[ScalarizedObjective], rows_per_solve: int,
-                 config: SolverConfig) -> None:
+    def __init__(self, objs: Sequence[ScalarizedObjective], rows_per_solve: int) -> None:
         self.parent = objs[0].parent
         self.lo = self.parent.lower_bounds()
         self.hi = self.parent.upper_bounds()
-        self.penalty = config.penalty_coefficient
-        self.fd_step = config.fd_step
         self.weight = np.array([o.weight for o in objs])
         index: dict[Realization, int] = {}
         self.solve_z = np.array([index.setdefault(o.realization, len(index)) for o in objs])
@@ -186,7 +177,7 @@ class _Batch:
         g = pc = None
         if spec.inequality_constraints is not None:
             g = self._per_z("inequality_constraints", ys, solves)
-            pc = self.penalty if penalty_coefficient is None else penalty_coefficient
+            pc = PENALTY_COEFFICIENT if penalty_coefficient is None else penalty_coefficient
         return _scalarize(self.weight[solves], raw, g, pc)
 
     def gradient(self, ys: np.ndarray, rows,
@@ -213,7 +204,7 @@ class _Batch:
         A probe stays inside the box, so the difference degrades to one-sided
         at a bound."""
         m, n = ys.shape
-        h = self.fd_step * (1.0 + np.abs(ys))
+        h = FD_STEP * (1.0 + np.abs(ys))
         yp = np.minimum(ys + h, self.hi)
         ym = np.maximum(ys - h, self.lo)
         denom = yp - ym
@@ -243,16 +234,9 @@ class SolveResult:
     starts_used: int
 
 
-_start_cache: dict[tuple, np.ndarray] = {}
-
-
 def _start_points(bounds: tuple[tuple[float, float], ...], n: int, seed: int) -> np.ndarray:
     """Deterministic multistart set: the two box corners, an equispaced
     interior lattice, and seeded uniform fill, capped at n points."""
-    key = (bounds, n, seed)
-    cached = _start_cache.get(key)
-    if cached is not None:
-        return cached
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     ny = len(bounds)
@@ -270,12 +254,10 @@ def _start_points(bounds: tuple[tuple[float, float], ...], n: int, seed: int) ->
         rng = np.random.default_rng(seed)
         fill = lo + (hi - lo) * rng.random((n - pts.shape[0], ny))
         pts = np.vstack([pts, fill])
-    pts.setflags(write=False)
-    _start_cache[key] = pts
     return pts
 
 
-def _descent(obj: _Batch, x0: np.ndarray, config: SolverConfig,
+def _descent(obj: _Batch, x0: np.ndarray, *,
              penalty_coefficient: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient descent with Barzilai-Borwein steps and Armijo
     backtracking, run in lockstep over the rows of a batch of solves.
@@ -301,7 +283,7 @@ def _descent(obj: _Batch, x0: np.ndarray, config: SolverConfig,
     span = float((hi - lo).max())
     t = span / (1.0 + np.abs(g).max(axis=1))
 
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         if idx.size == 0:
             break
         xc = np.clip(x - t[:, None] * g, lo, hi)
@@ -333,7 +315,7 @@ def _descent(obj: _Batch, x0: np.ndarray, config: SolverConfig,
         t[rej] = t[rej] * _STEP_SHRINK
 
         done = np.zeros(idx.size, dtype=bool)
-        done[accept] = np.abs(step[accept]).max(axis=1) <= config.step_tol
+        done[accept] = np.abs(step[accept]).max(axis=1) <= STEP_TOL
         done |= t < _STEP_FLOOR
         if done.any():
             keep = ~done
@@ -360,7 +342,7 @@ def descend(objs: Sequence[ScalarizedObjective], config: SolverConfig, *,
     each, and entered into it.  So the solves that share a key share one
     block of rows, and a table passed to every call of one run runs each
     distinct descent of that run once.  A table belongs to one problem and
-    one ``config``; without one a call starts a fresh one.  Its arrays are
+    one seed; without one a call starts a fresh one.  Its arrays are
     read-only, since several solves share them.
     """
     descents = {} if descents is None else descents
@@ -374,13 +356,14 @@ def descend(objs: Sequence[ScalarizedObjective], config: SolverConfig, *,
         if key not in descents:
             missing.setdefault(key, o)
     todo = list(missing.items())
-    starts = _start_points(spec.bounds, config.n_starts, config.seed)
-    n = starts.shape[0]
+    n = N_STARTS
+    if todo:
+        starts = _start_points(spec.bounds, n, config.seed)
     per_call = max(1, MAX_DESCENT_ROWS // n)
     for a in range(0, len(todo), per_call):
         part = todo[a:a + per_call]
-        batch = _Batch([o for _, o in part], n, config)
-        best_x, best_f = _descent(batch, np.tile(starts, (len(part), 1)), config)
+        batch = _Batch([o for _, o in part], n)
+        best_x, best_f = _descent(batch, np.tile(starts, (len(part), 1)))
         best_x.setflags(write=False)
         best_f.setflags(write=False)
         for j, (key, _) in enumerate(part):
@@ -388,24 +371,23 @@ def descend(objs: Sequence[ScalarizedObjective], config: SolverConfig, *,
     return [descents[key] for key in keys]
 
 
-def solve_scalarized(obj: ScalarizedObjective, config: SolverConfig,
-                     descent: tuple[np.ndarray, np.ndarray] | None = None) -> SolveResult:
+def solve_scalarized(obj: ScalarizedObjective,
+                     descent: tuple[np.ndarray, np.ndarray]) -> SolveResult:
     """Minimize a scalarized subproblem over its box.
 
     Picks the best point the local descents from the deterministic
-    multistart set reached.  ``descent`` is this solve's entry of a
-    :func:`descend` call that ran many solves in one batch; without it the
-    solve runs a batch of its own.  Counts as exactly one solve.  When
-    constraints remain violated beyond ``feas_tol``, the penalty
-    coefficient is escalated and the descent continued from the incumbent
-    (still the same single counted solve).
+    multistart set reached; ``descent`` is this solve's entry of a
+    :func:`descend` call.  Counts as exactly one solve.  When constraints
+    remain violated beyond FEAS_TOL, the penalty coefficient is escalated
+    and the descent continued from the incumbent (still the same single
+    counted solve).
     """
-    best_x, best_f = descend([obj], config)[0] if descent is None else descent
+    best_x, best_f = descent
     usable = np.isfinite(best_f)
     starts_used = int(usable.sum())
     if starts_used == 0:
         raise InfeasibleError(
-            f"all {config.n_starts} starts produced non-finite values for "
+            f"all {N_STARTS} starts produced non-finite values for "
             f"subproblem k={obj.realization.k} (w={obj.weight})"
         )
     spec = obj.parent
@@ -414,12 +396,12 @@ def solve_scalarized(obj: ScalarizedObjective, config: SolverConfig,
     g = None
     if spec.inequality_constraints is not None:
         g = _evaluate(spec, "inequality_constraints", y, z)
-        pc = config.penalty_coefficient
+        pc = PENALTY_COEFFICIENT
         for _ in range(4):
-            if np.clip(g, 0.0, None).max() <= config.feas_tol:
+            if np.clip(g, 0.0, None).max() <= FEAS_TOL:
                 break
             pc *= 100.0
-            y_new, f_new = _descent(_Batch([obj], 1, config), y, config, penalty_coefficient=pc)
+            y_new, f_new = _descent(_Batch([obj], 1), y, penalty_coefficient=pc)
             if np.isfinite(f_new[0]):
                 y = y_new
                 g = _evaluate(spec, "inequality_constraints", y, z)
@@ -427,8 +409,8 @@ def solve_scalarized(obj: ScalarizedObjective, config: SolverConfig,
     raw = _evaluate(spec, "objectives", y, z)
     return SolveResult(
         y_star=tuple(float(v) for v in y[0]),
-        scalar_value=float(_scalarize(obj.weight, raw, g, config.penalty_coefficient)[0]),
+        scalar_value=float(_scalarize(obj.weight, raw, g, PENALTY_COEFFICIENT)[0]),
         point=ObjectivePoint(float(raw[0, 0]), float(raw[0, 1])),
-        feasible=g is None or bool(np.clip(g, 0.0, None).max() <= config.feas_tol),
+        feasible=g is None or bool(np.clip(g, 0.0, None).max() <= FEAS_TOL),
         starts_used=starts_used,
     )

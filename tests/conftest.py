@@ -1,10 +1,12 @@
 """Shared fixtures: registry problems, expensive reports (session-scoped),
 a small synthetic five-realization problem whose phase outcomes are
-known in closed form, a counter of the real solver calls, and a loader of
-the benchmark's modules."""
+known in closed form (one member of a family of shifted quadratic
+fronts), a counter of the real solver calls, and a loader of the
+benchmark's modules."""
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -55,36 +57,41 @@ FIG_PARAMS = {
 }
 
 
-def _fig_params(z):
-    """(c1, c2, width), each of z's shape without its last axis: one value
-    per row of stacked z (m, 1), or a scalar for a single z (1,)."""
+def _fig_params(table, z):
+    """(c1, c2, width) from ``table``, each of z's shape without its last
+    axis: one value per row of stacked z (m, 1), or a scalar for a single
+    z (1,)."""
     z = np.asarray(z, dtype=float)
-    params = np.array([FIG_PARAMS[v] for v in z[..., 0].ravel().tolist()])
+    params = np.array([table[v] for v in z[..., 0].ravel().tolist()])
     return params.reshape(z.shape[:-1] + (3,)).transpose()
 
 
-def _fig_objectives(y, z):
+def _fig_objectives(table, y, z):
     y = np.asarray(y, dtype=float)
-    c1, c2, width = _fig_params(z)
+    c1, c2, width = _fig_params(table, z)
     v = y[..., 0]
     return np.stack([c1 + width * (1.0 - v) ** 2, c2 + width * v ** 2], axis=-1)
 
 
-def _fig_gradient(y, z):
+def _fig_gradient(table, y, z):
     y = np.asarray(y, dtype=float)
-    _, _, width = _fig_params(z)
+    _, _, width = _fig_params(table, z)
     v = y[..., 0]
     return np.stack([-2.0 * width * (1.0 - v), 2.0 * width * v], axis=-1)[..., None]
 
 
-def make_fig_problem() -> pp.ProblemSpec:
+def make_fig_problem(table: dict | None = None) -> pp.ProblemSpec:
+    """One y in [0, 1] and one discrete variable whose values are the keys
+    of ``table`` (FIG_PARAMS by default); realization z has the front
+    (c1 + width (1 - v)^2, c2 + width v^2) for its (c1, c2, width)."""
+    table = FIG_PARAMS if table is None else table
     return pp.ProblemSpec(
         name="fig",
         n_y=1,
         bounds=((0.0, 1.0),),
-        discrete_sets=((1.0, 2.0, 3.0, 4.0, 5.0),),
-        objectives=_fig_objectives,
-        gradient=_fig_gradient,
+        discrete_sets=(tuple(table),),
+        objectives=functools.partial(_fig_objectives, table),
+        gradient=functools.partial(_fig_gradient, table),
         vectorized=True,
     )
 
@@ -106,6 +113,11 @@ class SolveLog:
 @pytest.fixture
 def solve_log(monkeypatch) -> SolveLog:
     """Counts real solves in this process."""
+    return install_solve_log(monkeypatch)
+
+
+def install_solve_log(monkeypatch) -> SolveLog:
+    """A SolveLog of the solves run while ``monkeypatch``'s patches hold."""
     from pareto_prune import decomposition, pipeline
 
     log = SolveLog()

@@ -296,11 +296,9 @@ class TestCriterion6Properties:
     def test_e2_scaling_invariance(self):
         # grid positions shift under scaling, so a coarse front keeps the
         # check exact; dominance decisions themselves are scale-free
-        cfg = pp.SolverConfig(n_starts=4)
-        o1 = pp.oracle_front(pp.make_e2(), beta=3, config=cfg)
+        o1 = pp.oracle_front(pp.make_e2(), beta=3)
         o2 = pp.oracle_front(
-            pp.make_e2(pp.TrussConstants(length_scale=2.5, load_modulus_scale=7.3)),
-            beta=3, config=cfg,
+            pp.make_e2(pp.TrussConstants(length_scale=2.5, load_modulus_scale=7.3)), beta=3
         )
         same = o1.front_realizations() == o2.front_realizations()
         criterion("6e e2 oracle contributing set invariant to positive scaling", same)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import pareto_prune as pp
-from pareto_prune import decomposition, pipeline, solver
-from pareto_prune.solver import ScalarizedObjective, SolverConfig, solve_scalarized
+from pareto_prune import benchmarks, decomposition, pipeline, solver
+from pareto_prune.solver import N_STARTS, ScalarizedObjective, solve_scalarized
 from conftest import make_fig_problem
 
 # (c1, c2, scale, u) per discrete value, as in a generated problem: the
@@ -97,9 +97,9 @@ class _DescentRows:
         self.rows: list[int] = []
         descent = solver._descent
 
-        def counted(obj, x0, config, penalty_coefficient=None):
+        def counted(obj, x0, *, penalty_coefficient=None):
             self.rows.append(np.shape(x0)[0])
-            return descent(obj, x0, config, penalty_coefficient)
+            return descent(obj, x0, penalty_coefficient=penalty_coefficient)
 
         monkeypatch.setattr(solver, "_descent", counted)
 
@@ -110,15 +110,15 @@ class TestRowSharing:
         rows = _DescentRows(monkeypatch)
         recs = pp.compute_anchors_utopia(e2_spec, _reals(e2_spec, n), config)
         assert len(recs) == n
-        assert rows.rows == [2 * config.n_starts]
+        assert rows.rows == [2 * N_STARTS]
 
     def test_shared_rows_give_each_solve_its_own_point(self, e2_spec, config):
         reals = _reals(e2_spec, 3)
         objs = [ScalarizedObjective(weight=0.5, realization=r, parent=e2_spec) for r in reals]
         descents = solver.descend(objs, config)
         assert descents[0] is descents[1] is descents[2]
-        results = [solve_scalarized(o, config, d) for o, d in zip(objs, descents)]
-        assert results == [solve_scalarized(o, config) for o in objs]
+        results = [solve_scalarized(o, d) for o, d in zip(objs, descents)]
+        assert results == [solve_scalarized(o, solver.descend([o], config)[0]) for o in objs]
         assert len({res.point for res in results}) == 3
 
     def test_constrained_separable_spec_is_not_merged(self, e2_spec, config, monkeypatch):
@@ -128,15 +128,15 @@ class TestRowSharing:
         spec = dataclasses.replace(e2_spec, inequality_constraints=far_bound)
         rows = _DescentRows(monkeypatch)
         pp.compute_anchors_utopia(spec, _reals(spec, 3), config)
-        assert rows.rows == [2 * 3 * config.n_starts]
+        assert rows.rows == [2 * 3 * N_STARTS]
 
     def test_row_cap_splits_the_batch(self, e1_spec, config, monkeypatch):
         reals = _reals(e1_spec, 3)
         whole = pp.build_subproblem_front(e1_spec, reals, 5, config)
-        monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", 4 * config.n_starts)
+        monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", 4 * N_STARTS)
         rows = _DescentRows(monkeypatch)
         assert pp.build_subproblem_front(e1_spec, reals, 5, config) == whole
-        assert rows.rows == [4 * config.n_starts] * 3 + [3 * config.n_starts]
+        assert rows.rows == [4 * N_STARTS] * 3 + [3 * N_STARTS]
 
 
 class TestEvaluatorShapes:
@@ -225,7 +225,7 @@ FD_SPECS = {
 }
 
 
-def _fd_case(spec, rows_per_solve=6, fd_step=1e-7):
+def _fd_case(spec, rows_per_solve=6):
     """A batch of solves over several realizations and weights, and a point
     for every row of it: interior points, points on each face of the box
     (one-sided probes), and, for gen-nan, a point whose + probe is
@@ -233,7 +233,7 @@ def _fd_case(spec, rows_per_solve=6, fd_step=1e-7):
     reals = _reals(spec, 3)
     objs = [ScalarizedObjective(weight=w, realization=r, parent=spec)
             for r in reals for w in (0.0, 0.35, 1.0)]
-    batch = solver._Batch(objs, rows_per_solve, SolverConfig(fd_step=fd_step))
+    batch = solver._Batch(objs, rows_per_solve)
     lo, hi = spec.lower_bounds(), spec.upper_bounds()
     rng = np.random.default_rng(5)
     ys = lo + (hi - lo) * rng.random((len(objs) * rows_per_solve, spec.n_y))
@@ -275,8 +275,10 @@ class TestFdGradient:
         if name == "gen-nan":
             assert np.isnan(got[-1, 0]) and np.isfinite(got[-1, 1])
 
-    def test_step_is_the_configs(self, name):
-        batch, ys = _fd_case(FD_SPECS[name](), fd_step=1e-3)
+    def test_step_is_the_configs(self, name, monkeypatch):
+        # the step is solver.FD_STEP, read at each call
+        monkeypatch.setattr(solver, "FD_STEP", 1e-3)
+        batch, ys = _fd_case(FD_SPECS[name]())
         rows = np.arange(ys.shape[0])
         ref = _reference_fd_gradient(batch, ys, rows, None, 1e-3)
         assert batch._fd_gradient(ys, rows, None).tobytes() == ref.tobytes()
@@ -342,8 +344,8 @@ _YZ_FIELDS = ("objectives", "gradient", "inequality_constraints")
 def _z_evaluators(spec):
     """The evaluators of ``spec`` that take z, as functions of (ys, z)."""
     out = {f: getattr(spec, f) for f in _YZ_FIELDS if getattr(spec, f) is not None}
-    if spec.objective_offsets is not None:
-        out["objective_offsets"] = lambda ys, z: spec.objective_offsets(z)
+    if spec.name == "e2":  # the per-realization part of its separable objectives
+        out["_e2_offsets"] = lambda ys, z: benchmarks._e2_offsets(pp.TrussConstants(), z)
     return out
 
 
@@ -380,8 +382,8 @@ class TestStackedZ:
                 for r in _reals(spec, 4) for w in (0.0, 0.35, 1.0)]
         ys, _ = _mixed_rows(spec, 2 * len(objs))
         rows = np.arange(ys.shape[0])
-        batch = solver._Batch(objs, 2, SolverConfig())
-        alone = [solver._Batch([o], 2, SolverConfig()) for o in objs]
+        batch = solver._Batch(objs, 2)
+        alone = [solver._Batch([o], 2) for o in objs]
         for pc in (None, 1e8):
             got = batch.descent_value(ys, rows, pc), batch.gradient(ys, rows, pc)
             ref = (np.concatenate([b.descent_value(ys[2 * i:2 * i + 2], [0, 1], pc)
@@ -426,7 +428,7 @@ class TestOneVectorizedCallPerPass:
 
     def test_batch_pass_is_one_call(self):
         objs, calls = self._counted_e1()
-        batch = solver._Batch(objs, 3, SolverConfig())
+        batch = solver._Batch(objs, 3)
         ys, _ = _mixed_rows(objs[0].parent, 3 * len(objs))
         for rows in (np.arange(ys.shape[0]), np.arange(ys.shape[0])[::5]):
             before = dict(calls)
@@ -558,4 +560,4 @@ class TestMergedSpecReuse:
     def test_b1_runs_one_block_at_even_beta(self, config, monkeypatch):
         after, report = self._rows_after_a2(monkeypatch, _e2_k16(), 4, "ab")
         assert report.nlp.b1 > 1
-        assert after == [config.n_starts]
+        assert after == [N_STARTS]

@@ -166,8 +166,9 @@ class TestProblemSpecValidation:
         return (0.0, 0.0)
 
     def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            ProblemSpec("p", 1, ((1.0, 1.0),), ((0.0,),), self._objs)
+        for pair in ((1.0, 1.0), (1.0, 0.0), (-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="invalid bound pair"):
+                ProblemSpec("p", 1, (pair,), ((0.0,),), self._objs)
 
     def test_bounds_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -188,9 +189,7 @@ class TestProblemSpecValidation:
                 equality_constraints=lambda y, z: 0.0,
             )
 
-    def test_separable_pair_required_together(self):
-        with pytest.raises(ValueError):
-            ProblemSpec(
-                "p", 1, ((0.0, 1.0),), ((0.0,),), self._objs,
-                base_objectives=lambda y: (0.0, 0.0),
-            )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_discrete_values(self, value):
+        with pytest.raises(ValueError, match="discrete set 1 has non-finite values"):
+            ProblemSpec("p", 1, ((0.0, 1.0),), ((0.0,), (1.0, value)), self._objs)

@@ -1,11 +1,14 @@
 """Two-phase pipeline semantics on problems with known closed-form
-outcomes, plus solve accounting and the ignored ``workers`` keyword."""
+outcomes, Phase-A exactness on generated problems, plus solve accounting
+and the ignored ``workers`` keyword."""
 
 import dataclasses
 import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pareto_prune as pp
 from pareto_prune import (
@@ -19,7 +22,7 @@ from pareto_prune import (
     phase_b,
     run_pipeline,
 )
-from conftest import front_points
+from conftest import front_points, install_solve_log, make_fig_problem
 
 
 def _record(k, j1, j2):
@@ -299,3 +302,38 @@ class TestEpsilonDominance:
             + rep.beta * (len(rep.k1c) - len(rep.k1m))
         )
         assert rep.nlp.total == expected
+
+
+# per-realization (c1, c2, width) of a generated member of the fig family
+_fig_member = st.tuples(
+    st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.05, 2.0),
+)
+
+
+class TestGeneratedPhaseAExactness:
+    """Pipeline "a" gives the oracle's front on generated fig-family
+    problems: 2-6 realizations, each a shifted, scaled quadratic front.
+    Fronts are compared as sets of objective values, so realizations that
+    tie exactly may stand in for one another."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(params=st.lists(_fig_member, min_size=2, max_size=6))
+    def test_a_equals_oracle_and_counts_are_the_solves(self, params):
+        spec = make_fig_problem({float(i + 1): p for i, p in enumerate(params)})
+        beta = 5
+        with pytest.MonkeyPatch.context() as mp:
+            log = install_solve_log(mp)
+            rep = run_pipeline(spec, beta=beta, phases="a")
+            assert log.by_phase == _nlp_by_phase(rep)
+            assert log.calls == rep.nlp.total
+            log.reset()
+            orc = pp.oracle_front(spec, beta=beta)
+            assert log.by_phase == _nlp_by_phase(orc)
+        assert {s.point.as_tuple() for s in rep.front} == {s.point.as_tuple() for s in orc.front}
+        assert _nlp_by_phase(rep) == {
+            "a1": 2 * len(params),
+            "a2": beta * len(rep.k1m),
+            "b1": 0,
+            "b3": beta * (len(rep.k1u) - len(rep.k1m)),
+        }
+        assert _nlp_by_phase(orc) == {"a1": 0, "a2": 0, "b1": 0, "b3": beta * len(params)}

@@ -32,20 +32,25 @@ def _obj(spec, w, r=None):
     return ScalarizedObjective(weight=w, realization=r or _first_real(spec), parent=spec)
 
 
+def _solve(obj, config):
+    """One solve, finished from a descent of its own."""
+    return solve_scalarized(obj, solver.descend([obj], config)[0])
+
+
 class TestSolveScalarized:
     def test_e2_j1_anchor_pins_lower_bounds(self, e2_spec, config):
         reals = pp.enumerate_realizations(e2_spec)
         for r in (reals[0], reals[1234], reals[-1]):
-            res = solve_scalarized(_obj(e2_spec, 1.0, r), config)
+            res = _solve(_obj(e2_spec, 1.0, r), config)
             assert res.y_star == (2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
     def test_e2_j2_anchor_pins_upper_bounds(self, e2_spec, config):
-        res = solve_scalarized(_obj(e2_spec, 0.0), config)
+        res = _solve(_obj(e2_spec, 0.0), config)
         assert res.y_star == (10.0, 10.0, 10.0)
 
     def test_e1_half_weight_matches_grid_oracle(self, e1_spec, config):
         r = next(r for r in pp.enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
-        res = solve_scalarized(_obj(e1_spec, 0.5, r), config)
+        res = _solve(_obj(e1_spec, 0.5, r), config)
         assert res.scalar_value == pytest.approx(E1_Z00_HALF_SCALAR, abs=1e-6)
         assert res.y_star[0] == pytest.approx(E1_Z00_HALF_X, abs=1e-4)
 
@@ -57,8 +62,8 @@ class TestSolveScalarized:
 
     def test_determinism(self, e1_spec, config):
         r = _first_real(e1_spec)
-        a = solve_scalarized(_obj(e1_spec, 0.35, r), config)
-        b = solve_scalarized(_obj(e1_spec, 0.35, r), config)
+        a = _solve(_obj(e1_spec, 0.35, r), config)
+        b = _solve(_obj(e1_spec, 0.35, r), config)
         assert a == b
 
     def test_box_respected_exactly(self, e1_spec, e2_spec, config):
@@ -66,37 +71,39 @@ class TestSolveScalarized:
             lo = spec.lower_bounds()
             hi = spec.upper_bounds()
             for w in ws:
-                res = solve_scalarized(_obj(spec, w), config)
+                res = _solve(_obj(spec, w), config)
                 y = np.array(res.y_star)
                 assert np.all(y >= lo) and np.all(y <= hi)
 
     def test_best_of_all_starts(self, e1_spec, config):
         r = _first_real(e1_spec)
-        res = solve_scalarized(_obj(e1_spec, 0.5, r), config)
-        starts = _start_points(e1_spec.bounds, config.n_starts, config.seed)
+        res = _solve(_obj(e1_spec, 0.5, r), config)
+        starts = _start_points(e1_spec.bounds, solver.N_STARTS, config.seed)
         raw = e1_spec.objectives(starts, np.repeat([r.z], len(starts), axis=0))
         assert res.scalar_value <= float((0.5 * raw[:, 0] + 0.5 * raw[:, 1]).min()) + 1e-12
 
     def test_point_is_reevaluation(self, e2_spec, config):
-        res = solve_scalarized(_obj(e2_spec, 0.5), config)
+        res = _solve(_obj(e2_spec, 0.5), config)
         raw = e2_spec.objectives(np.array([res.y_star]), np.array([_first_real(e2_spec).z]))[0]
         assert res.point.j1 == raw[0] and res.point.j2 == raw[1]
 
-    def test_local_optimality_on_smooth_problems(self, e2_spec, quad_spec, config):
-        # projected finite-difference gradient is small at the solution,
-        # except in coordinates pinned at a bound
+    def test_local_optimality_on_smooth_problems(self, e2_spec, quad_spec, config,
+                                                 monkeypatch):
+        # projected finite-difference gradient (step 1e-6) is small at the
+        # solution, except in coordinates pinned at a bound
         for spec, w in ((e2_spec, 0.5), (e2_spec, 0.25), (quad_spec, 0.5)):
             obj = _obj(spec, w)
-            res = solve_scalarized(obj, config)
+            res = _solve(obj, config)
             y = np.array(res.y_star)
-            batch = _Batch([obj], 1, SolverConfig(fd_step=1e-6))
-            g = batch._fd_gradient(y[None, :], [0], None)[0]
+            with monkeypatch.context() as m:
+                m.setattr(solver, "FD_STEP", 1e-6)
+                g = _Batch([obj], 1)._fd_gradient(y[None, :], [0], None)[0]
             lo = spec.lower_bounds()
             hi = spec.upper_bounds()
             proj = y - np.clip(y - g, lo, hi)
             tol = 1e-4 * (1.0 + abs(res.scalar_value))
             for d in range(len(y)):
-                at_bound = min(y[d] - lo[d], hi[d] - y[d]) <= config.step_tol
+                at_bound = min(y[d] - lo[d], hi[d] - y[d]) <= solver.STEP_TOL
                 assert abs(proj[d]) <= tol or at_bound
 
 
@@ -112,7 +119,7 @@ class TestSolveCounter:
         assert solve_log.calls == 2
 
     def test_one_call_counts_one_despite_multistart(self, e2_spec, solve_log):
-        pp.compute_center(e2_spec, [_first_real(e2_spec)], SolverConfig(n_starts=16))[0]
+        pp.compute_center(e2_spec, [_first_real(e2_spec)], SolverConfig())[0]
         assert solve_log.calls == 1
 
     def test_concurrent_solves_count_and_match_serial(self, e1_spec, config):
@@ -120,10 +127,10 @@ class TestSolveCounter:
 
         reals = pp.enumerate_realizations(e1_spec)[:12]
         jobs = [(0.5, r) for r in reals]
-        serial = [solve_scalarized(_obj(e1_spec, w, r), config) for w, r in jobs]
+        serial = [_solve(_obj(e1_spec, w, r), config) for w, r in jobs]
         with ThreadPoolExecutor(max_workers=4) as ex:
             threaded = list(
-                ex.map(lambda wr: solve_scalarized(_obj(e1_spec, *wr), config), jobs)
+                ex.map(lambda wr: _solve(_obj(e1_spec, *wr), config), jobs)
             )
         assert threaded == serial
 
@@ -150,14 +157,14 @@ class TestStartPoints:
 
 class TestConstraintHandling:
     def test_active_constraint_reaches_feasibility(self, toy_spec, config):
-        res = solve_scalarized(_obj(toy_spec, 0.0), config)
+        res = _solve(_obj(toy_spec, 0.0), config)
         assert res.feasible
         assert res.y_star[0] == pytest.approx(0.25, abs=1e-6)
         assert res.point.j1 == pytest.approx(0.5625, abs=1e-5)
         assert res.point.j2 == pytest.approx(1.5625, abs=1e-5)
 
     def test_inactive_constraint_untouched(self, toy_spec, config):
-        res = solve_scalarized(_obj(toy_spec, 1.0), config)
+        res = _solve(_obj(toy_spec, 1.0), config)
         assert res.feasible
         assert res.y_star[0] == pytest.approx(1.0, abs=1e-7)
 
@@ -179,17 +186,17 @@ class TestNanHandling:
     def test_partial_nan_starts_discarded(self, config):
         spec = self._make_spec(lambda v: v > 0.5)
         r = _first_real(spec)
-        res = solve_scalarized(
+        res = _solve(
             ScalarizedObjective(weight=1.0, realization=r, parent=spec), config
         )
-        assert res.starts_used < config.n_starts
+        assert res.starts_used < solver.N_STARTS
         assert res.scalar_value == pytest.approx(0.0, abs=1e-9)
 
     def test_all_nan_raises_and_counts(self, config, solve_log):
         spec = self._make_spec(lambda v: v >= -1.0)
         r = _first_real(spec)
         with pytest.raises(InfeasibleError):
-            solve_scalarized(
+            _solve(
                 ScalarizedObjective(weight=1.0, realization=r, parent=spec), config
             )
         assert pp.compute_center(spec, [r], config) == [None]
@@ -197,17 +204,11 @@ class TestNanHandling:
 
 
 class TestSolverConfigValidation:
-    def test_positive_fields(self):
-        with pytest.raises(ValueError):
-            SolverConfig(n_starts=0)
-        with pytest.raises(ValueError):
-            SolverConfig(step_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(penalty_coefficient=-1.0)
+    def test_seed_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["seed"]
 
     @pytest.mark.parametrize("field, value", [
-        ("n_starts", float("nan")), ("n_starts", 2.5), ("max_iters", float("nan")),
-        ("max_iters", True), ("seed", float("nan")), ("seed", 3.0), ("seed", "3"),
+        ("seed", float("nan")), ("seed", 3.0), ("seed", "3"),
     ])
     def test_integer_fields(self, field, value):
         message = re.escape(f"{field} must be an integer, got {value!r}")
@@ -215,14 +216,8 @@ class TestSolverConfigValidation:
             SolverConfig(**{field: value})
 
     def test_numpy_integers_are_integers(self):
-        config = SolverConfig(n_starts=np.int64(4), max_iters=np.int32(7), seed=np.uint8(3))
-        assert (config.n_starts, config.max_iters, config.seed) == (4, 7, 3)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("field", ["step_tol", "fd_step", "feas_tol", "penalty_coefficient"])
-    def test_non_finite_fields(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
-            SolverConfig(**{field: value})
+        assert SolverConfig(seed=np.uint8(3)).seed == 3
+        assert SolverConfig(seed=np.int64(4)).seed == 4
 
 
 class TestFinish:
@@ -239,17 +234,20 @@ class TestFinish:
         obj = _obj(dataclasses.replace(toy_spec, inequality_constraints=logged), 1.0)
         descent = solver.descend([obj], config)[0]
         calls.clear()
-        res = solve_scalarized(obj, config, descent)
+        res = solve_scalarized(obj, descent)
         assert res.feasible
         assert len(calls) == 1
         assert calls[0].tolist() == [list(res.y_star)]
 
     @pytest.mark.parametrize("pc", [1.0, 1e6, 3e9])
     def test_config_penalty_is_the_descent_penalty(self, toy_spec, pc):
-        # y = -1 violates 0.25 - y <= 0 by 1.25
+        # y = -1 violates 0.25 - y <= 0 by 1.25; without a coefficient the
+        # descent penalizes with PENALTY_COEFFICIENT (1e6)
         obj = _obj(toy_spec, 0.3)
         ys = np.array([[-1.0], [0.5]])
-        batch = _Batch([obj], 2, SolverConfig(penalty_coefficient=pc))
+        batch = _Batch([obj], 2)
         raw = toy_spec.objectives(ys, np.repeat([obj.realization.z], 2, axis=0))
         want = 0.3 * raw[:, 0] + 0.7 * raw[:, 1] + pc * np.array([1.25 ** 2, 0.0])
-        assert batch.descent_value(ys, np.arange(2)).tolist() == want.tolist()
+        assert batch.descent_value(ys, np.arange(2), pc).tolist() == want.tolist()
+        if pc == solver.PENALTY_COEFFICIENT:
+            assert batch.descent_value(ys, np.arange(2)).tolist() == want.tolist()
