@@ -48,7 +48,6 @@ from .solver import (
     ScalarizedObjective,
     SolverConfig,
     SolveResult,
-    solve_scalarized,
 )
 
 __version__ = "0.1.0"
@@ -90,6 +89,5 @@ __all__ = [
     "phase_b",
     "realization_from_index",
     "run_pipeline",
-    "solve_scalarized",
     "weakly_dominates",
 ]

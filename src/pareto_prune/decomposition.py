@@ -2,7 +2,7 @@
 points, center points, and weighted-sum subproblem fronts.  Each
 operation takes an optional ``descents`` table (see
 :func:`~pareto_prune.solver.descend`): operations that share one reuse
-each other's local descents."""
+each other's local descents and finished solves."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from .solver import (
     SolverConfig,
     SolveResult,
     descend,
+    finish,
     solve_scalarized,
 )
 
@@ -112,14 +113,15 @@ def _solve_all(
     descents: dict | None = None,
 ) -> list[SolveResult | None]:
     """One counted solve per (realization, weight) job, with the descents
-    of all of them run as one batch, less those ``descents`` (a
-    :func:`~pareto_prune.solver.descend` table) already holds; None where
-    a solve raises InfeasibleError."""
+    of all of them run as one batch and finished as one batch, less those
+    ``descents`` (a :func:`~pareto_prune.solver.descend` table) already
+    holds; None where a solve raises InfeasibleError."""
     objs = [ScalarizedObjective(weight=w, realization=r, parent=spec) for r, w in jobs]
+    finished = finish(objs, descend(objs, config, descents=descents), table=descents)
     out: list[SolveResult | None] = []
-    for obj, descent in zip(objs, descend(objs, config, descents=descents)):
+    for obj, row in zip(objs, finished):
         try:
-            out.append(solve_scalarized(obj, descent))
+            out.append(solve_scalarized(obj, row))
         except InfeasibleError:
             out.append(None)
     return out

@@ -3,10 +3,11 @@
 One call to :func:`solve_scalarized` is one NLP in the pipeline's solve
 accounting, regardless of how many local descents run inside it.  The
 local descents of many solves run in lockstep in one batch
-(:func:`descend`); every row of a batch evolves on its own, so a solve's
-result does not depend on the batch it ran in.  The solver is
-deterministic: identical arguments (including the seed) give
-bitwise-identical results.
+(:func:`descend`), and the batch is finished in one pass (:func:`finish`):
+winners, penalty escalation and objectives.  Every row of a batch evolves
+on its own, so a solve's result does not depend on the batch it ran in.
+The solver is deterministic: identical arguments (including the seed)
+give bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "descend",
+    "finish",
     "solve_scalarized",
 ]
 
@@ -37,7 +39,7 @@ MAX_ITERS = 500  # descent steps per row
 STEP_TOL = 1e-10  # a row stops once an accepted step moves no coordinate further
 FD_STEP = 1e-7  # relative finite-difference step
 FEAS_TOL = 1e-8  # largest constraint value a feasible point may have
-PENALTY_COEFFICIENT = 1e6  # exterior penalty, escalated x100 up to 4 times in a finish
+PENALTY_COEFFICIENT = 1e6  # exterior penalty; a finish escalates it x100, up to 4 rounds
 
 _ARMIJO = 1e-4
 _STEP_GROWTH = 2.0
@@ -333,7 +335,7 @@ def descend(objs: Sequence[ScalarizedObjective], config: SolverConfig, *,
     """Local descents of several solves of one problem from the multistart
     set, in lockstep: one ``_descent`` call for all of them, or several of
     at most MAX_DESCENT_ROWS rows each.  Returns, per solve, the best point
-    and value reached from each start, for :func:`solve_scalarized`.
+    and value reached from each start, for :func:`finish`.
 
     A descent depends only on its key: the weight alone when the problem
     separates (``base_objectives``) and has no constraints, else the
@@ -371,46 +373,80 @@ def descend(objs: Sequence[ScalarizedObjective], config: SolverConfig, *,
     return [descents[key] for key in keys]
 
 
-def solve_scalarized(obj: ScalarizedObjective,
-                     descent: tuple[np.ndarray, np.ndarray]) -> SolveResult:
-    """Minimize a scalarized subproblem over its box.
-
-    Picks the best point the local descents from the deterministic
-    multistart set reached; ``descent`` is this solve's entry of a
-    :func:`descend` call.  Counts as exactly one solve.  When constraints
-    remain violated beyond FEAS_TOL, the penalty coefficient is escalated
-    and the descent continued from the incumbent (still the same single
-    counted solve).
+def finish(objs: Sequence[ScalarizedObjective],
+           entries: Sequence[tuple[np.ndarray, np.ndarray]], *,
+           table: dict | None = None) -> list[tuple | None]:
+    """Finish several solves of one problem from their :func:`descend`
+    entries, MAX_DESCENT_ROWS solves at a time.  Returns, per solve, the
+    row (y*, j1, j2, scalar value, feasible, starts used) that
+    :func:`solve_scalarized` turns into its result, or None where no start
+    reached a finite value.  A finished solve depends only on its weight
+    and realization; ``table``, the run's :func:`descend` table, keeps it
+    under the key (weight, realization, "finished"), so a solve that an
+    earlier phase finished is looked up instead of finished again.
     """
-    best_x, best_f = descent
-    usable = np.isfinite(best_f)
-    starts_used = int(usable.sum())
-    if starts_used == 0:
-        raise InfeasibleError(
-            f"all {N_STARTS} starts produced non-finite values for "
-            f"subproblem k={obj.realization.k} (w={obj.weight})"
-        )
-    spec = obj.parent
-    y = best_x[[int(np.argmin(best_f))]]  # (1, n_y); _descent keeps rows inside the box
-    z = np.array([obj.realization.z], dtype=float)
+    table = {} if table is None else table
+    keys = [(o.weight, o.realization, "finished") for o in objs]
+    todo = [i for i, key in enumerate(keys) if key not in table]
+    for a in range(0, len(todo), MAX_DESCENT_ROWS):
+        part = todo[a:a + MAX_DESCENT_ROWS]
+        rows = _finish([objs[i] for i in part], [entries[i] for i in part])
+        table.update(zip([keys[i] for i in part], rows))
+    return [table[key] for key in keys]
+
+
+def _finish(objs: list[ScalarizedObjective],
+            entries: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple | None]:
+    """The finish of each solve with a usable start: the best point its
+    descents reached and, on a constrained problem, the constraints at all
+    those winners in one evaluator pass.  Winners that violate them beyond
+    FEAS_TOL descend again from where they stand, in lockstep, with the
+    penalty multiplied by 100, for up to 4 rounds; ``_descent`` returns a
+    row whose value there is not finite unmoved, so it keeps its
+    incumbent.  Then one pass gives the objectives of all winners."""
+    spec = objs[0].parent
+    fs = np.stack([f for _, f in entries])  # (n_solves, N_STARTS)
+    win = fs.argmin(axis=1).tolist()
+    used = np.isfinite(fs).sum(axis=1)
+    ok = np.flatnonzero(used)
+    out: list[tuple | None] = [None] * len(objs)
+    if ok.size == 0:
+        return out
+    sel = [objs[i] for i in ok]
+    y = np.stack([entries[i][0][win[i]] for i in ok])  # _descent keeps rows inside the box
+    z = np.array([o.realization.z for o in sel], dtype=float)
     g = None
     if spec.inequality_constraints is not None:
         g = _evaluate(spec, "inequality_constraints", y, z)
         pc = PENALTY_COEFFICIENT
         for _ in range(4):
-            if np.clip(g, 0.0, None).max() <= FEAS_TOL:
+            bad = np.flatnonzero(~(np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL))
+            if bad.size == 0:
                 break
             pc *= 100.0
-            y_new, f_new = _descent(_Batch([obj], 1), y, penalty_coefficient=pc)
-            if np.isfinite(f_new[0]):
-                y = y_new
-                g = _evaluate(spec, "inequality_constraints", y, z)
-
+            y[bad] = _descent(_Batch([sel[i] for i in bad], 1), y[bad],
+                              penalty_coefficient=pc)[0]
+            g[bad] = _evaluate(spec, "inequality_constraints", y[bad], z[bad])
     raw = _evaluate(spec, "objectives", y, z)
-    return SolveResult(
-        y_star=tuple(float(v) for v in y[0]),
-        scalar_value=float(_scalarize(obj.weight, raw, g, PENALTY_COEFFICIENT)[0]),
-        point=ObjectivePoint(float(raw[0, 0]), float(raw[0, 1])),
-        feasible=g is None or bool(np.clip(g, 0.0, None).max() <= FEAS_TOL),
-        starts_used=starts_used,
-    )
+    value = _scalarize(np.array([o.weight for o in sel], dtype=float), raw, g,
+                       PENALTY_COEFFICIENT)
+    feasible = (np.ones(len(sel), dtype=bool) if g is None
+                else np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL)
+    for i, yi, (j1, j2), v, fe, u in zip(ok.tolist(), y.tolist(), raw.tolist(), value.tolist(),
+                                         feasible.tolist(), used[ok].tolist()):
+        out[i] = (tuple(yi), j1, j2, v, fe, u)
+    return out
+
+
+def solve_scalarized(obj: ScalarizedObjective, finished: tuple | None) -> SolveResult:
+    """Minimize a scalarized subproblem over its box: the result of ``obj``
+    from its :func:`finish` row.  Counts as exactly one solve, however
+    many descents and penalty escalations ran for it or were shared."""
+    if finished is None:
+        raise InfeasibleError(
+            f"all {N_STARTS} starts produced non-finite values for "
+            f"subproblem k={obj.realization.k} (w={obj.weight})"
+        )
+    y, j1, j2, value, feasible, starts_used = finished
+    return SolveResult(y_star=y, scalar_value=value, point=ObjectivePoint(j1, j2),
+                       feasible=feasible, starts_used=starts_used)

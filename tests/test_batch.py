@@ -3,8 +3,10 @@ the same operation one realization at a time, solves that separable
 problems share run once, evaluator results are shape-checked, a
 finite-difference gradient is one stacked evaluation bitwise equal to the
 per-dimension loop, a scalar evaluator gets each row's own z, a
-vectorized one gets every row's z stacked in one call, and the phases of
-a run share one table of descents without changing any result."""
+vectorized one gets every row's z stacked in one call, the phases of a
+run share one table of descents and finished solves without changing any
+result, and the finish of a batch (winners, penalty escalation,
+objectives) equals finishing each solve alone while doing less work."""
 
 import dataclasses
 import math
@@ -15,7 +17,9 @@ import pytest
 import pareto_prune as pp
 from pareto_prune import benchmarks, decomposition, pipeline, solver
 from pareto_prune.solver import N_STARTS, ScalarizedObjective, solve_scalarized
-from conftest import make_fig_problem
+from conftest import load_perfbench, make_fig_problem
+
+(workloads,) = load_perfbench("workloads")
 
 # (c1, c2, scale, u) per discrete value, as in a generated problem: the
 # weighted-sum optimum is y = (w, 1 - w), and y1 - y2 <= u binds near w = 1
@@ -91,14 +95,17 @@ class TestListEqualsOneAtATime:
 
 
 class _DescentRows:
-    """Counts the calls of ``solver._descent`` and the rows of each."""
+    """Counts the calls of ``solver._descent``, the rows of each and the
+    penalty coefficient each was given."""
 
     def __init__(self, monkeypatch):
         self.rows: list[int] = []
+        self.penalties: list[float | None] = []
         descent = solver._descent
 
         def counted(obj, x0, *, penalty_coefficient=None):
             self.rows.append(np.shape(x0)[0])
+            self.penalties.append(penalty_coefficient)
             return descent(obj, x0, penalty_coefficient=penalty_coefficient)
 
         monkeypatch.setattr(solver, "_descent", counted)
@@ -117,8 +124,9 @@ class TestRowSharing:
         objs = [ScalarizedObjective(weight=0.5, realization=r, parent=e2_spec) for r in reals]
         descents = solver.descend(objs, config)
         assert descents[0] is descents[1] is descents[2]
-        results = [solve_scalarized(o, d) for o, d in zip(objs, descents)]
-        assert results == [solve_scalarized(o, solver.descend([o], config)[0]) for o in objs]
+        results = [solve_scalarized(o, row) for o, row in zip(objs, solver.finish(objs, descents))]
+        assert results == [solve_scalarized(o, solver.finish([o], solver.descend([o], config))[0])
+                           for o in objs]
         assert len({res.point for res in results}) == 3
 
     def test_constrained_separable_spec_is_not_merged(self, e2_spec, config, monkeypatch):
@@ -516,11 +524,36 @@ class TestDescentTable:
     def test_run_equals_run_that_ignores_the_table(self, name, phases, monkeypatch):
         spec = REUSE_SPECS[name]()
         shared = pp.run_pipeline(spec, beta=5, phases=phases)
-        descend = solver.descend
+        descend, finish = solver.descend, solver.finish
         monkeypatch.setattr(decomposition, "descend",
                             lambda objs, config, descents=None: descend(objs, config))
+        monkeypatch.setattr(decomposition, "finish",
+                            lambda objs, entries, table=None: finish(objs, entries))
         alone = pp.run_pipeline(spec, beta=5, phases=phases)
         assert _report_text(shared) == _report_text(alone)
+
+    def test_table_finishes_each_solve_once(self, name, config, monkeypatch):
+        spec = REUSE_SPECS[name]()
+        reals = _reals(spec, 3)
+        table: dict = {}
+        anchors = _objs(spec, reals, (1.0, 0.0))
+        first = solver.finish(anchors, solver.descend(anchors, config, descents=table),
+                              table=table)
+        finished: list[int] = []
+        _finish = solver._finish
+
+        def counted(objs, entries):
+            finished.append(len(objs))
+            return _finish(objs, entries)
+
+        monkeypatch.setattr(solver, "_finish", counted)
+        later = _objs(spec, reals, (0.0, 0.5, 1.0))
+        got = solver.finish(later, solver.descend(later, config, descents=table), table=table)
+        assert finished == [len(reals)]  # the w = 0.5 solves; the anchors are looked up
+        assert all(got[3 * i] is first[2 * i + 1] and got[3 * i + 2] is first[2 * i]
+                   for i in range(len(reals)))
+        monkeypatch.setattr(solver, "_finish", _finish)
+        assert repr(got) == repr(_finished_alone(later, config))
 
     def test_descents_are_read_only(self, name, config):
         spec = REUSE_SPECS[name]()
@@ -561,3 +594,138 @@ class TestMergedSpecReuse:
         after, report = self._rows_after_a2(monkeypatch, _e2_k16(), 4, "ab")
         assert report.nlp.b1 > 1
         assert after == [N_STARTS]
+
+
+# --- one finish per batch: winners, escalation and objectives in one pass -----------
+
+def _finished_alone(objs, config):
+    """Each solve of ``objs`` descended and finished on its own."""
+    return [solver.finish([o], solver.descend([o], config))[0] for o in objs]
+
+
+def _gen_constrained():
+    """The benchmark's generated problem, seed 0: scalar evaluators, finite
+    differences, and a constraint that binds at w = 1 for two of its seven
+    realizations."""
+    return workloads.build_spec("gen-constrained", 0)
+
+
+FINISH_SPECS = {
+    "toy-constrained": REUSE_SPECS["toy-constrained"],
+    "gen-constrained": _gen_constrained,
+    "e2": pp.make_e2,
+}
+
+
+def _one_y_spec(name, discrete_values, objectives=None, constraints=None):
+    """A problem in y in [0, 1] with objectives (y^2, (y - 1)^2) unless given."""
+    def quadratic(y, z):
+        v = np.asarray(y, dtype=float)[..., 0]
+        return np.stack([v ** 2, (v - 1.0) ** 2], axis=-1)
+
+    return pp.ProblemSpec(name=name, n_y=1, bounds=((0.0, 1.0),),
+                          discrete_sets=(discrete_values,), objectives=objectives or quadratic,
+                          inequality_constraints=constraints, vectorized=True)
+
+
+class TestBatchedFinish:
+    @pytest.mark.parametrize("name", sorted(FINISH_SPECS))
+    def test_batch_equals_each_solve_alone(self, name, config, monkeypatch):
+        spec = FINISH_SPECS[name]()
+        objs = _objs(spec, _reals(spec, 7), (1.0, 0.5, 0.0))
+        entries = solver.descend(objs, config)
+        rows = _DescentRows(monkeypatch)
+        batched = solver.finish(objs, entries)
+        if spec.inequality_constraints is None:  # e2: solves of one weight share rows
+            assert entries[0] is entries[3] and rows.penalties == []
+        else:  # penalty escalation ran, one _descent call per round
+            assert rows.penalties[0] == 1e8
+            assert rows.penalties == [1e8 * 100.0 ** i for i in range(len(rows.penalties))]
+        assert None not in batched
+        assert repr(batched) == repr(_finished_alone(objs, config))
+
+    def test_unusable_solve_is_none_alone(self, config):
+        def half_nan(y, z):
+            v = np.asarray(y, dtype=float)[..., 0]
+            j1 = np.where(np.asarray(z, dtype=float)[..., 0] == 1.0, np.nan, v ** 2)
+            return np.stack([j1, (v - 1.0) ** 2], axis=-1)
+
+        spec = _one_y_spec("half-nan", (0.0, 1.0, 2.0), objectives=half_nan)
+        objs = _objs(spec, pp.enumerate_realizations(spec), (1.0, 0.5))
+        rows = solver.finish(objs, solver.descend(objs, config))
+        assert [row is None for row in rows] == [o.realization.z == (1.0,) for o in objs]
+        assert repr(rows) == repr(_finished_alone(objs, config))
+        with pytest.raises(pp.InfeasibleError):
+            solve_scalarized(objs[2], rows[2])
+        assert solve_scalarized(objs[0], rows[0]).feasible
+
+    def test_escalation_keeps_a_row_whose_value_overflows(self, config, monkeypatch):
+        # z = 0: y >= 0.5 binds at w = 1, and one round moves the winner onto
+        # it.  z = 1: g is 3e150 everywhere, so the value is finite under the
+        # base penalty (about 9e306) and inf under every escalated one; that
+        # row keeps the winner of its descents and ends infeasible.
+        def cons(y, z):
+            v = np.asarray(y, dtype=float)[..., 0]
+            return np.where(np.asarray(z, dtype=float)[..., 0] == 1.0, 3e150, 0.5 - v)[..., None]
+
+        spec = _one_y_spec("overflow", (0.0, 1.0), constraints=cons)
+        objs = _objs(spec, pp.enumerate_realizations(spec), (1.0,))
+        with np.errstate(over="ignore"):
+            entries = solver.descend(objs, config)
+            rows = _DescentRows(monkeypatch)
+            batched = solver.finish(objs, entries)
+            monkeypatch.undo()
+            alone = _finished_alone(objs, config)
+        assert repr(batched) == repr(alone)
+        assert rows.penalties == [1e8, 1e10, 1e12, 1e14]
+        assert rows.rows == [2, 1, 1, 1]
+        bound, overflow = (solve_scalarized(o, row) for o, row in zip(objs, batched))
+        assert bound.feasible and bound.y_star[0] == pytest.approx(0.5, abs=1e-6)
+        x, f = entries[1]
+        assert not overflow.feasible
+        assert overflow.y_star == tuple(x[int(np.argmin(f))])
+
+
+class TestFinishWork:
+    def test_gen_constrained_escalates_in_one_call(self, monkeypatch):
+        # A-1 escalates the two binding w = 1 solves in one lockstep round;
+        # B-3 looks up the one of them it poses instead of escalating again
+        spec = _gen_constrained()
+        rows = _DescentRows(monkeypatch)
+        report = workloads.run("gen-constrained", spec, 0)
+        assert report.nlp.b3 > 0
+        assert [pc for pc in rows.penalties if pc is not None] == [1e8]
+        assert rows.rows[rows.penalties.index(1e8)] == 2
+        assert sum(rows.rows) == 434
+
+    def test_e2_ab_evaluates_objectives_once_per_phase(self, monkeypatch):
+        spec = workloads.build_spec("e2-ab", 0)
+        calls = [0]
+        objectives = spec.objectives
+
+        def counted(ys, zs):
+            calls[0] += 1
+            return objectives(ys, zs)
+
+        spec = dataclasses.replace(spec, objectives=counted)
+        per_phase: list[int] = []
+        depth = [0]
+
+        def phase(fn):
+            def wrapper(*args, **kwargs):
+                before = calls[0]
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+                    if depth[0] == 0:
+                        per_phase.append(calls[0] - before)
+            return wrapper
+
+        for attr in ("compute_anchors_utopia", "build_master_front", "compute_center",
+                     "build_subproblem_front"):
+            monkeypatch.setattr(pipeline, attr, phase(getattr(pipeline, attr)))
+        workloads.run("e2-ab", spec, 0)
+        assert len(per_phase) == 4  # A-1, A-2, B-1, B-3
+        assert max(per_phase) <= 1 and sum(per_phase) == calls[0]

@@ -33,8 +33,8 @@ def _obj(spec, w, r=None):
 
 
 def _solve(obj, config):
-    """One solve, finished from a descent of its own."""
-    return solve_scalarized(obj, solver.descend([obj], config)[0])
+    """One solve, descended and finished on its own."""
+    return solve_scalarized(obj, solver.finish([obj], solver.descend([obj], config))[0])
 
 
 class TestSolveScalarized:
@@ -222,22 +222,25 @@ class TestSolverConfigValidation:
 
 class TestFinish:
     def test_constraints_evaluated_once_at_the_final_point(self, toy_spec, config):
-        # w = 1 ends at y = 1, where the constraint y >= 0.25 is inactive:
-        # no escalation (which would evaluate g at a second point), so the
-        # finish needs g at its one final point only
+        # w >= 0.75 ends at y = 2w - 1 >= 0.5, where the constraint y >= 0.25
+        # is inactive: no escalation (which would evaluate g at further
+        # points), so the finish of the whole batch is one constraint pass
+        # at its winners
         calls: list[np.ndarray] = []
 
         def logged(y, z):
             calls.append(np.array(y))
             return toy_spec.inequality_constraints(y, z)
 
-        obj = _obj(dataclasses.replace(toy_spec, inequality_constraints=logged), 1.0)
-        descent = solver.descend([obj], config)[0]
+        spec = dataclasses.replace(toy_spec, inequality_constraints=logged,
+                                   discrete_sets=((0.0, 1.0, 2.0),))
+        objs = [_obj(spec, w, r) for r in pp.enumerate_realizations(spec) for w in (0.75, 1.0)]
+        entries = solver.descend(objs, config)
         calls.clear()
-        res = solve_scalarized(obj, descent)
-        assert res.feasible
+        results = [solve_scalarized(o, row) for o, row in zip(objs, solver.finish(objs, entries))]
+        assert all(res.feasible for res in results)
         assert len(calls) == 1
-        assert calls[0].tolist() == [list(res.y_star)]
+        assert calls[0].tolist() == [list(res.y_star) for res in results]
 
     @pytest.mark.parametrize("pc", [1.0, 1e6, 3e9])
     def test_config_penalty_is_the_descent_penalty(self, toy_spec, pc):
