@@ -34,7 +34,6 @@ from .decomposition import (
 )
 from .pipeline import (
     NlpCounts,
-    PhaseAResult,
     PipelineError,
     PruneReport,
     build_master_front,
@@ -43,12 +42,7 @@ from .pipeline import (
     phase_b,
     run_pipeline,
 )
-from .solver import (
-    InfeasibleError,
-    ScalarizedObjective,
-    SolverConfig,
-    SolveResult,
-)
+from .solver import InfeasibleError, SolverConfig
 
 __version__ = "0.1.0"
 
@@ -58,14 +52,11 @@ __all__ = [
     "NlpCounts",
     "ObjectivePoint",
     "ParetoSolution",
-    "PhaseAResult",
     "PipelineError",
     "ProblemSpec",
     "PruneReport",
     "REGISTRY",
     "Realization",
-    "ScalarizedObjective",
-    "SolveResult",
     "SolverConfig",
     "Status",
     "SubproblemRecord",

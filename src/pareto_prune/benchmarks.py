@@ -123,14 +123,15 @@ def _e2_offsets(consts: TrussConstants, z):
     z = np.asarray(z, dtype=float)
     a = consts.a
     b = consts.b
-    # fsum per row: exact, order-independent sums keep realizations that
-    # are objective-identical by symmetry bitwise identical
-    out = [
-        (consts.length_scale * math.fsum(a[3 + j] * r[j] for j in range(6)),
-         consts.load_modulus_scale * math.fsum(b[3 + j] / r[j] for j in range(6)))
-        for r in z.reshape(-1, 6).tolist()
-    ]
-    return np.array(out).reshape(z.shape[:-1] + (2,))
+    # fsum per distinct row: exact, order-independent sums keep realizations
+    # that are objective-identical by symmetry bitwise identical
+    rows = list(map(tuple, z.reshape(-1, 6).tolist()))
+    sums = {
+        r: (consts.length_scale * math.fsum(a[3 + j] * r[j] for j in range(6)),
+            consts.load_modulus_scale * math.fsum(b[3 + j] / r[j] for j in range(6)))
+        for r in dict.fromkeys(rows)
+    }
+    return np.array([sums[r] for r in rows]).reshape(z.shape[:-1] + (2,))
 
 
 def _e2_objectives(consts: TrussConstants, y, z):

@@ -1,11 +1,12 @@
 """Realization enumeration and per-subproblem solves: anchors, utopia
 points, center points, and weighted-sum subproblem fronts.  Each
 operation takes an optional ``descents`` table (see
-:func:`~pareto_prune.solver.descend`): operations that share one reuse
-each other's local descents and finished solves."""
+:func:`~pareto_prune.solver.solve_batch`): operations that share one reuse
+each other's finished solves and shared descents."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -16,8 +17,7 @@ from .solver import (
     ScalarizedObjective,
     SolverConfig,
     SolveResult,
-    descend,
-    finish,
+    solve_batch,
     solve_scalarized,
 )
 
@@ -69,17 +69,18 @@ def _set_sizes(spec: ProblemSpec) -> list[int]:
     return [len(zs) for zs in spec.discrete_sets]
 
 
-def enumerate_realizations(
-    spec: ProblemSpec, cap: int = DEFAULT_REALIZATION_CAP
-) -> list[Realization]:
+def enumerate_realizations(spec: ProblemSpec) -> list[Realization]:
     """All realizations of the discrete product set, in lexicographic
-    order with the last variable varying fastest; k runs 1..|Z|."""
+    order with the last variable varying fastest; k runs 1..|Z|.  More
+    than DEFAULT_REALIZATION_CAP of them raise CapacityExceeded."""
     if spec.n_z < 1:
         raise ValueError("problem has no discrete variables to enumerate")
     total = math.prod(_set_sizes(spec))
-    if total > cap:
-        raise CapacityExceeded(f"{total} realizations exceed the cap of {cap}")
-    return [realization_from_index(spec, k) for k in range(1, total + 1)]
+    if total > DEFAULT_REALIZATION_CAP:
+        raise CapacityExceeded(
+            f"{total} realizations exceed the cap of {DEFAULT_REALIZATION_CAP}")
+    return [Realization(k=k, z=z)
+            for k, z in enumerate(itertools.product(*spec.discrete_sets), 1)]
 
 
 def realization_from_index(spec: ProblemSpec, k: int) -> Realization:
@@ -112,23 +113,18 @@ def _solve_all(
     spec: ProblemSpec, jobs: list[tuple[Realization, float]], config: SolverConfig, *,
     descents: dict | None = None,
 ) -> list[SolveResult | None]:
-    """One counted solve per (realization, weight) job, with the descents
-    of all of them run as one batch and finished as one batch, less those
-    ``descents`` (a :func:`~pareto_prune.solver.descend` table) already
-    holds; None where a solve raises InfeasibleError."""
+    """One counted solve per (realization, weight) job, all of them one
+    :func:`~pareto_prune.solver.solve_batch` call that reuses what the
+    run's ``descents`` table holds; None where a solve raises
+    InfeasibleError."""
     objs = [ScalarizedObjective(weight=w, realization=r, parent=spec) for r, w in jobs]
-    finished = finish(objs, descend(objs, config, descents=descents), table=descents)
     out: list[SolveResult | None] = []
-    for obj, row in zip(objs, finished):
+    for obj, res in zip(objs, solve_batch(objs, config, descents)):
         try:
-            out.append(solve_scalarized(obj, row))
+            out.append(solve_scalarized(obj, res))
         except InfeasibleError:
             out.append(None)
     return out
-
-
-def _solution(r: Realization, res: SolveResult, provenance: str) -> ParetoSolution:
-    return ParetoSolution(y=res.y_star, realization=r, point=res.point, provenance=provenance)
 
 
 def compute_anchors_utopia(
@@ -146,7 +142,8 @@ def compute_anchors_utopia(
         rec = SubproblemRecord(realization=r)
         pair = results[2 * i:2 * i + 2]
         rec.anchor1, rec.anchor2 = (
-            None if res is None else _solution(r, res, tag)
+            None if res is None
+            else ParetoSolution(y=res.y_star, realization=r, point=res.point, provenance=tag)
             for res, tag in zip(pair, ("anchor1", "anchor2"))
         )
         if all(res is not None and res.feasible for res in pair):
@@ -167,7 +164,8 @@ def compute_center(
     infeasible."""
     results = _solve_all(spec, [(r, 0.5) for r in reals], config, descents=descents)
     return [
-        None if res is None or not res.feasible else _solution(r, res, "center")
+        None if res is None or not res.feasible
+        else ParetoSolution(y=res.y_star, realization=r, point=res.point, provenance="center")
         for r, res in zip(reals, results)
     ]
 
@@ -190,7 +188,7 @@ def build_subproblem_front(
     fronts: list[list[ParetoSolution] | None] = []
     for j, r in enumerate(reals):
         sols = [
-            _solution(r, res, f"w{i}")
+            ParetoSolution(y=res.y_star, realization=r, point=res.point, provenance=f"w{i}")
             for i, res in enumerate(results[j * beta:(j + 1) * beta])
             if res is not None and res.feasible
         ]

@@ -302,12 +302,13 @@ def run_pipeline(
     a fixed number of solves, so the counts follow from the sets.
 
     Each phase poses its solves as one batched operation over its
-    realizations, in this process: their local descents run in lockstep
-    and are finished in one pass.  The phases share one table of
-    descents and finished solves (see :func:`~pareto_prune.solver.descend`
-    and :func:`~pareto_prune.solver.finish`), so what an earlier phase ran
-    is looked up, not run again; every solve is still counted on its own.
-    The table is dropped when the run returns.
+    realizations, in this process: one
+    :func:`~pareto_prune.solver.solve_batch` call, whose local descents
+    run in lockstep and are finished in one pass.  The phases share one
+    table of finished solves, and of the descents solves of one weight
+    share on a separable problem, so what an earlier phase ran is looked
+    up, not run again; every solve is still counted on its own.  The
+    table is dropped when the run returns.
     ``workers`` is accepted and has no effect: every run is serial.
     """
     if phases not in ("ab", "a", "none"):

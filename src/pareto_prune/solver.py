@@ -2,10 +2,11 @@
 
 One call to :func:`solve_scalarized` is one NLP in the pipeline's solve
 accounting, regardless of how many local descents run inside it.  The
-local descents of many solves run in lockstep in one batch
-(:func:`descend`), and the batch is finished in one pass (:func:`finish`):
-winners, penalty escalation and objectives.  Every row of a batch evolves
-on its own, so a solve's result does not depend on the batch it ran in.
+solves of one phase are one :func:`solve_batch` call: their local
+descents run in lockstep in one batch, and the batch is finished in one
+pass: winners, penalty escalation and objectives.  Every row of a batch
+evolves on its own, so a solve's result does not depend on the batch it
+ran in.
 The solver is deterministic: identical arguments (including the seed)
 give bitwise-identical results.
 """
@@ -26,8 +27,7 @@ __all__ = [
     "ScalarizedObjective",
     "SolverConfig",
     "SolveResult",
-    "descend",
-    "finish",
+    "solve_batch",
     "solve_scalarized",
 ]
 
@@ -330,74 +330,70 @@ def _descent(obj: _Batch, x0: np.ndarray, *,
     return best_x, best_f
 
 
-def descend(objs: Sequence[ScalarizedObjective], config: SolverConfig, *,
-            descents: dict | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+def _descend(objs: Sequence[ScalarizedObjective],
+             config: SolverConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """Local descents of several solves of one problem from the multistart
     set, in lockstep: one ``_descent`` call for all of them, or several of
     at most MAX_DESCENT_ROWS rows each.  Returns, per solve, the best point
-    and value reached from each start, for :func:`finish`.
-
-    A descent depends only on its key: the weight alone when the problem
-    separates (``base_objectives``) and has no constraints, else the
-    (weight, realization) pair.  ``descents`` is a table from keys to the
-    descents already run; only the keys missing from it are run, once
-    each, and entered into it.  So the solves that share a key share one
-    block of rows, and a table passed to every call of one run runs each
-    distinct descent of that run once.  A table belongs to one problem and
-    one seed; without one a call starts a fresh one.  Its arrays are
-    read-only, since several solves share them.
-    """
-    descents = {} if descents is None else descents
-    if not objs:
-        return []
-    spec = objs[0].parent
-    merge = spec.base_objectives is not None and spec.inequality_constraints is None
-    keys = [o.weight if merge else (o.weight, o.realization) for o in objs]
-    missing: dict = {}  # key -> the solve whose descent runs it
-    for key, o in zip(keys, objs):
-        if key not in descents:
-            missing.setdefault(key, o)
-    todo = list(missing.items())
+    and value reached from each start, as read-only arrays."""
     n = N_STARTS
-    if todo:
-        starts = _start_points(spec.bounds, n, config.seed)
     per_call = max(1, MAX_DESCENT_ROWS // n)
-    for a in range(0, len(todo), per_call):
-        part = todo[a:a + per_call]
-        batch = _Batch([o for _, o in part], n)
-        best_x, best_f = _descent(batch, np.tile(starts, (len(part), 1)))
+    out = []
+    for a in range(0, len(objs), per_call):
+        part = objs[a:a + per_call]
+        starts = _start_points(part[0].parent.bounds, n, config.seed)
+        best_x, best_f = _descent(_Batch(part, n), np.tile(starts, (len(part), 1)))
         best_x.setflags(write=False)
         best_f.setflags(write=False)
-        for j, (key, _) in enumerate(part):
-            descents[key] = (best_x[j * n:(j + 1) * n], best_f[j * n:(j + 1) * n])
-    return [descents[key] for key in keys]
+        out += [(best_x[j * n:(j + 1) * n], best_f[j * n:(j + 1) * n]) for j in range(len(part))]
+    return out
 
 
-def finish(objs: Sequence[ScalarizedObjective],
-           entries: Sequence[tuple[np.ndarray, np.ndarray]], *,
-           table: dict | None = None) -> list[tuple | None]:
-    """Finish several solves of one problem from their :func:`descend`
-    entries, MAX_DESCENT_ROWS solves at a time.  Returns, per solve, the
-    row (y*, j1, j2, scalar value, feasible, starts used) that
-    :func:`solve_scalarized` turns into its result, or None where no start
-    reached a finite value.  A finished solve depends only on its weight
-    and realization; ``table``, the run's :func:`descend` table, keeps it
-    under the key (weight, realization, "finished"), so a solve that an
-    earlier phase finished is looked up instead of finished again.
+def solve_batch(objs: Sequence[ScalarizedObjective], config: SolverConfig,
+                table: dict | None = None) -> list[SolveResult | None]:
+    """The results of several solves of one problem, None where no start
+    reached a finite value.  The descents of the solves not finished yet
+    run as one batch (:func:`_descend`), and are finished as one batch,
+    MAX_DESCENT_ROWS solves at a time (:func:`_finish`).
+
+    ``table`` holds what later calls of one run reuse; it belongs to one
+    problem and one seed, and without one a call starts a fresh one.  It
+    keeps each finished solve under (weight, k), so a solve that an
+    earlier call finished is looked up instead of run again.  When the
+    problem separates (``base_objectives``) and has no constraints, a
+    descent depends on its weight alone: the table also keeps it under the
+    weight, and every solve of that weight, in this call or a later one,
+    shares its rows.
     """
     table = {} if table is None else table
-    keys = [(o.weight, o.realization, "finished") for o in objs]
-    todo = [i for i, key in enumerate(keys) if key not in table]
-    for a in range(0, len(todo), MAX_DESCENT_ROWS):
-        part = todo[a:a + MAX_DESCENT_ROWS]
-        rows = _finish([objs[i] for i in part], [entries[i] for i in part])
-        table.update(zip([keys[i] for i in part], rows))
+    keys = [(o.weight, o.realization.k) for o in objs]
+    todo: dict = {}  # key -> its first solve, for the solves not finished yet
+    for key, o in zip(keys, objs):
+        if key not in table:
+            todo.setdefault(key, o)
+    if not todo:
+        return [table[key] for key in keys]
+    solves = list(todo.values())
+    spec = solves[0].parent
+    if spec.base_objectives is not None and spec.inequality_constraints is None:
+        missing: dict = {}  # weight -> the solve whose descent runs it
+        for o in solves:
+            if o.weight not in table:
+                missing.setdefault(o.weight, o)
+        table.update(zip(missing, _descend(list(missing.values()), config)))
+        entries = [table[o.weight] for o in solves]
+    else:
+        entries = _descend(solves, config)
+    todo_keys = list(todo)
+    for a in range(0, len(solves), MAX_DESCENT_ROWS):
+        part = slice(a, a + MAX_DESCENT_ROWS)
+        table.update(zip(todo_keys[part], _finish(solves[part], entries[part])))
     return [table[key] for key in keys]
 
 
 def _finish(objs: list[ScalarizedObjective],
-            entries: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple | None]:
-    """The finish of each solve with a usable start: the best point its
+            entries: list[tuple[np.ndarray, np.ndarray]]) -> list[SolveResult | None]:
+    """The result of each solve with a usable start: the best point its
     descents reached and, on a constrained problem, the constraints at all
     those winners in one evaluator pass.  Winners that violate them beyond
     FEAS_TOL descend again from where they stand, in lockstep, with the
@@ -409,7 +405,7 @@ def _finish(objs: list[ScalarizedObjective],
     win = fs.argmin(axis=1).tolist()
     used = np.isfinite(fs).sum(axis=1)
     ok = np.flatnonzero(used)
-    out: list[tuple | None] = [None] * len(objs)
+    out: list[SolveResult | None] = [None] * len(objs)
     if ok.size == 0:
         return out
     sel = [objs[i] for i in ok]
@@ -434,19 +430,19 @@ def _finish(objs: list[ScalarizedObjective],
                 else np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL)
     for i, yi, (j1, j2), v, fe, u in zip(ok.tolist(), y.tolist(), raw.tolist(), value.tolist(),
                                          feasible.tolist(), used[ok].tolist()):
-        out[i] = (tuple(yi), j1, j2, v, fe, u)
+        out[i] = SolveResult(y_star=tuple(yi), scalar_value=v, point=ObjectivePoint(j1, j2),
+                             feasible=fe, starts_used=u)
     return out
 
 
-def solve_scalarized(obj: ScalarizedObjective, finished: tuple | None) -> SolveResult:
-    """Minimize a scalarized subproblem over its box: the result of ``obj``
-    from its :func:`finish` row.  Counts as exactly one solve, however
-    many descents and penalty escalations ran for it or were shared."""
-    if finished is None:
+def solve_scalarized(obj: ScalarizedObjective, result: SolveResult | None) -> SolveResult:
+    """Minimize a scalarized subproblem over its box: ``result``, the
+    :func:`solve_batch` result of ``obj``.  Counts as exactly one solve,
+    however many descents and penalty escalations ran for it or were
+    shared.  Raises InfeasibleError where no start was usable."""
+    if result is None:
         raise InfeasibleError(
             f"all {N_STARTS} starts produced non-finite values for "
             f"subproblem k={obj.realization.k} (w={obj.weight})"
         )
-    y, j1, j2, value, feasible, starts_used = finished
-    return SolveResult(y_star=y, scalar_value=value, point=ObjectivePoint(j1, j2),
-                       feasible=feasible, starts_used=starts_used)
+    return result

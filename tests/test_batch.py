@@ -4,9 +4,10 @@ problems share run once, evaluator results are shape-checked, a
 finite-difference gradient is one stacked evaluation bitwise equal to the
 per-dimension loop, a scalar evaluator gets each row's own z, a
 vectorized one gets every row's z stacked in one call, the phases of a
-run share one table of descents and finished solves without changing any
-result, and the finish of a batch (winners, penalty escalation,
-objectives) equals finishing each solve alone while doing less work."""
+run share one table of finished solves (and, on a separable problem, of
+per-weight descents) without changing any result, and the finish of a
+batch (winners, penalty escalation, objectives) equals finishing each
+solve alone while doing less work."""
 
 import dataclasses
 import math
@@ -111,6 +112,21 @@ class _DescentRows:
         monkeypatch.setattr(solver, "_descent", counted)
 
 
+class _FinishedEntries:
+    """Records the descents, the best point and value per start, that each
+    ``solver._finish`` call finishes, one entry per solve."""
+
+    def __init__(self, monkeypatch):
+        self.entries: list[tuple[np.ndarray, np.ndarray]] = []
+        finish = solver._finish
+
+        def logged(objs, entries):
+            self.entries += entries
+            return finish(objs, entries)
+
+        monkeypatch.setattr(solver, "_finish", logged)
+
+
 class TestRowSharing:
     @pytest.mark.parametrize("n", [1, 7, 50])
     def test_e2_anchors_run_two_blocks_whatever_k(self, e2_spec, config, monkeypatch, n):
@@ -119,14 +135,14 @@ class TestRowSharing:
         assert len(recs) == n
         assert rows.rows == [2 * N_STARTS]
 
-    def test_shared_rows_give_each_solve_its_own_point(self, e2_spec, config):
+    def test_shared_rows_give_each_solve_its_own_point(self, e2_spec, config, monkeypatch):
         reals = _reals(e2_spec, 3)
         objs = [ScalarizedObjective(weight=0.5, realization=r, parent=e2_spec) for r in reals]
-        descents = solver.descend(objs, config)
+        finished = _FinishedEntries(monkeypatch)
+        results = [solve_scalarized(o, res) for o, res in zip(objs, solver.solve_batch(objs, config))]
+        descents = finished.entries
         assert descents[0] is descents[1] is descents[2]
-        results = [solve_scalarized(o, row) for o, row in zip(objs, solver.finish(objs, descents))]
-        assert results == [solve_scalarized(o, solver.finish([o], solver.descend([o], config))[0])
-                           for o in objs]
+        assert results == [solve_scalarized(o, solver.solve_batch([o], config)[0]) for o in objs]
         assert len({res.point for res in results}) == 3
 
     def test_constrained_separable_spec_is_not_merged(self, e2_spec, config, monkeypatch):
@@ -317,7 +333,7 @@ class TestFdGradient:
 
 
 class TestScalarRowsGetTheirOwnZ:
-    def test_batch_evaluates_the_pairs_of_one_at_a_time_solves(self, config):
+    def test_batch_evaluates_the_pairs_of_one_at_a_time_solves(self, config, monkeypatch):
         log: list[tuple] = []
 
         def logged(field, fn):
@@ -332,13 +348,17 @@ class TestScalarRowsGetTheirOwnZ:
             inequality_constraints=logged("g", base.inequality_constraints))
         objs = [ScalarizedObjective(weight=0.8, realization=r, parent=spec)
                 for r in pp.enumerate_realizations(spec)]
-        batched = solver.descend(objs, config)
+        finished = _FinishedEntries(monkeypatch)
+        solver.solve_batch(objs, config)
         batch_log = sorted(log)
+        batched = finished.entries[:]
         log.clear()
-        alone = [solver.descend([o], config)[0] for o in objs]
+        finished.entries.clear()
+        for o in objs:
+            solver.solve_batch([o], config)
         assert batch_log == sorted(log)
         assert len({z for _, _, z in batch_log}) == len(objs)
-        for (bx, bf), (ax, af) in zip(batched, alone):
+        for (bx, bf), (ax, af) in zip(batched, finished.entries, strict=True):
             assert bx.tobytes() == ax.tobytes() and bf.tobytes() == af.tobytes()
 
 
@@ -461,9 +481,10 @@ class TestOneVectorizedCallPerPass:
 
         monkeypatch.setattr(solver._Batch, "descent_value", counted_value)
         monkeypatch.setattr(solver._Batch, "gradient", counted_gradient)
-        solver.descend(objs, config)
+        solver.solve_batch(objs, config)
         assert passes["objectives"] > 1
-        assert calls == passes
+        # and one objectives call more: the finish's pass at the winners
+        assert calls == {"objectives": passes["objectives"] + 1, "gradient": passes["gradient"]}
 
 
 # --- one descent table per run: later phases reuse earlier phases' descents -------
@@ -506,29 +527,26 @@ class TestDescentTable:
         spec = REUSE_SPECS[name]()
         reals = _reals(spec, 3)
         table: dict = {}
-        solver.descend(_objs(spec, reals, (1.0, 0.0)), config, descents=table)  # A-1
+        solver.solve_batch(_objs(spec, reals, (1.0, 0.0)), config, table)  # A-1
         later = [_objs(spec, reals[:2], [i / 4 for i in range(5)]),  # a beta-front, beta = 5
                  _objs(spec, reals, (0.5,))]  # centers
         rows = _DescentRows(monkeypatch)
         for objs in later:
             rows.rows.clear()
-            got = solver.descend(objs, config, descents=table)
+            got = solver.solve_batch(objs, config, table)
             reused = sum(rows.rows)
             rows.rows.clear()
-            fresh = solver.descend(objs, config)
+            fresh = solver.solve_batch(objs, config)
             assert reused < sum(rows.rows)  # each phase shares some solves with the ones before
-            for (gx, gf), (fx, ff) in zip(got, fresh, strict=True):
-                assert gx.tobytes() == fx.tobytes() and gf.tobytes() == ff.tobytes()
+            assert repr(got) == repr(fresh)
 
     @pytest.mark.parametrize("phases", ["ab", "a"])
     def test_run_equals_run_that_ignores_the_table(self, name, phases, monkeypatch):
         spec = REUSE_SPECS[name]()
         shared = pp.run_pipeline(spec, beta=5, phases=phases)
-        descend, finish = solver.descend, solver.finish
-        monkeypatch.setattr(decomposition, "descend",
-                            lambda objs, config, descents=None: descend(objs, config))
-        monkeypatch.setattr(decomposition, "finish",
-                            lambda objs, entries, table=None: finish(objs, entries))
+        solve_batch = solver.solve_batch
+        monkeypatch.setattr(decomposition, "solve_batch",
+                            lambda objs, config, table=None: solve_batch(objs, config))
         alone = pp.run_pipeline(spec, beta=5, phases=phases)
         assert _report_text(shared) == _report_text(alone)
 
@@ -536,9 +554,7 @@ class TestDescentTable:
         spec = REUSE_SPECS[name]()
         reals = _reals(spec, 3)
         table: dict = {}
-        anchors = _objs(spec, reals, (1.0, 0.0))
-        first = solver.finish(anchors, solver.descend(anchors, config, descents=table),
-                              table=table)
+        first = solver.solve_batch(_objs(spec, reals, (1.0, 0.0)), config, table)
         finished: list[int] = []
         _finish = solver._finish
 
@@ -548,20 +564,52 @@ class TestDescentTable:
 
         monkeypatch.setattr(solver, "_finish", counted)
         later = _objs(spec, reals, (0.0, 0.5, 1.0))
-        got = solver.finish(later, solver.descend(later, config, descents=table), table=table)
+        got = solver.solve_batch(later, config, table)
         assert finished == [len(reals)]  # the w = 0.5 solves; the anchors are looked up
         assert all(got[3 * i] is first[2 * i + 1] and got[3 * i + 2] is first[2 * i]
                    for i in range(len(reals)))
         monkeypatch.setattr(solver, "_finish", _finish)
         assert repr(got) == repr(_finished_alone(later, config))
 
-    def test_descents_are_read_only(self, name, config):
+    def test_descents_are_read_only(self, name, config, monkeypatch):
         spec = REUSE_SPECS[name]()
-        for x, f in solver.descend(_objs(spec, _reals(spec, 2), (0.0, 0.5)), config):
+        finished = _FinishedEntries(monkeypatch)
+        solver.solve_batch(_objs(spec, _reals(spec, 2), (0.0, 0.5)), config)
+        assert len(finished.entries) == 4
+        for x, f in finished.entries:
             with pytest.raises(ValueError, match="read-only"):
                 x[0, 0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 f[0] = 0.0
+
+    def test_table_keeps_only_what_a_later_phase_reads(self, name, config, monkeypatch):
+        # every finished solve under (weight, k); a descent only where solves
+        # of one weight share it (e2-k16: separable, unconstrained), once per
+        # weight and read-only
+        spec = REUSE_SPECS[name]()
+        tables: list[dict] = []
+        solve_batch = solver.solve_batch
+
+        def kept(objs, config, table=None):
+            tables.append(table)
+            return solve_batch(objs, config, table)
+
+        monkeypatch.setattr(decomposition, "solve_batch", kept)
+        report = pp.run_pipeline(spec, beta=5, phases="ab")
+        table = tables[0]
+        assert all(t is table for t in tables)
+        solved = {k for k in table if isinstance(k, tuple)}
+        assert all(type(w) is float and type(k) is int for w, k in solved)
+        assert all(v is None or isinstance(v, solver.SolveResult) for v in map(table.get, solved))
+        assert len(solved) <= report.nlp.total
+        descents = {k: v for k, v in table.items() if k not in solved}
+        if name == "e2-k16":
+            assert sorted(descents) == sorted({w for w, _ in solved})
+            for x, f in descents.values():
+                assert x.shape == (N_STARTS, spec.n_y) and not x.flags.writeable
+                assert f.shape == (N_STARTS,) and not f.flags.writeable
+        else:
+            assert descents == {}
 
 
 class TestMergedSpecReuse:
@@ -599,8 +647,8 @@ class TestMergedSpecReuse:
 # --- one finish per batch: winners, escalation and objectives in one pass -----------
 
 def _finished_alone(objs, config):
-    """Each solve of ``objs`` descended and finished on its own."""
-    return [solver.finish([o], solver.descend([o], config))[0] for o in objs]
+    """Each solve of ``objs`` batched on its own."""
+    return [solver.solve_batch([o], config)[0] for o in objs]
 
 
 def _gen_constrained():
@@ -633,14 +681,18 @@ class TestBatchedFinish:
     def test_batch_equals_each_solve_alone(self, name, config, monkeypatch):
         spec = FINISH_SPECS[name]()
         objs = _objs(spec, _reals(spec, 7), (1.0, 0.5, 0.0))
-        entries = solver.descend(objs, config)
+        finished = _FinishedEntries(monkeypatch)
         rows = _DescentRows(monkeypatch)
-        batched = solver.finish(objs, entries)
+        batched = solver.solve_batch(objs, config)
+        monkeypatch.undo()
+        entries = finished.entries
+        escalations = [pc for pc in rows.penalties if pc is not None]
         if spec.inequality_constraints is None:  # e2: solves of one weight share rows
-            assert entries[0] is entries[3] and rows.penalties == []
+            assert entries[0] is entries[3] and escalations == []
+            assert rows.rows == [3 * N_STARTS]
         else:  # penalty escalation ran, one _descent call per round
-            assert rows.penalties[0] == 1e8
-            assert rows.penalties == [1e8 * 100.0 ** i for i in range(len(rows.penalties))]
+            assert escalations[0] == 1e8
+            assert escalations == [1e8 * 100.0 ** i for i in range(len(escalations))]
         assert None not in batched
         assert repr(batched) == repr(_finished_alone(objs, config))
 
@@ -652,12 +704,12 @@ class TestBatchedFinish:
 
         spec = _one_y_spec("half-nan", (0.0, 1.0, 2.0), objectives=half_nan)
         objs = _objs(spec, pp.enumerate_realizations(spec), (1.0, 0.5))
-        rows = solver.finish(objs, solver.descend(objs, config))
-        assert [row is None for row in rows] == [o.realization.z == (1.0,) for o in objs]
-        assert repr(rows) == repr(_finished_alone(objs, config))
+        results = solver.solve_batch(objs, config)
+        assert [res is None for res in results] == [o.realization.z == (1.0,) for o in objs]
+        assert repr(results) == repr(_finished_alone(objs, config))
         with pytest.raises(pp.InfeasibleError):
-            solve_scalarized(objs[2], rows[2])
-        assert solve_scalarized(objs[0], rows[0]).feasible
+            solve_scalarized(objs[2], results[2])
+        assert solve_scalarized(objs[0], results[0]).feasible
 
     def test_escalation_keeps_a_row_whose_value_overflows(self, config, monkeypatch):
         # z = 0: y >= 0.5 binds at w = 1, and one round moves the winner onto
@@ -671,17 +723,17 @@ class TestBatchedFinish:
         spec = _one_y_spec("overflow", (0.0, 1.0), constraints=cons)
         objs = _objs(spec, pp.enumerate_realizations(spec), (1.0,))
         with np.errstate(over="ignore"):
-            entries = solver.descend(objs, config)
+            finished = _FinishedEntries(monkeypatch)
             rows = _DescentRows(monkeypatch)
-            batched = solver.finish(objs, entries)
+            batched = solver.solve_batch(objs, config)
             monkeypatch.undo()
             alone = _finished_alone(objs, config)
         assert repr(batched) == repr(alone)
-        assert rows.penalties == [1e8, 1e10, 1e12, 1e14]
-        assert rows.rows == [2, 1, 1, 1]
-        bound, overflow = (solve_scalarized(o, row) for o, row in zip(objs, batched))
+        assert rows.penalties == [None, 1e8, 1e10, 1e12, 1e14]  # the descents, then 4 rounds
+        assert rows.rows == [2 * N_STARTS, 2, 1, 1, 1]
+        bound, overflow = (solve_scalarized(o, res) for o, res in zip(objs, batched))
         assert bound.feasible and bound.y_star[0] == pytest.approx(0.5, abs=1e-6)
-        x, f = entries[1]
+        x, f = finished.entries[1]
         assert not overflow.feasible
         assert overflow.y_star == tuple(x[int(np.argmin(f))])
 

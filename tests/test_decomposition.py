@@ -15,6 +15,7 @@ from pareto_prune import (
     build_subproblem_front,
     compute_anchors_utopia,
     compute_center,
+    decomposition,
     enumerate_realizations,
     index_of,
     realization_from_index,
@@ -55,9 +56,12 @@ class TestEnumerateRealizations:
         assert [r.z for r in reals] == [(1.0, 10.0), (1.0, 20.0), (2.0, 10.0), (2.0, 20.0)]
         assert [r.k for r in reals] == [1, 2, 3, 4]
 
-    def test_capacity_cap(self, e2_spec):
-        with pytest.raises(CapacityExceeded):
-            enumerate_realizations(e2_spec, cap=4095)
+    def test_capacity_cap(self, e2_spec, monkeypatch):
+        monkeypatch.setattr(decomposition, "DEFAULT_REALIZATION_CAP", 4096)
+        assert len(enumerate_realizations(e2_spec)) == 4096
+        monkeypatch.setattr(decomposition, "DEFAULT_REALIZATION_CAP", 4095)
+        with pytest.raises(CapacityExceeded, match="4096 realizations exceed the cap of 4095"):
+            enumerate_realizations(e2_spec)
 
     def test_lexicographic_matches_product(self, e2_spec):
         reals = enumerate_realizations(e2_spec)

@@ -33,8 +33,8 @@ def _obj(spec, w, r=None):
 
 
 def _solve(obj, config):
-    """One solve, descended and finished on its own."""
-    return solve_scalarized(obj, solver.finish([obj], solver.descend([obj], config))[0])
+    """One solve, batched on its own."""
+    return solve_scalarized(obj, solver.solve_batch([obj], config)[0])
 
 
 class TestSolveScalarized:
@@ -221,12 +221,19 @@ class TestSolverConfigValidation:
 
 
 class TestFinish:
-    def test_constraints_evaluated_once_at_the_final_point(self, toy_spec, config):
+    def test_constraints_evaluated_once_at_the_final_point(self, toy_spec, config,
+                                                          monkeypatch):
         # w >= 0.75 ends at y = 2w - 1 >= 0.5, where the constraint y >= 0.25
         # is inactive: no escalation (which would evaluate g at further
         # points), so the finish of the whole batch is one constraint pass
         # at its winners
         calls: list[np.ndarray] = []
+        _finish = solver._finish
+
+        def finish_logged(objs, entries):
+            calls.clear()  # the descents' calls are done; log the finish's
+            return _finish(objs, entries)
+
 
         def logged(y, z):
             calls.append(np.array(y))
@@ -235,9 +242,8 @@ class TestFinish:
         spec = dataclasses.replace(toy_spec, inequality_constraints=logged,
                                    discrete_sets=((0.0, 1.0, 2.0),))
         objs = [_obj(spec, w, r) for r in pp.enumerate_realizations(spec) for w in (0.75, 1.0)]
-        entries = solver.descend(objs, config)
-        calls.clear()
-        results = [solve_scalarized(o, row) for o, row in zip(objs, solver.finish(objs, entries))]
+        monkeypatch.setattr(solver, "_finish", finish_logged)
+        results = [solve_scalarized(o, res) for o, res in zip(objs, solver.solve_batch(objs, config))]
         assert all(res.feasible for res in results)
         assert len(calls) == 1
         assert calls[0].tolist() == [list(res.y_star) for res in results]

@@ -25,11 +25,26 @@ def test_entry_point_resolves(span):
     assert callable(getattr(module, attr, None)), f"{span}: {modname}.{attr} is missing"
 
 
-def test_traced_run_measures_every_metric(tmp_path):
+def _e2_k16():
+    (workloads,) = load_perfbench("workloads")
+    return workloads.make_e2_k16()
+
+
+# toy-constrained escalates penalties; on e2-k16 (separable, beta 21) every
+# B-1 and B-3 solve is a lookup of a solve an earlier phase finished
+TRACED_RUNS = {
+    "toy-constrained": (lambda: pp.get_problem("toy-constrained"), 3),
+    "e2-k16": (_e2_k16, 21),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_RUNS))
+def test_traced_run_measures_every_metric(tmp_path, name):
+    make, beta = TRACED_RUNS[name]
     tracer = tracing.Tracer().install()
     try:
-        spec = tracer.wrap_spec(pp.get_problem("toy-constrained"))
-        report = pp.run_pipeline(spec, beta=3, phases="ab")
+        spec = tracer.wrap_spec(make())
+        report = pp.run_pipeline(spec, beta=beta, phases="ab")
         path = tmp_path / "r.json"
         cli.write_report(report, path)
         cli.write_front_csv(report, tmp_path / "f.csv")
@@ -40,4 +55,5 @@ def test_traced_run_measures_every_metric(tmp_path):
     nlp = report.nlp
     assert tracer.solves_by_phase() == {"a1": nlp.a1, "a2": nlp.a2, "b1": nlp.b1, "b3": nlp.b3}
     assert values["solver.solve.calls"] == nlp.total
-    assert values["solver.descent.escalations"] > 0
+    if name == "toy-constrained":
+        assert values["solver.descent.escalations"] > 0
