@@ -17,14 +17,10 @@ from .core import (
     ParetoSolution,
     ProblemSpec,
     Realization,
-    dominates,
     nondominated_filter,
-    weakly_dominates,
 )
 from .decomposition import (
     CapacityExceeded,
-    Status,
-    SubproblemRecord,
     build_subproblem_front,
     compute_anchors_utopia,
     compute_center,
@@ -58,14 +54,11 @@ __all__ = [
     "REGISTRY",
     "Realization",
     "SolverConfig",
-    "Status",
-    "SubproblemRecord",
     "TrussConstants",
     "build_master_front",
     "build_subproblem_front",
     "compute_anchors_utopia",
     "compute_center",
-    "dominates",
     "enumerate_realizations",
     "get_problem",
     "index_of",
@@ -80,5 +73,4 @@ __all__ = [
     "phase_b",
     "realization_from_index",
     "run_pipeline",
-    "weakly_dominates",
 ]

@@ -17,8 +17,6 @@ __all__ = [
     "ProblemSpec",
     "Realization",
     "ParetoSolution",
-    "dominates",
-    "weakly_dominates",
     "nondominated_filter",
 ]
 
@@ -128,8 +126,7 @@ class ProblemSpec:
 class ParetoSolution:
     """A candidate Pareto-optimal design: continuous part, realization,
     the evaluated objective point, and a tag recording which solve
-    produced it ("anchor1", "anchor2", "center", or "w<i>" for the i-th
-    weighted-sum weight)."""
+    produced it ("center", or "w<i>" for the i-th weighted-sum weight)."""
 
     y: tuple[float, ...]
     realization: Realization
@@ -140,24 +137,6 @@ class ParetoSolution:
 def _check_eps(eps: float) -> None:
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-
-
-def dominates(a: ObjectivePoint, b: ObjectivePoint, eps: float = 0.0) -> bool:
-    """Strict Pareto dominance: a is no worse than b in both objectives
-    (within eps) and strictly better (beyond eps) in at least one."""
-    _check_eps(eps)
-    return (
-        a.j1 <= b.j1 + eps
-        and a.j2 <= b.j2 + eps
-        and (a.j1 < b.j1 - eps or a.j2 < b.j2 - eps)
-    )
-
-
-def weakly_dominates(a: ObjectivePoint, b: ObjectivePoint, eps: float = 0.0) -> bool:
-    """Weak dominance: a is no worse than b in both objectives (within
-    eps).  Equal points weakly dominate each other."""
-    _check_eps(eps)
-    return a.j1 <= b.j1 + eps and a.j2 <= b.j2 + eps
 
 
 PointLike = Union[ObjectivePoint, ParetoSolution]

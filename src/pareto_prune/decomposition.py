@@ -1,15 +1,14 @@
-"""Realization enumeration and per-subproblem solves: anchors, utopia
-points, center points, and weighted-sum subproblem fronts.  Each
-operation takes an optional ``descents`` table (see
-:func:`~pareto_prune.solver.solve_batch`): operations that share one reuse
-each other's finished solves and shared descents."""
+"""Realization enumeration and per-subproblem solves: utopia points from
+the anchors, center points, and weighted-sum subproblem fronts.  Each
+operation returns one result per realization, None where its solves
+failed, and decides no pruning set.  Each takes an optional ``descents``
+table (see :func:`~pareto_prune.solver.solve_batch`): operations that
+share one reuse each other's finished solves and shared descents."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 from .core import ObjectivePoint, ParetoSolution, ProblemSpec, Realization, nondominated_filter
 from .solver import (
@@ -23,8 +22,6 @@ from .solver import (
 
 __all__ = [
     "CapacityExceeded",
-    "Status",
-    "SubproblemRecord",
     "enumerate_realizations",
     "realization_from_index",
     "index_of",
@@ -38,31 +35,6 @@ DEFAULT_REALIZATION_CAP = 10_000_000
 
 class CapacityExceeded(RuntimeError):
     """The discrete product set is larger than the configured cap."""
-
-
-class Status(Enum):
-    UNPROCESSED = "unprocessed"
-    MASTER = "master"
-    PRUNED_A = "pruned_a"
-    PRUNED_B = "pruned_b"
-    RETAINED_B = "retained_b"
-    INFEASIBLE = "infeasible"
-
-
-@dataclass
-class SubproblemRecord:
-    """Per-realization bookkeeping.  ``front`` holds the subproblem's
-    weighted-sum front once built; ``status`` only moves forward
-    (unprocessed -> master/pruned_a -> pruned_b/retained_b), and to
-    infeasible when the anchors or the whole front fail."""
-
-    realization: Realization
-    anchor1: ParetoSolution | None = None
-    anchor2: ParetoSolution | None = None
-    utopia: ObjectivePoint | None = None
-    center: ParetoSolution | None = None
-    front: list[ParetoSolution] | None = None
-    status: Status = Status.UNPROCESSED
 
 
 def _set_sizes(spec: ProblemSpec) -> list[int]:
@@ -130,28 +102,18 @@ def _solve_all(
 def compute_anchors_utopia(
     spec: ProblemSpec, reals: list[Realization], config: SolverConfig, *,
     descents: dict | None = None,
-) -> list[SubproblemRecord]:
-    """Solve the two sole-objective problems (w=1 and w=0) of each
-    realization and assemble its utopia point from the anchors' best
-    components.  Exactly two counted solves per realization; an unusable
-    anchor marks the record infeasible."""
+) -> list[ObjectivePoint | None]:
+    """Utopia point of each realization: j1 of its w=1 anchor and j2 of
+    its w=0 anchor (the two sole-objective solves, exactly two counted
+    solves per realization).  None where either anchor raised or ended
+    infeasible."""
     results = _solve_all(spec, [(r, w) for r in reals for w in (1.0, 0.0)], config,
                          descents=descents)
-    records = []
-    for i, r in enumerate(reals):
-        rec = SubproblemRecord(realization=r)
-        pair = results[2 * i:2 * i + 2]
-        rec.anchor1, rec.anchor2 = (
-            None if res is None
-            else ParetoSolution(y=res.y_star, realization=r, point=res.point, provenance=tag)
-            for res, tag in zip(pair, ("anchor1", "anchor2"))
-        )
-        if all(res is not None and res.feasible for res in pair):
-            rec.utopia = ObjectivePoint(rec.anchor1.point.j1, rec.anchor2.point.j2)
-        else:
-            rec.status = Status.INFEASIBLE
-        records.append(rec)
-    return records
+    return [
+        ObjectivePoint(a1.point.j1, a2.point.j2)
+        if a1 is not None and a2 is not None and a1.feasible and a2.feasible else None
+        for a1, a2 in zip(results[::2], results[1::2])
+    ]
 
 
 def compute_center(

@@ -1,6 +1,8 @@
 """Two-phase pruning pipeline: utopia-based Phase A, center-point Phase B,
-final front assembly, and full solve accounting.  The exhaustive oracle is
-the same driver with both phases skipped."""
+final front assembly, and full solve accounting.  Each phase returns what
+it decided, and :func:`run_pipeline` derives every set of the report from
+those returns.  The exhaustive oracle is the same driver with both phases
+skipped."""
 
 from __future__ import annotations
 
@@ -23,8 +25,6 @@ from .core import (
 from .decomposition import (
     DEFAULT_REALIZATION_CAP,
     CapacityExceeded,
-    Status,
-    SubproblemRecord,
     build_subproblem_front,
     compute_anchors_utopia,
     compute_center,
@@ -172,44 +172,44 @@ class PruneReport:
             raise ValueError(f"malformed report document: {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseAResult:
-    records: dict[int, SubproblemRecord]
+    """What Phase A decided: each realization's utopia point (None where
+    an anchor failed), the masters k1m, what utopia pruning keeps (k1u),
+    the master front, and each master's own front."""
+
+    utopias: dict[int, ObjectivePoint | None]
     k1m: list[int]
     k1u: list[int]
     master_front: list[ParetoSolution]
+    fronts: dict[int, list[ParetoSolution] | None]
 
 
-def master_candidates(records: list[SubproblemRecord], eps: float = 0.0) -> list[int]:
+def master_candidates(utopias: dict[int, ObjectivePoint | None], eps: float = 0.0) -> list[int]:
     """Indices whose utopia point no other utopia strictly dominates.
-    Identical utopias all survive; infeasible records are skipped."""
-    usable = [rec for rec in records if rec.utopia is not None]
-    mask = nondominated_mask(_points_array([rec.utopia for rec in usable]), eps)
-    return sorted(rec.realization.k for rec, keep in zip(usable, mask) if keep)
+    Identical utopias all survive; None (infeasible) entries are skipped."""
+    usable = [(k, u) for k, u in utopias.items() if u is not None]
+    mask = nondominated_mask(_points_array([u for _, u in usable]), eps)
+    return sorted(k for (k, _), keep in zip(usable, mask) if keep)
 
 
 def build_master_front(
     spec: ProblemSpec,
-    k1m: list[int],
-    records: dict[int, SubproblemRecord],
+    reals: list[Realization],
     beta: int,
     config: SolverConfig,
     eps: float = 0.0,
     *,
     descents: dict | None = None,
-) -> list[ParetoSolution]:
-    """Union of the k1m subproblem fronts, filtered.  Each subproblem's
-    front is stored in its record for reuse."""
-    if not k1m:
+) -> tuple[list[ParetoSolution], dict[int, list[ParetoSolution] | None]]:
+    """Union of the masters' subproblem fronts, filtered, and each master's
+    own front by its index."""
+    if not reals:
         raise PipelineError("cannot build a master front from an empty candidate set")
-    reals = [records[k].realization for k in k1m]
     fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps,
                           descents=descents)
-    merged: list[ParetoSolution] = []
-    for k, front in zip(k1m, fronts):
-        records[k].front = front
-        merged.extend(front or ())
-    return nondominated_filter(merged, eps)
+    merged = [sol for front in fronts for sol in front or ()]
+    return nondominated_filter(merged, eps), {r.k: f for r, f in zip(reals, fronts)}
 
 
 def _weakly_dominated_by(front_pts: np.ndarray, p: ObjectivePoint, eps: float) -> bool:
@@ -218,6 +218,7 @@ def _weakly_dominated_by(front_pts: np.ndarray, p: ObjectivePoint, eps: float) -
 
 def phase_a(
     spec: ProblemSpec,
+    reals: list[Realization],
     beta: int,
     config: SolverConfig,
     eps: float = 0.0,
@@ -226,62 +227,42 @@ def phase_a(
 ) -> PhaseAResult:
     """A-1 anchors/utopias for all realizations (2 solves each), A-2
     master front from non-dominated utopias (beta solves each), A-3
-    pruning of subproblems whose utopia the master front weakly
-    dominates.  Each step is one batched operation over its realizations."""
-    reals = enumerate_realizations(spec)
-    recs = parallel_map(compute_anchors_utopia, spec, reals, config, descents=descents)
-    records = {rec.realization.k: rec for rec in recs}
-
-    if all(rec.status is Status.INFEASIBLE for rec in records.values()):
+    utopia pruning: k1u keeps the masters and every feasible realization
+    whose utopia the master front does not weakly dominate.  Each step is
+    one batched operation over its realizations."""
+    utopias = dict(zip((r.k for r in reals),
+                       parallel_map(compute_anchors_utopia, spec, reals, config,
+                                    descents=descents)))
+    if all(u is None for u in utopias.values()):
         raise PipelineError("every subproblem is infeasible")
 
-    k1m = master_candidates(list(records.values()), eps)
-    for k in k1m:
-        records[k].status = Status.MASTER
-    master_front = build_master_front(spec, k1m, records, beta, config, eps,
-                                      descents=descents)
-
+    k1m = master_candidates(utopias, eps)
+    by_k = {r.k: r for r in reals}
+    master_front, fronts = build_master_front(spec, [by_k[k] for k in k1m], beta, config,
+                                              eps, descents=descents)
     mpts = _points_array(master_front)
-    k1u: list[int] = list(k1m)
-    for k, rec in records.items():
-        if rec.status is not Status.UNPROCESSED:
-            continue
-        if _weakly_dominated_by(mpts, rec.utopia, eps):
-            rec.status = Status.PRUNED_A
-        else:
-            k1u.append(k)
-    return PhaseAResult(records=records, k1m=sorted(k1m), k1u=sorted(k1u),
-                        master_front=master_front)
+    k1u = k1m + [k for k, u in utopias.items()
+                 if u is not None and k not in fronts and not _weakly_dominated_by(mpts, u, eps)]
+    return PhaseAResult(utopias=utopias, k1m=k1m, k1u=sorted(k1u),
+                        master_front=master_front, fronts=fronts)
 
 
 def phase_b(
     spec: ProblemSpec,
-    records: dict[int, SubproblemRecord],
-    targets: list[int],
+    reals: list[Realization],
     master_front: list[ParetoSolution],
     config: SolverConfig,
     eps: float = 0.0,
     *,
     descents: dict | None = None,
 ) -> list[int]:
-    """B-1 centers for the target subproblems (one solve each) and B-2
-    pruning of those whose center the master front weakly dominates or
-    whose center solve fails.  Returns the retained indices."""
+    """B-1 centers for the target realizations (one solve each) and B-2:
+    returns the indices of those whose center solve succeeded and whose
+    center the master front does not weakly dominate."""
     mpts = _points_array(master_front)
-    reals = [records[k].realization for k in targets]
     centers = parallel_map(compute_center, spec, reals, config, descents=descents)
-    retained: list[int] = []
-    for k, center in zip(targets, centers):
-        records[k].center = center
-        if center is None or _weakly_dominated_by(mpts, center.point, eps):
-            records[k].status = Status.PRUNED_B
-        else:
-            retained.append(k)
-    return retained
-
-
-def _with_status(records: dict[int, SubproblemRecord], status: Status) -> tuple[int, ...]:
-    return tuple(sorted(k for k, rec in records.items() if rec.status is status))
+    return [r.k for r, center in zip(reals, centers)
+            if center is not None and not _weakly_dominated_by(mpts, center.point, eps)]
 
 
 def run_pipeline(
@@ -300,6 +281,14 @@ def run_pipeline(
     oracle: it builds every realization's front (beta * |K| solves) and
     k1c lists the realizations in the final front.  Every operation poses
     a fixed number of solves, so the counts follow from the sets.
+
+    The phases return what they decided, and the report's sets are
+    derived here alone: ``infeasible`` holds the realizations without a
+    utopia point and those retained whose B-3 front has no feasible
+    point; ``pruned_a`` the feasible ones outside k1u; ``pruned_b`` the
+    Phase-B targets (k1u minus k1m) that B-2 did not retain; and k1c,
+    under "ab" and "a", the masters and the retained.  The final front
+    filters every built front, merged in ascending k.
 
     Each phase poses its solves as one batched operation over its
     realizations, in this process: one
@@ -324,51 +313,51 @@ def run_pipeline(
     config = config or SolverConfig()
     descents: dict = {}
     t0 = time.perf_counter()
+    reals = enumerate_realizations(spec)
 
     if phases == "none":
-        records = {r.k: SubproblemRecord(realization=r) for r in enumerate_realizations(spec)}
+        utopias: dict[int, ObjectivePoint | None] = {}
         k1m: list[int] = []
         k1u: list[int] = []
-        retained = list(records)
+        fronts: dict[int, list[ParetoSolution] | None] = {}
+        targets = retained = [r.k for r in reals]
     else:
-        pa = phase_a(spec, beta, config, eps, descents=descents)
-        records, k1m, k1u = pa.records, pa.k1m, pa.k1u
-        retained = [k for k in k1u if records[k].status is not Status.MASTER]
+        pa = phase_a(spec, reals, beta, config, eps, descents=descents)
+        utopias, k1m, k1u, fronts = pa.utopias, pa.k1m, pa.k1u, pa.fronts
+        targets = retained = [k for k in k1u if k not in fronts]
         if phases == "ab":
-            retained = phase_b(spec, records, retained, pa.master_front, config, eps,
-                               descents=descents)
+            retained = phase_b(spec, [reals[k - 1] for k in targets], pa.master_front,
+                               config, eps, descents=descents)
 
     # B-3: fronts for whatever the phases left
-    reals = [records[k].realization for k in retained]
-    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps,
-                          descents=descents)
-    for k, front in zip(retained, fronts):
-        records[k].front = front
-        records[k].status = Status.INFEASIBLE if front is None else Status.RETAINED_B
-
-    merged = [sol for rec in records.values() if rec.front for sol in rec.front]
+    b3 = parallel_map(build_subproblem_front, spec, [reals[k - 1] for k in retained], beta,
+                      config, eps, descents=descents)
+    fronts = {**fronts, **dict(zip(retained, b3))}
+    merged = [sol for k in sorted(fronts) for sol in fronts[k] or ()]
     if not merged:
         raise PipelineError("every subproblem is infeasible")
     final = nondominated_filter(merged, eps)
     final.sort(key=lambda s: s.point.j1)
     k1c = sorted({sol.realization.k for sol in final}) if phases == "none" else sorted(k1m + retained)
+    feasible = {k for k, u in utopias.items() if u is not None}
     return PruneReport(
         problem=spec.name,
         beta=beta,
         phases=phases,
         eps=eps,
         seed=config.seed,
-        k_total=len(records),
+        k_total=len(reals),
         k1m=tuple(k1m),
         k1u=tuple(k1u),
         k1c=tuple(k1c),
-        pruned_a=_with_status(records, Status.PRUNED_A),
-        pruned_b=_with_status(records, Status.PRUNED_B),
-        infeasible=_with_status(records, Status.INFEASIBLE),
+        pruned_a=tuple(sorted(feasible - set(k1u))),
+        pruned_b=tuple(sorted(set(targets) - set(retained))),
+        infeasible=tuple(sorted([k for k, u in utopias.items() if u is None]
+                                + [k for k, front in zip(retained, b3) if front is None])),
         nlp=NlpCounts(
-            a1=0 if phases == "none" else 2 * len(records),
+            a1=0 if phases == "none" else 2 * len(reals),
             a2=beta * len(k1m),
-            b1=len(k1u) - len(k1m) if phases == "ab" else 0,
+            b1=len(targets) if phases == "ab" else 0,
             b3=beta * len(retained),
         ),
         front=tuple(final),

@@ -1,8 +1,9 @@
 """Shared fixtures: registry problems, expensive reports (session-scoped),
 a small synthetic five-realization problem whose phase outcomes are
 known in closed form (one member of a family of shifted quadratic
-fronts), a counter of the real solver calls, and a loader of the
-benchmark's modules."""
+fronts), a counter of the real solver calls, a loader of the
+benchmark's modules, reference pairwise dominance tests, and a check
+that a report's sets partition its realizations."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import pareto_prune as pp
+from pareto_prune.core import _check_eps
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,6 +45,46 @@ def load_perfbench(*names: str) -> list:
             else:
                 sys.modules[name] = module
     return modules
+
+
+def dominates(a: pp.ObjectivePoint, b: pp.ObjectivePoint, eps: float = 0.0) -> bool:
+    """Reference strict Pareto dominance: a is no worse than b in both
+    objectives (within eps) and strictly better (beyond eps) in at least
+    one."""
+    _check_eps(eps)
+    return (
+        a.j1 <= b.j1 + eps
+        and a.j2 <= b.j2 + eps
+        and (a.j1 < b.j1 - eps or a.j2 < b.j2 - eps)
+    )
+
+
+def weakly_dominates(a: pp.ObjectivePoint, b: pp.ObjectivePoint, eps: float = 0.0) -> bool:
+    """Reference weak dominance: a is no worse than b in both objectives
+    (within eps).  Equal points weakly dominate each other."""
+    _check_eps(eps)
+    return a.j1 <= b.j1 + eps and a.j2 <= b.j2 + eps
+
+
+def assert_sets_partition(report: pp.PruneReport) -> None:
+    """Under "ab" and "a", ``infeasible``, ``pruned_a``, ``pruned_b`` and
+    ``k1c`` are pairwise disjoint and together cover 1..k_total, with
+    k1m within k1c within k1u (and nothing center-pruned under "a").
+    Under "none", ``infeasible`` and ``k1c`` are disjoint and the other
+    sets are empty."""
+    sets = {name: set(getattr(report, name))
+            for name in ("infeasible", "pruned_a", "pruned_b", "k1c", "k1m", "k1u")}
+    if report.phases == "none":
+        assert not sets["infeasible"] & sets["k1c"]
+        assert sets["pruned_a"] == sets["pruned_b"] == sets["k1m"] == sets["k1u"] == set()
+        return
+    parts = [sets[name] for name in ("infeasible", "pruned_a", "pruned_b", "k1c")]
+    assert sum(map(len, parts)) == len(set().union(*parts)), sets  # pairwise disjoint
+    assert set().union(*parts) == set(range(1, report.k_total + 1)), sets
+    assert sets["k1m"] <= sets["k1c"] <= sets["k1u"], sets
+    if report.phases == "a":
+        assert sets["pruned_b"] == set()
+
 
 # offsets (c1, c2) and front width per discrete value: realization 1 and 5
 # have mutually non-dominated utopias (masters), 2 is pruned by the master

@@ -26,7 +26,7 @@ import pytest
 import pareto_prune as pp
 from pareto_prune.cli import main, read_report
 from pareto_prune.core import nondominated_mask
-from conftest import make_fig_problem
+from conftest import dominates, make_fig_problem, weakly_dominates
 
 
 def criterion(label: str, condition: bool, detail: str = "") -> None:
@@ -255,12 +255,12 @@ class TestCriterion6Properties:
     def test_dominance_axioms(self):
         rng = np.random.default_rng(60)
         pts = [pp.ObjectivePoint(a, b) for a, b in rng.random((200, 2)) * 10.0]
-        ok = all(not pp.dominates(p, p) for p in pts)
+        ok = all(not dominates(p, p) for p in pts)
         for a, b, c in zip(pts, pts[1:], pts[2:]):
-            if pp.dominates(a, b):
-                ok = ok and not pp.dominates(b, a)
-            if pp.dominates(a, b) and pp.dominates(b, c):
-                ok = ok and pp.dominates(a, c)
+            if dominates(a, b):
+                ok = ok and not dominates(b, a)
+            if dominates(a, b) and dominates(b, c):
+                ok = ok and dominates(a, c)
         criterion("6a dominance axioms", ok)
 
     def test_filter_matches_brute_force(self):
@@ -277,12 +277,11 @@ class TestCriterion6Properties:
         criterion("6b filter equals pairwise brute force (n=1000)", fast == slow)
 
     def test_utopia_lower_bound(self, e1_spec, config):
-        pa = pp.phase_a(e1_spec, 21, config)
+        pa = pp.phase_a(e1_spec, pp.enumerate_realizations(e1_spec), 21, config)
         ok = True
         for k in pa.k1m:
-            rec = pa.records[k]
-            for sol in rec.front:
-                ok = ok and pp.weakly_dominates(rec.utopia, sol.point, 1e-9)
+            for sol in pa.fronts[k]:
+                ok = ok and weakly_dominates(pa.utopias[k], sol.point, 1e-9)
         criterion("6c utopia weakly dominates every computed front point", ok)
 
     def test_gradient_agreement(self, e1_spec, e2_spec):

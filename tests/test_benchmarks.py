@@ -177,7 +177,7 @@ class TestOracle:
     def test_e1_master_front_within_oracle(self, e1_spec, e1_oracle, config):
         # master-front points must be non-dominated inside the oracle's
         # exhaustive point set
-        pa = pp.phase_a(e1_spec, 21, config)
+        pa = pp.phase_a(e1_spec, pp.enumerate_realizations(e1_spec), 21, config)
         opts = np.array([[s.point.j1, s.point.j2] for s in e1_oracle.front])
         for p in pa.master_front:
             strictly = (

@@ -1,4 +1,5 @@
-"""Dominance primitives: axioms, filter semantics, brute-force equivalence."""
+"""Dominance primitives: axioms of the reference dominance tests (conftest),
+filter semantics, brute-force equivalence."""
 
 import math
 
@@ -12,10 +13,9 @@ from pareto_prune import (
     ParetoSolution,
     ProblemSpec,
     Realization,
-    dominates,
     nondominated_filter,
-    weakly_dominates,
 )
+from conftest import dominates, weakly_dominates
 
 P = ObjectivePoint
 

@@ -1,4 +1,6 @@
-"""Realization enumeration, anchors/utopia, centers, subproblem fronts."""
+"""Realization enumeration, anchors/utopia, centers, subproblem fronts.  The
+anchors are read from a realization's beta=2 front, whose two solves are
+the anchors' own."""
 
 import itertools
 import math
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 import pareto_prune as pp
 from pareto_prune import (
     CapacityExceeded,
-    Status,
+    ObjectivePoint,
     build_subproblem_front,
     compute_anchors_utopia,
     compute_center,
@@ -19,8 +21,8 @@ from pareto_prune import (
     enumerate_realizations,
     index_of,
     realization_from_index,
-    weakly_dominates,
 )
+from conftest import dominates, weakly_dominates
 
 # frozen from a 10^6-point grid refined to xatol 1e-13 (e1, z = (0, 0))
 E1_Z00_UTOPIA = (-20.0, -3.875762279046282)
@@ -28,6 +30,33 @@ E1_Z00_UTOPIA = (-20.0, -3.875762279046282)
 # per-coordinate optimum y* = (2, 1, 1), confirmed by a 200^3 grid search
 # refined by local descent
 E2_ALL_ONES_CENTER = (7.0 + 3.0 * math.sqrt(2.0), 12.0 + 12.0 * math.sqrt(2.0))
+
+
+def _anchors(spec, r, config):
+    """The w=1 and w=0 anchors of realization r: the two points of its
+    beta=2 front, whose solves are the anchors' own (weight, k) solves."""
+    by_tag = {p.provenance: p for p in build_subproblem_front(spec, [r], 2, config)[0]}
+    return by_tag["w1"], by_tag["w0"]
+
+
+def _utopia_and_anchors(spec, r, config):
+    """r's utopia point and its anchors; the utopia takes its components
+    from the anchors exactly."""
+    utopia = compute_anchors_utopia(spec, [r], config)[0]
+    a1, a2 = _anchors(spec, r, config)
+    assert utopia == ObjectivePoint(a1.point.j1, a2.point.j2)
+    return utopia, a1, a2
+
+
+def _all_nan_spec():
+    def objs(y, z):
+        v = np.asarray(y, dtype=float)[..., 0]
+        return np.stack([np.full_like(v, np.nan), v], axis=-1)
+
+    return pp.ProblemSpec(
+        name="all-nan", n_y=1, bounds=((0.0, 1.0),), discrete_sets=((0.0,),),
+        objectives=objs, vectorized=True,
+    )
 
 
 def _simple_spec(discrete_sets):
@@ -98,33 +127,35 @@ class TestIndexBijection:
 class TestAnchorsUtopia:
     def test_quad_separable(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
-        rec = compute_anchors_utopia(quad_spec, [r], config)[0]
-        assert rec.status is Status.UNPROCESSED
-        assert rec.anchor1.y[0] == pytest.approx(0.0, abs=1e-9)
-        assert rec.anchor2.y[0] == pytest.approx(1.0, abs=1e-9)
-        assert rec.utopia.j1 == pytest.approx(0.0, abs=1e-12)
-        assert rec.utopia.j2 == pytest.approx(0.0, abs=1e-12)
+        utopia, a1, a2 = _utopia_and_anchors(quad_spec, r, config)
+        assert a1.y[0] == pytest.approx(0.0, abs=1e-9)
+        assert a2.y[0] == pytest.approx(1.0, abs=1e-9)
+        assert utopia.j1 == pytest.approx(0.0, abs=1e-12)
+        assert utopia.j2 == pytest.approx(0.0, abs=1e-12)
 
     def test_counts_two_solves(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
         compute_anchors_utopia(quad_spec, [r], config)[0]
         assert solve_log.calls == 2
 
+    def test_unusable_anchor_gives_none(self, config, solve_log):
+        spec = _all_nan_spec()
+        assert compute_anchors_utopia(spec, enumerate_realizations(spec), config) == [None]
+        assert solve_log.calls == 2
+
     def test_e2_monotone_anchors(self, e2_spec, config):
         r = enumerate_realizations(e2_spec)[0]
-        rec = compute_anchors_utopia(e2_spec, [r], config)[0]
-        assert rec.anchor1.y == (2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-        assert rec.anchor2.y == (10.0, 10.0, 10.0)
+        utopia, a1, a2 = _utopia_and_anchors(e2_spec, r, config)
+        assert a1.y == (2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+        assert a2.y == (10.0, 10.0, 10.0)
         expected_j1 = 4.0 / 3.0 + 3.0 + 3.0 * math.sqrt(2.0)
-        assert rec.anchor1.point.j1 == pytest.approx(expected_j1, rel=1e-12)
+        assert utopia.j1 == pytest.approx(expected_j1, rel=1e-12)
 
     def test_e1_utopia_matches_grid_oracle(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
-        rec = compute_anchors_utopia(e1_spec, [r], config)[0]
-        assert rec.utopia.j1 == pytest.approx(E1_Z00_UTOPIA[0], abs=1e-6)
-        assert rec.utopia.j2 == pytest.approx(E1_Z00_UTOPIA[1], abs=1e-6)
-        assert rec.utopia.j1 == rec.anchor1.point.j1
-        assert rec.utopia.j2 == rec.anchor2.point.j2
+        utopia, _, _ = _utopia_and_anchors(e1_spec, r, config)
+        assert utopia.j1 == pytest.approx(E1_Z00_UTOPIA[0], abs=1e-6)
+        assert utopia.j2 == pytest.approx(E1_Z00_UTOPIA[1], abs=1e-6)
 
 
 class TestCenter:
@@ -166,11 +197,11 @@ class TestSubproblemFront:
 
     def test_beta_two_reproduces_anchors(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, -1.0))
-        rec = compute_anchors_utopia(e1_spec, [r], config)[0]
+        utopia, a1, a2 = _utopia_and_anchors(e1_spec, r, config)
         front = build_subproblem_front(e1_spec, [r], 2, config)[0]
-        got = sorted(p.point.as_tuple() for p in front)
-        want = sorted([rec.anchor1.point.as_tuple(), rec.anchor2.point.as_tuple()])
-        assert got == pytest.approx(want, abs=1e-9)
+        assert [p.provenance for p in front] == ["w1", "w0"]  # sorted by j1
+        assert utopia.j1 == min(p.point.j1 for p in front) == a1.point.j1
+        assert utopia.j2 == min(p.point.j2 for p in front) == a2.point.j2
 
     def test_quad_convex_front(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
@@ -188,35 +219,28 @@ class TestSubproblemFront:
         assert solve_log.calls == 13
 
     def test_raising_weights_still_pose_beta_solves(self, config, solve_log):
-        def objs(y, z):
-            v = np.asarray(y, dtype=float)[..., 0]
-            return np.stack([np.full_like(v, np.nan), v], axis=-1)
-
-        spec = pp.ProblemSpec(
-            name="all-nan", n_y=1, bounds=((0.0, 1.0),), discrete_sets=((0.0,),),
-            objectives=objs, vectorized=True,
-        )
+        spec = _all_nan_spec()
         assert build_subproblem_front(spec, enumerate_realizations(spec), 7, config) == [None]
         assert solve_log.calls == 7
 
     @pytest.mark.parametrize("z", [(0.0, 0.0), (-1.0, -1.0), (3.0, -4.0)])
     def test_utopia_weakly_dominates_front(self, e1_spec, config, z):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == z)
-        rec = compute_anchors_utopia(e1_spec, [r], config)[0]
+        utopia, _, _ = _utopia_and_anchors(e1_spec, r, config)
         for p in build_subproblem_front(e1_spec, [r], 21, config)[0]:
-            assert weakly_dominates(rec.utopia, p.point, 1e-9)
+            assert weakly_dominates(utopia, p.point, 1e-9)
 
     def test_anchor_consistency(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
-        rec = compute_anchors_utopia(e1_spec, [r], config)[0]
+        _, a1, a2 = _utopia_and_anchors(e1_spec, r, config)
         front = build_subproblem_front(e1_spec, [r], 21, config)[0]
-        for anchor in (rec.anchor1, rec.anchor2):
+        for anchor in (a1, a2):
             close = any(
                 abs(p.point.j1 - anchor.point.j1) <= 1e-9
                 and abs(p.point.j2 - anchor.point.j2) <= 1e-9
                 for p in front
             )
-            better = any(pp.dominates(p.point, anchor.point) for p in front)
+            better = any(dominates(p.point, anchor.point) for p in front)
             assert close or better
 
     def test_e1_front_survives_dense_sampling(self, e1_spec, config):

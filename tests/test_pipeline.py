@@ -14,37 +14,38 @@ import pareto_prune as pp
 from pareto_prune import (
     ObjectivePoint,
     PipelineError,
-    Status,
-    SubproblemRecord,
+    compute_center,
+    enumerate_realizations,
     master_candidates,
     nondominated_filter,
     phase_a,
     phase_b,
     run_pipeline,
 )
-from conftest import front_points, install_solve_log, make_fig_problem
-
-
-def _record(k, j1, j2):
-    r = pp.Realization(k=k, z=(float(k),))
-    return SubproblemRecord(realization=r, utopia=ObjectivePoint(j1, j2))
+from conftest import (
+    assert_sets_partition,
+    front_points,
+    install_solve_log,
+    make_fig_problem,
+    weakly_dominates,
+)
 
 
 class TestMasterCandidates:
     def test_simple(self):
-        recs = [_record(1, 0, 5), _record(2, 5, 0), _record(3, 3, 3), _record(4, 6, 6)]
-        assert master_candidates(recs) == [1, 2, 3]
+        utopias = {1: ObjectivePoint(0, 5), 2: ObjectivePoint(5, 0), 3: ObjectivePoint(3, 3),
+                   4: ObjectivePoint(6, 6)}
+        assert master_candidates(utopias) == [1, 2, 3]
 
     def test_identical_utopias_all_retained(self):
-        recs = [_record(k, 1.0, 1.0) for k in range(1, 4)]
-        assert master_candidates(recs) == [1, 2, 3]
+        utopias = {k: ObjectivePoint(1.0, 1.0) for k in range(1, 4)}
+        assert master_candidates(utopias) == [1, 2, 3]
 
     def test_empty(self):
-        assert master_candidates([]) == []
+        assert master_candidates({}) == []
 
     def test_infeasible_skipped(self):
-        recs = [_record(1, 0, 0), SubproblemRecord(realization=pp.Realization(k=2, z=(2.0,)))]
-        assert master_candidates(recs) == [1]
+        assert master_candidates({1: ObjectivePoint(0, 0), 2: None}) == [1]
 
 
 @pytest.fixture(scope="module")
@@ -93,41 +94,44 @@ class TestFigProblem:
 
     def test_statuses(self, fig_spec):
         config = pp.SolverConfig()
-        pa = phase_a(fig_spec, 21, config)
-        assert pa.records[1].status is Status.MASTER
-        assert pa.records[5].status is Status.MASTER
-        assert pa.records[2].status is Status.PRUNED_A
-        assert pa.records[3].status is Status.UNPROCESSED
-        targets = [k for k in pa.k1u if pa.records[k].status is not Status.MASTER]
-        retained = phase_b(fig_spec, pa.records, targets, pa.master_front, config)
+        reals = enumerate_realizations(fig_spec)
+        pa = phase_a(fig_spec, reals, 21, config)
+        assert pa.k1m == [1, 5]
+        assert pa.k1u == [1, 3, 4, 5]  # 2 falls in A-3
+        assert sorted(pa.fronts) == [1, 5]
+        targets = [k for k in pa.k1u if k not in pa.k1m]
+        assert targets == [3, 4]
+        retained = phase_b(fig_spec, [reals[k - 1] for k in targets], pa.master_front, config)
         assert retained == [3]
-        assert pa.records[3].status is Status.UNPROCESSED  # B-3 is the driver's
-        assert pa.records[4].status is Status.PRUNED_B
         assert sorted(pa.k1m + retained) == [1, 3, 5]
 
     def test_prune_soundness(self, fig_spec):
         # every utopia-pruned index is weakly dominated by a master point,
         # and every center-pruned center likewise
         config = pp.SolverConfig()
-        pa = phase_a(fig_spec, 21, config)
+        reals = enumerate_realizations(fig_spec)
+        pa = phase_a(fig_spec, reals, 21, config)
         for k in (2,):
-            assert any(
-                pp.weakly_dominates(p.point, pa.records[k].utopia) for p in pa.master_front
-            )
-        targets = [k for k in pa.k1u if pa.records[k].status is not Status.MASTER]
-        retained = phase_b(fig_spec, pa.records, targets, pa.master_front, config)
-        for k in set(targets) - set(retained):
-            center = pa.records[k].center
-            assert any(pp.weakly_dominates(p.point, center.point) for p in pa.master_front)
+            assert any(weakly_dominates(p.point, pa.utopias[k]) for p in pa.master_front)
+        targets = [reals[k - 1] for k in pa.k1u if k not in pa.k1m]
+        retained = phase_b(fig_spec, targets, pa.master_front, config)
+        pruned = [r for r in targets if r.k not in retained]
+        assert [r.k for r in pruned] == [4]
+        for center in compute_center(fig_spec, pruned, config):
+            assert any(weakly_dominates(p.point, center.point) for p in pa.master_front)
 
     def test_master_front_is_filter_of_member_fronts(self, fig_spec):
         config = pp.SolverConfig()
-        pa = phase_a(fig_spec, 21, config)
-        merged = [p for k in pa.k1m for p in pa.records[k].front]
+        pa = phase_a(fig_spec, enumerate_realizations(fig_spec), 21, config)
+        merged = [p for k in pa.k1m for p in pa.fronts[k]]
         expected = nondominated_filter(merged)
         assert [p.point.as_tuple() for p in pa.master_front] == [
             p.point.as_tuple() for p in expected
         ]
+
+    @pytest.mark.parametrize("phases", ["ab", "a", "none"])
+    def test_sets_partition_realizations(self, fig_spec, phases):
+        assert_sets_partition(run_pipeline(fig_spec, beta=21, phases=phases))
 
     def test_a_only_retains_everything_after_phase_a(self, fig_spec):
         rep = run_pipeline(fig_spec, beta=21, phases="a")
@@ -217,9 +221,12 @@ class TestAccounting:
         orc = pp.oracle_front(spec, beta=5)
         assert orc.nlp.b3 == solve_log.calls == 15
         assert orc.infeasible == (2,)
-        pipe = run_pipeline(spec, beta=5, phases="a")
-        assert pipe.infeasible == (2,)
-        assert front_points(orc).tolist() == front_points(pipe).tolist()
+        for phases in ("a", "ab"):
+            pipe = run_pipeline(spec, beta=5, phases=phases)
+            assert pipe.infeasible == (2,)
+            assert front_points(orc).tolist() == front_points(pipe).tolist()
+            assert_sets_partition(pipe)
+        assert_sets_partition(orc)
 
     def test_e1_report(self, e1_ab):
         assert e1_ab.k_total == 121
@@ -265,8 +272,8 @@ class TestScalingInvariance:
         for constants in (None, pp.TrussConstants(length_scale=2.5, load_modulus_scale=7.3)):
             spec = pp.make_e2(constants)
             reals = pp.enumerate_realizations(spec)
-            recs = pp.compute_anchors_utopia(spec, reals, config)
-            masters.append(master_candidates(recs))
+            utopias = pp.compute_anchors_utopia(spec, reals, config)
+            masters.append(master_candidates({r.k: u for r, u in zip(reals, utopias)}))
         assert masters[0] == masters[1]
 
     def test_fig_common_scaling_leaves_all_sets_unchanged(self, fig_spec):
@@ -330,6 +337,8 @@ class TestGeneratedPhaseAExactness:
             orc = pp.oracle_front(spec, beta=beta)
             assert log.by_phase == _nlp_by_phase(orc)
         assert {s.point.as_tuple() for s in rep.front} == {s.point.as_tuple() for s in orc.front}
+        assert_sets_partition(rep)
+        assert_sets_partition(orc)
         assert _nlp_by_phase(rep) == {
             "a1": 2 * len(params),
             "a2": beta * len(rep.k1m),
