@@ -38,13 +38,12 @@ from .pipeline import (
     phase_b,
     run_pipeline,
 )
-from .solver import InfeasibleError, SolverConfig
+from .solver import SolverConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapacityExceeded",
-    "InfeasibleError",
     "NlpCounts",
     "ObjectivePoint",
     "ParetoSolution",

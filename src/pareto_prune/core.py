@@ -126,7 +126,7 @@ class ProblemSpec:
 class ParetoSolution:
     """A candidate Pareto-optimal design: continuous part, realization,
     the evaluated objective point, and a tag recording which solve
-    produced it ("center", or "w<i>" for the i-th weighted-sum weight)."""
+    produced it ("w<i>" for the i-th weighted-sum weight)."""
 
     y: tuple[float, ...]
     realization: Realization

@@ -1,8 +1,9 @@
 """Realization enumeration and per-subproblem solves: utopia points from
 the anchors, center points, and weighted-sum subproblem fronts.  Each
-operation returns one result per realization, None where its solves
-failed, and decides no pruning set.  Each takes an optional ``descents``
-table (see :func:`~pareto_prune.solver.solve_batch`): operations that
+operation poses its (realization, weight) jobs as one
+:func:`~pareto_prune.solver.solve_batch` call, returns one result per
+realization, None where a solve it needs is not feasible, and decides no
+pruning set.  Each takes an optional ``descents`` table: operations that
 share one reuse each other's finished solves and shared descents."""
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ import itertools
 import math
 
 from .core import ObjectivePoint, ParetoSolution, ProblemSpec, Realization, nondominated_filter
-from .solver import (
-    InfeasibleError,
-    ScalarizedObjective,
-    SolverConfig,
-    SolveResult,
-    solve_batch,
-    solve_scalarized,
-)
+from .solver import SolverConfig, SolveResult, solve_batch, solve_scalarized
 
 __all__ = [
     "CapacityExceeded",
@@ -84,19 +78,11 @@ def index_of(spec: ProblemSpec, z: tuple[float, ...]) -> int:
 def _solve_all(
     spec: ProblemSpec, jobs: list[tuple[Realization, float]], config: SolverConfig, *,
     descents: dict | None = None,
-) -> list[SolveResult | None]:
+) -> list[SolveResult]:
     """One counted solve per (realization, weight) job, all of them one
     :func:`~pareto_prune.solver.solve_batch` call that reuses what the
-    run's ``descents`` table holds; None where a solve raises
-    InfeasibleError."""
-    objs = [ScalarizedObjective(weight=w, realization=r, parent=spec) for r, w in jobs]
-    out: list[SolveResult | None] = []
-    for obj, res in zip(objs, solve_batch(objs, config, descents)):
-        try:
-            out.append(solve_scalarized(obj, res))
-        except InfeasibleError:
-            out.append(None)
-    return out
+    run's ``descents`` table holds."""
+    return [solve_scalarized(res) for res in solve_batch(spec, jobs, config, descents)]
 
 
 def compute_anchors_utopia(
@@ -105,13 +91,12 @@ def compute_anchors_utopia(
 ) -> list[ObjectivePoint | None]:
     """Utopia point of each realization: j1 of its w=1 anchor and j2 of
     its w=0 anchor (the two sole-objective solves, exactly two counted
-    solves per realization).  None where either anchor raised or ended
-    infeasible."""
+    solves per realization).  None where either anchor is not feasible."""
     results = _solve_all(spec, [(r, w) for r in reals for w in (1.0, 0.0)], config,
                          descents=descents)
     return [
         ObjectivePoint(a1.point.j1, a2.point.j2)
-        if a1 is not None and a2 is not None and a1.feasible and a2.feasible else None
+        if a1.feasible and a2.feasible else None
         for a1, a2 in zip(results[::2], results[1::2])
     ]
 
@@ -119,17 +104,13 @@ def compute_anchors_utopia(
 def compute_center(
     spec: ProblemSpec, reals: list[Realization], config: SolverConfig, *,
     descents: dict | None = None,
-) -> list[ParetoSolution | None]:
-    """Equal-weights solve of each realization (one counted NLP each); the
-    resulting point sits on the subproblem front where weighted-sum
-    reaches it.  None marks a center whose solve raised or ended
-    infeasible."""
+) -> list[ObjectivePoint | None]:
+    """Center point of each realization: the objectives of its
+    equal-weights solve (one counted NLP each), which sit on the
+    subproblem front where weighted-sum reaches it.  None where that solve
+    is not feasible."""
     results = _solve_all(spec, [(r, 0.5) for r in reals], config, descents=descents)
-    return [
-        None if res is None or not res.feasible
-        else ParetoSolution(y=res.y_star, realization=r, point=res.point, provenance="center")
-        for r, res in zip(reals, results)
-    ]
+    return [res.point if res.feasible else None for res in results]
 
 
 def build_subproblem_front(
@@ -139,9 +120,8 @@ def build_subproblem_front(
     """beta-point weighted-sum front of each subproblem: solves weights
     i/(beta-1) for i = 0..beta-1 (beta counted NLPs per realization),
     filters dominated outcomes, sorts by j1 ascending.  A weight whose
-    solve raises InfeasibleError is skipped, as an anchor is, so every
-    sweep poses all beta solves.  None marks a realization without a
-    feasible solution."""
+    solve is not feasible is skipped, so every sweep poses all beta
+    solves.  None marks a realization without a feasible solution."""
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
     weights = [i / (beta - 1) for i in range(beta)]
@@ -152,7 +132,7 @@ def build_subproblem_front(
         sols = [
             ParetoSolution(y=res.y_star, realization=r, point=res.point, provenance=f"w{i}")
             for i, res in enumerate(results[j * beta:(j + 1) * beta])
-            if res is not None and res.feasible
+            if res.feasible
         ]
         if not sols:
             fronts.append(None)

@@ -262,7 +262,7 @@ def phase_b(
     mpts = _points_array(master_front)
     centers = parallel_map(compute_center, spec, reals, config, descents=descents)
     return [r.k for r, center in zip(reals, centers)
-            if center is not None and not _weakly_dominated_by(mpts, center.point, eps)]
+            if center is not None and not _weakly_dominated_by(mpts, center, eps)]
 
 
 def run_pipeline(

@@ -1,12 +1,16 @@
 """Box-constrained solver for weighted-sum scalarizations.
 
-One call to :func:`solve_scalarized` is one NLP in the pipeline's solve
-accounting, regardless of how many local descents run inside it.  The
-solves of one phase are one :func:`solve_batch` call: their local
-descents run in lockstep in one batch, and the batch is finished in one
-pass: winners, penalty escalation and objectives.  Every row of a batch
-evolves on its own, so a solve's result does not depend on the batch it
-ran in.
+A solve is one (realization, weight) job: minimize w*J1 + (1-w)*J2 of
+the problem at that realization over its box, plus an exterior quadratic
+penalty on violated inequality constraints.  One call to
+:func:`solve_scalarized` is one NLP in the pipeline's solve accounting,
+regardless of how many local descents run inside it.  The solves of one
+phase are one :func:`solve_batch` call, which takes the problem once and
+returns one :class:`SolveResult` per job, unusable solves included:
+their local descents run in lockstep in one batch, and the batch is
+finished in one pass: winners, penalty escalation and objectives.  Every
+row of a batch evolves on its own, so a solve's result does not depend
+on the batch it ran in.
 The solver is deterministic: identical arguments (including the seed)
 give bitwise-identical results.
 """
@@ -23,8 +27,6 @@ import numpy as np
 from .core import ObjectivePoint, ProblemSpec, Realization
 
 __all__ = [
-    "InfeasibleError",
-    "ScalarizedObjective",
     "SolverConfig",
     "SolveResult",
     "solve_batch",
@@ -45,10 +47,6 @@ _ARMIJO = 1e-4
 _STEP_GROWTH = 2.0
 _STEP_SHRINK = 0.25
 _STEP_FLOOR = 1e-20
-
-
-class InfeasibleError(RuntimeError):
-    """Raised when a scalarized subproblem yields no usable iterate."""
 
 
 @dataclass(frozen=True)
@@ -117,23 +115,9 @@ def _scalarize(weight, raw: np.ndarray, g: np.ndarray | None, pc) -> np.ndarray:
     return val
 
 
-@dataclass(frozen=True)
-class ScalarizedObjective:
-    """One scalarized subproblem: w*J1 + (1-w)*J2 of ``parent`` at
-    ``realization``, plus an exterior quadratic penalty on violated
-    inequality constraints (PENALTY_COEFFICIENT unless escalated)."""
-
-    weight: float
-    realization: Realization
-    parent: ProblemSpec
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight must be in [0, 1], got {self.weight}")
-
-
 class _Batch:
-    """The scalarized solves of one lockstep descent.  Solve i owns rows
+    """The (realization, weight) jobs of ``spec`` that one lockstep descent
+    solves, at PENALTY_COEFFICIENT unless escalated.  Solve i owns rows
     i*rows_per_solve .. (i+1)*rows_per_solve - 1.  The methods take the
     stacked points of some of those rows and their indices (an index array
     or a slice), and make one pass per evaluator over all of them: one
@@ -142,21 +126,22 @@ class _Batch:
     never depends on the rest of the batch, so a finite-difference
     gradient evaluates all its probes in one pass."""
 
-    def __init__(self, objs: Sequence[ScalarizedObjective], rows_per_solve: int) -> None:
-        self.parent = objs[0].parent
-        self.lo = self.parent.lower_bounds()
-        self.hi = self.parent.upper_bounds()
-        self.weight = np.array([o.weight for o in objs])
+    def __init__(self, spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
+                 rows_per_solve: int) -> None:
+        self.spec = spec
+        self.lo = spec.lower_bounds()
+        self.hi = spec.upper_bounds()
+        self.weight = np.array([w for _, w in jobs])
         index: dict[Realization, int] = {}
-        self.solve_z = np.array([index.setdefault(o.realization, len(index)) for o in objs])
+        self.solve_z = np.array([index.setdefault(r, len(index)) for r, _ in jobs])
         self.zarr = np.array([r.z for r in index], dtype=float)  # (n_real, n_z)
         self.zs = list(self.zarr)
-        self.owner = np.repeat(np.arange(len(objs)), rows_per_solve)
+        self.owner = np.repeat(np.arange(len(jobs)), rows_per_solve)
 
     def _per_z(self, field: str, ys: np.ndarray, solves: np.ndarray) -> np.ndarray:
         """``field`` at each row of ``ys``, row i at the realization of
         solve ``solves[i]``."""
-        spec = self.parent
+        spec = self.spec
         zi = self.solve_z[solves]
         if spec.vectorized:
             return _evaluate(spec, field, ys, self.zarr[zi])
@@ -170,7 +155,7 @@ class _Batch:
         the z-dependent constant is dropped: the minimizer is unchanged
         and the iterate sequence becomes independent of the realization,
         so exact cross-realization ties survive in later filtering."""
-        spec = self.parent
+        spec = self.spec
         solves = self.owner[rows]
         if spec.base_objectives is None:
             raw = self._per_z("objectives", ys, solves)
@@ -186,11 +171,11 @@ class _Batch:
                  penalty_coefficient: float | None = None) -> np.ndarray:
         """Gradient of the (penalized) scalarized objective, shape (m, n_y).
 
-        Uses the parent's analytic objective gradient when available and no
+        Uses the problem's analytic objective gradient when available and no
         constraints are present; otherwise central finite differences on the
         penalized value (constraint gradients are never supplied).
         """
-        spec = self.parent
+        spec = self.spec
         if spec.gradient is not None and spec.inequality_constraints is None:
             solves = self.owner[rows]
             gj = self._per_z("gradient", ys, solves)
@@ -229,11 +214,16 @@ class _Batch:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """One solve of weight ``weight``: the best point its descents reached
+    and the objectives there.  ``point`` is None where no start reached a
+    finite value or the objectives at that point are not finite; such a
+    solve, and one whose point violates a constraint beyond FEAS_TOL, is
+    not ``feasible``."""
+
+    weight: float
     y_star: tuple[float, ...]
-    scalar_value: float
-    point: ObjectivePoint
+    point: ObjectivePoint | None
     feasible: bool
-    starts_used: int
 
 
 def _start_points(bounds: tuple[tuple[float, float], ...], n: int, seed: int) -> np.ndarray:
@@ -330,31 +320,31 @@ def _descent(obj: _Batch, x0: np.ndarray, *,
     return best_x, best_f
 
 
-def _descend(objs: Sequence[ScalarizedObjective],
+def _descend(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
              config: SolverConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Local descents of several solves of one problem from the multistart
+    """Local descents of several solves of ``spec`` from the multistart
     set, in lockstep: one ``_descent`` call for all of them, or several of
     at most MAX_DESCENT_ROWS rows each.  Returns, per solve, the best point
     and value reached from each start, as read-only arrays."""
     n = N_STARTS
     per_call = max(1, MAX_DESCENT_ROWS // n)
+    starts = _start_points(spec.bounds, n, config.seed)
     out = []
-    for a in range(0, len(objs), per_call):
-        part = objs[a:a + per_call]
-        starts = _start_points(part[0].parent.bounds, n, config.seed)
-        best_x, best_f = _descent(_Batch(part, n), np.tile(starts, (len(part), 1)))
+    for a in range(0, len(jobs), per_call):
+        part = jobs[a:a + per_call]
+        best_x, best_f = _descent(_Batch(spec, part, n), np.tile(starts, (len(part), 1)))
         best_x.setflags(write=False)
         best_f.setflags(write=False)
         out += [(best_x[j * n:(j + 1) * n], best_f[j * n:(j + 1) * n]) for j in range(len(part))]
     return out
 
 
-def solve_batch(objs: Sequence[ScalarizedObjective], config: SolverConfig,
-                table: dict | None = None) -> list[SolveResult | None]:
-    """The results of several solves of one problem, None where no start
-    reached a finite value.  The descents of the solves not finished yet
-    run as one batch (:func:`_descend`), and are finished as one batch,
-    MAX_DESCENT_ROWS solves at a time (:func:`_finish`).
+def solve_batch(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
+                config: SolverConfig, table: dict | None = None) -> list[SolveResult]:
+    """The result of each (realization, weight) job of ``spec``.  The
+    descents of the solves not finished yet run as one batch
+    (:func:`_descend`), and are finished as one batch, MAX_DESCENT_ROWS
+    solves at a time (:func:`_finish`).
 
     ``table`` holds what later calls of one run reuse; it belongs to one
     problem and one seed, and without one a call starts a fresh one.  It
@@ -366,83 +356,71 @@ def solve_batch(objs: Sequence[ScalarizedObjective], config: SolverConfig,
     shares its rows.
     """
     table = {} if table is None else table
-    keys = [(o.weight, o.realization.k) for o in objs]
-    todo: dict = {}  # key -> its first solve, for the solves not finished yet
-    for key, o in zip(keys, objs):
+    keys = [(w, r.k) for r, w in jobs]
+    todo: dict = {}  # key -> its first job, for the solves not finished yet
+    for key, job in zip(keys, jobs):
         if key not in table:
-            todo.setdefault(key, o)
-    if not todo:
-        return [table[key] for key in keys]
+            todo.setdefault(key, job)
     solves = list(todo.values())
-    spec = solves[0].parent
     if spec.base_objectives is not None and spec.inequality_constraints is None:
-        missing: dict = {}  # weight -> the solve whose descent runs it
-        for o in solves:
-            if o.weight not in table:
-                missing.setdefault(o.weight, o)
-        table.update(zip(missing, _descend(list(missing.values()), config)))
-        entries = [table[o.weight] for o in solves]
+        missing: dict = {}  # weight -> the job whose descent runs it
+        for r, w in solves:
+            if w not in table:
+                missing.setdefault(w, (r, w))
+        table.update(zip(missing, _descend(spec, list(missing.values()), config)))
+        entries = [table[w] for _, w in solves]
     else:
-        entries = _descend(solves, config)
+        entries = _descend(spec, solves, config)
     todo_keys = list(todo)
     for a in range(0, len(solves), MAX_DESCENT_ROWS):
         part = slice(a, a + MAX_DESCENT_ROWS)
-        table.update(zip(todo_keys[part], _finish(solves[part], entries[part])))
+        table.update(zip(todo_keys[part], _finish(spec, solves[part], entries[part])))
     return [table[key] for key in keys]
 
 
-def _finish(objs: list[ScalarizedObjective],
-            entries: list[tuple[np.ndarray, np.ndarray]]) -> list[SolveResult | None]:
-    """The result of each solve with a usable start: the best point its
-    descents reached and, on a constrained problem, the constraints at all
-    those winners in one evaluator pass.  Winners that violate them beyond
+def _finish(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
+            entries: list[tuple[np.ndarray, np.ndarray]]) -> list[SolveResult]:
+    """The result of each solve: the best point its descents reached.  On
+    a constrained problem one evaluator pass gives the constraints at
+    every winner with a finite value.  Winners that violate them beyond
     FEAS_TOL descend again from where they stand, in lockstep, with the
     penalty multiplied by 100, for up to 4 rounds; ``_descent`` returns a
     row whose value there is not finite unmoved, so it keeps its
-    incumbent.  Then one pass gives the objectives of all winners."""
-    spec = objs[0].parent
+    incumbent.  Then one pass gives the objectives of all those winners,
+    and a solve has a point where they are finite."""
     fs = np.stack([f for _, f in entries])  # (n_solves, N_STARTS)
     win = fs.argmin(axis=1).tolist()
-    used = np.isfinite(fs).sum(axis=1)
-    ok = np.flatnonzero(used)
-    out: list[SolveResult | None] = [None] * len(objs)
-    if ok.size == 0:
-        return out
-    sel = [objs[i] for i in ok]
-    y = np.stack([entries[i][0][win[i]] for i in ok])  # _descent keeps rows inside the box
-    z = np.array([o.realization.z for o in sel], dtype=float)
-    g = None
-    if spec.inequality_constraints is not None:
-        g = _evaluate(spec, "inequality_constraints", y, z)
-        pc = PENALTY_COEFFICIENT
-        for _ in range(4):
-            bad = np.flatnonzero(~(np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL))
-            if bad.size == 0:
-                break
-            pc *= 100.0
-            y[bad] = _descent(_Batch([sel[i] for i in bad], 1), y[bad],
-                              penalty_coefficient=pc)[0]
-            g[bad] = _evaluate(spec, "inequality_constraints", y[bad], z[bad])
-    raw = _evaluate(spec, "objectives", y, z)
-    value = _scalarize(np.array([o.weight for o in sel], dtype=float), raw, g,
-                       PENALTY_COEFFICIENT)
-    feasible = (np.ones(len(sel), dtype=bool) if g is None
-                else np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL)
-    for i, yi, (j1, j2), v, fe, u in zip(ok.tolist(), y.tolist(), raw.tolist(), value.tolist(),
-                                         feasible.tolist(), used[ok].tolist()):
-        out[i] = SolveResult(y_star=tuple(yi), scalar_value=v, point=ObjectivePoint(j1, j2),
-                             feasible=fe, starts_used=u)
-    return out
+    y = np.stack([x[i] for (x, _), i in zip(entries, win)])  # _descent keeps rows inside the box
+    ok = np.flatnonzero(np.isfinite(fs.min(axis=1)))
+    raw = np.full((len(jobs), 2), np.nan)
+    within = np.ones(len(jobs), dtype=bool)  # constraints within FEAS_TOL
+    if ok.size:
+        sel = [jobs[i] for i in ok]
+        yk = y[ok]
+        z = np.array([r.z for r, _ in sel], dtype=float)
+        if spec.inequality_constraints is not None:
+            g = _evaluate(spec, "inequality_constraints", yk, z)
+            pc = PENALTY_COEFFICIENT
+            for _ in range(4):
+                bad = np.flatnonzero(~(np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL))
+                if bad.size == 0:
+                    break
+                pc *= 100.0
+                yk[bad] = _descent(_Batch(spec, [sel[i] for i in bad], 1), yk[bad],
+                                   penalty_coefficient=pc)[0]
+                g[bad] = _evaluate(spec, "inequality_constraints", yk[bad], z[bad])
+            within[ok] = np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL
+        raw[ok] = _evaluate(spec, "objectives", yk, z)
+        y[ok] = yk
+    finite = np.isfinite(raw).all(axis=1)
+    return [SolveResult(w, tuple(yi), ObjectivePoint(j1, j2) if fin else None, fin and wi)
+            for (_, w), yi, (j1, j2), fin, wi in zip(jobs, y.tolist(), raw.tolist(),
+                                                      finite.tolist(), within.tolist())]
 
 
-def solve_scalarized(obj: ScalarizedObjective, result: SolveResult | None) -> SolveResult:
-    """Minimize a scalarized subproblem over its box: ``result``, the
-    :func:`solve_batch` result of ``obj``.  Counts as exactly one solve,
-    however many descents and penalty escalations ran for it or were
-    shared.  Raises InfeasibleError where no start was usable."""
-    if result is None:
-        raise InfeasibleError(
-            f"all {N_STARTS} starts produced non-finite values for "
-            f"subproblem k={obj.realization.k} (w={obj.weight})"
-        )
+def solve_scalarized(result: SolveResult) -> SolveResult:
+    """One solve over its box: ``result``, its :func:`solve_batch` result.
+    Counts as exactly one solve, however many descents and penalty
+    escalations ran for it or were shared, and whether or not it is
+    feasible."""
     return result

@@ -1,12 +1,14 @@
 """Shared fixtures: registry problems, expensive reports (session-scoped),
 a small synthetic five-realization problem whose phase outcomes are
 known in closed form (one member of a family of shifted quadratic
-fronts), a counter of the real solver calls, a loader of the
-benchmark's modules, reference pairwise dominance tests, and a check
-that a report's sets partition its realizations."""
+fronts), a quad variant whose objectives are NaN at one realization, a
+counter of the real solver calls, a loader of the benchmark's modules,
+reference pairwise dominance tests, and a check that a report's sets
+partition its realizations."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib.util
 import sys
@@ -136,6 +138,28 @@ def make_fig_problem(table: dict | None = None) -> pp.ProblemSpec:
         gradient=functools.partial(_fig_gradient, table),
         vectorized=True,
     )
+
+
+def _quad_pair(y):
+    v = np.asarray(y, dtype=float)[..., 0]
+    return np.stack([v ** 2, (v - 1.0) ** 2], axis=-1)
+
+
+def _nan_offset_objectives(y, z):
+    """The quad pair plus the offset (z, z), undefined (NaN) at z = 2."""
+    z = np.asarray(z, dtype=float)[..., 0]
+    return _quad_pair(y) + np.where(z == 2.0, np.nan, z)[..., None]
+
+
+def make_nan_offset_problem(separable: bool) -> pp.ProblemSpec:
+    """The quad pair on y in [0, 1] at z in {0, 1, 2}, shifted by (z, z),
+    with objectives that are NaN everywhere at z = 2: realization 1 is the
+    only master, 2 is utopia-pruned and 3 is infeasible.  ``separable``
+    also supplies the quad pair as ``base_objectives``, so the solver
+    descends on the finite base and meets the NaN only at the winner."""
+    return dataclasses.replace(
+        pp.make_quad(), name="nan-offset", discrete_sets=((0.0, 1.0, 2.0),),
+        objectives=_nan_offset_objectives, base_objectives=_quad_pair if separable else None)
 
 
 class SolveLog:

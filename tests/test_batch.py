@@ -17,7 +17,7 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune import benchmarks, decomposition, pipeline, solver
-from pareto_prune.solver import N_STARTS, ScalarizedObjective, solve_scalarized
+from pareto_prune.solver import N_STARTS, solve_scalarized
 from conftest import load_perfbench, make_fig_problem
 
 (workloads,) = load_perfbench("workloads")
@@ -62,6 +62,11 @@ def _reals(spec, n):
     reals = pp.enumerate_realizations(spec)
     step = max(1, len(reals) // n)
     return reals[::step][:n]
+
+
+def _jobs(reals, weights):
+    """The (realization, weight) job of each realization at each weight."""
+    return [(r, w) for r in reals for w in weights]
 
 
 SPECS = {
@@ -120,9 +125,9 @@ class _FinishedEntries:
         self.entries: list[tuple[np.ndarray, np.ndarray]] = []
         finish = solver._finish
 
-        def logged(objs, entries):
+        def logged(spec, jobs, entries):
             self.entries += entries
-            return finish(objs, entries)
+            return finish(spec, jobs, entries)
 
         monkeypatch.setattr(solver, "_finish", logged)
 
@@ -136,13 +141,13 @@ class TestRowSharing:
         assert rows.rows == [2 * N_STARTS]
 
     def test_shared_rows_give_each_solve_its_own_point(self, e2_spec, config, monkeypatch):
-        reals = _reals(e2_spec, 3)
-        objs = [ScalarizedObjective(weight=0.5, realization=r, parent=e2_spec) for r in reals]
+        jobs = _jobs(_reals(e2_spec, 3), (0.5,))
         finished = _FinishedEntries(monkeypatch)
-        results = [solve_scalarized(o, res) for o, res in zip(objs, solver.solve_batch(objs, config))]
+        results = [solve_scalarized(res) for res in solver.solve_batch(e2_spec, jobs, config)]
         descents = finished.entries
         assert descents[0] is descents[1] is descents[2]
-        assert results == [solve_scalarized(o, solver.solve_batch([o], config)[0]) for o in objs]
+        assert results == [solve_scalarized(solver.solve_batch(e2_spec, [j], config)[0])
+                           for j in jobs]
         assert len({res.point for res in results}) == 3
 
     def test_constrained_separable_spec_is_not_merged(self, e2_spec, config, monkeypatch):
@@ -215,8 +220,8 @@ class TestEvaluatorShapes:
 def _reference_fd_gradient(batch, ys, rows, penalty_coefficient, fd_step):
     """The finite-difference gradient as first batched: one loop step and
     two ``descent_value`` calls per dimension."""
-    lo = batch.parent.lower_bounds()
-    hi = batch.parent.upper_bounds()
+    lo = batch.spec.lower_bounds()
+    hi = batch.spec.upper_bounds()
     out = np.empty_like(ys)
     for d in range(ys.shape[1]):
         h = fd_step * (1.0 + np.abs(ys[:, d]))
@@ -254,13 +259,11 @@ def _fd_case(spec, rows_per_solve=6):
     for every row of it: interior points, points on each face of the box
     (one-sided probes), and, for gen-nan, a point whose + probe is
     non-finite."""
-    reals = _reals(spec, 3)
-    objs = [ScalarizedObjective(weight=w, realization=r, parent=spec)
-            for r in reals for w in (0.0, 0.35, 1.0)]
-    batch = solver._Batch(objs, rows_per_solve)
+    jobs = _jobs(_reals(spec, 3), (0.0, 0.35, 1.0))
+    batch = solver._Batch(spec, jobs, rows_per_solve)
     lo, hi = spec.lower_bounds(), spec.upper_bounds()
     rng = np.random.default_rng(5)
-    ys = lo + (hi - lo) * rng.random((len(objs) * rows_per_solve, spec.n_y))
+    ys = lo + (hi - lo) * rng.random((len(jobs) * rows_per_solve, spec.n_y))
     for d in range(spec.n_y):
         ys[2 * d, d] = lo[d]
         ys[2 * d + 1, d] = hi[d]
@@ -346,18 +349,17 @@ class TestScalarRowsGetTheirOwnZ:
         spec = dataclasses.replace(
             base, objectives=logged("f", base.objectives),
             inequality_constraints=logged("g", base.inequality_constraints))
-        objs = [ScalarizedObjective(weight=0.8, realization=r, parent=spec)
-                for r in pp.enumerate_realizations(spec)]
+        jobs = _jobs(pp.enumerate_realizations(spec), (0.8,))
         finished = _FinishedEntries(monkeypatch)
-        solver.solve_batch(objs, config)
+        solver.solve_batch(spec, jobs, config)
         batch_log = sorted(log)
         batched = finished.entries[:]
         log.clear()
         finished.entries.clear()
-        for o in objs:
-            solver.solve_batch([o], config)
+        for j in jobs:
+            solver.solve_batch(spec, [j], config)
         assert batch_log == sorted(log)
-        assert len({z for _, _, z in batch_log}) == len(objs)
+        assert len({z for _, _, z in batch_log}) == len(jobs)
         for (bx, bf), (ax, af) in zip(batched, finished.entries, strict=True):
             assert bx.tobytes() == ax.tobytes() and bf.tobytes() == af.tobytes()
 
@@ -406,12 +408,11 @@ class TestStackedZ:
 
     def test_batch_rows_of_mixed_z_equal_single_solve_batches(self, name):
         spec = VECTORIZED_SPECS[name]()
-        objs = [ScalarizedObjective(weight=w, realization=r, parent=spec)
-                for r in _reals(spec, 4) for w in (0.0, 0.35, 1.0)]
-        ys, _ = _mixed_rows(spec, 2 * len(objs))
+        jobs = _jobs(_reals(spec, 4), (0.0, 0.35, 1.0))
+        ys, _ = _mixed_rows(spec, 2 * len(jobs))
         rows = np.arange(ys.shape[0])
-        batch = solver._Batch(objs, 2)
-        alone = [solver._Batch([o], 2) for o in objs]
+        batch = solver._Batch(spec, jobs, 2)
+        alone = [solver._Batch(spec, [j], 2) for j in jobs]
         for pc in (None, 1e8):
             got = batch.descent_value(ys, rows, pc), batch.gradient(ys, rows, pc)
             ref = (np.concatenate([b.descent_value(ys[2 * i:2 * i + 2], [0, 1], pc)
@@ -449,15 +450,14 @@ class TestOneVectorizedCallPerPass:
         e1 = pp.make_e1()
         spec = dataclasses.replace(e1, objectives=counted("objectives", e1.objectives),
                                    gradient=counted("gradient", e1.gradient))
-        objs = [ScalarizedObjective(weight=w, realization=r, parent=spec)
-                for r in _reals(spec, 4) for w in (0.0, 0.5, 1.0)]
-        assert len({o.realization for o in objs}) == 4
-        return objs, calls
+        jobs = _jobs(_reals(spec, 4), (0.0, 0.5, 1.0))
+        assert len({r for r, _ in jobs}) == 4
+        return spec, jobs, calls
 
     def test_batch_pass_is_one_call(self):
-        objs, calls = self._counted_e1()
-        batch = solver._Batch(objs, 3)
-        ys, _ = _mixed_rows(objs[0].parent, 3 * len(objs))
+        spec, jobs, calls = self._counted_e1()
+        batch = solver._Batch(spec, jobs, 3)
+        ys, _ = _mixed_rows(spec, 3 * len(jobs))
         for rows in (np.arange(ys.shape[0]), np.arange(ys.shape[0])[::5]):
             before = dict(calls)
             batch.descent_value(ys[rows], rows)
@@ -467,7 +467,7 @@ class TestOneVectorizedCallPerPass:
                              "gradient": before["gradient"] + 1}
 
     def test_descent_makes_one_call_per_step(self, config, monkeypatch):
-        objs, calls = self._counted_e1()
+        spec, jobs, calls = self._counted_e1()
         passes = {"objectives": 0, "gradient": 0}
         descent_value, gradient = solver._Batch.descent_value, solver._Batch.gradient
 
@@ -481,7 +481,7 @@ class TestOneVectorizedCallPerPass:
 
         monkeypatch.setattr(solver._Batch, "descent_value", counted_value)
         monkeypatch.setattr(solver._Batch, "gradient", counted_gradient)
-        solver.solve_batch(objs, config)
+        solver.solve_batch(spec, jobs, config)
         assert passes["objectives"] > 1
         # and one objectives call more: the finish's pass at the winners
         assert calls == {"objectives": passes["objectives"] + 1, "gradient": passes["gradient"]}
@@ -508,11 +508,6 @@ REUSE_SPECS = {
 }
 
 
-def _objs(spec, reals, weights):
-    return [ScalarizedObjective(weight=w, realization=r, parent=spec)
-            for r in reals for w in weights]
-
-
 def _report_text(report):
     from pareto_prune.cli import dumps_json
 
@@ -527,16 +522,16 @@ class TestDescentTable:
         spec = REUSE_SPECS[name]()
         reals = _reals(spec, 3)
         table: dict = {}
-        solver.solve_batch(_objs(spec, reals, (1.0, 0.0)), config, table)  # A-1
-        later = [_objs(spec, reals[:2], [i / 4 for i in range(5)]),  # a beta-front, beta = 5
-                 _objs(spec, reals, (0.5,))]  # centers
+        solver.solve_batch(spec, _jobs(reals, (1.0, 0.0)), config, table)  # A-1
+        later = [_jobs(reals[:2], [i / 4 for i in range(5)]),  # a beta-front, beta = 5
+                 _jobs(reals, (0.5,))]  # centers
         rows = _DescentRows(monkeypatch)
-        for objs in later:
+        for jobs in later:
             rows.rows.clear()
-            got = solver.solve_batch(objs, config, table)
+            got = solver.solve_batch(spec, jobs, config, table)
             reused = sum(rows.rows)
             rows.rows.clear()
-            fresh = solver.solve_batch(objs, config)
+            fresh = solver.solve_batch(spec, jobs, config)
             assert reused < sum(rows.rows)  # each phase shares some solves with the ones before
             assert repr(got) == repr(fresh)
 
@@ -546,7 +541,7 @@ class TestDescentTable:
         shared = pp.run_pipeline(spec, beta=5, phases=phases)
         solve_batch = solver.solve_batch
         monkeypatch.setattr(decomposition, "solve_batch",
-                            lambda objs, config, table=None: solve_batch(objs, config))
+                            lambda spec, jobs, config, table=None: solve_batch(spec, jobs, config))
         alone = pp.run_pipeline(spec, beta=5, phases=phases)
         assert _report_text(shared) == _report_text(alone)
 
@@ -554,27 +549,27 @@ class TestDescentTable:
         spec = REUSE_SPECS[name]()
         reals = _reals(spec, 3)
         table: dict = {}
-        first = solver.solve_batch(_objs(spec, reals, (1.0, 0.0)), config, table)
+        first = solver.solve_batch(spec, _jobs(reals, (1.0, 0.0)), config, table)
         finished: list[int] = []
         _finish = solver._finish
 
-        def counted(objs, entries):
-            finished.append(len(objs))
-            return _finish(objs, entries)
+        def counted(spec, jobs, entries):
+            finished.append(len(jobs))
+            return _finish(spec, jobs, entries)
 
         monkeypatch.setattr(solver, "_finish", counted)
-        later = _objs(spec, reals, (0.0, 0.5, 1.0))
-        got = solver.solve_batch(later, config, table)
+        later = _jobs(reals, (0.0, 0.5, 1.0))
+        got = solver.solve_batch(spec, later, config, table)
         assert finished == [len(reals)]  # the w = 0.5 solves; the anchors are looked up
         assert all(got[3 * i] is first[2 * i + 1] and got[3 * i + 2] is first[2 * i]
                    for i in range(len(reals)))
         monkeypatch.setattr(solver, "_finish", _finish)
-        assert repr(got) == repr(_finished_alone(later, config))
+        assert repr(got) == repr(_finished_alone(spec, later, config))
 
     def test_descents_are_read_only(self, name, config, monkeypatch):
         spec = REUSE_SPECS[name]()
         finished = _FinishedEntries(monkeypatch)
-        solver.solve_batch(_objs(spec, _reals(spec, 2), (0.0, 0.5)), config)
+        solver.solve_batch(spec, _jobs(_reals(spec, 2), (0.0, 0.5)), config)
         assert len(finished.entries) == 4
         for x, f in finished.entries:
             with pytest.raises(ValueError, match="read-only"):
@@ -590,9 +585,9 @@ class TestDescentTable:
         tables: list[dict] = []
         solve_batch = solver.solve_batch
 
-        def kept(objs, config, table=None):
+        def kept(spec, jobs, config, table=None):
             tables.append(table)
-            return solve_batch(objs, config, table)
+            return solve_batch(spec, jobs, config, table)
 
         monkeypatch.setattr(decomposition, "solve_batch", kept)
         report = pp.run_pipeline(spec, beta=5, phases="ab")
@@ -600,7 +595,7 @@ class TestDescentTable:
         assert all(t is table for t in tables)
         solved = {k for k in table if isinstance(k, tuple)}
         assert all(type(w) is float and type(k) is int for w, k in solved)
-        assert all(v is None or isinstance(v, solver.SolveResult) for v in map(table.get, solved))
+        assert all(isinstance(table[key], solver.SolveResult) for key in solved)
         assert len(solved) <= report.nlp.total
         descents = {k: v for k, v in table.items() if k not in solved}
         if name == "e2-k16":
@@ -646,9 +641,9 @@ class TestMergedSpecReuse:
 
 # --- one finish per batch: winners, escalation and objectives in one pass -----------
 
-def _finished_alone(objs, config):
-    """Each solve of ``objs`` batched on its own."""
-    return [solver.solve_batch([o], config)[0] for o in objs]
+def _finished_alone(spec, jobs, config):
+    """Each of the ``jobs`` of ``spec`` batched on its own."""
+    return [solver.solve_batch(spec, [j], config)[0] for j in jobs]
 
 
 def _gen_constrained():
@@ -680,10 +675,10 @@ class TestBatchedFinish:
     @pytest.mark.parametrize("name", sorted(FINISH_SPECS))
     def test_batch_equals_each_solve_alone(self, name, config, monkeypatch):
         spec = FINISH_SPECS[name]()
-        objs = _objs(spec, _reals(spec, 7), (1.0, 0.5, 0.0))
+        jobs = _jobs(_reals(spec, 7), (1.0, 0.5, 0.0))
         finished = _FinishedEntries(monkeypatch)
         rows = _DescentRows(monkeypatch)
-        batched = solver.solve_batch(objs, config)
+        batched = solver.solve_batch(spec, jobs, config)
         monkeypatch.undo()
         entries = finished.entries
         escalations = [pc for pc in rows.penalties if pc is not None]
@@ -693,23 +688,23 @@ class TestBatchedFinish:
         else:  # penalty escalation ran, one _descent call per round
             assert escalations[0] == 1e8
             assert escalations == [1e8 * 100.0 ** i for i in range(len(escalations))]
-        assert None not in batched
-        assert repr(batched) == repr(_finished_alone(objs, config))
+        assert all(res.point is not None for res in batched)
+        assert repr(batched) == repr(_finished_alone(spec, jobs, config))
 
-    def test_unusable_solve_is_none_alone(self, config):
+    def test_unusable_solve_is_infeasible_alone(self, config):
         def half_nan(y, z):
             v = np.asarray(y, dtype=float)[..., 0]
             j1 = np.where(np.asarray(z, dtype=float)[..., 0] == 1.0, np.nan, v ** 2)
             return np.stack([j1, (v - 1.0) ** 2], axis=-1)
 
         spec = _one_y_spec("half-nan", (0.0, 1.0, 2.0), objectives=half_nan)
-        objs = _objs(spec, pp.enumerate_realizations(spec), (1.0, 0.5))
-        results = solver.solve_batch(objs, config)
-        assert [res is None for res in results] == [o.realization.z == (1.0,) for o in objs]
-        assert repr(results) == repr(_finished_alone(objs, config))
-        with pytest.raises(pp.InfeasibleError):
-            solve_scalarized(objs[2], results[2])
-        assert solve_scalarized(objs[0], results[0]).feasible
+        jobs = _jobs(pp.enumerate_realizations(spec), (1.0, 0.5))
+        results = solver.solve_batch(spec, jobs, config)
+        assert [res.point is None for res in results] == [r.z == (1.0,) for r, _ in jobs]
+        assert [res.feasible for res in results] == [r.z != (1.0,) for r, _ in jobs]
+        assert repr(results) == repr(_finished_alone(spec, jobs, config))
+        assert solve_scalarized(results[2]) is results[2]
+        assert solve_scalarized(results[0]).feasible
 
     def test_escalation_keeps_a_row_whose_value_overflows(self, config, monkeypatch):
         # z = 0: y >= 0.5 binds at w = 1, and one round moves the winner onto
@@ -721,17 +716,17 @@ class TestBatchedFinish:
             return np.where(np.asarray(z, dtype=float)[..., 0] == 1.0, 3e150, 0.5 - v)[..., None]
 
         spec = _one_y_spec("overflow", (0.0, 1.0), constraints=cons)
-        objs = _objs(spec, pp.enumerate_realizations(spec), (1.0,))
+        jobs = _jobs(pp.enumerate_realizations(spec), (1.0,))
         with np.errstate(over="ignore"):
             finished = _FinishedEntries(monkeypatch)
             rows = _DescentRows(monkeypatch)
-            batched = solver.solve_batch(objs, config)
+            batched = solver.solve_batch(spec, jobs, config)
             monkeypatch.undo()
-            alone = _finished_alone(objs, config)
+            alone = _finished_alone(spec, jobs, config)
         assert repr(batched) == repr(alone)
         assert rows.penalties == [None, 1e8, 1e10, 1e12, 1e14]  # the descents, then 4 rounds
         assert rows.rows == [2 * N_STARTS, 2, 1, 1, 1]
-        bound, overflow = (solve_scalarized(o, res) for o, res in zip(objs, batched))
+        bound, overflow = (solve_scalarized(res) for res in batched)
         assert bound.feasible and bound.y_star[0] == pytest.approx(0.5, abs=1e-6)
         x, f = finished.entries[1]
         assert not overflow.feasible

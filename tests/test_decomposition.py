@@ -22,6 +22,7 @@ from pareto_prune import (
     index_of,
     realization_from_index,
 )
+from pareto_prune.solver import solve_batch
 from conftest import dominates, weakly_dominates
 
 # frozen from a 10^6-point grid refined to xatol 1e-13 (e1, z = (0, 0))
@@ -162,24 +163,25 @@ class TestCenter:
     def test_quad_center(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
         c = compute_center(quad_spec, [r], config)[0]
-        assert c.y[0] == pytest.approx(0.5, abs=1e-9)
-        assert c.point.j1 == pytest.approx(0.25, abs=1e-9)
-        assert c.point.j2 == pytest.approx(0.25, abs=1e-9)
-        assert c.provenance == "center"
+        res = solve_batch(quad_spec, [(r, 0.5)], config)[0]
+        assert res.y_star[0] == pytest.approx(0.5, abs=1e-9)
+        assert c == res.point
+        assert c.j1 == pytest.approx(0.25, abs=1e-9)
+        assert c.j2 == pytest.approx(0.25, abs=1e-9)
 
     def test_e2_all_ones_matches_grid_descent_oracle(self, e2_spec, config):
         r = enumerate_realizations(e2_spec)[0]
         assert r.z == (1.0,) * 6
         c = compute_center(e2_spec, [r], config)[0]
-        assert c.point.j1 == pytest.approx(E2_ALL_ONES_CENTER[0], abs=1e-4)
-        assert c.point.j2 == pytest.approx(E2_ALL_ONES_CENTER[1], abs=1e-4)
+        assert c.j1 == pytest.approx(E2_ALL_ONES_CENTER[0], abs=1e-4)
+        assert c.j2 == pytest.approx(E2_ALL_ONES_CENTER[1], abs=1e-4)
 
     @pytest.mark.parametrize("z", [(0.0, 0.0), (-1.0, 2.0)])
     def test_center_minimizes_equal_weights_over_front(self, e1_spec, config, z):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == z)
         c = compute_center(e1_spec, [r], config)[0]
         front = build_subproblem_front(e1_spec, [r], 21, config)[0]
-        half = 0.5 * (c.point.j1 + c.point.j2)
+        half = 0.5 * (c.j1 + c.j2)
         for p in front:
             assert half <= 0.5 * (p.point.j1 + p.point.j2) + 1e-6
 

@@ -27,6 +27,7 @@ from conftest import (
     front_points,
     install_solve_log,
     make_fig_problem,
+    make_nan_offset_problem,
     weakly_dominates,
 )
 
@@ -118,7 +119,7 @@ class TestFigProblem:
         pruned = [r for r in targets if r.k not in retained]
         assert [r.k for r in pruned] == [4]
         for center in compute_center(fig_spec, pruned, config):
-            assert any(weakly_dominates(p.point, center.point) for p in pa.master_front)
+            assert any(weakly_dominates(p.point, center) for p in pa.master_front)
 
     def test_master_front_is_filter_of_member_fronts(self, fig_spec):
         config = pp.SolverConfig()
@@ -227,6 +228,26 @@ class TestAccounting:
             assert front_points(orc).tolist() == front_points(pipe).tolist()
             assert_sets_partition(pipe)
         assert_sets_partition(orc)
+
+    @pytest.mark.parametrize("separable", [False, True])
+    @pytest.mark.parametrize("phases", ["ab", "a", "none"])
+    def test_nan_objectives_are_infeasible_on_either_path(self, solve_log, separable, phases):
+        # the separable path descends on the finite base_objectives and
+        # meets the NaN only at the winner; it files realization 3 as the
+        # other path does instead of building a NaN objective point
+        rep = run_pipeline(make_nan_offset_problem(separable), beta=3, phases=phases)
+        assert rep.infeasible == (3,)
+        assert rep.k1c == (1,)
+        assert_sets_partition(rep)
+        k, beta = rep.k_total, rep.beta
+        expected = {
+            "ab": 2 * k + beta * len(rep.k1m) + (len(rep.k1u) - len(rep.k1m))
+            + beta * (len(rep.k1c) - len(rep.k1m)),
+            "a": 2 * k + beta * len(rep.k1u),
+            "none": beta * k,
+        }[phases]
+        assert rep.nlp.total == expected == solve_log.calls
+        assert solve_log.by_phase == _nlp_by_phase(rep)
 
     def test_e1_report(self, e1_ab):
         assert e1_ab.k_total == 121

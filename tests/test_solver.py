@@ -9,14 +9,7 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune import solver
-from pareto_prune.solver import (
-    InfeasibleError,
-    ScalarizedObjective,
-    SolverConfig,
-    _Batch,
-    _start_points,
-    solve_scalarized,
-)
+from pareto_prune.solver import SolverConfig, _Batch, _start_points, solve_scalarized
 
 # minimum of 0.5*J1 + 0.5*J2 over x1 in [-5, 5] for the e1 subproblem with
 # z = (0, 0), from a 10^6-point grid search refined to xatol 1e-13
@@ -28,42 +21,39 @@ def _first_real(spec):
     return pp.enumerate_realizations(spec)[0]
 
 
-def _obj(spec, w, r=None):
-    return ScalarizedObjective(weight=w, realization=r or _first_real(spec), parent=spec)
+def _solve(spec, w, config, r=None):
+    """The solve of weight w at realization r (the first by default),
+    batched on its own."""
+    job = (r or _first_real(spec), w)
+    return solve_scalarized(solver.solve_batch(spec, [job], config)[0])
 
 
-def _solve(obj, config):
-    """One solve, batched on its own."""
-    return solve_scalarized(obj, solver.solve_batch([obj], config)[0])
+def _scalar(res):
+    """w*J1 + (1-w)*J2 at the point of an unconstrained solve."""
+    return res.weight * res.point.j1 + (1.0 - res.weight) * res.point.j2
 
 
 class TestSolveScalarized:
     def test_e2_j1_anchor_pins_lower_bounds(self, e2_spec, config):
         reals = pp.enumerate_realizations(e2_spec)
         for r in (reals[0], reals[1234], reals[-1]):
-            res = _solve(_obj(e2_spec, 1.0, r), config)
+            res = _solve(e2_spec, 1.0, config, r)
             assert res.y_star == (2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
     def test_e2_j2_anchor_pins_upper_bounds(self, e2_spec, config):
-        res = _solve(_obj(e2_spec, 0.0), config)
+        res = _solve(e2_spec, 0.0, config)
         assert res.y_star == (10.0, 10.0, 10.0)
 
     def test_e1_half_weight_matches_grid_oracle(self, e1_spec, config):
         r = next(r for r in pp.enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
-        res = _solve(_obj(e1_spec, 0.5, r), config)
-        assert res.scalar_value == pytest.approx(E1_Z00_HALF_SCALAR, abs=1e-6)
+        res = _solve(e1_spec, 0.5, config, r)
+        assert _scalar(res) == pytest.approx(E1_Z00_HALF_SCALAR, abs=1e-6)
         assert res.y_star[0] == pytest.approx(E1_Z00_HALF_X, abs=1e-4)
-
-    def test_weight_validation(self, quad_spec):
-        with pytest.raises(ValueError):
-            _obj(quad_spec, 1.5)
-        with pytest.raises(ValueError):
-            _obj(quad_spec, -0.1)
 
     def test_determinism(self, e1_spec, config):
         r = _first_real(e1_spec)
-        a = _solve(_obj(e1_spec, 0.35, r), config)
-        b = _solve(_obj(e1_spec, 0.35, r), config)
+        a = _solve(e1_spec, 0.35, config, r)
+        b = _solve(e1_spec, 0.35, config, r)
         assert a == b
 
     def test_box_respected_exactly(self, e1_spec, e2_spec, config):
@@ -71,19 +61,19 @@ class TestSolveScalarized:
             lo = spec.lower_bounds()
             hi = spec.upper_bounds()
             for w in ws:
-                res = _solve(_obj(spec, w), config)
+                res = _solve(spec, w, config)
                 y = np.array(res.y_star)
                 assert np.all(y >= lo) and np.all(y <= hi)
 
     def test_best_of_all_starts(self, e1_spec, config):
         r = _first_real(e1_spec)
-        res = _solve(_obj(e1_spec, 0.5, r), config)
+        res = _solve(e1_spec, 0.5, config, r)
         starts = _start_points(e1_spec.bounds, solver.N_STARTS, config.seed)
         raw = e1_spec.objectives(starts, np.repeat([r.z], len(starts), axis=0))
-        assert res.scalar_value <= float((0.5 * raw[:, 0] + 0.5 * raw[:, 1]).min()) + 1e-12
+        assert _scalar(res) <= float((0.5 * raw[:, 0] + 0.5 * raw[:, 1]).min()) + 1e-12
 
     def test_point_is_reevaluation(self, e2_spec, config):
-        res = _solve(_obj(e2_spec, 0.5), config)
+        res = _solve(e2_spec, 0.5, config)
         raw = e2_spec.objectives(np.array([res.y_star]), np.array([_first_real(e2_spec).z]))[0]
         assert res.point.j1 == raw[0] and res.point.j2 == raw[1]
 
@@ -92,16 +82,16 @@ class TestSolveScalarized:
         # projected finite-difference gradient (step 1e-6) is small at the
         # solution, except in coordinates pinned at a bound
         for spec, w in ((e2_spec, 0.5), (e2_spec, 0.25), (quad_spec, 0.5)):
-            obj = _obj(spec, w)
-            res = _solve(obj, config)
+            res = _solve(spec, w, config)
             y = np.array(res.y_star)
             with monkeypatch.context() as m:
                 m.setattr(solver, "FD_STEP", 1e-6)
-                g = _Batch([obj], 1)._fd_gradient(y[None, :], [0], None)[0]
+                batch = _Batch(spec, [(_first_real(spec), w)], 1)
+                g = batch._fd_gradient(y[None, :], [0], None)[0]
             lo = spec.lower_bounds()
             hi = spec.upper_bounds()
             proj = y - np.clip(y - g, lo, hi)
-            tol = 1e-4 * (1.0 + abs(res.scalar_value))
+            tol = 1e-4 * (1.0 + abs(_scalar(res)))
             for d in range(len(y)):
                 at_bound = min(y[d] - lo[d], hi[d] - y[d]) <= solver.STEP_TOL
                 assert abs(proj[d]) <= tol or at_bound
@@ -126,12 +116,9 @@ class TestSolveCounter:
         from concurrent.futures import ThreadPoolExecutor
 
         reals = pp.enumerate_realizations(e1_spec)[:12]
-        jobs = [(0.5, r) for r in reals]
-        serial = [_solve(_obj(e1_spec, w, r), config) for w, r in jobs]
+        serial = [_solve(e1_spec, 0.5, config, r) for r in reals]
         with ThreadPoolExecutor(max_workers=4) as ex:
-            threaded = list(
-                ex.map(lambda wr: _solve(_obj(e1_spec, *wr), config), jobs)
-            )
+            threaded = list(ex.map(lambda r: _solve(e1_spec, 0.5, config, r), reals))
         assert threaded == serial
 
 
@@ -157,14 +144,14 @@ class TestStartPoints:
 
 class TestConstraintHandling:
     def test_active_constraint_reaches_feasibility(self, toy_spec, config):
-        res = _solve(_obj(toy_spec, 0.0), config)
+        res = _solve(toy_spec, 0.0, config)
         assert res.feasible
         assert res.y_star[0] == pytest.approx(0.25, abs=1e-6)
         assert res.point.j1 == pytest.approx(0.5625, abs=1e-5)
         assert res.point.j2 == pytest.approx(1.5625, abs=1e-5)
 
     def test_inactive_constraint_untouched(self, toy_spec, config):
-        res = _solve(_obj(toy_spec, 1.0), config)
+        res = _solve(toy_spec, 1.0, config)
         assert res.feasible
         assert res.y_star[0] == pytest.approx(1.0, abs=1e-7)
 
@@ -184,21 +171,22 @@ class TestNanHandling:
         )
 
     def test_partial_nan_starts_discarded(self, config):
+        # the starts with v > 0.5 have no finite value; the winner is the
+        # finite optimum v = 0 that the others reach
         spec = self._make_spec(lambda v: v > 0.5)
         r = _first_real(spec)
-        res = _solve(
-            ScalarizedObjective(weight=1.0, realization=r, parent=spec), config
-        )
-        assert res.starts_used < solver.N_STARTS
-        assert res.scalar_value == pytest.approx(0.0, abs=1e-9)
+        starts = _start_points(spec.bounds, solver.N_STARTS, config.seed)
+        assert np.isnan(spec.objectives(starts, r.z)[:, 0]).any()
+        res = _solve(spec, 1.0, config, r)
+        assert res.feasible
+        assert res.y_star[0] == pytest.approx(0.0, abs=1e-4)
+        assert res.point.j1 == pytest.approx(0.0, abs=1e-9)
 
-    def test_all_nan_raises_and_counts(self, config, solve_log):
+    def test_all_nan_is_infeasible_and_counts(self, config, solve_log):
         spec = self._make_spec(lambda v: v >= -1.0)
         r = _first_real(spec)
-        with pytest.raises(InfeasibleError):
-            _solve(
-                ScalarizedObjective(weight=1.0, realization=r, parent=spec), config
-            )
+        res = _solve(spec, 1.0, config, r)
+        assert res.feasible is False and res.point is None
         assert pp.compute_center(spec, [r], config) == [None]
         assert solve_log.calls == 1
 
@@ -230,9 +218,9 @@ class TestFinish:
         calls: list[np.ndarray] = []
         _finish = solver._finish
 
-        def finish_logged(objs, entries):
+        def finish_logged(spec, jobs, entries):
             calls.clear()  # the descents' calls are done; log the finish's
-            return _finish(objs, entries)
+            return _finish(spec, jobs, entries)
 
 
         def logged(y, z):
@@ -241,9 +229,9 @@ class TestFinish:
 
         spec = dataclasses.replace(toy_spec, inequality_constraints=logged,
                                    discrete_sets=((0.0, 1.0, 2.0),))
-        objs = [_obj(spec, w, r) for r in pp.enumerate_realizations(spec) for w in (0.75, 1.0)]
+        jobs = [(r, w) for r in pp.enumerate_realizations(spec) for w in (0.75, 1.0)]
         monkeypatch.setattr(solver, "_finish", finish_logged)
-        results = [solve_scalarized(o, res) for o, res in zip(objs, solver.solve_batch(objs, config))]
+        results = [solve_scalarized(res) for res in solver.solve_batch(spec, jobs, config)]
         assert all(res.feasible for res in results)
         assert len(calls) == 1
         assert calls[0].tolist() == [list(res.y_star) for res in results]
@@ -252,10 +240,10 @@ class TestFinish:
     def test_config_penalty_is_the_descent_penalty(self, toy_spec, pc):
         # y = -1 violates 0.25 - y <= 0 by 1.25; without a coefficient the
         # descent penalizes with PENALTY_COEFFICIENT (1e6)
-        obj = _obj(toy_spec, 0.3)
+        r = _first_real(toy_spec)
         ys = np.array([[-1.0], [0.5]])
-        batch = _Batch([obj], 2)
-        raw = toy_spec.objectives(ys, np.repeat([obj.realization.z], 2, axis=0))
+        batch = _Batch(toy_spec, [(r, 0.3)], 2)
+        raw = toy_spec.objectives(ys, np.repeat([r.z], 2, axis=0))
         want = 0.3 * raw[:, 0] + 0.7 * raw[:, 1] + pc * np.array([1.25 ** 2, 0.0])
         assert batch.descent_value(ys, np.arange(2), pc).tolist() == want.tolist()
         if pc == solver.PENALTY_COEFFICIENT:

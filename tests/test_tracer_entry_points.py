@@ -11,7 +11,7 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune import cli  # the tracer hooks only modules already imported
-from conftest import load_perfbench
+from conftest import load_perfbench, make_nan_offset_problem
 
 (tracing,) = load_perfbench("tracer")
 ENTRY_POINTS = tracing.ENTRY_POINTS
@@ -31,10 +31,13 @@ def _e2_k16():
 
 
 # toy-constrained escalates penalties; on e2-k16 (separable, beta 21) every
-# B-1 and B-3 solve is a lookup of a solve an earlier phase finished
+# B-1 and B-3 solve is a lookup of a solve an earlier phase finished; on
+# nan-offset (separable) both A-1 solves of realization 3 end without a
+# finite objective point
 TRACED_RUNS = {
     "toy-constrained": (lambda: pp.get_problem("toy-constrained"), 3),
     "e2-k16": (_e2_k16, 21),
+    "nan-offset": (lambda: make_nan_offset_problem(separable=True), 3),
 }
 
 
@@ -57,3 +60,6 @@ def test_traced_run_measures_every_metric(tmp_path, name):
     assert values["solver.solve.calls"] == nlp.total
     if name == "toy-constrained":
         assert values["solver.descent.escalations"] > 0
+    if name == "nan-offset":
+        assert report.infeasible == (3,)
+        assert values["solver.solve.infeasible"] == 2
