@@ -43,42 +43,26 @@ def _check_output_path(path: str | None) -> None:
 
 # --- serialization ---------------------------------------------------------
 
-def _emit(obj, out: list[str]) -> None:
+def _plain(obj):
+    """``obj`` in plain JSON types: tuples as lists, numpy scalars as
+    Python numbers, and an integral float below 1e17 as an int.  Recorded
+    report digests hash the parsed report, and the 17-significant-digit
+    text they were recorded from wrote such a float as an integer (it
+    switches to exponent form at 1e17)."""
     if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(val, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, val in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(val, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        # 17 significant digits: lossless float round-trip
-        out.append(format(float(obj), ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(val) for val in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and obj.is_integer() and abs(obj) < 1e17:
+        return int(obj)
+    return obj
 
 
 def dumps_json(obj) -> str:
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
+    """Compact JSON; a float is written as its shortest round-trip repr."""
+    return json.dumps(_plain(obj), separators=(",", ":"))
 
 
 def write_report(report: PruneReport, path: str | Path) -> None:
@@ -102,13 +86,8 @@ def write_front_csv(report: PruneReport, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for sol in report.front:
-            row = (
-                [sol.realization.k]
-                + [format(v, ".17g") for v in sol.realization.z]
-                + [format(v, ".17g") for v in sol.y]
-                + [format(sol.point.j1, ".17g"), format(sol.point.j2, ".17g"), sol.provenance]
-            )
-            writer.writerow(row)
+            writer.writerow([sol.realization.k, *sol.realization.z, *sol.y,
+                             sol.point.j1, sol.point.j2, sol.provenance])
 
 
 def summary_line(report: PruneReport) -> str:

@@ -3,8 +3,9 @@ the anchors, center points, and weighted-sum subproblem fronts.  Each
 operation poses its (realization, weight) jobs as one
 :func:`~pareto_prune.solver.solve_batch` call, returns one result per
 realization, None where a solve it needs is not feasible, and decides no
-pruning set.  Each takes an optional ``descents`` table: operations that
-share one reuse each other's finished solves and shared descents."""
+pruning set.  Each takes an optional ``table``, the run's table of
+finished solves: operations that share one reuse each other's finished
+solves and shared descents."""
 
 from __future__ import annotations
 
@@ -77,23 +78,22 @@ def index_of(spec: ProblemSpec, z: tuple[float, ...]) -> int:
 
 def _solve_all(
     spec: ProblemSpec, jobs: list[tuple[Realization, float]], config: SolverConfig, *,
-    descents: dict | None = None,
+    table: dict | None = None,
 ) -> list[SolveResult]:
     """One counted solve per (realization, weight) job, all of them one
     :func:`~pareto_prune.solver.solve_batch` call that reuses what the
-    run's ``descents`` table holds."""
-    return [solve_scalarized(res) for res in solve_batch(spec, jobs, config, descents)]
+    run's ``table`` holds."""
+    return [solve_scalarized(res) for res in solve_batch(spec, jobs, config, table)]
 
 
 def compute_anchors_utopia(
     spec: ProblemSpec, reals: list[Realization], config: SolverConfig, *,
-    descents: dict | None = None,
+    table: dict | None = None,
 ) -> list[ObjectivePoint | None]:
     """Utopia point of each realization: j1 of its w=1 anchor and j2 of
     its w=0 anchor (the two sole-objective solves, exactly two counted
     solves per realization).  None where either anchor is not feasible."""
-    results = _solve_all(spec, [(r, w) for r in reals for w in (1.0, 0.0)], config,
-                         descents=descents)
+    results = _solve_all(spec, [(r, w) for r in reals for w in (1.0, 0.0)], config, table=table)
     return [
         ObjectivePoint(a1.point.j1, a2.point.j2)
         if a1.feasible and a2.feasible else None
@@ -103,19 +103,19 @@ def compute_anchors_utopia(
 
 def compute_center(
     spec: ProblemSpec, reals: list[Realization], config: SolverConfig, *,
-    descents: dict | None = None,
+    table: dict | None = None,
 ) -> list[ObjectivePoint | None]:
     """Center point of each realization: the objectives of its
     equal-weights solve (one counted NLP each), which sit on the
     subproblem front where weighted-sum reaches it.  None where that solve
     is not feasible."""
-    results = _solve_all(spec, [(r, 0.5) for r in reals], config, descents=descents)
+    results = _solve_all(spec, [(r, 0.5) for r in reals], config, table=table)
     return [res.point if res.feasible else None for res in results]
 
 
 def build_subproblem_front(
     spec: ProblemSpec, reals: list[Realization], beta: int, config: SolverConfig,
-    eps: float = 0.0, *, descents: dict | None = None,
+    eps: float = 0.0, *, table: dict | None = None,
 ) -> list[list[ParetoSolution] | None]:
     """beta-point weighted-sum front of each subproblem: solves weights
     i/(beta-1) for i = 0..beta-1 (beta counted NLPs per realization),
@@ -125,8 +125,7 @@ def build_subproblem_front(
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
     weights = [i / (beta - 1) for i in range(beta)]
-    results = _solve_all(spec, [(r, w) for r in reals for w in weights], config,
-                         descents=descents)
+    results = _solve_all(spec, [(r, w) for r in reals for w in weights], config, table=table)
     fronts: list[list[ParetoSolution] | None] = []
     for j, r in enumerate(reals):
         sols = [

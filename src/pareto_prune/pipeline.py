@@ -7,6 +7,7 @@ skipped."""
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -200,14 +201,13 @@ def build_master_front(
     config: SolverConfig,
     eps: float = 0.0,
     *,
-    descents: dict | None = None,
+    table: dict | None = None,
 ) -> tuple[list[ParetoSolution], dict[int, list[ParetoSolution] | None]]:
     """Union of the masters' subproblem fronts, filtered, and each master's
     own front by its index."""
     if not reals:
         raise PipelineError("cannot build a master front from an empty candidate set")
-    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps,
-                          descents=descents)
+    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps, table=table)
     merged = [sol for front in fronts for sol in front or ()]
     return nondominated_filter(merged, eps), {r.k: f for r, f in zip(reals, fronts)}
 
@@ -223,7 +223,7 @@ def phase_a(
     config: SolverConfig,
     eps: float = 0.0,
     *,
-    descents: dict | None = None,
+    table: dict | None = None,
 ) -> PhaseAResult:
     """A-1 anchors/utopias for all realizations (2 solves each), A-2
     master front from non-dominated utopias (beta solves each), A-3
@@ -231,15 +231,14 @@ def phase_a(
     whose utopia the master front does not weakly dominate.  Each step is
     one batched operation over its realizations."""
     utopias = dict(zip((r.k for r in reals),
-                       parallel_map(compute_anchors_utopia, spec, reals, config,
-                                    descents=descents)))
+                       parallel_map(compute_anchors_utopia, spec, reals, config, table=table)))
     if all(u is None for u in utopias.values()):
         raise PipelineError("every subproblem is infeasible")
 
     k1m = master_candidates(utopias, eps)
     by_k = {r.k: r for r in reals}
     master_front, fronts = build_master_front(spec, [by_k[k] for k in k1m], beta, config,
-                                              eps, descents=descents)
+                                              eps, table=table)
     mpts = _points_array(master_front)
     k1u = k1m + [k for k, u in utopias.items()
                  if u is not None and k not in fronts and not _weakly_dominated_by(mpts, u, eps)]
@@ -254,13 +253,13 @@ def phase_b(
     config: SolverConfig,
     eps: float = 0.0,
     *,
-    descents: dict | None = None,
+    table: dict | None = None,
 ) -> list[int]:
     """B-1 centers for the target realizations (one solve each) and B-2:
     returns the indices of those whose center solve succeeded and whose
     center the master front does not weakly dominate."""
     mpts = _points_array(master_front)
-    centers = parallel_map(compute_center, spec, reals, config, descents=descents)
+    centers = parallel_map(compute_center, spec, reals, config, table=table)
     return [r.k for r, center in zip(reals, centers)
             if center is not None and not _weakly_dominated_by(mpts, center, eps)]
 
@@ -294,7 +293,7 @@ def run_pipeline(
     realizations, in this process: one
     :func:`~pareto_prune.solver.solve_batch` call, whose local descents
     run in lockstep and are finished in one pass.  The phases share one
-    table of finished solves, and of the descents solves of one weight
+    ``table`` of finished solves, and of the descents solves of one weight
     share on a separable problem, so what an earlier phase ran is looked
     up, not run again; every solve is still counted on its own.  The
     table is dropped when the run returns.
@@ -302,8 +301,11 @@ def run_pipeline(
     """
     if phases not in ("ab", "a", "none"):
         raise ValueError(f'phases must be "ab", "a" or "none", got {phases!r}')
+    if not isinstance(beta, numbers.Integral):
+        raise ValueError(f"beta must be an integer, got {beta!r}")
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
+    beta = int(beta)
     _check_eps(eps)
     n_solves = beta * math.prod(len(zs) for zs in spec.discrete_sets)
     if n_solves > DEFAULT_REALIZATION_CAP:
@@ -311,7 +313,7 @@ def run_pipeline(
             f"beta * |K| = {n_solves} exceeds the cap of {DEFAULT_REALIZATION_CAP}"
         )
     config = config or SolverConfig()
-    descents: dict = {}
+    table: dict = {}
     t0 = time.perf_counter()
     reals = enumerate_realizations(spec)
 
@@ -322,16 +324,16 @@ def run_pipeline(
         fronts: dict[int, list[ParetoSolution] | None] = {}
         targets = retained = [r.k for r in reals]
     else:
-        pa = phase_a(spec, reals, beta, config, eps, descents=descents)
+        pa = phase_a(spec, reals, beta, config, eps, table=table)
         utopias, k1m, k1u, fronts = pa.utopias, pa.k1m, pa.k1u, pa.fronts
         targets = retained = [k for k in k1u if k not in fronts]
         if phases == "ab":
             retained = phase_b(spec, [reals[k - 1] for k in targets], pa.master_front,
-                               config, eps, descents=descents)
+                               config, eps, table=table)
 
     # B-3: fronts for whatever the phases left
     b3 = parallel_map(build_subproblem_front, spec, [reals[k - 1] for k in retained], beta,
-                      config, eps, descents=descents)
+                      config, eps, table=table)
     fronts = {**fronts, **dict(zip(retained, b3))}
     merged = [sol for k in sorted(fronts) for sol in fronts[k] or ()]
     if not merged:

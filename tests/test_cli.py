@@ -235,6 +235,22 @@ class TestCompareCommand:
         doc = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert doc["hausdorff"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
+    def test_empty_front_prints_json(self, tmp_path, capsys):
+        pa = tmp_path / "a.json"
+        pb = tmp_path / "b.json"
+        run_cli("run", "--problem", "quad", "--beta", "5", "--report", str(pa))
+        capsys.readouterr()
+        doc = json.loads(pa.read_text())
+        doc["front"] = []
+        pb.write_text(json.dumps(doc))
+        code = run_cli("compare", "--a", str(pa), "--b", str(pb))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        result = json.loads(captured.out.splitlines()[1])
+        assert result["hausdorff"] == math.inf
+        assert result["front_sizes"] == [5, 0]
+
     def test_schema_mismatch_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"problem": "x"}')
@@ -285,10 +301,26 @@ class TestHausdorff:
 
 
 class TestSerialization:
-    def test_seventeen_digit_floats_roundtrip(self):
-        values = [0.1, 1.0 / 3.0, math.pi, 1e-308, -2.5e17, 4096.0]
+    def test_floats_roundtrip_and_integral_floats_are_ints(self):
+        values = [0.1, 1.0 / 3.0, math.pi, 1e-308, -2.5e17, 4096.0, -0.0]
         doc = json.loads(dumps_json({"v": values}))
         assert doc["v"] == values
+        # below 1e17 an integral float is a JSON integer, as the digests need
+        assert [type(v) for v in doc["v"]] == [float] * 5 + [int, int]
+        assert dumps_json([5.0, -0.0, 0.1, -2.5e17]) == "[5,0,0.1,-2.5e+17]"
+
+    def test_numpy_scalars_roundtrip(self):
+        values = [np.int64(7), np.float32(0.1), np.float64(1.0 / 3.0), np.float64(2.0)]
+        doc = json.loads(dumps_json(values))
+        assert doc == [7, float(np.float32(0.1)), 1.0 / 3.0, 2]
+        assert [type(v) for v in doc] == [int, float, float, int]
+
+    def test_numpy_seed_written_as_int(self, tmp_path):
+        report = pp.run_pipeline(pp.make_quad(), beta=3, config=pp.SolverConfig(seed=np.int64(3)))
+        write_report(report, tmp_path / "r.json")
+        loaded = read_report(tmp_path / "r.json")
+        assert loaded.seed == 3
+        assert json.loads((tmp_path / "r.json").read_text())["seed"] == 3
 
     def test_report_equality_after_roundtrip(self, e1_ab):
         again = pp.PruneReport.from_json_dict(json.loads(dumps_json(e1_ab.to_json_dict())))

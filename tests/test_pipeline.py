@@ -163,6 +163,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_pipeline(quad_spec, beta=1)
 
+    @pytest.mark.parametrize("run", [run_pipeline, pp.oracle_front], ids=["pipeline", "oracle"])
+    @pytest.mark.parametrize("beta", [5.0, 5.5])
+    def test_non_integer_beta_rejected_before_any_solve(self, quad_spec, solve_log, run, beta):
+        with pytest.raises(ValueError, match="beta must be an integer"):
+            run(quad_spec, beta=beta)
+        assert solve_log.calls == 0
+
+    def test_numpy_integer_beta_gives_the_same_report(self, quad_spec):
+        a = run_pipeline(quad_spec, beta=np.int64(5))
+        b = run_pipeline(quad_spec, beta=5)
+        assert type(a.beta) is int
+        assert dataclasses.replace(a, wallclock_ms=0) == dataclasses.replace(b, wallclock_ms=0)
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
     def test_bad_eps_rejected_before_any_solve(self, quad_spec, solve_log, eps):
         with pytest.raises(ValueError, match="eps"):

@@ -2,7 +2,9 @@
 ``wallclock_ms`` hashes (SHA-256) to the value recorded here.  A refactor
 that should leave every report bitwise unchanged fails here if it does
 not.  Recorded at seed 0 and beta 21; a change that moves a report on
-purpose re-records its digest and says why."""
+purpose re-records its digest and says why.  To re-record, run
+``PYTHONPATH=src python tests/test_report_digests.py``: it prints the
+DIGESTS table of the code in the checkout."""
 
 import hashlib
 
@@ -12,20 +14,20 @@ import pareto_prune as pp
 from pareto_prune.cli import dumps_json
 
 DIGESTS = {
-    ("e1", "ab", 0.0): "f160101e3fdfc7f32d2cc32506be78654e81f8043e5324406f7ce5f45e79345e",
-    ("e1", "a", 0.0): "6195ed271d83706a8faaf878759b3afce1c354fb7379db0b47f97fd5f2e779e7",
-    ("e1", "none", 0.0): "344673bab7b7afafff15d41f7fb4d5b0f4bca76942fe480512edb7bc34a23dc0",
-    ("e2", "ab", 0.0): "cac54f04d6eb20b8084a0464c6e8838dc3e63c4e0339a5ec71b582b6d00b5b34",
-    ("e2", "a", 0.0): "2f0f78753ca5b925cda8652f7cff256474f2cfdf56427e9541e2de303fbc56fa",
-    ("e2", "none", 0.0): "113c2938289d7e0133f99230df82c9fc1c0022a8a77565b22fddf716f6589b30",
-    ("quad", "ab", 0.0): "8d2cececd5a7c38ca46f5b74143ff24278b914f91bc0dd6174cca7591b88e19b",
-    ("quad", "a", 0.0): "3562fcb787bdc5cfe9bb4602c00091acebc06dd29574c26e2b1631457f463e12",
-    ("quad", "none", 0.0): "02b25bff5d2f9164ee7c80d0da7a44e12ea32316cf3cfb1210002afd05b3b618",
-    ("toy-constrained", "ab", 0.0): "3fdae35731e0bb397a06f047ed32a7a4a3e9e2e6545479415bfb96a56ff21672",
-    ("toy-constrained", "a", 0.0): "3f92153e33ad606ac6124df2344f41beb39046e8639d845fe31a763017fd3a34",
-    ("toy-constrained", "none", 0.0): "6c9d6ed3389d4e32708f691dcc9e35f6f9861ac02d736e5d1c09da124f507b9e",
-    ("e1", "ab", 0.01): "7607262de8a7bc70ffbb3a3610166f0059fae1b34572a2dfa7d17242498ed1ae",
-    ("e1", "a", 0.01): "d21411233a852b6497347520918f983e39cb91f35a5eba1a048d6167095b8567",
+    ("e1", "ab", 0.0): "9f5af10ca8dff580f0235631f1ec5110d8e157d2c85a63a077721846c0c4e667",
+    ("e1", "a", 0.0): "e3b03c635513fdac8f45c89ef30c02a1822dd8358e390037d3103548ca28cfe0",
+    ("e1", "none", 0.0): "cdfe7b46d9709fd3b08e5e500628856e893283a64549ac616aa6180dea72eebc",
+    ("e2", "ab", 0.0): "5b1e5918cf462b50f897f857cc29e60a6713e5a82e7ebd8152b5c32a2d2aa5e1",
+    ("e2", "a", 0.0): "997c42cca0c6fdffbf374517462109a2e1b33c6594a24e062e9b5b96430ddf36",
+    ("e2", "none", 0.0): "7e1ccd00b72a7914f7c97e7a5c5b5025bcdbbe18b0941443f51c7c26cdc31ed7",
+    ("quad", "ab", 0.0): "88fef89d78a609f5780f3c402b10b56c781544472382e8f30a292e0ecfce9faa",
+    ("quad", "a", 0.0): "32f4509c63b3022e1d88a9849203926560d3151987657de70d609d1d8d12ce15",
+    ("quad", "none", 0.0): "1a077f7db6034fce1a0d04925dae3c953847b0aa83359401e5d08c247f2e343d",
+    ("toy-constrained", "ab", 0.0): "37feac4fd00b672c3682eb090cc7d2f4efa1d780bd278ed270a891a585da2d4c",
+    ("toy-constrained", "a", 0.0): "3109c427c696babbc328961b14fb54f7712ffc64578239560b4758f28d44dd9e",
+    ("toy-constrained", "none", 0.0): "be69f452a520de984a05bb626190c6eaaa2a91edaa0969e9933ba4a687fe42b6",
+    ("e1", "ab", 0.01): "ec94cca2ff85998daf3916292bc4a48c63e0a254e279c73648066655bfa39e19",
+    ("e1", "a", 0.01): "4c1064e3e493f73d3ee84cc78df76353994398487eb88def7725583829885c4b",
 }
 
 # the session fixtures of conftest.py that hold the same run
@@ -46,3 +48,11 @@ def test_report_matches_recorded_digest(problem, phases, eps, request):
     else:
         report = pp.run_pipeline(pp.get_problem(problem), beta=21, phases=phases, eps=eps)
     assert report_digest(report) == DIGESTS[problem, phases, eps]
+
+
+if __name__ == "__main__":
+    print("DIGESTS = {")
+    for problem, phases, eps in DIGESTS:
+        report = pp.run_pipeline(pp.get_problem(problem), beta=21, phases=phases, eps=eps)
+        print(f'    ("{problem}", "{phases}", {eps!r}): "{report_digest(report)}",')
+    print("}")
