@@ -108,10 +108,10 @@ class TrussConstants:
             raise ValueError("scale factors must be positive")
 
 
-def _e2_base(consts: TrussConstants, y):
+def _e2_base(consts: TrussConstants, a3: np.ndarray, b3: np.ndarray, y):
+    """Volume and displacement of bars 1-3; ``a3`` and ``b3`` are their
+    coefficients as arrays, built once per problem."""
     y = np.asarray(y, dtype=float)
-    a3 = np.array(consts.a[:3])
-    b3 = np.array(consts.b[:3])
     j1 = consts.length_scale * (y * a3).sum(axis=-1)
     j2 = consts.load_modulus_scale * (b3 / y).sum(axis=-1)
     return np.stack([j1, j2], axis=-1)
@@ -134,14 +134,12 @@ def _e2_offsets(consts: TrussConstants, z):
     return np.array([sums[r] for r in rows]).reshape(z.shape[:-1] + (2,))
 
 
-def _e2_objectives(consts: TrussConstants, y, z):
-    return _e2_base(consts, y) + _e2_offsets(consts, z)
+def _e2_objectives(consts: TrussConstants, a3: np.ndarray, b3: np.ndarray, y, z):
+    return _e2_base(consts, a3, b3, y) + _e2_offsets(consts, z)
 
 
-def _e2_gradient(consts: TrussConstants, y, z):
+def _e2_gradient(consts: TrussConstants, a3: np.ndarray, b3: np.ndarray, y, z):
     y = np.asarray(y, dtype=float)
-    a3 = np.array(consts.a[:3])
-    b3 = np.array(consts.b[:3])
     g1 = consts.length_scale * np.broadcast_to(a3, y.shape)
     g2 = -consts.load_modulus_scale * b3 / y ** 2
     return np.stack([g1, g2], axis=-2)
@@ -151,16 +149,17 @@ def make_e2(constants: TrussConstants | None = None) -> ProblemSpec:
     """Truss volume vs nodal displacement; bars 1-3 sized continuously,
     bars 4-9 from the catalogue {1, 5, 10, 15}."""
     consts = constants or TrussConstants()
+    coeffs = (consts, np.array(consts.a[:3]), np.array(consts.b[:3]))
     catalogue = (1.0, 5.0, 10.0, 15.0)
     return ProblemSpec(
         name="e2",
         n_y=3,
         bounds=((2.0 / 3.0, 10.0), (1.0 / 3.0, 10.0), (1.0 / 3.0, 10.0)),
         discrete_sets=(catalogue,) * 6,
-        objectives=functools.partial(_e2_objectives, consts),
-        gradient=functools.partial(_e2_gradient, consts),
+        objectives=functools.partial(_e2_objectives, *coeffs),
+        gradient=functools.partial(_e2_gradient, *coeffs),
         vectorized=True,
-        base_objectives=functools.partial(_e2_base, consts),
+        base_objectives=functools.partial(_e2_base, *coeffs),
     )
 
 

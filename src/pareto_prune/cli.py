@@ -48,7 +48,13 @@ def _plain(obj):
     Python numbers, and an integral float below 1e17 as an int.  Recorded
     report digests hash the parsed report, and the 17-significant-digit
     text they were recorded from wrote such a float as an integer (it
-    switches to exponent form at 1e17)."""
+    switches to exponent form at 1e17).  The exact plain types, which
+    make up almost every leaf of a report, are checked first."""
+    kind = type(obj)
+    if kind is float:
+        return int(obj) if obj.is_integer() and abs(obj) < 1e17 else obj
+    if kind is int or kind is str or kind is bool or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {key: _plain(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):

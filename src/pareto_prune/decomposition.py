@@ -22,6 +22,7 @@ __all__ = [
     "index_of",
     "compute_anchors_utopia",
     "compute_center",
+    "weight_grid",
     "build_subproblem_front",
 ]
 
@@ -113,6 +114,12 @@ def compute_center(
     return [res.point if res.feasible else None for res in results]
 
 
+def weight_grid(beta: int) -> list[float]:
+    """The beta weights of a subproblem front, i/(beta-1) for i =
+    0..beta-1: every caller keys its solves by these same floats."""
+    return [i / (beta - 1) for i in range(beta)]
+
+
 def build_subproblem_front(
     spec: ProblemSpec, reals: list[Realization], beta: int, config: SolverConfig,
     eps: float = 0.0, *, table: dict | None = None,
@@ -124,7 +131,7 @@ def build_subproblem_front(
     solves.  None marks a realization without a feasible solution."""
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
-    weights = [i / (beta - 1) for i in range(beta)]
+    weights = weight_grid(beta)
     results = _solve_all(spec, [(r, w) for r in reals for w in weights], config, table=table)
     fronts: list[list[ParetoSolution] | None] = []
     for j, r in enumerate(reals):

@@ -30,8 +30,9 @@ from .decomposition import (
     compute_anchors_utopia,
     compute_center,
     enumerate_realizations,
+    weight_grid,
 )
-from .solver import SolverConfig
+from .solver import SolverConfig, descend_weights
 
 __all__ = [
     "PipelineError",
@@ -137,40 +138,71 @@ class PruneReport:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PruneReport":
+        """The report ``d`` holds, read strictly: a count or index must be
+        a JSON integer (not a boolean), a value a finite JSON number, and
+        ``phases`` one of "ab", "a" and "none".  Anything else raises
+        ValueError."""
         try:
             nlp = d["nlp"]
-            counts = NlpCounts(a1=int(nlp["a1"]), a2=int(nlp["a2"]),
-                               b1=int(nlp["b1"]), b3=int(nlp["b3"]))
-            if counts.total != int(nlp["total"]):
+            counts = NlpCounts(**{key: _int(nlp[key], f"nlp.{key}")
+                                  for key in ("a1", "a2", "b1", "b3")})
+            if counts.total != _int(nlp["total"], "nlp.total"):
                 raise ValueError("nlp total does not match per-phase counts")
-            front = tuple(
-                ParetoSolution(
-                    y=tuple(float(v) for v in e["y"]),
-                    realization=Realization(k=int(e["k"]), z=tuple(float(v) for v in e["z"])),
-                    point=ObjectivePoint(float(e["j1"]), float(e["j2"])),
-                    provenance=str(e["provenance"]),
-                )
-                for e in d["front"]
-            )
+            phases = _str(d["phases"], "phases")
+            if phases not in ("ab", "a", "none"):
+                raise ValueError(f'phases must be "ab", "a" or "none", got {phases!r}')
             return cls(
-                problem=str(d["problem"]),
-                beta=int(d["beta"]),
-                phases=str(d["phases"]),
-                eps=float(d["eps"]),
-                seed=int(d["seed"]),
-                k_total=int(d["k_total"]),
-                k1m=tuple(int(k) for k in d["k1m"]),
-                k1u=tuple(int(k) for k in d["k1u"]),
-                k1c=tuple(int(k) for k in d["k1c"]),
-                pruned_a=tuple(int(k) for k in d["pruned_a"]),
-                pruned_b=tuple(int(k) for k in d["pruned_b"]),
-                infeasible=tuple(int(k) for k in d["infeasible"]),
+                problem=_str(d["problem"], "problem"),
+                beta=_int(d["beta"], "beta"),
+                phases=phases,
+                eps=_float(d["eps"], "eps"),
+                seed=_int(d["seed"], "seed"),
+                k_total=_int(d["k_total"], "k_total"),
+                **{key: _list(d[key], key, _int)
+                   for key in ("k1m", "k1u", "k1c", "pruned_a", "pruned_b", "infeasible")},
                 nlp=counts,
-                front=front,
-                wallclock_ms=int(d["wallclock_ms"]),
+                front=_list(d["front"], "front", _solution),
+                wallclock_ms=_int(d["wallclock_ms"], "wallclock_ms"),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed report document: {exc}") from exc
+
+
+def _int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a boolean is not one."""
+    if type(value) is not int:
+        raise ValueError(f"report field {what} must be an integer, got {value!r}")
+    return value
+
+
+def _float(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number (an integral
+    float is written as an integer)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"report field {what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _str(value, what: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"report field {what} must be a string, got {value!r}")
+    return value
+
+
+def _solution(e, what: str) -> ParetoSolution:
+    return ParetoSolution(
+        y=_list(e["y"], f"{what} y", _float),
+        realization=Realization(k=_int(e["k"], f"{what} k"), z=_list(e["z"], f"{what} z", _float)),
+        point=ObjectivePoint(_float(e["j1"], f"{what} j1"), _float(e["j2"], f"{what} j2")),
+        provenance=_str(e["provenance"], f"{what} provenance"),
+    )
+
+
+def _list(value, what: str, item) -> tuple:
+    """The items of the JSON array ``value``, each read by ``item``."""
+    if type(value) is not list:
+        raise ValueError(f"report field {what} must be a list, got {value!r}")
+    return tuple(item(v, what) for v in value)
 
 
 @dataclass(frozen=True)
@@ -293,10 +325,14 @@ def run_pipeline(
     realizations, in this process: one
     :func:`~pareto_prune.solver.solve_batch` call, whose local descents
     run in lockstep and are finished in one pass.  The phases share one
-    ``table`` of finished solves, and of the descents solves of one weight
-    share on a separable problem, so what an earlier phase ran is looked
-    up, not run again; every solve is still counted on its own.  The
-    table is dropped when the run returns.
+    ``table`` of finished solves, so what an earlier phase ran is looked
+    up, not run again; every solve is still counted on its own.  On a
+    separable, unconstrained problem a descent depends on its weight
+    alone, and the run descends every weight it can pose up front, in one
+    lockstep batch (:func:`~pareto_prune.solver.descend_weights`): the
+    weight grid, plus B-1's 0.5 under "ab".  Its phases then only look
+    descents up and finish solves.  The table is dropped when the run
+    returns.
     ``workers`` is accepted and has no effect: every run is serial.
     """
     if phases not in ("ab", "a", "none"):
@@ -316,6 +352,9 @@ def run_pipeline(
     table: dict = {}
     t0 = time.perf_counter()
     reals = enumerate_realizations(spec)
+    # a separable, unconstrained problem: every descent of the run at once
+    descend_weights(spec, reals[0], weight_grid(beta) + ([0.5] if phases == "ab" else []),
+                    config, table)
 
     if phases == "none":
         utopias: dict[int, ObjectivePoint | None] = {}

@@ -10,7 +10,10 @@ returns one :class:`SolveResult` per job, unusable solves included:
 their local descents run in lockstep in one batch, and the batch is
 finished in one pass: winners, penalty escalation and objectives.  Every
 row of a batch evolves on its own, so a solve's result does not depend
-on the batch it ran in.
+on the batch it ran in.  On a separable, unconstrained problem a descent
+depends on its weight alone, so :func:`descend_weights` runs the
+descents of a whole weight grid in one batch, ahead of the solves that
+share them.
 The solver is deterministic: identical arguments (including the seed)
 give bitwise-identical results.
 """
@@ -29,6 +32,7 @@ from .core import ObjectivePoint, ProblemSpec, Realization
 __all__ = [
     "SolverConfig",
     "SolveResult",
+    "descend_weights",
     "solve_batch",
     "solve_scalarized",
 ]
@@ -324,8 +328,11 @@ def _descend(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
              config: SolverConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """Local descents of several solves of ``spec`` from the multistart
     set, in lockstep: one ``_descent`` call for all of them, or several of
-    at most MAX_DESCENT_ROWS rows each.  Returns, per solve, the best point
-    and value reached from each start, as read-only arrays."""
+    at most MAX_DESCENT_ROWS rows each, and none without a job.  Returns,
+    per solve, the best point and value reached from each start, as
+    read-only arrays."""
+    if not jobs:
+        return []
     n = N_STARTS
     per_call = max(1, MAX_DESCENT_ROWS // n)
     starts = _start_points(spec.bounds, n, config.seed)
@@ -337,6 +344,27 @@ def _descend(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
         best_f.setflags(write=False)
         out += [(best_x[j * n:(j + 1) * n], best_f[j * n:(j + 1) * n]) for j in range(len(part))]
     return out
+
+
+def _shares_descents(spec: ProblemSpec) -> bool:
+    """Whether a descent of ``spec`` depends on its weight alone: the
+    problem separates into a continuous base plus per-realization offsets
+    (``base_objectives``) and has no constraints."""
+    return spec.base_objectives is not None and spec.inequality_constraints is None
+
+
+def descend_weights(spec: ProblemSpec, realization: Realization, weights: Sequence[float],
+                    config: SolverConfig, table: dict) -> None:
+    """Run the descent of each of ``weights`` that ``table`` does not hold
+    yet, in one :func:`_descend` call, and keep it in ``table`` under the
+    weight, where every solve of that weight reads it.  Only a problem
+    whose descents depend on the weight alone shares them, so on any
+    other problem this does nothing.  The descents run at
+    ``realization``; on such a problem any realization gives the same
+    rows, as long as its gradient does not depend on z."""
+    if _shares_descents(spec):
+        missing = [w for w in dict.fromkeys(weights) if w not in table]
+        table.update(zip(missing, _descend(spec, [(realization, w) for w in missing], config)))
 
 
 def solve_batch(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
@@ -352,8 +380,10 @@ def solve_batch(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
     earlier call finished is looked up instead of run again.  When the
     problem separates (``base_objectives``) and has no constraints, a
     descent depends on its weight alone: the table also keeps it under the
-    weight, and every solve of that weight, in this call or a later one,
-    shares its rows.
+    weight (:func:`descend_weights`), and every solve of that weight, in
+    this call or a later one, shares its rows.  A run descends its whole
+    weight grid that way before its first call, so then a call only looks
+    descents up and finishes solves.
     """
     table = {} if table is None else table
     keys = [(w, r.k) for r, w in jobs]
@@ -362,12 +392,9 @@ def solve_batch(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
         if key not in table:
             todo.setdefault(key, job)
     solves = list(todo.values())
-    if spec.base_objectives is not None and spec.inequality_constraints is None:
-        missing: dict = {}  # weight -> the job whose descent runs it
-        for r, w in solves:
-            if w not in table:
-                missing.setdefault(w, (r, w))
-        table.update(zip(missing, _descend(spec, list(missing.values()), config)))
+    if _shares_descents(spec):
+        if solves:
+            descend_weights(spec, solves[0][0], [w for _, w in solves], config, table)
         entries = [table[w] for _, w in solves]
     else:
         entries = _descend(spec, solves, config)

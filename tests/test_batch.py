@@ -607,10 +607,38 @@ class TestDescentTable:
             assert descents == {}
 
 
+# _descent rows per call of a run, in call order, on problems whose descents
+# are not shared by weight: one batch per phase that poses new solves, then
+# the penalty escalation rounds (recorded before separable runs descended
+# their weight grid up front, which must leave these runs as they were)
+_UNSHARED_ROWS = {
+    ("e1-k4", "ab", 4): [128, 96, 16],
+    ("e1-k4", "ab", 21): [128, 912, 16],
+    ("e1-k4", "a", 4): [128, 96, 32],
+    ("e1-k4", "a", 21): [128, 912, 304],
+    ("e1-k4", "none", 4): [256],
+    ("e1-k4", "none", 21): [1344],
+    ("toy-constrained", "ab", 4): [32, 1, 32, 1],
+    ("toy-constrained", "ab", 21): [32, 1, 304, 12],
+    ("toy-constrained", "a", 4): [32, 1, 32, 1],
+    ("toy-constrained", "a", 21): [32, 1, 304, 12],
+    ("toy-constrained", "none", 4): [64, 2],
+    ("toy-constrained", "none", 21): [336, 13],
+    ("gen-constrained", "ab", 4): [224, 2, 64, 80, 128],
+    ("gen-constrained", "ab", 21): [224, 2, 608, 48, 576],
+    ("gen-constrained", "a", 4): [224, 2, 64, 160],
+    ("gen-constrained", "a", 21): [224, 2, 608, 912],
+    ("gen-constrained", "none", 4): [448, 2],
+    ("gen-constrained", "none", 21): [2352, 2],
+}
+
+
 class TestMergedSpecReuse:
     """On a separable, unconstrained problem a descent is keyed by its
-    weight alone: after A-2 has run the beta weights, B-1 (w = 0.5) and
-    B-3 (the beta weights again) run no new rows when beta is odd."""
+    weight alone, and a run descends every weight it can pose in one
+    ``_descent`` call before Phase A: the beta grid, plus B-1's w = 0.5
+    under "ab".  No rows follow that call.  Other problems keep one
+    descent batch per phase."""
 
     @staticmethod
     def _rows_after_a2(monkeypatch, spec, beta, phases):
@@ -633,10 +661,30 @@ class TestMergedSpecReuse:
         assert after == []
         assert report.nlp.b1 + report.nlp.b3 > 0  # B-1 or B-3 did pose solves
 
-    def test_b1_runs_one_block_at_even_beta(self, config, monkeypatch):
-        after, report = self._rows_after_a2(monkeypatch, _e2_k16(), 4, "ab")
-        assert report.nlp.b1 > 1
-        assert after == [N_STARTS]
+    @pytest.mark.parametrize("beta", [4, 21])
+    @pytest.mark.parametrize("phases", ["ab", "a", "none"])
+    def test_one_descent_call_per_run(self, monkeypatch, phases, beta):
+        rows = _DescentRows(monkeypatch)
+        lattices = []
+        start_points = solver._start_points
+        monkeypatch.setattr(solver, "_start_points",
+                            lambda *args: lattices.append(args) or start_points(*args))
+        report = pp.run_pipeline(_e2_k16(), beta=beta, phases=phases)
+        weights = set(decomposition.weight_grid(beta)) | ({0.5} if phases == "ab" else set())
+        assert len(weights) == beta + (phases == "ab" and beta % 2 == 0)
+        assert rows.rows == [len(weights) * N_STARTS]
+        assert len(lattices) == 1  # a phase with nothing to descend builds no start set
+        if phases == "ab":
+            assert report.nlp.b1 > 1  # at beta = 4, B-1's w = 0.5 is off the grid
+
+    @pytest.mark.parametrize("name, phases, beta", sorted(_UNSHARED_ROWS))
+    def test_unshared_descents_keep_one_batch_per_phase(self, monkeypatch, name, phases, beta):
+        make = {"e1-k4": workloads.make_e1_k4, "toy-constrained": pp.make_toy_constrained,
+                "gen-constrained": _gen_constrained}[name]
+        spec = make()
+        rows = _DescentRows(monkeypatch)
+        pp.run_pipeline(spec, beta=beta, phases=phases)
+        assert rows.rows == _UNSHARED_ROWS[name, phases, beta]
 
 
 # --- one finish per batch: winners, escalation and objectives in one pass -----------

@@ -322,15 +322,75 @@ class TestSerialization:
         assert loaded.seed == 3
         assert json.loads((tmp_path / "r.json").read_text())["seed"] == 3
 
-    def test_report_equality_after_roundtrip(self, e1_ab):
-        again = pp.PruneReport.from_json_dict(json.loads(dumps_json(e1_ab.to_json_dict())))
-        assert again == e1_ab
+    def test_report_equality_after_roundtrip(self, e1_ab, e1_oracle):
+        for report in (e1_ab, e1_oracle, make_report([(0.0, 1.0), (1.5, -2.0)])):
+            text = dumps_json(report.to_json_dict())
+            again = pp.PruneReport.from_json_dict(json.loads(text))
+            assert again == report
+            assert dumps_json(again.to_json_dict()) == text
 
     def test_nlp_total_mismatch_rejected(self):
         doc = make_report([(0.0, 1.0)]).to_json_dict()
         doc["nlp"]["total"] = 99
         with pytest.raises(ValueError):
             pp.PruneReport.from_json_dict(doc)
+
+
+def _set(doc, path, value):
+    """Set the field of ``doc`` at ``path``, a sequence of keys and list
+    indices, to ``value``."""
+    *outer, last = path
+    for key in outer:
+        doc = doc[key]
+    doc[last] = value
+
+
+# (path, value) mutations a strict reader rejects: coercing them would read
+# beta 3.7 as 3, k1m [1.9] as (1,), seed "0" as 0 and k true as 1
+_BAD_FIELDS = {
+    "beta-float": (("beta",), 3.7),
+    "beta-integral-float": (("beta",), 3.0),
+    "beta-bool": (("beta",), True),
+    "k1m-float": (("k1m",), [1.9]),
+    "seed-string": (("seed",), "0"),
+    "front-k-bool": (("front", 0, "k"), True),
+    "nlp-string": (("nlp", "a1"), "2"),
+    "k_total-huge-float": (("k_total",), 1e300),
+    "eps-string": (("eps",), "0"),
+    "eps-nan": (("eps",), math.nan),
+    "j1-inf": (("front", 0, "j1"), math.inf),
+    "j2-huge-int": (("front", 0, "j2"), 10 ** 400),
+    "y-bool": (("front", 0, "y"), [True]),
+    "z-null": (("front", 0, "z"), [None]),
+    "phases-unknown": (("phases",), "abc"),
+    "phases-list": (("phases",), ["ab"]),
+    "pruned_a-dict": (("pruned_a",), {"1": 1}),
+    "front-string": (("front",), "[]"),
+    "front-entry-list": (("front", 0), [0.0, 1.0]),
+    "provenance-int": (("front", 0, "provenance"), 0),
+}
+
+
+class TestStrictReader:
+    @pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
+    def test_rejects(self, case):
+        doc = make_report([(0.0, 1.0)]).to_json_dict()
+        _set(doc, *_BAD_FIELDS[case])
+        with pytest.raises(ValueError):
+            pp.PruneReport.from_json_dict(doc)
+
+    @pytest.mark.parametrize("case", ["beta-float", "k1m-float", "seed-string", "front-k-bool",
+                                      "eps-nan", "phases-unknown"])
+    def test_compare_exits_2_without_traceback(self, tmp_path, capsys, case):
+        good = tmp_path / "good.json"
+        write_report(make_report([(0.0, 1.0)]), good)
+        doc = json.loads(good.read_text())
+        _set(doc, *_BAD_FIELDS[case])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("compare", "--a", str(good), "--b", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestCompareReports:
