@@ -1,10 +1,13 @@
 """Pruning-based Pareto front generation for mixed-discrete bi-objective
 optimization: per-realization decomposition, utopia- and center-point
-pruning, and an exhaustive oracle for validation."""
+pruning, and an exhaustive oracle for validation.
+
+The package exports what a pipeline user calls.  The per-phase operations
+live in their modules: ``pareto_prune.decomposition`` (anchors, centers,
+subproblem fronts) and ``pareto_prune.pipeline`` (the phases)."""
 
 from .benchmarks import (
     REGISTRY,
-    TrussConstants,
     get_problem,
     make_e1,
     make_e2,
@@ -19,25 +22,8 @@ from .core import (
     Realization,
     nondominated_filter,
 )
-from .decomposition import (
-    CapacityExceeded,
-    build_subproblem_front,
-    compute_anchors_utopia,
-    compute_center,
-    enumerate_realizations,
-    index_of,
-    realization_from_index,
-)
-from .pipeline import (
-    NlpCounts,
-    PipelineError,
-    PruneReport,
-    build_master_front,
-    master_candidates,
-    phase_a,
-    phase_b,
-    run_pipeline,
-)
+from .decomposition import CapacityExceeded, enumerate_realizations
+from .pipeline import NlpCounts, PipelineError, PruneReport, run_pipeline
 from .solver import SolverConfig
 
 __version__ = "0.1.0"
@@ -53,23 +39,13 @@ __all__ = [
     "REGISTRY",
     "Realization",
     "SolverConfig",
-    "TrussConstants",
-    "build_master_front",
-    "build_subproblem_front",
-    "compute_anchors_utopia",
-    "compute_center",
     "enumerate_realizations",
     "get_problem",
-    "index_of",
     "make_e1",
     "make_e2",
     "make_quad",
     "make_toy_constrained",
-    "master_candidates",
     "nondominated_filter",
     "oracle_front",
-    "phase_a",
-    "phase_b",
-    "realization_from_index",
     "run_pipeline",
 ]

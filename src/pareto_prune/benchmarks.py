@@ -9,9 +9,7 @@ for exercising the solver paths (not taken from any benchmark suite).
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +18,6 @@ from .pipeline import PruneReport, run_pipeline
 from .solver import SolverConfig
 
 __all__ = [
-    "TrussConstants",
     "make_e1",
     "make_e2",
     "make_quad",
@@ -89,77 +86,59 @@ def make_e1() -> ProblemSpec:
 
 _SQRT2 = math.sqrt(2.0)
 
-
-@dataclass(frozen=True)
-class TrussConstants:
-    """Member coefficients of the nine-bar truss: a_i weight the volume
-    sum, b_i the displacement sum (b_9 = 0: the ninth bar does not load
-    the monitored node).  The scale factors multiply each objective."""
-
-    a: tuple[float, ...] = (1.0, 1.0, 1.0, _SQRT2, 1.0, _SQRT2, 1.0, _SQRT2, 1.0)
-    b: tuple[float, ...] = (4.0, 1.0, 1.0, 8 * _SQRT2, 4.0, 2 * _SQRT2, 4.0, 2 * _SQRT2, 0.0)
-    length_scale: float = 1.0
-    load_modulus_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if len(self.a) != 9 or len(self.b) != 9:
-            raise ValueError("truss constants require 9 member coefficients")
-        if self.length_scale <= 0 or self.load_modulus_scale <= 0:
-            raise ValueError("scale factors must be positive")
+# Member coefficients of the nine-bar truss: a_i weight the volume sum,
+# b_i the displacement sum (b_9 = 0: the ninth bar does not load the
+# monitored node).  Bars 1-3 are sized continuously, so their
+# coefficients are also kept as arrays.
+_A = (1.0, 1.0, 1.0, _SQRT2, 1.0, _SQRT2, 1.0, _SQRT2, 1.0)
+_B = (4.0, 1.0, 1.0, 8 * _SQRT2, 4.0, 2 * _SQRT2, 4.0, 2 * _SQRT2, 0.0)
+_A3 = np.array(_A[:3])
+_B3 = np.array(_B[:3])
 
 
-def _e2_base(consts: TrussConstants, a3: np.ndarray, b3: np.ndarray, y):
-    """Volume and displacement of bars 1-3; ``a3`` and ``b3`` are their
-    coefficients as arrays, built once per problem."""
+def _e2_base(y):
+    """Volume and displacement of bars 1-3."""
     y = np.asarray(y, dtype=float)
-    j1 = consts.length_scale * (y * a3).sum(axis=-1)
-    j2 = consts.load_modulus_scale * (b3 / y).sum(axis=-1)
-    return np.stack([j1, j2], axis=-1)
+    return np.stack([(y * _A3).sum(axis=-1), (_B3 / y).sum(axis=-1)], axis=-1)
 
 
-def _e2_offsets(consts: TrussConstants, z):
+def _e2_offsets(z):
     """The (j1, j2) offsets of bars 4-9 per row of z (m, n_z), shape
     (m, 2), or of a single z (n_z,), shape (2,)."""
     z = np.asarray(z, dtype=float)
-    a = consts.a
-    b = consts.b
     # fsum per distinct row: exact, order-independent sums keep realizations
     # that are objective-identical by symmetry bitwise identical
     rows = list(map(tuple, z.reshape(-1, 6).tolist()))
     sums = {
-        r: (consts.length_scale * math.fsum(a[3 + j] * r[j] for j in range(6)),
-            consts.load_modulus_scale * math.fsum(b[3 + j] / r[j] for j in range(6)))
+        r: (math.fsum(_A[3 + j] * r[j] for j in range(6)),
+            math.fsum(_B[3 + j] / r[j] for j in range(6)))
         for r in dict.fromkeys(rows)
     }
     return np.array([sums[r] for r in rows]).reshape(z.shape[:-1] + (2,))
 
 
-def _e2_objectives(consts: TrussConstants, a3: np.ndarray, b3: np.ndarray, y, z):
-    return _e2_base(consts, a3, b3, y) + _e2_offsets(consts, z)
+def _e2_objectives(y, z):
+    return _e2_base(y) + _e2_offsets(z)
 
 
-def _e2_gradient(consts: TrussConstants, a3: np.ndarray, b3: np.ndarray, y, z):
+def _e2_gradient(y, z):
     y = np.asarray(y, dtype=float)
-    g1 = consts.length_scale * np.broadcast_to(a3, y.shape)
-    g2 = -consts.load_modulus_scale * b3 / y ** 2
-    return np.stack([g1, g2], axis=-2)
+    return np.stack([np.broadcast_to(_A3, y.shape), -_B3 / y ** 2], axis=-2)
 
 
-def make_e2(constants: TrussConstants | None = None) -> ProblemSpec:
+def make_e2() -> ProblemSpec:
     """Truss volume vs nodal displacement; bars 1-3 sized continuously,
     bars 4-9 from the catalogue {1, 5, 10, 15}."""
-    consts = constants or TrussConstants()
-    coeffs = (consts, np.array(consts.a[:3]), np.array(consts.b[:3]))
     catalogue = (1.0, 5.0, 10.0, 15.0)
     return ProblemSpec(
         name="e2",
         n_y=3,
         bounds=((2.0 / 3.0, 10.0), (1.0 / 3.0, 10.0), (1.0 / 3.0, 10.0)),
         discrete_sets=(catalogue,) * 6,
-        objectives=functools.partial(_e2_objectives, *coeffs),
-        gradient=functools.partial(_e2_gradient, *coeffs),
+        objectives=_e2_objectives,
+        gradient=_e2_gradient,
         vectorized=True,
-        base_objectives=functools.partial(_e2_base, *coeffs),
+        base_objectives=_e2_base,
     )
 
 

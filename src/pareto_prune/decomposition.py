@@ -16,10 +16,10 @@ from .core import ObjectivePoint, ParetoSolution, ProblemSpec, Realization, nond
 from .solver import SolverConfig, SolveResult, solve_batch, solve_scalarized
 
 __all__ = [
+    "CENTER_WEIGHT",
     "CapacityExceeded",
     "enumerate_realizations",
     "realization_from_index",
-    "index_of",
     "compute_anchors_utopia",
     "compute_center",
     "weight_grid",
@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 DEFAULT_REALIZATION_CAP = 10_000_000
+# the weight of a center solve: equal weights on both objectives
+CENTER_WEIGHT = 0.5
 
 
 class CapacityExceeded(RuntimeError):
@@ -63,20 +65,6 @@ def realization_from_index(spec: ProblemSpec, k: int) -> Realization:
     return Realization(k=k, z=tuple(spec.discrete_sets[j][d] for j, d in enumerate(digits)))
 
 
-def index_of(spec: ProblemSpec, z: tuple[float, ...]) -> int:
-    sizes = _set_sizes(spec)
-    if len(z) != len(sizes):
-        raise ValueError(f"z has length {len(z)}, expected {len(sizes)}")
-    k = 0
-    for j, v in enumerate(z):
-        try:
-            d = spec.discrete_sets[j].index(float(v))
-        except ValueError:
-            raise ValueError(f"value {v} not in discrete set {j}") from None
-        k = k * sizes[j] + d
-    return k + 1
-
-
 def _solve_all(
     spec: ProblemSpec, jobs: list[tuple[Realization, float]], config: SolverConfig, *,
     table: dict | None = None,
@@ -110,7 +98,7 @@ def compute_center(
     equal-weights solve (one counted NLP each), which sit on the
     subproblem front where weighted-sum reaches it.  None where that solve
     is not feasible."""
-    results = _solve_all(spec, [(r, 0.5) for r in reals], config, table=table)
+    results = _solve_all(spec, [(r, CENTER_WEIGHT) for r in reals], config, table=table)
     return [res.point if res.feasible else None for res in results]
 
 

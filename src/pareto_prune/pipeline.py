@@ -6,6 +6,7 @@ skipped."""
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -24,6 +25,7 @@ from .core import (
     nondominated_mask,
 )
 from .decomposition import (
+    CENTER_WEIGHT,
     DEFAULT_REALIZATION_CAP,
     CapacityExceeded,
     build_subproblem_front,
@@ -140,8 +142,10 @@ class PruneReport:
     def from_json_dict(cls, d: dict) -> "PruneReport":
         """The report ``d`` holds, read strictly: a count or index must be
         a JSON integer (not a boolean), a value a finite JSON number, and
-        ``phases`` one of "ab", "a" and "none".  Anything else raises
-        ValueError."""
+        ``phases`` one of "ab", "a" and "none".  ``beta`` must be at least
+        2, ``eps`` one that a run accepts, ``k_total`` at least 1, and every
+        realization index, of a set or of a front point, within
+        1..k_total.  Anything else raises ValueError."""
         try:
             nlp = d["nlp"]
             counts = NlpCounts(**{key: _int(nlp[key], f"nlp.{key}")
@@ -151,27 +155,34 @@ class PruneReport:
             phases = _str(d["phases"], "phases")
             if phases not in ("ab", "a", "none"):
                 raise ValueError(f'phases must be "ab", "a" or "none", got {phases!r}')
+            eps = _float(d["eps"], "eps")
+            _check_eps(eps)
+            k_total = _int(d["k_total"], "k_total", 1)
+            index = functools.partial(_int, low=1, high=k_total)
             return cls(
                 problem=_str(d["problem"], "problem"),
-                beta=_int(d["beta"], "beta"),
+                beta=_int(d["beta"], "beta", 2),
                 phases=phases,
-                eps=_float(d["eps"], "eps"),
+                eps=eps,
                 seed=_int(d["seed"], "seed"),
-                k_total=_int(d["k_total"], "k_total"),
-                **{key: _list(d[key], key, _int)
+                k_total=k_total,
+                **{key: _list(d[key], key, index)
                    for key in ("k1m", "k1u", "k1c", "pruned_a", "pruned_b", "infeasible")},
                 nlp=counts,
-                front=_list(d["front"], "front", _solution),
+                front=_list(d["front"], "front", functools.partial(_solution, index=index)),
                 wallclock_ms=_int(d["wallclock_ms"], "wallclock_ms"),
             )
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed report document: {exc}") from exc
 
 
-def _int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a boolean is not one."""
+def _int(value, what: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """``value`` if it is a JSON integer in low..high; a boolean is not
+    one."""
     if type(value) is not int:
         raise ValueError(f"report field {what} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"report field {what} must be in {low}..{high}, got {value}")
     return value
 
 
@@ -189,10 +200,10 @@ def _str(value, what: str) -> str:
     return value
 
 
-def _solution(e, what: str) -> ParetoSolution:
+def _solution(e, what: str, index) -> ParetoSolution:
     return ParetoSolution(
         y=_list(e["y"], f"{what} y", _float),
-        realization=Realization(k=_int(e["k"], f"{what} k"), z=_list(e["z"], f"{what} z", _float)),
+        realization=Realization(k=index(e["k"], f"{what} k"), z=_list(e["z"], f"{what} z", _float)),
         point=ObjectivePoint(_float(e["j1"], f"{what} j1"), _float(e["j2"], f"{what} j2")),
         provenance=_str(e["provenance"], f"{what} provenance"),
     )
@@ -237,8 +248,6 @@ def build_master_front(
 ) -> tuple[list[ParetoSolution], dict[int, list[ParetoSolution] | None]]:
     """Union of the masters' subproblem fronts, filtered, and each master's
     own front by its index."""
-    if not reals:
-        raise PipelineError("cannot build a master front from an empty candidate set")
     fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps, table=table)
     merged = [sol for front in fronts for sol in front or ()]
     return nondominated_filter(merged, eps), {r.k: f for r, f in zip(reals, fronts)}
@@ -330,7 +339,7 @@ def run_pipeline(
     separable, unconstrained problem a descent depends on its weight
     alone, and the run descends every weight it can pose up front, in one
     lockstep batch (:func:`~pareto_prune.solver.descend_weights`): the
-    weight grid, plus B-1's 0.5 under "ab".  Its phases then only look
+    weight grid, plus B-1's center weight under "ab".  Its phases then only look
     descents up and finish solves.  The table is dropped when the run
     returns.
     ``workers`` is accepted and has no effect: every run is serial.
@@ -353,8 +362,8 @@ def run_pipeline(
     t0 = time.perf_counter()
     reals = enumerate_realizations(spec)
     # a separable, unconstrained problem: every descent of the run at once
-    descend_weights(spec, reals[0], weight_grid(beta) + ([0.5] if phases == "ab" else []),
-                    config, table)
+    centers = [CENTER_WEIGHT] if phases == "ab" else []
+    descend_weights(spec, reals[0], weight_grid(beta) + centers, config, table)
 
     if phases == "none":
         utopias: dict[int, ObjectivePoint | None] = {}

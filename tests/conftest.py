@@ -1,10 +1,11 @@
 """Shared fixtures: registry problems, expensive reports (session-scoped),
 a small synthetic five-realization problem whose phase outcomes are
 known in closed form (one member of a family of shifted quadratic
-fronts), a quad variant whose objectives are NaN at one realization, a
-counter of the real solver calls, a loader of the benchmark's modules,
-reference pairwise dominance tests, and a check that a report's sets
-partition its realizations."""
+fronts), a quad variant whose objectives are NaN at one realization, e2
+with its objectives scaled, a counter of the real solver calls, a loader
+of the benchmark's modules, reference pairwise dominance tests, the
+inverse of ``decomposition.realization_from_index``, and a check that a
+report's sets partition its realizations."""
 
 from __future__ import annotations
 
@@ -66,6 +67,22 @@ def weakly_dominates(a: pp.ObjectivePoint, b: pp.ObjectivePoint, eps: float = 0.
     (within eps).  Equal points weakly dominate each other."""
     _check_eps(eps)
     return a.j1 <= b.j1 + eps and a.j2 <= b.j2 + eps
+
+
+def index_of(spec: pp.ProblemSpec, z: tuple[float, ...]) -> int:
+    """The index k of realization ``z``: its position in
+    ``decomposition.enumerate_realizations`` order, counted from 1."""
+    sizes = [len(zs) for zs in spec.discrete_sets]
+    if len(z) != len(sizes):
+        raise ValueError(f"z has length {len(z)}, expected {len(sizes)}")
+    k = 0
+    for j, v in enumerate(z):
+        try:
+            d = spec.discrete_sets[j].index(float(v))
+        except ValueError:
+            raise ValueError(f"value {v} not in discrete set {j}") from None
+        k = k * sizes[j] + d
+    return k + 1
 
 
 def assert_sets_partition(report: pp.PruneReport) -> None:
@@ -160,6 +177,17 @@ def make_nan_offset_problem(separable: bool) -> pp.ProblemSpec:
     return dataclasses.replace(
         pp.make_quad(), name="nan-offset", discrete_sets=((0.0, 1.0, 2.0),),
         objectives=_nan_offset_objectives, base_objectives=_quad_pair if separable else None)
+
+
+def make_scaled_e2(scale: tuple[float, float]) -> pp.ProblemSpec:
+    """e2 with objective i multiplied by ``scale[i]``: its objectives,
+    base objectives and gradient, so that it stays separable."""
+    e2, s = pp.make_e2(), np.array(scale)
+    return dataclasses.replace(
+        e2, name="e2-scaled",
+        objectives=lambda y, z: e2.objectives(y, z) * s,
+        base_objectives=lambda y: e2.base_objectives(y) * s,
+        gradient=lambda y, z: e2.gradient(y, z) * s[:, None])
 
 
 class SolveLog:

@@ -26,7 +26,9 @@ import pytest
 import pareto_prune as pp
 from pareto_prune.cli import main, read_report
 from pareto_prune.core import nondominated_mask
-from conftest import dominates, make_fig_problem, weakly_dominates
+from pareto_prune.decomposition import realization_from_index
+from pareto_prune.pipeline import phase_a
+from conftest import dominates, make_fig_problem, make_scaled_e2, weakly_dominates
 
 
 def criterion(label: str, condition: bool, detail: str = "") -> None:
@@ -82,7 +84,7 @@ def toy_paths(outdir):
 
 
 def _retained_z(report, spec):
-    return {pp.realization_from_index(spec, k).z for k in report.k1c}
+    return {realization_from_index(spec, k).z for k in report.k1c}
 
 
 def _weights(beta):
@@ -121,14 +123,15 @@ def _e1_grid_reference(spec, beta):
     return np.concatenate(points), zs
 
 
-def _e2_closed_form_reference(spec, consts, beta):
+def _e2_closed_form_reference(spec, beta):
     """Objective points (and their z-vectors) of the beta weighted-sum
     minimizers of every e2 realization.  The offsets do not depend on y,
     so each continuous bar minimizes w*a_i*y_i + (1-w)*b_i/y_i on its own:
     y_i = sqrt((1-w)*b_i / (w*a_i)) clipped to the bounds, with w=0 at the
-    upper bounds."""
-    a = consts.length_scale * np.array(consts.a[: spec.n_y])
-    b = consts.load_modulus_scale * np.array(consts.b[: spec.n_y])
+    upper bounds.  a and b are the volume and displacement coefficients of
+    the truss's continuously sized bars 1-3."""
+    a = np.array([1.0, 1.0, 1.0])
+    b = np.array([4.0, 1.0, 1.0])
     lo, hi = spec.lower_bounds(), spec.upper_bounds()
     ys = np.array(
         [hi] + [np.clip(np.sqrt((1.0 - w) * b / (w * a)), lo, hi) for w in _weights(beta)[1:]]
@@ -187,7 +190,7 @@ class TestCriterion2E2:
         # reference: closed-form minimizers of the separable truss at each
         # weight, shifted by every realization's offsets, then filtered
         orc = read_report(e2_paths["oracle"])
-        points, zs = _e2_closed_form_reference(e2_spec, pp.TrussConstants(), orc.beta)
+        points, zs = _e2_closed_form_reference(e2_spec, orc.beta)
         reference = {zs[i] for i in np.flatnonzero(nondominated_mask(points))}
         criterion(
             "2b e2 oracle contributing z-set = closed-form reference "
@@ -277,7 +280,7 @@ class TestCriterion6Properties:
         criterion("6b filter equals pairwise brute force (n=1000)", fast == slow)
 
     def test_utopia_lower_bound(self, e1_spec, config):
-        pa = pp.phase_a(e1_spec, pp.enumerate_realizations(e1_spec), 21, config)
+        pa = phase_a(e1_spec, pp.enumerate_realizations(e1_spec), 21, config)
         ok = True
         for k in pa.k1m:
             for sol in pa.fronts[k]:
@@ -296,9 +299,7 @@ class TestCriterion6Properties:
         # grid positions shift under scaling, so a coarse front keeps the
         # check exact; dominance decisions themselves are scale-free
         o1 = pp.oracle_front(pp.make_e2(), beta=3)
-        o2 = pp.oracle_front(
-            pp.make_e2(pp.TrussConstants(length_scale=2.5, load_modulus_scale=7.3)), beta=3
-        )
+        o2 = pp.oracle_front(make_scaled_e2((2.5, 7.3)), beta=3)
         same = o1.front_realizations() == o2.front_realizations()
         criterion("6e e2 oracle contributing set invariant to positive scaling", same)
 

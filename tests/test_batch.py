@@ -84,20 +84,21 @@ class TestListEqualsOneAtATime:
     def test_anchors(self, name, config):
         spec = SPECS[name]()
         reals = _reals(spec, 5)
-        batch = pp.compute_anchors_utopia(spec, reals, config)
-        assert batch == [pp.compute_anchors_utopia(spec, [r], config)[0] for r in reals]
+        batch = decomposition.compute_anchors_utopia(spec, reals, config)
+        assert batch == [decomposition.compute_anchors_utopia(spec, [r], config)[0] for r in reals]
 
     def test_center(self, name, config):
         spec = SPECS[name]()
         reals = _reals(spec, 5)
-        batch = pp.compute_center(spec, reals, config)
-        assert batch == [pp.compute_center(spec, [r], config)[0] for r in reals]
+        batch = decomposition.compute_center(spec, reals, config)
+        assert batch == [decomposition.compute_center(spec, [r], config)[0] for r in reals]
 
     def test_front(self, name, config):
         spec = SPECS[name]()
         reals = _reals(spec, 4)
-        batch = pp.build_subproblem_front(spec, reals, 5, config)
-        assert batch == [pp.build_subproblem_front(spec, [r], 5, config)[0] for r in reals]
+        batch = decomposition.build_subproblem_front(spec, reals, 5, config)
+        assert batch == [decomposition.build_subproblem_front(spec, [r], 5, config)[0]
+                         for r in reals]
 
 
 class _DescentRows:
@@ -136,7 +137,7 @@ class TestRowSharing:
     @pytest.mark.parametrize("n", [1, 7, 50])
     def test_e2_anchors_run_two_blocks_whatever_k(self, e2_spec, config, monkeypatch, n):
         rows = _DescentRows(monkeypatch)
-        recs = pp.compute_anchors_utopia(e2_spec, _reals(e2_spec, n), config)
+        recs = decomposition.compute_anchors_utopia(e2_spec, _reals(e2_spec, n), config)
         assert len(recs) == n
         assert rows.rows == [2 * N_STARTS]
 
@@ -156,15 +157,15 @@ class TestRowSharing:
 
         spec = dataclasses.replace(e2_spec, inequality_constraints=far_bound)
         rows = _DescentRows(monkeypatch)
-        pp.compute_anchors_utopia(spec, _reals(spec, 3), config)
+        decomposition.compute_anchors_utopia(spec, _reals(spec, 3), config)
         assert rows.rows == [2 * 3 * N_STARTS]
 
     def test_row_cap_splits_the_batch(self, e1_spec, config, monkeypatch):
         reals = _reals(e1_spec, 3)
-        whole = pp.build_subproblem_front(e1_spec, reals, 5, config)
+        whole = decomposition.build_subproblem_front(e1_spec, reals, 5, config)
         monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", 4 * N_STARTS)
         rows = _DescentRows(monkeypatch)
-        assert pp.build_subproblem_front(e1_spec, reals, 5, config) == whole
+        assert decomposition.build_subproblem_front(e1_spec, reals, 5, config) == whole
         assert rows.rows == [4 * N_STARTS] * 3 + [3 * N_STARTS]
 
 
@@ -176,7 +177,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(pp.make_quad(), objectives=flat, gradient=None)
         with pytest.raises(ValueError, match=r"objectives of problem 'quad' returned shape "
                                              r"\(16,\), expected \(16, 2\)"):
-            pp.compute_center(spec, pp.enumerate_realizations(spec), config)
+            decomposition.compute_center(spec, pp.enumerate_realizations(spec), config)
 
     def test_gradient_of_wrong_shape(self, config):
         def flat_gradient(y, z):
@@ -195,7 +196,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(make_gen_problem(), objectives=ragged)
         with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned rows that "
                                              r"do not form a float array, expected \(\d+, 2\)"):
-            pp.compute_center(spec, pp.enumerate_realizations(spec), config)
+            decomposition.compute_center(spec, pp.enumerate_realizations(spec), config)
 
     def test_three_column_scalar_objectives(self, config):
         def three(y, z):
@@ -204,7 +205,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(make_gen_problem(), objectives=three)
         with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned shape "
                                              r"\((\d+), 3\), expected \(\1, 2\)"):
-            pp.compute_center(spec, pp.enumerate_realizations(spec), config)
+            decomposition.compute_center(spec, pp.enumerate_realizations(spec), config)
 
     def test_ragged_scalar_constraints(self, config):
         def ragged(y, z):
@@ -214,7 +215,7 @@ class TestEvaluatorShapes:
         with pytest.raises(ValueError, match=r"inequality_constraints of problem 'gen' returned "
                                              r"rows that do not form a float array, "
                                              r"expected \(\d+, n_g\)"):
-            pp.compute_center(spec, pp.enumerate_realizations(spec), config)
+            decomposition.compute_center(spec, pp.enumerate_realizations(spec), config)
 
 
 def _reference_fd_gradient(batch, ys, rows, penalty_coefficient, fd_step):
@@ -330,9 +331,9 @@ class TestFdGradient:
     def test_row_cap_leaves_a_run_unchanged(self, name, config, monkeypatch):
         spec = FD_SPECS[name]()
         reals = _reals(spec, 3)
-        whole = pp.build_subproblem_front(spec, reals, 3, config)
+        whole = decomposition.build_subproblem_front(spec, reals, 3, config)
         monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", 10)
-        assert pp.build_subproblem_front(spec, reals, 3, config) == whole
+        assert decomposition.build_subproblem_front(spec, reals, 3, config) == whole
 
 
 class TestScalarRowsGetTheirOwnZ:
@@ -375,7 +376,7 @@ def _z_evaluators(spec):
     """The evaluators of ``spec`` that take z, as functions of (ys, z)."""
     out = {f: getattr(spec, f) for f in _YZ_FIELDS if getattr(spec, f) is not None}
     if spec.name == "e2":  # the per-realization part of its separable objectives
-        out["_e2_offsets"] = lambda ys, z: benchmarks._e2_offsets(pp.TrussConstants(), z)
+        out["_e2_offsets"] = lambda ys, z: benchmarks._e2_offsets(z)
     return out
 
 
@@ -636,30 +637,9 @@ _UNSHARED_ROWS = {
 class TestMergedSpecReuse:
     """On a separable, unconstrained problem a descent is keyed by its
     weight alone, and a run descends every weight it can pose in one
-    ``_descent`` call before Phase A: the beta grid, plus B-1's w = 0.5
-    under "ab".  No rows follow that call.  Other problems keep one
-    descent batch per phase."""
-
-    @staticmethod
-    def _rows_after_a2(monkeypatch, spec, beta, phases):
-        rows = _DescentRows(monkeypatch)
-        mark: list[int] = []
-        build = pipeline.build_master_front
-
-        def marked(*args, **kwargs):
-            out = build(*args, **kwargs)
-            mark.append(len(rows.rows))
-            return out
-
-        monkeypatch.setattr(pipeline, "build_master_front", marked)
-        report = pp.run_pipeline(spec, beta=beta, phases=phases)
-        return rows.rows[mark[0]:], report
-
-    @pytest.mark.parametrize("phases", ["ab", "a"])
-    def test_no_rows_after_a2_at_odd_beta(self, monkeypatch, phases):
-        after, report = self._rows_after_a2(monkeypatch, _e2_k16(), 21, phases)
-        assert after == []
-        assert report.nlp.b1 + report.nlp.b3 > 0  # B-1 or B-3 did pose solves
+    ``_descent`` call before Phase A: the beta grid, plus B-1's
+    ``CENTER_WEIGHT`` under "ab".  No rows follow that call.  Other
+    problems keep one descent batch per phase."""
 
     @pytest.mark.parametrize("beta", [4, 21])
     @pytest.mark.parametrize("phases", ["ab", "a", "none"])
@@ -670,10 +650,12 @@ class TestMergedSpecReuse:
         monkeypatch.setattr(solver, "_start_points",
                             lambda *args: lattices.append(args) or start_points(*args))
         report = pp.run_pipeline(_e2_k16(), beta=beta, phases=phases)
-        weights = set(decomposition.weight_grid(beta)) | ({0.5} if phases == "ab" else set())
+        centers = {decomposition.CENTER_WEIGHT} if phases == "ab" else set()
+        weights = set(decomposition.weight_grid(beta)) | centers
         assert len(weights) == beta + (phases == "ab" and beta % 2 == 0)
         assert rows.rows == [len(weights) * N_STARTS]
         assert len(lattices) == 1  # a phase with nothing to descend builds no start set
+        assert report.nlp.b1 + report.nlp.b3 > 0  # B-1 or B-3 did pose solves
         if phases == "ab":
             assert report.nlp.b1 > 1  # at beta = 4, B-1's w = 0.5 is off the grid
 

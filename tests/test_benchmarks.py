@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import pareto_prune as pp
-from pareto_prune import TrussConstants, benchmarks, get_problem, make_e2, oracle_front
+from pareto_prune import benchmarks, get_problem, oracle_front
+from pareto_prune.decomposition import build_subproblem_front, realization_from_index
+from pareto_prune.pipeline import phase_a
+from conftest import index_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -100,9 +103,7 @@ class TestE2:
             y = e2_spec.lower_bounds() + 9.0 * rng.random(3)
             z = np.asarray(reals[rng.integers(4096)].z)
             whole = np.asarray(e2_spec.objectives(y, z))
-            split = np.asarray(e2_spec.base_objectives(y)) + np.asarray(
-                benchmarks._e2_offsets(TrussConstants(), z)
-            )
+            split = np.asarray(e2_spec.base_objectives(y)) + np.asarray(benchmarks._e2_offsets(z))
             assert np.array_equal(whole, split)
 
     def test_swap_symmetric_realizations_identical(self, e2_spec, config):
@@ -110,28 +111,12 @@ class TestE2:
         # the same objective function; fronts must be bitwise identical
         za = (5.0, 1.0, 10.0, 15.0, 5.0, 1.0)
         zb = (5.0, 15.0, 10.0, 1.0, 5.0, 1.0)  # z5 <-> z7 swapped
-        ra = pp.realization_from_index(e2_spec, pp.index_of(e2_spec, za))
-        rb = pp.realization_from_index(e2_spec, pp.index_of(e2_spec, zb))
-        fa = pp.build_subproblem_front(e2_spec, [ra], 11, config)[0]
-        fb = pp.build_subproblem_front(e2_spec, [rb], 11, config)[0]
+        ra = realization_from_index(e2_spec, index_of(e2_spec, za))
+        rb = realization_from_index(e2_spec, index_of(e2_spec, zb))
+        fa = build_subproblem_front(e2_spec, [ra], 11, config)[0]
+        fb = build_subproblem_front(e2_spec, [rb], 11, config)[0]
         assert [p.point.as_tuple() for p in fa] == [p.point.as_tuple() for p in fb]
         assert [p.y for p in fa] == [p.y for p in fb]
-
-    def test_constants_validation(self):
-        with pytest.raises(ValueError):
-            TrussConstants(length_scale=0.0)
-        with pytest.raises(ValueError):
-            TrussConstants(a=(1.0,) * 8)
-
-    def test_scale_parameters_multiply_objectives(self):
-        base = make_e2()
-        scaled = make_e2(TrussConstants(length_scale=2.0, load_modulus_scale=4.0))
-        y = np.array([1.0, 2.0, 3.0])
-        z = np.ones(6)
-        jb = np.asarray(base.objectives(y, z))
-        js = np.asarray(scaled.objectives(y, z))
-        assert js[0] == pytest.approx(2.0 * jb[0], rel=1e-14)
-        assert js[1] == pytest.approx(4.0 * jb[1], rel=1e-14)
 
 
 class TestQuadAndToy:
@@ -177,7 +162,7 @@ class TestOracle:
     def test_e1_master_front_within_oracle(self, e1_spec, e1_oracle, config):
         # master-front points must be non-dominated inside the oracle's
         # exhaustive point set
-        pa = pp.phase_a(e1_spec, pp.enumerate_realizations(e1_spec), 21, config)
+        pa = phase_a(e1_spec, pp.enumerate_realizations(e1_spec), 21, config)
         opts = np.array([[s.point.j1, s.point.j2] for s in e1_oracle.front])
         for p in pa.master_front:
             strictly = (

@@ -368,6 +368,11 @@ _BAD_FIELDS = {
     "front-string": (("front",), "[]"),
     "front-entry-list": (("front", 0), [0.0, 1.0]),
     "provenance-int": (("front", 0, "provenance"), 0),
+    "k_total-negative": (("k_total",), -5),
+    "pruned_a-out-of-range": (("pruned_a",), [99]),
+    "eps-negative": (("eps",), -1.0),
+    "beta-one": (("beta",), 1),
+    "front-k-zero": (("front", 0, "k"), 0),
 }
 
 
@@ -380,7 +385,8 @@ class TestStrictReader:
             pp.PruneReport.from_json_dict(doc)
 
     @pytest.mark.parametrize("case", ["beta-float", "k1m-float", "seed-string", "front-k-bool",
-                                      "eps-nan", "phases-unknown"])
+                                      "eps-nan", "phases-unknown", "k_total-negative",
+                                      "pruned_a-out-of-range", "eps-negative", "beta-one"])
     def test_compare_exits_2_without_traceback(self, tmp_path, capsys, case):
         good = tmp_path / "good.json"
         write_report(make_report([(0.0, 1.0)]), good)

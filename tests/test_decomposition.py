@@ -11,19 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pareto_prune as pp
-from pareto_prune import (
-    CapacityExceeded,
-    ObjectivePoint,
+from pareto_prune import CapacityExceeded, ObjectivePoint, decomposition, enumerate_realizations
+from pareto_prune.decomposition import (
     build_subproblem_front,
     compute_anchors_utopia,
     compute_center,
-    decomposition,
-    enumerate_realizations,
-    index_of,
     realization_from_index,
 )
 from pareto_prune.solver import solve_batch
-from conftest import dominates, weakly_dominates
+from conftest import dominates, index_of, weakly_dominates
 
 # frozen from a 10^6-point grid refined to xatol 1e-13 (e1, z = (0, 0))
 E1_Z00_UTOPIA = (-20.0, -3.875762279046282)

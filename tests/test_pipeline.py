@@ -14,20 +14,23 @@ import pareto_prune as pp
 from pareto_prune import (
     ObjectivePoint,
     PipelineError,
-    compute_center,
     enumerate_realizations,
-    master_candidates,
     nondominated_filter,
-    phase_a,
-    phase_b,
     run_pipeline,
 )
+from pareto_prune.decomposition import (
+    build_subproblem_front,
+    compute_anchors_utopia,
+    compute_center,
+)
+from pareto_prune.pipeline import build_master_front, master_candidates, phase_a, phase_b
 from conftest import (
     assert_sets_partition,
     front_points,
     install_solve_log,
     make_fig_problem,
     make_nan_offset_problem,
+    make_scaled_e2,
     weakly_dominates,
 )
 
@@ -47,6 +50,10 @@ class TestMasterCandidates:
 
     def test_infeasible_skipped(self):
         assert master_candidates({1: ObjectivePoint(0, 0), 2: None}) == [1]
+
+    def test_master_front_of_no_candidates_is_empty(self, quad_spec, config):
+        # phase_a never passes []: it raises first when every utopia is None
+        assert build_master_front(quad_spec, [], 21, config) == ([], {})
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +155,7 @@ class TestSingleRealization:
         rep = run_pipeline(quad_spec, beta=21, phases="ab")
         assert rep.k1m == rep.k1u == rep.k1c == (1,)
         assert rep.pruned_a == () and rep.pruned_b == ()
-        front = pp.build_subproblem_front(
+        front = build_subproblem_front(
             quad_spec, pp.enumerate_realizations(quad_spec)[:1], 21, pp.SolverConfig()
         )[0]
         assert [p.point.as_tuple() for p in rep.front] == [p.point.as_tuple() for p in front]
@@ -303,10 +310,9 @@ class TestScalingInvariance:
         # only grid-invariant in the dense-weights limit and is exercised
         # through the oracle-level scaling check instead
         masters = []
-        for constants in (None, pp.TrussConstants(length_scale=2.5, load_modulus_scale=7.3)):
-            spec = pp.make_e2(constants)
+        for spec in (pp.make_e2(), make_scaled_e2((2.5, 7.3))):
             reals = pp.enumerate_realizations(spec)
-            utopias = pp.compute_anchors_utopia(spec, reals, config)
+            utopias = compute_anchors_utopia(spec, reals, config)
             masters.append(master_candidates({r.k: u for r, u in zip(reals, utopias)}))
         assert masters[0] == masters[1]
 

@@ -9,6 +9,7 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune import solver
+from pareto_prune.decomposition import compute_anchors_utopia, compute_center
 from pareto_prune.solver import SolverConfig, _Batch, _start_points, solve_scalarized
 
 # minimum of 0.5*J1 + 0.5*J2 over x1 in [-5, 5] for the e1 subproblem with
@@ -102,14 +103,14 @@ class TestSolveCounter:
         r = _first_real(quad_spec)
         assert solve_log.calls == 0
         for _ in range(3):
-            pp.compute_center(quad_spec, [r], config)[0]
+            compute_center(quad_spec, [r], config)[0]
         assert solve_log.calls == 3
         solve_log.reset()
-        pp.compute_anchors_utopia(quad_spec, [r], config)[0]
+        compute_anchors_utopia(quad_spec, [r], config)[0]
         assert solve_log.calls == 2
 
     def test_one_call_counts_one_despite_multistart(self, e2_spec, solve_log):
-        pp.compute_center(e2_spec, [_first_real(e2_spec)], SolverConfig())[0]
+        compute_center(e2_spec, [_first_real(e2_spec)], SolverConfig())[0]
         assert solve_log.calls == 1
 
     def test_concurrent_solves_count_and_match_serial(self, e1_spec, config):
@@ -187,7 +188,7 @@ class TestNanHandling:
         r = _first_real(spec)
         res = _solve(spec, 1.0, config, r)
         assert res.feasible is False and res.point is None
-        assert pp.compute_center(spec, [r], config) == [None]
+        assert compute_center(spec, [r], config) == [None]
         assert solve_log.calls == 1
 
 
