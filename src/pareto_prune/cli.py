@@ -26,6 +26,8 @@ from .solver import SolverConfig
 
 __all__ = ["main", "hausdorff_distance", "write_report", "write_front_csv"]
 
+HAUSDORFF_BLOCK = 1 << 18  # point pairs whose distance one step of hausdorff_distance forms
+
 
 def _check_output_path(path: str | None) -> None:
     """Fail before the compute when an output file cannot be created."""
@@ -107,13 +109,18 @@ def summary_line(report: PruneReport) -> str:
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two point sets in objective
-    space.  Empty vs non-empty is infinite; empty vs empty is zero."""
-    if a.size == 0 and b.size == 0:
-        return 0.0
+    space.  Empty vs non-empty is infinite; empty vs empty is zero.  Memory
+    is linear in the set sizes: squared distances are formed for rows of
+    ``a`` HAUSDORFF_BLOCK pairs at a time, and min, max and sqrt are exact."""
     if a.size == 0 or b.size == 0:
-        return float("inf")
-    d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+        return 0.0 if a.size == b.size else float("inf")
+    rows = max(1, HAUSDORFF_BLOCK // len(b))
+    far_a, near_b = [], np.inf  # per block of a: farthest; per point of b: nearest
+    for i in range(0, len(a), rows):
+        d = sum((a[i:i + rows, None, c] - b[None, :, c]) ** 2 for c in range(a.shape[1]))
+        far_a.append(d.min(axis=1).max())
+        near_b = np.minimum(near_b, d.min(axis=0))
+    return float(np.sqrt(max(np.max(far_a), near_b.max())))
 
 
 def compare_reports(ra: PruneReport, rb: PruneReport, tol: float) -> dict:

@@ -141,11 +141,11 @@ class PruneReport:
     @classmethod
     def from_json_dict(cls, d: dict) -> "PruneReport":
         """The report ``d`` holds, read strictly: a count or index must be
-        a JSON integer (not a boolean), a value a finite JSON number, and
-        ``phases`` one of "ab", "a" and "none".  ``beta`` must be at least
-        2, ``eps`` one that a run accepts, ``k_total`` at least 1, and every
-        realization index, of a set or of a front point, within
-        1..k_total.  Anything else raises ValueError."""
+        a JSON integer (not a boolean) and at least 0, a value a finite JSON
+        number, and ``phases`` one of "ab", "a" and "none".  ``beta`` must
+        be at least 2, ``eps`` one a run accepts, ``k_total`` at least 1,
+        and every realization index, of a set or a front point, in 1..k_total.
+        Anything else raises ValueError."""
         try:
             nlp = d["nlp"]
             counts = NlpCounts(**{key: _int(nlp[key], f"nlp.{key}")
@@ -176,7 +176,7 @@ class PruneReport:
             raise ValueError(f"malformed report document: {exc}") from exc
 
 
-def _int(value, what: str, low: float = -math.inf, high: float = math.inf) -> int:
+def _int(value, what: str, low: float = 0, high: float = math.inf) -> int:
     """``value`` if it is a JSON integer in low..high; a boolean is not
     one."""
     if type(value) is not int:

@@ -10,7 +10,9 @@ returns one :class:`SolveResult` per job, unusable solves included:
 their local descents run in lockstep in one batch, and the batch is
 finished in one pass: winners, penalty escalation and objectives.  Every
 row of a batch evolves on its own, so a solve's result does not depend
-on the batch it ran in.  On a separable, unconstrained problem a descent
+on the batch it ran in.  A descent step updates its rows by mask, makes
+one pass per evaluator, and reads each row's weight and z gathered once
+per batch.  On a separable, unconstrained problem a descent
 depends on its weight alone, so :func:`descend_weights` runs the
 descents of a whole weight grid in one batch, ahead of the solves that
 share them.
@@ -20,6 +22,7 @@ give bitwise-identical results.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -72,10 +75,10 @@ def _evaluate(spec: ProblemSpec, field: str, ys: np.ndarray,
     """Call one evaluator of ``spec`` on the stacked rows ``ys``, row i at
     the realization ``zs[i]`` (``base_objectives`` takes none), and check
     the shape of its result.  A vectorized evaluator gets ``ys`` and the
-    row-aligned ``zs`` (m, n_z) in one call, a scalar one each row."""
+    row-aligned ``zs`` (m, n_z) in one call, a scalar one each row with its z."""
     fn = getattr(spec, field)
     args = () if zs is None else (zs,)
-    out = fn(ys, *args) if spec.vectorized else [fn(*row) for row in zip(ys, *args)]
+    out = fn(ys, *args) if spec.vectorized else list(map(fn, ys, *args))
     return _checked(spec, field, out, ys.shape[0])
 
 
@@ -110,47 +113,43 @@ def _checked(spec: ProblemSpec, field: str, out, m: int) -> np.ndarray:
     return out
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)``, bit for bit, in fewer numpy calls: numpy adds a row
+    shorter than 8 left to right from 0.0, as this does a column at a time."""
+    return a.sum(axis=1) if a.shape[1] >= 8 else functools.reduce(np.add, a.T, 0.0)
+
+
 def _scalarize(weight, raw: np.ndarray, g: np.ndarray | None, pc) -> np.ndarray:
     """w*J1 + (1-w)*J2 plus the exterior penalty pc * sum(max(g, 0)^2), per
     row; ``weight`` is a scalar or a per-row array."""
     val = weight * raw[:, 0] + (1.0 - weight) * raw[:, 1]
     if g is not None:
-        val = val + pc * (np.clip(g, 0.0, None) ** 2).sum(axis=1)
+        val = val + pc * _row_sum(np.maximum(g, 0.0) ** 2)
     return val
 
 
 class _Batch:
     """The (realization, weight) jobs of ``spec`` that one lockstep descent
     solves, at PENALTY_COEFFICIENT unless escalated.  Solve i owns rows
-    i*rows_per_solve .. (i+1)*rows_per_solve - 1.  The methods take the
-    stacked points of some of those rows and their indices (an index array
-    or a slice), and make one pass per evaluator over all of them: one
-    call of a vectorized evaluator with every row's z stacked beside it,
-    or one call of a scalar one per row with that row's z.  A row's value
-    never depends on the rest of the batch, so a finite-difference
-    gradient evaluates all its probes in one pass."""
+    i*rows_per_solve .. (i+1)*rows_per_solve - 1; each row's weight and z
+    are gathered once, here, and every pass indexes them.  The methods take
+    the stacked points of some of those rows and their indices (an index
+    array or a slice), and make one pass per evaluator over all of them:
+    one call of a vectorized evaluator with every row's z stacked beside
+    it, or one call of a scalar one per row with that row's z.  A row's
+    value never depends on the rest of the batch, so a finite-difference
+    gradient builds and evaluates all its probes in one stacked pass."""
 
     def __init__(self, spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
                  rows_per_solve: int) -> None:
         self.spec = spec
         self.lo = spec.lower_bounds()
         self.hi = spec.upper_bounds()
-        self.weight = np.array([w for _, w in jobs])
-        index: dict[Realization, int] = {}
-        self.solve_z = np.array([index.setdefault(r, len(index)) for r, _ in jobs])
-        self.zarr = np.array([r.z for r in index], dtype=float)  # (n_real, n_z)
-        self.zs = list(self.zarr)
-        self.owner = np.repeat(np.arange(len(jobs)), rows_per_solve)
-
-    def _per_z(self, field: str, ys: np.ndarray, solves: np.ndarray) -> np.ndarray:
-        """``field`` at each row of ``ys``, row i at the realization of
-        solve ``solves[i]``."""
-        spec = self.spec
-        zi = self.solve_z[solves]
-        if spec.vectorized:
-            return _evaluate(spec, field, ys, self.zarr[zi])
-        fn, zs = getattr(spec, field), self.zs
-        return _checked(spec, field, [fn(y, zs[j]) for y, j in zip(ys, zi.tolist())], len(zi))
+        self.weight = np.repeat(np.array([w for _, w in jobs]), rows_per_solve)
+        zs = np.array([r.z for r, _ in jobs], dtype=float)  # (n_solves, n_z)
+        if not spec.vectorized:  # a scalar evaluator gets each row's z as its own array
+            zs = np.fromiter(zs, object, len(zs))
+        self.z = np.repeat(zs, rows_per_solve, axis=0)  # each row's z
 
     def descent_value(self, ys: np.ndarray, rows,
                       penalty_coefficient: float | None = None) -> np.ndarray:
@@ -160,16 +159,15 @@ class _Batch:
         and the iterate sequence becomes independent of the realization,
         so exact cross-realization ties survive in later filtering."""
         spec = self.spec
-        solves = self.owner[rows]
         if spec.base_objectives is None:
-            raw = self._per_z("objectives", ys, solves)
+            raw = _evaluate(spec, "objectives", ys, self.z[rows])
         else:
             raw = _evaluate(spec, "base_objectives", ys)
         g = pc = None
         if spec.inequality_constraints is not None:
-            g = self._per_z("inequality_constraints", ys, solves)
+            g = _evaluate(spec, "inequality_constraints", ys, self.z[rows])
             pc = PENALTY_COEFFICIENT if penalty_coefficient is None else penalty_coefficient
-        return _scalarize(self.weight[solves], raw, g, pc)
+        return _scalarize(self.weight[rows], raw, g, pc)
 
     def gradient(self, ys: np.ndarray, rows,
                  penalty_coefficient: float | None = None) -> np.ndarray:
@@ -181,38 +179,37 @@ class _Batch:
         """
         spec = self.spec
         if spec.gradient is not None and spec.inequality_constraints is None:
-            solves = self.owner[rows]
-            gj = self._per_z("gradient", ys, solves)
-            w = self.weight[solves][:, None]
+            gj = _evaluate(spec, "gradient", ys, self.z[rows])
+            w = self.weight[rows][:, None]
             return w * gj[:, 0, :] + (1.0 - w) * gj[:, 1, :]
         return self._fd_gradient(ys, rows, penalty_coefficient)
 
     def _fd_gradient(self, ys: np.ndarray, rows,
                      penalty_coefficient: float | None) -> np.ndarray:
-        """Central differences, with the + and - probe of every (row,
-        dimension) pair stacked into one ``descent_value`` call, or into
-        several of at most MAX_DESCENT_ROWS rows each when they do not fit.
-        A probe stays inside the box, so the difference degrades to one-sided
-        at a bound."""
+        """Central differences.  The + and - probe of every (row, dimension)
+        pair, in that order, row by row, are built in one stacked pass and
+        evaluated in one ``descent_value`` call, or in several of at most
+        MAX_DESCENT_ROWS probes each, split between whole rows, when they do
+        not fit.  A probe stays inside the box, so the difference degrades
+        to one-sided at a bound."""
         m, n = ys.shape
         h = FD_STEP * (1.0 + np.abs(ys))
         yp = np.minimum(ys + h, self.hi)
         ym = np.maximum(ys - h, self.lo)
         denom = yp - ym
         denom[denom == 0.0] = 1.0
-        rows = np.arange(self.owner.size)[rows]
+        rows = np.arange(self.weight.size)[rows]
         out = np.empty_like(ys)
-        per_call = max(1, MAX_DESCENT_ROWS // 2)  # (row, dimension) pairs
-        for a in range(0, m * n, per_call):
-            pair = np.arange(a, min(a + per_call, m * n))
-            i, d = np.divmod(pair, n)
-            i2 = np.repeat(i, 2)
-            plus = 2 * np.arange(pair.size)  # rows 2p and 2p+1 probe pair p
-            probes = ys[i2]
-            probes[plus, d] = yp[i, d]
-            probes[plus + 1, d] = ym[i, d]
-            v = self.descent_value(probes, rows[i2], penalty_coefficient)
-            out[i, d] = (v[0::2] - v[1::2]) / denom[i, d]
+        d = np.arange(n)
+        per_call = max(1, MAX_DESCENT_ROWS // (2 * n))  # rows whose probes fit one call
+        for a in range(0, m, per_call):
+            i = slice(a, a + per_call)
+            probes = np.repeat(ys[i], 2 * n, axis=0).reshape(-1, n, 2, n)
+            probes[:, d, 0, d] = yp[i]
+            probes[:, d, 1, d] = ym[i]
+            v = self.descent_value(probes.reshape(-1, n), np.repeat(rows[i], 2 * n),
+                                   penalty_coefficient).reshape(-1, n, 2)
+            out[i] = (v[..., 0] - v[..., 1]) / denom[i]
         return out
 
 
@@ -256,7 +253,10 @@ def _start_points(bounds: tuple[tuple[float, float], ...], n: int, seed: int) ->
 def _descent(obj: _Batch, x0: np.ndarray, *,
              penalty_coefficient: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient descent with Barzilai-Borwein steps and Armijo
-    backtracking, run in lockstep over the rows of a batch of solves.
+    backtracking, run in lockstep over the rows of a batch of solves.  A
+    step updates the rows still descending by mask: the gradient is
+    evaluated only where the step was accepted, and a row leaves the
+    lockstep set once it stops.
 
     Returns the best point and value visited per row (rows with
     non-finite initial values are returned as-is with value +inf).
@@ -272,8 +272,9 @@ def _descent(obj: _Batch, x0: np.ndarray, *,
     if not ok.any():
         return best_x, best_f
 
-    idx = np.where(ok)[0]  # rows still descending, as indices into the batch
+    idx = ok.nonzero()[0]  # rows still descending, as indices into the batch
     x = x[idx]
+    bx = x.copy()  # each row's best point; an accepted step never raises f, so f is its value
     f = f[idx]
     g = obj.gradient(x, idx, pc)
     span = float((hi - lo).max())
@@ -282,45 +283,36 @@ def _descent(obj: _Batch, x0: np.ndarray, *,
     for _ in range(MAX_ITERS):
         if idx.size == 0:
             break
-        xc = np.clip(x - t[:, None] * g, lo, hi)
+        xc = np.minimum(np.maximum(x - t[:, None] * g, lo), hi)  # np.clip, in fewer calls
         step = x - xc
         fc = obj.descent_value(xc, idx, pc)
-        decrease = (g * step).sum(axis=1)
-        accept = np.isfinite(fc) & (fc <= f - _ARMIJO * decrease)
+        accept = np.isfinite(fc) & (fc <= f - _ARMIJO * _row_sum(g * step))
+        ai = accept.nonzero()[0]
+        gc = g.copy()
+        if ai.size:
+            sub = slice(None) if ai.size == idx.size else ai  # no gather when all moved
+            gc[sub] = obj.gradient(xc[sub], idx[sub], pc)
+        # with s = xc - x and y = gc - g: s.y == step.(g - gc) and s.s == step.step, exactly
+        sy = _row_sum(step * (g - gc))
+        bb = t * _STEP_GROWTH  # where the curvature is not positive
+        np.divide(_row_sum(step * step), sy, out=bb, where=sy > 1e-30)
+        t = np.where(accept, np.minimum(np.maximum(bb, _STEP_FLOOR), 1e12), t * _STEP_SHRINK)
+        np.copyto(bx, xc, where=(accept & (fc < f))[:, None])
+        np.copyto(x, xc, where=accept[:, None])
+        np.copyto(f, fc, where=accept)
+        g = gc
 
-        if accept.any():
-            ai = np.where(accept)[0]
-            improved = fc[ai] < best_f[idx[ai]]
-            upd = ai[improved]
-            best_f[idx[upd]] = fc[upd]
-            best_x[idx[upd]] = xc[upd]
-
-            gc = obj.gradient(xc[ai], idx[ai], pc)
-            s = xc[ai] - x[ai]
-            yv = gc - g[ai]
-            sy = (s * yv).sum(axis=1)
-            ss = (s * s).sum(axis=1)
-            bb = np.where(sy > 1e-30, ss / np.where(sy > 1e-30, sy, 1.0),
-                          np.minimum(t[ai] * _STEP_GROWTH, 1e12))
-            t[ai] = np.clip(bb, _STEP_FLOOR, 1e12)
-            x[ai] = xc[ai]
-            f[ai] = fc[ai]
-            g[ai] = gc
-
-        rej = ~accept
-        t[rej] = t[rej] * _STEP_SHRINK
-
-        done = np.zeros(idx.size, dtype=bool)
-        done[accept] = np.abs(step[accept]).max(axis=1) <= STEP_TOL
+        done = accept & (functools.reduce(np.maximum, np.abs(step).T) <= STEP_TOL)
         done |= t < _STEP_FLOOR
         if done.any():
-            keep = ~done
-            idx = idx[keep]
-            x = x[keep]
-            f = f[keep]
-            g = g[keep]
-            t = t[keep]
+            out = done.nonzero()[0]
+            best_x[idx[out]] = bx[out]
+            best_f[idx[out]] = f[out]
+            keep = (~done).nonzero()[0]
+            idx, x, f, g, t, bx = idx[keep], x[keep], f[keep], g[keep], t[keep], bx[keep]
 
+    best_x[idx] = bx
+    best_f[idx] = f
     return best_x, best_f
 
 

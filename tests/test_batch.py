@@ -806,3 +806,179 @@ class TestFinishWork:
         workloads.run("e2-ab", spec, 0)
         assert len(per_phase) == 4  # A-1, A-2, B-1, B-3
         assert max(per_phase) <= 1 and sum(per_phase) == calls[0]
+
+
+# --- the lockstep descent kernel: the same rows, the same bits ----------------------
+
+def _reference_descent(obj, x0, penalty_coefficient=None):
+    """The lockstep descent as first written: the accepted rows gathered
+    out and scattered back on every step, the finished ones compacted
+    away.  Kept to check the kernel against, bit for bit."""
+    from pareto_prune.solver import (MAX_ITERS, STEP_TOL, _ARMIJO, _STEP_FLOOR,
+                                     _STEP_GROWTH, _STEP_SHRINK)
+
+    lo, hi = obj.lo, obj.hi
+    pc = penalty_coefficient
+
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f = obj.descent_value(x, slice(None), pc)
+    ok = np.isfinite(f)
+    best_x = x.copy()
+    best_f = np.where(ok, f, np.inf)
+    if not ok.any():
+        return best_x, best_f
+
+    idx = np.where(ok)[0]  # rows still descending, as indices into the batch
+    x = x[idx]
+    f = f[idx]
+    g = obj.gradient(x, idx, pc)
+    span = float((hi - lo).max())
+    t = span / (1.0 + np.abs(g).max(axis=1))
+
+    for _ in range(MAX_ITERS):
+        if idx.size == 0:
+            break
+        xc = np.clip(x - t[:, None] * g, lo, hi)
+        step = x - xc
+        fc = obj.descent_value(xc, idx, pc)
+        decrease = (g * step).sum(axis=1)
+        accept = np.isfinite(fc) & (fc <= f - _ARMIJO * decrease)
+
+        if accept.any():
+            ai = np.where(accept)[0]
+            improved = fc[ai] < best_f[idx[ai]]
+            upd = ai[improved]
+            best_f[idx[upd]] = fc[upd]
+            best_x[idx[upd]] = xc[upd]
+
+            gc = obj.gradient(xc[ai], idx[ai], pc)
+            s = xc[ai] - x[ai]
+            yv = gc - g[ai]
+            sy = (s * yv).sum(axis=1)
+            ss = (s * s).sum(axis=1)
+            bb = np.where(sy > 1e-30, ss / np.where(sy > 1e-30, sy, 1.0),
+                          np.minimum(t[ai] * _STEP_GROWTH, 1e12))
+            t[ai] = np.clip(bb, _STEP_FLOOR, 1e12)
+            x[ai] = xc[ai]
+            f[ai] = fc[ai]
+            g[ai] = gc
+
+        rej = ~accept
+        t[rej] = t[rej] * _STEP_SHRINK
+
+        done = np.zeros(idx.size, dtype=bool)
+        done[accept] = np.abs(step[accept]).max(axis=1) <= STEP_TOL
+        done |= t < _STEP_FLOOR
+        if done.any():
+            keep = ~done
+            idx = idx[keep]
+            x = x[keep]
+            f = f[keep]
+            g = g[keep]
+            t = t[keep]
+
+    return best_x, best_f
+
+
+def _descent_case(name):
+    """A batch of several realizations and weights, a start for each of its
+    rows, and the penalty coefficient to descend at.  The starts are seeded
+    points in the box, its two corners, and points on or past a face of it
+    (clipped onto the face)."""
+    spec, pc = {
+        "e1": (pp.make_e1(), None),  # multimodal in x1
+        "e2": (pp.make_e2(), None),  # analytic gradient, optimum on the bounds at w = 0 and 1
+        "gen": (make_gen_problem(), None),  # scalar evaluators, finite differences
+        "gen-nan": (_nan_gen_problem(), None),  # NaN for y1 > 0.7
+        "toy-constrained": (_widened(pp.make_toy_constrained()), 1e8),  # escalated penalty
+    }[name]
+    jobs = _jobs(_reals(spec, 3), (0.0, 0.35, 0.5, 1.0))
+    batch = solver._Batch(spec, jobs, 6)
+    lo, hi = spec.lower_bounds(), spec.upper_bounds()
+    rng = np.random.default_rng(11)
+    x0 = lo + (hi - lo) * rng.random((6 * len(jobs), spec.n_y))
+    x0[::6], x0[1::6] = lo, hi
+    x0[2::7, 0] = lo[0]
+    x0[3::7, -1] = hi[-1] + 1.0
+    return batch, x0, pc
+
+
+@pytest.mark.parametrize("name", ["e1", "e2", "gen", "gen-nan", "toy-constrained"])
+class TestDescentKernel:
+    def test_bitwise_equal_to_reference(self, name):
+        batch, x0, pc = _descent_case(name)
+        got = solver._descent(batch, x0, penalty_coefficient=pc)
+        ref = _reference_descent(batch, x0, pc)
+        assert np.isfinite(ref[1]).any()
+        for g, r in zip(got, ref, strict=True):
+            assert g.tobytes() == r.tobytes()
+
+    def test_rows_that_start_non_finite(self, name):
+        # rows whose start has no finite value come back as they started,
+        # at +inf; the rest descend as they would alone
+        batch, x0, pc = _descent_case(name)
+        x0[4::5] = np.nan
+        if name == "gen-nan":
+            x0[5::4, 0] = 0.9
+        got = solver._descent(batch, x0, penalty_coefficient=pc)
+        ref = _reference_descent(batch, x0, pc)
+        assert np.isinf(got[1][4::5]).all()
+        for g, r in zip(got, ref, strict=True):
+            assert g.tobytes() == r.tobytes()
+        x0[:] = np.nan
+        none = solver._descent(batch, x0, penalty_coefficient=pc)
+        assert np.isinf(none[1]).all()
+        for g, r in zip(none, _reference_descent(batch, x0, pc), strict=True):
+            assert g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_row_sum_is_numpys_sum(n):
+    # the kernel's sums over a row's coordinates keep numpy's bits, the sign
+    # of a zero, a nan and an overflow included
+    rng = np.random.default_rng(n)
+    for m in (1, 2, 9, 300):
+        a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-30, 30, size=(m, n))
+        a[::4] = -0.0
+        a[1::7, 0] = np.nan
+        a[2::7, -1] = np.inf
+        a[3::7] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert solver._row_sum(a).tobytes() == a.sum(axis=1).tobytes()
+
+
+# per-layer work of a seed-0 run of three benchmark workloads, as the
+# benchmark's tracer counts it: a leaner descent step must not change it
+_WORK = {
+    "e2-ab": {"solver.descent.calls": 1, "solver.descent.rows": 336,
+              "solver.descent.escalations": 0,
+              "eval.objectives.calls": 3, "eval.objectives.rows": 225,
+              "eval.base_objectives.calls": 35, "eval.base_objectives.rows": 5914,
+              "eval.gradient.calls": 33, "eval.gradient.rows": 4860,
+              "eval.constraints.calls": 0, "eval.constraints.rows": 0},
+    "e1-oracle": {"solver.descent.calls": 1, "solver.descent.rows": 1344,
+                  "solver.descent.escalations": 0,
+                  "eval.objectives.calls": 49, "eval.objectives.rows": 23218,
+                  "eval.base_objectives.calls": 0, "eval.base_objectives.rows": 0,
+                  "eval.gradient.calls": 45, "eval.gradient.rows": 13721,
+                  "eval.constraints.calls": 0, "eval.constraints.rows": 0},
+    "gen-constrained": {"solver.descent.calls": 5, "solver.descent.rows": 434,
+                        "solver.descent.escalations": 1,
+                        "eval.objectives.calls": 59752, "eval.objectives.rows": 59752,
+                        "eval.base_objectives.calls": 0, "eval.base_objectives.rows": 0,
+                        "eval.gradient.calls": 0, "eval.gradient.rows": 0,
+                        "eval.constraints.calls": 59754, "eval.constraints.rows": 59754},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_WORK))
+def test_workload_work_counts(workload):
+    (tracing,) = load_perfbench("tracer")
+    spec = workloads.build_spec(workload, 0)
+    tracer = tracing.Tracer().install()
+    try:
+        report = workloads.run(workload, tracer.wrap_spec(spec), 0, workers=1)
+    finally:
+        tracer.uninstall()
+    values, _ = tracer.metrics(report, 0)
+    assert {key: values[key] for key in _WORK[workload]} == _WORK[workload]

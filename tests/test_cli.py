@@ -4,6 +4,7 @@ and byte-level determinism of outputs."""
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,39 @@ class TestHausdorff:
         empty = np.empty((0, 2))
         assert hausdorff_distance(empty, empty) == 0.0
         assert hausdorff_distance(empty, np.array([[1.0, 2.0]])) == float("inf")
+        assert hausdorff_distance(np.array([[1.0, 2.0]]), empty) == float("inf")
+
+    @pytest.mark.parametrize("block", [1, 7, 64, cli.HAUSDORFF_BLOCK])
+    def test_blocks_give_the_full_arrays_bits(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "HAUSDORFF_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for _ in range(40):
+            n, m = rng.integers(1, 90, size=2)
+            scale = 10.0 ** rng.integers(-6, 7)
+            a, b = rng.standard_normal((n, 2)) * scale, rng.standard_normal((m, 2)) * scale
+            a[rng.integers(n)] = b[rng.integers(m)]  # a distance of exactly zero
+            for p, q in ((a, b), (b, a)):
+                got = np.float64(hausdorff_distance(p, q))
+                assert got.tobytes() == np.float64(_full_hausdorff(p, q)).tobytes()
+
+    def test_memory_is_bounded_at_20000_points(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.random((20_000, 2)), rng.random((20_000, 2))
+        tracemalloc.start()
+        try:
+            hausdorff_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the full distance array alone would take 20 000^2 * 8 bytes = 3.2 GB
+        assert peak < 32 * 2 ** 20
+
+
+def _full_hausdorff(a, b):
+    """The Hausdorff distance as first written: the full n x m distance
+    array at once."""
+    d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 class TestSerialization:
@@ -373,6 +407,10 @@ _BAD_FIELDS = {
     "eps-negative": (("eps",), -1.0),
     "beta-one": (("beta",), 1),
     "front-k-zero": (("front", 0, "k"), 0),
+    "seed-negative": (("seed",), -7),
+    "wallclock_ms-negative": (("wallclock_ms",), -3),
+    # negative phase counts whose total still adds up
+    "nlp-negative": (("nlp",), {"a1": -2, "a2": -4, "b1": 0, "b3": 0, "total": -6}),
 }
 
 
@@ -386,7 +424,8 @@ class TestStrictReader:
 
     @pytest.mark.parametrize("case", ["beta-float", "k1m-float", "seed-string", "front-k-bool",
                                       "eps-nan", "phases-unknown", "k_total-negative",
-                                      "pruned_a-out-of-range", "eps-negative", "beta-one"])
+                                      "pruned_a-out-of-range", "eps-negative", "beta-one",
+                                      "seed-negative", "wallclock_ms-negative", "nlp-negative"])
     def test_compare_exits_2_without_traceback(self, tmp_path, capsys, case):
         good = tmp_path / "good.json"
         write_report(make_report([(0.0, 1.0)]), good)
