@@ -28,6 +28,9 @@ DIGESTS = {
     ("toy-constrained", "none", 0.0): "be69f452a520de984a05bb626190c6eaaa2a91edaa0969e9933ba4a687fe42b6",
     ("e1", "ab", 0.01): "ec94cca2ff85998daf3916292bc4a48c63e0a254e279c73648066655bfa39e19",
     ("e1", "a", 0.01): "4c1064e3e493f73d3ee84cc78df76353994398487eb88def7725583829885c4b",
+    ("e1", "none", 0.01): "df9129d4414251df8dbe2a0e5f1554dcfba88179a95e6f877d0279856e102aba",
+    ("e2", "a", 0.01): "4e5c55b9e545733a3c72ffdfec170d015a3de73f917c9f9be6e89384aa748bc7",
+    ("quad", "none", 0.01): "331f9f168ced06d4ab863b6d000edbd5607c93bb11c06a6c3497ff287ac0f59f",
 }
 
 # the session fixtures of conftest.py that hold the same run
