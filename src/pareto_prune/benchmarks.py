@@ -43,11 +43,12 @@ def _e1_objectives(y, z):
     z = np.asarray(z, dtype=float)
     x1 = y[..., 0]
     p, q = z[..., 0], z[..., 1]
-    j1 = -10.0 * np.exp(-0.2 * np.sqrt(x1 ** 2 + p ** 2)) - 10.0 * np.exp(
+    out = np.empty(x1.shape + (2,))
+    out[..., 0] = -10.0 * np.exp(-0.2 * np.sqrt(x1 ** 2 + p ** 2)) - 10.0 * np.exp(
         -0.2 * np.sqrt(p ** 2 + q ** 2)
     )
-    j2 = _osc(x1) + (_osc(p) + _osc(q))
-    return np.stack([j1, j2], axis=-1)
+    out[..., 1] = _osc(x1) + (_osc(p) + _osc(q))
+    return out
 
 
 def _e1_gradient(y, z):
@@ -57,14 +58,16 @@ def _e1_gradient(y, z):
     p = z[..., 0]
     r = np.sqrt(x1 ** 2 + p ** 2)
     safe_r = np.where(r > 0.0, r, 1.0)
-    g1 = np.where(r > 0.0, 2.0 * np.exp(-0.2 * r) * x1 / safe_r, 0.0)
+    out = np.empty(x1.shape + (2, 1))
+    out[..., 0, 0] = np.where(r > 0.0, 2.0 * np.exp(-0.2 * r) * x1 / safe_r, 0.0)
     # |x|^0.8 has an unbounded derivative at 0; clamp keeps the line
     # search finite there
     ax = np.abs(x1)
     safe_ax = np.where(ax > 0.0, ax, 1.0)
     cusp = np.where(ax > 0.0, 0.8 * np.sign(x1) * safe_ax ** (-0.2), GRAD_CLAMP)
-    g2 = np.clip(cusp + 15.0 * x1 ** 2 * np.cos(x1 ** 3), -GRAD_CLAMP, GRAD_CLAMP)
-    return np.stack([g1, g2], axis=-1)[..., None]
+    out[..., 1, 0] = np.minimum(np.maximum(cusp + 15.0 * x1 ** 2 * np.cos(x1 ** 3), -GRAD_CLAMP),
+                                GRAD_CLAMP)
+    return out
 
 
 def make_e1() -> ProblemSpec:
@@ -97,9 +100,13 @@ _B3 = np.array(_B[:3])
 
 
 def _e2_base(y):
-    """Volume and displacement of bars 1-3."""
+    """Volume and displacement of bars 1-3, summed bar by bar from 0.0 as numpy does."""
     y = np.asarray(y, dtype=float)
-    return np.stack([(y * _A3).sum(axis=-1), (_B3 / y).sum(axis=-1)], axis=-1)
+    out = np.zeros(y.shape[:-1] + (2,))
+    for j in range(3):
+        out[..., 0] += y[..., j] * _A[j]
+        out[..., 1] += _B[j] / y[..., j]
+    return out
 
 
 def _e2_offsets(z):
@@ -123,7 +130,10 @@ def _e2_objectives(y, z):
 
 def _e2_gradient(y, z):
     y = np.asarray(y, dtype=float)
-    return np.stack([np.broadcast_to(_A3, y.shape), -_B3 / y ** 2], axis=-2)
+    out = np.empty(y.shape[:-1] + (2, 3))
+    out[..., 0, :] = _A3
+    np.divide(-_B3, y ** 2, out=out[..., 1, :])
+    return out
 
 
 def make_e2() -> ProblemSpec:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -17,6 +17,7 @@ __all__ = [
     "ProblemSpec",
     "Realization",
     "ParetoSolution",
+    "Front",
     "nondominated_filter",
 ]
 
@@ -134,6 +135,21 @@ class ParetoSolution:
     provenance: str
 
 
+class Front(NamedTuple):
+    """Subproblem front points of several realizations, one row each: the
+    realization index ``k``, the index ``w`` of the weight whose solve gave
+    the point, its continuous part ``y`` (n, n_y) and objectives ``pts`` (n, 2)."""
+
+    k: np.ndarray
+    w: np.ndarray
+    y: np.ndarray
+    pts: np.ndarray
+
+    def take(self, rows) -> "Front":
+        """The rows ``rows`` (indices or a mask), in that order."""
+        return Front(*(a[rows] for a in self))
+
+
 def _check_eps(eps: float) -> None:
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
@@ -143,34 +159,39 @@ PointLike = Union[ObjectivePoint, ParetoSolution]
 
 
 def _points_array(items: Sequence[PointLike]) -> np.ndarray:
-    out = np.empty((len(items), 2))
-    for i, it in enumerate(items):
-        p = it if isinstance(it, ObjectivePoint) else it.point
-        out[i, 0] = p.j1
-        out[i, 1] = p.j2
-    return out
+    pts = [it if isinstance(it, ObjectivePoint) else it.point for it in items]
+    return np.array([(p.j1, p.j2) for p in pts], dtype=float).reshape(len(pts), 2)
 
 
-def nondominated_mask(points: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """Boolean mask of rows of ``points`` (shape (n, 2)) not strictly
-    dominated by any other row.  Duplicates all survive.
+def nondominated_rows(points: np.ndarray, eps: float = 0.0,
+                      seg: np.ndarray | None = None) -> np.ndarray:
+    """Indices of the rows of ``points`` (shape (n, 2)) not strictly
+    dominated by any other row of their segment ``seg`` (n integers; one
+    segment without it), by segment, then j1, ties in row order.  Each
+    segment is filtered as if alone; duplicates all survive.
 
     Row b is dominated iff some row a has a1 < b1-eps and a2 <= b2+eps, or
     a1 <= b1+eps and a2 < b2-eps; the strict inequality in each test rules
-    out a == b.  After one sort by j1, each test is a ``searchsorted`` into
-    the running minimum of j2, so the filter is O(n log n) for every eps.
-    """
+    out a == b.  After one stable sort by (segment, j1), each test is a
+    ``searchsorted`` into the running minimum of j2, restarted at each
+    segment: O(n log n) time and O(n) memory for every eps.  A (segment,
+    value) pair is one complex number, which numpy sorts, searches and
+    compares exactly, real part first."""
     _check_eps(eps)
-    j1, j2 = points[:, 0], points[:, 1]
-    order = np.argsort(j1, kind="stable")
-    sorted_j1 = j1[order]
-    prefix_min_j2 = np.minimum.accumulate(j2[order])
-    # rows with a1 < b1-eps, then rows with a1 <= b1+eps
-    c = np.searchsorted(sorted_j1, j1 - eps, side="left")
-    dominated = (c > 0) & (prefix_min_j2[c - 1] <= j2 + eps)
-    c = np.searchsorted(sorted_j1, j1 + eps, side="right")
-    dominated |= (c > 0) & (prefix_min_j2[c - 1] < j2 - eps)
-    return ~dominated
+    key = np.empty(len(points), dtype=complex)
+    key.real, key.imag = 0.0 if seg is None else seg, points[:, 0]
+    order = np.argsort(key, kind="stable")
+    key, j2 = key[order], points[order, 1]
+    run = np.empty_like(key)  # a later segment's (-segment, j2) is below all before it
+    run.real, run.imag = -key.real, j2
+    prefix_min_j2 = np.minimum.accumulate(run).imag
+    first = np.searchsorted(key.real, key.real)  # where each row's segment starts
+    # rows of the segment with a1 < b1-eps, then rows with a1 <= b1+eps
+    c = np.searchsorted(key, key - 1j * eps, side="left")
+    dominated = (c > first) & (prefix_min_j2[c - 1] <= j2 + eps)
+    c = np.searchsorted(key, key + 1j * eps, side="right")
+    dominated |= (c > first) & (prefix_min_j2[c - 1] < j2 - eps)
+    return order[~dominated]
 
 
 def nondominated_filter(items: Sequence[PointLike], eps: float = 0.0) -> list[PointLike]:
@@ -178,7 +199,4 @@ def nondominated_filter(items: Sequence[PointLike], eps: float = 0.0) -> list[Po
     any other input's point, preserving input order.  Solutions with
     objective-identical points are all retained."""
     items = list(items)
-    if not items:
-        return []
-    mask = nondominated_mask(_points_array(items), eps)
-    return [it for it, keep in zip(items, mask) if keep]
+    return [items[i] for i in np.sort(nondominated_rows(_points_array(items), eps)).tolist()]

@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import ObjectivePoint, ParetoSolution, ProblemSpec, Realization, nondominated_filter
+import numpy as np
+
+from .core import Front, ObjectivePoint, ProblemSpec, Realization, nondominated_rows
 from .solver import SolverConfig, SolveResult, solve_batch, solve_scalarized
 
 __all__ = [
@@ -111,27 +113,22 @@ def weight_grid(beta: int) -> list[float]:
 def build_subproblem_front(
     spec: ProblemSpec, reals: list[Realization], beta: int, config: SolverConfig,
     eps: float = 0.0, *, table: dict | None = None,
-) -> list[list[ParetoSolution] | None]:
+) -> Front:
     """beta-point weighted-sum front of each subproblem: solves weights
-    i/(beta-1) for i = 0..beta-1 (beta counted NLPs per realization),
-    filters dominated outcomes, sorts by j1 ascending.  A weight whose
-    solve is not feasible is skipped, so every sweep poses all beta
-    solves.  None marks a realization without a feasible solution."""
+    i/(beta-1) for i = 0..beta-1 (beta counted NLPs per realization) and
+    keeps the feasible outcomes no other of the same realization strictly
+    dominates, all realizations in one segmented pass.  Rows follow
+    ``reals``, each realization's by j1, ties in weight order.  A weight
+    whose solve is not feasible is skipped, so every sweep poses all beta
+    solves; a realization without a feasible solution has no row."""
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
     weights = weight_grid(beta)
     results = _solve_all(spec, [(r, w) for r in reals for w in weights], config, table=table)
-    fronts: list[list[ParetoSolution] | None] = []
-    for j, r in enumerate(reals):
-        sols = [
-            ParetoSolution(y=res.y_star, realization=r, point=res.point, provenance=f"w{i}")
-            for i, res in enumerate(results[j * beta:(j + 1) * beta])
-            if res.feasible
-        ]
-        if not sols:
-            fronts.append(None)
-            continue
-        front = nondominated_filter(sols, eps)
-        front.sort(key=lambda s: s.point.j1)
-        fronts.append(front)
-    return fronts
+    rows = [i for i, res in enumerate(results) if res.feasible]
+    data = np.array([results[i].y_star + results[i].point.as_tuple() for i in rows])
+    data = data.reshape(len(rows), spec.n_y + 2)
+    seg, w = np.divmod(np.array(rows, dtype=np.int64), beta)
+    ks = np.array([r.k for r in reals], dtype=np.int64)
+    front = Front(ks[seg], w, data[:, :spec.n_y], data[:, spec.n_y:])
+    return front.take(nondominated_rows(front.pts, eps, seg))

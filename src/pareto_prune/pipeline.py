@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    Front,
     ObjectivePoint,
     ParetoSolution,
     ProblemSpec,
     Realization,
     _check_eps,
     _points_array,
-    nondominated_filter,
-    nondominated_mask,
+    nondominated_rows,
 )
 from .decomposition import (
     CENTER_WEIGHT,
@@ -220,21 +220,21 @@ def _list(value, what: str, item) -> tuple:
 class PhaseAResult:
     """What Phase A decided: each realization's utopia point (None where
     an anchor failed), the masters k1m, what utopia pruning keeps (k1u),
-    the master front, and each master's own front."""
+    the master front, and the masters' own fronts."""
 
     utopias: dict[int, ObjectivePoint | None]
     k1m: list[int]
     k1u: list[int]
-    master_front: list[ParetoSolution]
-    fronts: dict[int, list[ParetoSolution] | None]
+    master_front: Front
+    fronts: Front
 
 
 def master_candidates(utopias: dict[int, ObjectivePoint | None], eps: float = 0.0) -> list[int]:
     """Indices whose utopia point no other utopia strictly dominates.
     Identical utopias all survive; None (infeasible) entries are skipped."""
-    usable = [(k, u) for k, u in utopias.items() if u is not None]
-    mask = nondominated_mask(_points_array([u for _, u in usable]), eps)
-    return sorted(k for (k, _), keep in zip(usable, mask) if keep)
+    usable = [k for k, u in utopias.items() if u is not None]
+    keep = nondominated_rows(_points_array([utopias[k] for k in usable]), eps)
+    return sorted(usable[i] for i in keep.tolist())
 
 
 def build_master_front(
@@ -245,16 +245,14 @@ def build_master_front(
     eps: float = 0.0,
     *,
     table: dict | None = None,
-) -> tuple[list[ParetoSolution], dict[int, list[ParetoSolution] | None]]:
-    """Union of the masters' subproblem fronts, filtered, and each master's
-    own front by its index."""
+) -> tuple[Front, Front]:
+    """Union of the masters' subproblem fronts, filtered, and those fronts."""
     fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps, table=table)
-    merged = [sol for front in fronts for sol in front or ()]
-    return nondominated_filter(merged, eps), {r.k: f for r, f in zip(reals, fronts)}
+    return fronts.take(np.sort(nondominated_rows(fronts.pts, eps))), fronts
 
 
-def _weakly_dominated_by(front_pts: np.ndarray, p: ObjectivePoint, eps: float) -> bool:
-    return bool(np.any((front_pts[:, 0] <= p.j1 + eps) & (front_pts[:, 1] <= p.j2 + eps)))
+def _weakly_dominated_by(front: Front, p: ObjectivePoint, eps: float) -> bool:
+    return bool(np.any((front.pts[:, 0] <= p.j1 + eps) & (front.pts[:, 1] <= p.j2 + eps)))
 
 
 def phase_a(
@@ -280,9 +278,8 @@ def phase_a(
     by_k = {r.k: r for r in reals}
     master_front, fronts = build_master_front(spec, [by_k[k] for k in k1m], beta, config,
                                               eps, table=table)
-    mpts = _points_array(master_front)
-    k1u = k1m + [k for k, u in utopias.items()
-                 if u is not None and k not in fronts and not _weakly_dominated_by(mpts, u, eps)]
+    k1u = k1m + [k for k in utopias.keys() - set(k1m) if utopias[k] is not None
+                 and not _weakly_dominated_by(master_front, utopias[k], eps)]
     return PhaseAResult(utopias=utopias, k1m=k1m, k1u=sorted(k1u),
                         master_front=master_front, fronts=fronts)
 
@@ -290,7 +287,7 @@ def phase_a(
 def phase_b(
     spec: ProblemSpec,
     reals: list[Realization],
-    master_front: list[ParetoSolution],
+    master_front: Front,
     config: SolverConfig,
     eps: float = 0.0,
     *,
@@ -299,10 +296,19 @@ def phase_b(
     """B-1 centers for the target realizations (one solve each) and B-2:
     returns the indices of those whose center solve succeeded and whose
     center the master front does not weakly dominate."""
-    mpts = _points_array(master_front)
     centers = parallel_map(compute_center, spec, reals, config, table=table)
     return [r.k for r, center in zip(reals, centers)
-            if center is not None and not _weakly_dominated_by(mpts, center, eps)]
+            if center is not None and not _weakly_dominated_by(master_front, center, eps)]
+
+
+def _final_front(fronts: list[Front], eps: float) -> Front:
+    """The rows of ``fronts`` no other row strictly dominates, by j1, k, weight."""
+    merged = Front(*map(np.concatenate, zip(*fronts)))
+    if merged.k.size == 0:
+        raise PipelineError("every subproblem is infeasible")
+    # in ascending k, each front's j1 order kept: ties in j1 stay in (k, weight) order
+    merged = merged.take(np.argsort(merged.k, kind="stable"))
+    return merged.take(nondominated_rows(merged.pts, eps))
 
 
 def run_pipeline(
@@ -369,12 +375,12 @@ def run_pipeline(
         utopias: dict[int, ObjectivePoint | None] = {}
         k1m: list[int] = []
         k1u: list[int] = []
-        fronts: dict[int, list[ParetoSolution] | None] = {}
+        built: list[Front] = []
         targets = retained = [r.k for r in reals]
     else:
         pa = phase_a(spec, reals, beta, config, eps, table=table)
-        utopias, k1m, k1u, fronts = pa.utopias, pa.k1m, pa.k1u, pa.fronts
-        targets = retained = [k for k in k1u if k not in fronts]
+        utopias, k1m, k1u, built = pa.utopias, pa.k1m, pa.k1u, [pa.fronts]
+        targets = retained = sorted(set(k1u) - set(k1m))
         if phases == "ab":
             retained = phase_b(spec, [reals[k - 1] for k in targets], pa.master_front,
                                config, eps, table=table)
@@ -382,13 +388,8 @@ def run_pipeline(
     # B-3: fronts for whatever the phases left
     b3 = parallel_map(build_subproblem_front, spec, [reals[k - 1] for k in retained], beta,
                       config, eps, table=table)
-    fronts = {**fronts, **dict(zip(retained, b3))}
-    merged = [sol for k in sorted(fronts) for sol in fronts[k] or ()]
-    if not merged:
-        raise PipelineError("every subproblem is infeasible")
-    final = nondominated_filter(merged, eps)
-    final.sort(key=lambda s: s.point.j1)
-    k1c = sorted({sol.realization.k for sol in final}) if phases == "none" else sorted(k1m + retained)
+    final = _final_front(built + [b3], eps)
+    k1c = sorted(set(final.k.tolist())) if phases == "none" else sorted(k1m + retained)
     feasible = {k for k, u in utopias.items() if u is not None}
     return PruneReport(
         problem=spec.name,
@@ -403,13 +404,15 @@ def run_pipeline(
         pruned_a=tuple(sorted(feasible - set(k1u))),
         pruned_b=tuple(sorted(set(targets) - set(retained))),
         infeasible=tuple(sorted([k for k, u in utopias.items() if u is None]
-                                + [k for k, front in zip(retained, b3) if front is None])),
+                                + list(set(retained) - set(b3.k.tolist())))),
         nlp=NlpCounts(
             a1=0 if phases == "none" else 2 * len(reals),
             a2=beta * len(k1m),
             b1=len(targets) if phases == "ab" else 0,
             b3=beta * len(retained),
         ),
-        front=tuple(final),
+        front=tuple(ParetoSolution(tuple(y), reals[k - 1], ObjectivePoint(*p), f"w{w}")
+                    for k, w, y, p in zip(final.k.tolist(), final.w.tolist(),
+                                          final.y.tolist(), final.pts.tolist())),
         wallclock_ms=int(round((time.perf_counter() - t0) * 1000)),
     )

@@ -399,18 +399,20 @@ def solve_batch(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
 
 def _finish(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
             entries: list[tuple[np.ndarray, np.ndarray]]) -> list[SolveResult]:
-    """The result of each solve: the best point its descents reached.  On
-    a constrained problem one evaluator pass gives the constraints at
-    every winner with a finite value.  Winners that violate them beyond
-    FEAS_TOL descend again from where they stand, in lockstep, with the
-    penalty multiplied by 100, for up to 4 rounds; ``_descent`` returns a
-    row whose value there is not finite unmoved, so it keeps its
-    incumbent.  Then one pass gives the objectives of all those winners,
-    and a solve has a point where they are finite."""
-    fs = np.stack([f for _, f in entries])  # (n_solves, N_STARTS)
-    win = fs.argmin(axis=1).tolist()
-    y = np.stack([x[i] for (x, _), i in zip(entries, win)])  # _descent keeps rows inside the box
-    ok = np.flatnonzero(np.isfinite(fs.min(axis=1)))
+    """The result of each solve: the best point its descents reached, picked
+    once per distinct descent.  On a constrained problem one evaluator pass
+    gives the constraints at every winner with a finite value.  Winners
+    that violate them beyond FEAS_TOL descend again from where they stand,
+    in lockstep, with the penalty multiplied by 100, for up to 4 rounds;
+    ``_descent`` returns a row whose value there is not finite unmoved, so
+    it keeps its incumbent.  Then one pass gives the objectives of all
+    those winners, and a solve has a point where they are finite."""
+    _, first, which = np.unique([id(f) for _, f in entries], return_index=True,
+                                return_inverse=True)  # a descent's first solve; a solve's descent
+    fs = np.stack([entries[i][1] for i in first.tolist()])  # (n_descents, N_STARTS)
+    win = fs.argmin(axis=1).tolist()  # _descent keeps rows inside the box
+    y = np.stack([entries[i][0][j] for i, j in zip(first.tolist(), win)])[which]
+    ok = np.flatnonzero(np.isfinite(fs.min(axis=1))[which])
     raw = np.full((len(jobs), 2), np.nan)
     within = np.ones(len(jobs), dtype=bool)  # constraints within FEAS_TOL
     if ok.size:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import pareto_prune as pp
-from pareto_prune.core import _check_eps
+from pareto_prune.core import Front, _check_eps
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -247,6 +247,13 @@ def install_solve_log(monkeypatch) -> SolveLog:
 
 def front_points(report: pp.PruneReport) -> np.ndarray:
     return np.array([[s.point.j1, s.point.j2] for s in report.front]).reshape(-1, 2)
+
+
+def front_rows(front: Front) -> list[tuple]:
+    """The rows of a ``Front`` as (k, w, y, j1, j2) tuples, to compare fronts
+    exactly, order included."""
+    return list(zip(front.k.tolist(), front.w.tolist(), map(tuple, front.y.tolist()),
+                    *front.pts.T.tolist()))
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ import pytest
 import pareto_prune as pp
 from pareto_prune import benchmarks, decomposition, pipeline, solver
 from pareto_prune.solver import N_STARTS, solve_scalarized
-from conftest import load_perfbench, make_fig_problem
+from conftest import front_rows, load_perfbench, make_fig_problem
 
 (workloads,) = load_perfbench("workloads")
 
@@ -97,8 +97,9 @@ class TestListEqualsOneAtATime:
         spec = SPECS[name]()
         reals = _reals(spec, 4)
         batch = decomposition.build_subproblem_front(spec, reals, 5, config)
-        assert batch == [decomposition.build_subproblem_front(spec, [r], 5, config)[0]
-                         for r in reals]
+        assert front_rows(batch) == [
+            row for r in reals
+            for row in front_rows(decomposition.build_subproblem_front(spec, [r], 5, config))]
 
 
 class _DescentRows:
@@ -162,10 +163,10 @@ class TestRowSharing:
 
     def test_row_cap_splits_the_batch(self, e1_spec, config, monkeypatch):
         reals = _reals(e1_spec, 3)
-        whole = decomposition.build_subproblem_front(e1_spec, reals, 5, config)
+        whole = front_rows(decomposition.build_subproblem_front(e1_spec, reals, 5, config))
         monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", 4 * N_STARTS)
         rows = _DescentRows(monkeypatch)
-        assert decomposition.build_subproblem_front(e1_spec, reals, 5, config) == whole
+        assert front_rows(decomposition.build_subproblem_front(e1_spec, reals, 5, config)) == whole
         assert rows.rows == [4 * N_STARTS] * 3 + [3 * N_STARTS]
 
 
@@ -331,9 +332,9 @@ class TestFdGradient:
     def test_row_cap_leaves_a_run_unchanged(self, name, config, monkeypatch):
         spec = FD_SPECS[name]()
         reals = _reals(spec, 3)
-        whole = decomposition.build_subproblem_front(spec, reals, 3, config)
+        whole = front_rows(decomposition.build_subproblem_front(spec, reals, 3, config))
         monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", 10)
-        assert decomposition.build_subproblem_front(spec, reals, 3, config) == whole
+        assert front_rows(decomposition.build_subproblem_front(spec, reals, 3, config)) == whole
 
 
 class TestScalarRowsGetTheirOwnZ:

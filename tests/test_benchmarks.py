@@ -113,10 +113,10 @@ class TestE2:
         zb = (5.0, 15.0, 10.0, 1.0, 5.0, 1.0)  # z5 <-> z7 swapped
         ra = realization_from_index(e2_spec, index_of(e2_spec, za))
         rb = realization_from_index(e2_spec, index_of(e2_spec, zb))
-        fa = build_subproblem_front(e2_spec, [ra], 11, config)[0]
-        fb = build_subproblem_front(e2_spec, [rb], 11, config)[0]
-        assert [p.point.as_tuple() for p in fa] == [p.point.as_tuple() for p in fb]
-        assert [p.y for p in fa] == [p.y for p in fb]
+        fa = build_subproblem_front(e2_spec, [ra], 11, config)
+        fb = build_subproblem_front(e2_spec, [rb], 11, config)
+        assert fa.pts.tolist() == fb.pts.tolist()
+        assert fa.y.tolist() == fb.y.tolist()
 
 
 class TestQuadAndToy:
@@ -164,10 +164,10 @@ class TestOracle:
         # exhaustive point set
         pa = phase_a(e1_spec, pp.enumerate_realizations(e1_spec), 21, config)
         opts = np.array([[s.point.j1, s.point.j2] for s in e1_oracle.front])
-        for p in pa.master_front:
+        for j1, j2 in pa.master_front.pts.tolist():
             strictly = (
-                (opts[:, 0] <= p.point.j1)
-                & (opts[:, 1] <= p.point.j2)
-                & ((opts[:, 0] < p.point.j1) | (opts[:, 1] < p.point.j2))
+                (opts[:, 0] <= j1)
+                & (opts[:, 1] <= j2)
+                & ((opts[:, 0] < j1) | (opts[:, 1] < j2))
             )
             assert not bool(strictly.any())

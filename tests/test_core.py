@@ -5,17 +5,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pareto_prune as pp
 from pareto_prune import (
     ObjectivePoint,
     ParetoSolution,
     ProblemSpec,
     Realization,
+    decomposition,
     nondominated_filter,
+    pipeline,
 )
-from conftest import dominates, weakly_dominates
+from pareto_prune.core import _check_eps, nondominated_rows
+from pareto_prune.solver import SolveResult
+from conftest import dominates, front_rows, weakly_dominates
 
 P = ObjectivePoint
 
@@ -159,6 +164,118 @@ class TestNondominatedFilter:
             ParetoSolution(y=(0.5,), realization=r, point=P(2, 3), provenance="w2"),
         ]
         assert nondominated_filter(sols) == sols[:2]
+
+
+# generated subproblem fronts: per realization, the outcome of each of BETA
+# solves, None where it is not feasible.  Values on a quarter grid make exact
+# duplicates and ties in j1, within and across realizations, common.
+BETA = 5
+_quarter = st.integers(0, 4).map(lambda i: i / 4)
+_outcomes = st.lists(st.none() | st.tuples(_quarter, _quarter), min_size=BETA, max_size=BETA)
+
+
+def _ops_fronts(outcomes, eps, monkeypatch):
+    """The fronts two operations build from ``outcomes``, the realizations
+    at even positions and those at odd ones, with the solves replaced by
+    the generated outcomes (y = (weight index,))."""
+    reals = [Realization(k=k, z=(float(k),)) for k in range(1, len(outcomes) + 1)]
+
+    def solve_all(spec, jobs, config, *, table=None):
+        weights = decomposition.weight_grid(BETA)
+        return [SolveResult(w, (float(weights.index(w)),),
+                            None if (p := outcomes[r.k - 1][weights.index(w)]) is None
+                            else ObjectivePoint(*p), p is not None)
+                for r, w in jobs]
+
+    monkeypatch.setattr(decomposition, "_solve_all", solve_all)
+    spec = pp.make_quad()
+    return [decomposition.build_subproblem_front(spec, reals[i::2], BETA, pp.SolverConfig(), eps)
+            for i in (0, 1)]
+
+
+def _list_front(outcomes, k, eps):
+    """The list path's front of realization k: its feasible outcomes
+    filtered, then sorted by j1."""
+    r = Realization(k=k, z=(float(k),))
+    sols = [ParetoSolution((float(w),), r, ObjectivePoint(*p), f"w{w}")
+            for w, p in enumerate(outcomes[k - 1]) if p is not None]
+    return sorted(nondominated_filter(sols, eps), key=lambda s: s.point.j1)
+
+
+def _as_rows(sols):
+    return [(s.realization.k, int(s.provenance[1:]), s.y, *s.point.as_tuple()) for s in sols]
+
+
+def _reference_mask(points, eps=0.0):
+    """The one-front filter as first written (core.nondominated_mask): a
+    mask of the rows of ``points`` that no other row strictly dominates."""
+    _check_eps(eps)
+    j1, j2 = points[:, 0], points[:, 1]
+    order = np.argsort(j1, kind="stable")
+    sorted_j1 = j1[order]
+    prefix_min_j2 = np.minimum.accumulate(j2[order])
+    # rows with a1 < b1-eps, then rows with a1 <= b1+eps
+    c = np.searchsorted(sorted_j1, j1 - eps, side="left")
+    dominated = (c > 0) & (prefix_min_j2[c - 1] <= j2 + eps)
+    c = np.searchsorted(sorted_j1, j1 + eps, side="right")
+    dominated |= (c > 0) & (prefix_min_j2[c - 1] < j2 - eps)
+    return ~dominated
+
+
+class TestSegmentedFilter:
+    """One segmented pass filters every realization of an operation as the
+    one-front filter it replaced (``_reference_mask``) filters each alone,
+    and the final front it leads to equals the list path's, order
+    included."""
+
+    @staticmethod
+    def _check_segments(seg, pts, eps):
+        expected = []
+        for s in sorted(set(seg.tolist())):
+            idx = np.flatnonzero(seg == s)
+            keep = idx[_reference_mask(pts[idx], eps)]
+            alone = brute_force_filter([P(*p) for p in pts[idx].tolist()], eps)
+            assert [P(*p) for p in pts[keep].tolist()] == alone
+            expected += keep[np.argsort(pts[keep, 0], kind="stable")].tolist()
+        assert nondominated_rows(pts, eps, seg).tolist() == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(rows=st.lists(st.tuples(st.integers(0, 5), _quarter, _quarter), max_size=40),
+           eps=st.sampled_from([0.0, 1e-3, 0.1]))
+    def test_equals_each_segment_alone(self, rows, eps):
+        seg = np.array([s for s, _, _ in rows], dtype=np.int64)
+        pts = np.array([p for _, *p in rows], dtype=float).reshape(-1, 2)
+        self._check_segments(seg, pts, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.1])
+    def test_equals_each_segment_alone_at_size(self, eps):
+        # long runs of exact ties, where an unstable sort would reorder them
+        rng = np.random.default_rng(19)
+        self._check_segments(rng.integers(0, 40, 2000), rng.integers(0, 5, (2000, 2)) / 4, eps)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(outcomes=st.lists(_outcomes, min_size=1, max_size=7),
+           eps=st.sampled_from([0.0, 1e-3, 0.1]))
+    @example(outcomes=[[(0.0, 1.0), (0.0, 1.0), (0.5, 0.5), None, None],
+                       [None] * BETA,
+                       [(0.0, 1.0), None, None, None, None],
+                       [(0.5, 0.25), (0.25, 0.5), (0.5, 0.25), (1.0, 0.0), None]], eps=0.1)
+    def test_fronts_and_final_front_equal_the_list_path(self, outcomes, eps):
+        with pytest.MonkeyPatch.context() as mp:
+            fronts = _ops_fronts(outcomes, eps, mp)
+        for i, front in enumerate(fronts):
+            ks = range(i + 1, len(outcomes) + 1, 2)
+            assert front_rows(front) == [
+                row for k in ks for row in _as_rows(_list_front(outcomes, k, eps))]
+        merged = [s for k in range(1, len(outcomes) + 1) for s in _list_front(outcomes, k, eps)]
+        if not merged:
+            with pytest.raises(pp.PipelineError):
+                pipeline._final_front(fronts, eps)
+            return
+        final = nondominated_filter(merged, eps)
+        final.sort(key=lambda s: s.point.j1)
+        got = pipeline._final_front(fronts, eps)
+        assert front_rows(got) == _as_rows(final)
 
 
 class TestProblemSpecValidation:

@@ -4,6 +4,7 @@ the anchors' own."""
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,11 +30,18 @@ E1_Z00_UTOPIA = (-20.0, -3.875762279046282)
 E2_ALL_ONES_CENTER = (7.0 + 3.0 * math.sqrt(2.0), 12.0 + 12.0 * math.sqrt(2.0))
 
 
+class _Anchor(NamedTuple):
+    y: tuple[float, ...]
+    point: ObjectivePoint
+
+
 def _anchors(spec, r, config):
-    """The w=1 and w=0 anchors of realization r: the two points of its
+    """The w=1 and w=0 anchors of realization r: the two rows of its
     beta=2 front, whose solves are the anchors' own (weight, k) solves."""
-    by_tag = {p.provenance: p for p in build_subproblem_front(spec, [r], 2, config)[0]}
-    return by_tag["w1"], by_tag["w0"]
+    front = build_subproblem_front(spec, [r], 2, config)
+    by_w = {w: _Anchor(tuple(y), ObjectivePoint(*p))
+            for w, y, p in zip(front.w.tolist(), front.y.tolist(), front.pts.tolist())}
+    return by_w[1], by_w[0]
 
 
 def _utopia_and_anchors(spec, r, config):
@@ -176,10 +184,10 @@ class TestCenter:
     def test_center_minimizes_equal_weights_over_front(self, e1_spec, config, z):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == z)
         c = compute_center(e1_spec, [r], config)[0]
-        front = build_subproblem_front(e1_spec, [r], 21, config)[0]
+        front = build_subproblem_front(e1_spec, [r], 21, config)
         half = 0.5 * (c.j1 + c.j2)
-        for p in front:
-            assert half <= 0.5 * (p.point.j1 + p.point.j2) + 1e-6
+        for j1, j2 in front.pts.tolist():
+            assert half <= 0.5 * (j1 + j2) + 1e-6
 
     def test_counts_one_solve(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
@@ -191,64 +199,66 @@ class TestSubproblemFront:
     def test_beta_validation(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
         with pytest.raises(ValueError):
-            build_subproblem_front(quad_spec, [r], 1, config)[0]
+            build_subproblem_front(quad_spec, [r], 1, config)
 
     def test_beta_two_reproduces_anchors(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, -1.0))
         utopia, a1, a2 = _utopia_and_anchors(e1_spec, r, config)
-        front = build_subproblem_front(e1_spec, [r], 2, config)[0]
-        assert [p.provenance for p in front] == ["w1", "w0"]  # sorted by j1
-        assert utopia.j1 == min(p.point.j1 for p in front) == a1.point.j1
-        assert utopia.j2 == min(p.point.j2 for p in front) == a2.point.j2
+        front = build_subproblem_front(e1_spec, [r], 2, config)
+        assert front.w.tolist() == [1, 0]  # sorted by j1
+        assert utopia.j1 == min(front.pts[:, 0].tolist()) == a1.point.j1
+        assert utopia.j2 == min(front.pts[:, 1].tolist()) == a2.point.j2
 
     def test_quad_convex_front(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
-        front = build_subproblem_front(quad_spec, [r], 21, config)[0]
-        assert len(front) == 21
-        assert front[0].point.as_tuple() == pytest.approx((0.0, 1.0), abs=1e-9)
-        assert front[-1].point.as_tuple() == pytest.approx((1.0, 0.0), abs=1e-9)
-        j1s = [p.point.j1 for p in front]
+        pts = build_subproblem_front(quad_spec, [r], 21, config).pts.tolist()
+        assert len(pts) == 21
+        assert tuple(pts[0]) == pytest.approx((0.0, 1.0), abs=1e-9)
+        assert tuple(pts[-1]) == pytest.approx((1.0, 0.0), abs=1e-9)
+        j1s = [j1 for j1, _ in pts]
         assert j1s == sorted(j1s)
-        assert len({p.point.as_tuple() for p in front}) == 21
+        assert len({tuple(p) for p in pts}) == 21
 
     def test_counts_beta_solves(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        build_subproblem_front(quad_spec, [r], 13, config)[0]
+        build_subproblem_front(quad_spec, [r], 13, config)
         assert solve_log.calls == 13
 
     def test_raising_weights_still_pose_beta_solves(self, config, solve_log):
         spec = _all_nan_spec()
-        assert build_subproblem_front(spec, enumerate_realizations(spec), 7, config) == [None]
+        front = build_subproblem_front(spec, enumerate_realizations(spec), 7, config)
+        assert front.k.size == 0  # the realization has no feasible point
         assert solve_log.calls == 7
 
     @pytest.mark.parametrize("z", [(0.0, 0.0), (-1.0, -1.0), (3.0, -4.0)])
     def test_utopia_weakly_dominates_front(self, e1_spec, config, z):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == z)
         utopia, _, _ = _utopia_and_anchors(e1_spec, r, config)
-        for p in build_subproblem_front(e1_spec, [r], 21, config)[0]:
-            assert weakly_dominates(utopia, p.point, 1e-9)
+        for p in build_subproblem_front(e1_spec, [r], 21, config).pts.tolist():
+            assert weakly_dominates(utopia, ObjectivePoint(*p), 1e-9)
 
     def test_anchor_consistency(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
         _, a1, a2 = _utopia_and_anchors(e1_spec, r, config)
-        front = build_subproblem_front(e1_spec, [r], 21, config)[0]
+        front = [ObjectivePoint(*p)
+                 for p in build_subproblem_front(e1_spec, [r], 21, config).pts.tolist()]
         for anchor in (a1, a2):
             close = any(
-                abs(p.point.j1 - anchor.point.j1) <= 1e-9
-                and abs(p.point.j2 - anchor.point.j2) <= 1e-9
+                abs(p.j1 - anchor.point.j1) <= 1e-9
+                and abs(p.j2 - anchor.point.j2) <= 1e-9
                 for p in front
             )
-            better = any(dominates(p.point, anchor.point) for p in front)
+            better = any(dominates(p, anchor.point) for p in front)
             assert close or better
 
     def test_e1_front_survives_dense_sampling(self, e1_spec, config):
         # no densely sampled point may strictly dominate a front point
         # (small slack for solver convergence error)
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
-        front = build_subproblem_front(e1_spec, [r], 21, config)[0]
+        front = build_subproblem_front(e1_spec, [r], 21, config)
         xs = np.linspace(-5.0, 5.0, 2_000_001)
         j1 = -10.0 * np.exp(-0.2 * np.abs(xs)) - 10.0
         j2 = np.abs(xs) ** 0.8 + 5.0 * np.sin(xs ** 3)
-        for p in front:
-            dominating = (j1 <= p.point.j1 - 1e-7) & (j2 <= p.point.j2 - 1e-7)
+        for p1, p2 in front.pts.tolist():
+            dominating = (j1 <= p1 - 1e-7) & (j2 <= p2 - 1e-7)
             assert not bool(dominating.any())

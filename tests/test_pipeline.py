@@ -53,7 +53,8 @@ class TestMasterCandidates:
 
     def test_master_front_of_no_candidates_is_empty(self, quad_spec, config):
         # phase_a never passes []: it raises first when every utopia is None
-        assert build_master_front(quad_spec, [], 21, config) == ([], {})
+        master_front, fronts = build_master_front(quad_spec, [], 21, config)
+        assert master_front.k.size == fronts.k.size == 0
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,7 @@ class TestFigProblem:
         pa = phase_a(fig_spec, reals, 21, config)
         assert pa.k1m == [1, 5]
         assert pa.k1u == [1, 3, 4, 5]  # 2 falls in A-3
-        assert sorted(pa.fronts) == [1, 5]
+        assert sorted(set(pa.fronts.k.tolist())) == [1, 5]
         targets = [k for k in pa.k1u if k not in pa.k1m]
         assert targets == [3, 4]
         retained = phase_b(fig_spec, [reals[k - 1] for k in targets], pa.master_front, config)
@@ -119,22 +120,24 @@ class TestFigProblem:
         config = pp.SolverConfig()
         reals = enumerate_realizations(fig_spec)
         pa = phase_a(fig_spec, reals, 21, config)
+        master = [ObjectivePoint(*p) for p in pa.master_front.pts.tolist()]
         for k in (2,):
-            assert any(weakly_dominates(p.point, pa.utopias[k]) for p in pa.master_front)
+            assert any(weakly_dominates(p, pa.utopias[k]) for p in master)
         targets = [reals[k - 1] for k in pa.k1u if k not in pa.k1m]
         retained = phase_b(fig_spec, targets, pa.master_front, config)
         pruned = [r for r in targets if r.k not in retained]
         assert [r.k for r in pruned] == [4]
         for center in compute_center(fig_spec, pruned, config):
-            assert any(weakly_dominates(p.point, center) for p in pa.master_front)
+            assert any(weakly_dominates(p, center) for p in master)
 
     def test_master_front_is_filter_of_member_fronts(self, fig_spec):
         config = pp.SolverConfig()
         pa = phase_a(fig_spec, enumerate_realizations(fig_spec), 21, config)
-        merged = [p for k in pa.k1m for p in pa.fronts[k]]
+        merged = [ObjectivePoint(*p) for k in pa.k1m
+                  for p in pa.fronts.pts[pa.fronts.k == k].tolist()]
         expected = nondominated_filter(merged)
-        assert [p.point.as_tuple() for p in pa.master_front] == [
-            p.point.as_tuple() for p in expected
+        assert [tuple(p) for p in pa.master_front.pts.tolist()] == [
+            p.as_tuple() for p in expected
         ]
 
     @pytest.mark.parametrize("phases", ["ab", "a", "none"])
@@ -157,8 +160,8 @@ class TestSingleRealization:
         assert rep.pruned_a == () and rep.pruned_b == ()
         front = build_subproblem_front(
             quad_spec, pp.enumerate_realizations(quad_spec)[:1], 21, pp.SolverConfig()
-        )[0]
-        assert [p.point.as_tuple() for p in rep.front] == [p.point.as_tuple() for p in front]
+        )
+        assert [p.point.as_tuple() for p in rep.front] == [tuple(p) for p in front.pts.tolist()]
 
 
 class TestValidation:
