@@ -1,9 +1,9 @@
 """Realization enumeration and per-subproblem solves: utopia points from
 the anchors, center points, and weighted-sum subproblem fronts.  Each
 operation poses its (realization, weight) jobs as one
-:func:`~pareto_prune.solver.solve_batch` call, returns one result per
-realization, None where a solve it needs is not feasible, and decides no
-pruning set.  Each takes an optional ``table``, the run's table of
+:func:`~pareto_prune.solver.solve_batch` call and decides no pruning set:
+a point per realization (None where a solve it needs is not feasible), or
+the fronts of all its realizations as one :class:`~pareto_prune.core.Front`.  Each takes an optional ``table``, the run's table of
 finished solves: operations that share one reuse each other's finished
 solves and shared descents."""
 
