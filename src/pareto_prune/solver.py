@@ -12,10 +12,11 @@ finished in one pass: winners, penalty escalation and objectives.  Every
 row of a batch evolves on its own, so a solve's result does not depend
 on the batch it ran in.  A descent step updates its rows by mask, makes
 one pass per evaluator, and reads each row's weight and z gathered once
-per batch.  On a separable, unconstrained problem a descent
-depends on its weight alone, so :func:`descend_weights` runs the
-descents of a whole weight grid in one batch, ahead of the solves that
-share them.
+per batch; a scalar pass hands every evaluator the same row views and z,
+and reads rows of numbers in one step.  On a separable, unconstrained
+problem a descent depends on its weight alone, so :func:`descend_weights`
+runs the descents of a whole weight grid in one batch, ahead of the
+solves that share them.
 The solver is deterministic: identical arguments (including the seed)
 give bitwise-identical results.
 """
@@ -70,23 +71,51 @@ class SolverConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _evaluate(spec: ProblemSpec, field: str, ys: np.ndarray,
-              zs: np.ndarray | None = None) -> np.ndarray:
+def _evaluate(spec: ProblemSpec, field: str, ys, zs=None) -> np.ndarray:
     """Call one evaluator of ``spec`` on the stacked rows ``ys``, row i at
     the realization ``zs[i]`` (``base_objectives`` takes none), and check
     the shape of its result.  A vectorized evaluator gets ``ys`` and the
-    row-aligned ``zs`` (m, n_z) in one call, a scalar one each row with its z."""
+    row-aligned ``zs`` (m, n_z) in one call, a scalar one each row with its
+    z; for a scalar evaluator ``ys`` and ``zs`` may already be lists of rows."""
     fn = getattr(spec, field)
     args = () if zs is None else (zs,)
-    out = fn(ys, *args) if spec.vectorized else list(map(fn, ys, *args))
-    return _checked(spec, field, out, ys.shape[0])
+    if spec.vectorized:
+        return _checked(spec, field, fn(ys, *args), len(ys))
+    out = list(map(fn, ys, *args))
+    flat = _flat_rows(field, out)
+    return _checked(spec, field, out, len(out)) if flat is None else flat
+
+
+_FLAT_ROW_TYPES = {tuple, list, np.ndarray}
+
+
+def _flat_rows(field: str, out: list):
+    """A scalar evaluator's rows ``out`` as an (m, n) float array, read in
+    one pass, where every row is a tuple, list or array of the same length
+    n that ``field`` allows: 2 for objectives, at least 1 for constraints.
+    A value converts as it does in ``np.asarray(out, dtype=float)``, so
+    both give the same bits.  None for anything else, a bare number per row
+    and every gradient included, and for rows whose values do not convert:
+    those go through :func:`_checked`, which raises every error."""
+    if (field == "gradient" or not out or type(out[0]) not in _FLAT_ROW_TYPES
+            or not set(map(type, out)) <= _FLAT_ROW_TYPES):  # a bare number: at the first row
+        return None
+    try:
+        (n,) = set(map(len, out))
+        if n == 2 or (n >= 1 and field == "inequality_constraints"):
+            return np.fromiter(itertools.chain.from_iterable(out), float,
+                               len(out) * n).reshape(-1, n)
+    except (TypeError, ValueError, OverflowError):  # 0-d array rows, mixed lengths, values
+        pass
+    return None
 
 
 def _checked(spec: ProblemSpec, field: str, out, m: int) -> np.ndarray:
     """``out``, an evaluator's result for m rows, as a float array of the
     shape the ``ProblemSpec`` contract gives ``field``: (m, 2), (m, 2, n_y)
-    or (m, n_g), where (m,) is taken as n_g = 1.  Every evaluator result
-    passes through here; anything else raises a ValueError that names the
+    or (m, n_g) with n_g >= 1, where (m,) is taken as n_g = 1.  Every
+    evaluator result but the flat rows :func:`_flat_rows` reads passes
+    through here; anything else raises a ValueError that names the
     evaluator and both shapes."""
     if field == "inequality_constraints":
         shape, want = None, f"({m}, n_g)"
@@ -103,7 +132,9 @@ def _checked(spec: ProblemSpec, field: str, out, m: int) -> np.ndarray:
     if shape is None:
         if out.shape == (m,):
             out = out[:, None]
-        ok = out.ndim == 2 and out.shape[0] == m
+        ok = out.ndim == 2 and out.shape[0] == m and out.shape[1] >= 1
+        if out.shape == (m, 0):
+            want += " with n_g >= 1"
     else:
         ok = out.shape == shape
     if not ok:
@@ -136,7 +167,8 @@ class _Batch:
     the stacked points of some of those rows and their indices (an index
     array or a slice), and make one pass per evaluator over all of them:
     one call of a vectorized evaluator with every row's z stacked beside
-    it, or one call of a scalar one per row with that row's z.  A row's
+    it, or one call of a scalar one per row with that row's z, the rows and
+    their z listed once per pass for all its evaluators.  A row's
     value never depends on the rest of the batch, so a finite-difference
     gradient builds and evaluates all its probes in one stacked pass."""
 
@@ -159,13 +191,18 @@ class _Batch:
         and the iterate sequence becomes independent of the realization,
         so exact cross-realization ties survive in later filtering."""
         spec = self.spec
+        zs = None
+        if spec.base_objectives is None or spec.inequality_constraints is not None:
+            zs = self.z[rows]
+            if not spec.vectorized:  # one list of row views and z for every evaluator
+                ys, zs = list(ys), zs.tolist()
         if spec.base_objectives is None:
-            raw = _evaluate(spec, "objectives", ys, self.z[rows])
+            raw = _evaluate(spec, "objectives", ys, zs)
         else:
             raw = _evaluate(spec, "base_objectives", ys)
         g = pc = None
         if spec.inequality_constraints is not None:
-            g = _evaluate(spec, "inequality_constraints", ys, self.z[rows])
+            g = _evaluate(spec, "inequality_constraints", ys, zs)
             pc = PENALTY_COEFFICIENT if penalty_coefficient is None else penalty_coefficient
         return _scalarize(self.weight[rows], raw, g, pc)
 
@@ -198,7 +235,8 @@ class _Batch:
         ym = np.maximum(ys - h, self.lo)
         denom = yp - ym
         denom[denom == 0.0] = 1.0
-        rows = np.arange(self.weight.size)[rows]
+        if isinstance(rows, slice):
+            rows = np.arange(self.weight.size)[rows]
         out = np.empty_like(ys)
         d = np.arange(n)
         per_call = max(1, MAX_DESCENT_ROWS // (2 * n))  # rows whose probes fit one call

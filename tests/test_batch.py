@@ -170,6 +170,49 @@ class TestRowSharing:
         assert rows.rows == [4 * N_STARTS] * 3 + [3 * N_STARTS]
 
 
+def _scalar_reads(field, rows):
+    """A scalar pass of an evaluator of ``field`` that returns ``rows[i]``
+    at row i, read as ``solver._evaluate`` reads it and as it was read
+    before the flat read (``np.asarray`` and ``_checked``): each an array,
+    or the text of the ValueError it raised."""
+    spec = dataclasses.replace(make_gen_problem(), **{field: lambda y, *z: rows[int(y[0])]})
+    m = len(rows)
+    ys = np.repeat(np.arange(m, dtype=float)[:, None], spec.n_y, axis=1)
+    zs = None if field == "base_objectives" else np.zeros((m, 1))
+    out = []
+    for read in (lambda: solver._evaluate(spec, field, ys, zs),
+                 lambda: solver._checked(spec, field, list(rows), m)):
+        try:
+            out.append(read())
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _assert_same_error(field, *cases):
+    for rows in cases:
+        got, old = _scalar_reads(field, rows)
+        assert isinstance(got, str) and got == old, rows
+
+
+# well-formed scalar rows: (field, rows), all but the last read flat
+_WELL_FORMED = {
+    "tuples": ("objectives", [(1.5, -2.0), (0.1, 3e300), (7.0, 1e-310)]),
+    "lists": ("objectives", [[1.5, -2.0], [0.1, 3e-300]]),
+    "arrays": ("objectives", [np.array([1.5, -2.0]), np.array([1, 2]), np.array([0.1, 0.2], "f4")]),
+    "numpy scalars": ("objectives", [(np.float64(0.1), np.float32(0.1)),
+                                     (np.int64(3), np.bool_(True))]),
+    "ints and bools": ("base_objectives", [(1, True), (False, 2 ** 60 + 1), (-3, 0)]),
+    "non-finite and -0.0": ("objectives", [(math.nan, math.inf), (-math.inf, -0.0),
+                                           (np.float64(-0.0), np.nan)]),
+    "mixed row types": ("objectives", [(1.0, 2.0), [3.0, 4.0], np.array([5.0, 6.0])]),
+    "three constraints": ("inequality_constraints", [(0.5, -0.0, math.nan), (1, 2, math.inf)]),
+    "one constraint": ("inequality_constraints", [(0.5,), [np.float64(-1.0)], np.array([2.0])]),
+    "bare number per constraint row": ("inequality_constraints",
+                                       [0.5, np.float64(-1.0), 2, True, -0.0, math.nan]),
+}
+
+
 class TestEvaluatorShapes:
     def test_objectives_of_wrong_shape(self, config):
         def flat(y, z):
@@ -189,6 +232,19 @@ class TestEvaluatorShapes:
         with pytest.raises(ValueError, match=r"gradient of problem 'quad' returned shape "
                                              r"\(32, 2\), expected \(32, 2, 1\)"):
             pp.run_pipeline(spec, beta=3)
+        # a scalar gradient's rows are never read flat
+        _assert_same_error("gradient", [(1.0, 2.0, 3.0, 4.0)] * 3, [(1.0, 2.0)] * 2,
+                           [np.ones((2, 2))] * 2 + [np.ones(4)])
+
+    @pytest.mark.parametrize("case", sorted(_WELL_FORMED))
+    def test_flat_read_equals_the_asarray_read(self, case):
+        field, rows = _WELL_FORMED[case]
+        got, old = _scalar_reads(field, rows)
+        want = np.asarray(rows, dtype=float).reshape(old.shape)  # (m,) is one constraint a row
+        assert got.dtype == old.dtype == np.float64 and got.shape == old.shape
+        assert got.tobytes() == old.tobytes() == want.tobytes()
+        flat = solver._flat_rows(field, list(rows))
+        assert (flat is None) == (case == "bare number per constraint row")
 
     def test_ragged_scalar_objectives(self, config):
         def ragged(y, z):
@@ -198,6 +254,12 @@ class TestEvaluatorShapes:
         with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned rows that "
                                              r"do not form a float array, expected \(\d+, 2\)"):
             decomposition.compute_center(spec, pp.enumerate_realizations(spec), config)
+        _assert_same_error(
+            "objectives", [(1.0, 2.0), (1.0, 2.0, 3.0)], [[1.0, 2.0], (1.0,)],
+            [np.array([1.0, 2.0]), np.array([1.0])], [(1.0, 2.0), None],
+            [(1.0, "x"), (1.0, 2.0)], ["ab", "cd"], ["12", "34"], [(), ()], [(1.0, 2.0), ()],
+            [np.array(1.0), np.array(2.0)], [((1.0,), (2.0,))], [np.ones((2, 1))])
+        _assert_same_error("base_objectives", [(1.0, 2.0), (1.0,)], [None, None])
 
     def test_three_column_scalar_objectives(self, config):
         def three(y, z):
@@ -207,6 +269,8 @@ class TestEvaluatorShapes:
         with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned shape "
                                              r"\((\d+), 3\), expected \(\1, 2\)"):
             decomposition.compute_center(spec, pp.enumerate_realizations(spec), config)
+        _assert_same_error("objectives", [(1.0, 2.0, 3.0)] * 3, [[1.0, 2.0, 3.0]] * 2,
+                           [np.zeros(3), (1, 2, 3)], [(1.0,)] * 2, [1.0, 2.0])
 
     def test_ragged_scalar_constraints(self, config):
         def ragged(y, z):
@@ -217,6 +281,25 @@ class TestEvaluatorShapes:
                                              r"rows that do not form a float array, "
                                              r"expected \(\d+, n_g\)"):
             decomposition.compute_center(spec, pp.enumerate_realizations(spec), config)
+        _assert_same_error(
+            "inequality_constraints", [(0.0,), (0.0, 0.0)], [0.0, (0.0,)], [(0.0,), None],
+            [("x",), (1.0,)], ["ab"], [(), (0.0,)], [(), ()], [((0.0,),), ((1.0,),)])
+
+    _ZERO_CONSTRAINTS = (r"inequality_constraints of problem '{}' returned shape "
+                         r"\((\d+), 0\), expected \(\1, n_g\) with n_g >= 1")
+
+    def test_zero_scalar_constraints(self):
+        spec = dataclasses.replace(make_gen_problem(), inequality_constraints=lambda y, z: ())
+        with pytest.raises(ValueError, match=self._ZERO_CONSTRAINTS.format("gen")):
+            pp.run_pipeline(spec, beta=3)
+
+    def test_zero_vectorized_constraints(self):
+        def none(y, z):
+            return np.zeros(np.shape(y)[:-1] + (0,))
+
+        spec = dataclasses.replace(pp.make_quad(), inequality_constraints=none)
+        with pytest.raises(ValueError, match=self._ZERO_CONSTRAINTS.format("quad")):
+            pp.run_pipeline(spec, beta=3)
 
 
 def _reference_fd_gradient(batch, ys, rows, penalty_coefficient, fd_step):
