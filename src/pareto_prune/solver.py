@@ -86,7 +86,7 @@ def _evaluate(spec: ProblemSpec, field: str, ys, zs=None) -> np.ndarray:
     return _checked(spec, field, out, len(out)) if flat is None else flat
 
 
-_FLAT_ROW_TYPES = {tuple, list, np.ndarray}
+_FLAT_ROW_TYPES = frozenset((tuple, list, np.ndarray))
 
 
 def _flat_rows(field: str, out: list):
@@ -98,7 +98,7 @@ def _flat_rows(field: str, out: list):
     and every gradient included, and for rows whose values do not convert:
     those go through :func:`_checked`, which raises every error."""
     if (field == "gradient" or not out or type(out[0]) not in _FLAT_ROW_TYPES
-            or not set(map(type, out)) <= _FLAT_ROW_TYPES):  # a bare number: at the first row
+            or not set(map(type, out)) <= _FLAT_ROW_TYPES):  # bare numbers leave at the first row
         return None
     try:
         (n,) = set(map(len, out))

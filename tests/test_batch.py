@@ -1,6 +1,7 @@
 """The batched solve path: an operation over several realizations equals
 the same operation one realization at a time, solves that separable
-problems share run once, evaluator results are shape-checked, a
+problems share run once, evaluator results are shape-checked (scalar
+rows read flat give the bits and errors of ``np.asarray``), a
 finite-difference gradient is one stacked evaluation bitwise equal to the
 per-dimension loop, a scalar evaluator gets each row's own z, a
 vectorized one gets every row's z stacked in one call, the phases of a
