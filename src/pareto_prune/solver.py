@@ -7,8 +7,9 @@ penalty on violated inequality constraints.  One call to
 regardless of how many local descents run inside it.  The solves of one
 phase are one :func:`solve_batch` call, which takes the problem once and
 returns one :class:`SolveResult` per job, unusable solves included:
-their local descents run in lockstep in one batch, and the batch is
-finished in one pass: winners, penalty escalation and objectives.  Every
+their local descents run in lockstep in one batch, each solve keeps the
+best of its starts, and those winners are finished in one pass: penalty
+escalation and objectives.  Every
 row of a batch evolves on its own, so a solve's result does not depend
 on the batch it ran in.  A descent step updates its rows by mask, makes
 one pass per evaluator, and reads each row's weight and z gathered once
@@ -16,7 +17,7 @@ per batch; a scalar pass hands every evaluator the same row views and z,
 and reads rows of numbers in one step.  On a separable, unconstrained
 problem a descent depends on its weight alone, so :func:`descend_weights`
 runs the descents of a whole weight grid in one batch, ahead of the
-solves that share them.
+solves that share their winners.
 The solver is deterministic: identical arguments (including the seed)
 give bitwise-identical results.
 """
@@ -355,25 +356,23 @@ def _descent(obj: _Batch, x0: np.ndarray, *,
 
 
 def _descend(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
-             config: SolverConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Local descents of several solves of ``spec`` from the multistart
+             config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Local descents of one or more solves of ``spec`` from the multistart
     set, in lockstep: one ``_descent`` call for all of them, or several of
-    at most MAX_DESCENT_ROWS rows each, and none without a job.  Returns,
-    per solve, the best point and value reached from each start, as
-    read-only arrays."""
-    if not jobs:
-        return []
+    at most MAX_DESCENT_ROWS rows each.  Returns each solve's winner over
+    its N_STARTS starts: the best point (len(jobs), n_y) and value
+    (len(jobs),) they reached, the first best start on a tie."""
     n = N_STARTS
     per_call = max(1, MAX_DESCENT_ROWS // n)
     starts = _start_points(spec.bounds, n, config.seed)
-    out = []
+    ys, fs = [], []
     for a in range(0, len(jobs), per_call):
         part = jobs[a:a + per_call]
         best_x, best_f = _descent(_Batch(spec, part, n), np.tile(starts, (len(part), 1)))
-        best_x.setflags(write=False)
-        best_f.setflags(write=False)
-        out += [(best_x[j * n:(j + 1) * n], best_f[j * n:(j + 1) * n]) for j in range(len(part))]
-    return out
+        win = best_f.reshape(-1, n).argmin(axis=1) + np.arange(0, best_f.size, n)
+        ys.append(best_x[win])  # _descent keeps rows inside the box
+        fs.append(best_f[win])
+    return np.concatenate(ys), np.concatenate(fs)
 
 
 def _shares_descents(spec: ProblemSpec) -> bool:
@@ -385,35 +384,36 @@ def _shares_descents(spec: ProblemSpec) -> bool:
 
 def descend_weights(spec: ProblemSpec, realization: Realization, weights: Sequence[float],
                     config: SolverConfig, table: dict) -> None:
-    """Run the descent of each of ``weights`` that ``table`` does not hold
-    yet, in one :func:`_descend` call, and keep it in ``table`` under the
-    weight, where every solve of that weight reads it.  Only a problem
-    whose descents depend on the weight alone shares them, so on any
-    other problem this does nothing.  The descents run at
-    ``realization``; on such a problem any realization gives the same
-    rows, as long as its gradient does not depend on z."""
-    if _shares_descents(spec):
-        missing = [w for w in dict.fromkeys(weights) if w not in table]
-        table.update(zip(missing, _descend(spec, [(realization, w) for w in missing], config)))
+    """Run the descents of each of ``weights`` that ``table`` does not hold
+    yet, in one :func:`_descend` call, and keep each one's winner, a
+    (point, value) pair, in ``table`` under the weight, where every solve
+    of that weight reads it.  Only a problem whose descents depend on the
+    weight alone shares them, so on any other problem this does nothing.
+    The descents run at ``realization``; on such a problem any realization
+    gives the same winner, as long as its gradient does not depend on z."""
+    missing = [w for w in dict.fromkeys(weights) if w not in table]
+    if _shares_descents(spec) and missing:
+        y, f = _descend(spec, [(realization, w) for w in missing], config)
+        table.update(zip(missing, zip(y, f)))
 
 
 def solve_batch(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
                 config: SolverConfig, table: dict | None = None) -> list[SolveResult]:
     """The result of each (realization, weight) job of ``spec``.  The
     descents of the solves not finished yet run as one batch
-    (:func:`_descend`), and are finished as one batch, MAX_DESCENT_ROWS
-    solves at a time (:func:`_finish`).
+    (:func:`_descend`), and their winners are finished as one batch,
+    MAX_DESCENT_ROWS solves at a time (:func:`_finish`).
 
-    ``table`` holds what later calls of one run reuse; it belongs to one
-    problem and one seed, and without one a call starts a fresh one.  It
-    keeps each finished solve under (weight, k), so a solve that an
+    ``table`` belongs to one problem and one seed; without one a call
+    starts a fresh one.  It keeps every solve a call finishes under
+    (weight, k), whether or not a later call reads it, so a solve that an
     earlier call finished is looked up instead of run again.  When the
     problem separates (``base_objectives``) and has no constraints, a
-    descent depends on its weight alone: the table also keeps it under the
-    weight (:func:`descend_weights`), and every solve of that weight, in
-    this call or a later one, shares its rows.  A run descends its whole
-    weight grid that way before its first call, so then a call only looks
-    descents up and finishes solves.
+    descent depends on its weight alone: the table also keeps its winner
+    under the weight (:func:`descend_weights`), and every solve of that
+    weight, in this call or a later one, shares it.  A run descends its
+    whole weight grid that way before its first call, so then a call only
+    looks winners up and finishes solves.
     """
     table = {} if table is None else table
     keys = [(w, r.k) for r, w in jobs]
@@ -422,35 +422,32 @@ def solve_batch(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
         if key not in table:
             todo.setdefault(key, job)
     solves = list(todo.values())
-    if _shares_descents(spec):
-        if solves:
+    if solves:
+        if _shares_descents(spec):
             descend_weights(spec, solves[0][0], [w for _, w in solves], config, table)
-        entries = [table[w] for _, w in solves]
-    else:
-        entries = _descend(spec, solves, config)
-    todo_keys = list(todo)
-    for a in range(0, len(solves), MAX_DESCENT_ROWS):
-        part = slice(a, a + MAX_DESCENT_ROWS)
-        table.update(zip(todo_keys[part], _finish(spec, solves[part], entries[part])))
+            y = np.array([table[w][0] for _, w in solves])
+            f = np.array([table[w][1] for _, w in solves])
+        else:
+            y, f = _descend(spec, solves, config)
+        todo_keys = list(todo)
+        for a in range(0, len(solves), MAX_DESCENT_ROWS):
+            part = slice(a, a + MAX_DESCENT_ROWS)
+            table.update(zip(todo_keys[part], _finish(spec, solves[part], y[part], f[part])))
     return [table[key] for key in keys]
 
 
 def _finish(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
-            entries: list[tuple[np.ndarray, np.ndarray]]) -> list[SolveResult]:
-    """The result of each solve: the best point its descents reached, picked
-    once per distinct descent.  On a constrained problem one evaluator pass
-    gives the constraints at every winner with a finite value.  Winners
-    that violate them beyond FEAS_TOL descend again from where they stand,
-    in lockstep, with the penalty multiplied by 100, for up to 4 rounds;
-    ``_descent`` returns a row whose value there is not finite unmoved, so
-    it keeps its incumbent.  Then one pass gives the objectives of all
-    those winners, and a solve has a point where they are finite."""
-    _, first, which = np.unique([id(f) for _, f in entries], return_index=True,
-                                return_inverse=True)  # a descent's first solve; a solve's descent
-    fs = np.stack([entries[i][1] for i in first.tolist()])  # (n_descents, N_STARTS)
-    win = fs.argmin(axis=1).tolist()  # _descent keeps rows inside the box
-    y = np.stack([entries[i][0][j] for i, j in zip(first.tolist(), win)])[which]
-    ok = np.flatnonzero(np.isfinite(fs.min(axis=1))[which])
+            y: np.ndarray, f: np.ndarray) -> list[SolveResult]:
+    """The result of each solve from its descents' winner: the point ``y``
+    (m, n_y), updated in place, and its value ``f`` (m,).  On a
+    constrained problem one evaluator pass gives the constraints at every
+    winner with a finite value.  Winners that violate them beyond FEAS_TOL
+    descend again from where they stand, in lockstep, with the penalty
+    multiplied by 100, for up to 4 rounds; ``_descent`` returns a row whose
+    value there is not finite unmoved, so it keeps its incumbent.  Then
+    one pass gives the objectives of all those winners, and a solve has a
+    point where they are finite."""
+    ok = np.flatnonzero(np.isfinite(f))
     raw = np.full((len(jobs), 2), np.nan)
     within = np.ones(len(jobs), dtype=bool)  # constraints within FEAS_TOL
     if ok.size:

@@ -6,9 +6,10 @@ finite-difference gradient is one stacked evaluation bitwise equal to the
 per-dimension loop, a scalar evaluator gets each row's own z, a
 vectorized one gets every row's z stacked in one call, the phases of a
 run share one table of finished solves (and, on a separable problem, of
-per-weight descents) without changing any result, and the finish of a
-batch (winners, penalty escalation, objectives) equals finishing each
-solve alone while doing less work."""
+per-weight descent winners) without changing any result, a solve's
+winner is the first of its best starts, and the finish of a batch
+(penalty escalation, objectives) equals finishing each solve alone while
+doing less work."""
 
 import dataclasses
 import math
@@ -105,34 +106,48 @@ class TestListEqualsOneAtATime:
 
 class _DescentRows:
     """Counts the calls of ``solver._descent``, the rows of each and the
-    penalty coefficient each was given."""
+    penalty coefficient each was given, and records what each returned:
+    the best point and value of every row."""
 
     def __init__(self, monkeypatch):
         self.rows: list[int] = []
         self.penalties: list[float | None] = []
+        self.outputs: list[tuple[np.ndarray, np.ndarray]] = []
         descent = solver._descent
 
         def counted(obj, x0, *, penalty_coefficient=None):
             self.rows.append(np.shape(x0)[0])
             self.penalties.append(penalty_coefficient)
-            return descent(obj, x0, penalty_coefficient=penalty_coefficient)
+            self.outputs.append(descent(obj, x0, penalty_coefficient=penalty_coefficient))
+            return self.outputs[-1]
 
         monkeypatch.setattr(solver, "_descent", counted)
 
 
-class _FinishedEntries:
-    """Records the descents, the best point and value per start, that each
-    ``solver._finish`` call finishes, one entry per solve."""
+class _FinishedWinners:
+    """Records the solves of each ``solver._finish`` call and the winners
+    it finishes, as they were before it ran: one point and one value per
+    solve."""
 
     def __init__(self, monkeypatch):
-        self.entries: list[tuple[np.ndarray, np.ndarray]] = []
+        self.calls: list[int] = []
+        self.y: list[np.ndarray] = []
+        self.f: list[np.float64] = []
         finish = solver._finish
 
-        def logged(spec, jobs, entries):
-            self.entries += entries
-            return finish(spec, jobs, entries)
+        def logged(spec, jobs, y, f):
+            self.calls.append(len(jobs))
+            self.y += list(y.copy())
+            self.f += list(f)
+            return finish(spec, jobs, y, f)
 
         monkeypatch.setattr(solver, "_finish", logged)
+
+    def distinct(self, jobs):
+        """The distinct (weight, point bytes, value bytes) of the winners
+        of ``jobs``, finished in that order."""
+        return {(w, y.tobytes(), f.tobytes())
+                for (_, w), y, f in zip(jobs, self.y, self.f, strict=True)}
 
 
 class TestRowSharing:
@@ -145,10 +160,11 @@ class TestRowSharing:
 
     def test_shared_rows_give_each_solve_its_own_point(self, e2_spec, config, monkeypatch):
         jobs = _jobs(_reals(e2_spec, 3), (0.5,))
-        finished = _FinishedEntries(monkeypatch)
+        rows = _DescentRows(monkeypatch)
+        winners = _FinishedWinners(monkeypatch)
         results = [solve_scalarized(res) for res in solver.solve_batch(e2_spec, jobs, config)]
-        descents = finished.entries
-        assert descents[0] is descents[1] is descents[2]
+        assert rows.rows == [N_STARTS]
+        assert len(winners.distinct(jobs)) == 1
         assert results == [solve_scalarized(solver.solve_batch(e2_spec, [j], config)[0])
                            for j in jobs]
         assert len({res.point for res in results}) == 3
@@ -414,11 +430,17 @@ class TestFdGradient:
         assert sum(calls) == 2 * ys.shape[1] * ys.shape[0]
 
     def test_row_cap_leaves_a_run_unchanged(self, name, config, monkeypatch):
+        # 9 solves: one finish at a cap of 10 rows; at 4, one _descent per
+        # solve and the finish split 4 + 4 + 1
         spec = FD_SPECS[name]()
         reals = _reals(spec, 3)
         whole = front_rows(decomposition.build_subproblem_front(spec, reals, 3, config))
-        monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", 10)
-        assert front_rows(decomposition.build_subproblem_front(spec, reals, 3, config)) == whole
+        finished = _FinishedWinners(monkeypatch).calls
+        for cap, finishes in ((10, [9]), (4, [4, 4, 1])):
+            monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", cap)
+            finished.clear()
+            assert front_rows(decomposition.build_subproblem_front(spec, reals, 3, config)) == whole
+            assert finished == finishes
 
 
 class TestScalarRowsGetTheirOwnZ:
@@ -436,18 +458,19 @@ class TestScalarRowsGetTheirOwnZ:
             base, objectives=logged("f", base.objectives),
             inequality_constraints=logged("g", base.inequality_constraints))
         jobs = _jobs(pp.enumerate_realizations(spec), (0.8,))
-        finished = _FinishedEntries(monkeypatch)
+        rows = _DescentRows(monkeypatch)
         solver.solve_batch(spec, jobs, config)
         batch_log = sorted(log)
-        batched = finished.entries[:]
+        ((bx, bf),) = rows.outputs  # one descent, no escalation
         log.clear()
-        finished.entries.clear()
+        rows.outputs.clear()
         for j in jobs:
             solver.solve_batch(spec, [j], config)
         assert batch_log == sorted(log)
         assert len({z for _, _, z in batch_log}) == len(jobs)
-        for (bx, bf), (ax, af) in zip(batched, finished.entries, strict=True):
-            assert bx.tobytes() == ax.tobytes() and bf.tobytes() == af.tobytes()
+        assert len(rows.outputs) == len(jobs)  # every start's rows, bit for bit
+        assert bx.tobytes() == np.concatenate([x for x, _ in rows.outputs]).tobytes()
+        assert bf.tobytes() == np.concatenate([f for _, f in rows.outputs]).tobytes()
 
 
 # --- the vectorized evaluator contract: stacked z --------------------------------
@@ -636,43 +659,27 @@ class TestDescentTable:
         reals = _reals(spec, 3)
         table: dict = {}
         first = solver.solve_batch(spec, _jobs(reals, (1.0, 0.0)), config, table)
-        finished: list[int] = []
-        _finish = solver._finish
-
-        def counted(spec, jobs, entries):
-            finished.append(len(jobs))
-            return _finish(spec, jobs, entries)
-
-        monkeypatch.setattr(solver, "_finish", counted)
+        finished = _FinishedWinners(monkeypatch).calls
         later = _jobs(reals, (0.0, 0.5, 1.0))
         got = solver.solve_batch(spec, later, config, table)
         assert finished == [len(reals)]  # the w = 0.5 solves; the anchors are looked up
         assert all(got[3 * i] is first[2 * i + 1] and got[3 * i + 2] is first[2 * i]
                    for i in range(len(reals)))
-        monkeypatch.setattr(solver, "_finish", _finish)
+        monkeypatch.undo()
         assert repr(got) == repr(_finished_alone(spec, later, config))
 
-    def test_descents_are_read_only(self, name, config, monkeypatch):
-        spec = REUSE_SPECS[name]()
-        finished = _FinishedEntries(monkeypatch)
-        solver.solve_batch(spec, _jobs(_reals(spec, 2), (0.0, 0.5)), config)
-        assert len(finished.entries) == 4
-        for x, f in finished.entries:
-            with pytest.raises(ValueError, match="read-only"):
-                x[0, 0] = 0.0
-            with pytest.raises(ValueError, match="read-only"):
-                f[0] = 0.0
-
-    def test_table_keeps_only_what_a_later_phase_reads(self, name, config, monkeypatch):
-        # every finished solve under (weight, k); a descent only where solves
-        # of one weight share it (e2-k16: separable, unconstrained), once per
-        # weight and read-only
+    def test_table_keeps_every_solve_and_shared_winner(self, name, config, monkeypatch):
+        # every solve a phase posed, finished, under (weight, k), whether or
+        # not a later phase reads it; a winner only where solves of one
+        # weight share it (e2-k16: separable, unconstrained), once per weight
         spec = REUSE_SPECS[name]()
         tables: list[dict] = []
+        posed: set = set()
         solve_batch = solver.solve_batch
 
         def kept(spec, jobs, config, table=None):
             tables.append(table)
+            posed.update((w, r.k) for r, w in jobs)
             return solve_batch(spec, jobs, config, table)
 
         monkeypatch.setattr(decomposition, "solve_batch", kept)
@@ -682,15 +689,14 @@ class TestDescentTable:
         solved = {k for k in table if isinstance(k, tuple)}
         assert all(type(w) is float and type(k) is int for w, k in solved)
         assert all(isinstance(table[key], solver.SolveResult) for key in solved)
-        assert len(solved) <= report.nlp.total
-        descents = {k: v for k, v in table.items() if k not in solved}
+        assert solved == posed and len(solved) <= report.nlp.total
+        winners = {k: v for k, v in table.items() if k not in solved}
         if name == "e2-k16":
-            assert sorted(descents) == sorted({w for w, _ in solved})
-            for x, f in descents.values():
-                assert x.shape == (N_STARTS, spec.n_y) and not x.flags.writeable
-                assert f.shape == (N_STARTS,) and not f.flags.writeable
+            assert sorted(winners) == sorted({w for w, _ in solved})
+            for y, f in winners.values():
+                assert y.shape == (spec.n_y,) and np.shape(f) == ()
         else:
-            assert descents == {}
+            assert winners == {}
 
 
 # _descent rows per call of a run, in call order, on problems whose descents
@@ -791,20 +797,44 @@ class TestBatchedFinish:
     def test_batch_equals_each_solve_alone(self, name, config, monkeypatch):
         spec = FINISH_SPECS[name]()
         jobs = _jobs(_reals(spec, 7), (1.0, 0.5, 0.0))
-        finished = _FinishedEntries(monkeypatch)
+        winners = _FinishedWinners(monkeypatch)
         rows = _DescentRows(monkeypatch)
         batched = solver.solve_batch(spec, jobs, config)
         monkeypatch.undo()
-        entries = finished.entries
         escalations = [pc for pc in rows.penalties if pc is not None]
-        if spec.inequality_constraints is None:  # e2: solves of one weight share rows
-            assert entries[0] is entries[3] and escalations == []
+        if spec.inequality_constraints is None:  # e2: solves of one weight share a winner
+            assert len(winners.distinct(jobs)) == 3 and escalations == []
             assert rows.rows == [3 * N_STARTS]
         else:  # penalty escalation ran, one _descent call per round
             assert escalations[0] == 1e8
             assert escalations == [1e8 * 100.0 ** i for i in range(len(escalations))]
         assert all(res.point is not None for res in batched)
         assert repr(batched) == repr(_finished_alone(spec, jobs, config))
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_a_tie_goes_to_the_first_start(self, config, monkeypatch, shared):
+        # constant objectives, zero gradient: every start stays where it
+        # began at the same value, and the first start, the lower box
+        # corner, wins each solve
+        def constant(y, *z):
+            return np.zeros(np.shape(y)[:-1] + (2,)) + (1.0, 2.0)
+
+        def flat(y, z):
+            return np.zeros(np.shape(y)[:-1] + (2, 2))
+
+        spec = pp.ProblemSpec(name="flat", n_y=2, bounds=((-1.0, 2.0), (0.5, 3.0)),
+                              discrete_sets=((0.0, 1.0),), objectives=constant,
+                              gradient=flat, vectorized=True,
+                              base_objectives=constant if shared else None)
+        jobs = _jobs(pp.enumerate_realizations(spec), (1.0, 0.25))
+        rows = _DescentRows(monkeypatch)
+        results = solver.solve_batch(spec, jobs, config)
+        ((x, f),) = rows.outputs
+        assert rows.rows == [(2 if shared else 4) * N_STARTS]
+        ties = f.reshape(-1, N_STARTS)
+        assert (ties == ties[:, :1]).all()  # within each solve, at N_STARTS distinct points
+        assert len(np.unique(x[:N_STARTS], axis=0)) == N_STARTS
+        assert all(res.y_star == (-1.0, 0.5) and res.feasible for res in results)
 
     def test_unusable_solve_is_infeasible_alone(self, config):
         def half_nan(y, z):
@@ -833,7 +863,6 @@ class TestBatchedFinish:
         spec = _one_y_spec("overflow", (0.0, 1.0), constraints=cons)
         jobs = _jobs(pp.enumerate_realizations(spec), (1.0,))
         with np.errstate(over="ignore"):
-            finished = _FinishedEntries(monkeypatch)
             rows = _DescentRows(monkeypatch)
             batched = solver.solve_batch(spec, jobs, config)
             monkeypatch.undo()
@@ -843,7 +872,7 @@ class TestBatchedFinish:
         assert rows.rows == [2 * N_STARTS, 2, 1, 1, 1]
         bound, overflow = (solve_scalarized(res) for res in batched)
         assert bound.feasible and bound.y_star[0] == pytest.approx(0.5, abs=1e-6)
-        x, f = finished.entries[1]
+        x, f = (a[N_STARTS:] for a in rows.outputs[0])  # the second solve's starts
         assert not overflow.feasible
         assert overflow.y_star == tuple(x[int(np.argmin(f))])
 

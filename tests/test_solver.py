@@ -219,9 +219,9 @@ class TestFinish:
         calls: list[np.ndarray] = []
         _finish = solver._finish
 
-        def finish_logged(spec, jobs, entries):
+        def finish_logged(spec, jobs, *winners):
             calls.clear()  # the descents' calls are done; log the finish's
-            return _finish(spec, jobs, entries)
+            return _finish(spec, jobs, *winners)
 
 
         def logged(y, z):
