@@ -7,6 +7,7 @@ skipped."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import time
@@ -99,6 +100,53 @@ class PruneReport:
     front: tuple[ParetoSolution, ...]
     wallclock_ms: int = 0
 
+    def check_invariants(self) -> None:
+        """Raise ValueError unless the report's sets, front and counts agree
+        as a run derives them.  No set lists a realization twice.  Under
+        "ab" and "a", ``infeasible``, ``pruned_a``, ``pruned_b`` and ``k1c``
+        are pairwise disjoint and cover 1..k_total, k1m lies within k1c, k1u
+        is k1c plus ``pruned_b``, nothing is center-pruned under "a", and
+        every front point's realization is in k1c.  Under "none",
+        ``infeasible`` and ``k1c`` are disjoint, the other sets empty, and
+        k1c is the front's realizations.  The solve counts are those the
+        sets imply (:func:`_nlp_counts`)."""
+        sets = {name: getattr(self, name) for name in _SETS}
+        for name, ks in sets.items():
+            if len(set(ks)) != len(ks):
+                raise ValueError(f"report set {name} lists a realization twice")
+        sets = {name: set(ks) for name, ks in sets.items()}
+        if self.phases == "none":
+            parts, empty = ("infeasible", "k1c"), ("pruned_a", "pruned_b", "k1m", "k1u")
+        else:
+            parts = ("infeasible", "pruned_a", "pruned_b", "k1c")
+            empty = ("pruned_b",) if self.phases == "a" else ()
+        for a, b in itertools.combinations(parts, 2):
+            if sets[a] & sets[b]:
+                raise ValueError(f"report sets {a} and {b} share realizations "
+                                 f"{sorted(sets[a] & sets[b])}")
+        for name in empty:
+            if sets[name]:
+                raise ValueError(f"report set {name} must be empty under phases {self.phases!r}")
+        front = {sol.realization.k for sol in self.front}
+        if self.phases == "none":
+            if front != sets["k1c"]:
+                raise ValueError("report set k1c must be the front's realizations under phases "
+                                 "'none'")
+        else:
+            every = set(range(1, self.k_total + 1))
+            if set().union(*(sets[name] for name in parts)) != every:
+                raise ValueError(f"report sets {', '.join(parts)} do not cover 1..{self.k_total}"
+                                 f" exactly")
+            if not sets["k1m"] <= sets["k1c"] or sets["k1u"] != sets["k1c"] | sets["pruned_b"]:
+                raise ValueError("report sets must nest as k1m within k1c, and k1u must be k1c "
+                                 "plus pruned_b")
+            if not front <= sets["k1c"]:
+                raise ValueError("report front has a point outside k1c")
+        want = _nlp_counts(self.phases, self.beta, self.k_total, len(self.k1m),
+                           len(self.k1u), len(self.k1c))
+        if self.nlp != want:
+            raise ValueError(f"report counts {self.nlp} contradict its sets, which imply {want}")
+
     def front_realizations(self) -> set[tuple[float, ...]]:
         """Distinct discrete vectors appearing in the final front."""
         return {sol.realization.z for sol in self.front}
@@ -145,6 +193,7 @@ class PruneReport:
         number, and ``phases`` one of "ab", "a" and "none".  ``beta`` must
         be at least 2, ``eps`` one a run accepts, ``k_total`` at least 1,
         and every realization index, of a set or a front point, in 1..k_total.
+        Its sets, front and counts must agree (:meth:`check_invariants`).
         Anything else raises ValueError."""
         try:
             nlp = d["nlp"]
@@ -159,21 +208,37 @@ class PruneReport:
             _check_eps(eps)
             k_total = _int(d["k_total"], "k_total", 1)
             index = functools.partial(_int, low=1, high=k_total)
-            return cls(
+            report = cls(
                 problem=_str(d["problem"], "problem"),
                 beta=_int(d["beta"], "beta", 2),
                 phases=phases,
                 eps=eps,
                 seed=_int(d["seed"], "seed"),
                 k_total=k_total,
-                **{key: _list(d[key], key, index)
-                   for key in ("k1m", "k1u", "k1c", "pruned_a", "pruned_b", "infeasible")},
+                **{key: _list(d[key], key, index) for key in _SETS},
                 nlp=counts,
                 front=_list(d["front"], "front", functools.partial(_solution, index=index)),
                 wallclock_ms=_int(d["wallclock_ms"], "wallclock_ms"),
             )
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed report document: {exc}") from exc
+        report.check_invariants()
+        return report
+
+
+_SETS = ("k1m", "k1u", "k1c", "pruned_a", "pruned_b", "infeasible")
+
+
+def _nlp_counts(phases: str, beta: int, k_total: int, n_k1m: int, n_k1u: int,
+                n_k1c: int) -> NlpCounts:
+    """The solve counts a run's sets imply, given the sizes of k1m, k1u and
+    k1c: 2 per anchor pair, beta per front (the masters' in A-2, the
+    retained ones' in B-3) and 1 per center.  The oracle builds every
+    front in B-3."""
+    if phases == "none":
+        return NlpCounts(b3=beta * k_total)
+    return NlpCounts(a1=2 * k_total, a2=beta * n_k1m,
+                     b1=n_k1u - n_k1m if phases == "ab" else 0, b3=beta * (n_k1c - n_k1m))
 
 
 def _int(value, what: str, low: float = 0, high: float = math.inf) -> int:
@@ -405,12 +470,7 @@ def run_pipeline(
         pruned_b=tuple(sorted(set(targets) - set(retained))),
         infeasible=tuple(sorted([k for k, u in utopias.items() if u is None]
                                 + list(set(retained) - set(b3.k.tolist())))),
-        nlp=NlpCounts(
-            a1=0 if phases == "none" else 2 * len(reals),
-            a2=beta * len(k1m),
-            b1=len(targets) if phases == "ab" else 0,
-            b3=beta * len(retained),
-        ),
+        nlp=_nlp_counts(phases, beta, len(reals), len(k1m), len(k1u), len(k1c)),
         front=tuple(ParetoSolution(tuple(y), reals[k - 1], ObjectivePoint(*p), f"w{w}")
                     for k, w, y, p in zip(final.k.tolist(), final.w.tolist(),
                                           final.y.tolist(), final.pts.tolist())),

@@ -19,7 +19,10 @@ problem a descent depends on its weight alone, so :func:`descend_weights`
 runs the descents of a whole weight grid in one batch, ahead of the
 solves that share their winners.
 The solver is deterministic: identical arguments (including the seed)
-give bitwise-identical results.
+give bitwise-identical results.  The multistart set's seeded fill is
+numpy's ``default_rng(seed)`` stream (SeedSequence and PCG64), generated
+here in pure Python so that no run loads numpy's random module and the
+starts do not depend on numpy keeping that stream.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ _STEP_FLOOR = 1e-20
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The seed of the multistart set's uniform fill; the rest of the
-    solver's tuning is the module constants above."""
+    """The seed of the multistart set's uniform fill, the stream of
+    numpy's ``default_rng(seed).random()`` (:func:`_uniform`); the rest
+    of the solver's tuning is the module constants above."""
 
     seed: int = 0
 
@@ -266,9 +270,63 @@ class SolveResult:
     feasible: bool
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix with the hash constant starting at ``h``."""
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of two pool words."""
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ r >> 16
+
+
+def _uniform(seed: int, n: int) -> list[float]:
+    """The first n doubles of numpy's ``default_rng(seed).random()``, bit
+    for bit: numpy's SeedSequence(seed) seeds a PCG64 (XSL-RR) stream, and
+    each double is its next 64-bit output's top 53 bits times 2**-53."""
+    seed = int(seed)
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)  # generate_state(4, uint64)
+    s = [hashmix(pool[i % 4]) for i in range(8)]
+    s0, s1, s2, s3 = (lo | hi << 32 for lo, hi in zip(s[::2], s[1::2]))
+    inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    out = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        x, r = (state >> 64 ^ state) & _M64, state >> 122
+        out.append((((x >> r | x << (64 - r)) & _M64) >> 11) * 2.0 ** -53)
+    return out
+
+
 def _start_points(bounds: tuple[tuple[float, float], ...], n: int, seed: int) -> np.ndarray:
     """Deterministic multistart set: the two box corners, an equispaced
-    interior lattice, and seeded uniform fill, capped at n points."""
+    interior lattice, and seeded uniform fill, capped at n points.  The
+    fill is ``lo + (hi - lo) * default_rng(seed).random((k, n_y))`` bit for
+    bit, drawn by :func:`_uniform`; with N_STARTS = 16 a box of n_y = 1
+    gets no fill, n_y = 2 five points and n_y = 3 six."""
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     ny = len(bounds)
@@ -283,8 +341,8 @@ def _start_points(bounds: tuple[tuple[float, float], ...], n: int, seed: int) ->
                 rows.append(np.array(combo))
     pts = np.array(rows[:n])
     if pts.shape[0] < n:
-        rng = np.random.default_rng(seed)
-        fill = lo + (hi - lo) * rng.random((n - pts.shape[0], ny))
+        k = n - pts.shape[0]
+        fill = lo + (hi - lo) * np.array(_uniform(seed, k * ny)).reshape(k, ny)
         pts = np.vstack([pts, fill])
     return pts
 

@@ -3,9 +3,8 @@ a small synthetic five-realization problem whose phase outcomes are
 known in closed form (one member of a family of shifted quadratic
 fronts), a quad variant whose objectives are NaN at one realization, e2
 with its objectives scaled, a counter of the real solver calls, a loader
-of the benchmark's modules, reference pairwise dominance tests, the
-inverse of ``decomposition.realization_from_index``, and a check that a
-report's sets partition its realizations."""
+of the benchmark's modules, reference pairwise dominance tests and the
+inverse of ``decomposition.realization_from_index``."""
 
 from __future__ import annotations
 
@@ -83,26 +82,6 @@ def index_of(spec: pp.ProblemSpec, z: tuple[float, ...]) -> int:
             raise ValueError(f"value {v} not in discrete set {j}") from None
         k = k * sizes[j] + d
     return k + 1
-
-
-def assert_sets_partition(report: pp.PruneReport) -> None:
-    """Under "ab" and "a", ``infeasible``, ``pruned_a``, ``pruned_b`` and
-    ``k1c`` are pairwise disjoint and together cover 1..k_total, with
-    k1m within k1c within k1u (and nothing center-pruned under "a").
-    Under "none", ``infeasible`` and ``k1c`` are disjoint and the other
-    sets are empty."""
-    sets = {name: set(getattr(report, name))
-            for name in ("infeasible", "pruned_a", "pruned_b", "k1c", "k1m", "k1u")}
-    if report.phases == "none":
-        assert not sets["infeasible"] & sets["k1c"]
-        assert sets["pruned_a"] == sets["pruned_b"] == sets["k1m"] == sets["k1u"] == set()
-        return
-    parts = [sets[name] for name in ("infeasible", "pruned_a", "pruned_b", "k1c")]
-    assert sum(map(len, parts)) == len(set().union(*parts)), sets  # pairwise disjoint
-    assert set().union(*parts) == set(range(1, report.k_total + 1)), sets
-    assert sets["k1m"] <= sets["k1c"] <= sets["k1u"], sets
-    if report.phases == "a":
-        assert sets["pruned_b"] == set()
 
 
 # offsets (c1, c2) and front width per discrete value: realization 1 and 5

@@ -40,7 +40,7 @@ def make_report(front_pts, problem="synthetic"):
     return pp.PruneReport(
         problem=problem, beta=2, phases="ab", eps=0.0, seed=0, k_total=1,
         k1m=(1,), k1u=(1,), k1c=(1,), pruned_a=(), pruned_b=(), infeasible=(),
-        nlp=pp.NlpCounts(a1=2, a2=4, b1=0, b3=0), front=sols, wallclock_ms=5,
+        nlp=pp.NlpCounts(a1=2, a2=2, b1=0, b3=0), front=sols, wallclock_ms=5,
     )
 
 
@@ -411,6 +411,11 @@ _BAD_FIELDS = {
     "wallclock_ms-negative": (("wallclock_ms",), -3),
     # negative phase counts whose total still adds up
     "nlp-negative": (("nlp",), {"a1": -2, "a2": -4, "b1": 0, "b3": 0, "total": -6}),
+    # well-typed documents whose sets or counts contradict each other
+    "sets-overlap": (("infeasible",), [1]),
+    "sets-miss-index": (("k_total",), 2),
+    "k1c-twice": (("k1c",), [1, 1]),
+    "nlp-a2-wrong": (("nlp",), {"a1": 2, "a2": 6, "b1": 0, "b3": 0, "total": 8}),
 }
 
 
@@ -422,10 +427,49 @@ class TestStrictReader:
         with pytest.raises(ValueError):
             pp.PruneReport.from_json_dict(doc)
 
+    @pytest.mark.parametrize("case, message", [("sets-overlap", "share realizations"),
+                                               ("sets-miss-index", "do not cover"),
+                                               ("k1c-twice", "twice"),
+                                               ("nlp-a2-wrong", "contradict its sets")])
+    def test_rejects_contradicting_sets(self, case, message):
+        doc = make_report([(0.0, 1.0)]).to_json_dict()
+        _set(doc, *_BAD_FIELDS[case])
+        with pytest.raises(ValueError, match=message):
+            pp.PruneReport.from_json_dict(doc)
+
+    @pytest.mark.parametrize("name", ["e1_ab", "e1_a", "e1_oracle"])
+    def test_rejects_every_set_and_count_mutation(self, request, name):
+        """A run's report reads back equal; moving an index into a second
+        set, dropping one from a set, or raising one solve count (and the
+        total with it) makes it unreadable.  Under "none" only k1c is
+        pinned by the rest of the report: ``infeasible`` then lists
+        realizations no other field names."""
+        report = request.getfixturevalue(name)
+        doc = report.to_json_dict()
+        assert pp.PruneReport.from_json_dict(doc) == report
+        sets = ("k1m", "k1u", "k1c", "pruned_a", "pruned_b", "infeasible")
+        mutants = []
+        for src in sets:
+            for dst in sets:
+                if doc[src] and dst != src:
+                    mutants.append({**doc, dst: doc[dst] + doc[src][:1]})
+            if doc[src] and (report.phases != "none" or src == "k1c"):
+                mutants.append({**doc, src: doc[src][1:]})
+        for key in ("a1", "a2", "b1", "b3"):
+            nlp = dict(doc["nlp"])
+            nlp[key] += report.beta
+            nlp["total"] += report.beta
+            mutants.append({**doc, "nlp": nlp})
+        assert len(mutants) >= 10
+        for mutant in mutants:
+            with pytest.raises(ValueError):
+                pp.PruneReport.from_json_dict(mutant)
+
     @pytest.mark.parametrize("case", ["beta-float", "k1m-float", "seed-string", "front-k-bool",
                                       "eps-nan", "phases-unknown", "k_total-negative",
                                       "pruned_a-out-of-range", "eps-negative", "beta-one",
-                                      "seed-negative", "wallclock_ms-negative", "nlp-negative"])
+                                      "seed-negative", "wallclock_ms-negative", "nlp-negative",
+                                      "sets-overlap", "sets-miss-index", "nlp-a2-wrong"])
     def test_compare_exits_2_without_traceback(self, tmp_path, capsys, case):
         good = tmp_path / "good.json"
         write_report(make_report([(0.0, 1.0)]), good)

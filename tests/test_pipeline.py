@@ -25,7 +25,6 @@ from pareto_prune.decomposition import (
 )
 from pareto_prune.pipeline import build_master_front, master_candidates, phase_a, phase_b
 from conftest import (
-    assert_sets_partition,
     front_points,
     install_solve_log,
     make_fig_problem,
@@ -142,7 +141,7 @@ class TestFigProblem:
 
     @pytest.mark.parametrize("phases", ["ab", "a", "none"])
     def test_sets_partition_realizations(self, fig_spec, phases):
-        assert_sets_partition(run_pipeline(fig_spec, beta=21, phases=phases))
+        run_pipeline(fig_spec, beta=21, phases=phases).check_invariants()
 
     def test_a_only_retains_everything_after_phase_a(self, fig_spec):
         rep = run_pipeline(fig_spec, beta=21, phases="a")
@@ -249,8 +248,8 @@ class TestAccounting:
             pipe = run_pipeline(spec, beta=5, phases=phases)
             assert pipe.infeasible == (2,)
             assert front_points(orc).tolist() == front_points(pipe).tolist()
-            assert_sets_partition(pipe)
-        assert_sets_partition(orc)
+            pipe.check_invariants()
+        orc.check_invariants()
 
     @pytest.mark.parametrize("separable", [False, True])
     @pytest.mark.parametrize("phases", ["ab", "a", "none"])
@@ -261,7 +260,7 @@ class TestAccounting:
         rep = run_pipeline(make_nan_offset_problem(separable), beta=3, phases=phases)
         assert rep.infeasible == (3,)
         assert rep.k1c == (1,)
-        assert_sets_partition(rep)
+        rep.check_invariants()
         k, beta = rep.k_total, rep.beta
         expected = {
             "ab": 2 * k + beta * len(rep.k1m) + (len(rep.k1u) - len(rep.k1m))
@@ -380,8 +379,8 @@ class TestGeneratedPhaseAExactness:
             orc = pp.oracle_front(spec, beta=beta)
             assert log.by_phase == _nlp_by_phase(orc)
         assert {s.point.as_tuple() for s in rep.front} == {s.point.as_tuple() for s in orc.front}
-        assert_sets_partition(rep)
-        assert_sets_partition(orc)
+        rep.check_invariants()
+        orc.check_invariants()
         assert _nlp_by_phase(rep) == {
             "a1": 2 * len(params),
             "a2": beta * len(rep.k1m),

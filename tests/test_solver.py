@@ -1,8 +1,13 @@
 """Scalarized solver: pinning, frozen grid-oracle values, counting,
-determinism, constraint handling, the solve's finish, config checks."""
+determinism, the multistart set and its fill stream, constraint handling,
+the solve's finish, config checks."""
 
 import dataclasses
+import itertools
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +146,101 @@ class TestStartPoints:
     def test_single_start(self):
         pts = _start_points(((0.0, 1.0),), 1, seed=0)
         assert pts.shape == (1, 1)
+
+
+# seeds past 2**128 have more than four 32-bit words, which SeedSequence
+# mixes into its pool after the first four
+_STREAM_SEEDS = [*range(1000), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 99, 10**40,
+                 np.int64(7), np.uint64(2**63)]
+
+
+def _reference_start_points(bounds, n, seed):
+    """The multistart set with its fill drawn by numpy.random itself: the
+    reference for the solver's own copy of that stream."""
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    ny = len(bounds)
+    rows = [lo, hi]
+    if n > 2:
+        m = 1
+        while (m + 1) ** ny <= n - 2:
+            m += 1
+        if m >= 1 and m ** ny <= n - 2:
+            axes = [lo[d] + (hi[d] - lo[d]) * (np.arange(1, m + 1) / (m + 1.0)) for d in range(ny)]
+            for combo in itertools.product(*axes):
+                rows.append(np.array(combo))
+    pts = np.array(rows[:n])
+    if pts.shape[0] < n:
+        rng = np.random.default_rng(seed)
+        fill = lo + (hi - lo) * rng.random((n - pts.shape[0], ny))
+        pts = np.vstack([pts, fill])
+    return pts
+
+
+class TestUniformStream:
+    """``solver._uniform`` is numpy's default_rng stream, bit for bit."""
+
+    @pytest.mark.parametrize("k", range(1, 19))
+    def test_equals_default_rng(self, k):
+        for seed in _STREAM_SEEDS:
+            got = np.array(solver._uniform(seed, k))
+            assert np.array_equal(got, np.random.default_rng(seed).random(k)), seed
+
+    # (n_y, corner and lattice starts, fill starts) at N_STARTS = 16: e1,
+    # gen-constrained, e2, and a box whose lattice is its centre alone
+    @pytest.mark.parametrize("ny, lattice, fill", [(1, 16, 0), (2, 11, 5), (3, 10, 6),
+                                                   (10, 3, 13)])
+    def test_start_points_equal_reference(self, ny, lattice, fill):
+        bounds = tuple((-1.0 - d, 2.0 + 0.5 * d) for d in range(ny))
+        n = solver.N_STARTS
+        for seed in (0, 1, 5, 2**64 + 3, np.int64(7)):
+            got = _start_points(bounds, n, seed)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, _reference_start_points(bounds, n, seed))
+        # the seed moves every fill start and no other
+        a, b = _start_points(bounds, n, 0), _start_points(bounds, n, 9)
+        assert len(a) == lattice + fill
+        assert len(np.unique(a[:lattice], axis=0)) == lattice
+        assert np.array_equal(a[:lattice], b[:lattice])
+        assert (a[lattice:] != b[lattice:]).all()
+
+
+_NO_NUMPY_RANDOM = """
+import sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("eager")
+    raise SystemExit(0)
+import pareto_prune as pp
+from pareto_prune import cli
+from pareto_prune.benchmarks import make_e2
+import dataclasses
+e2 = make_e2()
+catalogue = e2.discrete_sets[0]
+spec = dataclasses.replace(e2, name="e2-k16", discrete_sets=(catalogue, catalogue) + ((5.0,),) * 4)
+report = pp.run_pipeline(spec, beta=3, phases="ab", config=pp.SolverConfig(seed=5))
+assert report.k_total == 16, report.k_total
+assert "numpy.random" not in sys.modules, "run_pipeline"
+code = cli.main(["run", "--problem", "e2", "--beta", "3", "--seed", "5",
+                 "--report", sys.argv[1], "--front", sys.argv[2]])
+assert code == 0, code
+assert "numpy.random" not in sys.modules, "cli"
+print("ok")
+"""
+
+
+def test_runs_leave_numpy_random_unloaded(tmp_path):
+    """A seeded run with a multistart fill (e2, n_y = 3), in process and
+    through the CLI, never imports numpy.random."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RANDOM, str(tmp_path / "r.json"),
+         str(tmp_path / "f.csv")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "eager":
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert proc.stdout.strip().splitlines()[-1] == "ok"
 
 
 class TestConstraintHandling:
