@@ -7,6 +7,7 @@ threads.  Both objectives are always minimized.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -151,6 +152,10 @@ class Front(NamedTuple):
 
 
 def _check_eps(eps: float) -> None:
+    """Raise ValueError unless ``eps`` is a real number (not a bool),
+    finite and at least 0."""
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+        raise ValueError(f"eps must be a real number, got {eps!r}")
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
 

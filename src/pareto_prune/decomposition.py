@@ -1,11 +1,11 @@
 """Realization enumeration and per-subproblem solves: utopia points from
 the anchors, center points, and weighted-sum subproblem fronts.  Each
-operation poses its (realization, weight) jobs as one
-:func:`~pareto_prune.solver.solve_batch` call and decides no pruning set:
-a point per realization (None where a solve it needs is not feasible), or
-the fronts of all its realizations as one :class:`~pareto_prune.core.Front`.  Each takes an optional ``table``, the run's table of
-finished solves: operations that share one reuse each other's finished
-solves and shared descents."""
+operation takes the run's :class:`~pareto_prune.solver.Solver`, which
+looks up what the run has already solved, poses its (realization,
+weight) jobs as one :meth:`~pareto_prune.solver.Solver.solve` call, and
+decides no pruning set: a point per realization (None where a solve it
+needs is not feasible), or the fronts of all its realizations as one
+:class:`~pareto_prune.core.Front`."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .core import Front, ObjectivePoint, ProblemSpec, Realization, nondominated_rows
-from .solver import SolverConfig, SolveResult, solve_batch, solve_scalarized
+from .solver import Solver, SolveResult, solve_scalarized
 
 __all__ = [
     "CENTER_WEIGHT",
@@ -67,24 +67,18 @@ def realization_from_index(spec: ProblemSpec, k: int) -> Realization:
     return Realization(k=k, z=tuple(spec.discrete_sets[j][d] for j, d in enumerate(digits)))
 
 
-def _solve_all(
-    spec: ProblemSpec, jobs: list[tuple[Realization, float]], config: SolverConfig, *,
-    table: dict | None = None,
-) -> list[SolveResult]:
+def _solve_all(solver: Solver, jobs: list[tuple[Realization, float]]) -> list[SolveResult]:
     """One counted solve per (realization, weight) job, all of them one
-    :func:`~pareto_prune.solver.solve_batch` call that reuses what the
-    run's ``table`` holds."""
-    return [solve_scalarized(res) for res in solve_batch(spec, jobs, config, table)]
+    :meth:`~pareto_prune.solver.Solver.solve` call."""
+    return [solve_scalarized(res) for res in solver.solve(jobs)]
 
 
-def compute_anchors_utopia(
-    spec: ProblemSpec, reals: list[Realization], config: SolverConfig, *,
-    table: dict | None = None,
-) -> list[ObjectivePoint | None]:
+def compute_anchors_utopia(solver: Solver,
+                           reals: list[Realization]) -> list[ObjectivePoint | None]:
     """Utopia point of each realization: j1 of its w=1 anchor and j2 of
     its w=0 anchor (the two sole-objective solves, exactly two counted
     solves per realization).  None where either anchor is not feasible."""
-    results = _solve_all(spec, [(r, w) for r in reals for w in (1.0, 0.0)], config, table=table)
+    results = _solve_all(solver, [(r, w) for r in reals for w in (1.0, 0.0)])
     return [
         ObjectivePoint(a1.point.j1, a2.point.j2)
         if a1.feasible and a2.feasible else None
@@ -92,15 +86,12 @@ def compute_anchors_utopia(
     ]
 
 
-def compute_center(
-    spec: ProblemSpec, reals: list[Realization], config: SolverConfig, *,
-    table: dict | None = None,
-) -> list[ObjectivePoint | None]:
+def compute_center(solver: Solver, reals: list[Realization]) -> list[ObjectivePoint | None]:
     """Center point of each realization: the objectives of its
     equal-weights solve (one counted NLP each), which sit on the
     subproblem front where weighted-sum reaches it.  None where that solve
     is not feasible."""
-    results = _solve_all(spec, [(r, CENTER_WEIGHT) for r in reals], config, table=table)
+    results = _solve_all(solver, [(r, CENTER_WEIGHT) for r in reals])
     return [res.point if res.feasible else None for res in results]
 
 
@@ -110,10 +101,8 @@ def weight_grid(beta: int) -> list[float]:
     return [i / (beta - 1) for i in range(beta)]
 
 
-def build_subproblem_front(
-    spec: ProblemSpec, reals: list[Realization], beta: int, config: SolverConfig,
-    eps: float = 0.0, *, table: dict | None = None,
-) -> Front:
+def build_subproblem_front(solver: Solver, reals: list[Realization], beta: int,
+                           eps: float = 0.0) -> Front:
     """beta-point weighted-sum front of each subproblem: solves weights
     i/(beta-1) for i = 0..beta-1 (beta counted NLPs per realization) and
     keeps the feasible outcomes no other of the same realization strictly
@@ -124,11 +113,12 @@ def build_subproblem_front(
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
     weights = weight_grid(beta)
-    results = _solve_all(spec, [(r, w) for r in reals for w in weights], config, table=table)
+    results = _solve_all(solver, [(r, w) for r in reals for w in weights])
     rows = [i for i, res in enumerate(results) if res.feasible]
+    n_y = solver.spec.n_y
     data = np.array([results[i].y_star + results[i].point.as_tuple() for i in rows])
-    data = data.reshape(len(rows), spec.n_y + 2)
+    data = data.reshape(len(rows), n_y + 2)
     seg, w = np.divmod(np.array(rows, dtype=np.int64), beta)
     ks = np.array([r.k for r in reals], dtype=np.int64)
-    front = Front(ks[seg], w, data[:, :spec.n_y], data[:, spec.n_y:])
+    front = Front(ks[seg], w, data[:, :n_y], data[:, n_y:])
     return front.take(nondominated_rows(front.pts, eps, seg))

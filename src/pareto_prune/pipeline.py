@@ -35,7 +35,7 @@ from .decomposition import (
     enumerate_realizations,
     weight_grid,
 )
-from .solver import SolverConfig, descend_weights
+from .solver import Solver, SolverConfig
 
 __all__ = [
     "PipelineError",
@@ -55,15 +55,14 @@ class PipelineError(RuntimeError):
     """No subproblem produced a usable solution."""
 
 
-def parallel_map(op, spec: ProblemSpec, reals: list[Realization], *args, **kwargs) -> list:
-    """``op(spec, reals, *args, **kwargs)``: one phase's batched subproblem
-    operation.
+def parallel_map(op, *args, **kwargs):
+    """``op(*args, **kwargs)``: one phase's batched subproblem operation.
 
     A plain call, kept under this name only because the benchmark's
     tracer (perfbench/tracer.py) times each phase through it and the
     benchmark's tests require that metric to be present.
     """
-    return op(spec, reals, *args, **kwargs)
+    return op(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -302,17 +301,10 @@ def master_candidates(utopias: dict[int, ObjectivePoint | None], eps: float = 0.
     return sorted(usable[i] for i in keep.tolist())
 
 
-def build_master_front(
-    spec: ProblemSpec,
-    reals: list[Realization],
-    beta: int,
-    config: SolverConfig,
-    eps: float = 0.0,
-    *,
-    table: dict | None = None,
-) -> tuple[Front, Front]:
+def build_master_front(solver: Solver, reals: list[Realization], beta: int,
+                       eps: float = 0.0) -> tuple[Front, Front]:
     """Union of the masters' subproblem fronts, filtered, and those fronts."""
-    fronts = parallel_map(build_subproblem_front, spec, reals, beta, config, eps, table=table)
+    fronts = parallel_map(build_subproblem_front, solver, reals, beta, eps)
     return fronts.take(np.sort(nondominated_rows(fronts.pts, eps))), fronts
 
 
@@ -320,48 +312,33 @@ def _weakly_dominated_by(front: Front, p: ObjectivePoint, eps: float) -> bool:
     return bool(np.any((front.pts[:, 0] <= p.j1 + eps) & (front.pts[:, 1] <= p.j2 + eps)))
 
 
-def phase_a(
-    spec: ProblemSpec,
-    reals: list[Realization],
-    beta: int,
-    config: SolverConfig,
-    eps: float = 0.0,
-    *,
-    table: dict | None = None,
-) -> PhaseAResult:
+def phase_a(solver: Solver, reals: list[Realization], beta: int,
+            eps: float = 0.0) -> PhaseAResult:
     """A-1 anchors/utopias for all realizations (2 solves each), A-2
     master front from non-dominated utopias (beta solves each), A-3
     utopia pruning: k1u keeps the masters and every feasible realization
     whose utopia the master front does not weakly dominate.  Each step is
     one batched operation over its realizations."""
     utopias = dict(zip((r.k for r in reals),
-                       parallel_map(compute_anchors_utopia, spec, reals, config, table=table)))
+                       parallel_map(compute_anchors_utopia, solver, reals)))
     if all(u is None for u in utopias.values()):
         raise PipelineError("every subproblem is infeasible")
 
     k1m = master_candidates(utopias, eps)
     by_k = {r.k: r for r in reals}
-    master_front, fronts = build_master_front(spec, [by_k[k] for k in k1m], beta, config,
-                                              eps, table=table)
+    master_front, fronts = build_master_front(solver, [by_k[k] for k in k1m], beta, eps)
     k1u = k1m + [k for k in utopias.keys() - set(k1m) if utopias[k] is not None
                  and not _weakly_dominated_by(master_front, utopias[k], eps)]
     return PhaseAResult(utopias=utopias, k1m=k1m, k1u=sorted(k1u),
                         master_front=master_front, fronts=fronts)
 
 
-def phase_b(
-    spec: ProblemSpec,
-    reals: list[Realization],
-    master_front: Front,
-    config: SolverConfig,
-    eps: float = 0.0,
-    *,
-    table: dict | None = None,
-) -> list[int]:
+def phase_b(solver: Solver, reals: list[Realization], master_front: Front,
+            eps: float = 0.0) -> list[int]:
     """B-1 centers for the target realizations (one solve each) and B-2:
     returns the indices of those whose center solve succeeded and whose
     center the master front does not weakly dominate."""
-    centers = parallel_map(compute_center, spec, reals, config, table=table)
+    centers = parallel_map(compute_center, solver, reals)
     return [r.k for r, center in zip(reals, centers)
             if center is not None and not _weakly_dominated_by(master_front, center, eps)]
 
@@ -401,18 +378,12 @@ def run_pipeline(
     under "ab" and "a", the masters and the retained.  The final front
     filters every built front, merged in ascending k.
 
-    Each phase poses its solves as one batched operation over its
-    realizations, in this process: one
-    :func:`~pareto_prune.solver.solve_batch` call, whose local descents
-    run in lockstep and are finished in one pass.  The phases share one
-    ``table`` of finished solves, so what an earlier phase ran is looked
-    up, not run again; every solve is still counted on its own.  On a
-    separable, unconstrained problem a descent depends on its weight
-    alone, and the run descends every weight it can pose up front, in one
-    lockstep batch (:func:`~pareto_prune.solver.descend_weights`): the
-    weight grid, plus B-1's center weight under "ab".  Its phases then only look
-    descents up and finish solves.  The table is dropped when the run
-    returns.
+    The phases share the run's :class:`~pareto_prune.solver.Solver`, so
+    what an earlier phase solved is looked up, not run again; every solve
+    still counts on its own.  On a separable, unconstrained problem the
+    run descends every weight it can pose up front, in one lockstep batch
+    (:meth:`~pareto_prune.solver.Solver.descend_weights`): the weight
+    grid, plus B-1's center weight under "ab".
     ``workers`` is accepted and has no effect: every run is serial.
     """
     if phases not in ("ab", "a", "none"):
@@ -423,18 +394,18 @@ def run_pipeline(
         raise ValueError(f"beta must be >= 2, got {beta}")
     beta = int(beta)
     _check_eps(eps)
+    eps = float(eps)
     n_solves = beta * math.prod(len(zs) for zs in spec.discrete_sets)
     if n_solves > DEFAULT_REALIZATION_CAP:
         raise CapacityExceeded(
             f"beta * |K| = {n_solves} exceeds the cap of {DEFAULT_REALIZATION_CAP}"
         )
-    config = config or SolverConfig()
-    table: dict = {}
+    solver = Solver(spec, config)
     t0 = time.perf_counter()
     reals = enumerate_realizations(spec)
     # a separable, unconstrained problem: every descent of the run at once
     centers = [CENTER_WEIGHT] if phases == "ab" else []
-    descend_weights(spec, reals[0], weight_grid(beta) + centers, config, table)
+    solver.descend_weights(reals[0], weight_grid(beta) + centers)
 
     if phases == "none":
         utopias: dict[int, ObjectivePoint | None] = {}
@@ -443,16 +414,14 @@ def run_pipeline(
         built: list[Front] = []
         targets = retained = [r.k for r in reals]
     else:
-        pa = phase_a(spec, reals, beta, config, eps, table=table)
+        pa = phase_a(solver, reals, beta, eps)
         utopias, k1m, k1u, built = pa.utopias, pa.k1m, pa.k1u, [pa.fronts]
         targets = retained = sorted(set(k1u) - set(k1m))
         if phases == "ab":
-            retained = phase_b(spec, [reals[k - 1] for k in targets], pa.master_front,
-                               config, eps, table=table)
+            retained = phase_b(solver, [reals[k - 1] for k in targets], pa.master_front, eps)
 
     # B-3: fronts for whatever the phases left
-    b3 = parallel_map(build_subproblem_front, spec, [reals[k - 1] for k in retained], beta,
-                      config, eps, table=table)
+    b3 = parallel_map(build_subproblem_front, solver, [reals[k - 1] for k in retained], beta, eps)
     final = _final_front(built + [b3], eps)
     k1c = sorted(set(final.k.tolist())) if phases == "none" else sorted(k1m + retained)
     feasible = {k for k, u in utopias.items() if u is not None}
@@ -461,7 +430,7 @@ def run_pipeline(
         beta=beta,
         phases=phases,
         eps=eps,
-        seed=config.seed,
+        seed=solver.config.seed,
         k_total=len(reals),
         k1m=tuple(k1m),
         k1u=tuple(k1u),

@@ -4,20 +4,17 @@ A solve is one (realization, weight) job: minimize w*J1 + (1-w)*J2 of
 the problem at that realization over its box, plus an exterior quadratic
 penalty on violated inequality constraints.  One call to
 :func:`solve_scalarized` is one NLP in the pipeline's solve accounting,
-regardless of how many local descents run inside it.  The solves of one
-phase are one :func:`solve_batch` call, which takes the problem once and
-returns one :class:`SolveResult` per job, unusable solves included:
-their local descents run in lockstep in one batch, each solve keeps the
-best of its starts, and those winners are finished in one pass: penalty
-escalation and objectives.  Every
+regardless of how many local descents run inside it.  A run has one
+:class:`Solver`, and the solves of one phase are one :meth:`Solver.solve`
+call, which returns one :class:`SolveResult` per job, unusable solves
+included: their local descents run in lockstep in one batch, each solve
+keeps the best of its starts, and those winners are finished in one
+pass: penalty escalation and objectives.  Every
 row of a batch evolves on its own, so a solve's result does not depend
 on the batch it ran in.  A descent step updates its rows by mask, makes
 one pass per evaluator, and reads each row's weight and z gathered once
 per batch; a scalar pass hands every evaluator the same row views and z,
-and reads rows of numbers in one step.  On a separable, unconstrained
-problem a descent depends on its weight alone, so :func:`descend_weights`
-runs the descents of a whole weight grid in one batch, ahead of the
-solves that share their winners.
+and reads rows of numbers in one step.
 The solver is deterministic: identical arguments (including the seed)
 give bitwise-identical results.  The multistart set's seeded fill is
 numpy's ``default_rng(seed)`` stream (SeedSequence and PCG64), generated
@@ -38,10 +35,9 @@ import numpy as np
 from .core import ObjectivePoint, ProblemSpec, Realization
 
 __all__ = [
+    "Solver",
     "SolverConfig",
     "SolveResult",
-    "descend_weights",
-    "solve_batch",
     "solve_scalarized",
 ]
 
@@ -335,10 +331,9 @@ def _start_points(bounds: tuple[tuple[float, float], ...], n: int, seed: int) ->
         m = 1
         while (m + 1) ** ny <= n - 2:
             m += 1
-        if m >= 1 and m ** ny <= n - 2:
-            axes = [lo[d] + (hi[d] - lo[d]) * (np.arange(1, m + 1) / (m + 1.0)) for d in range(ny)]
-            for combo in itertools.product(*axes):
-                rows.append(np.array(combo))
+        axes = [lo[d] + (hi[d] - lo[d]) * (np.arange(1, m + 1) / (m + 1.0)) for d in range(ny)]
+        for combo in itertools.product(*axes):
+            rows.append(np.array(combo))
     pts = np.array(rows[:n])
     if pts.shape[0] < n:
         k = n - pts.shape[0]
@@ -433,65 +428,65 @@ def _descend(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
     return np.concatenate(ys), np.concatenate(fs)
 
 
-def _shares_descents(spec: ProblemSpec) -> bool:
-    """Whether a descent of ``spec`` depends on its weight alone: the
-    problem separates into a continuous base plus per-realization offsets
-    (``base_objectives``) and has no constraints."""
-    return spec.base_objectives is not None and spec.inequality_constraints is None
+class Solver:
+    """The solver of one run: its problem, its config (a default
+    :class:`SolverConfig` when None) and the run's table, so that a solve
+    posed twice in a run runs once.
 
+    The table keeps every solve :meth:`solve` finishes under (weight, k),
+    whether or not a later call reads it, and a later call looks it up; it
+    still counts as one solve.  So A-2 and B-3 look up the A-1 anchors at
+    w = 0 and 1, and B-3 the B-1 centers at w = 0.5.  On a separable
+    problem (``base_objectives``) without constraints a descent depends on
+    its weight alone, and the table also keeps its winner, a (point,
+    value) pair, under the weight (:meth:`descend_weights`), which every
+    solve of that weight shares.  A run descends its whole weight grid
+    this way before Phase A; its calls then look winners up and finish."""
 
-def descend_weights(spec: ProblemSpec, realization: Realization, weights: Sequence[float],
-                    config: SolverConfig, table: dict) -> None:
-    """Run the descents of each of ``weights`` that ``table`` does not hold
-    yet, in one :func:`_descend` call, and keep each one's winner, a
-    (point, value) pair, in ``table`` under the weight, where every solve
-    of that weight reads it.  Only a problem whose descents depend on the
-    weight alone shares them, so on any other problem this does nothing.
-    The descents run at ``realization``; on such a problem any realization
-    gives the same winner, as long as its gradient does not depend on z."""
-    missing = [w for w in dict.fromkeys(weights) if w not in table]
-    if _shares_descents(spec) and missing:
-        y, f = _descend(spec, [(realization, w) for w in missing], config)
-        table.update(zip(missing, zip(y, f)))
+    def __init__(self, spec: ProblemSpec, config: SolverConfig | None = None) -> None:
+        self.spec = spec
+        self.config = config or SolverConfig()
+        # a descent depends on its weight alone
+        self._shared = spec.base_objectives is not None and spec.inequality_constraints is None
+        self._solved: dict = {}  # (weight, k) -> SolveResult
+        self._winners: dict = {}  # weight -> (point, value) its solves share
 
+    def descend_weights(self, realization: Realization, weights: Sequence[float]) -> None:
+        """Run the descents of ``weights`` the table does not hold yet, in
+        one :func:`_descend` call at ``realization``, and keep each winner
+        under its weight.  Only where descents depend on the weight alone;
+        there any realization gives the same winners."""
+        missing = [w for w in dict.fromkeys(weights) if w not in self._winners]
+        if self._shared and missing:
+            y, f = _descend(self.spec, [(realization, w) for w in missing], self.config)
+            self._winners.update(zip(missing, zip(y, f)))
 
-def solve_batch(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
-                config: SolverConfig, table: dict | None = None) -> list[SolveResult]:
-    """The result of each (realization, weight) job of ``spec``.  The
-    descents of the solves not finished yet run as one batch
-    (:func:`_descend`), and their winners are finished as one batch,
-    MAX_DESCENT_ROWS solves at a time (:func:`_finish`).
-
-    ``table`` belongs to one problem and one seed; without one a call
-    starts a fresh one.  It keeps every solve a call finishes under
-    (weight, k), whether or not a later call reads it, so a solve that an
-    earlier call finished is looked up instead of run again.  When the
-    problem separates (``base_objectives``) and has no constraints, a
-    descent depends on its weight alone: the table also keeps its winner
-    under the weight (:func:`descend_weights`), and every solve of that
-    weight, in this call or a later one, shares it.  A run descends its
-    whole weight grid that way before its first call, so then a call only
-    looks winners up and finishes solves.
-    """
-    table = {} if table is None else table
-    keys = [(w, r.k) for r, w in jobs]
-    todo: dict = {}  # key -> its first job, for the solves not finished yet
-    for key, job in zip(keys, jobs):
-        if key not in table:
-            todo.setdefault(key, job)
-    solves = list(todo.values())
-    if solves:
-        if _shares_descents(spec):
-            descend_weights(spec, solves[0][0], [w for _, w in solves], config, table)
-            y = np.array([table[w][0] for _, w in solves])
-            f = np.array([table[w][1] for _, w in solves])
-        else:
-            y, f = _descend(spec, solves, config)
-        todo_keys = list(todo)
-        for a in range(0, len(solves), MAX_DESCENT_ROWS):
-            part = slice(a, a + MAX_DESCENT_ROWS)
-            table.update(zip(todo_keys[part], _finish(spec, solves[part], y[part], f[part])))
-    return [table[key] for key in keys]
+    def solve(self, jobs: Sequence[tuple[Realization, float]]) -> list[SolveResult]:
+        """The result of each (realization, weight) job, from the table
+        where it holds the solve.  The descents of the solves not finished
+        yet run as one batch (:func:`_descend`), and their winners are
+        finished as one batch (:func:`_finish`)."""
+        keys = [(w, r.k) for r, w in jobs]
+        todo: dict = {}  # key -> its first job, for the solves not finished yet
+        for key, job in zip(keys, jobs):
+            if key not in self._solved:
+                todo.setdefault(key, job)
+        solves = list(todo.values())
+        if solves:
+            if self._shared:
+                self.descend_weights(solves[0][0], [w for _, w in solves])
+                y = np.array([self._winners[w][0] for _, w in solves])
+                f = np.array([self._winners[w][1] for _, w in solves])
+            else:
+                y, f = _descend(self.spec, solves, self.config)
+            todo_keys = list(todo)
+            # MAX_DESCENT_ROWS solves per finish: one pass over all 86 016
+            # solves of the e2 oracle raised its peak RSS from 100 to 111 MB
+            for a in range(0, len(solves), MAX_DESCENT_ROWS):
+                part = slice(a, a + MAX_DESCENT_ROWS)
+                self._solved.update(zip(todo_keys[part],
+                                        _finish(self.spec, solves[part], y[part], f[part])))
+        return [self._solved[key] for key in keys]
 
 
 def _finish(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
@@ -533,7 +528,7 @@ def _finish(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
 
 
 def solve_scalarized(result: SolveResult) -> SolveResult:
-    """One solve over its box: ``result``, its :func:`solve_batch` result.
+    """One solve over its box: ``result``, its :meth:`Solver.solve` result.
     Counts as exactly one solve, however many descents and penalty
     escalations ran for it or were shared, and whether or not it is
     feasible."""

@@ -28,6 +28,7 @@ from pareto_prune.cli import main, read_report
 from pareto_prune.core import nondominated_rows
 from pareto_prune.decomposition import realization_from_index
 from pareto_prune.pipeline import phase_a
+from pareto_prune.solver import Solver
 from conftest import dominates, make_fig_problem, make_scaled_e2, weakly_dominates
 
 
@@ -280,7 +281,7 @@ class TestCriterion6Properties:
         criterion("6b filter equals pairwise brute force (n=1000)", fast == slow)
 
     def test_utopia_lower_bound(self, e1_spec, config):
-        pa = phase_a(e1_spec, pp.enumerate_realizations(e1_spec), 21, config)
+        pa = phase_a(Solver(e1_spec, config), pp.enumerate_realizations(e1_spec), 21)
         ok = True
         for k in pa.k1m:
             for p in pa.fronts.pts[pa.fronts.k == k].tolist():

@@ -19,7 +19,7 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune import benchmarks, decomposition, pipeline, solver
-from pareto_prune.solver import N_STARTS, solve_scalarized
+from pareto_prune.solver import N_STARTS, Solver, solve_scalarized
 from conftest import front_rows, load_perfbench, make_fig_problem
 
 (workloads,) = load_perfbench("workloads")
@@ -86,22 +86,25 @@ class TestListEqualsOneAtATime:
     def test_anchors(self, name, config):
         spec = SPECS[name]()
         reals = _reals(spec, 5)
-        batch = decomposition.compute_anchors_utopia(spec, reals, config)
-        assert batch == [decomposition.compute_anchors_utopia(spec, [r], config)[0] for r in reals]
+        batch = decomposition.compute_anchors_utopia(Solver(spec, config), reals)
+        assert batch == [decomposition.compute_anchors_utopia(Solver(spec, config), [r])[0]
+                         for r in reals]
 
     def test_center(self, name, config):
         spec = SPECS[name]()
         reals = _reals(spec, 5)
-        batch = decomposition.compute_center(spec, reals, config)
-        assert batch == [decomposition.compute_center(spec, [r], config)[0] for r in reals]
+        batch = decomposition.compute_center(Solver(spec, config), reals)
+        assert batch == [decomposition.compute_center(Solver(spec, config), [r])[0]
+                         for r in reals]
 
     def test_front(self, name, config):
         spec = SPECS[name]()
         reals = _reals(spec, 4)
-        batch = decomposition.build_subproblem_front(spec, reals, 5, config)
+        batch = decomposition.build_subproblem_front(Solver(spec, config), reals, 5)
         assert front_rows(batch) == [
             row for r in reals
-            for row in front_rows(decomposition.build_subproblem_front(spec, [r], 5, config))]
+            for row in front_rows(decomposition.build_subproblem_front(Solver(spec, config),
+                                                                       [r], 5))]
 
 
 class _DescentRows:
@@ -154,7 +157,7 @@ class TestRowSharing:
     @pytest.mark.parametrize("n", [1, 7, 50])
     def test_e2_anchors_run_two_blocks_whatever_k(self, e2_spec, config, monkeypatch, n):
         rows = _DescentRows(monkeypatch)
-        recs = decomposition.compute_anchors_utopia(e2_spec, _reals(e2_spec, n), config)
+        recs = decomposition.compute_anchors_utopia(Solver(e2_spec, config), _reals(e2_spec, n))
         assert len(recs) == n
         assert rows.rows == [2 * N_STARTS]
 
@@ -162,10 +165,10 @@ class TestRowSharing:
         jobs = _jobs(_reals(e2_spec, 3), (0.5,))
         rows = _DescentRows(monkeypatch)
         winners = _FinishedWinners(monkeypatch)
-        results = [solve_scalarized(res) for res in solver.solve_batch(e2_spec, jobs, config)]
+        results = [solve_scalarized(res) for res in Solver(e2_spec, config).solve(jobs)]
         assert rows.rows == [N_STARTS]
         assert len(winners.distinct(jobs)) == 1
-        assert results == [solve_scalarized(solver.solve_batch(e2_spec, [j], config)[0])
+        assert results == [solve_scalarized(Solver(e2_spec, config).solve([j])[0])
                            for j in jobs]
         assert len({res.point for res in results}) == 3
 
@@ -175,15 +178,16 @@ class TestRowSharing:
 
         spec = dataclasses.replace(e2_spec, inequality_constraints=far_bound)
         rows = _DescentRows(monkeypatch)
-        decomposition.compute_anchors_utopia(spec, _reals(spec, 3), config)
+        decomposition.compute_anchors_utopia(Solver(spec, config), _reals(spec, 3))
         assert rows.rows == [2 * 3 * N_STARTS]
 
     def test_row_cap_splits_the_batch(self, e1_spec, config, monkeypatch):
         reals = _reals(e1_spec, 3)
-        whole = front_rows(decomposition.build_subproblem_front(e1_spec, reals, 5, config))
+        front = decomposition.build_subproblem_front
+        whole = front_rows(front(Solver(e1_spec, config), reals, 5))
         monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", 4 * N_STARTS)
         rows = _DescentRows(monkeypatch)
-        assert front_rows(decomposition.build_subproblem_front(e1_spec, reals, 5, config)) == whole
+        assert front_rows(front(Solver(e1_spec, config), reals, 5)) == whole
         assert rows.rows == [4 * N_STARTS] * 3 + [3 * N_STARTS]
 
 
@@ -238,7 +242,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(pp.make_quad(), objectives=flat, gradient=None)
         with pytest.raises(ValueError, match=r"objectives of problem 'quad' returned shape "
                                              r"\(16,\), expected \(16, 2\)"):
-            decomposition.compute_center(spec, pp.enumerate_realizations(spec), config)
+            decomposition.compute_center(Solver(spec, config), pp.enumerate_realizations(spec))
 
     def test_gradient_of_wrong_shape(self, config):
         def flat_gradient(y, z):
@@ -270,7 +274,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(make_gen_problem(), objectives=ragged)
         with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned rows that "
                                              r"do not form a float array, expected \(\d+, 2\)"):
-            decomposition.compute_center(spec, pp.enumerate_realizations(spec), config)
+            decomposition.compute_center(Solver(spec, config), pp.enumerate_realizations(spec))
         _assert_same_error(
             "objectives", [(1.0, 2.0), (1.0, 2.0, 3.0)], [[1.0, 2.0], (1.0,)],
             [np.array([1.0, 2.0]), np.array([1.0])], [(1.0, 2.0), None],
@@ -285,7 +289,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(make_gen_problem(), objectives=three)
         with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned shape "
                                              r"\((\d+), 3\), expected \(\1, 2\)"):
-            decomposition.compute_center(spec, pp.enumerate_realizations(spec), config)
+            decomposition.compute_center(Solver(spec, config), pp.enumerate_realizations(spec))
         _assert_same_error("objectives", [(1.0, 2.0, 3.0)] * 3, [[1.0, 2.0, 3.0]] * 2,
                            [np.zeros(3), (1, 2, 3)], [(1.0,)] * 2, [1.0, 2.0])
 
@@ -297,7 +301,7 @@ class TestEvaluatorShapes:
         with pytest.raises(ValueError, match=r"inequality_constraints of problem 'gen' returned "
                                              r"rows that do not form a float array, "
                                              r"expected \(\d+, n_g\)"):
-            decomposition.compute_center(spec, pp.enumerate_realizations(spec), config)
+            decomposition.compute_center(Solver(spec, config), pp.enumerate_realizations(spec))
         _assert_same_error(
             "inequality_constraints", [(0.0,), (0.0, 0.0)], [0.0, (0.0,)], [(0.0,), None],
             [("x",), (1.0,)], ["ab"], [(), (0.0,)], [(), ()], [((0.0,),), ((1.0,),)])
@@ -434,12 +438,13 @@ class TestFdGradient:
         # solve and the finish split 4 + 4 + 1
         spec = FD_SPECS[name]()
         reals = _reals(spec, 3)
-        whole = front_rows(decomposition.build_subproblem_front(spec, reals, 3, config))
+        front = decomposition.build_subproblem_front
+        whole = front_rows(front(Solver(spec, config), reals, 3))
         finished = _FinishedWinners(monkeypatch).calls
         for cap, finishes in ((10, [9]), (4, [4, 4, 1])):
             monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", cap)
             finished.clear()
-            assert front_rows(decomposition.build_subproblem_front(spec, reals, 3, config)) == whole
+            assert front_rows(front(Solver(spec, config), reals, 3)) == whole
             assert finished == finishes
 
 
@@ -459,13 +464,13 @@ class TestScalarRowsGetTheirOwnZ:
             inequality_constraints=logged("g", base.inequality_constraints))
         jobs = _jobs(pp.enumerate_realizations(spec), (0.8,))
         rows = _DescentRows(monkeypatch)
-        solver.solve_batch(spec, jobs, config)
+        Solver(spec, config).solve(jobs)
         batch_log = sorted(log)
         ((bx, bf),) = rows.outputs  # one descent, no escalation
         log.clear()
         rows.outputs.clear()
         for j in jobs:
-            solver.solve_batch(spec, [j], config)
+            Solver(spec, config).solve([j])
         assert batch_log == sorted(log)
         assert len({z for _, _, z in batch_log}) == len(jobs)
         assert len(rows.outputs) == len(jobs)  # every start's rows, bit for bit
@@ -590,7 +595,7 @@ class TestOneVectorizedCallPerPass:
 
         monkeypatch.setattr(solver._Batch, "descent_value", counted_value)
         monkeypatch.setattr(solver._Batch, "gradient", counted_gradient)
-        solver.solve_batch(spec, jobs, config)
+        Solver(spec, config).solve(jobs)
         assert passes["objectives"] > 1
         # and one objectives call more: the finish's pass at the winners
         assert calls == {"objectives": passes["objectives"] + 1, "gradient": passes["gradient"]}
@@ -630,17 +635,17 @@ class TestDescentTable:
     def test_table_of_earlier_phases_gives_fresh_descents(self, name, config, monkeypatch):
         spec = REUSE_SPECS[name]()
         reals = _reals(spec, 3)
-        table: dict = {}
-        solver.solve_batch(spec, _jobs(reals, (1.0, 0.0)), config, table)  # A-1
+        run = Solver(spec, config)
+        run.solve(_jobs(reals, (1.0, 0.0)))  # A-1
         later = [_jobs(reals[:2], [i / 4 for i in range(5)]),  # a beta-front, beta = 5
                  _jobs(reals, (0.5,))]  # centers
         rows = _DescentRows(monkeypatch)
         for jobs in later:
             rows.rows.clear()
-            got = solver.solve_batch(spec, jobs, config, table)
+            got = run.solve(jobs)
             reused = sum(rows.rows)
             rows.rows.clear()
-            fresh = solver.solve_batch(spec, jobs, config)
+            fresh = Solver(spec, config).solve(jobs)
             assert reused < sum(rows.rows)  # each phase shares some solves with the ones before
             assert repr(got) == repr(fresh)
 
@@ -648,20 +653,20 @@ class TestDescentTable:
     def test_run_equals_run_that_ignores_the_table(self, name, phases, monkeypatch):
         spec = REUSE_SPECS[name]()
         shared = pp.run_pipeline(spec, beta=5, phases=phases)
-        solve_batch = solver.solve_batch
-        monkeypatch.setattr(decomposition, "solve_batch",
-                            lambda spec, jobs, config, table=None: solve_batch(spec, jobs, config))
+        solve = solver.Solver.solve
+        monkeypatch.setattr(solver.Solver, "solve",
+                            lambda self, jobs: solve(Solver(self.spec, self.config), jobs))
         alone = pp.run_pipeline(spec, beta=5, phases=phases)
         assert _report_text(shared) == _report_text(alone)
 
     def test_table_finishes_each_solve_once(self, name, config, monkeypatch):
         spec = REUSE_SPECS[name]()
         reals = _reals(spec, 3)
-        table: dict = {}
-        first = solver.solve_batch(spec, _jobs(reals, (1.0, 0.0)), config, table)
+        run = Solver(spec, config)
+        first = run.solve(_jobs(reals, (1.0, 0.0)))
         finished = _FinishedWinners(monkeypatch).calls
         later = _jobs(reals, (0.0, 0.5, 1.0))
-        got = solver.solve_batch(spec, later, config, table)
+        got = run.solve(later)
         assert finished == [len(reals)]  # the w = 0.5 solves; the anchors are looked up
         assert all(got[3 * i] is first[2 * i + 1] and got[3 * i + 2] is first[2 * i]
                    for i in range(len(reals)))
@@ -673,24 +678,24 @@ class TestDescentTable:
         # not a later phase reads it; a winner only where solves of one
         # weight share it (e2-k16: separable, unconstrained), once per weight
         spec = REUSE_SPECS[name]()
-        tables: list[dict] = []
+        solvers: list = []
         posed: set = set()
-        solve_batch = solver.solve_batch
+        solve = solver.Solver.solve
 
-        def kept(spec, jobs, config, table=None):
-            tables.append(table)
+        def kept(self, jobs):
+            solvers.append(self)
             posed.update((w, r.k) for r, w in jobs)
-            return solve_batch(spec, jobs, config, table)
+            return solve(self, jobs)
 
-        monkeypatch.setattr(decomposition, "solve_batch", kept)
+        monkeypatch.setattr(solver.Solver, "solve", kept)
         report = pp.run_pipeline(spec, beta=5, phases="ab")
-        table = tables[0]
-        assert all(t is table for t in tables)
-        solved = {k for k in table if isinstance(k, tuple)}
+        run = solvers[0]
+        assert all(s is run for s in solvers)
+        solved = set(run._solved)
         assert all(type(w) is float and type(k) is int for w, k in solved)
-        assert all(isinstance(table[key], solver.SolveResult) for key in solved)
+        assert all(isinstance(res, solver.SolveResult) for res in run._solved.values())
         assert solved == posed and len(solved) <= report.nlp.total
-        winners = {k: v for k, v in table.items() if k not in solved}
+        winners = run._winners
         if name == "e2-k16":
             assert sorted(winners) == sorted({w for w, _ in solved})
             for y, f in winners.values():
@@ -764,7 +769,7 @@ class TestMergedSpecReuse:
 
 def _finished_alone(spec, jobs, config):
     """Each of the ``jobs`` of ``spec`` batched on its own."""
-    return [solver.solve_batch(spec, [j], config)[0] for j in jobs]
+    return [Solver(spec, config).solve([j])[0] for j in jobs]
 
 
 def _gen_constrained():
@@ -799,7 +804,7 @@ class TestBatchedFinish:
         jobs = _jobs(_reals(spec, 7), (1.0, 0.5, 0.0))
         winners = _FinishedWinners(monkeypatch)
         rows = _DescentRows(monkeypatch)
-        batched = solver.solve_batch(spec, jobs, config)
+        batched = Solver(spec, config).solve(jobs)
         monkeypatch.undo()
         escalations = [pc for pc in rows.penalties if pc is not None]
         if spec.inequality_constraints is None:  # e2: solves of one weight share a winner
@@ -828,7 +833,7 @@ class TestBatchedFinish:
                               base_objectives=constant if shared else None)
         jobs = _jobs(pp.enumerate_realizations(spec), (1.0, 0.25))
         rows = _DescentRows(monkeypatch)
-        results = solver.solve_batch(spec, jobs, config)
+        results = Solver(spec, config).solve(jobs)
         ((x, f),) = rows.outputs
         assert rows.rows == [(2 if shared else 4) * N_STARTS]
         ties = f.reshape(-1, N_STARTS)
@@ -844,7 +849,7 @@ class TestBatchedFinish:
 
         spec = _one_y_spec("half-nan", (0.0, 1.0, 2.0), objectives=half_nan)
         jobs = _jobs(pp.enumerate_realizations(spec), (1.0, 0.5))
-        results = solver.solve_batch(spec, jobs, config)
+        results = Solver(spec, config).solve(jobs)
         assert [res.point is None for res in results] == [r.z == (1.0,) for r, _ in jobs]
         assert [res.feasible for res in results] == [r.z != (1.0,) for r, _ in jobs]
         assert repr(results) == repr(_finished_alone(spec, jobs, config))
@@ -864,7 +869,7 @@ class TestBatchedFinish:
         jobs = _jobs(pp.enumerate_realizations(spec), (1.0,))
         with np.errstate(over="ignore"):
             rows = _DescentRows(monkeypatch)
-            batched = solver.solve_batch(spec, jobs, config)
+            batched = Solver(spec, config).solve(jobs)
             monkeypatch.undo()
             alone = _finished_alone(spec, jobs, config)
         assert repr(batched) == repr(alone)

@@ -10,6 +10,7 @@ import pareto_prune as pp
 from pareto_prune import benchmarks, get_problem, oracle_front
 from pareto_prune.decomposition import build_subproblem_front, realization_from_index
 from pareto_prune.pipeline import phase_a
+from pareto_prune.solver import Solver
 from conftest import index_of
 
 SQRT2 = math.sqrt(2.0)
@@ -113,8 +114,8 @@ class TestE2:
         zb = (5.0, 15.0, 10.0, 1.0, 5.0, 1.0)  # z5 <-> z7 swapped
         ra = realization_from_index(e2_spec, index_of(e2_spec, za))
         rb = realization_from_index(e2_spec, index_of(e2_spec, zb))
-        fa = build_subproblem_front(e2_spec, [ra], 11, config)
-        fb = build_subproblem_front(e2_spec, [rb], 11, config)
+        fa = build_subproblem_front(Solver(e2_spec, config), [ra], 11)
+        fb = build_subproblem_front(Solver(e2_spec, config), [rb], 11)
         assert fa.pts.tolist() == fb.pts.tolist()
         assert fa.y.tolist() == fb.y.tolist()
 
@@ -162,7 +163,7 @@ class TestOracle:
     def test_e1_master_front_within_oracle(self, e1_spec, e1_oracle, config):
         # master-front points must be non-dominated inside the oracle's
         # exhaustive point set
-        pa = phase_a(e1_spec, pp.enumerate_realizations(e1_spec), 21, config)
+        pa = phase_a(Solver(e1_spec, config), pp.enumerate_realizations(e1_spec), 21)
         opts = np.array([[s.point.j1, s.point.j2] for s in e1_oracle.front])
         for j1, j2 in pa.master_front.pts.tolist():
             strictly = (

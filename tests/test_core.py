@@ -19,7 +19,7 @@ from pareto_prune import (
     pipeline,
 )
 from pareto_prune.core import _check_eps, nondominated_rows
-from pareto_prune.solver import SolveResult
+from pareto_prune.solver import Solver, SolveResult
 from conftest import dominates, front_rows, weakly_dominates
 
 P = ObjectivePoint
@@ -131,6 +131,16 @@ class TestNondominatedFilter:
         # equal j2, strictly worse j1: strict dominance removes it
         assert nondominated_filter([P(1, 5), P(2, 5)]) == [P(1, 5)]
 
+    @pytest.mark.parametrize("eps", [True, np.bool_(True), "0.1", None])
+    def test_eps_that_is_not_a_real_number_is_rejected(self, eps):
+        with pytest.raises(ValueError, match="^eps must be a real number, got "):
+            nondominated_rows(np.array([[1.0, 2.0], [2.0, 1.0]]), eps)
+
+    @pytest.mark.parametrize("eps", [np.float64(0.5), np.float32(0.5), np.int64(0), 1])
+    def test_numpy_and_integer_eps_are_accepted(self, eps):
+        pts = np.array([[1.0, 2.0], [2.0, 1.0], [1.2, 2.2]])
+        assert nondominated_rows(pts, eps).tolist() == nondominated_rows(pts, float(eps)).tolist()
+
     @pytest.mark.parametrize("n", [100, 1000])
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_matches_brute_force(self, n, eps):
@@ -180,7 +190,7 @@ def _ops_fronts(outcomes, eps, monkeypatch):
     the generated outcomes (y = (weight index,))."""
     reals = [Realization(k=k, z=(float(k),)) for k in range(1, len(outcomes) + 1)]
 
-    def solve_all(spec, jobs, config, *, table=None):
+    def solve_all(solver, jobs):
         weights = decomposition.weight_grid(BETA)
         return [SolveResult(w, (float(weights.index(w)),),
                             None if (p := outcomes[r.k - 1][weights.index(w)]) is None
@@ -189,7 +199,7 @@ def _ops_fronts(outcomes, eps, monkeypatch):
 
     monkeypatch.setattr(decomposition, "_solve_all", solve_all)
     spec = pp.make_quad()
-    return [decomposition.build_subproblem_front(spec, reals[i::2], BETA, pp.SolverConfig(), eps)
+    return [decomposition.build_subproblem_front(Solver(spec), reals[i::2], BETA, eps)
             for i in (0, 1)]
 
 

@@ -19,7 +19,7 @@ from pareto_prune.decomposition import (
     compute_center,
     realization_from_index,
 )
-from pareto_prune.solver import solve_batch
+from pareto_prune.solver import Solver
 from conftest import dominates, index_of, weakly_dominates
 
 # frozen from a 10^6-point grid refined to xatol 1e-13 (e1, z = (0, 0))
@@ -38,7 +38,7 @@ class _Anchor(NamedTuple):
 def _anchors(spec, r, config):
     """The w=1 and w=0 anchors of realization r: the two rows of its
     beta=2 front, whose solves are the anchors' own (weight, k) solves."""
-    front = build_subproblem_front(spec, [r], 2, config)
+    front = build_subproblem_front(Solver(spec, config), [r], 2)
     by_w = {w: _Anchor(tuple(y), ObjectivePoint(*p))
             for w, y, p in zip(front.w.tolist(), front.y.tolist(), front.pts.tolist())}
     return by_w[1], by_w[0]
@@ -47,7 +47,7 @@ def _anchors(spec, r, config):
 def _utopia_and_anchors(spec, r, config):
     """r's utopia point and its anchors; the utopia takes its components
     from the anchors exactly."""
-    utopia = compute_anchors_utopia(spec, [r], config)[0]
+    utopia = compute_anchors_utopia(Solver(spec, config), [r])[0]
     a1, a2 = _anchors(spec, r, config)
     assert utopia == ObjectivePoint(a1.point.j1, a2.point.j2)
     return utopia, a1, a2
@@ -140,12 +140,12 @@ class TestAnchorsUtopia:
 
     def test_counts_two_solves(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        compute_anchors_utopia(quad_spec, [r], config)[0]
+        compute_anchors_utopia(Solver(quad_spec, config), [r])[0]
         assert solve_log.calls == 2
 
     def test_unusable_anchor_gives_none(self, config, solve_log):
         spec = _all_nan_spec()
-        assert compute_anchors_utopia(spec, enumerate_realizations(spec), config) == [None]
+        assert compute_anchors_utopia(Solver(spec, config), enumerate_realizations(spec)) == [None]
         assert solve_log.calls == 2
 
     def test_e2_monotone_anchors(self, e2_spec, config):
@@ -166,8 +166,8 @@ class TestAnchorsUtopia:
 class TestCenter:
     def test_quad_center(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
-        c = compute_center(quad_spec, [r], config)[0]
-        res = solve_batch(quad_spec, [(r, 0.5)], config)[0]
+        c = compute_center(Solver(quad_spec, config), [r])[0]
+        res = Solver(quad_spec, config).solve([(r, 0.5)])[0]
         assert res.y_star[0] == pytest.approx(0.5, abs=1e-9)
         assert c == res.point
         assert c.j1 == pytest.approx(0.25, abs=1e-9)
@@ -176,22 +176,22 @@ class TestCenter:
     def test_e2_all_ones_matches_grid_descent_oracle(self, e2_spec, config):
         r = enumerate_realizations(e2_spec)[0]
         assert r.z == (1.0,) * 6
-        c = compute_center(e2_spec, [r], config)[0]
+        c = compute_center(Solver(e2_spec, config), [r])[0]
         assert c.j1 == pytest.approx(E2_ALL_ONES_CENTER[0], abs=1e-4)
         assert c.j2 == pytest.approx(E2_ALL_ONES_CENTER[1], abs=1e-4)
 
     @pytest.mark.parametrize("z", [(0.0, 0.0), (-1.0, 2.0)])
     def test_center_minimizes_equal_weights_over_front(self, e1_spec, config, z):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == z)
-        c = compute_center(e1_spec, [r], config)[0]
-        front = build_subproblem_front(e1_spec, [r], 21, config)
+        c = compute_center(Solver(e1_spec, config), [r])[0]
+        front = build_subproblem_front(Solver(e1_spec, config), [r], 21)
         half = 0.5 * (c.j1 + c.j2)
         for j1, j2 in front.pts.tolist():
             assert half <= 0.5 * (j1 + j2) + 1e-6
 
     def test_counts_one_solve(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        compute_center(quad_spec, [r], config)[0]
+        compute_center(Solver(quad_spec, config), [r])[0]
         assert solve_log.calls == 1
 
 
@@ -199,19 +199,19 @@ class TestSubproblemFront:
     def test_beta_validation(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
         with pytest.raises(ValueError):
-            build_subproblem_front(quad_spec, [r], 1, config)
+            build_subproblem_front(Solver(quad_spec, config), [r], 1)
 
     def test_beta_two_reproduces_anchors(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, -1.0))
         utopia, a1, a2 = _utopia_and_anchors(e1_spec, r, config)
-        front = build_subproblem_front(e1_spec, [r], 2, config)
+        front = build_subproblem_front(Solver(e1_spec, config), [r], 2)
         assert front.w.tolist() == [1, 0]  # sorted by j1
         assert utopia.j1 == min(front.pts[:, 0].tolist()) == a1.point.j1
         assert utopia.j2 == min(front.pts[:, 1].tolist()) == a2.point.j2
 
     def test_quad_convex_front(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
-        pts = build_subproblem_front(quad_spec, [r], 21, config).pts.tolist()
+        pts = build_subproblem_front(Solver(quad_spec, config), [r], 21).pts.tolist()
         assert len(pts) == 21
         assert tuple(pts[0]) == pytest.approx((0.0, 1.0), abs=1e-9)
         assert tuple(pts[-1]) == pytest.approx((1.0, 0.0), abs=1e-9)
@@ -221,12 +221,12 @@ class TestSubproblemFront:
 
     def test_counts_beta_solves(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        build_subproblem_front(quad_spec, [r], 13, config)
+        build_subproblem_front(Solver(quad_spec, config), [r], 13)
         assert solve_log.calls == 13
 
     def test_raising_weights_still_pose_beta_solves(self, config, solve_log):
         spec = _all_nan_spec()
-        front = build_subproblem_front(spec, enumerate_realizations(spec), 7, config)
+        front = build_subproblem_front(Solver(spec, config), enumerate_realizations(spec), 7)
         assert front.k.size == 0  # the realization has no feasible point
         assert solve_log.calls == 7
 
@@ -234,14 +234,14 @@ class TestSubproblemFront:
     def test_utopia_weakly_dominates_front(self, e1_spec, config, z):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == z)
         utopia, _, _ = _utopia_and_anchors(e1_spec, r, config)
-        for p in build_subproblem_front(e1_spec, [r], 21, config).pts.tolist():
+        for p in build_subproblem_front(Solver(e1_spec, config), [r], 21).pts.tolist():
             assert weakly_dominates(utopia, ObjectivePoint(*p), 1e-9)
 
     def test_anchor_consistency(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
         _, a1, a2 = _utopia_and_anchors(e1_spec, r, config)
         front = [ObjectivePoint(*p)
-                 for p in build_subproblem_front(e1_spec, [r], 21, config).pts.tolist()]
+                 for p in build_subproblem_front(Solver(e1_spec, config), [r], 21).pts.tolist()]
         for anchor in (a1, a2):
             close = any(
                 abs(p.j1 - anchor.point.j1) <= 1e-9
@@ -255,7 +255,7 @@ class TestSubproblemFront:
         # no densely sampled point may strictly dominate a front point
         # (small slack for solver convergence error)
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
-        front = build_subproblem_front(e1_spec, [r], 21, config)
+        front = build_subproblem_front(Solver(e1_spec, config), [r], 21)
         xs = np.linspace(-5.0, 5.0, 2_000_001)
         j1 = -10.0 * np.exp(-0.2 * np.abs(xs)) - 10.0
         j2 = np.abs(xs) ** 0.8 + 5.0 * np.sin(xs ** 3)

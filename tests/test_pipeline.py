@@ -24,6 +24,7 @@ from pareto_prune.decomposition import (
     compute_center,
 )
 from pareto_prune.pipeline import build_master_front, master_candidates, phase_a, phase_b
+from pareto_prune.solver import Solver
 from conftest import (
     front_points,
     install_solve_log,
@@ -52,7 +53,7 @@ class TestMasterCandidates:
 
     def test_master_front_of_no_candidates_is_empty(self, quad_spec, config):
         # phase_a never passes []: it raises first when every utopia is None
-        master_front, fronts = build_master_front(quad_spec, [], 21, config)
+        master_front, fronts = build_master_front(Solver(quad_spec, config), [], 21)
         assert master_front.k.size == fronts.k.size == 0
 
 
@@ -101,37 +102,36 @@ class TestFigProblem:
         assert np.allclose(front_points(orc), front_points(report))
 
     def test_statuses(self, fig_spec):
-        config = pp.SolverConfig()
+        run = Solver(fig_spec)
         reals = enumerate_realizations(fig_spec)
-        pa = phase_a(fig_spec, reals, 21, config)
+        pa = phase_a(run, reals, 21)
         assert pa.k1m == [1, 5]
         assert pa.k1u == [1, 3, 4, 5]  # 2 falls in A-3
         assert sorted(set(pa.fronts.k.tolist())) == [1, 5]
         targets = [k for k in pa.k1u if k not in pa.k1m]
         assert targets == [3, 4]
-        retained = phase_b(fig_spec, [reals[k - 1] for k in targets], pa.master_front, config)
+        retained = phase_b(run, [reals[k - 1] for k in targets], pa.master_front)
         assert retained == [3]
         assert sorted(pa.k1m + retained) == [1, 3, 5]
 
     def test_prune_soundness(self, fig_spec):
         # every utopia-pruned index is weakly dominated by a master point,
         # and every center-pruned center likewise
-        config = pp.SolverConfig()
+        run = Solver(fig_spec)
         reals = enumerate_realizations(fig_spec)
-        pa = phase_a(fig_spec, reals, 21, config)
+        pa = phase_a(run, reals, 21)
         master = [ObjectivePoint(*p) for p in pa.master_front.pts.tolist()]
         for k in (2,):
             assert any(weakly_dominates(p, pa.utopias[k]) for p in master)
         targets = [reals[k - 1] for k in pa.k1u if k not in pa.k1m]
-        retained = phase_b(fig_spec, targets, pa.master_front, config)
+        retained = phase_b(run, targets, pa.master_front)
         pruned = [r for r in targets if r.k not in retained]
         assert [r.k for r in pruned] == [4]
-        for center in compute_center(fig_spec, pruned, config):
+        for center in compute_center(run, pruned):
             assert any(weakly_dominates(p, center) for p in master)
 
     def test_master_front_is_filter_of_member_fronts(self, fig_spec):
-        config = pp.SolverConfig()
-        pa = phase_a(fig_spec, enumerate_realizations(fig_spec), 21, config)
+        pa = phase_a(Solver(fig_spec), enumerate_realizations(fig_spec), 21)
         merged = [ObjectivePoint(*p) for k in pa.k1m
                   for p in pa.fronts.pts[pa.fronts.k == k].tolist()]
         expected = nondominated_filter(merged)
@@ -157,9 +157,7 @@ class TestSingleRealization:
         rep = run_pipeline(quad_spec, beta=21, phases="ab")
         assert rep.k1m == rep.k1u == rep.k1c == (1,)
         assert rep.pruned_a == () and rep.pruned_b == ()
-        front = build_subproblem_front(
-            quad_spec, pp.enumerate_realizations(quad_spec)[:1], 21, pp.SolverConfig()
-        )
+        front = build_subproblem_front(Solver(quad_spec), pp.enumerate_realizations(quad_spec), 21)
         assert [p.point.as_tuple() for p in rep.front] == [tuple(p) for p in front.pts.tolist()]
 
 
@@ -190,6 +188,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="eps"):
             run_pipeline(quad_spec, beta=5, eps=eps)
         assert solve_log.calls == 0
+
+    @pytest.mark.parametrize("eps", [True, False, np.bool_(False), "0.1", None, 1j])
+    def test_eps_that_is_not_a_real_number_rejected_before_any_solve(self, quad_spec, solve_log,
+                                                                      eps):
+        with pytest.raises(ValueError, match="^eps must be a real number, got "):
+            run_pipeline(quad_spec, beta=5, eps=eps)
+        assert solve_log.calls == 0
+
+    def test_numpy_float_eps_gives_a_report_its_reader_takes(self, quad_spec):
+        a = run_pipeline(quad_spec, beta=5, eps=np.float64(0.01))
+        b = run_pipeline(quad_spec, beta=5, eps=0.01)
+        assert type(a.eps) is float
+        assert dataclasses.replace(a, wallclock_ms=0) == dataclasses.replace(b, wallclock_ms=0)
+        assert pp.PruneReport.from_json_dict(a.to_json_dict()) == a
 
     def test_beta_times_realizations_capped_before_any_solve(self, e2_spec, solve_log):
         # 4096 realizations * 2442 weights is just over 10 million solves
@@ -314,7 +326,7 @@ class TestScalingInvariance:
         masters = []
         for spec in (pp.make_e2(), make_scaled_e2((2.5, 7.3))):
             reals = pp.enumerate_realizations(spec)
-            utopias = compute_anchors_utopia(spec, reals, config)
+            utopias = compute_anchors_utopia(Solver(spec, config), reals)
             masters.append(master_candidates({r.k: u for r, u in zip(reals, utopias)}))
         assert masters[0] == masters[1]
 

@@ -15,7 +15,7 @@ import pytest
 import pareto_prune as pp
 from pareto_prune import solver
 from pareto_prune.decomposition import compute_anchors_utopia, compute_center
-from pareto_prune.solver import SolverConfig, _Batch, _start_points, solve_scalarized
+from pareto_prune.solver import Solver, SolverConfig, _Batch, _start_points, solve_scalarized
 
 # minimum of 0.5*J1 + 0.5*J2 over x1 in [-5, 5] for the e1 subproblem with
 # z = (0, 0), from a 10^6-point grid search refined to xatol 1e-13
@@ -31,7 +31,7 @@ def _solve(spec, w, config, r=None):
     """The solve of weight w at realization r (the first by default),
     batched on its own."""
     job = (r or _first_real(spec), w)
-    return solve_scalarized(solver.solve_batch(spec, [job], config)[0])
+    return solve_scalarized(solver.Solver(spec, config).solve([job])[0])
 
 
 def _scalar(res):
@@ -108,14 +108,14 @@ class TestSolveCounter:
         r = _first_real(quad_spec)
         assert solve_log.calls == 0
         for _ in range(3):
-            compute_center(quad_spec, [r], config)[0]
+            compute_center(Solver(quad_spec, config), [r])[0]
         assert solve_log.calls == 3
         solve_log.reset()
-        compute_anchors_utopia(quad_spec, [r], config)[0]
+        compute_anchors_utopia(Solver(quad_spec, config), [r])[0]
         assert solve_log.calls == 2
 
     def test_one_call_counts_one_despite_multistart(self, e2_spec, solve_log):
-        compute_center(e2_spec, [_first_real(e2_spec)], SolverConfig())[0]
+        compute_center(Solver(e2_spec), [_first_real(e2_spec)])[0]
         assert solve_log.calls == 1
 
     def test_concurrent_solves_count_and_match_serial(self, e1_spec, config):
@@ -288,7 +288,7 @@ class TestNanHandling:
         r = _first_real(spec)
         res = _solve(spec, 1.0, config, r)
         assert res.feasible is False and res.point is None
-        assert compute_center(spec, [r], config) == [None]
+        assert compute_center(Solver(spec, config), [r]) == [None]
         assert solve_log.calls == 1
 
 
@@ -332,7 +332,7 @@ class TestFinish:
                                    discrete_sets=((0.0, 1.0, 2.0),))
         jobs = [(r, w) for r in pp.enumerate_realizations(spec) for w in (0.75, 1.0)]
         monkeypatch.setattr(solver, "_finish", finish_logged)
-        results = [solve_scalarized(res) for res in solver.solve_batch(spec, jobs, config)]
+        results = [solve_scalarized(res) for res in solver.Solver(spec, config).solve(jobs)]
         assert all(res.feasible for res in results)
         assert len(calls) == 1
         assert calls[0].tolist() == [list(res.y_star) for res in results]

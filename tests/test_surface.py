@@ -1,8 +1,11 @@
 """The package's public surface: it exports what a pipeline user calls,
-and every name a module lists in ``__all__`` exists."""
+every name a module lists in ``__all__`` exists, and no module imports a
+later layer."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +50,35 @@ def test_every_listed_name_resolves(module):
 @pytest.mark.parametrize("name", sorted(pp.REGISTRY))
 def test_registry_factories_take_no_arguments(name):
     assert inspect.signature(pp.REGISTRY[name]).parameters == {}
+
+
+# the package's modules, lowest layer first
+LAYERS = ["core", "solver", "decomposition", "pipeline", "benchmarks", "cli"]
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The package modules the source file ``path`` imports: "x" for
+    pareto_prune.x, and "__init__" for the package or a name it holds."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["pareto_prune" if node.level else "", node.module]))
+            names += [f"{base}.{a.name}" for a in node.names]
+    out = set()
+    for parts in (name.split(".") for name in names):
+        if parts[0] == "pareto_prune":
+            out.add(parts[1] if len(parts) > 1 and parts[1] in LAYERS else "__init__")
+    return out
+
+
+def test_module_layers():
+    src = Path(pp.__file__).parent
+    assert sorted(p.stem for p in src.glob("*.py")) == sorted(LAYERS + ["__init__"])
+    later = {}
+    for i, name in enumerate(LAYERS):
+        bad = _imported_modules(src / f"{name}.py") & set(LAYERS[i + 1:] + ["__init__"])
+        if bad:
+            later[name] = sorted(bad)
+    assert later == {}
