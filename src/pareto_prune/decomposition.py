@@ -3,9 +3,9 @@ the anchors, center points, and weighted-sum subproblem fronts.  Each
 operation takes the run's :class:`~pareto_prune.solver.Solver`, which
 looks up what the run has already solved, poses its (realization,
 weight) jobs as one :meth:`~pareto_prune.solver.Solver.solve` call, and
-decides no pruning set: a point per realization (None where a solve it
-needs is not feasible), or the fronts of all its realizations as one
-:class:`~pareto_prune.core.Front`."""
+decides no pruning set: a point per realization, one row of an (n, 2)
+array (NaN where a solve it needs is not feasible), or the fronts of all
+its realizations as one :class:`~pareto_prune.core.Front`."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import Front, ObjectivePoint, ProblemSpec, Realization, nondominated_rows
+from .core import Front, ProblemSpec, Realization, nondominated_rows
 from .solver import Solver, SolveResult, solve_scalarized
 
 __all__ = [
@@ -73,26 +73,26 @@ def _solve_all(solver: Solver, jobs: list[tuple[Realization, float]]) -> list[So
     return [solve_scalarized(res) for res in solver.solve(jobs)]
 
 
-def compute_anchors_utopia(solver: Solver,
-                           reals: list[Realization]) -> list[ObjectivePoint | None]:
+def _points(results: list[SolveResult]) -> np.ndarray:
+    """The objectives of ``results``, one row each: NaN where a solve is not feasible."""
+    rows = (res.point.as_tuple() if res.feasible else (math.nan, math.nan) for res in results)
+    return np.fromiter(itertools.chain.from_iterable(rows), float).reshape(len(results), 2)
+
+
+def compute_anchors_utopia(solver: Solver, reals: list[Realization]) -> np.ndarray:
     """Utopia point of each realization: j1 of its w=1 anchor and j2 of
-    its w=0 anchor (the two sole-objective solves, exactly two counted
-    solves per realization).  None where either anchor is not feasible."""
-    results = _solve_all(solver, [(r, w) for r in reals for w in (1.0, 0.0)])
-    return [
-        ObjectivePoint(a1.point.j1, a2.point.j2)
-        if a1.feasible and a2.feasible else None
-        for a1, a2 in zip(results[::2], results[1::2])
-    ]
+    its w=0 anchor (two counted sole-objective solves per realization), a
+    NaN row where either anchor is not feasible."""
+    pairs = _points(_solve_all(solver, [(r, w) for r in reals for w in (1.0, 0.0)]))
+    pairs = pairs.reshape(len(reals), 4)  # j1, j2 at w=1, then j1, j2 at w=0
+    return np.where(np.isnan(pairs).any(axis=1, keepdims=True), math.nan, pairs[:, [0, 3]])
 
 
-def compute_center(solver: Solver, reals: list[Realization]) -> list[ObjectivePoint | None]:
-    """Center point of each realization: the objectives of its
-    equal-weights solve (one counted NLP each), which sit on the
-    subproblem front where weighted-sum reaches it.  None where that solve
-    is not feasible."""
-    results = _solve_all(solver, [(r, CENTER_WEIGHT) for r in reals])
-    return [res.point if res.feasible else None for res in results]
+def compute_center(solver: Solver, reals: list[Realization]) -> np.ndarray:
+    """Center point of each realization: the objectives of its equal-weights
+    solve (one counted NLP each), on the subproblem front where weighted-sum
+    reaches it; a NaN row where that solve is not feasible."""
+    return _points(_solve_all(solver, [(r, CENTER_WEIGHT) for r in reals]))
 
 
 def weight_grid(beta: int) -> list[float]:
@@ -112,13 +112,12 @@ def build_subproblem_front(solver: Solver, reals: list[Realization], beta: int,
     solves; a realization without a feasible solution has no row."""
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
-    weights = weight_grid(beta)
-    results = _solve_all(solver, [(r, w) for r in reals for w in weights])
-    rows = [i for i, res in enumerate(results) if res.feasible]
-    n_y = solver.spec.n_y
-    data = np.array([results[i].y_star + results[i].point.as_tuple() for i in rows])
-    data = data.reshape(len(rows), n_y + 2)
-    seg, w = np.divmod(np.array(rows, dtype=np.int64), beta)
+    results = _solve_all(solver, [(r, w) for r in reals for w in weight_grid(beta)])
+    pts = _points(results)
+    rows = np.flatnonzero(~np.isnan(pts[:, 0]))
+    y = np.fromiter(itertools.chain.from_iterable(res.y_star for res in results), float)
+    y = y.reshape(len(results), solver.spec.n_y)
+    seg, w = np.divmod(rows, beta)
     ks = np.array([r.k for r in reals], dtype=np.int64)
-    front = Front(ks[seg], w, data[:, :n_y], data[:, n_y:])
+    front = Front(ks[seg], w, y[rows], pts[rows])
     return front.take(nondominated_rows(front.pts, eps, seg))

@@ -22,7 +22,6 @@ from .core import (
     ProblemSpec,
     Realization,
     _check_eps,
-    _points_array,
     nondominated_rows,
 )
 from .decomposition import (
@@ -107,8 +106,9 @@ class PruneReport:
         is k1c plus ``pruned_b``, nothing is center-pruned under "a", and
         every front point's realization is in k1c.  Under "none",
         ``infeasible`` and ``k1c`` are disjoint, the other sets empty, and
-        k1c is the front's realizations.  The solve counts are those the
-        sets imply (:func:`_nlp_counts`)."""
+        k1c is the front's realizations.  Front points agree on each k's z
+        and on the lengths of y and z.  The solve counts are those the sets
+        imply (:func:`_nlp_counts`)."""
         sets = {name: getattr(self, name) for name in _SETS}
         for name, ks in sets.items():
             if len(set(ks)) != len(ks):
@@ -127,6 +127,9 @@ class PruneReport:
             if sets[name]:
                 raise ValueError(f"report set {name} must be empty under phases {self.phases!r}")
         front = {sol.realization.k for sol in self.front}
+        shapes = {(len(sol.y), len(sol.realization.z)) for sol in self.front}
+        if len({sol.realization for sol in self.front}) != len(front) or len(shapes) > 1:
+            raise ValueError("report front points disagree on a realization's z or on y, z lengths")
         if self.phases == "none":
             if front != sets["k1c"]:
                 raise ValueError("report set k1c must be the front's realizations under phases "
@@ -282,23 +285,23 @@ def _list(value, what: str, item) -> tuple:
 
 @dataclass(frozen=True)
 class PhaseAResult:
-    """What Phase A decided: each realization's utopia point (None where
-    an anchor failed), the masters k1m, what utopia pruning keeps (k1u),
-    the master front, and the masters' own fronts."""
+    """What Phase A decided: the utopia points, a row per realization (NaN
+    where an anchor failed), the masters k1m, what utopia pruning keeps
+    (k1u), the master front, and the masters' own fronts."""
 
-    utopias: dict[int, ObjectivePoint | None]
+    utopias: np.ndarray
     k1m: list[int]
     k1u: list[int]
     master_front: Front
     fronts: Front
 
 
-def master_candidates(utopias: dict[int, ObjectivePoint | None], eps: float = 0.0) -> list[int]:
-    """Indices whose utopia point no other utopia strictly dominates.
-    Identical utopias all survive; None (infeasible) entries are skipped."""
-    usable = [k for k, u in utopias.items() if u is not None]
-    keep = nondominated_rows(_points_array([utopias[k] for k in usable]), eps)
-    return sorted(usable[i] for i in keep.tolist())
+def master_candidates(utopias: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    """Rows of ``utopias`` (n, 2) whose point no other row strictly
+    dominates, ascending.  Identical utopias all survive; NaN (infeasible)
+    rows are skipped."""
+    usable = np.flatnonzero(~np.isnan(utopias[:, 0]))
+    return np.sort(usable[nondominated_rows(utopias[usable], eps)])
 
 
 def build_master_front(solver: Solver, reals: list[Realization], beta: int,
@@ -308,8 +311,15 @@ def build_master_front(solver: Solver, reals: list[Realization], beta: int,
     return fronts.take(np.sort(nondominated_rows(fronts.pts, eps))), fronts
 
 
-def _weakly_dominated_by(front: Front, p: ObjectivePoint, eps: float) -> bool:
-    return bool(np.any((front.pts[:, 0] <= p.j1 + eps) & (front.pts[:, 1] <= p.j2 + eps)))
+def _weakly_dominated(front_pts: np.ndarray, points: np.ndarray, eps: float) -> np.ndarray:
+    """Mask of the rows p of ``points`` (n, 2) that a row a of ``front_pts``
+    weakly dominates: a1 <= p1+eps and a2 <= p2+eps; never a NaN row.  One
+    ``searchsorted`` into the front's staircase: by j1, the running minimum
+    of j2 after an inf, so that an empty front dominates nothing."""
+    front = front_pts[np.argsort(front_pts[:, 0])]
+    prefix_min_j2 = np.minimum.accumulate(np.concatenate(([math.inf], front[:, 1])))
+    steps = np.searchsorted(front[:, 0], points[:, 0] + eps, side="right")
+    return prefix_min_j2[steps] <= points[:, 1] + eps
 
 
 def phase_a(solver: Solver, reals: list[Realization], beta: int,
@@ -318,29 +328,24 @@ def phase_a(solver: Solver, reals: list[Realization], beta: int,
     master front from non-dominated utopias (beta solves each), A-3
     utopia pruning: k1u keeps the masters and every feasible realization
     whose utopia the master front does not weakly dominate.  Each step is
-    one batched operation over its realizations."""
-    utopias = dict(zip((r.k for r in reals),
-                       parallel_map(compute_anchors_utopia, solver, reals)))
-    if all(u is None for u in utopias.values()):
-        raise PipelineError("every subproblem is infeasible")
-
-    k1m = master_candidates(utopias, eps)
-    by_k = {r.k: r for r in reals}
-    master_front, fronts = build_master_front(solver, [by_k[k] for k in k1m], beta, eps)
-    k1u = k1m + [k for k in utopias.keys() - set(k1m) if utopias[k] is not None
-                 and not _weakly_dominated_by(master_front, utopias[k], eps)]
-    return PhaseAResult(utopias=utopias, k1m=k1m, k1u=sorted(k1u),
-                        master_front=master_front, fronts=fronts)
+    one batched operation over its realizations, given in ascending k."""
+    utopias = parallel_map(compute_anchors_utopia, solver, reals)
+    masters = master_candidates(utopias, eps).tolist()
+    master_front, fronts = build_master_front(solver, [reals[i] for i in masters], beta, eps)
+    keep = ~np.isnan(utopias[:, 0]) & ~_weakly_dominated(master_front.pts, utopias, eps)
+    keep[masters] = True
+    return PhaseAResult(utopias, [reals[i].k for i in masters],
+                        [reals[i].k for i in np.flatnonzero(keep).tolist()], master_front, fronts)
 
 
 def phase_b(solver: Solver, reals: list[Realization], master_front: Front,
             eps: float = 0.0) -> list[int]:
     """B-1 centers for the target realizations (one solve each) and B-2:
-    returns the indices of those whose center solve succeeded and whose
-    center the master front does not weakly dominate."""
+    the indices k of those whose center solve succeeded and whose center
+    the master front does not weakly dominate."""
     centers = parallel_map(compute_center, solver, reals)
-    return [r.k for r, center in zip(reals, centers)
-            if center is not None and not _weakly_dominated_by(master_front, center, eps)]
+    keep = ~np.isnan(centers[:, 0]) & ~_weakly_dominated(master_front.pts, centers, eps)
+    return [reals[i].k for i in np.flatnonzero(keep).tolist()]
 
 
 def _final_front(fronts: list[Front], eps: float) -> Front:
@@ -407,13 +412,9 @@ def run_pipeline(
     centers = [CENTER_WEIGHT] if phases == "ab" else []
     solver.descend_weights(reals[0], weight_grid(beta) + centers)
 
-    if phases == "none":
-        utopias: dict[int, ObjectivePoint | None] = {}
-        k1m: list[int] = []
-        k1u: list[int] = []
-        built: list[Front] = []
-        targets = retained = [r.k for r in reals]
-    else:
+    utopias, k1m, k1u, built = np.empty((0, 2)), [], [], []  # the oracle has no Phase A
+    targets = retained = [r.k for r in reals]
+    if phases != "none":
         pa = phase_a(solver, reals, beta, eps)
         utopias, k1m, k1u, built = pa.utopias, pa.k1m, pa.k1u, [pa.fronts]
         targets = retained = sorted(set(k1u) - set(k1m))
@@ -424,7 +425,8 @@ def run_pipeline(
     b3 = parallel_map(build_subproblem_front, solver, [reals[k - 1] for k in retained], beta, eps)
     final = _final_front(built + [b3], eps)
     k1c = sorted(set(final.k.tolist())) if phases == "none" else sorted(k1m + retained)
-    feasible = {k for k, u in utopias.items() if u is not None}
+    ks = np.arange(1, len(utopias) + 1)
+    no_utopia = np.isnan(utopias[:, 0])
     return PruneReport(
         problem=spec.name,
         beta=beta,
@@ -435,10 +437,9 @@ def run_pipeline(
         k1m=tuple(k1m),
         k1u=tuple(k1u),
         k1c=tuple(k1c),
-        pruned_a=tuple(sorted(feasible - set(k1u))),
+        pruned_a=tuple(sorted(set(ks[~no_utopia].tolist()) - set(k1u))),
         pruned_b=tuple(sorted(set(targets) - set(retained))),
-        infeasible=tuple(sorted([k for k, u in utopias.items() if u is None]
-                                + list(set(retained) - set(b3.k.tolist())))),
+        infeasible=tuple(sorted(ks[no_utopia].tolist() + list(set(retained) - set(b3.k.tolist())))),
         nlp=_nlp_counts(phases, beta, len(reals), len(k1m), len(k1u), len(k1c)),
         front=tuple(ParetoSolution(tuple(y), reals[k - 1], ObjectivePoint(*p), f"w{w}")
                     for k, w, y, p in zip(final.k.tolist(), final.w.tolist(),

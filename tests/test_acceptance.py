@@ -285,7 +285,8 @@ class TestCriterion6Properties:
         ok = True
         for k in pa.k1m:
             for p in pa.fronts.pts[pa.fronts.k == k].tolist():
-                ok = ok and weakly_dominates(pa.utopias[k], pp.ObjectivePoint(*p), 1e-9)
+                utopia = pp.ObjectivePoint(*pa.utopias[k - 1].tolist())
+                ok = ok and weakly_dominates(utopia, pp.ObjectivePoint(*p), 1e-9)
         criterion("6c utopia weakly dominates every computed front point", ok)
 
     def test_gradient_agreement(self, e1_spec, e2_spec):

@@ -87,15 +87,19 @@ class TestListEqualsOneAtATime:
         spec = SPECS[name]()
         reals = _reals(spec, 5)
         batch = decomposition.compute_anchors_utopia(Solver(spec, config), reals)
-        assert batch == [decomposition.compute_anchors_utopia(Solver(spec, config), [r])[0]
-                         for r in reals]
+        one = np.concatenate([decomposition.compute_anchors_utopia(Solver(spec, config), [r])
+                              for r in reals])
+        assert batch.shape == one.shape == (len(reals), 2)
+        assert batch.tobytes() == one.tobytes()
 
     def test_center(self, name, config):
         spec = SPECS[name]()
         reals = _reals(spec, 5)
         batch = decomposition.compute_center(Solver(spec, config), reals)
-        assert batch == [decomposition.compute_center(Solver(spec, config), [r])[0]
-                         for r in reals]
+        one = np.concatenate([decomposition.compute_center(Solver(spec, config), [r])
+                              for r in reals])
+        assert batch.shape == one.shape == (len(reals), 2)
+        assert batch.tobytes() == one.tobytes()
 
     def test_front(self, name, config):
         spec = SPECS[name]()

@@ -379,6 +379,9 @@ def _set(doc, path, value):
     doc[last] = value
 
 
+# the two-point front the (path, value) mutations below are applied to
+_GOOD_FRONT = [(0.0, 1.0), (1.0, 0.0)]
+
 # (path, value) mutations a strict reader rejects: coercing them would read
 # beta 3.7 as 3, k1m [1.9] as (1,), seed "0" as 0 and k true as 1
 _BAD_FIELDS = {
@@ -416,13 +419,16 @@ _BAD_FIELDS = {
     "sets-miss-index": (("k_total",), 2),
     "k1c-twice": (("k1c",), [1, 1]),
     "nlp-a2-wrong": (("nlp",), {"a1": 2, "a2": 6, "b1": 0, "b3": 0, "total": 8}),
+    # front points that disagree on realization 1: a second z, a longer y
+    "front-z-disagrees": (("front", 1, "z"), [9.0]),
+    "front-y-ragged": (("front", 1, "y"), [0.0, 0.0]),
 }
 
 
 class TestStrictReader:
     @pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
     def test_rejects(self, case):
-        doc = make_report([(0.0, 1.0)]).to_json_dict()
+        doc = make_report(_GOOD_FRONT).to_json_dict()
         _set(doc, *_BAD_FIELDS[case])
         with pytest.raises(ValueError):
             pp.PruneReport.from_json_dict(doc)
@@ -430,9 +436,13 @@ class TestStrictReader:
     @pytest.mark.parametrize("case, message", [("sets-overlap", "share realizations"),
                                                ("sets-miss-index", "do not cover"),
                                                ("k1c-twice", "twice"),
-                                               ("nlp-a2-wrong", "contradict its sets")])
+                                               ("nlp-a2-wrong", "contradict its sets"),
+                                               ("front-z-disagrees", "disagree"),
+                                               ("front-y-ragged", "disagree")])
     def test_rejects_contradicting_sets(self, case, message):
-        doc = make_report([(0.0, 1.0)]).to_json_dict()
+        good = make_report(_GOOD_FRONT)
+        assert pp.PruneReport.from_json_dict(good.to_json_dict()) == good
+        doc = make_report(_GOOD_FRONT).to_json_dict()
         _set(doc, *_BAD_FIELDS[case])
         with pytest.raises(ValueError, match=message):
             pp.PruneReport.from_json_dict(doc)
@@ -440,8 +450,10 @@ class TestStrictReader:
     @pytest.mark.parametrize("name", ["e1_ab", "e1_a", "e1_oracle"])
     def test_rejects_every_set_and_count_mutation(self, request, name):
         """A run's report reads back equal; moving an index into a second
-        set, dropping one from a set, or raising one solve count (and the
-        total with it) makes it unreadable.  Under "none" only k1c is
+        set, dropping one from a set, raising one solve count (and the
+        total with it), or giving one of a realization's front points
+        another z or a longer y makes it unreadable: a fake z would count
+        as one more realization in ``compare``.  Under "none" only k1c is
         pinned by the rest of the report: ``infeasible`` then lists
         realizations no other field names."""
         report = request.getfixturevalue(name)
@@ -460,6 +472,12 @@ class TestStrictReader:
             nlp[key] += report.beta
             nlp["total"] += report.beta
             mutants.append({**doc, "nlp": nlp})
+        ks = [p["k"] for p in doc["front"]]
+        i = next(i for i, k in enumerate(ks) if ks.count(k) > 1)
+        for field, value in (("z", [9.0, 9.0]), ("y", doc["front"][i]["y"] + [0.0])):
+            front = list(doc["front"])
+            front[i] = {**front[i], field: value}
+            mutants.append({**doc, "front": front})
         assert len(mutants) >= 10
         for mutant in mutants:
             with pytest.raises(ValueError):
@@ -469,10 +487,11 @@ class TestStrictReader:
                                       "eps-nan", "phases-unknown", "k_total-negative",
                                       "pruned_a-out-of-range", "eps-negative", "beta-one",
                                       "seed-negative", "wallclock_ms-negative", "nlp-negative",
-                                      "sets-overlap", "sets-miss-index", "nlp-a2-wrong"])
+                                      "sets-overlap", "sets-miss-index", "nlp-a2-wrong",
+                                      "front-z-disagrees", "front-y-ragged"])
     def test_compare_exits_2_without_traceback(self, tmp_path, capsys, case):
         good = tmp_path / "good.json"
-        write_report(make_report([(0.0, 1.0)]), good)
+        write_report(make_report(_GOOD_FRONT), good)
         doc = json.loads(good.read_text())
         _set(doc, *_BAD_FIELDS[case])
         bad = tmp_path / "bad.json"

@@ -7,7 +7,7 @@ import multiprocessing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pareto_prune as pp
@@ -16,8 +16,10 @@ from pareto_prune import (
     PipelineError,
     enumerate_realizations,
     nondominated_filter,
+    pipeline,
     run_pipeline,
 )
+from pareto_prune.core import Front
 from pareto_prune.decomposition import (
     build_subproblem_front,
     compute_anchors_utopia,
@@ -37,24 +39,77 @@ from conftest import (
 
 class TestMasterCandidates:
     def test_simple(self):
-        utopias = {1: ObjectivePoint(0, 5), 2: ObjectivePoint(5, 0), 3: ObjectivePoint(3, 3),
-                   4: ObjectivePoint(6, 6)}
-        assert master_candidates(utopias) == [1, 2, 3]
+        utopias = np.array([(0, 5), (5, 0), (3, 3), (6, 6)], dtype=float)
+        assert master_candidates(utopias).tolist() == [0, 1, 2]
 
     def test_identical_utopias_all_retained(self):
-        utopias = {k: ObjectivePoint(1.0, 1.0) for k in range(1, 4)}
-        assert master_candidates(utopias) == [1, 2, 3]
+        assert master_candidates(np.ones((3, 2))).tolist() == [0, 1, 2]
 
     def test_empty(self):
-        assert master_candidates({}) == []
+        assert master_candidates(np.empty((0, 2))).tolist() == []
 
     def test_infeasible_skipped(self):
-        assert master_candidates({1: ObjectivePoint(0, 0), 2: None}) == [1]
+        assert master_candidates(np.array([(0.0, 0.0), (np.nan, np.nan)])).tolist() == [0]
 
     def test_master_front_of_no_candidates_is_empty(self, quad_spec, config):
-        # phase_a never passes []: it raises first when every utopia is None
+        # phase_a passes [] when every utopia is NaN; the run then raises in
+        # its final filter (TestValidation.test_all_infeasible)
         master_front, fronts = build_master_front(Solver(quad_spec, config), [], 21)
         assert master_front.k.size == fronts.k.size == 0
+
+
+def _weakly_dominated_by(front: Front, p: ObjectivePoint, eps: float) -> bool:
+    return bool(np.any((front.pts[:, 0] <= p.j1 + eps) & (front.pts[:, 1] <= p.j2 + eps)))
+
+
+# a quarter grid: j1 and j2 ties, duplicates, and points equal to front points
+_quarter = st.integers(0, 8).map(lambda i: i / 4)
+_pairs = st.lists(st.tuples(_quarter, _quarter), max_size=12)
+
+
+def _front_of(pts):
+    pts = np.array(pts, dtype=float).reshape(len(pts), 2)
+    n = len(pts)
+    return Front(np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros((n, 1)), pts)
+
+
+class TestWeaklyDominated:
+    """The one staircase search of A-3 and B-2 against the per-point scan
+    it replaced (``_weakly_dominated_by``, kept above as the reference)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(front=_pairs, points=_pairs, nan_rows=st.lists(st.booleans(), max_size=12),
+           eps=st.sampled_from([0.0, 1e-3, 0.1, 0.25]))
+    @example(front=[(0.5, 0.5)], points=[(0.5, 0.5), (0.5, 0.25), (0.25, 0.5)], nan_rows=[],
+             eps=0.0)
+    @example(front=[], points=[(0.0, 0.0), (-1e300, -1e300), (2.0, 2.0)],
+             nan_rows=[False, False, True], eps=0.1)
+    def test_equals_the_per_point_scan(self, front, points, nan_rows, eps):
+        f = _front_of(front)
+        pts = np.array(points, dtype=float).reshape(len(points), 2)
+        nan = np.array(nan_rows + [False] * len(points), dtype=bool)[:len(points)]
+        pts[nan] = np.nan
+        got = pipeline._weakly_dominated(f.pts, pts, eps)
+        assert got.dtype == bool and got.shape == (len(points),)
+        for i, p in enumerate(pts.tolist()):
+            want = not nan[i] and _weakly_dominated_by(f, ObjectivePoint(*p), eps)
+            assert got[i] == want
+
+    @pytest.mark.parametrize("phases, calls", [("ab", 2), ("a", 1), ("none", 0)])
+    def test_one_call_per_pruning_step(self, phases, calls, monkeypatch):
+        # A-3 tests every utopia in one call and B-2 every center in one
+        seen = []
+        search = pipeline._weakly_dominated
+        monkeypatch.setattr(pipeline, "_weakly_dominated",
+                            lambda *args: seen.append(len(args[1])) or search(*args))
+        e2 = pp.make_e2()
+        catalogue = e2.discrete_sets[0]
+        spec = dataclasses.replace(e2, name="e2-k16",
+                                   discrete_sets=(catalogue, catalogue) + ((5.0,),) * 4)
+        report = run_pipeline(spec, beta=21, phases=phases)
+        assert len(seen) == calls
+        if calls:
+            assert seen[0] == report.k_total == 16
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +177,14 @@ class TestFigProblem:
         pa = phase_a(run, reals, 21)
         master = [ObjectivePoint(*p) for p in pa.master_front.pts.tolist()]
         for k in (2,):
-            assert any(weakly_dominates(p, pa.utopias[k]) for p in master)
+            utopia = ObjectivePoint(*pa.utopias[k - 1].tolist())
+            assert any(weakly_dominates(p, utopia) for p in master)
         targets = [reals[k - 1] for k in pa.k1u if k not in pa.k1m]
         retained = phase_b(run, targets, pa.master_front)
         pruned = [r for r in targets if r.k not in retained]
         assert [r.k for r in pruned] == [4]
-        for center in compute_center(run, pruned):
-            assert any(weakly_dominates(p, center) for p in master)
+        for center in compute_center(run, pruned).tolist():
+            assert any(weakly_dominates(p, ObjectivePoint(*center)) for p in master)
 
     def test_master_front_is_filter_of_member_fronts(self, fig_spec):
         pa = phase_a(Solver(fig_spec), enumerate_realizations(fig_spec), 21)
@@ -220,8 +276,9 @@ class TestValidation:
             name="hopeless", n_y=1, bounds=((0.0, 1.0),), discrete_sets=((0.0, 1.0),),
             objectives=objs, vectorized=True,
         )
-        with pytest.raises(PipelineError):
-            run_pipeline(spec, beta=5)
+        for phases in ("ab", "a", "none"):
+            with pytest.raises(PipelineError, match="every subproblem is infeasible"):
+                run_pipeline(spec, beta=5, phases=phases)
 
 
 def _nlp_by_phase(report):
@@ -327,7 +384,7 @@ class TestScalingInvariance:
         for spec in (pp.make_e2(), make_scaled_e2((2.5, 7.3))):
             reals = pp.enumerate_realizations(spec)
             utopias = compute_anchors_utopia(Solver(spec, config), reals)
-            masters.append(master_candidates({r.k: u for r, u in zip(reals, utopias)}))
+            masters.append(master_candidates(utopias).tolist())
         assert masters[0] == masters[1]
 
     def test_fig_common_scaling_leaves_all_sets_unchanged(self, fig_spec):
@@ -363,6 +420,13 @@ class TestEpsilonDominance:
             + rep.beta * (len(rep.k1c) - len(rep.k1m))
         )
         assert rep.nlp.total == expected
+
+    def test_masters_stay_in_k1u_when_the_master_front_covers_their_utopias(self, quad_spec):
+        # at eps 1, quad's front point (0, 1) weakly dominates its utopia (0, 0)
+        pa = phase_a(Solver(quad_spec), enumerate_realizations(quad_spec), 5, eps=1.0)
+        assert pipeline._weakly_dominated(pa.master_front.pts, pa.utopias, 1.0).tolist() == [True]
+        assert pa.k1m == pa.k1u == [1]
+        run_pipeline(quad_spec, beta=5, eps=1.0).check_invariants()
 
 
 # per-realization (c1, c2, width) of a generated member of the fig family

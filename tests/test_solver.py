@@ -288,7 +288,8 @@ class TestNanHandling:
         r = _first_real(spec)
         res = _solve(spec, 1.0, config, r)
         assert res.feasible is False and res.point is None
-        assert compute_center(Solver(spec, config), [r]) == [None]
+        center = compute_center(Solver(spec, config), [r])
+        assert center.shape == (1, 2) and np.isnan(center).all()
         assert solve_log.calls == 1
 
 
