@@ -43,7 +43,7 @@ class Realization:
     """The k-th element of the discrete product set Z_1 x ... x Z_nz.
 
     Indices are 1-based and follow lexicographic order with the last
-    discrete variable varying fastest.
+    discrete variable varying fastest (:func:`_z_rows`).
     """
 
     k: int
@@ -99,6 +99,8 @@ class ProblemSpec:
         object.__setattr__(
             self, "discrete_sets", tuple(tuple(float(v) for v in zs) for zs in self.discrete_sets)
         )
+        if not self.discrete_sets:
+            raise ValueError("problem has no discrete variables")
         if self.n_y < 1 or len(self.bounds) != self.n_y:
             raise ValueError(f"need n_y >= 1 bounds pairs, got n_y={self.n_y}, {len(self.bounds)} bounds")
         for lo, hi in self.bounds:
@@ -122,6 +124,17 @@ class ProblemSpec:
 
     def upper_bounds(self) -> np.ndarray:
         return np.array([hi for _, hi in self.bounds])
+
+
+def _z_rows(spec: ProblemSpec, ks, dtype=float) -> np.ndarray:
+    """The z of each realization index k in ``ks``, one row each (n, n_z):
+    the digits of k - 1 in mixed radix over the set sizes, the last
+    variable fastest; as ``dtype`` object, the sets' own float objects."""
+    rem, columns = np.asarray(ks, dtype=np.int64) - 1, []
+    for zs in reversed(spec.discrete_sets):
+        rem, digit = np.divmod(rem, len(zs))
+        columns.append(np.array(zs, dtype)[digit])
+    return np.column_stack(columns[::-1])
 
 
 @dataclass(frozen=True)

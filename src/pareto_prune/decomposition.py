@@ -1,20 +1,23 @@
 """Realization enumeration and per-subproblem solves: utopia points from
-the anchors, center points, and weighted-sum subproblem fronts.  Each
-operation takes the run's :class:`~pareto_prune.solver.Solver`, which
-looks up what the run has already solved, poses its (realization,
-weight) jobs as one :meth:`~pareto_prune.solver.Solver.solve` call, and
-decides no pruning set: a point per realization, one row of an (n, 2)
-array (NaN where a solve it needs is not feasible), or the fronts of all
-its realizations as one :class:`~pareto_prune.core.Front`."""
+the anchors, center points, and weighted-sum subproblem fronts.  A
+realization is its index k; :func:`~pareto_prune.core._z_rows` gives the
+z of any ks.  Each operation takes the run's
+:class:`~pareto_prune.solver.Solver`, which looks up what the run has
+already solved, and a list of ks; it poses its (k, weight) jobs as one
+:meth:`~pareto_prune.solver.Solver.solve` call, and decides no pruning
+set: a point per realization, one row of an (n, 2) array (NaN where a
+solve it needs is not feasible), or the fronts of all its realizations as
+one :class:`~pareto_prune.core.Front`."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
-from .core import Front, ProblemSpec, Realization, nondominated_rows
+from .core import Front, ProblemSpec, Realization, _z_rows, nondominated_rows
 from .solver import Solver, SolveResult, solve_scalarized
 
 __all__ = [
@@ -37,38 +40,30 @@ class CapacityExceeded(RuntimeError):
     """The discrete product set is larger than the configured cap."""
 
 
-def _set_sizes(spec: ProblemSpec) -> list[int]:
-    return [len(zs) for zs in spec.discrete_sets]
+def _realizations(spec: ProblemSpec, ks) -> list[Realization]:
+    """The :class:`Realization` of each index k in ``ks``."""
+    return list(map(Realization, ks, map(tuple, _z_rows(spec, ks, object).tolist())))
 
 
 def enumerate_realizations(spec: ProblemSpec) -> list[Realization]:
     """All realizations of the discrete product set, in lexicographic
     order with the last variable varying fastest; k runs 1..|Z|.  More
     than DEFAULT_REALIZATION_CAP of them raise CapacityExceeded."""
-    if spec.n_z < 1:
-        raise ValueError("problem has no discrete variables to enumerate")
-    total = math.prod(_set_sizes(spec))
+    total = math.prod(len(zs) for zs in spec.discrete_sets)
     if total > DEFAULT_REALIZATION_CAP:
-        raise CapacityExceeded(
-            f"{total} realizations exceed the cap of {DEFAULT_REALIZATION_CAP}")
-    return [Realization(k=k, z=z)
-            for k, z in enumerate(itertools.product(*spec.discrete_sets), 1)]
+        raise CapacityExceeded(f"{total} realizations exceed the cap of {DEFAULT_REALIZATION_CAP}")
+    return _realizations(spec, range(1, total + 1))
 
 
 def realization_from_index(spec: ProblemSpec, k: int) -> Realization:
-    sizes = _set_sizes(spec)
-    total = math.prod(sizes)
-    if not 1 <= k <= total:
-        raise ValueError(f"k={k} outside 1..{total}")
-    rem = k - 1
-    digits = [0] * len(sizes)
-    for j in range(len(sizes) - 1, -1, -1):
-        rem, digits[j] = divmod(rem, sizes[j])
-    return Realization(k=k, z=tuple(spec.discrete_sets[j][d] for j, d in enumerate(digits)))
+    total = math.prod(len(zs) for zs in spec.discrete_sets)
+    if not isinstance(k, numbers.Integral) or not 1 <= k <= total:
+        raise ValueError(f"k must be an integer in 1..{total}, got {k!r}")
+    return _realizations(spec, [k])[0]
 
 
-def _solve_all(solver: Solver, jobs: list[tuple[Realization, float]]) -> list[SolveResult]:
-    """One counted solve per (realization, weight) job, all of them one
+def _solve_all(solver: Solver, jobs: list[tuple[int, float]]) -> list[SolveResult]:
+    """One counted solve per (k, weight) job, all of them one
     :meth:`~pareto_prune.solver.Solver.solve` call."""
     return [solve_scalarized(res) for res in solver.solve(jobs)]
 
@@ -79,20 +74,20 @@ def _points(results: list[SolveResult]) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(rows), float).reshape(len(results), 2)
 
 
-def compute_anchors_utopia(solver: Solver, reals: list[Realization]) -> np.ndarray:
+def compute_anchors_utopia(solver: Solver, ks: list[int]) -> np.ndarray:
     """Utopia point of each realization: j1 of its w=1 anchor and j2 of
     its w=0 anchor (two counted sole-objective solves per realization), a
     NaN row where either anchor is not feasible."""
-    pairs = _points(_solve_all(solver, [(r, w) for r in reals for w in (1.0, 0.0)]))
-    pairs = pairs.reshape(len(reals), 4)  # j1, j2 at w=1, then j1, j2 at w=0
+    pairs = _points(_solve_all(solver, [(k, w) for k in ks for w in (1.0, 0.0)]))
+    pairs = pairs.reshape(len(ks), 4)  # j1, j2 at w=1, then j1, j2 at w=0
     return np.where(np.isnan(pairs).any(axis=1, keepdims=True), math.nan, pairs[:, [0, 3]])
 
 
-def compute_center(solver: Solver, reals: list[Realization]) -> np.ndarray:
+def compute_center(solver: Solver, ks: list[int]) -> np.ndarray:
     """Center point of each realization: the objectives of its equal-weights
     solve (one counted NLP each), on the subproblem front where weighted-sum
     reaches it; a NaN row where that solve is not feasible."""
-    return _points(_solve_all(solver, [(r, CENTER_WEIGHT) for r in reals]))
+    return _points(_solve_all(solver, [(k, CENTER_WEIGHT) for k in ks]))
 
 
 def weight_grid(beta: int) -> list[float]:
@@ -101,23 +96,22 @@ def weight_grid(beta: int) -> list[float]:
     return [i / (beta - 1) for i in range(beta)]
 
 
-def build_subproblem_front(solver: Solver, reals: list[Realization], beta: int,
+def build_subproblem_front(solver: Solver, ks: list[int], beta: int,
                            eps: float = 0.0) -> Front:
     """beta-point weighted-sum front of each subproblem: solves weights
     i/(beta-1) for i = 0..beta-1 (beta counted NLPs per realization) and
     keeps the feasible outcomes no other of the same realization strictly
     dominates, all realizations in one segmented pass.  Rows follow
-    ``reals``, each realization's by j1, ties in weight order.  A weight
+    ``ks``, each realization's by j1, ties in weight order.  A weight
     whose solve is not feasible is skipped, so every sweep poses all beta
     solves; a realization without a feasible solution has no row."""
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
-    results = _solve_all(solver, [(r, w) for r in reals for w in weight_grid(beta)])
+    results = _solve_all(solver, [(k, w) for k in ks for w in weight_grid(beta)])
     pts = _points(results)
     rows = np.flatnonzero(~np.isnan(pts[:, 0]))
     y = np.fromiter(itertools.chain.from_iterable(res.y_star for res in results), float)
     y = y.reshape(len(results), solver.spec.n_y)
     seg, w = np.divmod(rows, beta)
-    ks = np.array([r.k for r in reals], dtype=np.int64)
-    front = Front(ks[seg], w, y[rows], pts[rows])
+    front = Front(np.asarray(ks, dtype=np.int64)[seg], w, y[rows], pts[rows])
     return front.take(nondominated_rows(front.pts, eps, seg))

@@ -28,10 +28,10 @@ from .decomposition import (
     CENTER_WEIGHT,
     DEFAULT_REALIZATION_CAP,
     CapacityExceeded,
+    _realizations,
     build_subproblem_front,
     compute_anchors_utopia,
     compute_center,
-    enumerate_realizations,
     weight_grid,
 )
 from .solver import Solver, SolverConfig
@@ -135,8 +135,8 @@ class PruneReport:
                 raise ValueError("report set k1c must be the front's realizations under phases "
                                  "'none'")
         else:
-            every = set(range(1, self.k_total + 1))
-            if set().union(*(sets[name] for name in parts)) != every:
+            listed = set().union(*(sets[name] for name in parts))  # sizes first: bounded memory
+            if len(listed) != self.k_total or listed != set(range(1, self.k_total + 1)):
                 raise ValueError(f"report sets {', '.join(parts)} do not cover 1..{self.k_total}"
                                  f" exactly")
             if not sets["k1m"] <= sets["k1c"] or sets["k1u"] != sets["k1c"] | sets["pruned_b"]:
@@ -304,10 +304,10 @@ def master_candidates(utopias: np.ndarray, eps: float = 0.0) -> np.ndarray:
     return np.sort(usable[nondominated_rows(utopias[usable], eps)])
 
 
-def build_master_front(solver: Solver, reals: list[Realization], beta: int,
+def build_master_front(solver: Solver, ks: list[int], beta: int,
                        eps: float = 0.0) -> tuple[Front, Front]:
     """Union of the masters' subproblem fronts, filtered, and those fronts."""
-    fronts = parallel_map(build_subproblem_front, solver, reals, beta, eps)
+    fronts = parallel_map(build_subproblem_front, solver, ks, beta, eps)
     return fronts.take(np.sort(nondominated_rows(fronts.pts, eps))), fronts
 
 
@@ -322,30 +322,29 @@ def _weakly_dominated(front_pts: np.ndarray, points: np.ndarray, eps: float) -> 
     return prefix_min_j2[steps] <= points[:, 1] + eps
 
 
-def phase_a(solver: Solver, reals: list[Realization], beta: int,
-            eps: float = 0.0) -> PhaseAResult:
+def phase_a(solver: Solver, ks: list[int], beta: int, eps: float = 0.0) -> PhaseAResult:
     """A-1 anchors/utopias for all realizations (2 solves each), A-2
     master front from non-dominated utopias (beta solves each), A-3
     utopia pruning: k1u keeps the masters and every feasible realization
     whose utopia the master front does not weakly dominate.  Each step is
     one batched operation over its realizations, given in ascending k."""
-    utopias = parallel_map(compute_anchors_utopia, solver, reals)
+    utopias = parallel_map(compute_anchors_utopia, solver, ks)
     masters = master_candidates(utopias, eps).tolist()
-    master_front, fronts = build_master_front(solver, [reals[i] for i in masters], beta, eps)
+    master_front, fronts = build_master_front(solver, [ks[i] for i in masters], beta, eps)
     keep = ~np.isnan(utopias[:, 0]) & ~_weakly_dominated(master_front.pts, utopias, eps)
     keep[masters] = True
-    return PhaseAResult(utopias, [reals[i].k for i in masters],
-                        [reals[i].k for i in np.flatnonzero(keep).tolist()], master_front, fronts)
+    return PhaseAResult(utopias, [ks[i] for i in masters],
+                        [ks[i] for i in np.flatnonzero(keep).tolist()], master_front, fronts)
 
 
-def phase_b(solver: Solver, reals: list[Realization], master_front: Front,
+def phase_b(solver: Solver, ks: list[int], master_front: Front,
             eps: float = 0.0) -> list[int]:
     """B-1 centers for the target realizations (one solve each) and B-2:
     the indices k of those whose center solve succeeded and whose center
     the master front does not weakly dominate."""
-    centers = parallel_map(compute_center, solver, reals)
+    centers = parallel_map(compute_center, solver, ks)
     keep = ~np.isnan(centers[:, 0]) & ~_weakly_dominated(master_front.pts, centers, eps)
-    return [reals[i].k for i in np.flatnonzero(keep).tolist()]
+    return [ks[i] for i in np.flatnonzero(keep).tolist()]
 
 
 def _final_front(fronts: list[Front], eps: float) -> Front:
@@ -400,31 +399,31 @@ def run_pipeline(
     beta = int(beta)
     _check_eps(eps)
     eps = float(eps)
-    n_solves = beta * math.prod(len(zs) for zs in spec.discrete_sets)
-    if n_solves > DEFAULT_REALIZATION_CAP:
-        raise CapacityExceeded(
-            f"beta * |K| = {n_solves} exceeds the cap of {DEFAULT_REALIZATION_CAP}"
-        )
+    k_total = math.prod(len(zs) for zs in spec.discrete_sets)
+    if beta * k_total > DEFAULT_REALIZATION_CAP:
+        raise CapacityExceeded(f"beta * |K| = {beta * k_total} exceeds the cap of "
+                               f"{DEFAULT_REALIZATION_CAP}")
     solver = Solver(spec, config)
     t0 = time.perf_counter()
-    reals = enumerate_realizations(spec)
     # a separable, unconstrained problem: every descent of the run at once
     centers = [CENTER_WEIGHT] if phases == "ab" else []
-    solver.descend_weights(reals[0], weight_grid(beta) + centers)
+    solver.descend_weights(weight_grid(beta) + centers)
 
     utopias, k1m, k1u, built = np.empty((0, 2)), [], [], []  # the oracle has no Phase A
-    targets = retained = [r.k for r in reals]
+    targets = retained = list(range(1, k_total + 1))
     if phases != "none":
-        pa = phase_a(solver, reals, beta, eps)
+        pa = phase_a(solver, targets, beta, eps)
         utopias, k1m, k1u, built = pa.utopias, pa.k1m, pa.k1u, [pa.fronts]
         targets = retained = sorted(set(k1u) - set(k1m))
         if phases == "ab":
-            retained = phase_b(solver, [reals[k - 1] for k in targets], pa.master_front, eps)
+            retained = phase_b(solver, targets, pa.master_front, eps)
 
     # B-3: fronts for whatever the phases left
-    b3 = parallel_map(build_subproblem_front, solver, [reals[k - 1] for k in retained], beta, eps)
+    b3 = parallel_map(build_subproblem_front, solver, retained, beta, eps)
     final = _final_front(built + [b3], eps)
-    k1c = sorted(set(final.k.tolist())) if phases == "none" else sorted(k1m + retained)
+    front_ks = sorted(set(final.k.tolist()))
+    k1c = front_ks if phases == "none" else sorted(k1m + retained)
+    reals = dict(zip(front_ks, _realizations(spec, front_ks)))  # the report's realizations
     ks = np.arange(1, len(utopias) + 1)
     no_utopia = np.isnan(utopias[:, 0])
     return PruneReport(
@@ -433,15 +432,15 @@ def run_pipeline(
         phases=phases,
         eps=eps,
         seed=solver.config.seed,
-        k_total=len(reals),
+        k_total=k_total,
         k1m=tuple(k1m),
         k1u=tuple(k1u),
         k1c=tuple(k1c),
         pruned_a=tuple(sorted(set(ks[~no_utopia].tolist()) - set(k1u))),
         pruned_b=tuple(sorted(set(targets) - set(retained))),
         infeasible=tuple(sorted(ks[no_utopia].tolist() + list(set(retained) - set(b3.k.tolist())))),
-        nlp=_nlp_counts(phases, beta, len(reals), len(k1m), len(k1u), len(k1c)),
-        front=tuple(ParetoSolution(tuple(y), reals[k - 1], ObjectivePoint(*p), f"w{w}")
+        nlp=_nlp_counts(phases, beta, k_total, len(k1m), len(k1u), len(k1c)),
+        front=tuple(ParetoSolution(tuple(y), reals[k], ObjectivePoint(*p), f"w{w}")
                     for k, w, y, p in zip(final.k.tolist(), final.w.tolist(),
                                           final.y.tolist(), final.pts.tolist())),
         wallclock_ms=int(round((time.perf_counter() - t0) * 1000)),

@@ -1,8 +1,8 @@
 """Box-constrained solver for weighted-sum scalarizations.
 
-A solve is one (realization, weight) job: minimize w*J1 + (1-w)*J2 of
-the problem at that realization over its box, plus an exterior quadratic
-penalty on violated inequality constraints.  One call to
+A solve is one (k, weight) job: minimize w*J1 + (1-w)*J2 of the problem
+at realization k (its z from ``core._z_rows``) over its box, plus an
+exterior quadratic penalty on violated inequality constraints.  One call to
 :func:`solve_scalarized` is one NLP in the pipeline's solve accounting,
 regardless of how many local descents run inside it.  A run has one
 :class:`Solver`, and the solves of one phase are one :meth:`Solver.solve`
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ObjectivePoint, ProblemSpec, Realization
+from .core import ObjectivePoint, ProblemSpec, _z_rows
 
 __all__ = [
     "Solver",
@@ -161,10 +161,11 @@ def _scalarize(weight, raw: np.ndarray, g: np.ndarray | None, pc) -> np.ndarray:
 
 
 class _Batch:
-    """The (realization, weight) jobs of ``spec`` that one lockstep descent
-    solves, at PENALTY_COEFFICIENT unless escalated.  Solve i owns rows
-    i*rows_per_solve .. (i+1)*rows_per_solve - 1; each row's weight and z
-    are gathered once, here, and every pass indexes them.  The methods take
+    """The solves of ``spec`` that one lockstep descent runs, solve i at the
+    row z[i] of ``z`` (n, n_z) and weights[i], at PENALTY_COEFFICIENT unless
+    escalated.  Solve i owns rows i*rows_per_solve .. (i+1)*rows_per_solve
+    - 1; each row's weight and z are gathered once, here, and every pass
+    indexes them.  The methods take
     the stacked points of some of those rows and their indices (an index
     array or a slice), and make one pass per evaluator over all of them:
     one call of a vectorized evaluator with every row's z stacked beside
@@ -173,16 +174,15 @@ class _Batch:
     value never depends on the rest of the batch, so a finite-difference
     gradient builds and evaluates all its probes in one stacked pass."""
 
-    def __init__(self, spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
+    def __init__(self, spec: ProblemSpec, z: np.ndarray, weights: Sequence[float],
                  rows_per_solve: int) -> None:
         self.spec = spec
         self.lo = spec.lower_bounds()
         self.hi = spec.upper_bounds()
-        self.weight = np.repeat(np.array([w for _, w in jobs]), rows_per_solve)
-        zs = np.array([r.z for r, _ in jobs], dtype=float)  # (n_solves, n_z)
+        self.weight = np.repeat(np.asarray(weights, dtype=float), rows_per_solve)
         if not spec.vectorized:  # a scalar evaluator gets each row's z as its own array
-            zs = np.fromiter(zs, object, len(zs))
-        self.z = np.repeat(zs, rows_per_solve, axis=0)  # each row's z
+            z = np.fromiter(z, object, len(z))
+        self.z = np.repeat(z, rows_per_solve, axis=0)  # each row's z
 
     def descent_value(self, ys: np.ndarray, rows,
                       penalty_coefficient: float | None = None) -> np.ndarray:
@@ -408,20 +408,20 @@ def _descent(obj: _Batch, x0: np.ndarray, *,
     return best_x, best_f
 
 
-def _descend(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
+def _descend(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float],
              config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Local descents of one or more solves of ``spec`` from the multistart
-    set, in lockstep: one ``_descent`` call for all of them, or several of
-    at most MAX_DESCENT_ROWS rows each.  Returns each solve's winner over
-    its N_STARTS starts: the best point (len(jobs), n_y) and value
-    (len(jobs),) they reached, the first best start on a tie."""
+    """Local descents of the m solves of ``spec``, solve i at z[i] and
+    weights[i], from the multistart set, in lockstep: one ``_descent`` call
+    for all of them, or several of at most MAX_DESCENT_ROWS rows each.
+    Returns each solve's winner over its N_STARTS starts: the best point
+    (m, n_y) and value (m,) they reached, the first best start on a tie."""
     n = N_STARTS
     per_call = max(1, MAX_DESCENT_ROWS // n)
     starts = _start_points(spec.bounds, n, config.seed)
     ys, fs = [], []
-    for a in range(0, len(jobs), per_call):
-        part = jobs[a:a + per_call]
-        best_x, best_f = _descent(_Batch(spec, part, n), np.tile(starts, (len(part), 1)))
+    for a in range(0, len(weights), per_call):
+        zs, ws = z[a:a + per_call], weights[a:a + per_call]
+        best_x, best_f = _descent(_Batch(spec, zs, ws, n), np.tile(starts, (len(ws), 1)))
         win = best_f.reshape(-1, n).argmin(axis=1) + np.arange(0, best_f.size, n)
         ys.append(best_x[win])  # _descent keeps rows inside the box
         fs.append(best_f[win])
@@ -433,7 +433,7 @@ class Solver:
     :class:`SolverConfig` when None) and the run's table, so that a solve
     posed twice in a run runs once.
 
-    The table keeps every solve :meth:`solve` finishes under (weight, k),
+    The table keeps every solve :meth:`solve` finishes under its job,
     whether or not a later call reads it, and a later call looks it up; it
     still counts as one solve.  So A-2 and B-3 look up the A-1 anchors at
     w = 0 and 1, and B-3 the B-1 centers at w = 0.5.  On a separable
@@ -448,83 +448,77 @@ class Solver:
         self.config = config or SolverConfig()
         # a descent depends on its weight alone
         self._shared = spec.base_objectives is not None and spec.inequality_constraints is None
-        self._solved: dict = {}  # (weight, k) -> SolveResult
+        self._solved: dict = {}  # (k, weight) -> SolveResult
         self._winners: dict = {}  # weight -> (point, value) its solves share
 
-    def descend_weights(self, realization: Realization, weights: Sequence[float]) -> None:
+    def descend_weights(self, weights: Sequence[float]) -> None:
         """Run the descents of ``weights`` the table does not hold yet, in
-        one :func:`_descend` call at ``realization``, and keep each winner
+        one :func:`_descend` call at realization 1, and keep each winner
         under its weight.  Only where descents depend on the weight alone;
         there any realization gives the same winners."""
         missing = [w for w in dict.fromkeys(weights) if w not in self._winners]
         if self._shared and missing:
-            y, f = _descend(self.spec, [(realization, w) for w in missing], self.config)
+            y, f = _descend(self.spec, _z_rows(self.spec, [1] * len(missing)), missing,
+                            self.config)
             self._winners.update(zip(missing, zip(y, f)))
 
-    def solve(self, jobs: Sequence[tuple[Realization, float]]) -> list[SolveResult]:
-        """The result of each (realization, weight) job, from the table
-        where it holds the solve.  The descents of the solves not finished
-        yet run as one batch (:func:`_descend`), and their winners are
+    def solve(self, jobs: Sequence[tuple[int, float]]) -> list[SolveResult]:
+        """The result of each (k, weight) job, from the table where it holds
+        the solve (a job is its own key).  The solves not finished yet run
+        in parts of MAX_DESCENT_ROWS, each part's z computed once: their
+        descents as one batch (:func:`_descend`), and their winners
         finished as one batch (:func:`_finish`)."""
-        keys = [(w, r.k) for r, w in jobs]
-        todo: dict = {}  # key -> its first job, for the solves not finished yet
-        for key, job in zip(keys, jobs):
-            if key not in self._solved:
-                todo.setdefault(key, job)
-        solves = list(todo.values())
-        if solves:
+        todo = [job for job in dict.fromkeys(jobs) if job not in self._solved]
+        if self._shared:
+            self.descend_weights([w for _, w in todo])
+        # one part for all 86 016 solves of the e2 oracle raised its peak RSS 100 -> 111 MB
+        for a in range(0, len(todo), MAX_DESCENT_ROWS):
+            part = todo[a:a + MAX_DESCENT_ROWS]
+            ks, weights = zip(*part)
+            z = _z_rows(self.spec, ks)
             if self._shared:
-                self.descend_weights(solves[0][0], [w for _, w in solves])
-                y = np.array([self._winners[w][0] for _, w in solves])
-                f = np.array([self._winners[w][1] for _, w in solves])
+                y, f = map(np.array, zip(*(self._winners[w] for w in weights)))
             else:
-                y, f = _descend(self.spec, solves, self.config)
-            todo_keys = list(todo)
-            # MAX_DESCENT_ROWS solves per finish: one pass over all 86 016
-            # solves of the e2 oracle raised its peak RSS from 100 to 111 MB
-            for a in range(0, len(solves), MAX_DESCENT_ROWS):
-                part = slice(a, a + MAX_DESCENT_ROWS)
-                self._solved.update(zip(todo_keys[part],
-                                        _finish(self.spec, solves[part], y[part], f[part])))
-        return [self._solved[key] for key in keys]
+                y, f = _descend(self.spec, z, weights, self.config)
+            self._solved.update(zip(part, _finish(self.spec, z, weights, y, f)))
+        return [self._solved[job] for job in jobs]
 
 
-def _finish(spec: ProblemSpec, jobs: Sequence[tuple[Realization, float]],
+def _finish(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float],
             y: np.ndarray, f: np.ndarray) -> list[SolveResult]:
-    """The result of each solve from its descents' winner: the point ``y``
-    (m, n_y), updated in place, and its value ``f`` (m,).  On a
-    constrained problem one evaluator pass gives the constraints at every
-    winner with a finite value.  Winners that violate them beyond FEAS_TOL
-    descend again from where they stand, in lockstep, with the penalty
-    multiplied by 100, for up to 4 rounds; ``_descent`` returns a row whose
-    value there is not finite unmoved, so it keeps its incumbent.  Then
-    one pass gives the objectives of all those winners, and a solve has a
-    point where they are finite."""
+    """The result of each solve from its descents' winner: solve i at z[i]
+    and weights[i] (kept as given), its point ``y`` (m, n_y), updated in
+    place, and value ``f`` (m,).  On a constrained problem one evaluator
+    pass gives the constraints at every winner with a finite value.
+    Winners that violate them beyond FEAS_TOL descend again from where
+    they stand, in lockstep, with the penalty multiplied by 100, for up to
+    4 rounds; ``_descent`` returns a row whose value there is not finite
+    unmoved, so it keeps its incumbent.  Then one pass gives the
+    objectives of all those winners, and a solve has a point where they
+    are finite."""
     ok = np.flatnonzero(np.isfinite(f))
-    raw = np.full((len(jobs), 2), np.nan)
-    within = np.ones(len(jobs), dtype=bool)  # constraints within FEAS_TOL
+    raw = np.full((len(weights), 2), np.nan)
+    within = np.ones(len(weights), dtype=bool)  # constraints within FEAS_TOL
     if ok.size:
-        sel = [jobs[i] for i in ok]
-        yk = y[ok]
-        z = np.array([r.z for r, _ in sel], dtype=float)
+        yk, zk = y[ok], z[ok]
         if spec.inequality_constraints is not None:
-            g = _evaluate(spec, "inequality_constraints", yk, z)
+            g = _evaluate(spec, "inequality_constraints", yk, zk)
             pc = PENALTY_COEFFICIENT
             for _ in range(4):
                 bad = np.flatnonzero(~(np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL))
                 if bad.size == 0:
                     break
                 pc *= 100.0
-                yk[bad] = _descent(_Batch(spec, [sel[i] for i in bad], 1), yk[bad],
+                yk[bad] = _descent(_Batch(spec, zk[bad], np.take(weights, ok[bad]), 1), yk[bad],
                                    penalty_coefficient=pc)[0]
-                g[bad] = _evaluate(spec, "inequality_constraints", yk[bad], z[bad])
+                g[bad] = _evaluate(spec, "inequality_constraints", yk[bad], zk[bad])
             within[ok] = np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL
-        raw[ok] = _evaluate(spec, "objectives", yk, z)
+        raw[ok] = _evaluate(spec, "objectives", yk, zk)
         y[ok] = yk
     finite = np.isfinite(raw).all(axis=1)
     return [SolveResult(w, tuple(yi), ObjectivePoint(j1, j2) if fin else None, fin and wi)
-            for (_, w), yi, (j1, j2), fin, wi in zip(jobs, y.tolist(), raw.tolist(),
-                                                      finite.tolist(), within.tolist())]
+            for w, yi, (j1, j2), fin, wi in zip(weights, y.tolist(), raw.tolist(),
+                                                 finite.tolist(), within.tolist())]
 
 
 def solve_scalarized(result: SolveResult) -> SolveResult:

@@ -281,7 +281,7 @@ class TestCriterion6Properties:
         criterion("6b filter equals pairwise brute force (n=1000)", fast == slow)
 
     def test_utopia_lower_bound(self, e1_spec, config):
-        pa = phase_a(Solver(e1_spec, config), pp.enumerate_realizations(e1_spec), 21)
+        pa = phase_a(Solver(e1_spec, config), [r.k for r in pp.enumerate_realizations(e1_spec)], 21)
         ok = True
         for k in pa.k1m:
             for p in pa.fronts.pts[pa.fronts.k == k].tolist():

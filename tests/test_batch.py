@@ -19,6 +19,7 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune import benchmarks, decomposition, pipeline, solver
+from pareto_prune.core import _z_rows
 from pareto_prune.solver import N_STARTS, Solver, solve_scalarized
 from conftest import front_rows, load_perfbench, make_fig_problem
 
@@ -60,15 +61,26 @@ def _widened(spec, values=(0.0, 1.0, 2.0)):
     return dataclasses.replace(spec, discrete_sets=(values,))
 
 
-def _reals(spec, n):
-    reals = pp.enumerate_realizations(spec)
-    step = max(1, len(reals) // n)
-    return reals[::step][:n]
+def _all_ks(spec):
+    """Every realization index k of ``spec``, ascending."""
+    return list(range(1, math.prod(len(zs) for zs in spec.discrete_sets) + 1))
 
 
-def _jobs(reals, weights):
-    """The (realization, weight) job of each realization at each weight."""
-    return [(r, w) for r in reals for w in weights]
+def _ks(spec, n):
+    ks = _all_ks(spec)
+    step = max(1, len(ks) // n)
+    return ks[::step][:n]
+
+
+def _jobs(ks, weights):
+    """The (k, weight) job of each realization at each weight."""
+    return [(k, w) for k in ks for w in weights]
+
+
+def _batch(spec, jobs, rows_per_solve):
+    """The ``solver._Batch`` of the (k, weight) ``jobs``."""
+    ks, weights = zip(*jobs)
+    return solver._Batch(spec, _z_rows(spec, ks), weights, rows_per_solve)
 
 
 SPECS = {
@@ -85,30 +97,30 @@ SPECS = {
 class TestListEqualsOneAtATime:
     def test_anchors(self, name, config):
         spec = SPECS[name]()
-        reals = _reals(spec, 5)
-        batch = decomposition.compute_anchors_utopia(Solver(spec, config), reals)
-        one = np.concatenate([decomposition.compute_anchors_utopia(Solver(spec, config), [r])
-                              for r in reals])
-        assert batch.shape == one.shape == (len(reals), 2)
+        ks = _ks(spec, 5)
+        batch = decomposition.compute_anchors_utopia(Solver(spec, config), ks)
+        one = np.concatenate([decomposition.compute_anchors_utopia(Solver(spec, config), [k])
+                              for k in ks])
+        assert batch.shape == one.shape == (len(ks), 2)
         assert batch.tobytes() == one.tobytes()
 
     def test_center(self, name, config):
         spec = SPECS[name]()
-        reals = _reals(spec, 5)
-        batch = decomposition.compute_center(Solver(spec, config), reals)
-        one = np.concatenate([decomposition.compute_center(Solver(spec, config), [r])
-                              for r in reals])
-        assert batch.shape == one.shape == (len(reals), 2)
+        ks = _ks(spec, 5)
+        batch = decomposition.compute_center(Solver(spec, config), ks)
+        one = np.concatenate([decomposition.compute_center(Solver(spec, config), [k])
+                              for k in ks])
+        assert batch.shape == one.shape == (len(ks), 2)
         assert batch.tobytes() == one.tobytes()
 
     def test_front(self, name, config):
         spec = SPECS[name]()
-        reals = _reals(spec, 4)
-        batch = decomposition.build_subproblem_front(Solver(spec, config), reals, 5)
+        ks = _ks(spec, 4)
+        batch = decomposition.build_subproblem_front(Solver(spec, config), ks, 5)
         assert front_rows(batch) == [
-            row for r in reals
+            row for k in ks
             for row in front_rows(decomposition.build_subproblem_front(Solver(spec, config),
-                                                                       [r], 5))]
+                                                                       [k], 5))]
 
 
 class _DescentRows:
@@ -142,11 +154,11 @@ class _FinishedWinners:
         self.f: list[np.float64] = []
         finish = solver._finish
 
-        def logged(spec, jobs, y, f):
-            self.calls.append(len(jobs))
+        def logged(spec, z, weights, y, f):
+            self.calls.append(len(weights))
             self.y += list(y.copy())
             self.f += list(f)
-            return finish(spec, jobs, y, f)
+            return finish(spec, z, weights, y, f)
 
         monkeypatch.setattr(solver, "_finish", logged)
 
@@ -161,12 +173,12 @@ class TestRowSharing:
     @pytest.mark.parametrize("n", [1, 7, 50])
     def test_e2_anchors_run_two_blocks_whatever_k(self, e2_spec, config, monkeypatch, n):
         rows = _DescentRows(monkeypatch)
-        recs = decomposition.compute_anchors_utopia(Solver(e2_spec, config), _reals(e2_spec, n))
+        recs = decomposition.compute_anchors_utopia(Solver(e2_spec, config), _ks(e2_spec, n))
         assert len(recs) == n
         assert rows.rows == [2 * N_STARTS]
 
     def test_shared_rows_give_each_solve_its_own_point(self, e2_spec, config, monkeypatch):
-        jobs = _jobs(_reals(e2_spec, 3), (0.5,))
+        jobs = _jobs(_ks(e2_spec, 3), (0.5,))
         rows = _DescentRows(monkeypatch)
         winners = _FinishedWinners(monkeypatch)
         results = [solve_scalarized(res) for res in Solver(e2_spec, config).solve(jobs)]
@@ -182,16 +194,16 @@ class TestRowSharing:
 
         spec = dataclasses.replace(e2_spec, inequality_constraints=far_bound)
         rows = _DescentRows(monkeypatch)
-        decomposition.compute_anchors_utopia(Solver(spec, config), _reals(spec, 3))
+        decomposition.compute_anchors_utopia(Solver(spec, config), _ks(spec, 3))
         assert rows.rows == [2 * 3 * N_STARTS]
 
     def test_row_cap_splits_the_batch(self, e1_spec, config, monkeypatch):
-        reals = _reals(e1_spec, 3)
+        ks = _ks(e1_spec, 3)
         front = decomposition.build_subproblem_front
-        whole = front_rows(front(Solver(e1_spec, config), reals, 5))
+        whole = front_rows(front(Solver(e1_spec, config), ks, 5))
         monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", 4 * N_STARTS)
         rows = _DescentRows(monkeypatch)
-        assert front_rows(front(Solver(e1_spec, config), reals, 5)) == whole
+        assert front_rows(front(Solver(e1_spec, config), ks, 5)) == whole
         assert rows.rows == [4 * N_STARTS] * 3 + [3 * N_STARTS]
 
 
@@ -246,7 +258,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(pp.make_quad(), objectives=flat, gradient=None)
         with pytest.raises(ValueError, match=r"objectives of problem 'quad' returned shape "
                                              r"\(16,\), expected \(16, 2\)"):
-            decomposition.compute_center(Solver(spec, config), pp.enumerate_realizations(spec))
+            decomposition.compute_center(Solver(spec, config), _all_ks(spec))
 
     def test_gradient_of_wrong_shape(self, config):
         def flat_gradient(y, z):
@@ -278,7 +290,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(make_gen_problem(), objectives=ragged)
         with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned rows that "
                                              r"do not form a float array, expected \(\d+, 2\)"):
-            decomposition.compute_center(Solver(spec, config), pp.enumerate_realizations(spec))
+            decomposition.compute_center(Solver(spec, config), _all_ks(spec))
         _assert_same_error(
             "objectives", [(1.0, 2.0), (1.0, 2.0, 3.0)], [[1.0, 2.0], (1.0,)],
             [np.array([1.0, 2.0]), np.array([1.0])], [(1.0, 2.0), None],
@@ -293,7 +305,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(make_gen_problem(), objectives=three)
         with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned shape "
                                              r"\((\d+), 3\), expected \(\1, 2\)"):
-            decomposition.compute_center(Solver(spec, config), pp.enumerate_realizations(spec))
+            decomposition.compute_center(Solver(spec, config), _all_ks(spec))
         _assert_same_error("objectives", [(1.0, 2.0, 3.0)] * 3, [[1.0, 2.0, 3.0]] * 2,
                            [np.zeros(3), (1, 2, 3)], [(1.0,)] * 2, [1.0, 2.0])
 
@@ -305,7 +317,7 @@ class TestEvaluatorShapes:
         with pytest.raises(ValueError, match=r"inequality_constraints of problem 'gen' returned "
                                              r"rows that do not form a float array, "
                                              r"expected \(\d+, n_g\)"):
-            decomposition.compute_center(Solver(spec, config), pp.enumerate_realizations(spec))
+            decomposition.compute_center(Solver(spec, config), _all_ks(spec))
         _assert_same_error(
             "inequality_constraints", [(0.0,), (0.0, 0.0)], [0.0, (0.0,)], [(0.0,), None],
             [("x",), (1.0,)], ["ab"], [(), (0.0,)], [(), ()], [((0.0,),), ((1.0,),)])
@@ -369,8 +381,8 @@ def _fd_case(spec, rows_per_solve=6):
     for every row of it: interior points, points on each face of the box
     (one-sided probes), and, for gen-nan, a point whose + probe is
     non-finite."""
-    jobs = _jobs(_reals(spec, 3), (0.0, 0.35, 1.0))
-    batch = solver._Batch(spec, jobs, rows_per_solve)
+    jobs = _jobs(_ks(spec, 3), (0.0, 0.35, 1.0))
+    batch = _batch(spec, jobs, rows_per_solve)
     lo, hi = spec.lower_bounds(), spec.upper_bounds()
     rng = np.random.default_rng(5)
     ys = lo + (hi - lo) * rng.random((len(jobs) * rows_per_solve, spec.n_y))
@@ -441,14 +453,14 @@ class TestFdGradient:
         # 9 solves: one finish at a cap of 10 rows; at 4, one _descent per
         # solve and the finish split 4 + 4 + 1
         spec = FD_SPECS[name]()
-        reals = _reals(spec, 3)
+        ks = _ks(spec, 3)
         front = decomposition.build_subproblem_front
-        whole = front_rows(front(Solver(spec, config), reals, 3))
+        whole = front_rows(front(Solver(spec, config), ks, 3))
         finished = _FinishedWinners(monkeypatch).calls
         for cap, finishes in ((10, [9]), (4, [4, 4, 1])):
             monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", cap)
             finished.clear()
-            assert front_rows(front(Solver(spec, config), reals, 3)) == whole
+            assert front_rows(front(Solver(spec, config), ks, 3)) == whole
             assert finished == finishes
 
 
@@ -466,7 +478,7 @@ class TestScalarRowsGetTheirOwnZ:
         spec = dataclasses.replace(
             base, objectives=logged("f", base.objectives),
             inequality_constraints=logged("g", base.inequality_constraints))
-        jobs = _jobs(pp.enumerate_realizations(spec), (0.8,))
+        jobs = _jobs(_all_ks(spec), (0.8,))
         rows = _DescentRows(monkeypatch)
         Solver(spec, config).solve(jobs)
         batch_log = sorted(log)
@@ -503,8 +515,8 @@ def _mixed_rows(spec, m):
     rng = np.random.default_rng(m)
     lo, hi = spec.lower_bounds(), spec.upper_bounds()
     ys = lo + (hi - lo) * rng.random((m, spec.n_y))
-    reals = _reals(spec, 7)
-    zs = np.array([reals[i].z for i in rng.integers(len(reals), size=m)])
+    some = _z_rows(spec, _ks(spec, 7))
+    zs = some[rng.integers(len(some), size=m)]
     return ys, zs
 
 
@@ -526,11 +538,11 @@ class TestStackedZ:
 
     def test_batch_rows_of_mixed_z_equal_single_solve_batches(self, name):
         spec = VECTORIZED_SPECS[name]()
-        jobs = _jobs(_reals(spec, 4), (0.0, 0.35, 1.0))
+        jobs = _jobs(_ks(spec, 4), (0.0, 0.35, 1.0))
         ys, _ = _mixed_rows(spec, 2 * len(jobs))
         rows = np.arange(ys.shape[0])
-        batch = solver._Batch(spec, jobs, 2)
-        alone = [solver._Batch(spec, [j], 2) for j in jobs]
+        batch = _batch(spec, jobs, 2)
+        alone = [_batch(spec, [j], 2) for j in jobs]
         for pc in (None, 1e8):
             got = batch.descent_value(ys, rows, pc), batch.gradient(ys, rows, pc)
             ref = (np.concatenate([b.descent_value(ys[2 * i:2 * i + 2], [0, 1], pc)
@@ -568,13 +580,13 @@ class TestOneVectorizedCallPerPass:
         e1 = pp.make_e1()
         spec = dataclasses.replace(e1, objectives=counted("objectives", e1.objectives),
                                    gradient=counted("gradient", e1.gradient))
-        jobs = _jobs(_reals(spec, 4), (0.0, 0.5, 1.0))
-        assert len({r for r, _ in jobs}) == 4
+        jobs = _jobs(_ks(spec, 4), (0.0, 0.5, 1.0))
+        assert len({k for k, _ in jobs}) == 4
         return spec, jobs, calls
 
     def test_batch_pass_is_one_call(self):
         spec, jobs, calls = self._counted_e1()
-        batch = solver._Batch(spec, jobs, 3)
+        batch = _batch(spec, jobs, 3)
         ys, _ = _mixed_rows(spec, 3 * len(jobs))
         for rows in (np.arange(ys.shape[0]), np.arange(ys.shape[0])[::5]):
             before = dict(calls)
@@ -638,11 +650,11 @@ def _report_text(report):
 class TestDescentTable:
     def test_table_of_earlier_phases_gives_fresh_descents(self, name, config, monkeypatch):
         spec = REUSE_SPECS[name]()
-        reals = _reals(spec, 3)
+        ks = _ks(spec, 3)
         run = Solver(spec, config)
-        run.solve(_jobs(reals, (1.0, 0.0)))  # A-1
-        later = [_jobs(reals[:2], [i / 4 for i in range(5)]),  # a beta-front, beta = 5
-                 _jobs(reals, (0.5,))]  # centers
+        run.solve(_jobs(ks, (1.0, 0.0)))  # A-1
+        later = [_jobs(ks[:2], [i / 4 for i in range(5)]),  # a beta-front, beta = 5
+                 _jobs(ks, (0.5,))]  # centers
         rows = _DescentRows(monkeypatch)
         for jobs in later:
             rows.rows.clear()
@@ -665,20 +677,20 @@ class TestDescentTable:
 
     def test_table_finishes_each_solve_once(self, name, config, monkeypatch):
         spec = REUSE_SPECS[name]()
-        reals = _reals(spec, 3)
+        ks = _ks(spec, 3)
         run = Solver(spec, config)
-        first = run.solve(_jobs(reals, (1.0, 0.0)))
+        first = run.solve(_jobs(ks, (1.0, 0.0)))
         finished = _FinishedWinners(monkeypatch).calls
-        later = _jobs(reals, (0.0, 0.5, 1.0))
+        later = _jobs(ks, (0.0, 0.5, 1.0))
         got = run.solve(later)
-        assert finished == [len(reals)]  # the w = 0.5 solves; the anchors are looked up
+        assert finished == [len(ks)]  # the w = 0.5 solves; the anchors are looked up
         assert all(got[3 * i] is first[2 * i + 1] and got[3 * i + 2] is first[2 * i]
-                   for i in range(len(reals)))
+                   for i in range(len(ks)))
         monkeypatch.undo()
         assert repr(got) == repr(_finished_alone(spec, later, config))
 
     def test_table_keeps_every_solve_and_shared_winner(self, name, config, monkeypatch):
-        # every solve a phase posed, finished, under (weight, k), whether or
+        # every solve a phase posed, finished, under (k, weight), whether or
         # not a later phase reads it; a winner only where solves of one
         # weight share it (e2-k16: separable, unconstrained), once per weight
         spec = REUSE_SPECS[name]()
@@ -688,7 +700,7 @@ class TestDescentTable:
 
         def kept(self, jobs):
             solvers.append(self)
-            posed.update((w, r.k) for r, w in jobs)
+            posed.update(jobs)
             return solve(self, jobs)
 
         monkeypatch.setattr(solver.Solver, "solve", kept)
@@ -696,12 +708,12 @@ class TestDescentTable:
         run = solvers[0]
         assert all(s is run for s in solvers)
         solved = set(run._solved)
-        assert all(type(w) is float and type(k) is int for w, k in solved)
+        assert all(type(k) is int and type(w) is float for k, w in solved)
         assert all(isinstance(res, solver.SolveResult) for res in run._solved.values())
         assert solved == posed and len(solved) <= report.nlp.total
         winners = run._winners
         if name == "e2-k16":
-            assert sorted(winners) == sorted({w for w, _ in solved})
+            assert sorted(winners) == sorted({w for _, w in solved})
             for y, f in winners.values():
                 assert y.shape == (spec.n_y,) and np.shape(f) == ()
         else:
@@ -805,7 +817,7 @@ class TestBatchedFinish:
     @pytest.mark.parametrize("name", sorted(FINISH_SPECS))
     def test_batch_equals_each_solve_alone(self, name, config, monkeypatch):
         spec = FINISH_SPECS[name]()
-        jobs = _jobs(_reals(spec, 7), (1.0, 0.5, 0.0))
+        jobs = _jobs(_ks(spec, 7), (1.0, 0.5, 0.0))
         winners = _FinishedWinners(monkeypatch)
         rows = _DescentRows(monkeypatch)
         batched = Solver(spec, config).solve(jobs)
@@ -835,7 +847,7 @@ class TestBatchedFinish:
                               discrete_sets=((0.0, 1.0),), objectives=constant,
                               gradient=flat, vectorized=True,
                               base_objectives=constant if shared else None)
-        jobs = _jobs(pp.enumerate_realizations(spec), (1.0, 0.25))
+        jobs = _jobs(_all_ks(spec), (1.0, 0.25))
         rows = _DescentRows(monkeypatch)
         results = Solver(spec, config).solve(jobs)
         ((x, f),) = rows.outputs
@@ -852,10 +864,11 @@ class TestBatchedFinish:
             return np.stack([j1, (v - 1.0) ** 2], axis=-1)
 
         spec = _one_y_spec("half-nan", (0.0, 1.0, 2.0), objectives=half_nan)
-        jobs = _jobs(pp.enumerate_realizations(spec), (1.0, 0.5))
+        jobs = _jobs(_all_ks(spec), (1.0, 0.5))
         results = Solver(spec, config).solve(jobs)
-        assert [res.point is None for res in results] == [r.z == (1.0,) for r, _ in jobs]
-        assert [res.feasible for res in results] == [r.z != (1.0,) for r, _ in jobs]
+        zs = [decomposition.realization_from_index(spec, k).z for k, _ in jobs]
+        assert [res.point is None for res in results] == [z == (1.0,) for z in zs]
+        assert [res.feasible for res in results] == [z != (1.0,) for z in zs]
         assert repr(results) == repr(_finished_alone(spec, jobs, config))
         assert solve_scalarized(results[2]) is results[2]
         assert solve_scalarized(results[0]).feasible
@@ -870,7 +883,7 @@ class TestBatchedFinish:
             return np.where(np.asarray(z, dtype=float)[..., 0] == 1.0, 3e150, 0.5 - v)[..., None]
 
         spec = _one_y_spec("overflow", (0.0, 1.0), constraints=cons)
-        jobs = _jobs(pp.enumerate_realizations(spec), (1.0,))
+        jobs = _jobs(_all_ks(spec), (1.0,))
         with np.errstate(over="ignore"):
             rows = _DescentRows(monkeypatch)
             batched = Solver(spec, config).solve(jobs)
@@ -1015,8 +1028,8 @@ def _descent_case(name):
         "gen-nan": (_nan_gen_problem(), None),  # NaN for y1 > 0.7
         "toy-constrained": (_widened(pp.make_toy_constrained()), 1e8),  # escalated penalty
     }[name]
-    jobs = _jobs(_reals(spec, 3), (0.0, 0.35, 0.5, 1.0))
-    batch = solver._Batch(spec, jobs, 6)
+    jobs = _jobs(_ks(spec, 3), (0.0, 0.35, 0.5, 1.0))
+    batch = _batch(spec, jobs, 6)
     lo, hi = spec.lower_bounds(), spec.upper_bounds()
     rng = np.random.default_rng(11)
     x0 = lo + (hi - lo) * rng.random((6 * len(jobs), spec.n_y))

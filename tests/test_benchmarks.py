@@ -114,8 +114,8 @@ class TestE2:
         zb = (5.0, 15.0, 10.0, 1.0, 5.0, 1.0)  # z5 <-> z7 swapped
         ra = realization_from_index(e2_spec, index_of(e2_spec, za))
         rb = realization_from_index(e2_spec, index_of(e2_spec, zb))
-        fa = build_subproblem_front(Solver(e2_spec, config), [ra], 11)
-        fb = build_subproblem_front(Solver(e2_spec, config), [rb], 11)
+        fa = build_subproblem_front(Solver(e2_spec, config), [ra.k], 11)
+        fb = build_subproblem_front(Solver(e2_spec, config), [rb.k], 11)
         assert fa.pts.tolist() == fb.pts.tolist()
         assert fa.y.tolist() == fb.y.tolist()
 
@@ -163,7 +163,7 @@ class TestOracle:
     def test_e1_master_front_within_oracle(self, e1_spec, e1_oracle, config):
         # master-front points must be non-dominated inside the oracle's
         # exhaustive point set
-        pa = phase_a(Solver(e1_spec, config), pp.enumerate_realizations(e1_spec), 21)
+        pa = phase_a(Solver(e1_spec, config), [r.k for r in pp.enumerate_realizations(e1_spec)], 21)
         opts = np.array([[s.point.j1, s.point.j2] for s in e1_oracle.front])
         for j1, j2 in pa.master_front.pts.tolist():
             strictly = (

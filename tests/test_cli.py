@@ -501,6 +501,31 @@ class TestStrictReader:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestHugeKTotal:
+    def test_refused_in_bounded_memory(self, tmp_path, capsys):
+        # a quad report edited to claim 2 000 000 realizations: refused as a
+        # run's report that misses indices, without a set of every index
+        # (141 MB under tracemalloc when the check built one)
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        assert run_cli("run", "--problem", "quad", "--beta", "5", "--report", str(good),
+                       "--front", str(tmp_path / "f.csv")) == 0
+        doc = json.loads(good.read_text())
+        doc["k_total"] = 2_000_000
+        bad.write_text(json.dumps(doc))
+        message = "report sets infeasible, pruned_a, pruned_b, k1c do not cover 1..2000000 exactly"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                pp.PruneReport.from_json_dict(doc)
+            code = run_cli("compare", "--a", str(good), "--b", str(bad))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert peak < 4 * 2 ** 20
+
+
 class TestCompareReports:
     def test_deltas(self, e1_ab, e1_a):
         result = compare_reports(e1_ab, e1_a, tol=1e-4)

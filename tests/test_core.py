@@ -188,18 +188,18 @@ def _ops_fronts(outcomes, eps, monkeypatch):
     """The fronts two operations build from ``outcomes``, the realizations
     at even positions and those at odd ones, with the solves replaced by
     the generated outcomes (y = (weight index,))."""
-    reals = [Realization(k=k, z=(float(k),)) for k in range(1, len(outcomes) + 1)]
+    ks = list(range(1, len(outcomes) + 1))
 
     def solve_all(solver, jobs):
         weights = decomposition.weight_grid(BETA)
         return [SolveResult(w, (float(weights.index(w)),),
-                            None if (p := outcomes[r.k - 1][weights.index(w)]) is None
+                            None if (p := outcomes[k - 1][weights.index(w)]) is None
                             else ObjectivePoint(*p), p is not None)
-                for r, w in jobs]
+                for k, w in jobs]
 
     monkeypatch.setattr(decomposition, "_solve_all", solve_all)
     spec = pp.make_quad()
-    return [decomposition.build_subproblem_front(Solver(spec), reals[i::2], BETA, eps)
+    return [decomposition.build_subproblem_front(Solver(spec), ks[i::2], BETA, eps)
             for i in (0, 1)]
 
 
@@ -304,6 +304,10 @@ class TestProblemSpecValidation:
     def test_empty_discrete_set(self):
         with pytest.raises(ValueError):
             ProblemSpec("p", 1, ((0.0, 1.0),), ((),), self._objs)
+
+    def test_no_discrete_variables(self):
+        with pytest.raises(ValueError, match="problem has no discrete variables"):
+            ProblemSpec("p", 1, ((0.0, 1.0),), (), self._objs)
 
     def test_repeated_discrete_values(self):
         with pytest.raises(ValueError):

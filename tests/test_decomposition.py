@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import pareto_prune as pp
 from pareto_prune import CapacityExceeded, ObjectivePoint, decomposition, enumerate_realizations
+from pareto_prune.core import _z_rows
 from pareto_prune.decomposition import (
     build_subproblem_front,
     compute_anchors_utopia,
@@ -37,8 +38,8 @@ class _Anchor(NamedTuple):
 
 def _anchors(spec, r, config):
     """The w=1 and w=0 anchors of realization r: the two rows of its
-    beta=2 front, whose solves are the anchors' own (weight, k) solves."""
-    front = build_subproblem_front(Solver(spec, config), [r], 2)
+    beta=2 front, whose solves are the anchors' own (k, weight) solves."""
+    front = build_subproblem_front(Solver(spec, config), [r.k], 2)
     by_w = {w: _Anchor(tuple(y), ObjectivePoint(*p))
             for w, y, p in zip(front.w.tolist(), front.y.tolist(), front.pts.tolist())}
     return by_w[1], by_w[0]
@@ -47,7 +48,7 @@ def _anchors(spec, r, config):
 def _utopia_and_anchors(spec, r, config):
     """r's utopia point and its anchors; the utopia takes its components
     from the anchors exactly."""
-    utopia = compute_anchors_utopia(Solver(spec, config), [r])
+    utopia = compute_anchors_utopia(Solver(spec, config), [r.k])
     a1, a2 = _anchors(spec, r, config)
     assert utopia.tobytes() == np.array([[a1.point.j1, a2.point.j2]]).tobytes()
     return ObjectivePoint(*utopia[0].tolist()), a1, a2
@@ -74,6 +75,13 @@ def _simple_spec(discrete_sets):
     )
 
 
+def _z_rule_specs(e1_spec, e2_spec):
+    """e1, e2, and a spec with set sizes (3, 1, 4) whose values are not
+    sorted (one of them -0.0, which a bitwise comparison tells from 0.0)."""
+    return [e1_spec, e2_spec,
+            _simple_spec(((2.5, -1.0, -0.0), (7.0,), (3.0, -2.0, 10.0, 0.5)))]
+
+
 class TestEnumerateRealizations:
     def test_e1_count(self, e1_spec):
         assert len(enumerate_realizations(e1_spec)) == 121
@@ -97,10 +105,17 @@ class TestEnumerateRealizations:
         with pytest.raises(CapacityExceeded, match="4096 realizations exceed the cap of 4095"):
             enumerate_realizations(e2_spec)
 
-    def test_lexicographic_matches_product(self, e2_spec):
-        reals = enumerate_realizations(e2_spec)
-        expected = list(itertools.product(*e2_spec.discrete_sets))
-        assert [r.z for r in reals] == expected
+    def test_lexicographic_matches_product(self, e1_spec, e2_spec):
+        # enumeration and the one k -> z rule (core._z_rows) both give
+        # itertools.product order, the rule's rows bit for bit
+        for spec in _z_rule_specs(e1_spec, e2_spec):
+            reals = enumerate_realizations(spec)
+            expected = list(itertools.product(*spec.discrete_sets))
+            assert [r.z for r in reals] == expected
+            assert [r.k for r in reals] == list(range(1, len(expected) + 1))
+            rows = _z_rows(spec, [r.k for r in reals])
+            assert rows.dtype == np.float64 and rows.shape == (len(expected), spec.n_z)
+            assert rows.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 class TestIndexBijection:
@@ -113,6 +128,20 @@ class TestIndexBijection:
             realization_from_index(e1_spec, 0)
         with pytest.raises(ValueError):
             realization_from_index(e1_spec, 122)
+        for k in (2.5, 2.0):  # mixed radix would truncate it to a neighbour's z
+            with pytest.raises(ValueError, match="k must be an integer in 1..121"):
+                realization_from_index(e1_spec, k)
+
+    def test_rows_match_realization_from_index(self, e1_spec, e2_spec):
+        # any ks, in any order and repeated: row i is the z of ks[i], bit for bit
+        rng = np.random.default_rng(4)
+        for spec in _z_rule_specs(e1_spec, e2_spec):
+            total = math.prod(len(zs) for zs in spec.discrete_sets)
+            ks = rng.permutation(np.arange(1, total + 1)).tolist() + [total, 1, total]
+            rows = _z_rows(spec, ks)
+            want = [realization_from_index(spec, k).z for k in ks]
+            assert rows.tobytes() == np.array(want, dtype=float).tobytes()
+            assert all(realization_from_index(spec, k).k == k for k in ks[:50])
 
     def test_unknown_value(self, e1_spec):
         with pytest.raises(ValueError):
@@ -127,6 +156,7 @@ class TestIndexBijection:
         k = rnd.randint(1, total)
         r = realization_from_index(spec, k)
         assert index_of(spec, r.z) == k
+        assert tuple(_z_rows(spec, [k])[0].tolist()) == r.z
 
 
 class TestAnchorsUtopia:
@@ -140,12 +170,13 @@ class TestAnchorsUtopia:
 
     def test_counts_two_solves(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        compute_anchors_utopia(Solver(quad_spec, config), [r])[0]
+        compute_anchors_utopia(Solver(quad_spec, config), [r.k])[0]
         assert solve_log.calls == 2
 
     def test_unusable_anchor_gives_none(self, config, solve_log):
         spec = _all_nan_spec()
-        utopias = compute_anchors_utopia(Solver(spec, config), enumerate_realizations(spec))
+        ks = [r.k for r in enumerate_realizations(spec)]
+        utopias = compute_anchors_utopia(Solver(spec, config), ks)
         assert utopias.shape == (1, 2) and np.isnan(utopias).all()
         assert solve_log.calls == 2
 
@@ -167,8 +198,8 @@ class TestAnchorsUtopia:
 class TestCenter:
     def test_quad_center(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
-        c = compute_center(Solver(quad_spec, config), [r])[0]
-        res = Solver(quad_spec, config).solve([(r, 0.5)])[0]
+        c = compute_center(Solver(quad_spec, config), [r.k])[0]
+        res = Solver(quad_spec, config).solve([(r.k, 0.5)])[0]
         assert res.y_star[0] == pytest.approx(0.5, abs=1e-9)
         assert c.tobytes() == np.array(res.point.as_tuple()).tobytes()
         assert c[0] == pytest.approx(0.25, abs=1e-9)
@@ -177,22 +208,22 @@ class TestCenter:
     def test_e2_all_ones_matches_grid_descent_oracle(self, e2_spec, config):
         r = enumerate_realizations(e2_spec)[0]
         assert r.z == (1.0,) * 6
-        c = compute_center(Solver(e2_spec, config), [r])[0]
+        c = compute_center(Solver(e2_spec, config), [r.k])[0]
         assert c[0] == pytest.approx(E2_ALL_ONES_CENTER[0], abs=1e-4)
         assert c[1] == pytest.approx(E2_ALL_ONES_CENTER[1], abs=1e-4)
 
     @pytest.mark.parametrize("z", [(0.0, 0.0), (-1.0, 2.0)])
     def test_center_minimizes_equal_weights_over_front(self, e1_spec, config, z):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == z)
-        c1, c2 = compute_center(Solver(e1_spec, config), [r])[0].tolist()
-        front = build_subproblem_front(Solver(e1_spec, config), [r], 21)
+        c1, c2 = compute_center(Solver(e1_spec, config), [r.k])[0].tolist()
+        front = build_subproblem_front(Solver(e1_spec, config), [r.k], 21)
         half = 0.5 * (c1 + c2)
         for j1, j2 in front.pts.tolist():
             assert half <= 0.5 * (j1 + j2) + 1e-6
 
     def test_counts_one_solve(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        compute_center(Solver(quad_spec, config), [r])[0]
+        compute_center(Solver(quad_spec, config), [r.k])[0]
         assert solve_log.calls == 1
 
 
@@ -200,19 +231,19 @@ class TestSubproblemFront:
     def test_beta_validation(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
         with pytest.raises(ValueError):
-            build_subproblem_front(Solver(quad_spec, config), [r], 1)
+            build_subproblem_front(Solver(quad_spec, config), [r.k], 1)
 
     def test_beta_two_reproduces_anchors(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, -1.0))
         utopia, a1, a2 = _utopia_and_anchors(e1_spec, r, config)
-        front = build_subproblem_front(Solver(e1_spec, config), [r], 2)
+        front = build_subproblem_front(Solver(e1_spec, config), [r.k], 2)
         assert front.w.tolist() == [1, 0]  # sorted by j1
         assert utopia.j1 == min(front.pts[:, 0].tolist()) == a1.point.j1
         assert utopia.j2 == min(front.pts[:, 1].tolist()) == a2.point.j2
 
     def test_quad_convex_front(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
-        pts = build_subproblem_front(Solver(quad_spec, config), [r], 21).pts.tolist()
+        pts = build_subproblem_front(Solver(quad_spec, config), [r.k], 21).pts.tolist()
         assert len(pts) == 21
         assert tuple(pts[0]) == pytest.approx((0.0, 1.0), abs=1e-9)
         assert tuple(pts[-1]) == pytest.approx((1.0, 0.0), abs=1e-9)
@@ -222,12 +253,13 @@ class TestSubproblemFront:
 
     def test_counts_beta_solves(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
-        build_subproblem_front(Solver(quad_spec, config), [r], 13)
+        build_subproblem_front(Solver(quad_spec, config), [r.k], 13)
         assert solve_log.calls == 13
 
     def test_raising_weights_still_pose_beta_solves(self, config, solve_log):
         spec = _all_nan_spec()
-        front = build_subproblem_front(Solver(spec, config), enumerate_realizations(spec), 7)
+        ks = [r.k for r in enumerate_realizations(spec)]
+        front = build_subproblem_front(Solver(spec, config), ks, 7)
         assert front.k.size == 0  # the realization has no feasible point
         assert solve_log.calls == 7
 
@@ -235,14 +267,14 @@ class TestSubproblemFront:
     def test_utopia_weakly_dominates_front(self, e1_spec, config, z):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == z)
         utopia, _, _ = _utopia_and_anchors(e1_spec, r, config)
-        for p in build_subproblem_front(Solver(e1_spec, config), [r], 21).pts.tolist():
+        for p in build_subproblem_front(Solver(e1_spec, config), [r.k], 21).pts.tolist():
             assert weakly_dominates(utopia, ObjectivePoint(*p), 1e-9)
 
     def test_anchor_consistency(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
         _, a1, a2 = _utopia_and_anchors(e1_spec, r, config)
         front = [ObjectivePoint(*p)
-                 for p in build_subproblem_front(Solver(e1_spec, config), [r], 21).pts.tolist()]
+                 for p in build_subproblem_front(Solver(e1_spec, config), [r.k], 21).pts.tolist()]
         for anchor in (a1, a2):
             close = any(
                 abs(p.j1 - anchor.point.j1) <= 1e-9
@@ -256,7 +288,7 @@ class TestSubproblemFront:
         # no densely sampled point may strictly dominate a front point
         # (small slack for solver convergence error)
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
-        front = build_subproblem_front(Solver(e1_spec, config), [r], 21)
+        front = build_subproblem_front(Solver(e1_spec, config), [r.k], 21)
         xs = np.linspace(-5.0, 5.0, 2_000_001)
         j1 = -10.0 * np.exp(-0.2 * np.abs(xs)) - 10.0
         j2 = np.abs(xs) ** 0.8 + 5.0 * np.sin(xs ** 3)

@@ -158,14 +158,14 @@ class TestFigProblem:
 
     def test_statuses(self, fig_spec):
         run = Solver(fig_spec)
-        reals = enumerate_realizations(fig_spec)
-        pa = phase_a(run, reals, 21)
+        ks = [r.k for r in enumerate_realizations(fig_spec)]
+        pa = phase_a(run, ks, 21)
         assert pa.k1m == [1, 5]
         assert pa.k1u == [1, 3, 4, 5]  # 2 falls in A-3
         assert sorted(set(pa.fronts.k.tolist())) == [1, 5]
         targets = [k for k in pa.k1u if k not in pa.k1m]
         assert targets == [3, 4]
-        retained = phase_b(run, [reals[k - 1] for k in targets], pa.master_front)
+        retained = phase_b(run, targets, pa.master_front)
         assert retained == [3]
         assert sorted(pa.k1m + retained) == [1, 3, 5]
 
@@ -173,21 +173,21 @@ class TestFigProblem:
         # every utopia-pruned index is weakly dominated by a master point,
         # and every center-pruned center likewise
         run = Solver(fig_spec)
-        reals = enumerate_realizations(fig_spec)
-        pa = phase_a(run, reals, 21)
+        ks = [r.k for r in enumerate_realizations(fig_spec)]
+        pa = phase_a(run, ks, 21)
         master = [ObjectivePoint(*p) for p in pa.master_front.pts.tolist()]
         for k in (2,):
             utopia = ObjectivePoint(*pa.utopias[k - 1].tolist())
             assert any(weakly_dominates(p, utopia) for p in master)
-        targets = [reals[k - 1] for k in pa.k1u if k not in pa.k1m]
+        targets = [k for k in pa.k1u if k not in pa.k1m]
         retained = phase_b(run, targets, pa.master_front)
-        pruned = [r for r in targets if r.k not in retained]
-        assert [r.k for r in pruned] == [4]
+        pruned = [k for k in targets if k not in retained]
+        assert pruned == [4]
         for center in compute_center(run, pruned).tolist():
             assert any(weakly_dominates(p, ObjectivePoint(*center)) for p in master)
 
     def test_master_front_is_filter_of_member_fronts(self, fig_spec):
-        pa = phase_a(Solver(fig_spec), enumerate_realizations(fig_spec), 21)
+        pa = phase_a(Solver(fig_spec), [r.k for r in enumerate_realizations(fig_spec)], 21)
         merged = [ObjectivePoint(*p) for k in pa.k1m
                   for p in pa.fronts.pts[pa.fronts.k == k].tolist()]
         expected = nondominated_filter(merged)
@@ -208,12 +208,32 @@ class TestFigProblem:
         assert rep.front_realizations() == {(1.0,), (3.0,), (5.0,)}
 
 
+class TestRealizationsOnTheRunPath:
+    @pytest.mark.parametrize("phases", ["ab", "none"])
+    def test_one_realization_per_front_k(self, e2_spec, phases, monkeypatch):
+        # a run keeps realizations as their indices k; it builds a
+        # Realization only for the report's front, one per distinct k
+        made = []
+        init = pp.Realization.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(pp.Realization, "__init__", counted)
+        report = run_pipeline(e2_spec, beta=21, phases=phases)
+        monkeypatch.undo()
+        assert report.k_total == 4096
+        assert len(made) == len({sol.realization.k for sol in report.front}) < 4096
+
+
 class TestSingleRealization:
     def test_trivial_sets(self, quad_spec):
         rep = run_pipeline(quad_spec, beta=21, phases="ab")
         assert rep.k1m == rep.k1u == rep.k1c == (1,)
         assert rep.pruned_a == () and rep.pruned_b == ()
-        front = build_subproblem_front(Solver(quad_spec), pp.enumerate_realizations(quad_spec), 21)
+        ks = [r.k for r in pp.enumerate_realizations(quad_spec)]
+        front = build_subproblem_front(Solver(quad_spec), ks, 21)
         assert [p.point.as_tuple() for p in rep.front] == [tuple(p) for p in front.pts.tolist()]
 
 
@@ -382,8 +402,8 @@ class TestScalingInvariance:
         # through the oracle-level scaling check instead
         masters = []
         for spec in (pp.make_e2(), make_scaled_e2((2.5, 7.3))):
-            reals = pp.enumerate_realizations(spec)
-            utopias = compute_anchors_utopia(Solver(spec, config), reals)
+            ks = [r.k for r in pp.enumerate_realizations(spec)]
+            utopias = compute_anchors_utopia(Solver(spec, config), ks)
             masters.append(master_candidates(utopias).tolist())
         assert masters[0] == masters[1]
 
@@ -423,7 +443,8 @@ class TestEpsilonDominance:
 
     def test_masters_stay_in_k1u_when_the_master_front_covers_their_utopias(self, quad_spec):
         # at eps 1, quad's front point (0, 1) weakly dominates its utopia (0, 0)
-        pa = phase_a(Solver(quad_spec), enumerate_realizations(quad_spec), 5, eps=1.0)
+        pa = phase_a(Solver(quad_spec), [r.k for r in enumerate_realizations(quad_spec)], 5,
+                     eps=1.0)
         assert pipeline._weakly_dominated(pa.master_front.pts, pa.utopias, 1.0).tolist() == [True]
         assert pa.k1m == pa.k1u == [1]
         run_pipeline(quad_spec, beta=5, eps=1.0).check_invariants()
