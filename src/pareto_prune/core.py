@@ -119,6 +119,10 @@ class ProblemSpec:
     def n_z(self) -> int:
         return len(self.discrete_sets)
 
+    @property
+    def _k_total(self) -> int:  # |K|, the size of the discrete product set
+        return math.prod(map(len, self.discrete_sets))
+
     def lower_bounds(self) -> np.ndarray:
         return np.array([lo for lo, _ in self.bounds])
 

@@ -3,8 +3,8 @@ the anchors, center points, and weighted-sum subproblem fronts.  A
 realization is its index k; :func:`~pareto_prune.core._z_rows` gives the
 z of any ks.  Each operation takes the run's
 :class:`~pareto_prune.solver.Solver`, which looks up what the run has
-already solved, and a list of ks; it poses its (k, weight) jobs as one
-:meth:`~pareto_prune.solver.Solver.solve` call, and decides no pruning
+already solved, and a list of ks; it poses its solves, ks x weights, as
+one :meth:`~pareto_prune.solver.Solver.solve` call, and decides no pruning
 set: a point per realization, one row of an (n, 2) array (NaN where a
 solve it needs is not feasible), or the fronts of all its realizations as
 one :class:`~pareto_prune.core.Front`."""
@@ -18,7 +18,7 @@ import numbers
 import numpy as np
 
 from .core import Front, ProblemSpec, Realization, _z_rows, nondominated_rows
-from .solver import Solver, SolveResult, solve_scalarized
+from .solver import MAX_DESCENT_ROWS, Solver, SolveResult, solve_scalarized
 
 __all__ = [
     "CENTER_WEIGHT",
@@ -41,45 +41,44 @@ class CapacityExceeded(RuntimeError):
 
 
 def _realizations(spec: ProblemSpec, ks) -> list[Realization]:
-    """The :class:`Realization` of each index k in ``ks``."""
-    return list(map(Realization, ks, map(tuple, _z_rows(spec, ks, object).tolist())))
+    """The :class:`Realization` of each index k in ``ks``, a part at a time."""
+    parts = (ks[a:a + MAX_DESCENT_ROWS] for a in range(0, len(ks), MAX_DESCENT_ROWS))
+    return list(itertools.chain.from_iterable(
+        map(Realization, part, zip(*_z_rows(spec, part, object).T.tolist())) for part in parts))
 
 
 def enumerate_realizations(spec: ProblemSpec) -> list[Realization]:
     """All realizations of the discrete product set, in lexicographic
     order with the last variable varying fastest; k runs 1..|Z|.  More
     than DEFAULT_REALIZATION_CAP of them raise CapacityExceeded."""
-    total = math.prod(len(zs) for zs in spec.discrete_sets)
-    if total > DEFAULT_REALIZATION_CAP:
+    if (total := spec._k_total) > DEFAULT_REALIZATION_CAP:
         raise CapacityExceeded(f"{total} realizations exceed the cap of {DEFAULT_REALIZATION_CAP}")
     return _realizations(spec, range(1, total + 1))
 
 
 def realization_from_index(spec: ProblemSpec, k: int) -> Realization:
-    total = math.prod(len(zs) for zs in spec.discrete_sets)
-    if not isinstance(k, numbers.Integral) or not 1 <= k <= total:
-        raise ValueError(f"k must be an integer in 1..{total}, got {k!r}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= spec._k_total:
+        raise ValueError(f"k must be an integer in 1..{spec._k_total}, got {k!r}")
     return _realizations(spec, [k])[0]
 
 
-def _solve_all(solver: Solver, jobs: list[tuple[int, float]]) -> list[SolveResult]:
-    """One counted solve per (k, weight) job, all of them one
-    :meth:`~pareto_prune.solver.Solver.solve` call."""
-    return [solve_scalarized(res) for res in solver.solve(jobs)]
-
-
-def _points(results: list[SolveResult]) -> np.ndarray:
-    """The objectives of ``results``, one row each: NaN where a solve is not feasible."""
-    rows = (res.point.as_tuple() if res.feasible else (math.nan, math.nan) for res in results)
-    return np.fromiter(itertools.chain.from_iterable(rows), float).reshape(len(results), 2)
+def _solve_all(solver: Solver, ks: list[int], weights) -> tuple[np.ndarray, np.ndarray]:
+    """The solves of ``ks`` x ``weights``, k-major, from one ``solver.solve`` call: y (n*m,
+    n_y) and objectives (n*m, 2), NaN where not feasible; each counted, a part at a time."""
+    y, pts, feasible = (a.reshape(-1, *a.shape[2:]) for a in solver.solve(ks, weights))
+    ws = itertools.cycle(weights)
+    for a in range(0, feasible.size, MAX_DESCENT_ROWS):
+        part = slice(a, a + MAX_DESCENT_ROWS)
+        for y_star, ok in zip(map(tuple, y[part].tolist()), feasible[part].tolist()):
+            solve_scalarized(SolveResult(next(ws), y_star, ok))
+    return y, np.where(feasible[:, None], pts, math.nan)
 
 
 def compute_anchors_utopia(solver: Solver, ks: list[int]) -> np.ndarray:
     """Utopia point of each realization: j1 of its w=1 anchor and j2 of
     its w=0 anchor (two counted sole-objective solves per realization), a
     NaN row where either anchor is not feasible."""
-    pairs = _points(_solve_all(solver, [(k, w) for k in ks for w in (1.0, 0.0)]))
-    pairs = pairs.reshape(len(ks), 4)  # j1, j2 at w=1, then j1, j2 at w=0
+    pairs = _solve_all(solver, ks, (1.0, 0.0))[1].reshape(len(ks), 4)  # w=1, then w=0
     return np.where(np.isnan(pairs).any(axis=1, keepdims=True), math.nan, pairs[:, [0, 3]])
 
 
@@ -87,7 +86,7 @@ def compute_center(solver: Solver, ks: list[int]) -> np.ndarray:
     """Center point of each realization: the objectives of its equal-weights
     solve (one counted NLP each), on the subproblem front where weighted-sum
     reaches it; a NaN row where that solve is not feasible."""
-    return _points(_solve_all(solver, [(k, CENTER_WEIGHT) for k in ks]))
+    return _solve_all(solver, ks, (CENTER_WEIGHT,))[1]
 
 
 def weight_grid(beta: int) -> list[float]:
@@ -107,11 +106,8 @@ def build_subproblem_front(solver: Solver, ks: list[int], beta: int,
     solves; a realization without a feasible solution has no row."""
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
-    results = _solve_all(solver, [(k, w) for k in ks for w in weight_grid(beta)])
-    pts = _points(results)
+    y, pts = _solve_all(solver, ks, weight_grid(beta))
     rows = np.flatnonzero(~np.isnan(pts[:, 0]))
-    y = np.fromiter(itertools.chain.from_iterable(res.y_star for res in results), float)
-    y = y.reshape(len(results), solver.spec.n_y)
     seg, w = np.divmod(rows, beta)
     front = Front(np.asarray(ks, dtype=np.int64)[seg], w, y[rows], pts[rows])
     return front.take(nondominated_rows(front.pts, eps, seg))

@@ -399,7 +399,7 @@ def run_pipeline(
     beta = int(beta)
     _check_eps(eps)
     eps = float(eps)
-    k_total = math.prod(len(zs) for zs in spec.discrete_sets)
+    k_total = spec._k_total
     if beta * k_total > DEFAULT_REALIZATION_CAP:
         raise CapacityExceeded(f"beta * |K| = {beta * k_total} exceeds the cap of "
                                f"{DEFAULT_REALIZATION_CAP}")

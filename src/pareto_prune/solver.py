@@ -1,14 +1,14 @@
 """Box-constrained solver for weighted-sum scalarizations.
 
-A solve is one (k, weight) job: minimize w*J1 + (1-w)*J2 of the problem
+A solve is one (k, weight) cell: minimize w*J1 + (1-w)*J2 of the problem
 at realization k (its z from ``core._z_rows``) over its box, plus an
 exterior quadratic penalty on violated inequality constraints.  One call to
 :func:`solve_scalarized` is one NLP in the pipeline's solve accounting,
 regardless of how many local descents run inside it.  A run has one
-:class:`Solver`, and the solves of one phase are one :meth:`Solver.solve`
-call, which returns one :class:`SolveResult` per job, unusable solves
-included: their local descents run in lockstep in one batch, each solve
-keeps the best of its starts, and those winners are finished in one
+:class:`Solver`, and the solves of one phase, ks x weights, are one
+:meth:`Solver.solve` call, which returns their results as arrays, unusable
+solves included: their local descents run in lockstep in one batch, each
+solve keeps the best of its starts, and those winners are finished in one
 pass: penalty escalation and objectives.  Every
 row of a batch evolves on its own, so a solve's result does not depend
 on the batch it ran in.  A descent step updates its rows by mask, makes
@@ -28,11 +28,11 @@ import functools
 import itertools
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ObjectivePoint, ProblemSpec, _z_rows
+from .core import ProblemSpec, _z_rows
 
 __all__ = [
     "Solver",
@@ -252,17 +252,12 @@ class _Batch:
         return out
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    """One solve of weight ``weight``: the best point its descents reached
-    and the objectives there.  ``point`` is None where no start reached a
-    finite value or the objectives at that point are not finite; such a
-    solve, and one whose point violates a constraint beyond FEAS_TOL, is
-    not ``feasible``."""
+class SolveResult(NamedTuple):
+    """The record of one counted solve (:func:`solve_scalarized`): its
+    weight, the best point its descents reached, and its feasibility."""
 
     weight: float
     y_star: tuple[float, ...]
-    point: ObjectivePoint | None
     feasible: bool
 
 
@@ -433,26 +428,28 @@ class Solver:
     :class:`SolverConfig` when None) and the run's table, so that a solve
     posed twice in a run runs once.
 
-    The table keeps every solve :meth:`solve` finishes under its job,
-    whether or not a later call reads it, and a later call looks it up; it
-    still counts as one solve.  So A-2 and B-3 look up the A-1 anchors at
-    w = 0 and 1, and B-3 the B-1 centers at w = 0.5.  On a separable
-    problem (``base_objectives``) without constraints a descent depends on
-    its weight alone, and the table also keeps its winner, a (point,
-    value) pair, under the weight (:meth:`descend_weights`), which every
-    solve of that weight shares.  A run descends its whole weight grid
-    this way before Phase A; its calls then look winners up and finish."""
+    The table is one float array, zeroed as it grows: a column per weight
+    posed, of a row per realization k (|K| rows, which ``run_pipeline``'s
+    beta*|K| cap bounds), and per cell the solve's point, objectives and
+    status (0 until :meth:`solve` finishes it, then 2 if feasible, else 1).
+    A later call looks a finished solve up, still one counted solve: A-2 and
+    B-3 look up A-1's anchors (w = 0, 1), B-3 B-1's centers (w = 0.5).  On a
+    separable problem (``base_objectives``) without constraints a descent
+    depends on its weight alone; its winner, a (point, value) pair every
+    solve of the weight shares, is kept under the weight
+    (:meth:`descend_weights`); a run descends its weight grid so first."""
 
     def __init__(self, spec: ProblemSpec, config: SolverConfig | None = None) -> None:
         self.spec = spec
         self.config = config or SolverConfig()
         # a descent depends on its weight alone
         self._shared = spec.base_objectives is not None and spec.inequality_constraints is None
-        self._solved: dict = {}  # (k, weight) -> SolveResult
+        self._columns: dict = {}  # weight -> its column of the table
+        self._table = np.zeros((0, spec._k_total, spec.n_y + 3))  # y, j1, j2, status
         self._winners: dict = {}  # weight -> (point, value) its solves share
 
     def descend_weights(self, weights: Sequence[float]) -> None:
-        """Run the descents of ``weights`` the table does not hold yet, in
+        """Run the descents of ``weights`` the solver holds no winner of, in
         one :func:`_descend` call at realization 1, and keep each winner
         under its weight.  Only where descents depend on the weight alone;
         there any realization gives the same winners."""
@@ -462,40 +459,44 @@ class Solver:
                             self.config)
             self._winners.update(zip(missing, zip(y, f)))
 
-    def solve(self, jobs: Sequence[tuple[int, float]]) -> list[SolveResult]:
-        """The result of each (k, weight) job, from the table where it holds
-        the solve (a job is its own key).  The solves not finished yet run
+    def solve(self, ks: Sequence[int], weights: Sequence[float]):
+        """The solve of each realization k in ``ks`` at each of ``weights``
+        from the table: points (n, m, n_y), objectives (n, m, 2) and
+        feasibility (n, m).  Cells not finished yet run once each, k-major,
         in parts of MAX_DESCENT_ROWS, each part's z computed once: their
-        descents as one batch (:func:`_descend`), and their winners
-        finished as one batch (:func:`_finish`)."""
-        todo = [job for job in dict.fromkeys(jobs) if job not in self._solved]
-        if self._shared:
-            self.descend_weights([w for _, w in todo])
+        descents as one batch (:func:`_descend`), then one :func:`_finish`."""
+        uk, uw = np.array(list(dict.fromkeys(ks)), int), list(dict.fromkeys(weights))
+        cols = np.array([self._columns.setdefault(w, len(self._columns)) for w in uw], np.intp)
+        if len(self._columns) > len(self._table):  # cells no call poses touch no page
+            old, self._table = self._table, np.zeros((len(self._columns),) + self._table.shape[1:])
+            np.copyto(self._table[:len(old)], old, where=old[..., -1:] != 0)  # finished cells
+        ki, wi = (self._table[cols, uk[:, None] - 1, -1] == 0).nonzero()  # k-major
         # one part for all 86 016 solves of the e2 oracle raised its peak RSS 100 -> 111 MB
-        for a in range(0, len(todo), MAX_DESCENT_ROWS):
-            part = todo[a:a + MAX_DESCENT_ROWS]
-            ks, weights = zip(*part)
-            z = _z_rows(self.spec, ks)
+        for a in range(0, ki.size, MAX_DESCENT_ROWS):
+            k, i = uk[ki[a:a + MAX_DESCENT_ROWS]], wi[a:a + MAX_DESCENT_ROWS]
+            w, z = np.take(uw, i), _z_rows(self.spec, k)
             if self._shared:
-                y, f = map(np.array, zip(*(self._winners[w] for w in weights)))
+                self.descend_weights(uw)  # in the first part; the rest look winners up
+                y, f = map(np.array, zip(*map(self._winners.get, w.tolist())))
             else:
-                y, f = _descend(self.spec, z, weights, self.config)
-            self._solved.update(zip(part, _finish(self.spec, z, weights, y, f)))
-        return [self._solved[job] for job in jobs]
+                y, f = _descend(self.spec, z, w, self.config)
+            y, pts, feasible = _finish(self.spec, z, w, y, f)
+            self._table[cols[i], k - 1] = np.column_stack((y, pts, feasible + 1.0))
+        cells = self._table[[self._columns[w] for w in weights], np.array(ks, int)[:, None] - 1]
+        return cells[..., :-3], cells[..., -3:-1], cells[..., -1] == 2.0
 
 
 def _finish(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float],
-            y: np.ndarray, f: np.ndarray) -> list[SolveResult]:
-    """The result of each solve from its descents' winner: solve i at z[i]
-    and weights[i] (kept as given), its point ``y`` (m, n_y), updated in
-    place, and value ``f`` (m,).  On a constrained problem one evaluator
-    pass gives the constraints at every winner with a finite value.
-    Winners that violate them beyond FEAS_TOL descend again from where
-    they stand, in lockstep, with the penalty multiplied by 100, for up to
-    4 rounds; ``_descent`` returns a row whose value there is not finite
-    unmoved, so it keeps its incumbent.  Then one pass gives the
-    objectives of all those winners, and a solve has a point where they
-    are finite."""
+            y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each solve's point, objectives and feasibility from its descents'
+    winner: solve i at z[i] and weights[i], its point ``y`` (m, n_y),
+    updated in place, and value ``f`` (m,).  On a constrained problem one
+    evaluator pass gives the constraints at every winner with a finite
+    value; winners that violate them beyond FEAS_TOL descend again from
+    where they stand, in lockstep, with the penalty multiplied by 100, for
+    up to 4 rounds (``_descent`` leaves a row unmoved whose value there is
+    not finite).  One pass then gives the objectives (m, 2), NaN unless
+    finite; a solve is feasible where they are and its constraints hold."""
     ok = np.flatnonzero(np.isfinite(f))
     raw = np.full((len(weights), 2), np.nan)
     within = np.ones(len(weights), dtype=bool)  # constraints within FEAS_TOL
@@ -516,14 +517,13 @@ def _finish(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float],
         raw[ok] = _evaluate(spec, "objectives", yk, zk)
         y[ok] = yk
     finite = np.isfinite(raw).all(axis=1)
-    return [SolveResult(w, tuple(yi), ObjectivePoint(j1, j2) if fin else None, fin and wi)
-            for w, yi, (j1, j2), fin, wi in zip(weights, y.tolist(), raw.tolist(),
-                                                 finite.tolist(), within.tolist())]
+    raw[~finite] = np.nan
+    return y, raw, finite & within
 
 
 def solve_scalarized(result: SolveResult) -> SolveResult:
-    """One solve over its box: ``result``, its :meth:`Solver.solve` result.
-    Counts as exactly one solve, however many descents and penalty
-    escalations ran for it or were shared, and whether or not it is
-    feasible."""
+    """One solve over its box: ``result``, its record, built from
+    :meth:`Solver.solve`'s arrays.  Counts as exactly one solve, however
+    many descents and penalty escalations ran for it or were shared,
+    looked up or not, feasible or not."""
     return result

@@ -19,7 +19,7 @@ from pareto_prune import (
     pipeline,
 )
 from pareto_prune.core import _check_eps, nondominated_rows
-from pareto_prune.solver import Solver, SolveResult
+from pareto_prune.solver import Solver
 from conftest import dominates, front_rows, weakly_dominates
 
 P = ObjectivePoint
@@ -190,12 +190,11 @@ def _ops_fronts(outcomes, eps, monkeypatch):
     the generated outcomes (y = (weight index,))."""
     ks = list(range(1, len(outcomes) + 1))
 
-    def solve_all(solver, jobs):
-        weights = decomposition.weight_grid(BETA)
-        return [SolveResult(w, (float(weights.index(w)),),
-                            None if (p := outcomes[k - 1][weights.index(w)]) is None
-                            else ObjectivePoint(*p), p is not None)
-                for k, w in jobs]
+    def solve_all(solver, ks, weights):
+        assert weights == decomposition.weight_grid(BETA)
+        y = np.tile(np.arange(BETA, dtype=float), len(ks))[:, None]
+        pts = [(math.nan, math.nan) if p is None else p for k in ks for p in outcomes[k - 1]]
+        return y, np.array(pts, dtype=float).reshape(-1, 2)
 
     monkeypatch.setattr(decomposition, "_solve_all", solve_all)
     spec = pp.make_quad()

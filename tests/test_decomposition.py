@@ -117,6 +117,13 @@ class TestEnumerateRealizations:
             assert rows.dtype == np.float64 and rows.shape == (len(expected), spec.n_z)
             assert rows.tobytes() == np.array(expected, dtype=float).tobytes()
 
+    def test_z_tuples_hold_the_sets_own_floats(self, e1_spec):
+        # one float object per set value, shared by every realization's z,
+        # as itertools.product gives them
+        reals = enumerate_realizations(e1_spec)
+        for r, want in zip(reals, itertools.product(*e1_spec.discrete_sets), strict=True):
+            assert type(r.z) is tuple and all(a is b for a, b in zip(r.z, want, strict=True))
+
 
 class TestIndexBijection:
     def test_roundtrip_e1(self, e1_spec):
@@ -131,6 +138,12 @@ class TestIndexBijection:
         for k in (2.5, 2.0):  # mixed radix would truncate it to a neighbour's z
             with pytest.raises(ValueError, match="k must be an integer in 1..121"):
                 realization_from_index(e1_spec, k)
+
+    @pytest.mark.parametrize("k", [True, False])
+    def test_bool_is_not_an_index(self, e1_spec, k):
+        # as run_pipeline refuses a bool eps and the report reader a bool index
+        with pytest.raises(ValueError, match=f"^k must be an integer in 1..121, got {k!r}$"):
+            realization_from_index(e1_spec, k)
 
     def test_rows_match_realization_from_index(self, e1_spec, e2_spec):
         # any ks, in any order and repeated: row i is the z of ks[i], bit for bit
@@ -199,9 +212,9 @@ class TestCenter:
     def test_quad_center(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
         c = compute_center(Solver(quad_spec, config), [r.k])[0]
-        res = Solver(quad_spec, config).solve([(r.k, 0.5)])[0]
-        assert res.y_star[0] == pytest.approx(0.5, abs=1e-9)
-        assert c.tobytes() == np.array(res.point.as_tuple()).tobytes()
+        y, pts, _ = Solver(quad_spec, config).solve([r.k], [0.5])
+        assert y[0, 0, 0] == pytest.approx(0.5, abs=1e-9)
+        assert c.tobytes() == pts[0, 0].tobytes()
         assert c[0] == pytest.approx(0.25, abs=1e-9)
         assert c[1] == pytest.approx(0.25, abs=1e-9)
 

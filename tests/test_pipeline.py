@@ -4,6 +4,7 @@ and the ignored ``workers`` keyword."""
 
 import dataclasses
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from pareto_prune.decomposition import (
     compute_center,
 )
 from pareto_prune.pipeline import build_master_front, master_candidates, phase_a, phase_b
-from pareto_prune.solver import Solver
+from pareto_prune.solver import MAX_DESCENT_ROWS, Solver
 from conftest import (
     front_points,
     install_solve_log,
@@ -225,6 +226,37 @@ class TestRealizationsOnTheRunPath:
         monkeypatch.undo()
         assert report.k_total == 4096
         assert len(made) == len({sol.realization.k for sol in report.front}) < 4096
+
+
+def _sum_offset_base(y):
+    v = np.asarray(y, dtype=float)[..., 0]
+    return np.stack([v * v, (v - 1.0) * (v - 1.0)], axis=-1)
+
+
+def _sum_offset_objectives(y, z):
+    return _sum_offset_base(y) + np.sum(z, axis=-1)[..., None]
+
+
+class TestBoundedMemory:
+    def test_oracle_of_49152_solves(self):
+        # 16 384 realizations (7 sets of 4 values) at beta = 3: more solves
+        # than one part of solver.MAX_DESCENT_ROWS, on a cheap separable
+        # problem whose descents the weights share.  Peak under tracemalloc:
+        # 30.4-30.5 MiB with one SolveResult and ObjectivePoint kept per
+        # solve, 11.2 MiB with the table's arrays
+        spec = pp.ProblemSpec(name="sum-offset", n_y=1, bounds=((0.0, 1.0),),
+                              discrete_sets=((0.0, 1.0, 2.0, 3.0),) * 7,
+                              objectives=_sum_offset_objectives, vectorized=True,
+                              base_objectives=_sum_offset_base)
+        tracemalloc.start()
+        try:
+            report = pp.oracle_front(spec, beta=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.nlp.total == 49_152 > MAX_DESCENT_ROWS
+        assert {sol.realization.k for sol in report.front} == {1}  # z = 0 alone
+        assert peak < 16 * 2 ** 20
 
 
 class TestSingleRealization:

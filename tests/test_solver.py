@@ -4,10 +4,12 @@ the solve's finish, config checks."""
 
 import dataclasses
 import itertools
+import math
 import os
 import re
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 import pareto_prune as pp
 from pareto_prune import solver
 from pareto_prune.decomposition import compute_anchors_utopia, compute_center
-from pareto_prune.solver import Solver, SolverConfig, _Batch, _start_points, solve_scalarized
+from pareto_prune.solver import Solver, SolverConfig, _Batch, _start_points
 
 # minimum of 0.5*J1 + 0.5*J2 over x1 in [-5, 5] for the e1 subproblem with
 # z = (0, 0), from a 10^6-point grid search refined to xatol 1e-13
@@ -27,16 +29,27 @@ def _first_real(spec):
     return pp.enumerate_realizations(spec)[0]
 
 
+class _Solve(NamedTuple):
+    """One solve, read from the arrays ``Solver.solve`` returns; j1 and j2
+    are NaN where the solve has no objectives."""
+
+    weight: float
+    y_star: tuple[float, ...]
+    j1: float
+    j2: float
+    feasible: bool
+
+
 def _solve(spec, w, config, r=None):
     """The solve of weight w at realization r (the first by default),
     batched on its own."""
-    job = ((r or _first_real(spec)).k, w)
-    return solve_scalarized(solver.Solver(spec, config).solve([job])[0])
+    y, pts, feasible = solver.Solver(spec, config).solve([(r or _first_real(spec)).k], [w])
+    return _Solve(w, tuple(y[0, 0].tolist()), *pts[0, 0].tolist(), bool(feasible[0, 0]))
 
 
 def _scalar(res):
     """w*J1 + (1-w)*J2 at the point of an unconstrained solve."""
-    return res.weight * res.point.j1 + (1.0 - res.weight) * res.point.j2
+    return res.weight * res.j1 + (1.0 - res.weight) * res.j2
 
 
 class TestSolveScalarized:
@@ -81,7 +94,7 @@ class TestSolveScalarized:
     def test_point_is_reevaluation(self, e2_spec, config):
         res = _solve(e2_spec, 0.5, config)
         raw = e2_spec.objectives(np.array([res.y_star]), np.array([_first_real(e2_spec).z]))[0]
-        assert res.point.j1 == raw[0] and res.point.j2 == raw[1]
+        assert res.j1 == raw[0] and res.j2 == raw[1]
 
     def test_local_optimality_on_smooth_problems(self, e2_spec, quad_spec, config,
                                                  monkeypatch):
@@ -252,8 +265,8 @@ class TestConstraintHandling:
         res = _solve(toy_spec, 0.0, config)
         assert res.feasible
         assert res.y_star[0] == pytest.approx(0.25, abs=1e-6)
-        assert res.point.j1 == pytest.approx(0.5625, abs=1e-5)
-        assert res.point.j2 == pytest.approx(1.5625, abs=1e-5)
+        assert res.j1 == pytest.approx(0.5625, abs=1e-5)
+        assert res.j2 == pytest.approx(1.5625, abs=1e-5)
 
     def test_inactive_constraint_untouched(self, toy_spec, config):
         res = _solve(toy_spec, 1.0, config)
@@ -285,13 +298,13 @@ class TestNanHandling:
         res = _solve(spec, 1.0, config, r)
         assert res.feasible
         assert res.y_star[0] == pytest.approx(0.0, abs=1e-4)
-        assert res.point.j1 == pytest.approx(0.0, abs=1e-9)
+        assert res.j1 == pytest.approx(0.0, abs=1e-9)
 
     def test_all_nan_is_infeasible_and_counts(self, config, solve_log):
         spec = self._make_spec(lambda v: v >= -1.0)
         r = _first_real(spec)
         res = _solve(spec, 1.0, config, r)
-        assert res.feasible is False and res.point is None
+        assert res.feasible is False and math.isnan(res.j1) and math.isnan(res.j2)
         center = compute_center(Solver(spec, config), [r.k])
         assert center.shape == (1, 2) and np.isnan(center).all()
         assert solve_log.calls == 1
@@ -335,12 +348,12 @@ class TestFinish:
 
         spec = dataclasses.replace(toy_spec, inequality_constraints=logged,
                                    discrete_sets=((0.0, 1.0, 2.0),))
-        jobs = [(r.k, w) for r in pp.enumerate_realizations(spec) for w in (0.75, 1.0)]
+        ks = [r.k for r in pp.enumerate_realizations(spec)]
         monkeypatch.setattr(solver, "_finish", finish_logged)
-        results = [solve_scalarized(res) for res in solver.Solver(spec, config).solve(jobs)]
-        assert all(res.feasible for res in results)
+        y, _, feasible = solver.Solver(spec, config).solve(ks, (0.75, 1.0))
+        assert feasible.all()
         assert len(calls) == 1
-        assert calls[0].tolist() == [list(res.y_star) for res in results]
+        assert calls[0].tolist() == y.reshape(-1, 1).tolist()  # k-major
 
     @pytest.mark.parametrize("pc", [1.0, 1e6, 3e9])
     def test_config_penalty_is_the_descent_penalty(self, toy_spec, pc):

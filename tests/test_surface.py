@@ -82,3 +82,26 @@ def test_module_layers():
         if bad:
             later[name] = sorted(bad)
     assert later == {}
+
+
+def _names_from_core(path: Path) -> set[str]:
+    """The names the source file ``path`` imports from pareto_prune.core,
+    and "core" itself where it imports the module."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["pareto_prune" if node.level else "", node.module]))
+            if base == "pareto_prune.core":
+                out.update(a.name for a in node.names)
+            elif base == "pareto_prune":
+                out.update("core" for a in node.names if a.name == "core")
+        elif isinstance(node, ast.Import):
+            out.update("core" for a in node.names if a.name == "pareto_prune.core")
+    return out
+
+
+def test_solver_reads_no_report_type():
+    # the solver works on arrays: the problem and the k -> z rule are all it
+    # takes from core, no point, realization or front type
+    src = Path(pp.__file__).parent
+    assert _names_from_core(src / "solver.py") == {"ProblemSpec", "_z_rows"}
