@@ -51,6 +51,30 @@ def _e1_objectives(y, z):
     return out
 
 
+def _e1_base(y, zb):
+    """The terms of e1 that read y, at zb = z[..., (0,)] (p = x2):
+    (-10 exp(-0.2 sqrt(x1^2 + p^2)), osc(x1))."""
+    y = np.asarray(y, dtype=float)
+    x1, p = y[..., 0], np.asarray(zb, dtype=float)[..., 0]
+    out = np.empty(x1.shape + (2,))
+    out[..., 0] = -10.0 * np.exp(-0.2 * np.sqrt(x1 ** 2 + p ** 2))
+    out[..., 1] = _osc(x1)
+    return out
+
+
+def _e1_offsets(z):
+    """The terms of e1 that read z alone (p, q = x2, x3):
+    (-10 exp(-0.2 sqrt(p^2 + q^2)), osc(p) + osc(q)).  Added to
+    :func:`_e1_base` they give :func:`_e1_objectives` bit for bit: a - b is
+    a + (-b), and (-10) e is -(10 e)."""
+    z = np.asarray(z, dtype=float)
+    p, q = z[..., 0], z[..., 1]
+    out = np.empty(p.shape + (2,))
+    out[..., 0] = -10.0 * np.exp(-0.2 * np.sqrt(p ** 2 + q ** 2))
+    out[..., 1] = _osc(p) + _osc(q)
+    return out
+
+
 def _e1_gradient(y, z):
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -72,7 +96,10 @@ def _e1_gradient(y, z):
 
 def make_e1() -> ProblemSpec:
     """Two exponential-distance terms against an oscillatory sum; the
-    sin(x^3) term makes every scalarization severely multimodal in x1."""
+    sin(x^3) term makes every scalarization severely multimodal in x1.
+    Declared partially separable: the terms that read x1 read only p = x2
+    (``base_z`` (0,)), and the rest depend on (x2, x3) alone, so a
+    descent evaluates them once per realization, not on every row."""
     eleven = tuple(float(v) for v in range(-5, 6))
     return ProblemSpec(
         name="e1",
@@ -82,6 +109,9 @@ def make_e1() -> ProblemSpec:
         objectives=_e1_objectives,
         gradient=_e1_gradient,
         vectorized=True,
+        base_objectives=_e1_base,
+        base_z=(0,),
+        offsets=_e1_offsets,
     )
 
 
@@ -99,8 +129,9 @@ _A3 = np.array(_A[:3])
 _B3 = np.array(_B[:3])
 
 
-def _e2_base(y):
-    """Volume and displacement of bars 1-3, summed bar by bar from 0.0 as numpy does."""
+def _e2_base(y, zb):
+    """Volume and displacement of bars 1-3, summed bar by bar from 0.0 as
+    numpy does; they read no z, so ``zb`` (m, 0) goes unread."""
     y = np.asarray(y, dtype=float)
     out = np.zeros(y.shape[:-1] + (2,))
     for j in range(3):
@@ -125,7 +156,7 @@ def _e2_offsets(z):
 
 
 def _e2_objectives(y, z):
-    return _e2_base(y) + _e2_offsets(z)
+    return _e2_base(y, ()) + _e2_offsets(z)
 
 
 def _e2_gradient(y, z):
@@ -138,7 +169,10 @@ def _e2_gradient(y, z):
 
 def make_e2() -> ProblemSpec:
     """Truss volume vs nodal displacement; bars 1-3 sized continuously,
-    bars 4-9 from the catalogue {1, 5, 10, 15}."""
+    bars 4-9 from the catalogue {1, 5, 10, 15}.  Declared separable: bars
+    1-3 read no z (``base_z`` empty) and bars 4-9 only add constants
+    (``offsets``), so every solve of a weight shares one descent, and a
+    solve's objectives are the base plus its realization's offsets."""
     catalogue = (1.0, 5.0, 10.0, 15.0)
     return ProblemSpec(
         name="e2",
@@ -149,6 +183,7 @@ def make_e2() -> ProblemSpec:
         gradient=_e2_gradient,
         vectorized=True,
         base_objectives=_e2_base,
+        offsets=_e2_offsets,
     )
 
 

@@ -72,16 +72,27 @@ class ProblemSpec:
     respect to the continuous variables only.  Without it the solver falls
     back to finite differences.
 
-    When objectives(y, z) - base_objectives(y) does not depend on y
-    (componentwise: the objectives are a continuous part plus a
-    per-realization constant), supplying ``base_objectives`` (ys (m, n_y)
-    -> (m, 2)) lets the solver descend on the z-independent part.
-    ``gradient`` must then not depend on z either.
-    Solve trajectories are then bitwise identical across realizations,
-    which preserves exact objective-space ties between realizations that
-    are mathematically equivalent.  Without ``inequality_constraints`` a
-    descent then depends on its weight alone, so the solves of one batch
-    that share a weight share one descent.
+    Partial separability is declared by ``base_objectives``, ``base_z``
+    and ``offsets``: objectives(y, z) == base_objectives(y, z[base_z]) +
+    offsets(z), componentwise, where ``base_z`` lists the z coordinates the
+    continuous part reads (none by default) and ``offsets`` maps z to the
+    pair of terms that depend on z alone.  ``base_objectives`` always gets
+    the columns ``z[..., base_z]``, (m, 0) when ``base_z`` is empty;
+    ``offsets`` takes z alone; both follow ``vectorized`` as the
+    objectives do and return (m, 2).  ``gradient`` may read z only through
+    ``base_z``.  Where ``offsets`` is given, every solve's objectives, and
+    the values of descents not shared by weight (below), are the base plus
+    its realization's offsets, the offsets evaluated once per realization;
+    ``objectives`` then serves only the check of the split, once per run,
+    before the first solve.
+    With ``base_objectives`` and an empty ``base_z``, without
+    ``inequality_constraints``, a descent depends on its weight alone: it
+    runs on the base without offsets, solve trajectories are bitwise
+    identical across realizations, which preserves exact objective-space
+    ties between realizations that are mathematically equivalent, and
+    the solves that share a weight share one descent.  ``offsets`` or a
+    non-empty ``base_z`` without ``base_objectives``, or a ``base_z``
+    entry outside range(n_z), raises ValueError.
     """
 
     name: str
@@ -93,6 +104,8 @@ class ProblemSpec:
     gradient: Callable | None = None
     vectorized: bool = False
     base_objectives: Callable | None = None
+    base_z: tuple[int, ...] = ()
+    offsets: Callable | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bounds", tuple((float(lo), float(hi)) for lo, hi in self.bounds))
@@ -114,6 +127,13 @@ class ProblemSpec:
                 raise ValueError(f"discrete set {j} has non-finite values: {zs}")
             if len(set(zs)) != len(zs):
                 raise ValueError(f"discrete set {j} has repeated values: {zs}")
+        base_z = tuple(self.base_z)
+        if any(isinstance(j, bool) or not isinstance(j, numbers.Integral)
+               or not 0 <= j < self.n_z for j in base_z):
+            raise ValueError(f"base_z entries must be integers in range({self.n_z}), got {base_z}")
+        object.__setattr__(self, "base_z", tuple(map(int, base_z)))
+        if self.base_objectives is None and (self.offsets is not None or base_z):
+            raise ValueError("offsets and a non-empty base_z need base_objectives")
 
     @property
     def n_z(self) -> int:

@@ -18,7 +18,7 @@ import numbers
 import numpy as np
 
 from .core import Front, ProblemSpec, Realization, _z_rows, nondominated_rows
-from .solver import MAX_DESCENT_ROWS, Solver, SolveResult, solve_scalarized
+from .solver import MAX_DESCENT_ROWS, Solver, SolveResult, _evaluate, solve_scalarized
 
 __all__ = [
     "CENTER_WEIGHT",
@@ -29,11 +29,14 @@ __all__ = [
     "compute_center",
     "weight_grid",
     "build_subproblem_front",
+    "check_split",
 ]
 
 DEFAULT_REALIZATION_CAP = 10_000_000
 # the weight of a center solve: equal weights on both objectives
 CENTER_WEIGHT = 0.5
+# largest relative difference check_split allows between the objectives and their split
+SPLIT_RTOL = 1e-9
 
 
 class CapacityExceeded(RuntimeError):
@@ -60,6 +63,52 @@ def realization_from_index(spec: ProblemSpec, k: int) -> Realization:
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= spec._k_total:
         raise ValueError(f"k must be an integer in 1..{spec._k_total}, got {k!r}")
     return _realizations(spec, [k])[0]
+
+
+def check_split(spec: ProblemSpec) -> None:
+    """Raise ValueError unless the split that ``spec`` declares holds:
+    objectives(y, z) equals base_objectives(y, z[base_z]) + offsets(z), or
+    without ``offsets`` the base plus its difference at the realization's
+    first point, within a relative SPLIT_RTOL of the terms' size, a NaN
+    meeting a NaN.  Checked at four points, the box corners lo and hi and
+    lo + (hi - lo) * t at t = (1/3, 2/3, 1/3, ...) and 1 - t, of the first,
+    middle and last realization and of each realization one step from the
+    first in a single z coordinate, where a base that reads a coordinate
+    outside ``base_z`` shows even if the others all have z_1 = z_2.  The
+    message names the worst point.  A problem without ``base_objectives``
+    declares nothing.  Necessary, not sufficient: a split that is wrong
+    only elsewhere passes."""
+    if spec.base_objectives is None:
+        return
+    sets = spec.discrete_sets
+    steps = [1 + math.prod(map(len, sets[j + 1:])) for j in range(len(sets)) if len(sets[j]) > 1]
+    ks = sorted({1, (spec._k_total + 1) // 2, spec._k_total, *steps})
+    lo, hi = spec.lower_bounds(), spec.upper_bounds()
+    t = np.resize([1 / 3, 2 / 3], spec.n_y)
+    points = lo + (hi - lo) * np.array([np.zeros_like(t), np.ones_like(t), t, 1.0 - t])
+    n = len(points)
+    y, z = np.tile(points, (len(ks), 1)), np.repeat(_z_rows(spec, ks), n, axis=0)
+    whole = _evaluate(spec, "objectives", y, z)
+    try:
+        base = _evaluate(spec, "base_objectives", y, z[:, list(spec.base_z)])
+        off = (whole - base)[::n] if spec.offsets is None else _evaluate(spec, "offsets", z[::n])
+    except (IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"the evaluators of problem {spec.name!r} fail on its split "
+                         f"(base_z = {spec.base_z}): {exc!r}") from exc
+    off = np.repeat(off, n, axis=0)
+    split = base + off
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.abs(whole - split) / np.maximum(np.abs(whole), np.abs(base) + np.abs(off))
+    err[(whole == split) | np.isnan(whole) & np.isnan(split)] = 0.0
+    err[np.isnan(err)] = math.inf
+    i, j = np.unravel_index(np.argmax(err), err.shape)
+    if err[i, j] > SPLIT_RTOL:
+        what = "offsets(z)" if spec.offsets is not None else "a constant per realization"
+        raise ValueError(
+            f"objectives of problem {spec.name!r} differ from base_objectives(y, z[base_z]) + "
+            f"{what} (base_z = {spec.base_z}) by a relative {err[i, j]:.3g} > {SPLIT_RTOL:g} "
+            f"in j{j + 1} at y = {tuple(y[i].tolist())}, z = {tuple(z[i].tolist())} "
+            f"(realization {ks[i // n]}): {float(whole[i, j])!r} against {float(split[i, j])!r}")
 
 
 def _solve_all(solver: Solver, ks: list[int], weights) -> tuple[np.ndarray, np.ndarray]:

@@ -30,6 +30,7 @@ from .decomposition import (
     CapacityExceeded,
     _realizations,
     build_subproblem_front,
+    check_split,
     compute_anchors_utopia,
     compute_center,
     weight_grid,
@@ -384,10 +385,12 @@ def run_pipeline(
 
     The phases share the run's :class:`~pareto_prune.solver.Solver`, so
     what an earlier phase solved is looked up, not run again; every solve
-    still counts on its own.  On a separable, unconstrained problem the
-    run descends every weight it can pose up front, in one lockstep batch
-    (:meth:`~pareto_prune.solver.Solver.descend_weights`): the weight
-    grid, plus B-1's center weight under "ab".
+    still counts on its own.  Before the first solve, the run checks the
+    split the problem declares (:func:`~pareto_prune.decomposition.check_split`),
+    and reserves every weight it can pose in one table allocation
+    (:meth:`~pareto_prune.solver.Solver.reserve`): the weight grid, plus
+    B-1's center weight under "ab".  On a separable, unconstrained problem
+    that also descends them all, in one lockstep batch.
     ``workers`` is accepted and has no effect: every run is serial.
     """
     if phases not in ("ab", "a", "none"):
@@ -405,9 +408,11 @@ def run_pipeline(
                                f"{DEFAULT_REALIZATION_CAP}")
     solver = Solver(spec, config)
     t0 = time.perf_counter()
-    # a separable, unconstrained problem: every descent of the run at once
+    check_split(spec)
+    # the run's weights: one table allocation, and on a separable,
+    # unconstrained problem every descent of the run at once
     centers = [CENTER_WEIGHT] if phases == "ab" else []
-    solver.descend_weights(weight_grid(beta) + centers)
+    solver.reserve(weight_grid(beta) + centers)
 
     utopias, k1m, k1u, built = np.empty((0, 2)), [], [], []  # the oracle has no Phase A
     targets = retained = list(range(1, k_total + 1))

@@ -74,7 +74,7 @@ class SolverConfig:
 
 def _evaluate(spec: ProblemSpec, field: str, ys, zs=None) -> np.ndarray:
     """Call one evaluator of ``spec`` on the stacked rows ``ys``, row i at
-    the realization ``zs[i]`` (``base_objectives`` takes none), and check
+    the z row ``zs[i]`` (``offsets`` takes none: its rows are z), and check
     the shape of its result.  A vectorized evaluator gets ``ys`` and the
     row-aligned ``zs`` (m, n_z) in one call, a scalar one each row with its
     z; for a scalar evaluator ``ys`` and ``zs`` may already be lists of rows."""
@@ -175,22 +175,26 @@ class _Batch:
     gradient builds and evaluates all its probes in one stacked pass."""
 
     def __init__(self, spec: ProblemSpec, z: np.ndarray, weights: Sequence[float],
-                 rows_per_solve: int) -> None:
+                 rows_per_solve: int, off: np.ndarray | None = None) -> None:
         self.spec = spec
         self.lo = spec.lower_bounds()
         self.hi = spec.upper_bounds()
         self.weight = np.repeat(np.asarray(weights, dtype=float), rows_per_solve)
+        zb = z[:, list(spec.base_z)]  # the columns base_objectives reads
         if not spec.vectorized:  # a scalar evaluator gets each row's z as its own array
-            z = np.fromiter(z, object, len(z))
-        self.z = np.repeat(z, rows_per_solve, axis=0)  # each row's z
+            z, zb = (np.fromiter(a, object, len(a)) for a in (z, zb))
+        self.z, self.zb = (np.repeat(a, rows_per_solve, axis=0) for a in (z, zb))  # each row's
+        self.off = None if off is None else np.repeat(off, rows_per_solve, axis=0)
 
     def descent_value(self, ys: np.ndarray, rows,
                       penalty_coefficient: float | None = None) -> np.ndarray:
-        """Objective the local descents minimize.  When the problem
-        separates into a continuous base plus per-realization offsets,
-        the z-dependent constant is dropped: the minimizer is unchanged
-        and the iterate sequence becomes independent of the realization,
-        so exact cross-realization ties survive in later filtering."""
+        """Objective the local descents minimize: the objectives, or on a
+        problem that declares a base, the base at each row's z[base_z] plus
+        the row's offsets where the batch carries them.  A batch without
+        them drops the z-only constant: the minimizer is unchanged and, at
+        an empty base_z, the iterate sequence becomes independent of the
+        realization, so exact cross-realization ties survive in later
+        filtering."""
         spec = self.spec
         zs = None
         if spec.base_objectives is None or spec.inequality_constraints is not None:
@@ -200,7 +204,10 @@ class _Batch:
         if spec.base_objectives is None:
             raw = _evaluate(spec, "objectives", ys, zs)
         else:
-            raw = _evaluate(spec, "base_objectives", ys)
+            zb = self.zb[rows] if spec.base_z else np.empty((len(ys), 0))  # cheaper than a gather
+            raw = _evaluate(spec, "base_objectives", ys, zb)
+            if self.off is not None:
+                raw = raw + self.off[rows]
         g = pc = None
         if spec.inequality_constraints is not None:
             g = _evaluate(spec, "inequality_constraints", ys, zs)
@@ -403,10 +410,10 @@ def _descent(obj: _Batch, x0: np.ndarray, *,
     return best_x, best_f
 
 
-def _descend(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float],
-             config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+def _descend(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], config: SolverConfig,
+             off: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Local descents of the m solves of ``spec``, solve i at z[i] and
-    weights[i], from the multistart set, in lockstep: one ``_descent`` call
+    weights[i], with offsets off[i] if given, from the multistart set, in lockstep: one ``_descent`` call
     for all of them, or several of at most MAX_DESCENT_ROWS rows each.
     Returns each solve's winner over its N_STARTS starts: the best point
     (m, n_y) and value (m,) they reached, the first best start on a tie."""
@@ -416,7 +423,8 @@ def _descend(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float],
     ys, fs = [], []
     for a in range(0, len(weights), per_call):
         zs, ws = z[a:a + per_call], weights[a:a + per_call]
-        best_x, best_f = _descent(_Batch(spec, zs, ws, n), np.tile(starts, (len(ws), 1)))
+        o = None if off is None else off[a:a + per_call]
+        best_x, best_f = _descent(_Batch(spec, zs, ws, n, o), np.tile(starts, (len(ws), 1)))
         win = best_f.reshape(-1, n).argmin(axis=1) + np.arange(0, best_f.size, n)
         ys.append(best_x[win])  # _descent keeps rows inside the box
         fs.append(best_f[win])
@@ -429,30 +437,38 @@ class Solver:
     posed twice in a run runs once.
 
     The table is one float array, zeroed as it grows: a column per weight
-    posed, of a row per realization k (|K| rows, which ``run_pipeline``'s
-    beta*|K| cap bounds), and per cell the solve's point, objectives and
-    status (0 until :meth:`solve` finishes it, then 2 if feasible, else 1).
-    A later call looks a finished solve up, still one counted solve: A-2 and
-    B-3 look up A-1's anchors (w = 0, 1), B-3 B-1's centers (w = 0.5).  On a
-    separable problem (``base_objectives``) without constraints a descent
-    depends on its weight alone; its winner, a (point, value) pair every
-    solve of the weight shares, is kept under the weight
-    (:meth:`descend_weights`); a run descends its weight grid so first."""
+    (:meth:`reserve`; a run reserves every weight it poses before its
+    first solve, so its table is allocated once), of a row per realization
+    k (|K| rows, which ``run_pipeline``'s beta*|K| cap bounds), and per
+    cell the solve's point, objectives and status (0 until :meth:`solve`
+    finishes it, then 2 if feasible, else 1).  A later call looks a
+    finished solve up, still one counted solve: A-2 and B-3 look up A-1's
+    anchors (w = 0, 1), B-3 B-1's centers (w = 0.5).  Where descents depend
+    on the weight alone (``base_objectives``, an empty ``base_z``, no
+    constraints), a descent's winner, a (point, value) pair every solve of
+    the weight shares, is kept under the weight."""
 
     def __init__(self, spec: ProblemSpec, config: SolverConfig | None = None) -> None:
         self.spec = spec
         self.config = config or SolverConfig()
         # a descent depends on its weight alone
-        self._shared = spec.base_objectives is not None and spec.inequality_constraints is None
+        self._shared = (spec.base_objectives is not None and not spec.base_z
+                        and spec.inequality_constraints is None)
         self._columns: dict = {}  # weight -> its column of the table
         self._table = np.zeros((0, spec._k_total, spec.n_y + 3))  # y, j1, j2, status
         self._winners: dict = {}  # weight -> (point, value) its solves share
 
-    def descend_weights(self, weights: Sequence[float]) -> None:
-        """Run the descents of ``weights`` the solver holds no winner of, in
-        one :func:`_descend` call at realization 1, and keep each winner
-        under its weight.  Only where descents depend on the weight alone;
-        there any realization gives the same winners."""
+    def reserve(self, weights: Sequence[float]) -> None:
+        """Give each of ``weights`` a column of the table, the new ones in
+        one allocation, and where descents depend on the weight alone, run
+        the descents of those the solver holds no winner of, in one
+        :func:`_descend` call at realization 1 (any realization gives the
+        same winners), and keep each winner under its weight."""
+        for w in weights:
+            self._columns.setdefault(w, len(self._columns))
+        if len(self._columns) > len(self._table):  # cells no call poses touch no page
+            old, self._table = self._table, np.zeros((len(self._columns),) + self._table.shape[1:])
+            np.copyto(self._table[:len(old)], old, where=old[..., -1:] != 0)  # finished cells
         missing = [w for w in dict.fromkeys(weights) if w not in self._winners]
         if self._shared and missing:
             y, f = _descend(self.spec, _z_rows(self.spec, [1] * len(missing)), missing,
@@ -463,40 +479,43 @@ class Solver:
         """The solve of each realization k in ``ks`` at each of ``weights``
         from the table: points (n, m, n_y), objectives (n, m, 2) and
         feasibility (n, m).  Cells not finished yet run once each, k-major,
-        in parts of MAX_DESCENT_ROWS, each part's z computed once: their
-        descents as one batch (:func:`_descend`), then one :func:`_finish`."""
+        in parts of MAX_DESCENT_ROWS: their descents as one batch
+        (:func:`_descend`), then one :func:`_finish`.  The z of ``ks``, and
+        a problem's offsets, come from one call each, gathered per part."""
         uk, uw = np.array(list(dict.fromkeys(ks)), int), list(dict.fromkeys(weights))
-        cols = np.array([self._columns.setdefault(w, len(self._columns)) for w in uw], np.intp)
-        if len(self._columns) > len(self._table):  # cells no call poses touch no page
-            old, self._table = self._table, np.zeros((len(self._columns),) + self._table.shape[1:])
-            np.copyto(self._table[:len(old)], old, where=old[..., -1:] != 0)  # finished cells
+        self.reserve(uw)
+        cols = np.array([self._columns[w] for w in uw], np.intp)
         ki, wi = (self._table[cols, uk[:, None] - 1, -1] == 0).nonzero()  # k-major
+        if ki.size:  # each k's z, gathered per part, and its offsets, once per call
+            zu = _z_rows(self.spec, uk)
+            off = None if self.spec.offsets is None else _evaluate(self.spec, "offsets", zu)
         # one part for all 86 016 solves of the e2 oracle raised its peak RSS 100 -> 111 MB
         for a in range(0, ki.size, MAX_DESCENT_ROWS):
-            k, i = uk[ki[a:a + MAX_DESCENT_ROWS]], wi[a:a + MAX_DESCENT_ROWS]
-            w, z = np.take(uw, i), _z_rows(self.spec, k)
-            if self._shared:
-                self.descend_weights(uw)  # in the first part; the rest look winners up
+            part, i = ki[a:a + MAX_DESCENT_ROWS], wi[a:a + MAX_DESCENT_ROWS]
+            k, w, z = uk[part], np.take(uw, i), zu[part]
+            o = None if off is None else off[part]
+            if self._shared:  # the winners descend without offsets
                 y, f = map(np.array, zip(*map(self._winners.get, w.tolist())))
             else:
-                y, f = _descend(self.spec, z, w, self.config)
-            y, pts, feasible = _finish(self.spec, z, w, y, f)
+                y, f = _descend(self.spec, z, w, self.config, o)
+            y, pts, feasible = _finish(self.spec, z, w, y, f, o)
             self._table[cols[i], k - 1] = np.column_stack((y, pts, feasible + 1.0))
         cells = self._table[[self._columns[w] for w in weights], np.array(ks, int)[:, None] - 1]
         return cells[..., :-3], cells[..., -3:-1], cells[..., -1] == 2.0
 
 
-def _finish(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float],
-            y: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _finish(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], y: np.ndarray,
+            f: np.ndarray, off: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each solve's point, objectives and feasibility from its descents'
-    winner: solve i at z[i] and weights[i], its point ``y`` (m, n_y),
-    updated in place, and value ``f`` (m,).  On a constrained problem one
+    winner: solve i at z[i] and weights[i], with offsets off[i] if given,
+    its point ``y`` (m, n_y), updated in place, and value ``f`` (m,).  On a constrained problem one
     evaluator pass gives the constraints at every winner with a finite
     value; winners that violate them beyond FEAS_TOL descend again from
     where they stand, in lockstep, with the penalty multiplied by 100, for
     up to 4 rounds (``_descent`` leaves a row unmoved whose value there is
-    not finite).  One pass then gives the objectives (m, 2), NaN unless
-    finite; a solve is feasible where they are and its constraints hold."""
+    not finite).  One pass then gives the objectives (m, 2), the base plus
+    the offsets where given, NaN unless finite; a solve is feasible where
+    they are and its constraints hold."""
     ok = np.flatnonzero(np.isfinite(f))
     raw = np.full((len(weights), 2), np.nan)
     within = np.ones(len(weights), dtype=bool)  # constraints within FEAS_TOL
@@ -510,11 +529,15 @@ def _finish(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float],
                 if bad.size == 0:
                     break
                 pc *= 100.0
-                yk[bad] = _descent(_Batch(spec, zk[bad], np.take(weights, ok[bad]), 1), yk[bad],
-                                   penalty_coefficient=pc)[0]
+                o = None if off is None else off[ok[bad]]
+                yk[bad] = _descent(_Batch(spec, zk[bad], np.take(weights, ok[bad]), 1, o),
+                                   yk[bad], penalty_coefficient=pc)[0]
                 g[bad] = _evaluate(spec, "inequality_constraints", yk[bad], zk[bad])
             within[ok] = np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL
-        raw[ok] = _evaluate(spec, "objectives", yk, zk)
+        if off is None:
+            raw[ok] = _evaluate(spec, "objectives", yk, zk)
+        else:
+            raw[ok] = _evaluate(spec, "base_objectives", yk, zk[:, list(spec.base_z)]) + off[ok]
         y[ok] = yk
     finite = np.isfinite(raw).all(axis=1)
     raw[~finite] = np.nan

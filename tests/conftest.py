@@ -155,17 +155,19 @@ def make_nan_offset_problem(separable: bool) -> pp.ProblemSpec:
     descends on the finite base and meets the NaN only at the winner."""
     return dataclasses.replace(
         pp.make_quad(), name="nan-offset", discrete_sets=((0.0, 1.0, 2.0),),
-        objectives=_nan_offset_objectives, base_objectives=_quad_pair if separable else None)
+        objectives=_nan_offset_objectives,
+        base_objectives=(lambda y, zb: _quad_pair(y)) if separable else None)
 
 
 def make_scaled_e2(scale: tuple[float, float]) -> pp.ProblemSpec:
     """e2 with objective i multiplied by ``scale[i]``: its objectives,
-    base objectives and gradient, so that it stays separable."""
+    base objectives and gradient, so that it stays separable.  It declares
+    no offsets, so each solve's objectives are the scaled e2 objectives."""
     e2, s = pp.make_e2(), np.array(scale)
     return dataclasses.replace(
-        e2, name="e2-scaled",
+        e2, name="e2-scaled", offsets=None,
         objectives=lambda y, z: e2.objectives(y, z) * s,
-        base_objectives=lambda y: e2.base_objectives(y) * s,
+        base_objectives=lambda y, zb: e2.base_objectives(y, zb) * s,
         gradient=lambda y, z: e2.gradient(y, z) * s[:, None])
 
 

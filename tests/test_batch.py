@@ -156,12 +156,12 @@ class _FinishedWinners:
         self.f: list[np.float64] = []
         finish = solver._finish
 
-        def logged(spec, z, weights, y, f):
+        def logged(spec, z, weights, y, f, off=None):
             self.calls.append(len(weights))
             self.w += list(weights)
             self.y += list(y.copy())
             self.f += list(f)
-            return finish(spec, z, weights, y, f)
+            return finish(spec, z, weights, y, f, off)
 
         monkeypatch.setattr(solver, "_finish", logged)
 
@@ -583,19 +583,21 @@ def test_registry_evaluators_take_one_z_for_stacked_rows(name):
 
 
 class TestOneVectorizedCallPerPass:
-    @staticmethod
-    def _counted_e1():
-        calls = {"objectives": 0, "gradient": 0}
+    # e1 declares its split, so a pass evaluates the base, not the objectives
+    FIELDS = ("objectives", "base_objectives", "offsets", "gradient")
+
+    @classmethod
+    def _counted_e1(cls):
+        calls = dict.fromkeys(cls.FIELDS, 0)
 
         def counted(field, fn):
-            def wrapper(y, z):
+            def wrapper(*args):
                 calls[field] += 1
-                return fn(y, z)
+                return fn(*args)
             return wrapper
 
         e1 = pp.make_e1()
-        spec = dataclasses.replace(e1, objectives=counted("objectives", e1.objectives),
-                                   gradient=counted("gradient", e1.gradient))
+        spec = dataclasses.replace(e1, **{f: counted(f, getattr(e1, f)) for f in cls.FIELDS})
         ks = _ks(spec, 4)
         assert len(set(ks)) == 4
         return spec, ks, (0.0, 0.5, 1.0), calls
@@ -608,9 +610,9 @@ class TestOneVectorizedCallPerPass:
         for rows in (np.arange(ys.shape[0]), np.arange(ys.shape[0])[::5]):
             before = dict(calls)
             batch.descent_value(ys[rows], rows)
-            assert calls == {"objectives": before["objectives"] + 1, "gradient": before["gradient"]}
+            assert calls == {**before, "base_objectives": before["base_objectives"] + 1}
             batch.gradient(ys[rows], rows)
-            assert calls == {"objectives": before["objectives"] + 1,
+            assert calls == {**before, "base_objectives": before["base_objectives"] + 1,
                              "gradient": before["gradient"] + 1}
 
     def test_descent_makes_one_call_per_step(self, config, monkeypatch):
@@ -630,8 +632,10 @@ class TestOneVectorizedCallPerPass:
         monkeypatch.setattr(solver._Batch, "gradient", counted_gradient)
         Solver(spec, config).solve(ks, weights)
         assert passes["objectives"] > 1
-        # and one objectives call more: the finish's pass at the winners
-        assert calls == {"objectives": passes["objectives"] + 1, "gradient": passes["gradient"]}
+        # and one base call more, the finish's pass at the winners, and one
+        # offsets call for the whole solve call
+        assert calls == {"objectives": 0, "base_objectives": passes["objectives"] + 1,
+                         "offsets": 1, "gradient": passes["gradient"]}
 
 
 # --- one descent table per run: later phases reuse earlier phases' descents -------
@@ -750,6 +754,24 @@ class TestDescentTable:
         else:
             assert winners == {}
 
+    @pytest.mark.parametrize("phases", ["ab", "a", "none"])
+    def test_run_allocates_its_table_once(self, name, phases, monkeypatch):
+        # every weight a run poses is reserved before A-1, B-1's w = 0.5 at
+        # even beta included, so no phase regrows the table
+        spec = REUSE_SPECS[name]()
+        tables: list = []
+        solve = solver.Solver.solve
+
+        def kept(self, ks, weights):
+            tables.append(self._table)
+            out = solve(self, ks, weights)
+            tables.append(self._table)
+            return out
+
+        monkeypatch.setattr(solver.Solver, "solve", kept)
+        report = pp.run_pipeline(spec, beta=4, phases=phases)
+        assert len(tables) >= 2 and all(t is tables[0] for t in tables)
+        assert tables[0].shape == (4 + (phases == "ab"), report.k_total, spec.n_y + 3)
 
 # _descent rows per call of a run, in call order, on problems whose descents
 # are not shared by weight: one batch per phase that poses new solves, then
@@ -943,28 +965,33 @@ class TestFinishWork:
         assert sum(rows.rows) == 434
 
     def test_e2_ab_evaluates_objectives_once_per_phase(self, monkeypatch):
+        # e2 declares its split: a phase's finish evaluates the base once and
+        # the offsets once; the objectives serve only the run's check of the
+        # split, and every descent runs before the phases
         spec = workloads.build_spec("e2-ab", 0)
-        calls = [0]
-        objectives = spec.objectives
+        fields = ("objectives", "base_objectives", "offsets")
+        calls = dict.fromkeys(fields, 0)
 
-        def counted(ys, zs):
-            calls[0] += 1
-            return objectives(ys, zs)
+        def counted(field, fn):
+            def wrapper(*args):
+                calls[field] += 1
+                return fn(*args)
+            return wrapper
 
-        spec = dataclasses.replace(spec, objectives=counted)
-        per_phase: list[int] = []
+        spec = dataclasses.replace(spec, **{f: counted(f, getattr(spec, f)) for f in fields})
+        per_phase: list[dict] = []
         depth = [0]
 
         def phase(fn):
             def wrapper(*args, **kwargs):
-                before = calls[0]
+                before = dict(calls)
                 depth[0] += 1
                 try:
                     return fn(*args, **kwargs)
                 finally:
                     depth[0] -= 1
                     if depth[0] == 0:
-                        per_phase.append(calls[0] - before)
+                        per_phase.append({f: calls[f] - before[f] for f in fields})
             return wrapper
 
         for attr in ("compute_anchors_utopia", "build_master_front", "compute_center",
@@ -972,7 +999,10 @@ class TestFinishWork:
             monkeypatch.setattr(pipeline, attr, phase(getattr(pipeline, attr)))
         workloads.run("e2-ab", spec, 0)
         assert len(per_phase) == 4  # A-1, A-2, B-1, B-3
-        assert max(per_phase) <= 1 and sum(per_phase) == calls[0]
+        assert calls["objectives"] == 1
+        for f in ("base_objectives", "offsets"):
+            assert all(p[f] <= 1 for p in per_phase) and sum(p[f] for p in per_phase) >= 3
+        assert sum(p["objectives"] for p in per_phase) == 0
 
 
 # --- the lockstep descent kernel: the same rows, the same bits ----------------------
@@ -1115,18 +1145,23 @@ def test_row_sum_is_numpys_sum(n):
 
 
 # per-layer work of a seed-0 run of three benchmark workloads, as the
-# benchmark's tracer counts it: a leaner descent step must not change it
+# benchmark's tracer counts it: a leaner descent step must not change it.
+# On e2-ab and e1-oracle, which declare their split, the descents and the
+# finishes evaluate the base (its offsets, once per realization, are not
+# counted), and the objectives serve only the check of the split: one
+# call of 4 points at each of its realizations (e2-ab 5, e1-oracle 4), and
+# one base call of the same rows
 _WORK = {
     "e2-ab": {"solver.descent.calls": 1, "solver.descent.rows": 336,
               "solver.descent.escalations": 0,
-              "eval.objectives.calls": 3, "eval.objectives.rows": 225,
-              "eval.base_objectives.calls": 35, "eval.base_objectives.rows": 5914,
+              "eval.objectives.calls": 1, "eval.objectives.rows": 20,
+              "eval.base_objectives.calls": 39, "eval.base_objectives.rows": 6159,
               "eval.gradient.calls": 33, "eval.gradient.rows": 4860,
               "eval.constraints.calls": 0, "eval.constraints.rows": 0},
     "e1-oracle": {"solver.descent.calls": 1, "solver.descent.rows": 1344,
                   "solver.descent.escalations": 0,
-                  "eval.objectives.calls": 49, "eval.objectives.rows": 23218,
-                  "eval.base_objectives.calls": 0, "eval.base_objectives.rows": 0,
+                  "eval.objectives.calls": 1, "eval.objectives.rows": 16,
+                  "eval.base_objectives.calls": 50, "eval.base_objectives.rows": 23234,
                   "eval.gradient.calls": 45, "eval.gradient.rows": 13721,
                   "eval.constraints.calls": 0, "eval.constraints.rows": 0},
     "gen-constrained": {"solver.descent.calls": 5, "solver.descent.rows": 434,

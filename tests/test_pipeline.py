@@ -228,13 +228,13 @@ class TestRealizationsOnTheRunPath:
         assert len(made) == len({sol.realization.k for sol in report.front}) < 4096
 
 
-def _sum_offset_base(y):
+def _sum_offset_base(y, zb):
     v = np.asarray(y, dtype=float)[..., 0]
     return np.stack([v * v, (v - 1.0) * (v - 1.0)], axis=-1)
 
 
 def _sum_offset_objectives(y, z):
-    return _sum_offset_base(y) + np.sum(z, axis=-1)[..., None]
+    return _sum_offset_base(y, ()) + np.sum(z, axis=-1)[..., None]
 
 
 class TestBoundedMemory:
