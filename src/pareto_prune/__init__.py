@@ -15,13 +15,7 @@ from .benchmarks import (
     make_toy_constrained,
     oracle_front,
 )
-from .core import (
-    ObjectivePoint,
-    ParetoSolution,
-    ProblemSpec,
-    Realization,
-    nondominated_filter,
-)
+from .core import ProblemSpec, Realization, nondominated_filter
 from .decomposition import CapacityExceeded, enumerate_realizations
 from .pipeline import NlpCounts, PipelineError, PruneReport, run_pipeline
 from .solver import SolverConfig
@@ -31,8 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityExceeded",
     "NlpCounts",
-    "ObjectivePoint",
-    "ParetoSolution",
     "PipelineError",
     "ProblemSpec",
     "PruneReport",

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import get_problem
-from .core import _points_array
 from .decomposition import CapacityExceeded
 from .pipeline import PipelineError, PruneReport, run_pipeline
 from .solver import SolverConfig
@@ -82,26 +81,25 @@ def read_report(path: str | Path) -> PruneReport:
 
 
 def write_front_csv(report: PruneReport, path: str | Path) -> None:
-    n_z = len(report.front[0].realization.z) if report.front else 0
-    n_y = len(report.front[0].y) if report.front else 0
+    front, front_z = report.front, report.front_z
     header = (
         ["k"]
-        + [f"z_{j}" for j in range(1, n_z + 1)]
-        + [f"y_{i}" for i in range(1, n_y + 1)]
+        + [f"z_{j}" for j in range(1, front_z.shape[1] + 1)]
+        + [f"y_{i}" for i in range(1, front.y.shape[1] + 1)]
         + ["j1", "j2", "provenance"]
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for sol in report.front:
-            writer.writerow([sol.realization.k, *sol.realization.z, *sol.y,
-                             sol.point.j1, sol.point.j2, sol.provenance])
+        for k, w, z, y, pts in zip(front.k.tolist(), front.w.tolist(), front_z.tolist(),
+                                   front.y.tolist(), front.pts.tolist()):
+            writer.writerow([k, *z, *y, *pts, f"w{w}"])
 
 
 def summary_line(report: PruneReport) -> str:
     return (
         f"|K|={report.k_total} |K1m|={len(report.k1m)} |K1u|={len(report.k1u)} "
-        f"|K1c|={len(report.k1c)} nlp={report.nlp.total} front={len(report.front)} pts"
+        f"|K1c|={len(report.k1c)} nlp={report.nlp.total} front={len(report.front.k)} pts"
     )
 
 
@@ -124,13 +122,13 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def compare_reports(ra: PruneReport, rb: PruneReport, tol: float) -> dict:
-    hd = hausdorff_distance(_points_array(ra.front), _points_array(rb.front))
+    hd = hausdorff_distance(ra.front.pts, rb.front.pts)
     sets_equal = ra.front_realizations() == rb.front_realizations()
     return {
         "hausdorff": hd,
         "tol": tol,
         "realization_sets_equal": sets_equal,
-        "front_sizes": [len(ra.front), len(rb.front)],
+        "front_sizes": [len(ra.front.k), len(rb.front.k)],
         "deltas": {
             "k_total": rb.k_total - ra.k_total,
             "k1m": len(rb.k1m) - len(ra.k1m),
@@ -207,7 +205,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         ra = read_report(args.a)
         rb = read_report(args.b)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # a JSON nested too deeply to parse
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = compare_reports(ra, rb, args.tol)

@@ -1,7 +1,8 @@
 """Domain types and dominance primitives for bi-objective minimization.
 
-Everything here is immutable after construction and safe to share across
-threads.  Both objectives are always minimized.
+A front is one :class:`Front` of arrays from the first solve to the
+report.  Everything here is immutable after construction and safe to
+share across threads.  Both objectives are always minimized.
 """
 
 from __future__ import annotations
@@ -9,33 +10,16 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "ObjectivePoint",
     "ProblemSpec",
     "Realization",
-    "ParetoSolution",
     "Front",
     "nondominated_filter",
 ]
-
-
-@dataclass(frozen=True)
-class ObjectivePoint:
-    """A point (j1, j2) in objective space.  Components must be finite."""
-
-    j1: float
-    j2: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.j1) and math.isfinite(self.j2)):
-            raise ValueError(f"objective point must be finite, got ({self.j1}, {self.j2})")
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.j1, self.j2)
 
 
 @dataclass(frozen=True)
@@ -161,18 +145,6 @@ def _z_rows(spec: ProblemSpec, ks, dtype=float) -> np.ndarray:
     return np.column_stack(columns[::-1])
 
 
-@dataclass(frozen=True)
-class ParetoSolution:
-    """A candidate Pareto-optimal design: continuous part, realization,
-    the evaluated objective point, and a tag recording which solve
-    produced it ("w<i>" for the i-th weighted-sum weight)."""
-
-    y: tuple[float, ...]
-    realization: Realization
-    point: ObjectivePoint
-    provenance: str
-
-
 class Front(NamedTuple):
     """Subproblem front points of several realizations, one row each: the
     realization index ``k``, the index ``w`` of the weight whose solve gave
@@ -195,14 +167,6 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be a real number, got {eps!r}")
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-
-
-PointLike = Union[ObjectivePoint, ParetoSolution]
-
-
-def _points_array(items: Sequence[PointLike]) -> np.ndarray:
-    pts = [it if isinstance(it, ObjectivePoint) else it.point for it in items]
-    return np.array([(p.j1, p.j2) for p in pts], dtype=float).reshape(len(pts), 2)
 
 
 def nondominated_rows(points: np.ndarray, eps: float = 0.0,
@@ -236,9 +200,8 @@ def nondominated_rows(points: np.ndarray, eps: float = 0.0,
     return order[~dominated]
 
 
-def nondominated_filter(items: Sequence[PointLike], eps: float = 0.0) -> list[PointLike]:
-    """Keep exactly the inputs whose point is not strictly dominated by
-    any other input's point, preserving input order.  Solutions with
-    objective-identical points are all retained."""
-    items = list(items)
-    return [items[i] for i in np.sort(nondominated_rows(_points_array(items), eps)).tolist()]
+def nondominated_filter(points, eps: float = 0.0) -> np.ndarray:
+    """Indices of the rows of ``points``, an (n, 2) array-like, that no
+    other row strictly dominates, in input order: :func:`nondominated_rows`
+    of one segment, sorted.  Identical points are all retained."""
+    return np.sort(nondominated_rows(np.asarray(points, dtype=float).reshape(-1, 2), eps))

@@ -15,20 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Front,
-    ObjectivePoint,
-    ParetoSolution,
-    ProblemSpec,
-    Realization,
-    _check_eps,
-    nondominated_rows,
-)
+from .core import Front, ProblemSpec, _check_eps, _z_rows, nondominated_rows
 from .decomposition import (
     CENTER_WEIGHT,
     DEFAULT_REALIZATION_CAP,
     CapacityExceeded,
-    _realizations,
     build_subproblem_front,
     check_split,
     compute_anchors_utopia,
@@ -77,11 +68,14 @@ class NlpCounts:
         return self.a1 + self.a2 + self.b1 + self.b3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PruneReport:
     """Everything a run produced: retained/pruned index sets, per-phase
-    solve counts, and the final front.  ``phases`` is "ab", "a", or
-    "none" (exhaustive oracle)."""
+    solve counts, and the final front: the final filter's
+    :class:`~pareto_prune.core.Front`, ordered by j1, then k, then weight
+    index, and ``front_z``, the z row of each of its points (n, n_z).
+    ``phases`` is "ab", "a", or "none" (exhaustive oracle).  Two reports
+    are equal when they write the same JSON document."""
 
     problem: str
     beta: int
@@ -96,8 +90,14 @@ class PruneReport:
     pruned_b: tuple[int, ...]
     infeasible: tuple[int, ...]
     nlp: NlpCounts
-    front: tuple[ParetoSolution, ...]
+    front: Front
+    front_z: np.ndarray
     wallclock_ms: int = 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PruneReport):
+            return NotImplemented
+        return self.to_json_dict() == other.to_json_dict()
 
     def check_invariants(self) -> None:
         """Raise ValueError unless the report's sets, front and counts agree
@@ -107,9 +107,9 @@ class PruneReport:
         is k1c plus ``pruned_b``, nothing is center-pruned under "a", and
         every front point's realization is in k1c.  Under "none",
         ``infeasible`` and ``k1c`` are disjoint, the other sets empty, and
-        k1c is the front's realizations.  Front points agree on each k's z
-        and on the lengths of y and z.  The solve counts are those the sets
-        imply (:func:`_nlp_counts`)."""
+        k1c is the front's realizations.  Front points agree on each k's z,
+        and no front point strictly dominates another at the report's eps.
+        The solve counts are those the sets imply (:func:`_nlp_counts`)."""
         sets = {name: getattr(self, name) for name in _SETS}
         for name, ks in sets.items():
             if len(set(ks)) != len(ks):
@@ -127,10 +127,13 @@ class PruneReport:
         for name in empty:
             if sets[name]:
                 raise ValueError(f"report set {name} must be empty under phases {self.phases!r}")
-        front = {sol.realization.k for sol in self.front}
-        shapes = {(len(sol.y), len(sol.realization.z)) for sol in self.front}
-        if len({sol.realization for sol in self.front}) != len(front) or len(shapes) > 1:
-            raise ValueError("report front points disagree on a realization's z or on y, z lengths")
+        z_of = {}  # the first z of each front k
+        for k, z in zip(self.front.k.tolist(), map(tuple, self.front_z.tolist())):
+            if z_of.setdefault(k, z) != z:
+                raise ValueError(_DISAGREE)
+        front = set(z_of)
+        if len(nondominated_rows(self.front.pts, self.eps)) != len(self.front.pts):
+            raise ValueError("report front has a point that another front point dominates")
         if self.phases == "none":
             if front != sets["k1c"]:
                 raise ValueError("report set k1c must be the front's realizations under phases "
@@ -152,7 +155,7 @@ class PruneReport:
 
     def front_realizations(self) -> set[tuple[float, ...]]:
         """Distinct discrete vectors appearing in the final front."""
-        return {sol.realization.z for sol in self.front}
+        return set(map(tuple, self.front_z.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,15 +179,10 @@ class PruneReport:
                 "total": self.nlp.total,
             },
             "front": [
-                {
-                    "k": sol.realization.k,
-                    "z": list(sol.realization.z),
-                    "y": list(sol.y),
-                    "j1": sol.point.j1,
-                    "j2": sol.point.j2,
-                    "provenance": sol.provenance,
-                }
-                for sol in self.front
+                {"k": k, "z": z, "y": y, "j1": j1, "j2": j2, "provenance": f"w{w}"}
+                for k, w, z, y, (j1, j2) in zip(
+                    self.front.k.tolist(), self.front.w.tolist(), self.front_z.tolist(),
+                    self.front.y.tolist(), self.front.pts.tolist())
             ],
             "wallclock_ms": self.wallclock_ms,
         }
@@ -195,8 +193,10 @@ class PruneReport:
         a JSON integer (not a boolean) and at least 0, a value a finite JSON
         number, and ``phases`` one of "ab", "a" and "none".  ``beta`` must
         be at least 2, ``eps`` one a run accepts, ``k_total`` at least 1,
-        and every realization index, of a set or a front point, in 1..k_total.
-        Its sets, front and counts must agree (:meth:`check_invariants`).
+        every realization index, of a set or a front point, in 1..k_total,
+        and every front point's provenance "w<i>", i in 0..beta-1 without a
+        leading zero.  Front points agree on the lengths of y and z.  Its
+        sets, front and counts must agree (:meth:`check_invariants`).
         Anything else raises ValueError."""
         try:
             nlp = d["nlp"]
@@ -211,16 +211,19 @@ class PruneReport:
             _check_eps(eps)
             k_total = _int(d["k_total"], "k_total", 1)
             index = functools.partial(_int, low=1, high=k_total)
+            beta = _int(d["beta"], "beta", 2)
+            front, front_z = _front(d["front"], index, beta)
             report = cls(
                 problem=_str(d["problem"], "problem"),
-                beta=_int(d["beta"], "beta", 2),
+                beta=beta,
                 phases=phases,
                 eps=eps,
                 seed=_int(d["seed"], "seed"),
                 k_total=k_total,
                 **{key: _list(d[key], key, index) for key in _SETS},
                 nlp=counts,
-                front=_list(d["front"], "front", functools.partial(_solution, index=index)),
+                front=front,
+                front_z=front_z,
                 wallclock_ms=_int(d["wallclock_ms"], "wallclock_ms"),
             )
         except (KeyError, TypeError, OverflowError) as exc:
@@ -230,6 +233,7 @@ class PruneReport:
 
 
 _SETS = ("k1m", "k1u", "k1c", "pruned_a", "pruned_b", "infeasible")
+_DISAGREE = "report front points disagree on a realization's z or on y, z lengths"
 
 
 def _nlp_counts(phases: str, beta: int, k_total: int, n_k1m: int, n_k1u: int,
@@ -268,13 +272,37 @@ def _str(value, what: str) -> str:
     return value
 
 
-def _solution(e, what: str, index) -> ParetoSolution:
-    return ParetoSolution(
-        y=_list(e["y"], f"{what} y", _float),
-        realization=Realization(k=index(e["k"], f"{what} k"), z=_list(e["z"], f"{what} z", _float)),
-        point=ObjectivePoint(_float(e["j1"], f"{what} j1"), _float(e["j2"], f"{what} j2")),
-        provenance=_str(e["provenance"], f"{what} provenance"),
-    )
+def _weight(value, what: str, beta: int) -> int:
+    """The weight index i of the provenance "w<i>" ``value``: i in
+    0..beta-1, in decimal digits without a leading zero."""
+    text = _str(value, what)
+    digits = text[1:]
+    if not (text[:1] == "w" and digits.isascii() and digits.isdigit()
+            and len(digits) <= len(str(beta)) and text == f"w{int(digits)}"
+            and int(digits) < beta):
+        raise ValueError(f'report field {what} must be "w<i>" with i in 0..{beta - 1}, '
+                         f"got {value!r}")
+    return int(digits)
+
+
+def _front(value, index, beta: int) -> tuple[Front, np.ndarray]:
+    """The front of the JSON array ``value``, and its z rows."""
+    def point(e, what):
+        return (index(e["k"], f"{what} k"), _weight(e["provenance"], f"{what} provenance", beta),
+                _list(e["y"], f"{what} y", _float), _list(e["z"], f"{what} z", _float),
+                (_float(e["j1"], f"{what} j1"), _float(e["j2"], f"{what} j2")))
+
+    points = _list(value, "front", point)
+    widths = {(len(y), len(z)) for _, _, y, z, _ in points}
+    if len(widths) > 1:
+        raise ValueError(_DISAGREE)
+    n_y, n_z = widths.pop() if widths else (0, 0)
+    n = len(points)
+    k, w, y, z, pts = zip(*points) if points else ((),) * 5
+    return (Front(np.array(k, dtype=np.int64), np.array(w, dtype=np.int64),
+                  np.array(y, dtype=float).reshape(n, n_y),
+                  np.array(pts, dtype=float).reshape(n, 2)),
+            np.array(z, dtype=float).reshape(n, n_z))
 
 
 def _list(value, what: str, item) -> tuple:
@@ -428,7 +456,6 @@ def run_pipeline(
     final = _final_front(built + [b3], eps)
     front_ks = sorted(set(final.k.tolist()))
     k1c = front_ks if phases == "none" else sorted(k1m + retained)
-    reals = dict(zip(front_ks, _realizations(spec, front_ks)))  # the report's realizations
     ks = np.arange(1, len(utopias) + 1)
     no_utopia = np.isnan(utopias[:, 0])
     return PruneReport(
@@ -445,8 +472,7 @@ def run_pipeline(
         pruned_b=tuple(sorted(set(targets) - set(retained))),
         infeasible=tuple(sorted(ks[no_utopia].tolist() + list(set(retained) - set(b3.k.tolist())))),
         nlp=_nlp_counts(phases, beta, k_total, len(k1m), len(k1u), len(k1c)),
-        front=tuple(ParetoSolution(tuple(y), reals[k], ObjectivePoint(*p), f"w{w}")
-                    for k, w, y, p in zip(final.k.tolist(), final.w.tolist(),
-                                          final.y.tolist(), final.pts.tolist())),
+        front=final,
+        front_z=_z_rows(spec, final.k),
         wallclock_ms=int(round((time.perf_counter() - t0) * 1000)),
     )

@@ -49,23 +49,24 @@ def load_perfbench(*names: str) -> list:
     return modules
 
 
-def dominates(a: pp.ObjectivePoint, b: pp.ObjectivePoint, eps: float = 0.0) -> bool:
-    """Reference strict Pareto dominance: a is no worse than b in both
-    objectives (within eps) and strictly better (beyond eps) in at least
-    one."""
+def dominates(a, b, eps: float = 0.0) -> bool:
+    """Reference strict Pareto dominance of the (j1, j2) pairs or arrays a
+    and b: a is no worse than b in both objectives (within eps) and
+    strictly better (beyond eps) in at least one."""
     _check_eps(eps)
-    return (
-        a.j1 <= b.j1 + eps
-        and a.j2 <= b.j2 + eps
-        and (a.j1 < b.j1 - eps or a.j2 < b.j2 - eps)
+    return bool(
+        a[0] <= b[0] + eps
+        and a[1] <= b[1] + eps
+        and (a[0] < b[0] - eps or a[1] < b[1] - eps)
     )
 
 
-def weakly_dominates(a: pp.ObjectivePoint, b: pp.ObjectivePoint, eps: float = 0.0) -> bool:
-    """Reference weak dominance: a is no worse than b in both objectives
-    (within eps).  Equal points weakly dominate each other."""
+def weakly_dominates(a, b, eps: float = 0.0) -> bool:
+    """Reference weak dominance of the (j1, j2) pairs or arrays a and b: a
+    is no worse than b in both objectives (within eps).  Equal points
+    weakly dominate each other."""
     _check_eps(eps)
-    return a.j1 <= b.j1 + eps and a.j2 <= b.j2 + eps
+    return bool(a[0] <= b[0] + eps and a[1] <= b[1] + eps)
 
 
 def index_of(spec: pp.ProblemSpec, z: tuple[float, ...]) -> int:
@@ -227,7 +228,7 @@ def install_solve_log(monkeypatch) -> SolveLog:
 
 
 def front_points(report: pp.PruneReport) -> np.ndarray:
-    return np.array([[s.point.j1, s.point.j2] for s in report.front]).reshape(-1, 2)
+    return report.front.pts
 
 
 def front_rows(front: Front) -> list[tuple]:

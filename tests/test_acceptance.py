@@ -258,7 +258,7 @@ class TestCriterion5EfficiencyRatio:
 class TestCriterion6Properties:
     def test_dominance_axioms(self):
         rng = np.random.default_rng(60)
-        pts = [pp.ObjectivePoint(a, b) for a, b in rng.random((200, 2)) * 10.0]
+        pts = [(a, b) for a, b in rng.random((200, 2)) * 10.0]
         ok = all(not dominates(p, p) for p in pts)
         for a, b, c in zip(pts, pts[1:], pts[2:]):
             if dominates(a, b):
@@ -269,12 +269,12 @@ class TestCriterion6Properties:
 
     def test_filter_matches_brute_force(self):
         rng = np.random.default_rng(61)
-        pts = [pp.ObjectivePoint(a, b) for a, b in rng.random((1000, 2))]
-        fast = pp.nondominated_filter(pts)
+        pts = [(a, b) for a, b in rng.random((1000, 2))]
+        fast = [pts[i] for i in pp.nondominated_filter(pts).tolist()]
         slow = [
             p for i, p in enumerate(pts)
             if not any(
-                q.j1 <= p.j1 and q.j2 <= p.j2 and (q.j1 < p.j1 or q.j2 < p.j2)
+                q[0] <= p[0] and q[1] <= p[1] and (q[0] < p[0] or q[1] < p[1])
                 for j, q in enumerate(pts) if j != i
             )
         ]
@@ -285,8 +285,7 @@ class TestCriterion6Properties:
         ok = True
         for k in pa.k1m:
             for p in pa.fronts.pts[pa.fronts.k == k].tolist():
-                utopia = pp.ObjectivePoint(*pa.utopias[k - 1].tolist())
-                ok = ok and weakly_dominates(utopia, pp.ObjectivePoint(*p), 1e-9)
+                ok = ok and weakly_dominates(pa.utopias[k - 1].tolist(), p, 1e-9)
         criterion("6c utopia weakly dominates every computed front point", ok)
 
     def test_gradient_agreement(self, e1_spec, e2_spec):

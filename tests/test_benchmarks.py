@@ -165,7 +165,7 @@ class TestOracle:
         # master-front points must be non-dominated inside the oracle's
         # exhaustive point set
         pa = phase_a(Solver(e1_spec, config), [r.k for r in pp.enumerate_realizations(e1_spec)], 21)
-        opts = np.array([[s.point.j1, s.point.j2] for s in e1_oracle.front])
+        opts = e1_oracle.front.pts
         for j1, j2 in pa.master_front.pts.tolist():
             strictly = (
                 (opts[:, 0] <= j1)

@@ -2,6 +2,7 @@
 and byte-level determinism of outputs."""
 
 import csv
+import hashlib
 import json
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune import cli
+from pareto_prune.core import Front
 from pareto_prune.cli import (
     compare_reports,
     dumps_json,
@@ -28,20 +30,25 @@ def run_cli(*args):
 
 
 def make_report(front_pts, problem="synthetic"):
-    sols = tuple(
-        pp.ParetoSolution(
-            y=(0.0,),
-            realization=pp.Realization(k=1, z=(0.0,)),
-            point=pp.ObjectivePoint(a, b),
-            provenance="w0",
-        )
-        for a, b in front_pts
-    )
+    n = len(front_pts)
+    front = Front(np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros((n, 1)),
+                  np.array(front_pts, dtype=float).reshape(n, 2))
     return pp.PruneReport(
         problem=problem, beta=2, phases="ab", eps=0.0, seed=0, k_total=1,
         k1m=(1,), k1u=(1,), k1c=(1,), pruned_a=(), pruned_b=(), infeasible=(),
-        nlp=pp.NlpCounts(a1=2, a2=2, b1=0, b3=0), front=sols, wallclock_ms=5,
+        nlp=pp.NlpCounts(a1=2, a2=2, b1=0, b3=0), front=front, front_z=np.zeros((n, 1)),
+        wallclock_ms=5,
     )
+
+
+# SHA-256 of the front CSV of `run --phases ab --beta 21 --seed 0`, recorded
+# while the front was still written from one object per point.  e1 is left
+# out: its last bits follow numpy's SIMD dispatch.
+FRONT_CSV_SHA256 = {
+    "e2": "c4c11187d0a2e44342674412a15f13c97f968a6e5a3bb69771fb4f8d6ebe871b",
+    "quad": "61ddeb03fb97ab08a1d70453e978a5a81a624752c9baa2e5fb5763e6347182fc",
+    "toy-constrained": "0ff63654722e5eb638545a4f50b924a0b8076dfbb940b43ee517d2a6304145a5",
+}
 
 
 class TestRunCommand:
@@ -180,7 +187,7 @@ class TestRunCommand:
         loaded = read_report(report)
         with open(front, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        json_pts = sorted((s.point.j1, s.point.j2) for s in loaded.front)
+        json_pts = sorted(map(tuple, loaded.front.pts.tolist()))
         csv_pts = sorted((float(r["j1"]), float(r["j2"])) for r in rows)
         assert json_pts == csv_pts
         assert list(rows[0]) == ["k", "z_1", "y_1", "j1", "j2", "provenance"]
@@ -201,6 +208,14 @@ class TestRunCommand:
         db.pop("wallclock_ms")
         assert da == db  # report matches except the timing field
 
+    @pytest.mark.parametrize("problem", sorted(FRONT_CSV_SHA256))
+    def test_front_csv_bytes(self, tmp_path, problem):
+        front = tmp_path / "f.csv"
+        assert run_cli("run", "--problem", problem, "--phases", "ab", "--beta", "21",
+                       "--seed", "0", "--report", str(tmp_path / "r.json"),
+                       "--front", str(front)) == 0
+        assert hashlib.sha256(front.read_bytes()).hexdigest() == FRONT_CSV_SHA256[problem]
+
 
 class TestOracleCommand:
     def test_quad_beta_two_front_is_anchor_pair(self, tmp_path):
@@ -209,7 +224,7 @@ class TestOracleCommand:
                        "--report", str(report))
         assert code == 0
         loaded = read_report(report)
-        pts = sorted(s.point.as_tuple() for s in loaded.front)
+        pts = sorted(map(tuple, loaded.front.pts.tolist()))
         assert pts == pytest.approx([(0.0, 1.0), (1.0, 0.0)], abs=1e-9)
 
     def test_unknown_problem_exits_2(self, tmp_path):
@@ -258,6 +273,15 @@ class TestCompareCommand:
         good = tmp_path / "good.json"
         write_report(make_report([(0.0, 1.0)]), good)
         assert run_cli("compare", "--a", str(bad), "--b", str(good)) == 2
+
+    def test_deeply_nested_json_exits_2_without_traceback(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        good = tmp_path / "good.json"
+        write_report(make_report([(0.0, 1.0)]), good)
+        assert run_cli("compare", "--a", str(deep), "--b", str(good)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exits_2_before_reading(self, tmp_path, capsys, monkeypatch, tol):
@@ -361,6 +385,7 @@ class TestSerialization:
             text = dumps_json(report.to_json_dict())
             again = pp.PruneReport.from_json_dict(json.loads(text))
             assert again == report
+            assert again != make_report([(0.0, 2.0)])
             assert dumps_json(again.to_json_dict()) == text
 
     def test_nlp_total_mismatch_rejected(self):
@@ -405,6 +430,9 @@ _BAD_FIELDS = {
     "front-string": (("front",), "[]"),
     "front-entry-list": (("front", 0), [0.0, 1.0]),
     "provenance-int": (("front", 0, "provenance"), 0),
+    "provenance-not-weight": (("front", 0, "provenance"), "zzz"),
+    "provenance-past-beta": (("front", 0, "provenance"), "w2"),
+    "provenance-leading-zero": (("front", 0, "provenance"), "w00"),
     "k_total-negative": (("k_total",), -5),
     "pruned_a-out-of-range": (("pruned_a",), [99]),
     "eps-negative": (("eps",), -1.0),
@@ -422,6 +450,8 @@ _BAD_FIELDS = {
     # front points that disagree on realization 1: a second z, a longer y
     "front-z-disagrees": (("front", 1, "z"), [9.0]),
     "front-y-ragged": (("front", 1, "y"), [0.0, 0.0]),
+    # a front point (1, 1) that the point (0, 1) dominates
+    "front-dominated": (("front", 1, "j2"), 1.0),
 }
 
 
@@ -438,7 +468,9 @@ class TestStrictReader:
                                                ("k1c-twice", "twice"),
                                                ("nlp-a2-wrong", "contradict its sets"),
                                                ("front-z-disagrees", "disagree"),
-                                               ("front-y-ragged", "disagree")])
+                                               ("front-y-ragged", "disagree"),
+                                               ("front-dominated", "dominates"),
+                                               ("provenance-not-weight", "w<i>")])
     def test_rejects_contradicting_sets(self, case, message):
         good = make_report(_GOOD_FRONT)
         assert pp.PruneReport.from_json_dict(good.to_json_dict()) == good
@@ -451,9 +483,12 @@ class TestStrictReader:
     def test_rejects_every_set_and_count_mutation(self, request, name):
         """A run's report reads back equal; moving an index into a second
         set, dropping one from a set, raising one solve count (and the
-        total with it), or giving one of a realization's front points
-        another z or a longer y makes it unreadable: a fake z would count
-        as one more realization in ``compare``.  Under "none" only k1c is
+        total with it), giving one of a realization's front points
+        another z or a longer y, adding a front point that another
+        dominates, or giving a point a provenance other than "w<i>", i in
+        0..beta-1 without a leading zero, makes it unreadable: a fake z
+        would count as one more realization in ``compare``, and a
+        dominated point would move its distances.  Under "none" only k1c is
         pinned by the rest of the report: ``infeasible`` then lists
         realizations no other field names."""
         report = request.getfixturevalue(name)
@@ -478,6 +513,12 @@ class TestStrictReader:
             front = list(doc["front"])
             front[i] = {**front[i], field: value}
             mutants.append({**doc, "front": front})
+        first = doc["front"][0]
+        worse = {**first, "j1": first["j1"] + 1.0, "j2": first["j2"] + 1.0}
+        mutants.append({**doc, "front": doc["front"] + [worse]})
+        for provenance in ("zzz", f"w{report.beta}", "w03"):
+            mutants.append({**doc, "front": [{**first, "provenance": provenance},
+                                             *doc["front"][1:]]})
         assert len(mutants) >= 10
         for mutant in mutants:
             with pytest.raises(ValueError):
@@ -488,7 +529,8 @@ class TestStrictReader:
                                       "pruned_a-out-of-range", "eps-negative", "beta-one",
                                       "seed-negative", "wallclock_ms-negative", "nlp-negative",
                                       "sets-overlap", "sets-miss-index", "nlp-a2-wrong",
-                                      "front-z-disagrees", "front-y-ragged"])
+                                      "front-z-disagrees", "front-y-ragged", "front-dominated",
+                                      "provenance-not-weight"])
     def test_compare_exits_2_without_traceback(self, tmp_path, capsys, case):
         good = tmp_path / "good.json"
         write_report(make_report(_GOOD_FRONT), good)
@@ -538,5 +580,5 @@ class TestCompareReports:
         line = summary_line(e1_ab)
         assert line == (
             f"|K|={e1_ab.k_total} |K1m|={len(e1_ab.k1m)} |K1u|={len(e1_ab.k1u)} "
-            f"|K1c|={len(e1_ab.k1c)} nlp={e1_ab.nlp.total} front={len(e1_ab.front)} pts"
+            f"|K1c|={len(e1_ab.k1c)} nlp={e1_ab.nlp.total} front={len(e1_ab.front.k)} pts"
         )

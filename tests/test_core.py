@@ -9,27 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pareto_prune as pp
-from pareto_prune import (
-    ObjectivePoint,
-    ParetoSolution,
-    ProblemSpec,
-    Realization,
-    decomposition,
-    nondominated_filter,
-    pipeline,
-)
-from pareto_prune.core import _check_eps, nondominated_rows
+from pareto_prune import ProblemSpec, decomposition, nondominated_filter, pipeline
+from pareto_prune.core import Front, _check_eps, nondominated_rows
 from pareto_prune.solver import Solver
 from conftest import dominates, front_rows, weakly_dominates
 
-P = ObjectivePoint
-
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-points = st.builds(P, finite, finite)
+points = st.tuples(finite, finite)
 
 
 def brute_force_filter(pts, eps=0.0):
-    """Independent O(n^2) oracle: strict dominance, duplicates survive."""
+    """Independent O(n^2) oracle on (j1, j2) pairs: strict dominance,
+    duplicates survive."""
     out = []
     for i, a in enumerate(pts):
         dominated = False
@@ -37,9 +28,9 @@ def brute_force_filter(pts, eps=0.0):
             if i == j:
                 continue
             if (
-                b.j1 <= a.j1 + eps
-                and b.j2 <= a.j2 + eps
-                and (b.j1 < a.j1 - eps or b.j2 < a.j2 - eps)
+                b[0] <= a[0] + eps
+                and b[1] <= a[1] + eps
+                and (b[0] < a[0] - eps or b[1] < a[1] - eps)
             ):
                 dominated = True
                 break
@@ -48,19 +39,24 @@ def brute_force_filter(pts, eps=0.0):
     return out
 
 
+def _kept(pts, eps=0.0):
+    """The points of ``pts`` that ``nondominated_filter`` keeps, in order."""
+    return [pts[i] for i in nondominated_filter(pts, eps).tolist()]
+
+
 class TestDominates:
     def test_weak_le_with_one_strict(self):
-        assert dominates(P(1, 1), P(1, 2))
+        assert dominates((1, 1), (1, 2))
 
     def test_incomparable_pair(self):
-        assert not dominates(P(1, 2), P(2, 1))
+        assert not dominates((1, 2), (2, 1))
 
     def test_irreflexive_on_example(self):
-        assert not dominates(P(1, 1), P(1, 1))
+        assert not dominates((1, 1), (1, 1))
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            dominates(P(0, 0), P(1, 1), eps=-1e-9)
+            dominates((0, 0), (1, 1), eps=-1e-9)
 
     @given(points)
     def test_irreflexivity(self, p):
@@ -81,55 +77,58 @@ class TestDominates:
         # powers of two scale floats exactly, so the boolean outcome is
         # preserved without rounding caveats
         c1, c2 = 2.0 ** e1, 2.0 ** e2
-        sa = P(a.j1 * c1, a.j2 * c2)
-        sb = P(b.j1 * c1, b.j2 * c2)
+        sa = (a[0] * c1, a[1] * c2)
+        sb = (b[0] * c1, b[1] * c2)
         assert dominates(a, b) == dominates(sa, sb)
         assert weakly_dominates(a, b) == weakly_dominates(sa, sb)
 
 
 class TestWeaklyDominates:
     def test_equal_points(self):
-        assert weakly_dominates(P(1, 1), P(1, 1))
+        assert weakly_dominates((1, 1), (1, 1))
 
     def test_better_in_one(self):
-        assert weakly_dominates(P(0, 3), P(1, 3))
+        assert weakly_dominates((0, 3), (1, 3))
 
     def test_worse_in_one(self):
-        assert not weakly_dominates(P(0, 3), P(1, 2))
+        assert not weakly_dominates((0, 3), (1, 2))
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            weakly_dominates(P(0, 0), P(1, 1), eps=-0.5)
+            weakly_dominates((0, 0), (1, 1), eps=-0.5)
 
 
 class TestObjectivePoint:
+    """A front point (j1, j2) of a report must be finite."""
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            P(bad, 0.0)
-        with pytest.raises(ValueError):
-            P(0.0, bad)
+        doc = pp.run_pipeline(pp.make_quad(), beta=2).to_json_dict()
+        for field in ("j1", "j2"):
+            point = {**doc["front"][0], field: bad}
+            with pytest.raises(ValueError, match=f"front {field} must be a finite number"):
+                pp.PruneReport.from_json_dict({**doc, "front": [point, *doc["front"][1:]]})
 
 
 class TestNondominatedFilter:
     def test_simple(self):
-        pts = [P(1, 2), P(2, 1), P(2, 2)]
-        assert nondominated_filter(pts) == [P(1, 2), P(2, 1)]
+        pts = [(1, 2), (2, 1), (2, 2)]
+        assert _kept(pts) == [(1, 2), (2, 1)]
 
     def test_duplicates_survive(self):
-        pts = [P(1, 1), P(1, 1)]
-        assert nondominated_filter(pts) == pts
+        pts = [(1, 1), (1, 1)]
+        assert _kept(pts) == pts
 
     def test_empty(self):
-        assert nondominated_filter([]) == []
+        assert _kept([]) == []
 
     def test_stable_order(self):
-        pts = [P(3, 0), P(0, 3), P(1, 1)]
-        assert nondominated_filter(pts) == pts
+        pts = [(3, 0), (0, 3), (1, 1)]
+        assert _kept(pts) == pts
 
     def test_tie_in_one_coordinate_is_dominated(self):
         # equal j2, strictly worse j1: strict dominance removes it
-        assert nondominated_filter([P(1, 5), P(2, 5)]) == [P(1, 5)]
+        assert _kept([(1, 5), (2, 5)]) == [(1, 5)]
 
     @pytest.mark.parametrize("eps", [True, np.bool_(True), "0.1", None])
     def test_eps_that_is_not_a_real_number_is_rejected(self, eps):
@@ -145,35 +144,32 @@ class TestNondominatedFilter:
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_matches_brute_force(self, n, eps):
         rng = np.random.default_rng(n)
-        pts = [P(a, b) for a, b in rng.random((n, 2))]
-        assert nondominated_filter(pts, eps) == brute_force_filter(pts, eps)
+        pts = [(a, b) for a, b in rng.random((n, 2))]
+        assert _kept(pts, eps) == brute_force_filter(pts, eps)
 
     def test_matches_brute_force_with_exact_ties(self):
         rng = np.random.default_rng(7)
         vals = rng.integers(0, 8, size=(300, 2)).astype(float)
-        pts = [P(a, b) for a, b in vals]
+        pts = [(a, b) for a, b in vals]
         for eps in (0.0, 0.25, 1.0):
-            assert nondominated_filter(pts, eps) == brute_force_filter(pts, eps)
+            assert _kept(pts, eps) == brute_force_filter(pts, eps)
 
     @given(st.lists(points, max_size=60))
     @settings(max_examples=60)
     def test_idempotent(self, pts):
-        once = nondominated_filter(pts)
-        assert nondominated_filter(once) == once
+        once = _kept(pts)
+        assert _kept(once) == once
 
     @given(st.lists(points, max_size=40))
     @settings(max_examples=60)
     def test_matches_brute_force_property(self, pts):
-        assert nondominated_filter(pts) == brute_force_filter(pts)
+        assert _kept(pts) == brute_force_filter(pts)
 
     def test_accepts_solutions(self):
-        r = Realization(k=1, z=(0.0,))
-        sols = [
-            ParetoSolution(y=(0.0,), realization=r, point=P(1, 2), provenance="w0"),
-            ParetoSolution(y=(1.0,), realization=r, point=P(0, 3), provenance="w1"),
-            ParetoSolution(y=(0.5,), realization=r, point=P(2, 3), provenance="w2"),
-        ]
-        assert nondominated_filter(sols) == sols[:2]
+        # the indices select the rows of a front's parallel arrays
+        front = Front(np.ones(3, dtype=np.int64), np.arange(3), np.array([[0.0], [1.0], [0.5]]),
+                      np.array([[1.0, 2.0], [0.0, 3.0], [2.0, 3.0]]))
+        assert front_rows(front.take(nondominated_filter(front.pts))) == front_rows(front)[:2]
 
 
 # generated subproblem fronts: per realization, the outcome of each of BETA
@@ -204,15 +200,15 @@ def _ops_fronts(outcomes, eps, monkeypatch):
 
 def _list_front(outcomes, k, eps):
     """The list path's front of realization k: its feasible outcomes
-    filtered, then sorted by j1."""
-    r = Realization(k=k, z=(float(k),))
-    sols = [ParetoSolution((float(w),), r, ObjectivePoint(*p), f"w{w}")
-            for w, p in enumerate(outcomes[k - 1]) if p is not None]
-    return sorted(nondominated_filter(sols, eps), key=lambda s: s.point.j1)
+    filtered, then sorted by j1, as (k, w, y, j1, j2) rows."""
+    rows = [(k, w, (float(w),), *p) for w, p in enumerate(outcomes[k - 1]) if p is not None]
+    return sorted(_filter_rows(rows, eps), key=lambda row: row[3])
 
 
-def _as_rows(sols):
-    return [(s.realization.k, int(s.provenance[1:]), s.y, *s.point.as_tuple()) for s in sols]
+def _filter_rows(rows, eps):
+    """The (k, w, y, j1, j2) ``rows`` whose point no other row's strictly
+    dominates, in order."""
+    return [rows[i] for i in nondominated_filter([row[3:] for row in rows], eps).tolist()]
 
 
 def _reference_mask(points, eps=0.0):
@@ -243,8 +239,8 @@ class TestSegmentedFilter:
         for s in sorted(set(seg.tolist())):
             idx = np.flatnonzero(seg == s)
             keep = idx[_reference_mask(pts[idx], eps)]
-            alone = brute_force_filter([P(*p) for p in pts[idx].tolist()], eps)
-            assert [P(*p) for p in pts[keep].tolist()] == alone
+            alone = brute_force_filter([tuple(p) for p in pts[idx].tolist()], eps)
+            assert [tuple(p) for p in pts[keep].tolist()] == alone
             expected += keep[np.argsort(pts[keep, 0], kind="stable")].tolist()
         assert nondominated_rows(pts, eps, seg).tolist() == expected
 
@@ -274,17 +270,16 @@ class TestSegmentedFilter:
             fronts = _ops_fronts(outcomes, eps, mp)
         for i, front in enumerate(fronts):
             ks = range(i + 1, len(outcomes) + 1, 2)
-            assert front_rows(front) == [
-                row for k in ks for row in _as_rows(_list_front(outcomes, k, eps))]
+            assert front_rows(front) == [row for k in ks for row in _list_front(outcomes, k, eps)]
         merged = [s for k in range(1, len(outcomes) + 1) for s in _list_front(outcomes, k, eps)]
         if not merged:
             with pytest.raises(pp.PipelineError):
                 pipeline._final_front(fronts, eps)
             return
-        final = nondominated_filter(merged, eps)
-        final.sort(key=lambda s: s.point.j1)
+        final = _filter_rows(merged, eps)
+        final.sort(key=lambda row: row[3])
         got = pipeline._final_front(fronts, eps)
-        assert front_rows(got) == _as_rows(final)
+        assert front_rows(got) == final
 
 
 class TestProblemSpecValidation:

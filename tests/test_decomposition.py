@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pareto_prune as pp
-from pareto_prune import CapacityExceeded, ObjectivePoint, decomposition, enumerate_realizations
+from pareto_prune import CapacityExceeded, decomposition, enumerate_realizations
 from pareto_prune.core import _z_rows
 from pareto_prune.decomposition import (
     build_subproblem_front,
@@ -33,14 +33,14 @@ E2_ALL_ONES_CENTER = (7.0 + 3.0 * math.sqrt(2.0), 12.0 + 12.0 * math.sqrt(2.0))
 
 class _Anchor(NamedTuple):
     y: tuple[float, ...]
-    point: ObjectivePoint
+    point: tuple[float, float]
 
 
 def _anchors(spec, r, config):
     """The w=1 and w=0 anchors of realization r: the two rows of its
     beta=2 front, whose solves are the anchors' own (k, weight) solves."""
     front = build_subproblem_front(Solver(spec, config), [r.k], 2)
-    by_w = {w: _Anchor(tuple(y), ObjectivePoint(*p))
+    by_w = {w: _Anchor(tuple(y), tuple(p))
             for w, y, p in zip(front.w.tolist(), front.y.tolist(), front.pts.tolist())}
     return by_w[1], by_w[0]
 
@@ -50,8 +50,8 @@ def _utopia_and_anchors(spec, r, config):
     from the anchors exactly."""
     utopia = compute_anchors_utopia(Solver(spec, config), [r.k])
     a1, a2 = _anchors(spec, r, config)
-    assert utopia.tobytes() == np.array([[a1.point.j1, a2.point.j2]]).tobytes()
-    return ObjectivePoint(*utopia[0].tolist()), a1, a2
+    assert utopia.tobytes() == np.array([[a1.point[0], a2.point[1]]]).tobytes()
+    return tuple(utopia[0].tolist()), a1, a2
 
 
 def _all_nan_spec():
@@ -178,8 +178,8 @@ class TestAnchorsUtopia:
         utopia, a1, a2 = _utopia_and_anchors(quad_spec, r, config)
         assert a1.y[0] == pytest.approx(0.0, abs=1e-9)
         assert a2.y[0] == pytest.approx(1.0, abs=1e-9)
-        assert utopia.j1 == pytest.approx(0.0, abs=1e-12)
-        assert utopia.j2 == pytest.approx(0.0, abs=1e-12)
+        assert utopia[0] == pytest.approx(0.0, abs=1e-12)
+        assert utopia[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_counts_two_solves(self, quad_spec, config, solve_log):
         r = enumerate_realizations(quad_spec)[0]
@@ -199,13 +199,13 @@ class TestAnchorsUtopia:
         assert a1.y == (2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
         assert a2.y == (10.0, 10.0, 10.0)
         expected_j1 = 4.0 / 3.0 + 3.0 + 3.0 * math.sqrt(2.0)
-        assert utopia.j1 == pytest.approx(expected_j1, rel=1e-12)
+        assert utopia[0] == pytest.approx(expected_j1, rel=1e-12)
 
     def test_e1_utopia_matches_grid_oracle(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
         utopia, _, _ = _utopia_and_anchors(e1_spec, r, config)
-        assert utopia.j1 == pytest.approx(E1_Z00_UTOPIA[0], abs=1e-6)
-        assert utopia.j2 == pytest.approx(E1_Z00_UTOPIA[1], abs=1e-6)
+        assert utopia[0] == pytest.approx(E1_Z00_UTOPIA[0], abs=1e-6)
+        assert utopia[1] == pytest.approx(E1_Z00_UTOPIA[1], abs=1e-6)
 
 
 class TestCenter:
@@ -251,8 +251,8 @@ class TestSubproblemFront:
         utopia, a1, a2 = _utopia_and_anchors(e1_spec, r, config)
         front = build_subproblem_front(Solver(e1_spec, config), [r.k], 2)
         assert front.w.tolist() == [1, 0]  # sorted by j1
-        assert utopia.j1 == min(front.pts[:, 0].tolist()) == a1.point.j1
-        assert utopia.j2 == min(front.pts[:, 1].tolist()) == a2.point.j2
+        assert utopia[0] == min(front.pts[:, 0].tolist()) == a1.point[0]
+        assert utopia[1] == min(front.pts[:, 1].tolist()) == a2.point[1]
 
     def test_quad_convex_front(self, quad_spec, config):
         r = enumerate_realizations(quad_spec)[0]
@@ -281,17 +281,16 @@ class TestSubproblemFront:
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == z)
         utopia, _, _ = _utopia_and_anchors(e1_spec, r, config)
         for p in build_subproblem_front(Solver(e1_spec, config), [r.k], 21).pts.tolist():
-            assert weakly_dominates(utopia, ObjectivePoint(*p), 1e-9)
+            assert weakly_dominates(utopia, p, 1e-9)
 
     def test_anchor_consistency(self, e1_spec, config):
         r = next(r for r in enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
         _, a1, a2 = _utopia_and_anchors(e1_spec, r, config)
-        front = [ObjectivePoint(*p)
-                 for p in build_subproblem_front(Solver(e1_spec, config), [r.k], 21).pts.tolist()]
+        front = build_subproblem_front(Solver(e1_spec, config), [r.k], 21).pts.tolist()
         for anchor in (a1, a2):
             close = any(
-                abs(p.j1 - anchor.point.j1) <= 1e-9
-                and abs(p.j2 - anchor.point.j2) <= 1e-9
+                abs(p[0] - anchor.point[0]) <= 1e-9
+                and abs(p[1] - anchor.point[1]) <= 1e-9
                 for p in front
             )
             better = any(dominates(p, anchor.point) for p in front)

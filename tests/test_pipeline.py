@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import pareto_prune as pp
 from pareto_prune import (
-    ObjectivePoint,
     PipelineError,
     enumerate_realizations,
     nondominated_filter,
@@ -59,8 +58,8 @@ class TestMasterCandidates:
         assert master_front.k.size == fronts.k.size == 0
 
 
-def _weakly_dominated_by(front: Front, p: ObjectivePoint, eps: float) -> bool:
-    return bool(np.any((front.pts[:, 0] <= p.j1 + eps) & (front.pts[:, 1] <= p.j2 + eps)))
+def _weakly_dominated_by(front: Front, p, eps: float) -> bool:
+    return bool(np.any((front.pts[:, 0] <= p[0] + eps) & (front.pts[:, 1] <= p[1] + eps)))
 
 
 # a quarter grid: j1 and j2 ties, duplicates, and points equal to front points
@@ -93,7 +92,7 @@ class TestWeaklyDominated:
         got = pipeline._weakly_dominated(f.pts, pts, eps)
         assert got.dtype == bool and got.shape == (len(points),)
         for i, p in enumerate(pts.tolist()):
-            want = not nan[i] and _weakly_dominated_by(f, ObjectivePoint(*p), eps)
+            want = not nan[i] and _weakly_dominated_by(f, p, eps)
             assert got[i] == want
 
     @pytest.mark.parametrize("phases, calls", [("ab", 2), ("a", 1), ("none", 0)])
@@ -176,25 +175,22 @@ class TestFigProblem:
         run = Solver(fig_spec)
         ks = [r.k for r in enumerate_realizations(fig_spec)]
         pa = phase_a(run, ks, 21)
-        master = [ObjectivePoint(*p) for p in pa.master_front.pts.tolist()]
+        master = pa.master_front.pts.tolist()
         for k in (2,):
-            utopia = ObjectivePoint(*pa.utopias[k - 1].tolist())
+            utopia = pa.utopias[k - 1].tolist()
             assert any(weakly_dominates(p, utopia) for p in master)
         targets = [k for k in pa.k1u if k not in pa.k1m]
         retained = phase_b(run, targets, pa.master_front)
         pruned = [k for k in targets if k not in retained]
         assert pruned == [4]
         for center in compute_center(run, pruned).tolist():
-            assert any(weakly_dominates(p, ObjectivePoint(*center)) for p in master)
+            assert any(weakly_dominates(p, center) for p in master)
 
     def test_master_front_is_filter_of_member_fronts(self, fig_spec):
         pa = phase_a(Solver(fig_spec), [r.k for r in enumerate_realizations(fig_spec)], 21)
-        merged = [ObjectivePoint(*p) for k in pa.k1m
-                  for p in pa.fronts.pts[pa.fronts.k == k].tolist()]
-        expected = nondominated_filter(merged)
-        assert [tuple(p) for p in pa.master_front.pts.tolist()] == [
-            p.as_tuple() for p in expected
-        ]
+        merged = [tuple(p) for k in pa.k1m for p in pa.fronts.pts[pa.fronts.k == k].tolist()]
+        expected = [merged[i] for i in nondominated_filter(merged).tolist()]
+        assert [tuple(p) for p in pa.master_front.pts.tolist()] == expected
 
     @pytest.mark.parametrize("phases", ["ab", "a", "none"])
     def test_sets_partition_realizations(self, fig_spec, phases):
@@ -212,8 +208,9 @@ class TestFigProblem:
 class TestRealizationsOnTheRunPath:
     @pytest.mark.parametrize("phases", ["ab", "none"])
     def test_one_realization_per_front_k(self, e2_spec, phases, monkeypatch):
-        # a run keeps realizations as their indices k; it builds a
-        # Realization only for the report's front, one per distinct k
+        # a run keeps realizations as their indices k, up to the report's
+        # front: it builds no Realization, and the front's z rows give one
+        # z per distinct k
         made = []
         init = pp.Realization.__init__
 
@@ -225,7 +222,8 @@ class TestRealizationsOnTheRunPath:
         report = run_pipeline(e2_spec, beta=21, phases=phases)
         monkeypatch.undo()
         assert report.k_total == 4096
-        assert len(made) == len({sol.realization.k for sol in report.front}) < 4096
+        assert made == []
+        assert len(report.front_realizations()) == len(set(report.front.k.tolist())) < 4096
 
 
 def _sum_offset_base(y, zb):
@@ -242,7 +240,7 @@ class TestBoundedMemory:
         # 16 384 realizations (7 sets of 4 values) at beta = 3: more solves
         # than one part of solver.MAX_DESCENT_ROWS, on a cheap separable
         # problem whose descents the weights share.  Peak under tracemalloc:
-        # 30.4-30.5 MiB with one SolveResult and ObjectivePoint kept per
+        # 30.4-30.5 MiB with one SolveResult and one point object kept per
         # solve, 11.2 MiB with the table's arrays
         spec = pp.ProblemSpec(name="sum-offset", n_y=1, bounds=((0.0, 1.0),),
                               discrete_sets=((0.0, 1.0, 2.0, 3.0),) * 7,
@@ -255,7 +253,7 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert report.nlp.total == 49_152 > MAX_DESCENT_ROWS
-        assert {sol.realization.k for sol in report.front} == {1}  # z = 0 alone
+        assert set(report.front.k.tolist()) == {1}  # z = 0 alone
         assert peak < 16 * 2 ** 20
 
 
@@ -266,7 +264,7 @@ class TestSingleRealization:
         assert rep.pruned_a == () and rep.pruned_b == ()
         ks = [r.k for r in pp.enumerate_realizations(quad_spec)]
         front = build_subproblem_front(Solver(quad_spec), ks, 21)
-        assert [p.point.as_tuple() for p in rep.front] == [tuple(p) for p in front.pts.tolist()]
+        assert [tuple(p) for p in rep.front.pts.tolist()] == [tuple(p) for p in front.pts.tolist()]
 
 
 class TestValidation:
@@ -507,7 +505,7 @@ class TestGeneratedPhaseAExactness:
             log.reset()
             orc = pp.oracle_front(spec, beta=beta)
             assert log.by_phase == _nlp_by_phase(orc)
-        assert {s.point.as_tuple() for s in rep.front} == {s.point.as_tuple() for s in orc.front}
+        assert set(map(tuple, rep.front.pts.tolist())) == set(map(tuple, orc.front.pts.tolist()))
         rep.check_invariants()
         orc.check_invariants()
         assert _nlp_by_phase(rep) == {

@@ -14,8 +14,6 @@ import pareto_prune as pp
 PUBLIC = [
     "CapacityExceeded",
     "NlpCounts",
-    "ObjectivePoint",
-    "ParetoSolution",
     "PipelineError",
     "ProblemSpec",
     "PruneReport",
