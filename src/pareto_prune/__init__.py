@@ -15,8 +15,8 @@ from .benchmarks import (
     make_toy_constrained,
     oracle_front,
 )
-from .core import ProblemSpec, Realization, nondominated_filter
-from .decomposition import CapacityExceeded, enumerate_realizations
+from .core import ProblemSpec
+from .decomposition import CapacityExceeded
 from .pipeline import NlpCounts, PipelineError, PruneReport, run_pipeline
 from .solver import SolverConfig
 
@@ -29,15 +29,12 @@ __all__ = [
     "ProblemSpec",
     "PruneReport",
     "REGISTRY",
-    "Realization",
     "SolverConfig",
-    "enumerate_realizations",
     "get_problem",
     "make_e1",
     "make_e2",
     "make_quad",
     "make_toy_constrained",
-    "nondominated_filter",
     "oracle_front",
     "run_pipeline",
 ]

@@ -1,5 +1,6 @@
 """Domain types and dominance primitives for bi-objective minimization.
 
+A realization is its index k, and :func:`_z_rows` gives the z of any ks.
 A front is one :class:`Front` of arrays from the first solve to the
 report.  Everything here is immutable after construction and safe to
 share across threads.  Both objectives are always minimized.
@@ -22,6 +23,7 @@ __all__ = [
 ]
 
 
+# built only by decomposition.realization_from_index, for the benchmark's tests
 @dataclass(frozen=True)
 class Realization:
     """The k-th element of the discrete product set Z_1 x ... x Z_nz.
@@ -200,6 +202,7 @@ def nondominated_rows(points: np.ndarray, eps: float = 0.0,
     return order[~dominated]
 
 
+# called by no run; the benchmark's tracer (perfbench/tracer.py) wraps it as core.nd_filter
 def nondominated_filter(points, eps: float = 0.0) -> np.ndarray:
     """Indices of the rows of ``points``, an (n, 2) array-like, that no
     other row strictly dominates, in input order: :func:`nondominated_rows`

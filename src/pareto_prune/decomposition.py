@@ -1,13 +1,12 @@
-"""Realization enumeration and per-subproblem solves: utopia points from
-the anchors, center points, and weighted-sum subproblem fronts.  A
-realization is its index k; :func:`~pareto_prune.core._z_rows` gives the
-z of any ks.  Each operation takes the run's
-:class:`~pareto_prune.solver.Solver`, which looks up what the run has
-already solved, and a list of ks; it poses its solves, ks x weights, as
-one :meth:`~pareto_prune.solver.Solver.solve` call, and decides no pruning
-set: a point per realization, one row of an (n, 2) array (NaN where a
-solve it needs is not feasible), or the fronts of all its realizations as
-one :class:`~pareto_prune.core.Front`."""
+"""Per-subproblem solves: utopia points from the anchors, center points,
+and weighted-sum subproblem fronts.  A realization is its index k;
+:func:`~pareto_prune.core._z_rows` gives the z of any ks.  Each operation
+takes the run's :class:`~pareto_prune.solver.Solver`, which looks up what
+the run has already solved, and an int array of ks; it poses its solves,
+ks x weights, as one :meth:`~pareto_prune.solver.Solver.solve` call, and
+decides no pruning set: a point per realization, one row of an (n, 2)
+array (NaN where a solve it needs is not feasible), or the fronts of all
+its realizations as one :class:`~pareto_prune.core.Front`."""
 
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ from .solver import MAX_DESCENT_ROWS, Solver, SolveResult, _evaluate, solve_scal
 __all__ = [
     "CENTER_WEIGHT",
     "CapacityExceeded",
-    "enumerate_realizations",
     "realization_from_index",
     "compute_anchors_utopia",
     "compute_center",
@@ -32,6 +30,7 @@ __all__ = [
     "check_split",
 ]
 
+# the largest beta * |K| a run poses
 DEFAULT_REALIZATION_CAP = 10_000_000
 # the weight of a center solve: equal weights on both objectives
 CENTER_WEIGHT = 0.5
@@ -40,29 +39,14 @@ SPLIT_RTOL = 1e-9
 
 
 class CapacityExceeded(RuntimeError):
-    """The discrete product set is larger than the configured cap."""
+    """A run would pose more solves than DEFAULT_REALIZATION_CAP."""
 
 
-def _realizations(spec: ProblemSpec, ks) -> list[Realization]:
-    """The :class:`Realization` of each index k in ``ks``, a part at a time."""
-    parts = (ks[a:a + MAX_DESCENT_ROWS] for a in range(0, len(ks), MAX_DESCENT_ROWS))
-    return list(itertools.chain.from_iterable(
-        map(Realization, part, zip(*_z_rows(spec, part, object).T.tolist())) for part in parts))
-
-
-def enumerate_realizations(spec: ProblemSpec) -> list[Realization]:
-    """All realizations of the discrete product set, in lexicographic
-    order with the last variable varying fastest; k runs 1..|Z|.  More
-    than DEFAULT_REALIZATION_CAP of them raise CapacityExceeded."""
-    if (total := spec._k_total) > DEFAULT_REALIZATION_CAP:
-        raise CapacityExceeded(f"{total} realizations exceed the cap of {DEFAULT_REALIZATION_CAP}")
-    return _realizations(spec, range(1, total + 1))
-
-
+# called by no run; the benchmark's tests (perfbench/tests) read z through it
 def realization_from_index(spec: ProblemSpec, k: int) -> Realization:
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= spec._k_total:
         raise ValueError(f"k must be an integer in 1..{spec._k_total}, got {k!r}")
-    return _realizations(spec, [k])[0]
+    return Realization(k, tuple(_z_rows(spec, [k], object)[0].tolist()))
 
 
 def check_split(spec: ProblemSpec) -> None:
@@ -111,7 +95,7 @@ def check_split(spec: ProblemSpec) -> None:
             f"(realization {ks[i // n]}): {float(whole[i, j])!r} against {float(split[i, j])!r}")
 
 
-def _solve_all(solver: Solver, ks: list[int], weights) -> tuple[np.ndarray, np.ndarray]:
+def _solve_all(solver: Solver, ks: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
     """The solves of ``ks`` x ``weights``, k-major, from one ``solver.solve`` call: y (n*m,
     n_y) and objectives (n*m, 2), NaN where not feasible; each counted, a part at a time."""
     y, pts, feasible = (a.reshape(-1, *a.shape[2:]) for a in solver.solve(ks, weights))
@@ -123,7 +107,7 @@ def _solve_all(solver: Solver, ks: list[int], weights) -> tuple[np.ndarray, np.n
     return y, np.where(feasible[:, None], pts, math.nan)
 
 
-def compute_anchors_utopia(solver: Solver, ks: list[int]) -> np.ndarray:
+def compute_anchors_utopia(solver: Solver, ks: np.ndarray) -> np.ndarray:
     """Utopia point of each realization: j1 of its w=1 anchor and j2 of
     its w=0 anchor (two counted sole-objective solves per realization), a
     NaN row where either anchor is not feasible."""
@@ -131,7 +115,7 @@ def compute_anchors_utopia(solver: Solver, ks: list[int]) -> np.ndarray:
     return np.where(np.isnan(pairs).any(axis=1, keepdims=True), math.nan, pairs[:, [0, 3]])
 
 
-def compute_center(solver: Solver, ks: list[int]) -> np.ndarray:
+def compute_center(solver: Solver, ks: np.ndarray) -> np.ndarray:
     """Center point of each realization: the objectives of its equal-weights
     solve (one counted NLP each), on the subproblem front where weighted-sum
     reaches it; a NaN row where that solve is not feasible."""
@@ -144,7 +128,7 @@ def weight_grid(beta: int) -> list[float]:
     return [i / (beta - 1) for i in range(beta)]
 
 
-def build_subproblem_front(solver: Solver, ks: list[int], beta: int,
+def build_subproblem_front(solver: Solver, ks: np.ndarray, beta: int,
                            eps: float = 0.0) -> Front:
     """beta-point weighted-sum front of each subproblem: solves weights
     i/(beta-1) for i = 0..beta-1 (beta counted NLPs per realization) and

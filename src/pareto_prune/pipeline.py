@@ -1,8 +1,9 @@
 """Two-phase pruning pipeline: utopia-based Phase A, center-point Phase B,
-final front assembly, and full solve accounting.  Each phase returns what
-it decided, and :func:`run_pipeline` derives every set of the report from
-those returns.  The exhaustive oracle is the same driver with both phases
-skipped."""
+final front assembly, and full solve accounting.  A realization is its
+index k: each phase takes an int array of ks and returns what it decided
+as bool masks over them, and :func:`run_pipeline` derives every set of the
+report from masks over 1..|K|.  The exhaustive oracle is the same driver
+with both phases skipped."""
 
 from __future__ import annotations
 
@@ -108,7 +109,8 @@ class PruneReport:
         every front point's realization is in k1c.  Under "none",
         ``infeasible`` and ``k1c`` are disjoint, the other sets empty, and
         k1c is the front's realizations.  Front points agree on each k's z,
-        and no front point strictly dominates another at the report's eps.
+        no two claim one solve (k, provenance), and no front point strictly
+        dominates another at the report's eps.
         The solve counts are those the sets imply (:func:`_nlp_counts`)."""
         sets = {name: getattr(self, name) for name in _SETS}
         for name, ks in sets.items():
@@ -132,6 +134,8 @@ class PruneReport:
             if z_of.setdefault(k, z) != z:
                 raise ValueError(_DISAGREE)
         front = set(z_of)
+        if len(set(zip(self.front.k.tolist(), self.front.w.tolist()))) != len(self.front.k):
+            raise ValueError("report front points claim one solve (k, provenance) twice")
         if len(nondominated_rows(self.front.pts, self.eps)) != len(self.front.pts):
             raise ValueError("report front has a point that another front point dominates")
         if self.phases == "none":
@@ -314,13 +318,14 @@ def _list(value, what: str, item) -> tuple:
 
 @dataclass(frozen=True)
 class PhaseAResult:
-    """What Phase A decided: the utopia points, a row per realization (NaN
-    where an anchor failed), the masters k1m, what utopia pruning keeps
-    (k1u), the master front, and the masters' own fronts."""
+    """What Phase A decided over its ks: the utopia points, a row per
+    realization (NaN where an anchor failed), the masks over the ks of the
+    masters k1m and of what utopia pruning keeps (k1u), the master front,
+    and the masters' own fronts."""
 
     utopias: np.ndarray
-    k1m: list[int]
-    k1u: list[int]
+    master: np.ndarray
+    kept: np.ndarray
     master_front: Front
     fronts: Front
 
@@ -333,7 +338,7 @@ def master_candidates(utopias: np.ndarray, eps: float = 0.0) -> np.ndarray:
     return np.sort(usable[nondominated_rows(utopias[usable], eps)])
 
 
-def build_master_front(solver: Solver, ks: list[int], beta: int,
+def build_master_front(solver: Solver, ks: np.ndarray, beta: int,
                        eps: float = 0.0) -> tuple[Front, Front]:
     """Union of the masters' subproblem fronts, filtered, and those fronts."""
     fronts = parallel_map(build_subproblem_front, solver, ks, beta, eps)
@@ -351,29 +356,28 @@ def _weakly_dominated(front_pts: np.ndarray, points: np.ndarray, eps: float) -> 
     return prefix_min_j2[steps] <= points[:, 1] + eps
 
 
-def phase_a(solver: Solver, ks: list[int], beta: int, eps: float = 0.0) -> PhaseAResult:
+def phase_a(solver: Solver, ks: np.ndarray, beta: int, eps: float = 0.0) -> PhaseAResult:
     """A-1 anchors/utopias for all realizations (2 solves each), A-2
     master front from non-dominated utopias (beta solves each), A-3
     utopia pruning: k1u keeps the masters and every feasible realization
     whose utopia the master front does not weakly dominate.  Each step is
-    one batched operation over its realizations, given in ascending k."""
+    one batched operation over its realizations, given in ascending k as
+    an int array."""
     utopias = parallel_map(compute_anchors_utopia, solver, ks)
-    masters = master_candidates(utopias, eps).tolist()
-    master_front, fronts = build_master_front(solver, [ks[i] for i in masters], beta, eps)
-    keep = ~np.isnan(utopias[:, 0]) & ~_weakly_dominated(master_front.pts, utopias, eps)
-    keep[masters] = True
-    return PhaseAResult(utopias, [ks[i] for i in masters],
-                        [ks[i] for i in np.flatnonzero(keep).tolist()], master_front, fronts)
+    master = np.zeros(len(ks), dtype=bool)
+    master[master_candidates(utopias, eps)] = True
+    master_front, fronts = build_master_front(solver, ks[master], beta, eps)
+    kept = master | ~np.isnan(utopias[:, 0]) & ~_weakly_dominated(master_front.pts, utopias, eps)
+    return PhaseAResult(utopias, master, kept, master_front, fronts)
 
 
-def phase_b(solver: Solver, ks: list[int], master_front: Front,
-            eps: float = 0.0) -> list[int]:
-    """B-1 centers for the target realizations (one solve each) and B-2:
-    the indices k of those whose center solve succeeded and whose center
-    the master front does not weakly dominate."""
+def phase_b(solver: Solver, ks: np.ndarray, master_front: Front,
+            eps: float = 0.0) -> np.ndarray:
+    """B-1 centers for the target realizations ``ks`` (one solve each) and
+    B-2: the mask over ``ks`` of those whose center solve succeeded and
+    whose center the master front does not weakly dominate."""
     centers = parallel_map(compute_center, solver, ks)
-    keep = ~np.isnan(centers[:, 0]) & ~_weakly_dominated(master_front.pts, centers, eps)
-    return [ks[i] for i in np.flatnonzero(keep).tolist()]
+    return ~np.isnan(centers[:, 0]) & ~_weakly_dominated(master_front.pts, centers, eps)
 
 
 def _final_front(fronts: list[Front], eps: float) -> Front:
@@ -442,22 +446,27 @@ def run_pipeline(
     centers = [CENTER_WEIGHT] if phases == "ab" else []
     solver.reserve(weight_grid(beta) + centers)
 
-    utopias, k1m, k1u, built = np.empty((0, 2)), [], [], []  # the oracle has no Phase A
-    targets = retained = list(range(1, k_total + 1))
+    ks = np.arange(1, k_total + 1)
+    # masks over ks; the oracle has no Phase A: no k has a utopia point, is a
+    # master or is kept, and B-3 builds every k's front
+    has_utopia = master = kept = np.zeros(k_total, dtype=bool)
+    retained, built = ~master, []
     if phases != "none":
-        pa = phase_a(solver, targets, beta, eps)
-        utopias, k1m, k1u, built = pa.utopias, pa.k1m, pa.k1u, [pa.fronts]
-        targets = retained = sorted(set(k1u) - set(k1m))
+        pa = phase_a(solver, ks, beta, eps)
+        has_utopia, master, kept = ~np.isnan(pa.utopias[:, 0]), pa.master, pa.kept
+        built = [pa.fronts]
+        targets = kept & ~master
+        retained = targets.copy()
         if phases == "ab":
-            retained = phase_b(solver, targets, pa.master_front, eps)
+            retained[targets] = phase_b(solver, ks[targets], pa.master_front, eps)
 
     # B-3: fronts for whatever the phases left
-    b3 = parallel_map(build_subproblem_front, solver, retained, beta, eps)
+    b3 = parallel_map(build_subproblem_front, solver, ks[retained], beta, eps)
     final = _final_front(built + [b3], eps)
-    front_ks = sorted(set(final.k.tolist()))
-    k1c = front_ks if phases == "none" else sorted(k1m + retained)
-    ks = np.arange(1, len(utopias) + 1)
-    no_utopia = np.isnan(utopias[:, 0])
+    in_b3, in_final = np.zeros((2, k_total), dtype=bool)
+    in_b3[b3.k - 1] = in_final[final.k - 1] = True
+    k1c = in_final if phases == "none" else master | retained
+    k1m, k1u, k1c = (tuple(ks[mask].tolist()) for mask in (master, kept, k1c))
     return PruneReport(
         problem=spec.name,
         beta=beta,
@@ -465,12 +474,13 @@ def run_pipeline(
         eps=eps,
         seed=solver.config.seed,
         k_total=k_total,
-        k1m=tuple(k1m),
-        k1u=tuple(k1u),
-        k1c=tuple(k1c),
-        pruned_a=tuple(sorted(set(ks[~no_utopia].tolist()) - set(k1u))),
-        pruned_b=tuple(sorted(set(targets) - set(retained))),
-        infeasible=tuple(sorted(ks[no_utopia].tolist() + list(set(retained) - set(b3.k.tolist())))),
+        k1m=k1m,
+        k1u=k1u,
+        k1c=k1c,
+        pruned_a=tuple(ks[has_utopia & ~kept].tolist()),
+        pruned_b=tuple(ks[kept & ~master & ~retained].tolist()),
+        # a retained k without a B-3 row, and any other k without a utopia point
+        infeasible=tuple(ks[np.where(retained, ~in_b3, ~has_utopia)].tolist()),
         nlp=_nlp_counts(phases, beta, k_total, len(k1m), len(k1u), len(k1c)),
         front=final,
         front_z=_z_rows(spec, final.k),

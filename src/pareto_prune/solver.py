@@ -167,7 +167,8 @@ class _Batch:
     - 1; each row's weight and z are gathered once, here, and every pass
     indexes them.  The methods take
     the stacked points of some of those rows and their indices (an index
-    array or a slice), and make one pass per evaluator over all of them:
+    array; ``descent_value`` also takes a slice), and make one pass per
+    evaluator over all of them:
     one call of a vectorized evaluator with every row's z stacked beside
     it, or one call of a scalar one per row with that row's z, the rows and
     their z listed once per pass for all its evaluators.  A row's
@@ -243,8 +244,6 @@ class _Batch:
         ym = np.maximum(ys - h, self.lo)
         denom = yp - ym
         denom[denom == 0.0] = 1.0
-        if isinstance(rows, slice):
-            rows = np.arange(self.weight.size)[rows]
         out = np.empty_like(ys)
         d = np.arange(n)
         per_call = max(1, MAX_DESCENT_ROWS // (2 * n))  # rows whose probes fit one call

@@ -70,8 +70,9 @@ def weakly_dominates(a, b, eps: float = 0.0) -> bool:
 
 
 def index_of(spec: pp.ProblemSpec, z: tuple[float, ...]) -> int:
-    """The index k of realization ``z``: its position in
-    ``decomposition.enumerate_realizations`` order, counted from 1."""
+    """The index k of realization ``z``: its position, counted from 1, in
+    the product of the discrete sets, the last variable fastest (the
+    inverse of ``core._z_rows``)."""
     sizes = [len(zs) for zs in spec.discrete_sets]
     if len(z) != len(sizes):
         raise ValueError(f"z has length {len(z)}, expected {len(sizes)}")

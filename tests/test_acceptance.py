@@ -25,7 +25,7 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune.cli import main, read_report
-from pareto_prune.core import nondominated_rows
+from pareto_prune.core import nondominated_filter, nondominated_rows
 from pareto_prune.decomposition import realization_from_index
 from pareto_prune.pipeline import phase_a
 from pareto_prune.solver import Solver
@@ -116,11 +116,12 @@ def _e1_grid_reference(spec, beta):
     grid = np.linspace(lo, hi, E1_GRID_POINTS)[:, None]
     w = _weights(beta)[:, None]
     points, zs = [], []
-    for r in pp.enumerate_realizations(spec):
-        obj = np.asarray(spec.objectives(grid, np.asarray(r.z)))
+    for k in range(1, spec._k_total + 1):
+        z = realization_from_index(spec, k).z
+        obj = np.asarray(spec.objectives(grid, np.asarray(z)))
         best = np.argmin(w * obj[:, 0] + (1.0 - w) * obj[:, 1], axis=1)
         points.append(obj[best])
-        zs.extend([r.z] * beta)
+        zs.extend([z] * beta)
     return np.concatenate(points), zs
 
 
@@ -138,9 +139,10 @@ def _e2_closed_form_reference(spec, beta):
         [hi] + [np.clip(np.sqrt((1.0 - w) * b / (w * a)), lo, hi) for w in _weights(beta)[1:]]
     )
     points, zs = [], []
-    for r in pp.enumerate_realizations(spec):
-        points.append(np.asarray(spec.objectives(ys, np.asarray(r.z))))
-        zs.extend([r.z] * beta)
+    for k in range(1, spec._k_total + 1):
+        z = realization_from_index(spec, k).z
+        points.append(np.asarray(spec.objectives(ys, np.asarray(z))))
+        zs.extend([z] * beta)
     return np.concatenate(points), zs
 
 
@@ -270,7 +272,7 @@ class TestCriterion6Properties:
     def test_filter_matches_brute_force(self):
         rng = np.random.default_rng(61)
         pts = [(a, b) for a, b in rng.random((1000, 2))]
-        fast = [pts[i] for i in pp.nondominated_filter(pts).tolist()]
+        fast = [pts[i] for i in nondominated_filter(pts).tolist()]
         slow = [
             p for i, p in enumerate(pts)
             if not any(
@@ -281,9 +283,10 @@ class TestCriterion6Properties:
         criterion("6b filter equals pairwise brute force (n=1000)", fast == slow)
 
     def test_utopia_lower_bound(self, e1_spec, config):
-        pa = phase_a(Solver(e1_spec, config), [r.k for r in pp.enumerate_realizations(e1_spec)], 21)
+        ks = np.arange(1, e1_spec._k_total + 1)
+        pa = phase_a(Solver(e1_spec, config), ks, 21)
         ok = True
-        for k in pa.k1m:
+        for k in ks[pa.master].tolist():
             for p in pa.fronts.pts[pa.fronts.k == k].tolist():
                 ok = ok and weakly_dominates(pa.utopias[k - 1].tolist(), p, 1e-9)
         criterion("6c utopia weakly dominates every computed front point", ok)

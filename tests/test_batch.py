@@ -451,16 +451,17 @@ class TestFdGradient:
     def test_one_descent_value_call(self, name, monkeypatch):
         batch, ys = _fd_case(FD_SPECS[name]())
         calls = _count_descent_value(monkeypatch)
-        batch._fd_gradient(ys, slice(None), None)
+        batch._fd_gradient(ys, np.arange(ys.shape[0]), None)
         assert calls == [2 * ys.shape[1] * ys.shape[0]]
 
     @pytest.mark.parametrize("cap", [6, 7, 40])
     def test_row_cap_splits_the_probes(self, name, monkeypatch, cap):
         batch, ys = _fd_case(FD_SPECS[name]())
-        whole = batch._fd_gradient(ys, slice(None), None)
+        rows = np.arange(ys.shape[0])
+        whole = batch._fd_gradient(ys, rows, None)
         monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", cap)
         calls = _count_descent_value(monkeypatch)
-        split = batch._fd_gradient(ys, slice(None), None)
+        split = batch._fd_gradient(ys, rows, None)
         assert split.tobytes() == whole.tobytes()
         assert len(calls) > 1 and max(calls) <= cap
         assert sum(calls) == 2 * ys.shape[1] * ys.shape[0]
@@ -728,14 +729,18 @@ class TestDescentTable:
 
         def kept(self, ks, weights):
             solvers.append(self)
-            posed.update(itertools.product(ks, weights))
+            kinds.add((type(ks), ks.dtype.type))
+            posed.update(itertools.product(ks.tolist(), weights))
             return solve(self, ks, weights)
 
+        kinds: set = set()
         monkeypatch.setattr(solver.Solver, "solve", kept)
         report = pp.run_pipeline(spec, beta=5, phases="ab")
         run = solvers[0]
         assert all(s is run for s in solvers)
-        assert all(type(k) is int and type(w) is float for k, w in posed)
+        # the ks of every call are an int64 array of indices k
+        assert kinds == {(np.ndarray, np.int64)}
+        assert all(type(w) is float for _, w in posed)
         # one float array, a column per weight of a row per realization: no
         # Python object per solve; status 0 marks a cell not finished
         table = run._table

@@ -31,7 +31,7 @@ def run_cli(*args):
 
 def make_report(front_pts, problem="synthetic"):
     n = len(front_pts)
-    front = Front(np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros((n, 1)),
+    front = Front(np.ones(n, dtype=np.int64), np.arange(n), np.zeros((n, 1)),
                   np.array(front_pts, dtype=float).reshape(n, 2))
     return pp.PruneReport(
         problem=problem, beta=2, phases="ab", eps=0.0, seed=0, k_total=1,
@@ -452,6 +452,8 @@ _BAD_FIELDS = {
     "front-y-ragged": (("front", 1, "y"), [0.0, 0.0]),
     # a front point (1, 1) that the point (0, 1) dominates
     "front-dominated": (("front", 1, "j2"), 1.0),
+    # two front points that claim realization 1's w0 solve
+    "front-solve-twice": (("front", 1, "provenance"), "w0"),
 }
 
 
@@ -470,6 +472,7 @@ class TestStrictReader:
                                                ("front-z-disagrees", "disagree"),
                                                ("front-y-ragged", "disagree"),
                                                ("front-dominated", "dominates"),
+                                               ("front-solve-twice", "one solve"),
                                                ("provenance-not-weight", "w<i>")])
     def test_rejects_contradicting_sets(self, case, message):
         good = make_report(_GOOD_FRONT)
@@ -485,10 +488,11 @@ class TestStrictReader:
         set, dropping one from a set, raising one solve count (and the
         total with it), giving one of a realization's front points
         another z or a longer y, adding a front point that another
-        dominates, or giving a point a provenance other than "w<i>", i in
-        0..beta-1 without a leading zero, makes it unreadable: a fake z
-        would count as one more realization in ``compare``, and a
-        dominated point would move its distances.  Under "none" only k1c is
+        dominates, adding a second point of one solve (k, provenance), or
+        giving a point a provenance other than "w<i>", i in 0..beta-1
+        without a leading zero, makes it unreadable: a fake z would count
+        as one more realization in ``compare``, and a dominated point would
+        move its distances.  Under "none" only k1c is
         pinned by the rest of the report: ``infeasible`` then lists
         realizations no other field names."""
         report = request.getfixturevalue(name)
@@ -516,6 +520,9 @@ class TestStrictReader:
         first = doc["front"][0]
         worse = {**first, "j1": first["j1"] + 1.0, "j2": first["j2"] + 1.0}
         mutants.append({**doc, "front": doc["front"] + [worse]})
+        # the first point's solve again, at another y: no other check sees it
+        again = {**first, "y": [0.123] * len(first["y"])}
+        mutants.append({**doc, "front": doc["front"] + [again]})
         for provenance in ("zzz", f"w{report.beta}", "w03"):
             mutants.append({**doc, "front": [{**first, "provenance": provenance},
                                              *doc["front"][1:]]})

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pareto_prune as pp
-from pareto_prune import ProblemSpec, decomposition, nondominated_filter, pipeline
-from pareto_prune.core import Front, _check_eps, nondominated_rows
+from pareto_prune import ProblemSpec, decomposition, pipeline
+from pareto_prune.core import Front, _check_eps, nondominated_filter, nondominated_rows
 from pareto_prune.solver import Solver
 from conftest import dominates, front_rows, weakly_dominates
 

@@ -12,14 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pareto_prune as pp
-from pareto_prune import (
-    PipelineError,
-    enumerate_realizations,
-    nondominated_filter,
-    pipeline,
-    run_pipeline,
-)
-from pareto_prune.core import Front
+from pareto_prune import PipelineError, core, pipeline, run_pipeline
+from pareto_prune.core import Front, nondominated_filter
 from pareto_prune.decomposition import (
     build_subproblem_front,
     compute_anchors_utopia,
@@ -52,9 +46,10 @@ class TestMasterCandidates:
         assert master_candidates(np.array([(0.0, 0.0), (np.nan, np.nan)])).tolist() == [0]
 
     def test_master_front_of_no_candidates_is_empty(self, quad_spec, config):
-        # phase_a passes [] when every utopia is NaN; the run then raises in
-        # its final filter (TestValidation.test_all_infeasible)
-        master_front, fronts = build_master_front(Solver(quad_spec, config), [], 21)
+        # phase_a passes no ks when every utopia is NaN; the run then raises
+        # in its final filter (TestValidation.test_all_infeasible)
+        master_front, fronts = build_master_front(Solver(quad_spec, config),
+                                                  np.array([], dtype=np.int64), 21)
         assert master_front.k.size == fronts.k.size == 0
 
 
@@ -158,37 +153,41 @@ class TestFigProblem:
 
     def test_statuses(self, fig_spec):
         run = Solver(fig_spec)
-        ks = [r.k for r in enumerate_realizations(fig_spec)]
+        ks = np.arange(1, fig_spec._k_total + 1)
         pa = phase_a(run, ks, 21)
-        assert pa.k1m == [1, 5]
-        assert pa.k1u == [1, 3, 4, 5]  # 2 falls in A-3
+        assert pa.master.dtype == pa.kept.dtype == bool
+        assert ks[pa.master].tolist() == [1, 5]
+        assert ks[pa.kept].tolist() == [1, 3, 4, 5]  # 2 falls in A-3
         assert sorted(set(pa.fronts.k.tolist())) == [1, 5]
-        targets = [k for k in pa.k1u if k not in pa.k1m]
-        assert targets == [3, 4]
+        targets = ks[pa.kept & ~pa.master]
+        assert targets.tolist() == [3, 4]
         retained = phase_b(run, targets, pa.master_front)
-        assert retained == [3]
-        assert sorted(pa.k1m + retained) == [1, 3, 5]
+        assert retained.dtype == bool
+        assert targets[retained].tolist() == [3]
+        assert sorted(ks[pa.master].tolist() + targets[retained].tolist()) == [1, 3, 5]
 
     def test_prune_soundness(self, fig_spec):
         # every utopia-pruned index is weakly dominated by a master point,
         # and every center-pruned center likewise
         run = Solver(fig_spec)
-        ks = [r.k for r in enumerate_realizations(fig_spec)]
+        ks = np.arange(1, fig_spec._k_total + 1)
         pa = phase_a(run, ks, 21)
         master = pa.master_front.pts.tolist()
         for k in (2,):
             utopia = pa.utopias[k - 1].tolist()
             assert any(weakly_dominates(p, utopia) for p in master)
-        targets = [k for k in pa.k1u if k not in pa.k1m]
+        targets = ks[pa.kept & ~pa.master]
         retained = phase_b(run, targets, pa.master_front)
-        pruned = [k for k in targets if k not in retained]
-        assert pruned == [4]
+        pruned = targets[~retained]
+        assert pruned.tolist() == [4]
         for center in compute_center(run, pruned).tolist():
             assert any(weakly_dominates(p, center) for p in master)
 
     def test_master_front_is_filter_of_member_fronts(self, fig_spec):
-        pa = phase_a(Solver(fig_spec), [r.k for r in enumerate_realizations(fig_spec)], 21)
-        merged = [tuple(p) for k in pa.k1m for p in pa.fronts.pts[pa.fronts.k == k].tolist()]
+        ks = np.arange(1, fig_spec._k_total + 1)
+        pa = phase_a(Solver(fig_spec), ks, 21)
+        merged = [tuple(p) for k in ks[pa.master].tolist()
+                  for p in pa.fronts.pts[pa.fronts.k == k].tolist()]
         expected = [merged[i] for i in nondominated_filter(merged).tolist()]
         assert [tuple(p) for p in pa.master_front.pts.tolist()] == expected
 
@@ -212,13 +211,13 @@ class TestRealizationsOnTheRunPath:
         # front: it builds no Realization, and the front's z rows give one
         # z per distinct k
         made = []
-        init = pp.Realization.__init__
+        init = core.Realization.__init__
 
         def counted(self, *args, **kwargs):
             made.append(args or kwargs)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(pp.Realization, "__init__", counted)
+        monkeypatch.setattr(core.Realization, "__init__", counted)
         report = run_pipeline(e2_spec, beta=21, phases=phases)
         monkeypatch.undo()
         assert report.k_total == 4096
@@ -235,6 +234,15 @@ def _sum_offset_objectives(y, z):
     return _sum_offset_base(y, ()) + np.sum(z, axis=-1)[..., None]
 
 
+def _sum_offset_spec(n_sets: int) -> pp.ProblemSpec:
+    """A cheap separable problem whose descents the weights share: the
+    quad pair plus the sum of z, over n_sets sets of 4 values."""
+    return pp.ProblemSpec(name="sum-offset", n_y=1, bounds=((0.0, 1.0),),
+                          discrete_sets=((0.0, 1.0, 2.0, 3.0),) * n_sets,
+                          objectives=_sum_offset_objectives, vectorized=True,
+                          base_objectives=_sum_offset_base)
+
+
 class TestBoundedMemory:
     def test_oracle_of_49152_solves(self):
         # 16 384 realizations (7 sets of 4 values) at beta = 3: more solves
@@ -242,10 +250,7 @@ class TestBoundedMemory:
         # problem whose descents the weights share.  Peak under tracemalloc:
         # 30.4-30.5 MiB with one SolveResult and one point object kept per
         # solve, 11.2 MiB with the table's arrays
-        spec = pp.ProblemSpec(name="sum-offset", n_y=1, bounds=((0.0, 1.0),),
-                              discrete_sets=((0.0, 1.0, 2.0, 3.0),) * 7,
-                              objectives=_sum_offset_objectives, vectorized=True,
-                              base_objectives=_sum_offset_base)
+        spec = _sum_offset_spec(7)
         tracemalloc.start()
         try:
             report = pp.oracle_front(spec, beta=3)
@@ -256,13 +261,34 @@ class TestBoundedMemory:
         assert set(report.front.k.tolist()) == {1}  # z = 0 alone
         assert peak < 16 * 2 ** 20
 
+    @pytest.mark.parametrize("phases, bound_mib", [("ab", 22), ("a", 20)])
+    def test_phase_bookkeeping_of_65536_realizations(self, phases, bound_mib):
+        # 65 536 realizations (8 sets of 4 values) at beta = 2, on the same
+        # problem: realization 1 (z = 0) is the one master and every other
+        # falls in A-3.  Peak under tracemalloc: 23.16 MiB ("ab") and 21.16
+        # MiB ("a") with the phases' sets as Python lists, 21.30 and 19.30
+        # MiB with masks over the ks; "ab" adds the center weight's column
+        # of the solve table, 2 MiB
+        spec = _sum_offset_spec(8)
+        tracemalloc.start()
+        try:
+            report = run_pipeline(spec, beta=2, phases=phases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.k_total == 65_536
+        assert report.k1m == report.k1u == report.k1c == (1,)
+        assert report.pruned_a == tuple(range(2, 65_537))
+        assert report.nlp.total == 2 * 65_536 + 2
+        assert peak < bound_mib * 2 ** 20
+
 
 class TestSingleRealization:
     def test_trivial_sets(self, quad_spec):
         rep = run_pipeline(quad_spec, beta=21, phases="ab")
         assert rep.k1m == rep.k1u == rep.k1c == (1,)
         assert rep.pruned_a == () and rep.pruned_b == ()
-        ks = [r.k for r in pp.enumerate_realizations(quad_spec)]
+        ks = np.arange(1, quad_spec._k_total + 1)
         front = build_subproblem_front(Solver(quad_spec), ks, 21)
         assert [tuple(p) for p in rep.front.pts.tolist()] == [tuple(p) for p in front.pts.tolist()]
 
@@ -432,7 +458,7 @@ class TestScalingInvariance:
         # through the oracle-level scaling check instead
         masters = []
         for spec in (pp.make_e2(), make_scaled_e2((2.5, 7.3))):
-            ks = [r.k for r in pp.enumerate_realizations(spec)]
+            ks = np.arange(1, spec._k_total + 1)
             utopias = compute_anchors_utopia(Solver(spec, config), ks)
             masters.append(master_candidates(utopias).tolist())
         assert masters[0] == masters[1]
@@ -473,10 +499,9 @@ class TestEpsilonDominance:
 
     def test_masters_stay_in_k1u_when_the_master_front_covers_their_utopias(self, quad_spec):
         # at eps 1, quad's front point (0, 1) weakly dominates its utopia (0, 0)
-        pa = phase_a(Solver(quad_spec), [r.k for r in enumerate_realizations(quad_spec)], 5,
-                     eps=1.0)
+        pa = phase_a(Solver(quad_spec), np.arange(1, quad_spec._k_total + 1), 5, eps=1.0)
         assert pipeline._weakly_dominated(pa.master_front.pts, pa.utopias, 1.0).tolist() == [True]
-        assert pa.k1m == pa.k1u == [1]
+        assert pa.master.tolist() == pa.kept.tolist() == [True]
         run_pipeline(quad_spec, beta=5, eps=1.0).check_invariants()
 
 

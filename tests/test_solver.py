@@ -16,8 +16,13 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune import solver
-from pareto_prune.decomposition import compute_anchors_utopia, compute_center
+from pareto_prune.decomposition import (
+    compute_anchors_utopia,
+    compute_center,
+    realization_from_index,
+)
 from pareto_prune.solver import Solver, SolverConfig, _Batch, _start_points
+from conftest import index_of
 
 # minimum of 0.5*J1 + 0.5*J2 over x1 in [-5, 5] for the e1 subproblem with
 # z = (0, 0), from a 10^6-point grid search refined to xatol 1e-13
@@ -26,7 +31,7 @@ E1_Z00_HALF_X = -1.130981400751381
 
 
 def _first_real(spec):
-    return pp.enumerate_realizations(spec)[0]
+    return realization_from_index(spec, 1)
 
 
 class _Solve(NamedTuple):
@@ -54,8 +59,7 @@ def _scalar(res):
 
 class TestSolveScalarized:
     def test_e2_j1_anchor_pins_lower_bounds(self, e2_spec, config):
-        reals = pp.enumerate_realizations(e2_spec)
-        for r in (reals[0], reals[1234], reals[-1]):
+        for r in (realization_from_index(e2_spec, k) for k in (1, 1235, 4096)):
             res = _solve(e2_spec, 1.0, config, r)
             assert res.y_star == (2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
@@ -64,7 +68,7 @@ class TestSolveScalarized:
         assert res.y_star == (10.0, 10.0, 10.0)
 
     def test_e1_half_weight_matches_grid_oracle(self, e1_spec, config):
-        r = next(r for r in pp.enumerate_realizations(e1_spec) if r.z == (0.0, 0.0))
+        r = realization_from_index(e1_spec, index_of(e1_spec, (0.0, 0.0)))
         res = _solve(e1_spec, 0.5, config, r)
         assert _scalar(res) == pytest.approx(E1_Z00_HALF_SCALAR, abs=1e-6)
         assert res.y_star[0] == pytest.approx(E1_Z00_HALF_X, abs=1e-4)
@@ -134,7 +138,7 @@ class TestSolveCounter:
     def test_concurrent_solves_count_and_match_serial(self, e1_spec, config):
         from concurrent.futures import ThreadPoolExecutor
 
-        reals = pp.enumerate_realizations(e1_spec)[:12]
+        reals = [realization_from_index(e1_spec, k) for k in range(1, 13)]
         serial = [_solve(e1_spec, 0.5, config, r) for r in reals]
         with ThreadPoolExecutor(max_workers=4) as ex:
             threaded = list(ex.map(lambda r: _solve(e1_spec, 0.5, config, r), reals))
@@ -348,7 +352,7 @@ class TestFinish:
 
         spec = dataclasses.replace(toy_spec, inequality_constraints=logged,
                                    discrete_sets=((0.0, 1.0, 2.0),))
-        ks = [r.k for r in pp.enumerate_realizations(spec)]
+        ks = np.arange(1, spec._k_total + 1)
         monkeypatch.setattr(solver, "_finish", finish_logged)
         y, _, feasible = solver.Solver(spec, config).solve(ks, (0.75, 1.0))
         assert feasible.all()

@@ -18,15 +18,12 @@ PUBLIC = [
     "ProblemSpec",
     "PruneReport",
     "REGISTRY",
-    "Realization",
     "SolverConfig",
-    "enumerate_realizations",
     "get_problem",
     "make_e1",
     "make_e2",
     "make_quad",
     "make_toy_constrained",
-    "nondominated_filter",
     "oracle_front",
     "run_pipeline",
 ]
