@@ -68,9 +68,9 @@ class ProblemSpec:
     objectives do and return (m, 2).  ``gradient`` may read z only through
     ``base_z``.  Where ``offsets`` is given, every solve's objectives, and
     the values of descents not shared by weight (below), are the base plus
-    its realization's offsets, the offsets evaluated once per realization;
-    ``objectives`` then serves only the check of the split, once per run,
-    before the first solve.
+    its realization's offsets, evaluated once per run, for every
+    realization, when the run's solver is built; ``objectives`` then
+    serves only the check of the split, once per run, before that.
     With ``base_objectives`` and an empty ``base_z``, without
     ``inequality_constraints``, a descent depends on its weight alone: it
     runs on the base without offsets, solve trajectories are bitwise

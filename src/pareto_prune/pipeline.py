@@ -419,10 +419,9 @@ def run_pipeline(
     what an earlier phase solved is looked up, not run again; every solve
     still counts on its own.  Before the first solve, the run checks the
     split the problem declares (:func:`~pareto_prune.decomposition.check_split`),
-    and reserves every weight it can pose in one table allocation
-    (:meth:`~pareto_prune.solver.Solver.reserve`): the weight grid, plus
-    B-1's center weight under "ab".  On a separable, unconstrained problem
-    that also descends them all, in one lockstep batch.
+    then builds its solver for every weight it can pose: the weight grid,
+    plus B-1's center weight under "ab".  On a separable, unconstrained
+    problem that descends them all, in one lockstep batch.
     ``workers`` is accepted and has no effect: every run is serial.
     """
     if phases not in ("ab", "a", "none"):
@@ -438,13 +437,10 @@ def run_pipeline(
     if beta * k_total > DEFAULT_REALIZATION_CAP:
         raise CapacityExceeded(f"beta * |K| = {beta * k_total} exceeds the cap of "
                                f"{DEFAULT_REALIZATION_CAP}")
-    solver = Solver(spec, config)
     t0 = time.perf_counter()
     check_split(spec)
-    # the run's weights: one table allocation, and on a separable,
-    # unconstrained problem every descent of the run at once
     centers = [CENTER_WEIGHT] if phases == "ab" else []
-    solver.reserve(weight_grid(beta) + centers)
+    solver = Solver(spec, weight_grid(beta) + centers, config)
 
     ks = np.arange(1, k_total + 1)
     # masks over ks; the oracle has no Phase A: no k has a utopia point, is a

@@ -5,16 +5,16 @@ at realization k (its z from ``core._z_rows``) over its box, plus an
 exterior quadratic penalty on violated inequality constraints.  One call to
 :func:`solve_scalarized` is one NLP in the pipeline's solve accounting,
 regardless of how many local descents run inside it.  A run has one
-:class:`Solver`, and the solves of one phase, ks x weights, are one
-:meth:`Solver.solve` call, which returns their results as arrays, unusable
-solves included: their local descents run in lockstep in one batch, each
-solve keeps the best of its starts, and those winners are finished in one
-pass: penalty escalation and objectives.  Every
-row of a batch evolves on its own, so a solve's result does not depend
-on the batch it ran in.  A descent step updates its rows by mask, makes
-one pass per evaluator, and reads each row's weight and z gathered once
-per batch; a scalar pass hands every evaluator the same row views and z,
-and reads rows of numbers in one step.
+:class:`Solver`, built for the weights the run poses, and the solves of
+one phase, ks x weights, are one :meth:`Solver.solve` call, which
+returns their results as arrays, unusable solves included: their local
+descents run in lockstep in one batch, each solve keeps the best of its
+starts, and those winners are finished in one pass: penalty escalation
+and objectives.  Every row of a batch evolves on its own, so a solve's
+result does not depend on the batch it ran in.  A descent step updates
+its rows by mask, makes one pass per evaluator, and reads each row's
+weight and z gathered once per batch; a scalar pass hands every
+evaluator the same row views and z, and reads rows of numbers in one step.
 The solver is deterministic: identical arguments (including the seed)
 give bitwise-identical results.  The multistart set's seeded fill is
 numpy's ``default_rng(seed)`` stream (SeedSequence and PCG64), generated
@@ -409,16 +409,16 @@ def _descent(obj: _Batch, x0: np.ndarray, *,
     return best_x, best_f
 
 
-def _descend(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], config: SolverConfig,
+def _descend(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], starts: np.ndarray,
              off: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Local descents of the m solves of ``spec``, solve i at z[i] and
-    weights[i], with offsets off[i] if given, from the multistart set, in lockstep: one ``_descent`` call
-    for all of them, or several of at most MAX_DESCENT_ROWS rows each.
-    Returns each solve's winner over its N_STARTS starts: the best point
-    (m, n_y) and value (m,) they reached, the first best start on a tie."""
-    n = N_STARTS
+    weights[i], with offsets off[i] if given, from each of ``starts``, in
+    lockstep: one ``_descent`` call for all of them, or several of at most
+    MAX_DESCENT_ROWS rows each.  Returns each solve's winner over its
+    starts: the best point (m, n_y) and value (m,) they reached, the first
+    best start on a tie."""
+    n = len(starts)
     per_call = max(1, MAX_DESCENT_ROWS // n)
-    starts = _start_points(spec.bounds, n, config.seed)
     ys, fs = [], []
     for a in range(0, len(weights), per_call):
         zs, ws = z[a:a + per_call], weights[a:a + per_call]
@@ -431,72 +431,60 @@ def _descend(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], config:
 
 
 class Solver:
-    """The solver of one run: its problem, its config (a default
-    :class:`SolverConfig` when None) and the run's table, so that a solve
-    posed twice in a run runs once.
+    """The solver of one run, built for the weights the run poses: its
+    problem, its config (a default :class:`SolverConfig` when None) and
+    the run's table, so that a solve posed twice in a run runs once.
 
-    The table is one float array, zeroed as it grows: a column per weight
-    (:meth:`reserve`; a run reserves every weight it poses before its
-    first solve, so its table is allocated once), of a row per realization
-    k (|K| rows, which ``run_pipeline``'s beta*|K| cap bounds), and per
-    cell the solve's point, objectives and status (0 until :meth:`solve`
+    Everything a run does once is done here.  The table is one float
+    array, allocated once: a column per weight, of a row per realization k
+    (|K| rows, which ``run_pipeline``'s beta*|K| cap bounds), and per cell
+    the solve's point, objectives and status (0 until :meth:`solve`
     finishes it, then 2 if feasible, else 1).  A later call looks a
     finished solve up, still one counted solve: A-2 and B-3 look up A-1's
-    anchors (w = 0, 1), B-3 B-1's centers (w = 0.5).  Where descents depend
-    on the weight alone (``base_objectives``, an empty ``base_z``, no
-    constraints), a descent's winner, a (point, value) pair every solve of
-    the weight shares, is kept under the weight."""
+    anchors (w = 0, 1), B-3 B-1's centers (w = 0.5).  The multistart set
+    is built once, and a problem's offsets are evaluated once, for every
+    realization.  Where descents depend on the weight alone
+    (``base_objectives``, an empty ``base_z``, no constraints), every
+    weight descends here, in one :func:`_descend` call at realization 1
+    (any realization gives the same winners), and its winner, a (point,
+    value) pair every solve of the weight shares, is kept in its column."""
 
-    def __init__(self, spec: ProblemSpec, config: SolverConfig | None = None) -> None:
+    def __init__(self, spec: ProblemSpec, weights: Sequence[float],
+                 config: SolverConfig | None = None) -> None:
         self.spec = spec
         self.config = config or SolverConfig()
-        # a descent depends on its weight alone
-        self._shared = (spec.base_objectives is not None and not spec.base_z
-                        and spec.inequality_constraints is None)
-        self._columns: dict = {}  # weight -> its column of the table
-        self._table = np.zeros((0, spec._k_total, spec.n_y + 3))  # y, j1, j2, status
-        self._winners: dict = {}  # weight -> (point, value) its solves share
-
-    def reserve(self, weights: Sequence[float]) -> None:
-        """Give each of ``weights`` a column of the table, the new ones in
-        one allocation, and where descents depend on the weight alone, run
-        the descents of those the solver holds no winner of, in one
-        :func:`_descend` call at realization 1 (any realization gives the
-        same winners), and keep each winner under its weight."""
-        for w in weights:
-            self._columns.setdefault(w, len(self._columns))
-        if len(self._columns) > len(self._table):  # cells no call poses touch no page
-            old, self._table = self._table, np.zeros((len(self._columns),) + self._table.shape[1:])
-            np.copyto(self._table[:len(old)], old, where=old[..., -1:] != 0)  # finished cells
-        missing = [w for w in dict.fromkeys(weights) if w not in self._winners]
-        if self._shared and missing:
-            y, f = _descend(self.spec, _z_rows(self.spec, [1] * len(missing)), missing,
-                            self.config)
-            self._winners.update(zip(missing, zip(y, f)))
+        self._columns = {w: i for i, w in enumerate(dict.fromkeys(weights))}  # weight -> column
+        # y, j1, j2, status
+        self._table = np.zeros((len(self._columns), spec._k_total, spec.n_y + 3))
+        self._starts = _start_points(spec.bounds, N_STARTS, self.config.seed)
+        self._winners = None  # points (n_w, n_y) and values (n_w,) by column, where shared
+        if (spec.base_objectives is not None and not spec.base_z
+                and spec.inequality_constraints is None):
+            ws = list(self._columns)
+            self._winners = _descend(spec, _z_rows(spec, [1] * len(ws)), ws, self._starts)
+        self._off = None if spec.offsets is None else _evaluate(
+            spec, "offsets", _z_rows(spec, np.arange(1, spec._k_total + 1)))
 
     def solve(self, ks: Sequence[int], weights: Sequence[float]):
         """The solve of each realization k in ``ks`` at each of ``weights``
         from the table: points (n, m, n_y), objectives (n, m, 2) and
         feasibility (n, m).  Cells not finished yet run once each, k-major,
         in parts of MAX_DESCENT_ROWS: their descents as one batch
-        (:func:`_descend`), then one :func:`_finish`.  The z of ``ks``, and
-        a problem's offsets, come from one call each, gathered per part."""
+        (:func:`_descend`), then one :func:`_finish`, each part with its own
+        z.  A weight the solver was not built for raises KeyError before
+        any cell is written."""
         uk, uw = np.array(list(dict.fromkeys(ks)), int), list(dict.fromkeys(weights))
-        self.reserve(uw)
         cols = np.array([self._columns[w] for w in uw], np.intp)
         ki, wi = (self._table[cols, uk[:, None] - 1, -1] == 0).nonzero()  # k-major
-        if ki.size:  # each k's z, gathered per part, and its offsets, once per call
-            zu = _z_rows(self.spec, uk)
-            off = None if self.spec.offsets is None else _evaluate(self.spec, "offsets", zu)
         # one part for all 86 016 solves of the e2 oracle raised its peak RSS 100 -> 111 MB
         for a in range(0, ki.size, MAX_DESCENT_ROWS):
-            part, i = ki[a:a + MAX_DESCENT_ROWS], wi[a:a + MAX_DESCENT_ROWS]
-            k, w, z = uk[part], np.take(uw, i), zu[part]
-            o = None if off is None else off[part]
-            if self._shared:  # the winners descend without offsets
-                y, f = map(np.array, zip(*map(self._winners.get, w.tolist())))
-            else:
-                y, f = _descend(self.spec, z, w, self.config, o)
+            k, i = uk[ki[a:a + MAX_DESCENT_ROWS]], wi[a:a + MAX_DESCENT_ROWS]
+            w, z = np.take(uw, i), _z_rows(self.spec, k)
+            o = None if self._off is None else self._off[k - 1]
+            if self._winners is None:
+                y, f = _descend(self.spec, z, w, self._starts, o)
+            else:  # the winners descend without offsets
+                y, f = (v[cols[i]] for v in self._winners)
             y, pts, feasible = _finish(self.spec, z, w, y, f, o)
             self._table[cols[i], k - 1] = np.column_stack((y, pts, feasible + 1.0))
         cells = self._table[[self._columns[w] for w in weights], np.array(ks, int)[:, None] - 1]

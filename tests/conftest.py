@@ -3,8 +3,9 @@ a small synthetic five-realization problem whose phase outcomes are
 known in closed form (one member of a family of shifted quadratic
 fronts), a quad variant whose objectives are NaN at one realization, e2
 with its objectives scaled, a counter of the real solver calls, a loader
-of the benchmark's modules, reference pairwise dominance tests and the
-inverse of ``decomposition.realization_from_index``."""
+of the benchmark's modules, the weights of the anchors and the center,
+reference pairwise dominance tests and the inverse of
+``decomposition.realization_from_index``."""
 
 from __future__ import annotations
 
@@ -19,8 +20,15 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune.core import Front, _check_eps
+from pareto_prune.decomposition import CENTER_WEIGHT
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# the weights of decomposition's per-point operations, to build a Solver for
+# them: compute_anchors_utopia's (w = 1, then 0) and compute_center's; a
+# beta-point front poses decomposition.weight_grid(beta)
+ANCHORS = (1.0, 0.0)
+CENTER = (CENTER_WEIGHT,)
 
 
 def load_perfbench(*names: str) -> list:

@@ -26,7 +26,7 @@ import pytest
 import pareto_prune as pp
 from pareto_prune.cli import main, read_report
 from pareto_prune.core import nondominated_filter, nondominated_rows
-from pareto_prune.decomposition import realization_from_index
+from pareto_prune.decomposition import realization_from_index, weight_grid
 from pareto_prune.pipeline import phase_a
 from pareto_prune.solver import Solver
 from conftest import dominates, make_fig_problem, make_scaled_e2, weakly_dominates
@@ -284,7 +284,7 @@ class TestCriterion6Properties:
 
     def test_utopia_lower_bound(self, e1_spec, config):
         ks = np.arange(1, e1_spec._k_total + 1)
-        pa = phase_a(Solver(e1_spec, config), ks, 21)
+        pa = phase_a(Solver(e1_spec, weight_grid(21), config), ks, 21)
         ok = True
         for k in ks[pa.master].tolist():
             for p in pa.fronts.pts[pa.fronts.k == k].tolist():

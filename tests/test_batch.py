@@ -22,7 +22,7 @@ import pareto_prune as pp
 from pareto_prune import benchmarks, decomposition, pipeline, solver
 from pareto_prune.core import _z_rows
 from pareto_prune.solver import N_STARTS, Solver, SolveResult, solve_scalarized
-from conftest import front_rows, load_perfbench, make_fig_problem
+from conftest import ANCHORS, CENTER, front_rows, load_perfbench, make_fig_problem
 
 (workloads,) = load_perfbench("workloads")
 
@@ -99,17 +99,18 @@ class TestListEqualsOneAtATime:
     def test_anchors(self, name, config):
         spec = SPECS[name]()
         ks = _ks(spec, 5)
-        batch = decomposition.compute_anchors_utopia(Solver(spec, config), ks)
-        one = np.concatenate([decomposition.compute_anchors_utopia(Solver(spec, config), [k])
-                              for k in ks])
+        batch = decomposition.compute_anchors_utopia(Solver(spec, ANCHORS, config), ks)
+        one = np.concatenate([
+            decomposition.compute_anchors_utopia(Solver(spec, ANCHORS, config), [k])
+            for k in ks])
         assert batch.shape == one.shape == (len(ks), 2)
         assert batch.tobytes() == one.tobytes()
 
     def test_center(self, name, config):
         spec = SPECS[name]()
         ks = _ks(spec, 5)
-        batch = decomposition.compute_center(Solver(spec, config), ks)
-        one = np.concatenate([decomposition.compute_center(Solver(spec, config), [k])
+        batch = decomposition.compute_center(Solver(spec, CENTER, config), ks)
+        one = np.concatenate([decomposition.compute_center(Solver(spec, CENTER, config), [k])
                               for k in ks])
         assert batch.shape == one.shape == (len(ks), 2)
         assert batch.tobytes() == one.tobytes()
@@ -117,11 +118,12 @@ class TestListEqualsOneAtATime:
     def test_front(self, name, config):
         spec = SPECS[name]()
         ks = _ks(spec, 4)
-        batch = decomposition.build_subproblem_front(Solver(spec, config), ks, 5)
+        grid = decomposition.weight_grid(5)
+        batch = decomposition.build_subproblem_front(Solver(spec, grid, config), ks, 5)
         assert front_rows(batch) == [
             row for k in ks
-            for row in front_rows(decomposition.build_subproblem_front(Solver(spec, config),
-                                                                       [k], 5))]
+            for row in front_rows(decomposition.build_subproblem_front(
+                Solver(spec, grid, config), [k], 5))]
 
 
 class _DescentRows:
@@ -182,7 +184,7 @@ def _cells(result):
 def _solved_alone(spec, ks, weights, config):
     """Each solve of ``ks`` x ``weights`` batched on its own, stacked as
     one ``Solver.solve`` call returns them."""
-    cells = [[Solver(spec, config).solve([k], [w]) for w in weights] for k in ks]
+    cells = [[Solver(spec, [w], config).solve([k], [w]) for w in weights] for k in ks]
     return tuple(np.array([[c[i][0, 0] for c in row] for row in cells]) for i in range(3))
 
 
@@ -190,7 +192,8 @@ class TestRowSharing:
     @pytest.mark.parametrize("n", [1, 7, 50])
     def test_e2_anchors_run_two_blocks_whatever_k(self, e2_spec, config, monkeypatch, n):
         rows = _DescentRows(monkeypatch)
-        recs = decomposition.compute_anchors_utopia(Solver(e2_spec, config), _ks(e2_spec, n))
+        recs = decomposition.compute_anchors_utopia(Solver(e2_spec, ANCHORS, config),
+                                                    _ks(e2_spec, n))
         assert len(recs) == n
         assert rows.rows == [2 * N_STARTS]
 
@@ -198,7 +201,7 @@ class TestRowSharing:
         ks = _ks(e2_spec, 3)
         rows = _DescentRows(monkeypatch)
         winners = _FinishedWinners(monkeypatch)
-        results = Solver(e2_spec, config).solve(ks, (0.5,))
+        results = Solver(e2_spec, (0.5,), config).solve(ks, (0.5,))
         assert rows.rows == [N_STARTS]
         assert len(winners.distinct(len(ks))) == 1
         assert _cells(results) == _cells(_solved_alone(e2_spec, ks, (0.5,), config))
@@ -210,16 +213,16 @@ class TestRowSharing:
 
         spec = dataclasses.replace(e2_spec, inequality_constraints=far_bound)
         rows = _DescentRows(monkeypatch)
-        decomposition.compute_anchors_utopia(Solver(spec, config), _ks(spec, 3))
+        decomposition.compute_anchors_utopia(Solver(spec, ANCHORS, config), _ks(spec, 3))
         assert rows.rows == [2 * 3 * N_STARTS]
 
     def test_row_cap_splits_the_batch(self, e1_spec, config, monkeypatch):
         ks = _ks(e1_spec, 3)
-        front = decomposition.build_subproblem_front
-        whole = front_rows(front(Solver(e1_spec, config), ks, 5))
+        front, grid = decomposition.build_subproblem_front, decomposition.weight_grid(5)
+        whole = front_rows(front(Solver(e1_spec, grid, config), ks, 5))
         monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", 4 * N_STARTS)
         rows = _DescentRows(monkeypatch)
-        assert front_rows(front(Solver(e1_spec, config), ks, 5)) == whole
+        assert front_rows(front(Solver(e1_spec, grid, config), ks, 5)) == whole
         assert rows.rows == [4 * N_STARTS] * 3 + [3 * N_STARTS]
 
 
@@ -274,7 +277,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(pp.make_quad(), objectives=flat, gradient=None)
         with pytest.raises(ValueError, match=r"objectives of problem 'quad' returned shape "
                                              r"\(16,\), expected \(16, 2\)"):
-            decomposition.compute_center(Solver(spec, config), _all_ks(spec))
+            decomposition.compute_center(Solver(spec, CENTER, config), _all_ks(spec))
 
     def test_gradient_of_wrong_shape(self, config):
         def flat_gradient(y, z):
@@ -306,7 +309,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(make_gen_problem(), objectives=ragged)
         with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned rows that "
                                              r"do not form a float array, expected \(\d+, 2\)"):
-            decomposition.compute_center(Solver(spec, config), _all_ks(spec))
+            decomposition.compute_center(Solver(spec, CENTER, config), _all_ks(spec))
         _assert_same_error(
             "objectives", [(1.0, 2.0), (1.0, 2.0, 3.0)], [[1.0, 2.0], (1.0,)],
             [np.array([1.0, 2.0]), np.array([1.0])], [(1.0, 2.0), None],
@@ -321,7 +324,7 @@ class TestEvaluatorShapes:
         spec = dataclasses.replace(make_gen_problem(), objectives=three)
         with pytest.raises(ValueError, match=r"objectives of problem 'gen' returned shape "
                                              r"\((\d+), 3\), expected \(\1, 2\)"):
-            decomposition.compute_center(Solver(spec, config), _all_ks(spec))
+            decomposition.compute_center(Solver(spec, CENTER, config), _all_ks(spec))
         _assert_same_error("objectives", [(1.0, 2.0, 3.0)] * 3, [[1.0, 2.0, 3.0]] * 2,
                            [np.zeros(3), (1, 2, 3)], [(1.0,)] * 2, [1.0, 2.0])
 
@@ -333,7 +336,7 @@ class TestEvaluatorShapes:
         with pytest.raises(ValueError, match=r"inequality_constraints of problem 'gen' returned "
                                              r"rows that do not form a float array, "
                                              r"expected \(\d+, n_g\)"):
-            decomposition.compute_center(Solver(spec, config), _all_ks(spec))
+            decomposition.compute_center(Solver(spec, CENTER, config), _all_ks(spec))
         _assert_same_error(
             "inequality_constraints", [(0.0,), (0.0, 0.0)], [0.0, (0.0,)], [(0.0,), None],
             [("x",), (1.0,)], ["ab"], [(), (0.0,)], [(), ()], [((0.0,),), ((1.0,),)])
@@ -471,13 +474,13 @@ class TestFdGradient:
         # solve and the finish split 4 + 4 + 1
         spec = FD_SPECS[name]()
         ks = _ks(spec, 3)
-        front = decomposition.build_subproblem_front
-        whole = front_rows(front(Solver(spec, config), ks, 3))
+        front, grid = decomposition.build_subproblem_front, decomposition.weight_grid(3)
+        whole = front_rows(front(Solver(spec, grid, config), ks, 3))
         finished = _FinishedWinners(monkeypatch).calls
         for cap, finishes in ((10, [9]), (4, [4, 4, 1])):
             monkeypatch.setattr(solver, "MAX_DESCENT_ROWS", cap)
             finished.clear()
-            assert front_rows(front(Solver(spec, config), ks, 3)) == whole
+            assert front_rows(front(Solver(spec, grid, config), ks, 3)) == whole
             assert finished == finishes
 
 
@@ -497,13 +500,13 @@ class TestScalarRowsGetTheirOwnZ:
             inequality_constraints=logged("g", base.inequality_constraints))
         ks = _all_ks(spec)
         rows = _DescentRows(monkeypatch)
-        Solver(spec, config).solve(ks, (0.8,))
+        Solver(spec, (0.8,), config).solve(ks, (0.8,))
         batch_log = sorted(log)
         ((bx, bf),) = rows.outputs  # one descent, no escalation
         log.clear()
         rows.outputs.clear()
         for k in ks:
-            Solver(spec, config).solve([k], (0.8,))
+            Solver(spec, (0.8,), config).solve([k], (0.8,))
         assert batch_log == sorted(log)
         assert len({z for _, _, z in batch_log}) == len(ks)
         assert len(rows.outputs) == len(ks)  # every start's rows, bit for bit
@@ -631,10 +634,10 @@ class TestOneVectorizedCallPerPass:
 
         monkeypatch.setattr(solver._Batch, "descent_value", counted_value)
         monkeypatch.setattr(solver._Batch, "gradient", counted_gradient)
-        Solver(spec, config).solve(ks, weights)
+        Solver(spec, weights, config).solve(ks, weights)
         assert passes["objectives"] > 1
         # and one base call more, the finish's pass at the winners, and one
-        # offsets call for the whole solve call
+        # offsets call for every realization, made when the solver is built
         assert calls == {"objectives": 0, "base_objectives": passes["objectives"] + 1,
                          "offsets": 1, "gradient": passes["gradient"]}
 
@@ -673,17 +676,17 @@ class TestDescentTable:
     def test_table_of_earlier_phases_gives_fresh_descents(self, name, config, monkeypatch):
         spec = REUSE_SPECS[name]()
         ks = _ks(spec, 3)
-        run = Solver(spec, config)
-        run.solve(ks, (1.0, 0.0))  # A-1
-        later = [(ks[:2], [i / 4 for i in range(5)]),  # a beta-front, beta = 5
-                 (ks, (0.5,))]  # centers
+        later = [(ks[:2], decomposition.weight_grid(5)),  # a beta-front, beta = 5
+                 (ks, CENTER)]  # centers
+        run = Solver(spec, decomposition.weight_grid(5) + list(CENTER), config)
+        run.solve(ks, ANCHORS)  # A-1
         rows = _DescentRows(monkeypatch)
         for posed in later:
             rows.rows.clear()
             got = run.solve(*posed)
             reused = sum(rows.rows)
             rows.rows.clear()
-            fresh = Solver(spec, config).solve(*posed)
+            fresh = Solver(spec, posed[1], config).solve(*posed)
             assert reused < sum(rows.rows)  # each phase shares some solves with the ones before
             assert _cells(got) == _cells(fresh)
 
@@ -693,14 +696,14 @@ class TestDescentTable:
         shared = pp.run_pipeline(spec, beta=5, phases=phases)
         solve = solver.Solver.solve
         monkeypatch.setattr(solver.Solver, "solve", lambda self, ks, weights:
-                            solve(Solver(self.spec, self.config), ks, weights))
+                            solve(Solver(self.spec, weights, self.config), ks, weights))
         alone = pp.run_pipeline(spec, beta=5, phases=phases)
         assert _report_text(shared) == _report_text(alone)
 
     def test_table_finishes_each_solve_once(self, name, config, monkeypatch):
         spec = REUSE_SPECS[name]()
         ks = _ks(spec, 3)
-        run = Solver(spec, config)
+        run = Solver(spec, (1.0, 0.0, 0.5, 0.25), config)
         first = run.solve(ks, (1.0, 0.0))
         finished = _FinishedWinners(monkeypatch).calls
         later = (0.0, 0.5, 1.0)
@@ -720,8 +723,8 @@ class TestDescentTable:
     def test_table_keeps_every_solve_and_shared_winner(self, name, config, monkeypatch):
         # every solve a phase posed, finished, in the cell of (k, weight),
         # whether or not a later phase reads it; a winner only where solves
-        # of one weight share it (e2-k16: separable, unconstrained), once
-        # per weight
+        # of one weight share it (e2-k16: separable, unconstrained), one
+        # per column
         spec = REUSE_SPECS[name]()
         solvers: list = []
         posed: set = set()
@@ -753,16 +756,17 @@ class TestDescentTable:
         assert solved == posed and len(solved) <= report.nlp.total
         winners = run._winners
         if name == "e2-k16":
-            assert sorted(winners) == sorted({w for _, w in solved})
-            for y, f in winners.values():
-                assert y.shape == (spec.n_y,) and np.shape(f) == ()
+            assert sorted(run._columns) == sorted({w for _, w in solved})
+            y, f = winners
+            assert y.dtype == f.dtype == np.float64
+            assert y.shape == (len(run._columns), spec.n_y) and f.shape == (len(run._columns),)
         else:
-            assert winners == {}
+            assert winners is None
 
     @pytest.mark.parametrize("phases", ["ab", "a", "none"])
     def test_run_allocates_its_table_once(self, name, phases, monkeypatch):
-        # every weight a run poses is reserved before A-1, B-1's w = 0.5 at
-        # even beta included, so no phase regrows the table
+        # a run's solver is built for every weight the run poses, B-1's
+        # w = 0.5 at even beta included, and allocates its table then
         spec = REUSE_SPECS[name]()
         tables: list = []
         solve = solver.Solver.solve
@@ -777,6 +781,21 @@ class TestDescentTable:
         report = pp.run_pipeline(spec, beta=4, phases=phases)
         assert len(tables) >= 2 and all(t is tables[0] for t in tables)
         assert tables[0].shape == (4 + (phases == "ab"), report.k_total, spec.n_y + 3)
+
+    def test_a_weight_not_built_for_raises_before_any_write(self, name, config):
+        spec = REUSE_SPECS[name]()
+        run = Solver(spec, ANCHORS, config)
+        with pytest.raises(KeyError):
+            run.solve(_ks(spec, 3), (1.0, 0.5, 0.0))  # w = 0.5 has no column
+        assert not run._table[..., -1].any()  # every cell still not finished
+
+    def test_extra_weights_leave_every_cell_as_it_was(self, name, config):
+        # on e2-k16 the solver's one shared descent runs the extra weights
+        # too, and every row of it evolves on its own
+        spec = REUSE_SPECS[name]()
+        ks, grid = _ks(spec, 16), decomposition.weight_grid(5)
+        got = Solver(spec, [0.3] + grid + [0.6], config).solve(ks, grid)
+        assert _cells(got) == _cells(Solver(spec, grid, config).solve(ks, grid))
 
 # _descent rows per call of a run, in call order, on problems whose descents
 # are not shared by weight: one batch per phase that poses new solves, then
@@ -824,7 +843,7 @@ class TestMergedSpecReuse:
         weights = set(decomposition.weight_grid(beta)) | centers
         assert len(weights) == beta + (phases == "ab" and beta % 2 == 0)
         assert rows.rows == [len(weights) * N_STARTS]
-        assert len(lattices) == 1  # a phase with nothing to descend builds no start set
+        assert len(lattices) == 1  # the start set is built once, with the solver
         assert report.nlp.b1 + report.nlp.b3 > 0  # B-1 or B-3 did pose solves
         if phases == "ab":
             assert report.nlp.b1 > 1  # at beta = 4, B-1's w = 0.5 is off the grid
@@ -873,7 +892,7 @@ class TestBatchedFinish:
         ks, weights = _ks(spec, 7), (1.0, 0.5, 0.0)
         winners = _FinishedWinners(monkeypatch)
         rows = _DescentRows(monkeypatch)
-        batched = Solver(spec, config).solve(ks, weights)
+        batched = Solver(spec, weights, config).solve(ks, weights)
         monkeypatch.undo()
         escalations = [pc for pc in rows.penalties if pc is not None]
         if spec.inequality_constraints is None:  # e2: solves of one weight share a winner
@@ -901,7 +920,7 @@ class TestBatchedFinish:
                               gradient=flat, vectorized=True,
                               base_objectives=constant if shared else None)
         rows = _DescentRows(monkeypatch)
-        y, _, feasible = Solver(spec, config).solve(_all_ks(spec), (1.0, 0.25))
+        y, _, feasible = Solver(spec, (1.0, 0.25), config).solve(_all_ks(spec), (1.0, 0.25))
         ((x, f),) = rows.outputs
         assert rows.rows == [(2 if shared else 4) * N_STARTS]
         ties = f.reshape(-1, N_STARTS)
@@ -917,7 +936,7 @@ class TestBatchedFinish:
 
         spec = _one_y_spec("half-nan", (0.0, 1.0, 2.0), objectives=half_nan)
         ks, weights = _all_ks(spec), (1.0, 0.5)
-        results = Solver(spec, config).solve(ks, weights)
+        results = Solver(spec, weights, config).solve(ks, weights)
         y, pts, feasible = results
         zs = [[decomposition.realization_from_index(spec, k).z] * 2 for k in ks]
         # no objectives (both NaN) exactly where z = 1
@@ -943,7 +962,7 @@ class TestBatchedFinish:
         ks = _all_ks(spec)
         with np.errstate(over="ignore"):
             rows = _DescentRows(monkeypatch)
-            batched = Solver(spec, config).solve(ks, (1.0,))
+            batched = Solver(spec, (1.0,), config).solve(ks, (1.0,))
             monkeypatch.undo()
             alone = _solved_alone(spec, ks, (1.0,), config)
         assert _cells(batched) == _cells(alone)
@@ -970,9 +989,10 @@ class TestFinishWork:
         assert sum(rows.rows) == 434
 
     def test_e2_ab_evaluates_objectives_once_per_phase(self, monkeypatch):
-        # e2 declares its split: a phase's finish evaluates the base once and
-        # the offsets once; the objectives serve only the run's check of the
-        # split, and every descent runs before the phases
+        # e2 declares its split: a phase's finish evaluates the base once;
+        # the objectives serve only the run's check of the split, and the
+        # solver, built before the phases, evaluates the offsets of every
+        # realization once and runs every descent
         spec = workloads.build_spec("e2-ab", 0)
         fields = ("objectives", "base_objectives", "offsets")
         calls = dict.fromkeys(fields, 0)
@@ -1002,11 +1022,22 @@ class TestFinishWork:
         for attr in ("compute_anchors_utopia", "build_master_front", "compute_center",
                      "build_subproblem_front"):
             monkeypatch.setattr(pipeline, attr, phase(getattr(pipeline, attr)))
+        checked: dict = {}
+        check_split = pipeline.check_split
+
+        def counted_check(spec):
+            before = dict(calls)
+            check_split(spec)
+            checked.update({f: calls[f] - before[f] for f in fields})
+
+        monkeypatch.setattr(pipeline, "check_split", counted_check)
         workloads.run("e2-ab", spec, 0)
         assert len(per_phase) == 4  # A-1, A-2, B-1, B-3
-        assert calls["objectives"] == 1
-        for f in ("base_objectives", "offsets"):
-            assert all(p[f] <= 1 for p in per_phase) and sum(p[f] for p in per_phase) >= 3
+        assert calls["objectives"] == checked["objectives"] == 1
+        assert calls["offsets"] - checked["offsets"] == 1  # once per run, outside the check
+        assert all(p["offsets"] == 0 for p in per_phase)
+        assert all(p["base_objectives"] <= 1 for p in per_phase)
+        assert sum(p["base_objectives"] for p in per_phase) >= 3
         assert sum(p["objectives"] for p in per_phase) == 0
 
 

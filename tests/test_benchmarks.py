@@ -8,7 +8,11 @@ import pytest
 
 from pareto_prune import get_problem, oracle_front
 from pareto_prune.core import _z_rows
-from pareto_prune.decomposition import build_subproblem_front, realization_from_index
+from pareto_prune.decomposition import (
+    build_subproblem_front,
+    realization_from_index,
+    weight_grid,
+)
 from pareto_prune.pipeline import phase_a
 from pareto_prune.solver import Solver
 from conftest import index_of
@@ -114,8 +118,8 @@ class TestE2:
         zb = (5.0, 15.0, 10.0, 1.0, 5.0, 1.0)  # z5 <-> z7 swapped
         ra = realization_from_index(e2_spec, index_of(e2_spec, za))
         rb = realization_from_index(e2_spec, index_of(e2_spec, zb))
-        fa = build_subproblem_front(Solver(e2_spec, config), [ra.k], 11)
-        fb = build_subproblem_front(Solver(e2_spec, config), [rb.k], 11)
+        fa = build_subproblem_front(Solver(e2_spec, weight_grid(11), config), [ra.k], 11)
+        fb = build_subproblem_front(Solver(e2_spec, weight_grid(11), config), [rb.k], 11)
         assert fa.pts.tolist() == fb.pts.tolist()
         assert fa.y.tolist() == fb.y.tolist()
 
@@ -163,7 +167,8 @@ class TestOracle:
     def test_e1_master_front_within_oracle(self, e1_spec, e1_oracle, config):
         # master-front points must be non-dominated inside the oracle's
         # exhaustive point set
-        pa = phase_a(Solver(e1_spec, config), np.arange(1, e1_spec._k_total + 1), 21)
+        ks = np.arange(1, e1_spec._k_total + 1)
+        pa = phase_a(Solver(e1_spec, weight_grid(21), config), ks, 21)
         opts = e1_oracle.front.pts
         for j1, j2 in pa.master_front.pts.tolist():
             strictly = (

@@ -194,8 +194,8 @@ def _ops_fronts(outcomes, eps, monkeypatch):
 
     monkeypatch.setattr(decomposition, "_solve_all", solve_all)
     spec = pp.make_quad()
-    return [decomposition.build_subproblem_front(Solver(spec), ks[i::2], BETA, eps)
-            for i in (0, 1)]
+    run = Solver(spec, decomposition.weight_grid(BETA))
+    return [decomposition.build_subproblem_front(run, ks[i::2], BETA, eps) for i in (0, 1)]
 
 
 def _list_front(outcomes, k, eps):

@@ -18,9 +18,10 @@ from pareto_prune.decomposition import (
     compute_anchors_utopia,
     compute_center,
     realization_from_index,
+    weight_grid,
 )
 from pareto_prune.solver import Solver
-from conftest import dominates, index_of, weakly_dominates
+from conftest import ANCHORS, CENTER, dominates, index_of, weakly_dominates
 
 # frozen from a 10^6-point grid refined to xatol 1e-13 (e1, z = (0, 0))
 E1_Z00_UTOPIA = (-20.0, -3.875762279046282)
@@ -38,7 +39,7 @@ class _Anchor(NamedTuple):
 def _anchors(spec, k, config):
     """The w=1 and w=0 anchors of realization k: the two rows of its
     beta=2 front, whose solves are the anchors' own (k, weight) solves."""
-    front = build_subproblem_front(Solver(spec, config), [k], 2)
+    front = build_subproblem_front(Solver(spec, weight_grid(2), config), [k], 2)
     by_w = {w: _Anchor(tuple(y), tuple(p))
             for w, y, p in zip(front.w.tolist(), front.y.tolist(), front.pts.tolist())}
     return by_w[1], by_w[0]
@@ -47,7 +48,7 @@ def _anchors(spec, k, config):
 def _utopia_and_anchors(spec, k, config):
     """k's utopia point and its anchors; the utopia takes its components
     from the anchors exactly."""
-    utopia = compute_anchors_utopia(Solver(spec, config), [k])
+    utopia = compute_anchors_utopia(Solver(spec, ANCHORS, config), [k])
     a1, a2 = _anchors(spec, k, config)
     assert utopia.tobytes() == np.array([[a1.point[0], a2.point[1]]]).tobytes()
     return tuple(utopia[0].tolist()), a1, a2
@@ -193,13 +194,13 @@ class TestAnchorsUtopia:
 
     def test_counts_two_solves(self, quad_spec, config, solve_log):
         k = 1
-        compute_anchors_utopia(Solver(quad_spec, config), [k])[0]
+        compute_anchors_utopia(Solver(quad_spec, ANCHORS, config), [k])[0]
         assert solve_log.calls == 2
 
     def test_unusable_anchor_gives_none(self, config, solve_log):
         spec = _all_nan_spec()
         ks = np.arange(1, spec._k_total + 1)
-        utopias = compute_anchors_utopia(Solver(spec, config), ks)
+        utopias = compute_anchors_utopia(Solver(spec, ANCHORS, config), ks)
         assert utopias.shape == (1, 2) and np.isnan(utopias).all()
         assert solve_log.calls == 2
 
@@ -221,8 +222,8 @@ class TestAnchorsUtopia:
 class TestCenter:
     def test_quad_center(self, quad_spec, config):
         k = 1
-        c = compute_center(Solver(quad_spec, config), [k])[0]
-        y, pts, _ = Solver(quad_spec, config).solve([k], [0.5])
+        c = compute_center(Solver(quad_spec, CENTER, config), [k])[0]
+        y, pts, _ = Solver(quad_spec, [0.5], config).solve([k], [0.5])
         assert y[0, 0, 0] == pytest.approx(0.5, abs=1e-9)
         assert c.tobytes() == pts[0, 0].tobytes()
         assert c[0] == pytest.approx(0.25, abs=1e-9)
@@ -231,22 +232,22 @@ class TestCenter:
     def test_e2_all_ones_matches_grid_descent_oracle(self, e2_spec, config):
         k = 1
         assert _z_rows(e2_spec, [k]).tolist() == [[1.0] * 6]
-        c = compute_center(Solver(e2_spec, config), [k])[0]
+        c = compute_center(Solver(e2_spec, CENTER, config), [k])[0]
         assert c[0] == pytest.approx(E2_ALL_ONES_CENTER[0], abs=1e-4)
         assert c[1] == pytest.approx(E2_ALL_ONES_CENTER[1], abs=1e-4)
 
     @pytest.mark.parametrize("z", [(0.0, 0.0), (-1.0, 2.0)])
     def test_center_minimizes_equal_weights_over_front(self, e1_spec, config, z):
         k = index_of(e1_spec, z)
-        c1, c2 = compute_center(Solver(e1_spec, config), [k])[0].tolist()
-        front = build_subproblem_front(Solver(e1_spec, config), [k], 21)
+        c1, c2 = compute_center(Solver(e1_spec, CENTER, config), [k])[0].tolist()
+        front = build_subproblem_front(Solver(e1_spec, weight_grid(21), config), [k], 21)
         half = 0.5 * (c1 + c2)
         for j1, j2 in front.pts.tolist():
             assert half <= 0.5 * (j1 + j2) + 1e-6
 
     def test_counts_one_solve(self, quad_spec, config, solve_log):
         k = 1
-        compute_center(Solver(quad_spec, config), [k])[0]
+        compute_center(Solver(quad_spec, CENTER, config), [k])[0]
         assert solve_log.calls == 1
 
 
@@ -254,19 +255,20 @@ class TestSubproblemFront:
     def test_beta_validation(self, quad_spec, config):
         k = 1
         with pytest.raises(ValueError):
-            build_subproblem_front(Solver(quad_spec, config), [k], 1)
+            build_subproblem_front(Solver(quad_spec, ANCHORS, config), [k], 1)
 
     def test_beta_two_reproduces_anchors(self, e1_spec, config):
         k = index_of(e1_spec, (0.0, -1.0))
         utopia, a1, a2 = _utopia_and_anchors(e1_spec, k, config)
-        front = build_subproblem_front(Solver(e1_spec, config), [k], 2)
+        front = build_subproblem_front(Solver(e1_spec, weight_grid(2), config), [k], 2)
         assert front.w.tolist() == [1, 0]  # sorted by j1
         assert utopia[0] == min(front.pts[:, 0].tolist()) == a1.point[0]
         assert utopia[1] == min(front.pts[:, 1].tolist()) == a2.point[1]
 
     def test_quad_convex_front(self, quad_spec, config):
         k = 1
-        pts = build_subproblem_front(Solver(quad_spec, config), [k], 21).pts.tolist()
+        run = Solver(quad_spec, weight_grid(21), config)
+        pts = build_subproblem_front(run, [k], 21).pts.tolist()
         assert len(pts) == 21
         assert tuple(pts[0]) == pytest.approx((0.0, 1.0), abs=1e-9)
         assert tuple(pts[-1]) == pytest.approx((1.0, 0.0), abs=1e-9)
@@ -276,13 +278,13 @@ class TestSubproblemFront:
 
     def test_counts_beta_solves(self, quad_spec, config, solve_log):
         k = 1
-        build_subproblem_front(Solver(quad_spec, config), [k], 13)
+        build_subproblem_front(Solver(quad_spec, weight_grid(13), config), [k], 13)
         assert solve_log.calls == 13
 
     def test_raising_weights_still_pose_beta_solves(self, config, solve_log):
         spec = _all_nan_spec()
         ks = np.arange(1, spec._k_total + 1)
-        front = build_subproblem_front(Solver(spec, config), ks, 7)
+        front = build_subproblem_front(Solver(spec, weight_grid(7), config), ks, 7)
         assert front.k.size == 0  # the realization has no feasible point
         assert solve_log.calls == 7
 
@@ -290,13 +292,15 @@ class TestSubproblemFront:
     def test_utopia_weakly_dominates_front(self, e1_spec, config, z):
         k = index_of(e1_spec, z)
         utopia, _, _ = _utopia_and_anchors(e1_spec, k, config)
-        for p in build_subproblem_front(Solver(e1_spec, config), [k], 21).pts.tolist():
+        run = Solver(e1_spec, weight_grid(21), config)
+        for p in build_subproblem_front(run, [k], 21).pts.tolist():
             assert weakly_dominates(utopia, p, 1e-9)
 
     def test_anchor_consistency(self, e1_spec, config):
         k = index_of(e1_spec, (0.0, 0.0))
         _, a1, a2 = _utopia_and_anchors(e1_spec, k, config)
-        front = build_subproblem_front(Solver(e1_spec, config), [k], 21).pts.tolist()
+        run = Solver(e1_spec, weight_grid(21), config)
+        front = build_subproblem_front(run, [k], 21).pts.tolist()
         for anchor in (a1, a2):
             close = any(
                 abs(p[0] - anchor.point[0]) <= 1e-9
@@ -310,7 +314,7 @@ class TestSubproblemFront:
         # no densely sampled point may strictly dominate a front point
         # (small slack for solver convergence error)
         k = index_of(e1_spec, (0.0, 0.0))
-        front = build_subproblem_front(Solver(e1_spec, config), [k], 21)
+        front = build_subproblem_front(Solver(e1_spec, weight_grid(21), config), [k], 21)
         xs = np.linspace(-5.0, 5.0, 2_000_001)
         j1 = -10.0 * np.exp(-0.2 * np.abs(xs)) - 10.0
         j2 = np.abs(xs) ** 0.8 + 5.0 * np.sin(xs ** 3)

@@ -18,10 +18,13 @@ from pareto_prune.decomposition import (
     build_subproblem_front,
     compute_anchors_utopia,
     compute_center,
+    weight_grid,
 )
 from pareto_prune.pipeline import build_master_front, master_candidates, phase_a, phase_b
 from pareto_prune.solver import MAX_DESCENT_ROWS, Solver
 from conftest import (
+    ANCHORS,
+    CENTER,
     front_points,
     install_solve_log,
     make_fig_problem,
@@ -48,7 +51,7 @@ class TestMasterCandidates:
     def test_master_front_of_no_candidates_is_empty(self, quad_spec, config):
         # phase_a passes no ks when every utopia is NaN; the run then raises
         # in its final filter (TestValidation.test_all_infeasible)
-        master_front, fronts = build_master_front(Solver(quad_spec, config),
+        master_front, fronts = build_master_front(Solver(quad_spec, weight_grid(21), config),
                                                   np.array([], dtype=np.int64), 21)
         assert master_front.k.size == fronts.k.size == 0
 
@@ -152,7 +155,7 @@ class TestFigProblem:
         assert np.allclose(front_points(orc), front_points(report))
 
     def test_statuses(self, fig_spec):
-        run = Solver(fig_spec)
+        run = Solver(fig_spec, weight_grid(21) + list(CENTER))
         ks = np.arange(1, fig_spec._k_total + 1)
         pa = phase_a(run, ks, 21)
         assert pa.master.dtype == pa.kept.dtype == bool
@@ -169,7 +172,7 @@ class TestFigProblem:
     def test_prune_soundness(self, fig_spec):
         # every utopia-pruned index is weakly dominated by a master point,
         # and every center-pruned center likewise
-        run = Solver(fig_spec)
+        run = Solver(fig_spec, weight_grid(21) + list(CENTER))
         ks = np.arange(1, fig_spec._k_total + 1)
         pa = phase_a(run, ks, 21)
         master = pa.master_front.pts.tolist()
@@ -185,7 +188,7 @@ class TestFigProblem:
 
     def test_master_front_is_filter_of_member_fronts(self, fig_spec):
         ks = np.arange(1, fig_spec._k_total + 1)
-        pa = phase_a(Solver(fig_spec), ks, 21)
+        pa = phase_a(Solver(fig_spec, weight_grid(21)), ks, 21)
         merged = [tuple(p) for k in ks[pa.master].tolist()
                   for p in pa.fronts.pts[pa.fronts.k == k].tolist()]
         expected = [merged[i] for i in nondominated_filter(merged).tolist()]
@@ -261,14 +264,15 @@ class TestBoundedMemory:
         assert set(report.front.k.tolist()) == {1}  # z = 0 alone
         assert peak < 16 * 2 ** 20
 
-    @pytest.mark.parametrize("phases, bound_mib", [("ab", 22), ("a", 20)])
+    @pytest.mark.parametrize("phases, bound_mib", [("ab", 19), ("a", 17)])
     def test_phase_bookkeeping_of_65536_realizations(self, phases, bound_mib):
         # 65 536 realizations (8 sets of 4 values) at beta = 2, on the same
         # problem: realization 1 (z = 0) is the one master and every other
         # falls in A-3.  Peak under tracemalloc: 23.16 MiB ("ab") and 21.16
         # MiB ("a") with the phases' sets as Python lists, 21.30 and 19.30
-        # MiB with masks over the ks; "ab" adds the center weight's column
-        # of the solve table, 2 MiB
+        # MiB with masks over the ks and the z of a whole solve call, 17.42
+        # and 15.42 MiB with the z of one part at a time; "ab" adds the
+        # center weight's column of the solve table, 2 MiB
         spec = _sum_offset_spec(8)
         tracemalloc.start()
         try:
@@ -289,7 +293,7 @@ class TestSingleRealization:
         assert rep.k1m == rep.k1u == rep.k1c == (1,)
         assert rep.pruned_a == () and rep.pruned_b == ()
         ks = np.arange(1, quad_spec._k_total + 1)
-        front = build_subproblem_front(Solver(quad_spec), ks, 21)
+        front = build_subproblem_front(Solver(quad_spec, weight_grid(21)), ks, 21)
         assert [tuple(p) for p in rep.front.pts.tolist()] == [tuple(p) for p in front.pts.tolist()]
 
 
@@ -459,7 +463,7 @@ class TestScalingInvariance:
         masters = []
         for spec in (pp.make_e2(), make_scaled_e2((2.5, 7.3))):
             ks = np.arange(1, spec._k_total + 1)
-            utopias = compute_anchors_utopia(Solver(spec, config), ks)
+            utopias = compute_anchors_utopia(Solver(spec, ANCHORS, config), ks)
             masters.append(master_candidates(utopias).tolist())
         assert masters[0] == masters[1]
 
@@ -499,7 +503,8 @@ class TestEpsilonDominance:
 
     def test_masters_stay_in_k1u_when_the_master_front_covers_their_utopias(self, quad_spec):
         # at eps 1, quad's front point (0, 1) weakly dominates its utopia (0, 0)
-        pa = phase_a(Solver(quad_spec), np.arange(1, quad_spec._k_total + 1), 5, eps=1.0)
+        ks = np.arange(1, quad_spec._k_total + 1)
+        pa = phase_a(Solver(quad_spec, weight_grid(5)), ks, 5, eps=1.0)
         assert pipeline._weakly_dominated(pa.master_front.pts, pa.utopias, 1.0).tolist() == [True]
         assert pa.master.tolist() == pa.kept.tolist() == [True]
         run_pipeline(quad_spec, beta=5, eps=1.0).check_invariants()

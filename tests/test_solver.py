@@ -22,7 +22,7 @@ from pareto_prune.decomposition import (
     realization_from_index,
 )
 from pareto_prune.solver import Solver, SolverConfig, _Batch, _start_points
-from conftest import index_of
+from conftest import ANCHORS, CENTER, index_of
 
 # minimum of 0.5*J1 + 0.5*J2 over x1 in [-5, 5] for the e1 subproblem with
 # z = (0, 0), from a 10^6-point grid search refined to xatol 1e-13
@@ -48,7 +48,7 @@ class _Solve(NamedTuple):
 def _solve(spec, w, config, r=None):
     """The solve of weight w at realization r (the first by default),
     batched on its own."""
-    y, pts, feasible = solver.Solver(spec, config).solve([(r or _first_real(spec)).k], [w])
+    y, pts, feasible = solver.Solver(spec, [w], config).solve([(r or _first_real(spec)).k], [w])
     return _Solve(w, tuple(y[0, 0].tolist()), *pts[0, 0].tolist(), bool(feasible[0, 0]))
 
 
@@ -125,14 +125,14 @@ class TestSolveCounter:
         r = _first_real(quad_spec)
         assert solve_log.calls == 0
         for _ in range(3):
-            compute_center(Solver(quad_spec, config), [r.k])[0]
+            compute_center(Solver(quad_spec, CENTER, config), [r.k])[0]
         assert solve_log.calls == 3
         solve_log.reset()
-        compute_anchors_utopia(Solver(quad_spec, config), [r.k])[0]
+        compute_anchors_utopia(Solver(quad_spec, ANCHORS, config), [r.k])[0]
         assert solve_log.calls == 2
 
     def test_one_call_counts_one_despite_multistart(self, e2_spec, solve_log):
-        compute_center(Solver(e2_spec), [_first_real(e2_spec).k])[0]
+        compute_center(Solver(e2_spec, CENTER), [_first_real(e2_spec).k])[0]
         assert solve_log.calls == 1
 
     def test_concurrent_solves_count_and_match_serial(self, e1_spec, config):
@@ -309,7 +309,7 @@ class TestNanHandling:
         r = _first_real(spec)
         res = _solve(spec, 1.0, config, r)
         assert res.feasible is False and math.isnan(res.j1) and math.isnan(res.j2)
-        center = compute_center(Solver(spec, config), [r.k])
+        center = compute_center(Solver(spec, CENTER, config), [r.k])
         assert center.shape == (1, 2) and np.isnan(center).all()
         assert solve_log.calls == 1
 
@@ -354,7 +354,7 @@ class TestFinish:
                                    discrete_sets=((0.0, 1.0, 2.0),))
         ks = np.arange(1, spec._k_total + 1)
         monkeypatch.setattr(solver, "_finish", finish_logged)
-        y, _, feasible = solver.Solver(spec, config).solve(ks, (0.75, 1.0))
+        y, _, feasible = solver.Solver(spec, (0.75, 1.0), config).solve(ks, (0.75, 1.0))
         assert feasible.all()
         assert len(calls) == 1
         assert calls[0].tolist() == y.reshape(-1, 1).tolist()  # k-major
