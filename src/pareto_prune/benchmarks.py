@@ -144,15 +144,12 @@ def _e2_offsets(z):
     """The (j1, j2) offsets of bars 4-9 per row of z (m, n_z), shape
     (m, 2), or of a single z (n_z,), shape (2,)."""
     z = np.asarray(z, dtype=float)
-    # fsum per distinct row: exact, order-independent sums keep realizations
-    # that are objective-identical by symmetry bitwise identical
-    rows = list(map(tuple, z.reshape(-1, 6).tolist()))
-    sums = {
-        r: (math.fsum(_A[3 + j] * r[j] for j in range(6)),
-            math.fsum(_B[3 + j] / r[j] for j in range(6)))
-        for r in dict.fromkeys(rows)
-    }
-    return np.array([sums[r] for r in rows]).reshape(z.shape[:-1] + (2,))
+    # fsum per row: exact, order-independent sums keep realizations that
+    # are objective-identical by symmetry bitwise identical
+    sums = [(math.fsum(_A[3 + j] * r[j] for j in range(6)),
+             math.fsum(_B[3 + j] / r[j] for j in range(6)))
+            for r in z.reshape(-1, 6).tolist()]
+    return np.array(sums).reshape(z.shape[:-1] + (2,))
 
 
 def _e2_objectives(y, z):

@@ -66,19 +66,19 @@ class ProblemSpec:
     the columns ``z[..., base_z]``, (m, 0) when ``base_z`` is empty;
     ``offsets`` takes z alone; both follow ``vectorized`` as the
     objectives do and return (m, 2).  ``gradient`` may read z only through
-    ``base_z``.  Where ``offsets`` is given, every solve's objectives, and
-    the values of descents not shared by weight (below), are the base plus
-    its realization's offsets, evaluated once per run, for every
-    realization, when the run's solver is built; ``objectives`` then
+    ``base_z``.  Every solve of a declared problem has the base plus its
+    realization's offsets as objectives, and so does every descent not
+    shared by weight (below); the offsets are evaluated once per run, for
+    every realization, when the run's solver is built, and ``objectives``
     serves only the check of the split, once per run, before that.
-    With ``base_objectives`` and an empty ``base_z``, without
-    ``inequality_constraints``, a descent depends on its weight alone: it
-    runs on the base without offsets, solve trajectories are bitwise
-    identical across realizations, which preserves exact objective-space
-    ties between realizations that are mathematically equivalent, and
-    the solves that share a weight share one descent.  ``offsets`` or a
-    non-empty ``base_z`` without ``base_objectives``, or a ``base_z``
-    entry outside range(n_z), raises ValueError.
+    Without ``inequality_constraints`` and with an empty ``base_z``, a
+    descent depends on its weight alone: it runs on the base without
+    offsets, solve trajectories are bitwise identical across
+    realizations, which preserves exact objective-space ties between
+    realizations that are mathematically equivalent, and the solves that
+    share a weight share one descent.  ``base_objectives`` without
+    ``offsets`` or the reverse, a non-empty ``base_z`` without them, or a
+    ``base_z`` entry outside range(n_z), raises ValueError.
     """
 
     name: str
@@ -118,8 +118,10 @@ class ProblemSpec:
                or not 0 <= j < self.n_z for j in base_z):
             raise ValueError(f"base_z entries must be integers in range({self.n_z}), got {base_z}")
         object.__setattr__(self, "base_z", tuple(map(int, base_z)))
-        if self.base_objectives is None and (self.offsets is not None or base_z):
-            raise ValueError("offsets and a non-empty base_z need base_objectives")
+        if ((self.base_objectives is None) != (self.offsets is None)
+                or base_z and self.offsets is None):
+            raise ValueError("base_objectives and offsets are declared together or not at all, "
+                             "and a non-empty base_z needs them")
 
     @property
     def n_z(self) -> int:

@@ -51,17 +51,16 @@ def realization_from_index(spec: ProblemSpec, k: int) -> Realization:
 
 def check_split(spec: ProblemSpec) -> None:
     """Raise ValueError unless the split that ``spec`` declares holds:
-    objectives(y, z) equals base_objectives(y, z[base_z]) + offsets(z), or
-    without ``offsets`` the base plus its difference at the realization's
-    first point, within a relative SPLIT_RTOL of the terms' size, a NaN
-    meeting a NaN.  Checked at four points, the box corners lo and hi and
-    lo + (hi - lo) * t at t = (1/3, 2/3, 1/3, ...) and 1 - t, of the first,
-    middle and last realization and of each realization one step from the
-    first in a single z coordinate, where a base that reads a coordinate
-    outside ``base_z`` shows even if the others all have z_1 = z_2.  The
-    message names the worst point.  A problem without ``base_objectives``
-    declares nothing.  Necessary, not sufficient: a split that is wrong
-    only elsewhere passes."""
+    objectives(y, z) equals base_objectives(y, z[base_z]) + offsets(z),
+    within a relative SPLIT_RTOL of the terms' size, a NaN meeting a NaN.
+    Checked at four points, the box corners lo and hi and lo + (hi - lo) *
+    t at t = (1/3, 2/3, 1/3, ...) and 1 - t, of the first, middle and last
+    realization and of each realization one step from the first in a
+    single z coordinate, where a base that reads a coordinate outside
+    ``base_z`` shows even if the others all have z_1 = z_2.  The message
+    names the worst point.  A problem without ``base_objectives`` declares
+    nothing.  Necessary, not sufficient: a split that is wrong only
+    elsewhere passes."""
     if spec.base_objectives is None:
         return
     sets = spec.discrete_sets
@@ -75,11 +74,10 @@ def check_split(spec: ProblemSpec) -> None:
     whole = _evaluate(spec, "objectives", y, z)
     try:
         base = _evaluate(spec, "base_objectives", y, z[:, list(spec.base_z)])
-        off = (whole - base)[::n] if spec.offsets is None else _evaluate(spec, "offsets", z[::n])
+        off = np.repeat(_evaluate(spec, "offsets", z[::n]), n, axis=0)
     except (IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"the evaluators of problem {spec.name!r} fail on its split "
                          f"(base_z = {spec.base_z}): {exc!r}") from exc
-    off = np.repeat(off, n, axis=0)
     split = base + off
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.abs(whole - split) / np.maximum(np.abs(whole), np.abs(base) + np.abs(off))
@@ -87,24 +85,24 @@ def check_split(spec: ProblemSpec) -> None:
     err[np.isnan(err)] = math.inf
     i, j = np.unravel_index(np.argmax(err), err.shape)
     if err[i, j] > SPLIT_RTOL:
-        what = "offsets(z)" if spec.offsets is not None else "a constant per realization"
         raise ValueError(
             f"objectives of problem {spec.name!r} differ from base_objectives(y, z[base_z]) + "
-            f"{what} (base_z = {spec.base_z}) by a relative {err[i, j]:.3g} > {SPLIT_RTOL:g} "
+            f"offsets(z) (base_z = {spec.base_z}) by a relative {err[i, j]:.3g} > {SPLIT_RTOL:g} "
             f"in j{j + 1} at y = {tuple(y[i].tolist())}, z = {tuple(z[i].tolist())} "
             f"(realization {ks[i // n]}): {float(whole[i, j])!r} against {float(split[i, j])!r}")
 
 
 def _solve_all(solver: Solver, ks: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
     """The solves of ``ks`` x ``weights``, k-major, from one ``solver.solve`` call: y (n*m,
-    n_y) and objectives (n*m, 2), NaN where not feasible; each counted, a part at a time."""
-    y, pts, feasible = (a.reshape(-1, *a.shape[2:]) for a in solver.solve(ks, weights))
+    n_y) and objectives (n*m, 2), NaN where not feasible, as the solver returns them; each
+    counted, a part at a time, feasible where its j1 is not NaN."""
+    y, pts = (a.reshape(-1, *a.shape[2:]) for a in solver.solve(ks, weights))
     ws = itertools.cycle(weights)
-    for a in range(0, feasible.size, MAX_DESCENT_ROWS):
+    for a in range(0, len(y), MAX_DESCENT_ROWS):
         part = slice(a, a + MAX_DESCENT_ROWS)
-        for y_star, ok in zip(map(tuple, y[part].tolist()), feasible[part].tolist()):
+        for y_star, ok in zip(map(tuple, y[part].tolist()), (~np.isnan(pts[part, 0])).tolist()):
             solve_scalarized(SolveResult(next(ws), y_star, ok))
-    return y, np.where(feasible[:, None], pts, math.nan)
+    return y, pts
 
 
 def compute_anchors_utopia(solver: Solver, ks: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ exterior quadratic penalty on violated inequality constraints.  One call to
 regardless of how many local descents run inside it.  A run has one
 :class:`Solver`, built for the weights the run poses, and the solves of
 one phase, ks x weights, are one :meth:`Solver.solve` call, which
-returns their results as arrays, unusable solves included: their local
+returns their points and objectives as arrays, NaN objectives marking
+every solve that is not feasible: their local
 descents run in lockstep in one batch, each solve keeps the best of its
 starts, and those winners are finished in one pass: penalty escalation
 and objectives.  Every row of a batch evolves on its own, so a solve's
@@ -419,7 +420,7 @@ def _descend(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], starts:
     best start on a tie."""
     n = len(starts)
     per_call = max(1, MAX_DESCENT_ROWS // n)
-    ys, fs = [], []
+    ys, fs = [np.empty((0, spec.n_y))], [np.empty(0)]  # zero solves give (0, n_y) and (0,)
     for a in range(0, len(weights), per_call):
         zs, ws = z[a:a + per_call], weights[a:a + per_call]
         o = None if off is None else off[a:a + per_call]
@@ -433,13 +434,13 @@ def _descend(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], starts:
 class Solver:
     """The solver of one run, built for the weights the run poses: its
     problem, its config (a default :class:`SolverConfig` when None) and
-    the run's table, so that a solve posed twice in a run runs once.
+    the run's table, so that a solve posed in two calls of a run runs once.
 
     Everything a run does once is done here.  The table is one float
     array, allocated once: a column per weight, of a row per realization k
     (|K| rows, which ``run_pipeline``'s beta*|K| cap bounds), and per cell
-    the solve's point, objectives and status (0 until :meth:`solve`
-    finishes it, then 2 if feasible, else 1).  A later call looks a
+    the solve's point, objectives (NaN unless feasible) and a flag, 0
+    until :meth:`solve` finishes the cell, then 1.  A later call looks a
     finished solve up, still one counted solve: A-2 and B-3 look up A-1's
     anchors (w = 0, 1), B-3 B-1's centers (w = 0.5).  The multistart set
     is built once, and a problem's offsets are evaluated once, for every
@@ -454,7 +455,7 @@ class Solver:
         self.spec = spec
         self.config = config or SolverConfig()
         self._columns = {w: i for i, w in enumerate(dict.fromkeys(weights))}  # weight -> column
-        # y, j1, j2, status
+        # y, j1, j2, finished
         self._table = np.zeros((len(self._columns), spec._k_total, spec.n_y + 3))
         self._starts = _start_points(spec.bounds, N_STARTS, self.config.seed)
         self._winners = None  # points (n_w, n_y) and values (n_w,) by column, where shared
@@ -467,45 +468,45 @@ class Solver:
 
     def solve(self, ks: Sequence[int], weights: Sequence[float]):
         """The solve of each realization k in ``ks`` at each of ``weights``
-        from the table: points (n, m, n_y), objectives (n, m, 2) and
-        feasibility (n, m).  Cells not finished yet run once each, k-major,
-        in parts of MAX_DESCENT_ROWS: their descents as one batch
-        (:func:`_descend`), then one :func:`_finish`, each part with its own
-        z.  A weight the solver was not built for raises KeyError before
-        any cell is written."""
-        uk, uw = np.array(list(dict.fromkeys(ks)), int), list(dict.fromkeys(weights))
-        cols = np.array([self._columns[w] for w in uw], np.intp)
-        ki, wi = (self._table[cols, uk[:, None] - 1, -1] == 0).nonzero()  # k-major
+        from the table: points (n, m, n_y) and objectives (n, m, 2), NaN
+        where a solve is not feasible.  The ks are distinct, and so are the
+        weights.  Cells not finished yet run once each, k-major, in parts
+        of MAX_DESCENT_ROWS: their descents as one batch (:func:`_descend`),
+        then one :func:`_finish`, each part with its own z.  A weight the
+        solver was not built for raises KeyError before any cell is written."""
+        ks = np.asarray(ks, np.int64)
+        cols = np.array([self._columns[w] for w in weights], np.intp)
+        ki, wi = (self._table[cols, ks[:, None] - 1, -1] == 0).nonzero()  # k-major
         # one part for all 86 016 solves of the e2 oracle raised its peak RSS 100 -> 111 MB
         for a in range(0, ki.size, MAX_DESCENT_ROWS):
-            k, i = uk[ki[a:a + MAX_DESCENT_ROWS]], wi[a:a + MAX_DESCENT_ROWS]
-            w, z = np.take(uw, i), _z_rows(self.spec, k)
+            k, i = ks[ki[a:a + MAX_DESCENT_ROWS]], wi[a:a + MAX_DESCENT_ROWS]
+            w, z = np.take(weights, i), _z_rows(self.spec, k)
             o = None if self._off is None else self._off[k - 1]
             if self._winners is None:
                 y, f = _descend(self.spec, z, w, self._starts, o)
             else:  # the winners descend without offsets
                 y, f = (v[cols[i]] for v in self._winners)
-            y, pts, feasible = _finish(self.spec, z, w, y, f, o)
-            self._table[cols[i], k - 1] = np.column_stack((y, pts, feasible + 1.0))
-        cells = self._table[[self._columns[w] for w in weights], np.array(ks, int)[:, None] - 1]
-        return cells[..., :-3], cells[..., -3:-1], cells[..., -1] == 2.0
+            y, pts = _finish(self.spec, z, w, y, f, o)
+            self._table[cols[i], k - 1] = np.column_stack((y, pts, np.ones(k.size)))
+        cells = self._table[cols, ks[:, None] - 1]
+        return cells[..., :-3], cells[..., -3:-1]
 
 
 def _finish(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], y: np.ndarray,
-            f: np.ndarray, off: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each solve's point, objectives and feasibility from its descents'
-    winner: solve i at z[i] and weights[i], with offsets off[i] if given,
-    its point ``y`` (m, n_y), updated in place, and value ``f`` (m,).  On a constrained problem one
-    evaluator pass gives the constraints at every winner with a finite
-    value; winners that violate them beyond FEAS_TOL descend again from
-    where they stand, in lockstep, with the penalty multiplied by 100, for
-    up to 4 rounds (``_descent`` leaves a row unmoved whose value there is
-    not finite).  One pass then gives the objectives (m, 2), the base plus
-    the offsets where given, NaN unless finite; a solve is feasible where
-    they are and its constraints hold."""
+            f: np.ndarray, off: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each solve's point and objectives from its descents' winner: solve
+    i at z[i] and weights[i], with offsets off[i] if given, its point
+    ``y`` (m, n_y), updated in place, and value ``f`` (m,).  On a
+    constrained problem one evaluator pass gives the constraints at every
+    winner with a finite value; winners that violate them beyond FEAS_TOL
+    descend again from where they stand, in lockstep, with the penalty
+    multiplied by 100, for up to 4 rounds (``_descent`` leaves a row
+    unmoved whose value there is not finite).  One pass then gives the
+    objectives (m, 2), the base plus the offsets where given.  Both are
+    NaN where the solve is not feasible: no start reached a finite value,
+    the objectives are not finite, or a constraint still exceeds FEAS_TOL."""
     ok = np.flatnonzero(np.isfinite(f))
     raw = np.full((len(weights), 2), np.nan)
-    within = np.ones(len(weights), dtype=bool)  # constraints within FEAS_TOL
     if ok.size:
         yk, zk = y[ok], z[ok]
         if spec.inequality_constraints is not None:
@@ -520,15 +521,15 @@ def _finish(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], y: np.nd
                 yk[bad] = _descent(_Batch(spec, zk[bad], np.take(weights, ok[bad]), 1, o),
                                    yk[bad], penalty_coefficient=pc)[0]
                 g[bad] = _evaluate(spec, "inequality_constraints", yk[bad], zk[bad])
-            within[ok] = np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL
         if off is None:
             raw[ok] = _evaluate(spec, "objectives", yk, zk)
         else:
             raw[ok] = _evaluate(spec, "base_objectives", yk, zk[:, list(spec.base_z)]) + off[ok]
+        if spec.inequality_constraints is not None:  # still violated after escalation
+            raw[ok[~(np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL)]] = np.nan
         y[ok] = yk
-    finite = np.isfinite(raw).all(axis=1)
-    raw[~finite] = np.nan
-    return y, raw, finite & within
+    raw[~np.isfinite(raw).all(axis=1)] = np.nan
+    return y, raw
 
 
 def solve_scalarized(result: SolveResult) -> SolveResult:

@@ -151,33 +151,40 @@ def _quad_pair(y):
     return np.stack([v ** 2, (v - 1.0) ** 2], axis=-1)
 
 
+def _nan_offsets(z):
+    """The offset (z, z), undefined (NaN) at z = 2."""
+    z = np.asarray(z, dtype=float)[..., :1]
+    return np.where(z == 2.0, np.nan, np.concatenate([z, z], axis=-1))
+
+
 def _nan_offset_objectives(y, z):
     """The quad pair plus the offset (z, z), undefined (NaN) at z = 2."""
-    z = np.asarray(z, dtype=float)[..., 0]
-    return _quad_pair(y) + np.where(z == 2.0, np.nan, z)[..., None]
+    return _quad_pair(y) + _nan_offsets(z)
 
 
 def make_nan_offset_problem(separable: bool) -> pp.ProblemSpec:
     """The quad pair on y in [0, 1] at z in {0, 1, 2}, shifted by (z, z),
     with objectives that are NaN everywhere at z = 2: realization 1 is the
     only master, 2 is utopia-pruned and 3 is infeasible.  ``separable``
-    also supplies the quad pair as ``base_objectives``, so the solver
-    descends on the finite base and meets the NaN only at the winner."""
+    also declares the quad pair as ``base_objectives`` and (z, z) as its
+    offsets, so the solver descends on the finite base and meets the NaN
+    only at the winner's objectives."""
     return dataclasses.replace(
         pp.make_quad(), name="nan-offset", discrete_sets=((0.0, 1.0, 2.0),),
         objectives=_nan_offset_objectives,
-        base_objectives=(lambda y, zb: _quad_pair(y)) if separable else None)
+        base_objectives=(lambda y, zb: _quad_pair(y)) if separable else None,
+        offsets=_nan_offsets if separable else None)
 
 
 def make_scaled_e2(scale: tuple[float, float]) -> pp.ProblemSpec:
     """e2 with objective i multiplied by ``scale[i]``: its objectives,
-    base objectives and gradient, so that it stays separable.  It declares
-    no offsets, so each solve's objectives are the scaled e2 objectives."""
+    base objectives, offsets and gradient, so that it stays separable."""
     e2, s = pp.make_e2(), np.array(scale)
     return dataclasses.replace(
-        e2, name="e2-scaled", offsets=None,
+        e2, name="e2-scaled",
         objectives=lambda y, z: e2.objectives(y, z) * s,
         base_objectives=lambda y, zb: e2.base_objectives(y, zb) * s,
+        offsets=lambda z: e2.offsets(z) * s,
         gradient=lambda y, z: e2.gradient(y, z) * s[:, None])
 
 

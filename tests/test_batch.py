@@ -185,7 +185,7 @@ def _solved_alone(spec, ks, weights, config):
     """Each solve of ``ks`` x ``weights`` batched on its own, stacked as
     one ``Solver.solve`` call returns them."""
     cells = [[Solver(spec, [w], config).solve([k], [w]) for w in weights] for k in ks]
-    return tuple(np.array([[c[i][0, 0] for c in row] for row in cells]) for i in range(3))
+    return tuple(np.array([[c[i][0, 0] for c in row] for row in cells]) for i in range(2))
 
 
 class TestRowSharing:
@@ -231,7 +231,10 @@ def _scalar_reads(field, rows):
     at row i, read as ``solver._evaluate`` reads it and as it was read
     before the flat read (``np.asarray`` and ``_checked``): each an array,
     or the text of the ValueError it raised."""
-    spec = dataclasses.replace(make_gen_problem(), **{field: lambda y, *z: rows[int(y[0])]})
+    changes = {field: lambda y, *z: rows[int(y[0])]}
+    if field == "base_objectives":  # a base comes with its offsets
+        changes["offsets"] = lambda z: (0.0, 0.0)
+    spec = dataclasses.replace(make_gen_problem(), **changes)
     m = len(rows)
     ys = np.repeat(np.arange(m, dtype=float)[:, None], spec.n_y, axis=1)
     zs = None if field == "base_objectives" else np.zeros((m, 1))
@@ -710,13 +713,14 @@ class TestDescentTable:
         got = run.solve(ks, later)
         assert finished == [len(ks)]  # the w = 0.5 solves; the anchors are looked up
         assert _cells(a[:, [2, 0]] for a in got) == _cells(a[:, [0, 1]] for a in first)
-        # posed twice in one call, or again in a later one: finished once, read twice
+        # posed again in a later call: finished once, read twice
         finished.clear()
-        again = run.solve(ks[:1] + ks, (0.25, 0.5, 0.25))
+        again = run.solve(ks, (0.25, 0.5))
         assert finished == [len(ks)]  # the w = 0.25 solves
-        assert _cells(a[1:, 1] for a in again) == _cells(a[:, 1] for a in got)
-        assert _cells(a[0] for a in again) == _cells(a[1] for a in again)
-        assert _cells(a[:, 0] for a in again) == _cells(a[:, 2] for a in again)
+        assert _cells(a[:, 1] for a in again) == _cells(a[:, 1] for a in got)
+        finished.clear()
+        assert _cells(run.solve(ks, (0.25,))) == _cells(a[:, :1] for a in again)
+        assert finished == []
         monkeypatch.undo()
         assert _cells(got) == _cells(_solved_alone(spec, ks, later, config))
 
@@ -745,11 +749,11 @@ class TestDescentTable:
         assert kinds == {(np.ndarray, np.int64)}
         assert all(type(w) is float for _, w in posed)
         # one float array, a column per weight of a row per realization: no
-        # Python object per solve; status 0 marks a cell not finished
+        # Python object per solve; a flag marks a cell finished (1) or not (0)
         table = run._table
         assert type(table) is np.ndarray and table.dtype == np.float64
         assert table.shape == (len(run._columns), report.k_total, spec.n_y + 3)
-        assert set(np.unique(table[..., -1]).tolist()) <= {0.0, 1.0, 2.0}
+        assert set(np.unique(table[..., -1]).tolist()) <= {0.0, 1.0}
         done = table[..., -1] != 0
         solved = {(k + 1, w) for w, c in run._columns.items()
                   for k in np.flatnonzero(done[c]).tolist()}
@@ -788,6 +792,13 @@ class TestDescentTable:
         with pytest.raises(KeyError):
             run.solve(_ks(spec, 3), (1.0, 0.5, 0.0))  # w = 0.5 has no column
         assert not run._table[..., -1].any()  # every cell still not finished
+
+    def test_a_solver_for_no_weights(self, name, config):
+        # on e2-k16 the constructor's shared descent runs for zero solves
+        spec = REUSE_SPECS[name]()
+        ks = _ks(spec, 3)
+        y, pts = Solver(spec, [], config).solve(ks, [])
+        assert y.shape == (len(ks), 0, spec.n_y) and pts.shape == (len(ks), 0, 2)
 
     def test_extra_weights_leave_every_cell_as_it_was(self, name, config):
         # on e2-k16 the solver's one shared descent runs the extra weights
@@ -915,18 +926,22 @@ class TestBatchedFinish:
         def flat(y, z):
             return np.zeros(np.shape(y)[:-1] + (2, 2))
 
+        def zero(z):
+            return np.zeros(np.shape(z)[:-1] + (2,))
+
         spec = pp.ProblemSpec(name="flat", n_y=2, bounds=((-1.0, 2.0), (0.5, 3.0)),
                               discrete_sets=((0.0, 1.0),), objectives=constant,
                               gradient=flat, vectorized=True,
-                              base_objectives=constant if shared else None)
+                              base_objectives=constant if shared else None,
+                              offsets=zero if shared else None)
         rows = _DescentRows(monkeypatch)
-        y, _, feasible = Solver(spec, (1.0, 0.25), config).solve(_all_ks(spec), (1.0, 0.25))
+        y, pts = Solver(spec, (1.0, 0.25), config).solve(_all_ks(spec), (1.0, 0.25))
         ((x, f),) = rows.outputs
         assert rows.rows == [(2 if shared else 4) * N_STARTS]
         ties = f.reshape(-1, N_STARTS)
         assert (ties == ties[:, :1]).all()  # within each solve, at N_STARTS distinct points
         assert len(np.unique(x[:N_STARTS], axis=0)) == N_STARTS
-        assert y.reshape(-1, 2).tolist() == [[-1.0, 0.5]] * 4 and feasible.all()
+        assert y.reshape(-1, 2).tolist() == [[-1.0, 0.5]] * 4 and not np.isnan(pts).any()
 
     def test_unusable_solve_is_infeasible_alone(self, config):
         def half_nan(y, z):
@@ -937,11 +952,12 @@ class TestBatchedFinish:
         spec = _one_y_spec("half-nan", (0.0, 1.0, 2.0), objectives=half_nan)
         ks, weights = _all_ks(spec), (1.0, 0.5)
         results = Solver(spec, weights, config).solve(ks, weights)
-        y, pts, feasible = results
+        y, pts = results
+        feasible = ~np.isnan(pts[..., 0])
         zs = [[decomposition.realization_from_index(spec, k).z] * 2 for k in ks]
         # no objectives (both NaN) exactly where z = 1
         assert np.isnan(pts).all(axis=2).tolist() == [[z == (1.0,) for z in row] for row in zs]
-        assert not np.isnan(pts).any(axis=2)[feasible].any()
+        assert (np.isnan(pts).any(axis=2) == np.isnan(pts).all(axis=2)).all()
         assert feasible.tolist() == [[z != (1.0,) for z in row] for row in zs]
         assert _cells(results) == _cells(_solved_alone(spec, ks, weights, config))
         record = SolveResult(1.0, tuple(y[1, 0].tolist()), bool(feasible[1, 0]))
@@ -953,7 +969,8 @@ class TestBatchedFinish:
         # z = 0: y >= 0.5 binds at w = 1, and one round moves the winner onto
         # it.  z = 1: g is 3e150 everywhere, so the value is finite under the
         # base penalty (about 9e306) and inf under every escalated one; that
-        # row keeps the winner of its descents and ends infeasible.
+        # row keeps the winner of its descents and ends infeasible, its
+        # objectives NaN.
         def cons(y, z):
             v = np.asarray(y, dtype=float)[..., 0]
             return np.where(np.asarray(z, dtype=float)[..., 0] == 1.0, 3e150, 0.5 - v)[..., None]
@@ -968,11 +985,10 @@ class TestBatchedFinish:
         assert _cells(batched) == _cells(alone)
         assert rows.penalties == [None, 1e8, 1e10, 1e12, 1e14]  # the descents, then 4 rounds
         assert rows.rows == [2 * N_STARTS, 2, 1, 1, 1]
-        y, pts, feasible = (a[:, 0] for a in batched)
-        assert feasible[0] and y[0, 0] == pytest.approx(0.5, abs=1e-6)
+        y, pts = (a[:, 0] for a in batched)
+        assert np.isfinite(pts[0]).all() and y[0, 0] == pytest.approx(0.5, abs=1e-6)
         x, f = (a[N_STARTS:] for a in rows.outputs[0])  # the second solve's starts
-        assert not feasible[1]
-        assert np.isfinite(pts[1]).all()  # infeasible, yet its objectives are kept
+        assert np.isnan(pts[1]).all()  # infeasible: no objectives
         assert y[1].tobytes() == x[int(np.argmin(f))].tobytes()
 
 

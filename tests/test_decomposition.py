@@ -223,7 +223,7 @@ class TestCenter:
     def test_quad_center(self, quad_spec, config):
         k = 1
         c = compute_center(Solver(quad_spec, CENTER, config), [k])[0]
-        y, pts, _ = Solver(quad_spec, [0.5], config).solve([k], [0.5])
+        y, pts = Solver(quad_spec, [0.5], config).solve([k], [0.5])
         assert y[0, 0, 0] == pytest.approx(0.5, abs=1e-9)
         assert c.tobytes() == pts[0, 0].tobytes()
         assert c[0] == pytest.approx(0.25, abs=1e-9)

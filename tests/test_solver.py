@@ -36,7 +36,7 @@ def _first_real(spec):
 
 class _Solve(NamedTuple):
     """One solve, read from the arrays ``Solver.solve`` returns; j1 and j2
-    are NaN where the solve has no objectives."""
+    are NaN where the solve is not feasible."""
 
     weight: float
     y_star: tuple[float, ...]
@@ -48,8 +48,8 @@ class _Solve(NamedTuple):
 def _solve(spec, w, config, r=None):
     """The solve of weight w at realization r (the first by default),
     batched on its own."""
-    y, pts, feasible = solver.Solver(spec, [w], config).solve([(r or _first_real(spec)).k], [w])
-    return _Solve(w, tuple(y[0, 0].tolist()), *pts[0, 0].tolist(), bool(feasible[0, 0]))
+    y, pts = solver.Solver(spec, [w], config).solve([(r or _first_real(spec)).k], [w])
+    return _Solve(w, tuple(y[0, 0].tolist()), *pts[0, 0].tolist(), not np.isnan(pts[0, 0, 0]))
 
 
 def _scalar(res):
@@ -354,8 +354,8 @@ class TestFinish:
                                    discrete_sets=((0.0, 1.0, 2.0),))
         ks = np.arange(1, spec._k_total + 1)
         monkeypatch.setattr(solver, "_finish", finish_logged)
-        y, _, feasible = solver.Solver(spec, (0.75, 1.0), config).solve(ks, (0.75, 1.0))
-        assert feasible.all()
+        y, pts = solver.Solver(spec, (0.75, 1.0), config).solve(ks, (0.75, 1.0))
+        assert not np.isnan(pts).any()  # every solve feasible
         assert len(calls) == 1
         assert calls[0].tolist() == y.reshape(-1, 1).tolist()  # k-major
 

@@ -1,8 +1,9 @@
 """The declared split of a problem's objectives: objectives(y, z) ==
 base_objectives(y, z[base_z]) + offsets(z).  A spec refuses a declaration
 it cannot use, a run refuses a split that does not hold before its first
-solve (the CLI exits 2), and declaring a true split moves no report bit,
-under numpy's default SIMD dispatch and without AVX-512."""
+solve (the CLI exits 2), and declaring a true split moves no bit of a
+report or of a solve's objectives, under numpy's default SIMD dispatch and
+without AVX-512."""
 
 import dataclasses
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 import pareto_prune as pp
 from pareto_prune import benchmarks, pipeline, solver
 from pareto_prune.cli import dumps_json, main
+from pareto_prune.core import _z_rows
 from pareto_prune.decomposition import SPLIT_RTOL, check_split
 from conftest import load_perfbench
 
@@ -82,6 +84,10 @@ WRONG = {
 }
 
 
+_REFUSED = (r"base_objectives and offsets are declared together or not at all, and a "
+            r"non-empty base_z needs them")
+
+
 class TestDeclaration:
     @pytest.mark.parametrize("base_z", [(2,), (-1,), (0, 2), (True,), (0.0,), ("0",)])
     def test_base_z_outside_the_discrete_variables(self, base_z):
@@ -95,9 +101,15 @@ class TestDeclaration:
 
     @pytest.mark.parametrize("changes", [{"offsets": _shift_offsets}, {"base_z": (0,)}])
     def test_a_split_needs_its_base(self, changes):
-        with pytest.raises(ValueError, match="offsets and a non-empty base_z need "
-                                             "base_objectives"):
+        with pytest.raises(ValueError, match=_REFUSED):
             make_shift(**{"base_objectives": None, "offsets": None, **changes})
+
+    def test_a_base_needs_its_offsets(self):
+        for changes in ({}, {"base_z": (0,)}):
+            with pytest.raises(ValueError, match=_REFUSED):
+                make_shift(offsets=None, **changes)
+        with pytest.raises(ValueError, match=_REFUSED):
+            dataclasses.replace(pp.make_e2(), offsets=None)
 
     def test_building_a_spec_evaluates_nothing(self):
         calls = []
@@ -139,14 +151,6 @@ class TestCheckSplit:
         got = pp.run_pipeline(WRONG[case][0](), beta=11, phases="a")
         assert (got.front.pts.tolist(), got.k1c) != (want.front.pts.tolist(), want.k1c)
 
-    def test_without_offsets_the_difference_must_not_read_y(self):
-        spec = dataclasses.replace(_e2_base_doubling_j2(), offsets=None)
-        with pytest.raises(ValueError, match=r"objectives of problem 'e2' differ from "
-                                             r"base_objectives\(y, z\[base_z\]\) \+ a constant "
-                                             r"per realization \(base_z = \(\)\)"):
-            check_split(spec)
-        check_split(dataclasses.replace(pp.make_e2(), offsets=None))
-
     @pytest.mark.parametrize("scale,ok", [(1.0 + 1e-12, True), (1.0 + 1e-10, True),
                                           (1.0 + 1e-7, False), (1.0 - 1e-6, False)])
     def test_relative_tolerance(self, scale, ok):
@@ -168,7 +172,6 @@ class TestCheckSplit:
             check_split(make_shift(objectives=nan_at_3))
         check_split(make_shift(objectives=nan_at_3, offsets=lambda z: _shift_offsets(z)
                                + np.where(np.asarray(z)[..., :1] == 3.0, np.nan, 0.0)))
-        check_split(make_shift(objectives=nan_at_3, offsets=None))  # NaN at every y of c = 3
 
     def test_scalar_evaluators(self):
         spec = make_shift(vectorized=False)
@@ -215,20 +218,43 @@ def _digest(report: pp.PruneReport) -> str:
     return hashlib.sha256(dumps_json(doc).encode("utf-8")).hexdigest()
 
 
-def _undeclared(name: str) -> pp.ProblemSpec:
-    """The registry problem ``name`` without its declared offsets: e1
-    declares nothing, e2 keeps its base, so its descents stay shared."""
-    spec = pp.get_problem(name)
-    if name == "e1":
-        return dataclasses.replace(spec, base_objectives=None, base_z=(), offsets=None)
-    return dataclasses.replace(spec, offsets=None)
+def _undeclared_e1() -> pp.ProblemSpec:
+    """e1 without its declared split."""
+    return dataclasses.replace(pp.make_e1(), base_objectives=None, base_z=(), offsets=None)
+
+
+def _run_checking_each_solve(spec: pp.ProblemSpec, **run) -> pp.PruneReport:
+    """``run_pipeline(spec, **run)``, asserting that every solve the run
+    poses has objectives bit-equal to objectives(y, z) at its point y and
+    realization z.  Where descents are shared by weight, no undeclared
+    problem descends as the declared one does, so this is the check."""
+    posed = []
+    solve = solver.Solver.solve
+
+    def kept(self, ks, weights):
+        y, pts = solve(self, ks, weights)
+        posed.append((np.repeat(_z_rows(spec, ks), len(weights), axis=0),
+                      y.reshape(-1, spec.n_y), pts.reshape(-1, 2)))
+        return y, pts
+
+    solver.Solver.solve = kept
+    try:
+        report = pp.run_pipeline(spec, **run)
+    finally:
+        solver.Solver.solve = solve
+    z, y, pts = (np.concatenate(a) for a in zip(*posed))
+    assert pts.tobytes() == solver._evaluate(spec, "objectives", y, z).tobytes()
+    return report
 
 
 @pytest.mark.parametrize("phases", ["ab", "a", "none"])
 @pytest.mark.parametrize("name", ["e1", "e2"])
 def test_declaring_the_split_moves_no_bit(name, phases):
-    assert (_digest(pp.run_pipeline(pp.get_problem(name), beta=21, phases=phases))
-            == _digest(pp.run_pipeline(_undeclared(name), beta=21, phases=phases)))
+    # e1 also against itself undeclared; e2's declared descents are shared
+    report = _run_checking_each_solve(pp.get_problem(name), beta=21, phases=phases)
+    if name == "e1":
+        assert _digest(report) == _digest(pp.run_pipeline(_undeclared_e1(), beta=21,
+                                                          phases=phases))
 
 
 def _shift_constraint(y, z):
@@ -239,31 +265,35 @@ def _shift_constraint(y, z):
 @pytest.mark.parametrize("constrained", [False, True])
 def test_declaring_offsets_moves_no_bit(vectorized, constrained):
     # where descents are shared by weight (an empty base_z, no constraints)
-    # they run on the base alone, with or without offsets; every other
-    # declared problem descends per (k, w) with its offsets, as undeclared.
-    # Scalar offsets are called a row at a time; escalations carry them too
+    # they run on the base alone, and each solve's objectives are checked;
+    # every other declared problem descends per (k, w) with its offsets, as
+    # undeclared.  Scalar offsets are called a row at a time; escalations
+    # carry them too
     changes = {"vectorized": vectorized}
     if constrained:
         changes["inequality_constraints"] = _shift_constraint
     plain = make_shift(base_objectives=None, offsets=None, **changes)
-    shared = make_shift(offsets=None, **changes)
     for declared in (make_shift(**changes), make_shift(base_z=(0,), **changes)):
-        want = shared if not (declared.base_z or constrained) else plain
         for phases in ("ab", "none"):
-            assert (_digest(pp.run_pipeline(declared, beta=5, phases=phases))
-                    == _digest(pp.run_pipeline(want, beta=5, phases=phases)))
+            if declared.base_z or constrained:
+                assert (_digest(pp.run_pipeline(declared, beta=5, phases=phases))
+                        == _digest(pp.run_pipeline(plain, beta=5, phases=phases)))
+            else:
+                _run_checking_each_solve(declared, beta=5, phases=phases)
 
 
 _NO_AVX512 = """
 import sys
 sys.path[:0] = sys.argv[1:]
 import pareto_prune as pp
-from test_split import _digest, _undeclared
+from test_split import _digest, _run_checking_each_solve, _undeclared_e1
 for name in ("e1", "e2"):
     for phases in ("ab", "a", "none"):
         for eps in (0.0, 0.01):
-            a = _digest(pp.run_pipeline(pp.get_problem(name), beta=21, phases=phases, eps=eps))
-            b = _digest(pp.run_pipeline(_undeclared(name), beta=21, phases=phases, eps=eps))
+            a = _digest(_run_checking_each_solve(pp.get_problem(name), beta=21, phases=phases,
+                                                 eps=eps))
+            b = a if name == "e2" else _digest(pp.run_pipeline(_undeclared_e1(), beta=21,
+                                                               phases=phases, eps=eps))
             print(name, phases, eps, a == b)
 """
 

@@ -1,10 +1,11 @@
 """The package's public surface: it exports what a pipeline user calls,
-every name a module lists in ``__all__`` exists, and no module imports a
-later layer."""
+every name a module lists in ``__all__`` exists, no module imports a
+later layer, and the README's Python examples run."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -100,3 +101,17 @@ def test_solver_reads_no_report_type():
     # takes from core, no point, realization or front type
     src = Path(pp.__file__).parent
     assert _names_from_core(src / "solver.py") == {"ProblemSpec", "_z_rows"}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    # every ```python block, in order, in one namespace, as a reader would
+    # paste them: the documented API cannot drift from the code
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 3
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
