@@ -45,12 +45,13 @@ def _check_output_path(path: str | None) -> None:
 # --- serialization ---------------------------------------------------------
 
 def _plain(obj):
-    """``obj`` in plain JSON types: tuples as lists, numpy scalars as
-    Python numbers, and an integral float below 1e17 as an int.  Recorded
-    report digests hash the parsed report, and the 17-significant-digit
-    text they were recorded from wrote such a float as an integer (it
-    switches to exponent form at 1e17).  The exact plain types, which
-    make up almost every leaf of a report, are checked first."""
+    """``obj`` with tuples as lists and an integral float below 1e17 as an
+    int; any other value as it is (a report holds plain Python values
+    only).  Recorded report digests hash the parsed report, and the
+    17-significant-digit text they were recorded from wrote such a float
+    as an integer (it switches to exponent form at 1e17).  The exact
+    plain types, which make up almost every leaf of a report, are checked
+    first."""
     kind = type(obj)
     if kind is float:
         return int(obj) if obj.is_integer() and abs(obj) < 1e17 else obj
@@ -60,10 +61,6 @@ def _plain(obj):
         return {key: _plain(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(val) for val in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and obj.is_integer() and abs(obj) < 1e17:
-        return int(obj)
     return obj
 
 

@@ -138,14 +138,14 @@ class ProblemSpec:
         return np.array([hi for _, hi in self.bounds])
 
 
-def _z_rows(spec: ProblemSpec, ks, dtype=float) -> np.ndarray:
-    """The z of each realization index k in ``ks``, one row each (n, n_z):
-    the digits of k - 1 in mixed radix over the set sizes, the last
-    variable fastest; as ``dtype`` object, the sets' own float objects."""
+def _z_rows(spec: ProblemSpec, ks) -> np.ndarray:
+    """The z of each realization index k in ``ks``, one float row each
+    (n, n_z): the digits of k - 1 in mixed radix over the set sizes, the
+    last variable fastest."""
     rem, columns = np.asarray(ks, dtype=np.int64) - 1, []
     for zs in reversed(spec.discrete_sets):
         rem, digit = np.divmod(rem, len(zs))
-        columns.append(np.array(zs, dtype)[digit])
+        columns.append(np.array(zs)[digit])
     return np.column_stack(columns[::-1])
 
 

@@ -46,7 +46,7 @@ class CapacityExceeded(RuntimeError):
 def realization_from_index(spec: ProblemSpec, k: int) -> Realization:
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= spec._k_total:
         raise ValueError(f"k must be an integer in 1..{spec._k_total}, got {k!r}")
-    return Realization(k, tuple(_z_rows(spec, [k], object)[0].tolist()))
+    return Realization(k, tuple(_z_rows(spec, [k])[0].tolist()))
 
 
 def check_split(spec: ProblemSpec) -> None:

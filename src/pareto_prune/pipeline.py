@@ -71,12 +71,13 @@ class NlpCounts:
 
 @dataclass(frozen=True, eq=False)
 class PruneReport:
-    """Everything a run produced: retained/pruned index sets, per-phase
-    solve counts, and the final front: the final filter's
+    """Everything a run produced, each fact once, in plain Python values:
+    retained/pruned index sets and the final front: the final filter's
     :class:`~pareto_prune.core.Front`, ordered by j1, then k, then weight
     index, and ``front_z``, the z row of each of its points (n, n_z).
-    ``phases`` is "ab", "a", or "none" (exhaustive oracle).  Two reports
-    are equal when they write the same JSON document."""
+    ``phases`` is "ab", "a", or "none" (exhaustive oracle).  The per-phase
+    solve counts ``nlp`` are derived from the sets.  Two reports are equal
+    when they write the same JSON document apart from ``wallclock_ms``."""
 
     problem: str
     beta: int
@@ -90,7 +91,6 @@ class PruneReport:
     pruned_a: tuple[int, ...]
     pruned_b: tuple[int, ...]
     infeasible: tuple[int, ...]
-    nlp: NlpCounts
     front: Front
     front_z: np.ndarray
     wallclock_ms: int = 0
@@ -98,11 +98,25 @@ class PruneReport:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PruneReport):
             return NotImplemented
-        return self.to_json_dict() == other.to_json_dict()
+        a, b = self.to_json_dict(), other.to_json_dict()
+        del a["wallclock_ms"], b["wallclock_ms"]
+        return a == b
+
+    @property
+    def nlp(self) -> NlpCounts:
+        """The solve counts the sets imply: 2 per anchor pair, beta per
+        front (the masters' in A-2, the retained ones' in B-3) and 1 per
+        center.  The oracle builds every front in B-3."""
+        if self.phases == "none":
+            return NlpCounts(b3=self.beta * self.k_total)
+        n_k1m = len(self.k1m)
+        return NlpCounts(a1=2 * self.k_total, a2=self.beta * n_k1m,
+                         b1=len(self.k1u) - n_k1m if self.phases == "ab" else 0,
+                         b3=self.beta * (len(self.k1c) - n_k1m))
 
     def check_invariants(self) -> None:
-        """Raise ValueError unless the report's sets, front and counts agree
-        as a run derives them.  No set lists a realization twice.  Under
+        """Raise ValueError unless the report's sets and front agree as a
+        run derives them.  No set lists a realization twice.  Under
         "ab" and "a", ``infeasible``, ``pruned_a``, ``pruned_b`` and ``k1c``
         are pairwise disjoint and cover 1..k_total, k1m lies within k1c, k1u
         is k1c plus ``pruned_b``, nothing is center-pruned under "a", and
@@ -110,8 +124,7 @@ class PruneReport:
         ``infeasible`` and ``k1c`` are disjoint, the other sets empty, and
         k1c is the front's realizations.  Front points agree on each k's z,
         no two claim one solve (k, provenance), and no front point strictly
-        dominates another at the report's eps.
-        The solve counts are those the sets imply (:func:`_nlp_counts`)."""
+        dominates another at the report's eps."""
         sets = {name: getattr(self, name) for name in _SETS}
         for name, ks in sets.items():
             if len(set(ks)) != len(ks):
@@ -152,10 +165,6 @@ class PruneReport:
                                  "plus pruned_b")
             if not front <= sets["k1c"]:
                 raise ValueError("report front has a point outside k1c")
-        want = _nlp_counts(self.phases, self.beta, self.k_total, len(self.k1m),
-                           len(self.k1u), len(self.k1c))
-        if self.nlp != want:
-            raise ValueError(f"report counts {self.nlp} contradict its sets, which imply {want}")
 
     def front_realizations(self) -> set[tuple[float, ...]]:
         """Distinct discrete vectors appearing in the final front."""
@@ -175,13 +184,7 @@ class PruneReport:
             "pruned_a": list(self.pruned_a),
             "pruned_b": list(self.pruned_b),
             "infeasible": list(self.infeasible),
-            "nlp": {
-                "a1": self.nlp.a1,
-                "a2": self.nlp.a2,
-                "b1": self.nlp.b1,
-                "b3": self.nlp.b3,
-                "total": self.nlp.total,
-            },
+            "nlp": _nlp_json(self.nlp),
             "front": [
                 {"k": k, "z": z, "y": y, "j1": j1, "j2": j2, "provenance": f"w{w}"}
                 for k, w, z, y, (j1, j2) in zip(
@@ -200,14 +203,12 @@ class PruneReport:
         every realization index, of a set or a front point, in 1..k_total,
         and every front point's provenance "w<i>", i in 0..beta-1 without a
         leading zero.  Front points agree on the lengths of y and z.  Its
-        sets, front and counts must agree (:meth:`check_invariants`).
-        Anything else raises ValueError."""
+        sets and front must agree (:meth:`check_invariants`), and its five
+        counts, total included, must be the ones its sets imply
+        (:attr:`nlp`).  Anything else raises ValueError."""
         try:
-            nlp = d["nlp"]
-            counts = NlpCounts(**{key: _int(nlp[key], f"nlp.{key}")
-                                  for key in ("a1", "a2", "b1", "b3")})
-            if counts.total != _int(nlp["total"], "nlp.total"):
-                raise ValueError("nlp total does not match per-phase counts")
+            counts = {key: _int(d["nlp"][key], f"nlp.{key}")
+                      for key in ("a1", "a2", "b1", "b3", "total")}
             phases = _str(d["phases"], "phases")
             if phases not in ("ab", "a", "none"):
                 raise ValueError(f'phases must be "ab", "a" or "none", got {phases!r}')
@@ -225,7 +226,6 @@ class PruneReport:
                 seed=_int(d["seed"], "seed"),
                 k_total=k_total,
                 **{key: _list(d[key], key, index) for key in _SETS},
-                nlp=counts,
                 front=front,
                 front_z=front_z,
                 wallclock_ms=_int(d["wallclock_ms"], "wallclock_ms"),
@@ -233,6 +233,9 @@ class PruneReport:
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed report document: {exc}") from exc
         report.check_invariants()
+        want = _nlp_json(report.nlp)
+        if counts != want:
+            raise ValueError(f"report counts {counts} contradict its sets, which imply {want}")
         return report
 
 
@@ -240,16 +243,8 @@ _SETS = ("k1m", "k1u", "k1c", "pruned_a", "pruned_b", "infeasible")
 _DISAGREE = "report front points disagree on a realization's z or on y, z lengths"
 
 
-def _nlp_counts(phases: str, beta: int, k_total: int, n_k1m: int, n_k1u: int,
-                n_k1c: int) -> NlpCounts:
-    """The solve counts a run's sets imply, given the sizes of k1m, k1u and
-    k1c: 2 per anchor pair, beta per front (the masters' in A-2, the
-    retained ones' in B-3) and 1 per center.  The oracle builds every
-    front in B-3."""
-    if phases == "none":
-        return NlpCounts(b3=beta * k_total)
-    return NlpCounts(a1=2 * k_total, a2=beta * n_k1m,
-                     b1=n_k1u - n_k1m if phases == "ab" else 0, b3=beta * (n_k1c - n_k1m))
+def _nlp_json(nlp: NlpCounts) -> dict:
+    return {"a1": nlp.a1, "a2": nlp.a2, "b1": nlp.b1, "b3": nlp.b3, "total": nlp.total}
 
 
 def _int(value, what: str, low: float = 0, high: float = math.inf) -> int:
@@ -462,7 +457,6 @@ def run_pipeline(
     in_b3, in_final = np.zeros((2, k_total), dtype=bool)
     in_b3[b3.k - 1] = in_final[final.k - 1] = True
     k1c = in_final if phases == "none" else master | retained
-    k1m, k1u, k1c = (tuple(ks[mask].tolist()) for mask in (master, kept, k1c))
     return PruneReport(
         problem=spec.name,
         beta=beta,
@@ -470,14 +464,13 @@ def run_pipeline(
         eps=eps,
         seed=solver.config.seed,
         k_total=k_total,
-        k1m=k1m,
-        k1u=k1u,
-        k1c=k1c,
+        k1m=tuple(ks[master].tolist()),
+        k1u=tuple(ks[kept].tolist()),
+        k1c=tuple(ks[k1c].tolist()),
         pruned_a=tuple(ks[has_utopia & ~kept].tolist()),
         pruned_b=tuple(ks[kept & ~master & ~retained].tolist()),
         # a retained k without a B-3 row, and any other k without a utopia point
         infeasible=tuple(ks[np.where(retained, ~in_b3, ~has_utopia)].tolist()),
-        nlp=_nlp_counts(phases, beta, k_total, len(k1m), len(k1u), len(k1c)),
         front=final,
         front_z=_z_rows(spec, final.k),
         wallclock_ms=int(round((time.perf_counter() - t0) * 1000)),

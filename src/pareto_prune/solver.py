@@ -61,8 +61,9 @@ _STEP_FLOOR = 1e-20
 @dataclass(frozen=True)
 class SolverConfig:
     """The seed of the multistart set's uniform fill, the stream of
-    numpy's ``default_rng(seed).random()`` (:func:`_uniform`); the rest
-    of the solver's tuning is the module constants above."""
+    numpy's ``default_rng(seed).random()`` (:func:`_uniform`), kept as a
+    Python int (a numpy integer is converted); the rest of the solver's
+    tuning is the module constants above."""
 
     seed: int = 0
 
@@ -71,6 +72,7 @@ class SolverConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 def _evaluate(spec: ProblemSpec, field: str, ys, zs=None) -> np.ndarray:
@@ -472,9 +474,12 @@ class Solver:
         where a solve is not feasible.  The ks are distinct, and so are the
         weights.  Cells not finished yet run once each, k-major, in parts
         of MAX_DESCENT_ROWS: their descents as one batch (:func:`_descend`),
-        then one :func:`_finish`, each part with its own z.  A weight the
-        solver was not built for raises KeyError before any cell is written."""
-        ks = np.asarray(ks, np.int64)
+        then one :func:`_finish`, each part with its own z.  A k outside
+        1..|K| raises ValueError, and a weight the solver was not built for
+        KeyError, before any cell is written."""
+        ks, n = np.asarray(ks, np.int64), self.spec._k_total
+        if ks.size and not 1 <= ks.min() <= ks.max() <= n:
+            raise ValueError(f"ks must be in 1..{n}, got ks from {ks.min()} to {ks.max()}")
         cols = np.array([self._columns[w] for w in weights], np.intp)
         ki, wi = (self._table[cols, ks[:, None] - 1, -1] == 0).nonzero()  # k-major
         # one part for all 86 016 solves of the e2 oracle raised its peak RSS 100 -> 111 MB

@@ -36,7 +36,7 @@ def make_report(front_pts, problem="synthetic"):
     return pp.PruneReport(
         problem=problem, beta=2, phases="ab", eps=0.0, seed=0, k_total=1,
         k1m=(1,), k1u=(1,), k1c=(1,), pruned_a=(), pruned_b=(), infeasible=(),
-        nlp=pp.NlpCounts(a1=2, a2=2, b1=0, b3=0), front=front, front_z=np.zeros((n, 1)),
+        front=front, front_z=np.zeros((n, 1)),
         wallclock_ms=5,
     )
 
@@ -199,14 +199,10 @@ class TestRunCommand:
             front = tmp_path / f"f{tag}.csv"
             run_cli("run", "--problem", "e1", "--beta", "5", "--seed", "7",
                     "--report", str(report), "--front", str(front))
-            outs.append((report.read_bytes(), front.read_bytes()))
+            outs.append((report, front.read_bytes()))
         (ra, fa), (rb, fb) = outs
         assert fa == fb  # front CSV is byte-identical
-        da = json.loads(ra)
-        db = json.loads(rb)
-        da.pop("wallclock_ms")
-        db.pop("wallclock_ms")
-        assert da == db  # report matches except the timing field
+        assert read_report(ra) == read_report(rb)  # report matches except the timing field
 
     @pytest.mark.parametrize("problem", sorted(FRONT_CSV_SHA256))
     def test_front_csv_bytes(self, tmp_path, problem):
@@ -366,12 +362,6 @@ class TestSerialization:
         # below 1e17 an integral float is a JSON integer, as the digests need
         assert [type(v) for v in doc["v"]] == [float] * 5 + [int, int]
         assert dumps_json([5.0, -0.0, 0.1, -2.5e17]) == "[5,0,0.1,-2.5e+17]"
-
-    def test_numpy_scalars_roundtrip(self):
-        values = [np.int64(7), np.float32(0.1), np.float64(1.0 / 3.0), np.float64(2.0)]
-        doc = json.loads(dumps_json(values))
-        assert doc == [7, float(np.float32(0.1)), 1.0 / 3.0, 2]
-        assert [type(v) for v in doc] == [int, float, float, int]
 
     def test_numpy_seed_written_as_int(self, tmp_path):
         report = pp.run_pipeline(pp.make_quad(), beta=3, config=pp.SolverConfig(seed=np.int64(3)))

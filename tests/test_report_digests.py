@@ -1,10 +1,13 @@
-"""Pinned bytes of the registry reports: each run's JSON report without its
-``wallclock_ms`` hashes (SHA-256) to the value recorded here.  A refactor
-that should leave every report bitwise unchanged fails here if it does
-not.  Recorded at seed 0 and beta 21; a change that moves a report on
-purpose re-records its digest and says why.  To re-record, run
-``PYTHONPATH=src python tests/test_report_digests.py``: it prints the
-DIGESTS table of the code in the checkout."""
+"""Pinned bytes of the registry reports: the values under CONTENT_KEYS of
+each run's JSON report hash (SHA-256) to the value recorded here.  A
+refactor that should leave every report bitwise unchanged fails here if it
+does not; a key added to the report later is listed in LATER_KEYS and moves
+no pin.  Recorded at seed 0 and beta 21; a change that moves a report on
+purpose re-records its digest and says why.  e1's values follow numpy's
+SIMD dispatch in their last bits, so each e1 run also pins its decisions
+alone (ROW_DIGESTS), which hold under every dispatch level.  To re-record,
+run ``PYTHONPATH=src python tests/test_report_digests.py``: it prints the
+DIGESTS and ROW_DIGESTS tables of the code in the checkout."""
 
 import hashlib
 
@@ -12,6 +15,13 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune.cli import dumps_json
+
+# the keys a report digest hashes, in the order a report writes them
+CONTENT_KEYS = ("problem", "beta", "phases", "eps", "seed", "k_total", "k1m", "k1u", "k1c",
+                "pruned_a", "pruned_b", "infeasible", "nlp", "front")
+# the report's keys added after the digests were recorded: none yet
+LATER_KEYS = frozenset()
+SETS = ("k1m", "k1u", "k1c", "pruned_a", "pruned_b", "infeasible")
 
 DIGESTS = {
     ("e1", "ab", 0.0): "9f5af10ca8dff580f0235631f1ec5110d8e157d2c85a63a077721846c0c4e667",
@@ -33,29 +43,101 @@ DIGESTS = {
     ("quad", "none", 0.01): "331f9f168ced06d4ab863b6d000edbd5607c93bb11c06a6c3497ff287ac0f59f",
 }
 
+# the e1 runs of DIGESTS, each pinned by the SHA-256 of its six sets, its
+# counts and its front's (k, provenance) rows alone: the same under numpy's
+# default dispatch and under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR", where the e1 byte digests above move
+ROW_DIGESTS = {
+    ("e1", "ab", 0.0): "07ac36ee067c4c5e8c00d30b539f457ffdce7bd2a89072776157b956c39928fc",
+    ("e1", "a", 0.0): "703541ba9ba573426bb10d2e268931734571ff2324ca9c7614c87559e9c0677c",
+    ("e1", "none", 0.0): "476674442819c6b8cd4dd748f36c69910dc25e3045337d92c62b3f7d70bcac73",
+    ("e1", "ab", 0.01): "81b0575ac1ea06b9a8573a5e29a2f693d48f8ca572fd7ad4b7b5050815feda9b",
+    ("e1", "a", 0.01): "c15632f20c1f85d5e377b2581a9d0770e6c3776cca360e0ee60a6a9e9cf893ad",
+    ("e1", "none", 0.01): "69f1e1b1ec8f5c17851525cd971cfc54b8e44a8560fb8dc4bbb53d28a262fdd5",
+}
+
 # the session fixtures of conftest.py that hold the same run
 FIXTURES = {("e1", "ab", 0.0): "e1_ab", ("e1", "a", 0.0): "e1_a", ("e1", "none", 0.0): "e1_oracle"}
 
 
-def report_digest(report: pp.PruneReport) -> str:
-    doc = report.to_json_dict()
-    del doc["wallclock_ms"]
+def _sha256(doc) -> str:
     return hashlib.sha256(dumps_json(doc).encode("utf-8")).hexdigest()
+
+
+def content_digest(doc: dict) -> str:
+    """The SHA-256 of the values of a report document under CONTENT_KEYS."""
+    return _sha256({key: doc[key] for key in CONTENT_KEYS})
+
+
+def report_digest(report: pp.PruneReport) -> str:
+    return content_digest(report.to_json_dict())
+
+
+def row_digest(report: pp.PruneReport) -> str:
+    """The SHA-256 of a report's sets, counts and front (k, provenance) rows."""
+    doc = report.to_json_dict()
+    return _sha256({**{key: doc[key] for key in SETS}, "nlp": doc["nlp"],
+                    "front": [[p["k"], p["provenance"]] for p in doc["front"]]})
+
+
+def _run(request, problem, phases, eps) -> pp.PruneReport:
+    fixture = FIXTURES.get((problem, phases, eps))
+    if fixture is not None:
+        return request.getfixturevalue(fixture)
+    return pp.run_pipeline(pp.get_problem(problem), beta=21, phases=phases, eps=eps)
 
 
 @pytest.mark.parametrize("problem,phases,eps", list(DIGESTS), ids=lambda v: str(v))
 def test_report_matches_recorded_digest(problem, phases, eps, request):
-    fixture = FIXTURES.get((problem, phases, eps))
-    if fixture is not None:
-        report = request.getfixturevalue(fixture)
-    else:
-        report = pp.run_pipeline(pp.get_problem(problem), beta=21, phases=phases, eps=eps)
+    report = _run(request, problem, phases, eps)
     assert report_digest(report) == DIGESTS[problem, phases, eps]
 
 
+@pytest.mark.parametrize("problem,phases,eps", list(ROW_DIGESTS), ids=lambda v: str(v))
+def test_sets_counts_and_front_rows_match_recorded_digest(problem, phases, eps, request):
+    report = _run(request, problem, phases, eps)
+    assert row_digest(report) == ROW_DIGESTS[problem, phases, eps]
+
+
+def _keys_pinned(doc: dict) -> bool:
+    """Whether a report document has CONTENT_KEYS and ``wallclock_ms``, in
+    that order, and LATER_KEYS besides, and no other key."""
+    return (tuple(key for key in doc if key not in LATER_KEYS) == CONTENT_KEYS + ("wallclock_ms",)
+            and LATER_KEYS <= doc.keys())
+
+
+def test_report_keys_are_the_pinned_ones(e1_ab):
+    doc = e1_ab.to_json_dict()
+    assert _keys_pinned(doc)
+    assert not _keys_pinned({**doc, "explain": []})  # a key added without its listing
+    assert not _keys_pinned({key: doc[key] for key in reversed(doc)})
+    assert not _keys_pinned({key: doc[key] for key in doc if key != "nlp"})
+
+
+def _changed(value):
+    """``value`` with one part changed."""
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, dict):
+        return {**value, "a1": value["a1"] + 1}
+    if isinstance(value, list):
+        return value[1:] if value else [1]
+    return value + 1
+
+
+def test_each_content_key_moves_the_digest(e1_ab):
+    doc = e1_ab.to_json_dict()
+    digest = content_digest(doc)
+    assert content_digest({**doc, "wallclock_ms": doc["wallclock_ms"] + 1}) == digest
+    for key in CONTENT_KEYS:
+        assert content_digest({**doc, key: _changed(doc[key])}) != digest, key
+
+
 if __name__ == "__main__":
-    print("DIGESTS = {")
-    for problem, phases, eps in DIGESTS:
-        report = pp.run_pipeline(pp.get_problem(problem), beta=21, phases=phases, eps=eps)
-        print(f'    ("{problem}", "{phases}", {eps!r}): "{report_digest(report)}",')
-    print("}")
+    for name, table, digest in (("DIGESTS", DIGESTS, report_digest),
+                                ("ROW_DIGESTS", ROW_DIGESTS, row_digest)):
+        print(f"{name} = {{")
+        for problem, phases, eps in table:
+            report = pp.run_pipeline(pp.get_problem(problem), beta=21, phases=phases, eps=eps)
+            print(f'    ("{problem}", "{phases}", {eps!r}): "{digest(report)}",')
+        print("}")

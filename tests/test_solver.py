@@ -327,8 +327,34 @@ class TestSolverConfigValidation:
             SolverConfig(**{field: value})
 
     def test_numpy_integers_are_integers(self):
-        assert SolverConfig(seed=np.uint8(3)).seed == 3
-        assert SolverConfig(seed=np.int64(4)).seed == 4
+        # kept as Python ints, so a report holds plain values only
+        for seed, want in ((np.uint8(3), 3), (np.int64(4), 4)):
+            assert type(SolverConfig(seed=seed).seed) is int
+            assert SolverConfig(seed=seed).seed == want
+
+
+class TestKsOutOfRange:
+    @pytest.mark.parametrize("make", [pp.make_e1, pp.make_e2], ids=["e1", "e2"])  # e2 shared
+    @pytest.mark.parametrize("where", ["zero", "negative", "past"])
+    def test_refused_before_any_cell_is_written(self, make, where, config):
+        # mixed radix would read k 0 and -3 as neighbours of k |K|, and
+        # numpy index k - 1 from the end of the table
+        spec = make()
+        n = spec._k_total
+        k = {"zero": 0, "negative": -3, "past": n + 1}[where]
+        run = Solver(spec, ANCHORS, config)
+        run.solve([1], [1.0])
+        table = run._table.copy()
+        message = f"^ks must be in 1..{n}, got ks from "
+        with pytest.raises(ValueError, match=message):
+            run.solve([2, k], [1.0])
+        with pytest.raises(ValueError, match=message):
+            compute_anchors_utopia(run, np.array([k, 2]))
+        assert run._table.tobytes() == table.tobytes()
+
+    def test_no_ks(self, e1_spec, config):
+        y, pts = Solver(e1_spec, ANCHORS, config).solve([], [1.0])
+        assert y.shape == (0, 1, e1_spec.n_y) and pts.shape == (0, 1, 2)
 
 
 class TestFinish:

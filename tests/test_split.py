@@ -6,7 +6,6 @@ report or of a solve's objectives, under numpy's default SIMD dispatch and
 without AVX-512."""
 
 import dataclasses
-import hashlib
 import os
 import re
 import subprocess
@@ -17,10 +16,11 @@ import pytest
 
 import pareto_prune as pp
 from pareto_prune import benchmarks, pipeline, solver
-from pareto_prune.cli import dumps_json, main
+from pareto_prune.cli import main
 from pareto_prune.core import _z_rows
 from pareto_prune.decomposition import SPLIT_RTOL, check_split
 from conftest import load_perfbench
+from test_report_digests import report_digest
 
 workloads, = load_perfbench("workloads")
 
@@ -212,12 +212,6 @@ class TestCheckSplit:
         assert not report.exists()
 
 
-def _digest(report: pp.PruneReport) -> str:
-    doc = report.to_json_dict()
-    del doc["wallclock_ms"]
-    return hashlib.sha256(dumps_json(doc).encode("utf-8")).hexdigest()
-
-
 def _undeclared_e1() -> pp.ProblemSpec:
     """e1 without its declared split."""
     return dataclasses.replace(pp.make_e1(), base_objectives=None, base_z=(), offsets=None)
@@ -253,8 +247,8 @@ def test_declaring_the_split_moves_no_bit(name, phases):
     # e1 also against itself undeclared; e2's declared descents are shared
     report = _run_checking_each_solve(pp.get_problem(name), beta=21, phases=phases)
     if name == "e1":
-        assert _digest(report) == _digest(pp.run_pipeline(_undeclared_e1(), beta=21,
-                                                          phases=phases))
+        undeclared = pp.run_pipeline(_undeclared_e1(), beta=21, phases=phases)
+        assert report_digest(report) == report_digest(undeclared)
 
 
 def _shift_constraint(y, z):
@@ -276,8 +270,8 @@ def test_declaring_offsets_moves_no_bit(vectorized, constrained):
     for declared in (make_shift(**changes), make_shift(base_z=(0,), **changes)):
         for phases in ("ab", "none"):
             if declared.base_z or constrained:
-                assert (_digest(pp.run_pipeline(declared, beta=5, phases=phases))
-                        == _digest(pp.run_pipeline(plain, beta=5, phases=phases)))
+                assert (report_digest(pp.run_pipeline(declared, beta=5, phases=phases))
+                        == report_digest(pp.run_pipeline(plain, beta=5, phases=phases)))
             else:
                 _run_checking_each_solve(declared, beta=5, phases=phases)
 
@@ -286,14 +280,15 @@ _NO_AVX512 = """
 import sys
 sys.path[:0] = sys.argv[1:]
 import pareto_prune as pp
-from test_split import _digest, _run_checking_each_solve, _undeclared_e1
+from test_report_digests import report_digest
+from test_split import _run_checking_each_solve, _undeclared_e1
 for name in ("e1", "e2"):
     for phases in ("ab", "a", "none"):
         for eps in (0.0, 0.01):
-            a = _digest(_run_checking_each_solve(pp.get_problem(name), beta=21, phases=phases,
-                                                 eps=eps))
-            b = a if name == "e2" else _digest(pp.run_pipeline(_undeclared_e1(), beta=21,
-                                                               phases=phases, eps=eps))
+            a = report_digest(_run_checking_each_solve(pp.get_problem(name), beta=21,
+                                                       phases=phases, eps=eps))
+            b = a if name == "e2" else report_digest(pp.run_pipeline(
+                _undeclared_e1(), beta=21, phases=phases, eps=eps))
             print(name, phases, eps, a == b)
 """
 
