@@ -178,12 +178,7 @@ class PruneReport:
             "eps": self.eps,
             "seed": self.seed,
             "k_total": self.k_total,
-            "k1m": list(self.k1m),
-            "k1u": list(self.k1u),
-            "k1c": list(self.k1c),
-            "pruned_a": list(self.pruned_a),
-            "pruned_b": list(self.pruned_b),
-            "infeasible": list(self.infeasible),
+            **{name: list(getattr(self, name)) for name in _SETS},
             "nlp": _nlp_json(self.nlp),
             "front": [
                 {"k": k, "z": z, "y": y, "j1": j1, "j2": j2, "provenance": f"w{w}"}

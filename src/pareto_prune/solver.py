@@ -2,25 +2,11 @@
 
 A solve is one (k, weight) cell: minimize w*J1 + (1-w)*J2 of the problem
 at realization k (its z from ``core._z_rows``) over its box, plus an
-exterior quadratic penalty on violated inequality constraints.  One call to
-:func:`solve_scalarized` is one NLP in the pipeline's solve accounting,
-regardless of how many local descents run inside it.  A run has one
-:class:`Solver`, built for the weights the run poses, and the solves of
-one phase, ks x weights, are one :meth:`Solver.solve` call, which
-returns their points and objectives as arrays, NaN objectives marking
-every solve that is not feasible: their local
-descents run in lockstep in one batch, each solve keeps the best of its
-starts, and those winners are finished in one pass: penalty escalation
-and objectives.  Every row of a batch evolves on its own, so a solve's
-result does not depend on the batch it ran in.  A descent step updates
-its rows by mask, makes one pass per evaluator, and reads each row's
-weight and z gathered once per batch; a scalar pass hands every
-evaluator the same row views and z, and reads rows of numbers in one step.
-The solver is deterministic: identical arguments (including the seed)
-give bitwise-identical results.  The multistart set's seeded fill is
-numpy's ``default_rng(seed)`` stream (SeedSequence and PCG64), generated
-here in pure Python so that no run loads numpy's random module and the
-starts do not depend on numpy keeping that stream.
+exterior quadratic penalty on violated inequality constraints.  A run's
+:class:`Solver` runs the solves it is posed and keeps their results; one
+call to :func:`solve_scalarized` is one NLP in the pipeline's solve
+accounting, however many local descents ran for it.  Identical arguments,
+the seed included, give bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -154,15 +140,6 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=1) if a.shape[1] >= 8 else functools.reduce(np.add, a.T, 0.0)
 
 
-def _scalarize(weight, raw: np.ndarray, g: np.ndarray | None, pc) -> np.ndarray:
-    """w*J1 + (1-w)*J2 plus the exterior penalty pc * sum(max(g, 0)^2), per
-    row; ``weight`` is a scalar or a per-row array."""
-    val = weight * raw[:, 0] + (1.0 - weight) * raw[:, 1]
-    if g is not None:
-        val = val + pc * _row_sum(np.maximum(g, 0.0) ** 2)
-    return val
-
-
 class _Batch:
     """The solves of ``spec`` that one lockstep descent runs, solve i at the
     row z[i] of ``z`` (n, n_z) and weights[i], at PENALTY_COEFFICIENT unless
@@ -192,13 +169,14 @@ class _Batch:
 
     def descent_value(self, ys: np.ndarray, rows,
                       penalty_coefficient: float | None = None) -> np.ndarray:
-        """Objective the local descents minimize: the objectives, or on a
-        problem that declares a base, the base at each row's z[base_z] plus
-        the row's offsets where the batch carries them.  A batch without
-        them drops the z-only constant: the minimizer is unchanged and, at
-        an empty base_z, the iterate sequence becomes independent of the
-        realization, so exact cross-realization ties survive in later
-        filtering."""
+        """Objective the local descents minimize, per row: w*J1 + (1-w)*J2
+        plus the exterior penalty pc * sum(max(g, 0)^2) on a constrained
+        problem.  J is the objectives, or on a problem that declares a base,
+        the base at each row's z[base_z] plus the row's offsets where the
+        batch carries them.  A batch without them drops the z-only
+        constant: the minimizer is unchanged and, at an empty base_z, the
+        iterate sequence becomes independent of the realization, so exact
+        cross-realization ties survive in later filtering."""
         spec = self.spec
         zs = None
         if spec.base_objectives is None or spec.inequality_constraints is not None:
@@ -212,11 +190,13 @@ class _Batch:
             raw = _evaluate(spec, "base_objectives", ys, zb)
             if self.off is not None:
                 raw = raw + self.off[rows]
-        g = pc = None
+        w = self.weight[rows]
+        val = w * raw[:, 0] + (1.0 - w) * raw[:, 1]
         if spec.inequality_constraints is not None:
             g = _evaluate(spec, "inequality_constraints", ys, zs)
             pc = PENALTY_COEFFICIENT if penalty_coefficient is None else penalty_coefficient
-        return _scalarize(self.weight[rows], raw, g, pc)
+            val = val + pc * _row_sum(np.maximum(g, 0.0) ** 2)
+        return val
 
     def gradient(self, ys: np.ndarray, rows,
                  penalty_coefficient: float | None = None) -> np.ndarray:
@@ -420,17 +400,16 @@ def _descend(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], starts:
     MAX_DESCENT_ROWS rows each.  Returns each solve's winner over its
     starts: the best point (m, n_y) and value (m,) they reached, the first
     best start on a tie."""
-    n = len(starts)
+    n, m = len(starts), len(weights)
     per_call = max(1, MAX_DESCENT_ROWS // n)
-    ys, fs = [np.empty((0, spec.n_y))], [np.empty(0)]  # zero solves give (0, n_y) and (0,)
-    for a in range(0, len(weights), per_call):
-        zs, ws = z[a:a + per_call], weights[a:a + per_call]
-        o = None if off is None else off[a:a + per_call]
-        best_x, best_f = _descent(_Batch(spec, zs, ws, n, o), np.tile(starts, (len(ws), 1)))
+    y, f = np.empty((m, spec.n_y)), np.empty(m)
+    for a in range(0, m, per_call):
+        i = slice(a, a + per_call)
+        ws, o = weights[i], None if off is None else off[i]
+        best_x, best_f = _descent(_Batch(spec, z[i], ws, n, o), np.tile(starts, (len(ws), 1)))
         win = best_f.reshape(-1, n).argmin(axis=1) + np.arange(0, best_f.size, n)
-        ys.append(best_x[win])  # _descent keeps rows inside the box
-        fs.append(best_f[win])
-    return np.concatenate(ys), np.concatenate(fs)
+        y[i], f[i] = best_x[win], best_f[win]  # _descent keeps rows inside the box
+    return y, f
 
 
 class Solver:
@@ -474,10 +453,14 @@ class Solver:
         where a solve is not feasible.  The ks are distinct, and so are the
         weights.  Cells not finished yet run once each, k-major, in parts
         of MAX_DESCENT_ROWS: their descents as one batch (:func:`_descend`),
-        then one :func:`_finish`, each part with its own z.  A k outside
-        1..|K| raises ValueError, and a weight the solver was not built for
-        KeyError, before any cell is written."""
-        ks, n = np.asarray(ks, np.int64), self.spec._k_total
+        then one :func:`_finish`, each part with its own z.  ks that are
+        not integers (floats and bools included) or a k outside 1..|K| raise
+        ValueError, and a weight the solver was not built for KeyError,
+        before any cell is written."""
+        ks, n = np.asarray(ks), self.spec._k_total
+        if ks.size and ks.dtype.kind not in "iu":
+            raise ValueError(f"ks must be integers, got dtype {ks.dtype}")
+        ks = ks.astype(np.int64, copy=False)
         if ks.size and not 1 <= ks.min() <= ks.max() <= n:
             raise ValueError(f"ks must be in 1..{n}, got ks from {ks.min()} to {ks.max()}")
         cols = np.array([self._columns[w] for w in weights], np.intp)
@@ -497,6 +480,11 @@ class Solver:
         return cells[..., :-3], cells[..., -3:-1]
 
 
+def _violated(g: np.ndarray) -> np.ndarray:
+    """The rows of constraint values ``g`` (m, n_g) beyond FEAS_TOL, NaN included."""
+    return np.flatnonzero(~(g.max(axis=1) <= FEAS_TOL))
+
+
 def _finish(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], y: np.ndarray,
             f: np.ndarray, off: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each solve's point and objectives from its descents' winner: solve
@@ -505,33 +493,33 @@ def _finish(spec: ProblemSpec, z: np.ndarray, weights: Sequence[float], y: np.nd
     constrained problem one evaluator pass gives the constraints at every
     winner with a finite value; winners that violate them beyond FEAS_TOL
     descend again from where they stand, in lockstep, with the penalty
-    multiplied by 100, for up to 4 rounds (``_descent`` leaves a row
-    unmoved whose value there is not finite).  One pass then gives the
-    objectives (m, 2), the base plus the offsets where given.  Both are
-    NaN where the solve is not feasible: no start reached a finite value,
-    the objectives are not finite, or a constraint still exceeds FEAS_TOL."""
+    multiplied by 100, for up to 4 rounds, each round testing only the
+    rows it moved (``_descent`` leaves a row unmoved whose value there is
+    not finite).  One pass then gives the objectives (m, 2), the base plus
+    the offsets where given.  Both are NaN where the solve is not
+    feasible: no start reached a finite value, the objectives are not
+    finite, or a constraint still exceeds FEAS_TOL."""
     ok = np.flatnonzero(np.isfinite(f))
     raw = np.full((len(weights), 2), np.nan)
     if ok.size:
         yk, zk = y[ok], z[ok]
+        bad = np.empty(0, np.intp)  # the rows of yk that violate a constraint
         if spec.inequality_constraints is not None:
-            g = _evaluate(spec, "inequality_constraints", yk, zk)
+            bad = _violated(_evaluate(spec, "inequality_constraints", yk, zk))
             pc = PENALTY_COEFFICIENT
             for _ in range(4):
-                bad = np.flatnonzero(~(np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL))
                 if bad.size == 0:
                     break
                 pc *= 100.0
                 o = None if off is None else off[ok[bad]]
                 yk[bad] = _descent(_Batch(spec, zk[bad], np.take(weights, ok[bad]), 1, o),
                                    yk[bad], penalty_coefficient=pc)[0]
-                g[bad] = _evaluate(spec, "inequality_constraints", yk[bad], zk[bad])
+                bad = bad[_violated(_evaluate(spec, "inequality_constraints", yk[bad], zk[bad]))]
         if off is None:
             raw[ok] = _evaluate(spec, "objectives", yk, zk)
         else:
             raw[ok] = _evaluate(spec, "base_objectives", yk, zk[:, list(spec.base_z)]) + off[ok]
-        if spec.inequality_constraints is not None:  # still violated after escalation
-            raw[ok[~(np.clip(g, 0.0, None).max(axis=1) <= FEAS_TOL)]] = np.nan
+        raw[ok[bad]] = np.nan  # still violated after escalation
         y[ok] = yk
     raw[~np.isfinite(raw).all(axis=1)] = np.nan
     return y, raw

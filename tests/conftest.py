@@ -4,8 +4,8 @@ known in closed form (one member of a family of shifted quadratic
 fronts), a quad variant whose objectives are NaN at one realization, e2
 with its objectives scaled, a counter of the real solver calls, a loader
 of the benchmark's modules, the weights of the anchors and the center,
-reference pairwise dominance tests and the inverse of
-``decomposition.realization_from_index``."""
+reference pairwise dominance tests, the inverse of
+``decomposition.realization_from_index`` and numpy's SIMD dispatch."""
 
 from __future__ import annotations
 
@@ -55,6 +55,30 @@ def load_perfbench(*names: str) -> list:
             else:
                 sys.modules[name] = module
     return modules
+
+
+# numpy's switch to dispatch as on a CPU without AVX-512, for a subprocess
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+# the target numpy dispatched float64 exp to where the e1 pins were recorded;
+# e1's values move in their last bits under another
+RECORDED_EXP_DISPATCH = "X86_V4"
+
+
+def exp_dispatch() -> str:
+    """The target numpy dispatches float64 ``exp`` to in this process, or
+    "unknown" on a numpy without ``numpy.lib.introspect`` (before 2.0)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    loops = opt_func_info(func_name="^exp$", signature="float64").get("exp", {})  # {"dd": ...}
+    return next(iter(loops.values()), {}).get("current", "unknown")
+
+
+def dispatch_note() -> str:
+    """Which dispatch a failing e1 pin saw and which it was recorded at."""
+    return (f"numpy {np.__version__} dispatches float64 exp to {exp_dispatch()}; "
+            f"the e1 pins were recorded at {RECORDED_EXP_DISPATCH}")
 
 
 def dominates(a, b, eps: float = 0.0) -> bool:

@@ -5,16 +5,26 @@ does not; a key added to the report later is listed in LATER_KEYS and moves
 no pin.  Recorded at seed 0 and beta 21; a change that moves a report on
 purpose re-records its digest and says why.  e1's values follow numpy's
 SIMD dispatch in their last bits, so each e1 run also pins its decisions
-alone (ROW_DIGESTS), which hold under every dispatch level.  To re-record,
-run ``PYTHONPATH=src python tests/test_report_digests.py``: it prints the
-DIGESTS and ROW_DIGESTS tables of the code in the checkout."""
+alone (ROW_DIGESTS), which hold under every dispatch level, and its front
+values agree within VALUE_TOL with a run under numpy's switch to dispatch
+as on a CPU without AVX-512.  An e1 byte digest that fails names the exp
+dispatch it saw and the one it was recorded at.  To re-record, run
+``PYTHONPATH=src python tests/test_report_digests.py``: it prints the
+numpy version and exp dispatch, then the DIGESTS and ROW_DIGESTS tables of
+the code in the checkout."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import pareto_prune as pp
 from pareto_prune.cli import dumps_json
+from conftest import NO_AVX512, dispatch_note, exp_dispatch
 
 # the keys a report digest hashes, in the order a report writes them
 CONTENT_KEYS = ("problem", "beta", "phases", "eps", "seed", "k_total", "k1m", "k1u", "k1c",
@@ -56,6 +66,10 @@ ROW_DIGESTS = {
     ("e1", "none", 0.01): "69f1e1b1ec8f5c17851525cd971cfc54b8e44a8560fb8dc4bbb53d28a262fdd5",
 }
 
+# largest difference of a front value (y, j1, j2) between the two dispatch
+# levels, relative to max(1, |value|); e1 measured 6.1e-11 under numpy 2.4
+VALUE_TOL = 1e-9
+
 # the session fixtures of conftest.py that hold the same run
 FIXTURES = {("e1", "ab", 0.0): "e1_ab", ("e1", "a", 0.0): "e1_a", ("e1", "none", 0.0): "e1_oracle"}
 
@@ -73,11 +87,15 @@ def report_digest(report: pp.PruneReport) -> str:
     return content_digest(report.to_json_dict())
 
 
+def _rows(doc: dict) -> dict:
+    """A report document's sets, counts and front (k, provenance) rows."""
+    return {**{key: doc[key] for key in SETS}, "nlp": doc["nlp"],
+            "front": [[p["k"], p["provenance"]] for p in doc["front"]]}
+
+
 def row_digest(report: pp.PruneReport) -> str:
     """The SHA-256 of a report's sets, counts and front (k, provenance) rows."""
-    doc = report.to_json_dict()
-    return _sha256({**{key: doc[key] for key in SETS}, "nlp": doc["nlp"],
-                    "front": [[p["k"], p["provenance"]] for p in doc["front"]]})
+    return _sha256(_rows(report.to_json_dict()))
 
 
 def _run(request, problem, phases, eps) -> pp.PruneReport:
@@ -90,13 +108,47 @@ def _run(request, problem, phases, eps) -> pp.PruneReport:
 @pytest.mark.parametrize("problem,phases,eps", list(DIGESTS), ids=lambda v: str(v))
 def test_report_matches_recorded_digest(problem, phases, eps, request):
     report = _run(request, problem, phases, eps)
-    assert report_digest(report) == DIGESTS[problem, phases, eps]
+    assert report_digest(report) == DIGESTS[problem, phases, eps], (
+        dispatch_note() if problem == "e1" else "")
 
 
 @pytest.mark.parametrize("problem,phases,eps", list(ROW_DIGESTS), ids=lambda v: str(v))
 def test_sets_counts_and_front_rows_match_recorded_digest(problem, phases, eps, request):
     report = _run(request, problem, phases, eps)
     assert row_digest(report) == ROW_DIGESTS[problem, phases, eps]
+
+
+_WITHOUT_AVX512 = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import pareto_prune as pp
+from conftest import exp_dispatch
+from test_report_digests import ROW_DIGESTS
+print(json.dumps({"dispatch": exp_dispatch(), "reports": [
+    pp.run_pipeline(pp.get_problem(problem), beta=21, phases=phases, eps=eps).to_json_dict()
+    for problem, phases, eps in ROW_DIGESTS]}))
+"""
+
+
+def test_e1_values_agree_within_tolerance_without_avx512(request):
+    # the e1 byte digests record one dispatch level; across levels the
+    # decisions are equal and every front value lies within VALUE_TOL
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pp.__file__)))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_AVX512, here, src], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    where = f"exp dispatch {exp_dispatch()} here, {out['dispatch']} without AVX-512"
+    assert len(out["reports"]) == len(ROW_DIGESTS)
+    for run, other in zip(ROW_DIGESTS, out["reports"]):
+        doc = _run(request, *run).to_json_dict()
+        assert _rows(doc) == _rows(other), (run, where)
+        for field in ("y", "j1", "j2"):
+            a, b = (np.array([p[field] for p in d["front"]], float) for d in (doc, other))
+            worst = float((np.abs(a - b) / np.maximum(1.0, np.abs(a))).max(initial=0.0))
+            assert worst <= VALUE_TOL, (run, field, worst, where)
 
 
 def _keys_pinned(doc: dict) -> bool:
@@ -134,6 +186,7 @@ def test_each_content_key_moves_the_digest(e1_ab):
 
 
 if __name__ == "__main__":
+    print(f"# numpy {np.__version__}, float64 exp dispatched to {exp_dispatch()}")
     for name, table, digest in (("DIGESTS", DIGESTS, report_digest),
                                 ("ROW_DIGESTS", ROW_DIGESTS, row_digest)):
         print(f"{name} = {{")

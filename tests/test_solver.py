@@ -352,6 +352,24 @@ class TestKsOutOfRange:
             compute_anchors_utopia(run, np.array([k, 2]))
         assert run._table.tobytes() == table.tobytes()
 
+    @pytest.mark.parametrize("ks, dtype", [([1.7], "float64"), ([1.0], "float64"),
+                                           (np.array([True]), "bool")],
+                             ids=["float", "integral-float", "bool"])
+    def test_non_integer_ks_refused(self, ks, dtype, config):
+        # int64 conversion would truncate 1.7 and read True as realization 1
+        run = Solver(pp.make_quad(), [1.0], config)
+        table = run._table.copy()
+        with pytest.raises(ValueError, match=f"^ks must be integers, got dtype {dtype}$"):
+            run.solve(ks, [1.0])
+        assert run._table.tobytes() == table.tobytes()
+
+    def test_non_integer_ks_refused_by_an_operation(self, config):
+        run = Solver(pp.make_e1(), ANCHORS, config)
+        table = run._table.copy()
+        with pytest.raises(ValueError, match="^ks must be integers, got dtype float64$"):
+            compute_anchors_utopia(run, np.array([2.5]))
+        assert run._table.tobytes() == table.tobytes()
+
     def test_no_ks(self, e1_spec, config):
         y, pts = Solver(e1_spec, ANCHORS, config).solve([], [1.0])
         assert y.shape == (0, 1, e1_spec.n_y) and pts.shape == (0, 1, 2)

@@ -19,7 +19,7 @@ from pareto_prune import benchmarks, pipeline, solver
 from pareto_prune.cli import main
 from pareto_prune.core import _z_rows
 from pareto_prune.decomposition import SPLIT_RTOL, check_split
-from conftest import load_perfbench
+from conftest import NO_AVX512, load_perfbench
 from test_report_digests import report_digest
 
 workloads, = load_perfbench("workloads")
@@ -298,7 +298,7 @@ def test_declaring_the_split_moves_no_bit_without_avx512():
     # AVX2 kernels; the split must hold under both, not on one host's
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(pp.__file__)))
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
     proc = subprocess.run([sys.executable, "-c", _NO_AVX512, here, src], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
